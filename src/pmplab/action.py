@@ -19,7 +19,6 @@ from .algebra import (
     Event,
     EventTuple,
     MeasuredAlgebra,
-    _fresh_id,
     _sign_map,
     lift_tuple,
     product_algebra,
@@ -346,24 +345,6 @@ def perturb_small(act: FkAction, fixed: AtomPartition, delta: Fraction) -> Pertu
         for a, b in zip(units[:t], units[t : 2 * t]):
             s[a], s[b] = s[b], s[a]
     return Perturbation(refined_act, projection, tuple(s), tuple(moved))
-
-
-def relabel_action(act: FkAction, relabel: Sequence[int]) -> FkAction:
-    """The same action after renaming atom i to relabel[i]."""
-    n = act.algebra.size
-    if sorted(relabel) != list(range(n)):
-        raise NotBijective("relabeling is not a permutation")
-    masses = [ZERO] * n
-    for i in range(n):
-        masses[relabel[i]] = act.algebra.atoms[i]
-    alg = MeasuredAlgebra(_fresh_id(), tuple(masses))
-    gens = []
-    for p in act.gens:
-        q = [0] * n
-        for x in range(n):
-            q[relabel[x]] = relabel[p[x]]
-        gens.append(tuple(q))
-    return validate_action(alg, gens)
 
 
 def restrict_tuple_to_action(act: FkAction, t: EventTuple) -> EventTuple:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -295,35 +295,6 @@ def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[i
     return MeasuredAlgebra(_fresh_id(), tuple(atoms)), tuple(projection)
 
 
-def refine_atom(
-    alg: MeasuredAlgebra, atom: int, parts: Sequence[Fraction]
-) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
-    """Replace one atom by the given parts, in place.
-
-    The parts must be positive and sum to the atom's mass; other atoms keep
-    their order.  Returns the refined algebra and the new-to-old projection.
-    """
-    if not 0 <= atom < alg.size:
-        raise PartMassMismatch(f"no atom {atom} in algebra of size {alg.size}")
-    ps = tuple(Fraction(p) for p in parts)
-    if not ps or any(p <= 0 for p in ps):
-        raise PartMassMismatch("parts must be nonempty and positive")
-    if sum(ps, ZERO) != alg.atoms[atom]:
-        raise PartMassMismatch(
-            f"parts sum to {sum(ps, ZERO)}, atom {atom} has mass {alg.atoms[atom]}"
-        )
-    atoms: list[Fraction] = []
-    projection: list[int] = []
-    for i, mass in enumerate(alg.atoms):
-        if i == atom:
-            atoms.extend(ps)
-            projection.extend([i] * len(ps))
-        else:
-            atoms.append(mass)
-            projection.append(i)
-    return MeasuredAlgebra(_fresh_id(), tuple(atoms)), tuple(projection)
-
-
 def refine_to_unit(
     alg: MeasuredAlgebra, unit: Fraction
 ) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
@@ -340,11 +311,6 @@ def refine_to_unit(
         atoms.extend([unit] * int(count))
         projection.extend([i] * int(count))
     return MeasuredAlgebra(_fresh_id(), tuple(atoms)), tuple(projection)
-
-
-def refine_to_units(alg: MeasuredAlgebra) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
-    """Split every atom into equal atoms of mass 1/lcm(denominators)."""
-    return refine_to_unit(alg, Fraction(1, alg.denominator_lcm()))
 
 
 def lift_event(e: Event, refined: MeasuredAlgebra, projection: Sequence[int]) -> Event:
@@ -414,8 +380,3 @@ class AtomPartition:
 
     def block_mass(self, i: int) -> Fraction:
         return self.algebra.mass_of(self.blocks[i])
-
-
-def signs_iter(arity: int) -> Iterator[Sign]:
-    """All sign vectors of the given arity in lexicographic order."""
-    return itertools.product((0, 1), repeat=arity)

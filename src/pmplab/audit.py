@@ -10,8 +10,8 @@ extension, how well tuples from the small system can imitate the triple
 intersection pattern of tuples from the large one.
 
 All searches are deterministic: exhaustive in lexicographic order when the
-candidate space is small, otherwise steepest-descent toggling from fixed
-seeds.  Negative outcomes are reported as best-seen upper bounds, never as
+candidate space is small, otherwise steepest-descent toggling from a fixed
+seed.  Negative outcomes are reported as best-seen upper bounds, never as
 refutations.
 """
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 from .algebra import (
     ZERO,
-    Event,
     EventTuple,
     MeasuredAlgebra,
     joint_distribution,
@@ -209,44 +208,37 @@ def _tuple_candidates(size: int, arity: int):
                 yield (head,) + rest
 
 
-def _greedy_descent(size, arity, seeds, evaluate):
+def _greedy_descent(size, arity, seed, evaluate):
     """Steepest-descent search toggling one atom of one coordinate at a time.
 
-    Deterministic: seeds in order, toggles scanned lexicographically, strict
-    improvement required, fixed round budget."""
-    best_val: Optional[Fraction] = None
-    best_members: Optional[tuple[tuple[int, ...], ...]] = None
-    for seed in seeds:
-        current = tuple(tuple(sorted(e)) for e in seed)
-        value = evaluate(current)
-        for _ in range(GREEDY_ROUNDS):
-            improved = None
-            for coord in range(arity):
-                members = set(current[coord])
-                for atom in range(size):
-                    flipped = sorted(
-                        members ^ {atom}
-                    )
-                    candidate = (
-                        current[:coord] + (tuple(flipped),) + current[coord + 1 :]
-                    )
-                    v = evaluate(candidate)
-                    if v < value and (improved is None or v < improved[0]):
-                        improved = (v, candidate)
-            if improved is None:
-                break
-            value, current = improved
-        if best_val is None or value < best_val or (
-            value == best_val and current < best_members
-        ):
-            best_val, best_members = value, current
-    return best_val, best_members
+    Deterministic: starts from the seed, toggles scanned lexicographically,
+    strict improvement required, fixed round budget."""
+    current = tuple(tuple(sorted(e)) for e in seed)
+    value = evaluate(current)
+    for _ in range(GREEDY_ROUNDS):
+        improved = None
+        for coord in range(arity):
+            members = set(current[coord])
+            for atom in range(size):
+                flipped = sorted(
+                    members ^ {atom}
+                )
+                candidate = (
+                    current[:coord] + (tuple(flipped),) + current[coord + 1 :]
+                )
+                v = evaluate(candidate)
+                if v < value and (improved is None or v < improved[0]):
+                    improved = (v, candidate)
+        if improved is None:
+            break
+        value, current = improved
+    return value, current
 
 
 def _search_best(
     size: int,
     arity: int,
-    seeds,
+    seed,
     evaluate,
     stop_below: Fraction,
 ):
@@ -267,7 +259,50 @@ def _search_best(
                 if v < stop_below or v == 0:
                     break
         return best_val, best_members
-    return _greedy_descent(size, arity, seeds, evaluate)
+    return _greedy_descent(size, arity, seed, evaluate)
+
+
+def _refine_search(act: FkAction, arity: int, max_refine: int, stop_below, prepare):
+    """The refine-lift-search loop shared by the audits.
+
+    For each depth m = 1..max_refine every atom of act is split into m equal
+    parts; prepare(refined, projection) returns the candidate scorer and the
+    search seed for that depth, and _search_best scans candidates of the
+    given arity.  After each depth yields the best (value, tuple, depth)
+    seen so far, earlier depths winning ties; callers stop when it is good
+    enough."""
+    best = None
+    for depth in range(1, max_refine + 1):
+        refined, projection = equal_refine_action(act, depth)
+        evaluate, seed = prepare(refined, projection)
+        val, members = _search_best(
+            refined.algebra.size, arity, seed, evaluate, stop_below
+        )
+        if best is None or val < best[0]:
+            best = (val, EventTuple.of_members(refined.algebra, members), depth)
+        yield best
+
+
+def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
+    """Per-depth set-up of the second-condition search: candidates are scored
+    by c2_distance against the joint law of (anchor, parameters), starting
+    from the lifted base parameter."""
+    bcat = tuples[0]
+    for b in tuples[1:]:
+        bcat = bcat.concat(b)
+    target = joint_distribution(a, bcat)
+
+    def prepare(refined: FkAction, projection: Sequence[int]):
+        a_lift = lift_tuple(a, refined.algebra, projection)
+        b0_lift = lift_tuple(tuples[0], refined.algebra, projection)
+
+        def evaluate(members: tuple[tuple[int, ...], ...]) -> Fraction:
+            c = EventTuple.of_members(refined.algebra, members)
+            return c2_distance(refined, a_lift, target, c)
+
+        return evaluate, tuple(e.members for e in b0_lift.events)
+
+    return prepare
 
 
 def search_C2_witness(
@@ -287,34 +322,14 @@ def search_C2_witness(
     reported either way."""
     _check_depth(max_refine)
     tuples = _check_instance(act, a, bs, eps)
-    bcat = tuples[0]
-    for b in tuples[1:]:
-        bcat = bcat.concat(b)
-    target = joint_distribution(a, bcat)
-    arity = tuples[0].arity
     threshold = 2 * eps
-    best: Optional[C2Witness] = None
-    for depth in range(1, max_refine + 1):
-        refined, projection = equal_refine_action(act, depth)
-        a_lift = lift_tuple(a, refined.algebra, projection)
-        b0_lift = lift_tuple(tuples[0], refined.algebra, projection)
-
-        def evaluate(members: tuple[tuple[int, ...], ...]) -> Fraction:
-            c = EventTuple.of_members(refined.algebra, members)
-            return c2_distance(refined, a_lift, target, c)
-
-        seeds = [tuple(e.members for e in b0_lift.events)]
-        val, members = _search_best(
-            refined.algebra.size, arity, seeds, evaluate, threshold
-        )
-        witness = C2Witness(
-            EventTuple.of_members(refined.algebra, members), val, depth
-        )
-        if best is None or witness.distance < best.distance:
-            best = witness
-        if best.distance < threshold:
-            return C2SearchResult(True, best)
-    return C2SearchResult(False, best)
+    prepare = _c2_prepare(a, tuples)
+    for value, c, depth in _refine_search(
+        act, tuples[0].arity, max_refine, threshold, prepare
+    ):
+        if value < threshold:
+            break
+    return C2SearchResult(value < threshold, C2Witness(c, value, depth))
 
 
 def axiom_residual(
@@ -331,28 +346,10 @@ def axiom_residual(
     report = check_C1(act, a, bs, Fraction(1))
     quantities = list(report.xi) + list(report.psi)
     worst = max(quantities) if quantities else ZERO
-    tuples = _check_instance(act, a, bs, Fraction(1))
-    bcat = tuples[0]
-    for b in tuples[1:]:
-        bcat = bcat.concat(b)
-    target = joint_distribution(a, bcat)
-    arity = tuples[0].arity
-    best: Optional[Fraction] = None
-    for depth in range(1, max_refine + 1):
-        refined, projection = equal_refine_action(act, depth)
-        a_lift = lift_tuple(a, refined.algebra, projection)
-        b0_lift = lift_tuple(tuples[0], refined.algebra, projection)
-
-        def evaluate(members: tuple[tuple[int, ...], ...]) -> Fraction:
-            c = EventTuple.of_members(refined.algebra, members)
-            return c2_distance(refined, a_lift, target, c)
-
-        seeds = [tuple(e.members for e in b0_lift.events)]
-        val, _members = _search_best(
-            refined.algebra.size, arity, seeds, evaluate, 2 * worst
-        )
-        if best is None or val < best:
-            best = val
+    prepare = _c2_prepare(a, bs)
+    for best, _c, _depth in _refine_search(
+        act, bs[0].arity, max_refine, 2 * worst, prepare
+    ):
         if best <= 2 * worst:
             break
     residual = best - 2 * worst
@@ -450,9 +447,7 @@ def ec_in_extension_check(
     pushed_anchors = embed.map_tuple(anchors)
     target = _triple_pattern(big.algebra, big, pushed_anchors, bs, ws)
 
-    best: Optional[EcWitness] = None
-    for depth in range(1, max_refine + 1):
-        refined, projection = equal_refine_action(small, depth)
+    def prepare(refined: FkAction, projection: Sequence[int]):
         a_lift = lift_tuple(anchors, refined.algebra, projection)
 
         def evaluate(members: tuple[tuple[int, ...], ...]) -> Fraction:
@@ -463,18 +458,14 @@ def ec_in_extension_check(
                 default=ZERO,
             )
 
-        seed = _pullback_seed(bs, blocks, projection)
-        val, members = _search_best(
-            refined.algebra.size, bs.arity, [seed], evaluate, eps
-        )
-        witness = EcWitness(
-            EventTuple.of_members(refined.algebra, members), val, depth
-        )
-        if best is None or witness.discrepancy < best.discrepancy:
-            best = witness
-        if best.discrepancy < eps:
-            return EcSearchResult(True, best)
-    return EcSearchResult(False, best)
+        return evaluate, _pullback_seed(bs, blocks, projection)
+
+    for value, cs, depth in _refine_search(
+        small, bs.arity, max_refine, eps, prepare
+    ):
+        if value < eps:
+            break
+    return EcSearchResult(value < eps, EcWitness(cs, value, depth))
 
 
 def _pullback_seed(

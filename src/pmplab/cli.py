@@ -13,9 +13,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from . import jsonio
 from .action import (
@@ -53,24 +52,6 @@ USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation settings shared by all subcommands.
-
-    seed is accepted for reproducibility bookkeeping; every search in the
-    library is already deterministic, so the seed influences nothing and
-    identical inputs give identical bytes regardless.  threads caps the
-    worker count for candidate evaluation; evaluation is sequential, which
-    satisfies any cap without affecting results."""
-
-    seed: int
-    k: Optional[int]
-    max_refine: int
-    metric: str
-    output: Optional[str]
-    threads: int
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code fixed at 64."""
 
@@ -106,25 +87,10 @@ def _load(arg: str) -> Any:
     )
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("PMPLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"PMPLAB_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValidationError(f"PMPLAB_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _check_k(config: RunConfig, actual: int) -> None:
-    if config.k is not None and config.k != actual:
+def _check_k(args, actual: int) -> None:
+    if args.k is not None and args.k != actual:
         raise ArityMismatch(
-            f"--k {config.k} does not match the object's {actual} generators"
+            f"--k {args.k} does not match the object's {actual} generators"
         )
 
 
@@ -140,16 +106,16 @@ def _dec(value: Fraction) -> str:
 # subcommand handlers
 
 
-def _cmd_gen_quotient(args, config: RunConfig) -> dict:
+def _cmd_gen_quotient(args) -> dict:
     group = jsonio.group_from_json(_load(args.group))
-    _check_k(config, group.k)
+    _check_k(args, group.k)
     return jsonio.action_to_json(quotient_action(group))
 
 
-def _cmd_joint_quotient(args, config: RunConfig) -> dict:
+def _cmd_joint_quotient(args) -> dict:
     g1 = jsonio.group_from_json(_load(args.group1))
     g2 = jsonio.group_from_json(_load(args.group2))
-    _check_k(config, g1.k)
+    _check_k(args, g1.k)
     jq = joint_quotient(g1, g2)
     return {
         "group": jsonio.group_to_json(jq.group),
@@ -158,16 +124,16 @@ def _cmd_joint_quotient(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_tensor(args, config: RunConfig) -> dict:
+def _cmd_tensor(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(config, act.k)
+    _check_k(args, act.k)
     factor = jsonio.algebra_from_json(_load(args.factor))
     return jsonio.action_to_json(tensor_trivial(act, factor))
 
 
-def _cmd_refine(args, config: RunConfig) -> dict:
+def _cmd_refine(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(config, act.k)
+    _check_k(args, act.k)
     if args.parts < 1:
         raise ValidationError(f"parts must be >= 1, got {args.parts}")
     refined, projection = equal_refine_action(act, args.parts)
@@ -177,7 +143,7 @@ def _cmd_refine(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_dist(args, config: RunConfig) -> dict:
+def _cmd_dist(args) -> dict:
     alg = jsonio.algebra_from_json(_load(args.algebra))
     a = jsonio.tuple_from_json(alg, _load(args.a))
     b = jsonio.tuple_from_json(alg, _load(args.b))
@@ -187,17 +153,17 @@ def _cmd_dist(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_typedist(args, config: RunConfig) -> dict:
+def _cmd_typedist(args) -> dict:
     alg = jsonio.algebra_from_json(_load(args.algebra))
     base = jsonio.tuple_from_json(alg, _load(args.base))
     b = jsonio.tuple_from_json(alg, _load(args.b))
     c = jsonio.tuple_from_json(alg, _load(args.c))
-    fn = type_distance_tv if config.metric == "tv" else type_distance_max
+    fn = type_distance_tv if args.metric == "tv" else type_distance_max
     value = fn(base, b, c)
-    return {"metric": config.metric, "distance": _fr(value), "distance_decimal": _dec(value)}
+    return {"metric": args.metric, "distance": _fr(value), "distance_decimal": _dec(value)}
 
 
-def _cmd_indep(args, config: RunConfig) -> dict:
+def _cmd_indep(args) -> dict:
     alg = jsonio.algebra_from_json(_load(args.algebra))
     base = jsonio.tuple_from_json(alg, _load(args.base))
     b = jsonio.tuple_from_json(alg, _load(args.b))
@@ -214,7 +180,7 @@ def _parse_perm_arg(alg, obj) -> tuple:
     return perm
 
 
-def _cmd_delta(args, config: RunConfig) -> dict:
+def _cmd_delta(args) -> dict:
     alg = jsonio.algebra_from_json(_load(args.algebra))
     g = _load(args.g)
     h = _load(args.h)
@@ -229,7 +195,7 @@ def _cmd_delta(args, config: RunConfig) -> dict:
     return {"delta": _fr(value)}
 
 
-def _cmd_match(args, config: RunConfig) -> dict:
+def _cmd_match(args) -> dict:
     alg = jsonio.algebra_from_json(_load(args.algebra))
     a = jsonio.tuple_from_json(alg, _load(args.a))
     b = jsonio.tuple_from_json(alg, _load(args.b))
@@ -242,7 +208,7 @@ def _cmd_match(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_eppa(args, config: RunConfig) -> dict:
+def _cmd_eppa(args) -> dict:
     alg = jsonio.algebra_from_json(_load(args.algebra))
     partials = [
         jsonio.partial_from_json(alg, alg, _load(p)) for p in args.partials
@@ -255,9 +221,9 @@ def _cmd_eppa(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_ergodize(args, config: RunConfig) -> dict:
+def _cmd_ergodize(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(config, act.k)
+    _check_k(args, act.k)
     fixed = jsonio.partition_from_json(act.algebra, _load(args.fixed))
     res = ergodize(act, fixed)
     return {
@@ -266,9 +232,9 @@ def _cmd_ergodize(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_embed(args, config: RunConfig) -> dict:
+def _cmd_embed(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(config, act.k)
+    _check_k(args, act.k)
     if args.mode == "transitive":
         res = embed_transitive_into_quotient(act)
     else:
@@ -284,12 +250,12 @@ def _cmd_embed(args, config: RunConfig) -> dict:
     return out
 
 
-def _cmd_conjsearch(args, config: RunConfig) -> dict:
+def _cmd_conjsearch(args) -> dict:
     a1 = jsonio.action_from_json(_load(args.action1))
     a2 = jsonio.action_from_json(_load(args.action2))
-    _check_k(config, a1.k)
+    _check_k(args, a1.k)
     cert = approx_conjugacy_search(
-        a1, a2, max_refine=config.max_refine, beam_width=args.beam
+        a1, a2, max_refine=args.max_refine, beam_width=args.beam
     )
     return {
         "eps": _fr(cert.eps),
@@ -307,27 +273,27 @@ def _audit_inputs(args):
     return act, a, bs
 
 
-def _cmd_audit_c1(args, config: RunConfig) -> dict:
+def _cmd_audit_c1(args) -> dict:
     act, a, bs = _audit_inputs(args)
-    _check_k(config, act.k)
+    _check_k(args, act.k)
     eps = jsonio.parse_rational(args.eps)
-    report = check_C1(act, a, bs, eps, metric=config.metric)
+    report = check_C1(act, a, bs, eps, metric=args.metric)
     return {
         "xi": [_fr(x) for x in report.xi],
         "xi_decimal": [_dec(x) for x in report.xi],
         "psi": [_fr(p) for p in report.psi],
         "psi_decimal": [_dec(p) for p in report.psi],
         "eps": _fr(report.eps),
-        "metric": config.metric,
+        "metric": args.metric,
         "satisfied": report.satisfied,
     }
 
 
-def _cmd_audit_c2(args, config: RunConfig) -> dict:
+def _cmd_audit_c2(args) -> dict:
     act, a, bs = _audit_inputs(args)
-    _check_k(config, act.k)
+    _check_k(args, act.k)
     eps = jsonio.parse_rational(args.eps)
-    res = search_C2_witness(act, a, bs, eps, max_refine=config.max_refine)
+    res = search_C2_witness(act, a, bs, eps, max_refine=args.max_refine)
     w = res.witness
     return {
         "found": res.found,
@@ -338,17 +304,17 @@ def _cmd_audit_c2(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_audit_residual(args, config: RunConfig) -> dict:
+def _cmd_audit_residual(args) -> dict:
     act, a, bs = _audit_inputs(args)
-    _check_k(config, act.k)
-    value = axiom_residual(act, a, bs, max_refine=config.max_refine)
+    _check_k(args, act.k)
+    value = axiom_residual(act, a, bs, max_refine=args.max_refine)
     return {"residual": _fr(value), "residual_decimal": _dec(value)}
 
 
-def _cmd_audit_ec(args, config: RunConfig) -> dict:
+def _cmd_audit_ec(args) -> dict:
     small = jsonio.action_from_json(_load(args.small))
     big = jsonio.action_from_json(_load(args.big))
-    _check_k(config, small.k)
+    _check_k(args, small.k)
     embed = jsonio.partial_from_json(small.algebra, big.algebra, _load(args.embed))
     anchors = jsonio.tuple_from_json(small.algebra, _load(args.a))
     bs = jsonio.tuple_from_json(big.algebra, _load(args.bs))
@@ -358,7 +324,7 @@ def _cmd_audit_ec(args, config: RunConfig) -> dict:
     words = [jsonio.word_from_json(w) for w in words_raw]
     eps = jsonio.parse_rational(args.eps)
     res = ec_in_extension_check(
-        small, big, embed, anchors, bs, words, eps, max_refine=config.max_refine
+        small, big, embed, anchors, bs, words, eps, max_refine=args.max_refine
     )
     w = res.witness
     return {
@@ -376,7 +342,6 @@ def _cmd_audit_ec(args, config: RunConfig) -> dict:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="recorded search seed")
     common.add_argument("--k", type=int, default=None, help="expected generator count")
     common.add_argument("--max-refine", type=int, default=1, dest="max_refine")
     common.add_argument("--metric", choices=("tv", "max"), default="tv")
@@ -449,23 +414,15 @@ def cli_dispatch(argv) -> int:
         code = exc.code
         return int(code) if code else 0
     try:
-        config = RunConfig(
-            seed=args.seed,
-            k=args.k,
-            max_refine=args.max_refine,
-            metric=args.metric,
-            output=args.out,
-            threads=_threads_from_env(),
-        )
-        if config.max_refine < 1:
+        if args.max_refine < 1:
             raise ValidationError(
-                f"--max-refine must be >= 1, got {config.max_refine}"
+                f"--max-refine must be >= 1, got {args.max_refine}"
             )
-        payload = args.handler(args, config)
+        payload = args.handler(args)
         document = jsonio.render_document(payload)
         sys.stdout.write(document)
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(document)
         return 0
     except PmplabError as exc:

@@ -768,8 +768,10 @@ class ConjugacyCertificate:
     its exact defect.
 
     eps equals max over generators of the uniform distance between the
-    conjugated generator and its counterpart, recomputed from the mapping;
-    exhausted marks results where the search budget ended above zero."""
+    conjugated generator and its counterpart, recomputed from the mapping.
+    exhausted is currently just eps != 0: no exact conjugacy was found at
+    any refinement depth tried.  It does not say the search space was used
+    up, so a positive eps is an upper bound, not a refutation."""
 
     iso: Isomorphism
     eps: Fraction

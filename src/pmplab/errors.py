@@ -55,10 +55,6 @@ class NonpositiveDelta(ValidationError):
     """A perturbation bound must be strictly positive."""
 
 
-class DeltaTooSmallForExactness(ValidationError):
-    """No exact rational perturbation below the requested bound exists."""
-
-
 # -- model theory -----------------------------------------------------------
 
 class NonpositiveEps(ValidationError):

@@ -275,6 +275,66 @@ def test_ec_tensor_extension_regression():
     assert [e.members for e in deep.witness.cs.events] == [(0, 2)]
 
 
+def test_searches_visit_expected_depths(monkeypatch):
+    """Each audit stops at the first depth whose best value passes its own
+    test: strictly below 2*eps (C2), below eps (EC), at most 2*worst
+    (residual)."""
+    import pmplab.audit as audit
+
+    visited = []
+
+    def recording(act, m):
+        visited.append(m)
+        return equal_refine_action(act, m)
+
+    monkeypatch.setattr(audit, "equal_refine_action", recording)
+
+    act = z2_two_gens()
+    alg = act.algebra
+    b1 = EventTuple.of_members(alg, [[1]])
+    search_C2_witness(
+        act,
+        EventTuple.of_members(alg, [[0]]),
+        [EventTuple.of_members(alg, [[0]]), b1, b1],
+        F(1, 10),
+        max_refine=2,
+    )
+    assert visited == [1]
+
+    visited.clear()
+    small = quotient_action(cyclic_group(2, [1]))
+    big = tensor_trivial(small, validate_algebra([F(1, 2), F(1, 2)]))
+    embed = PartialIsomorphism.of(
+        small.algebra, big.algebra, [([0], [0, 1]), ([1], [2, 3])]
+    )
+    ec_in_extension_check(
+        small,
+        big,
+        embed,
+        EventTuple.of_members(small.algebra, [[0]]),
+        EventTuple.of_members(big.algebra, [[0, 2]]),
+        [Word.of([]), Word.of([1])],
+        F(1, 4),
+        max_refine=2,
+    )
+    assert visited == [1, 2]
+
+    # worst = 1/4 and the best depth-1 distance is exactly 1/2 = 2*worst,
+    # so the residual's non-strict test stops after depth 1.
+    visited.clear()
+    alg4 = uniform_algebra(4)
+    act4 = validate_action(alg4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    b3 = EventTuple.of_members(alg4, [[3]])
+    residual = axiom_residual(
+        act4,
+        EventTuple.of_members(alg4, [[]]),
+        [EventTuple.of_members(alg4, [[0, 3]]), b3, b3],
+        max_refine=2,
+    )
+    assert visited == [1]
+    assert residual == 0
+
+
 def test_ec_rejects_bad_embeddings_and_eps():
     small = quotient_action(cyclic_group(2, [1]))
     big = tensor_trivial(small, validate_algebra([F(1, 2), F(1, 2)]))
