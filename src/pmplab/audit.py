@@ -13,9 +13,14 @@ All searches are deterministic: exhaustive in lexicographic order when the
 candidate space is small, otherwise steepest-descent toggling from a fixed
 seed.  Negative outcomes are reported as best-seen upper bounds, never as
 refutations.
+
+The second-condition search scores candidates in integer units of 1/D, D
+the common denominator of the refined atoms, and turns each score into a
+Fraction only at the boundary; every score equals what c2_distance returns.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,6 +29,7 @@ from .algebra import (
     ZERO,
     EventTuple,
     MeasuredAlgebra,
+    _sign_map,
     joint_distribution,
     lift_tuple,
 )
@@ -193,19 +199,12 @@ def c2_distance(
 
 def _tuple_candidates(size: int, arity: int):
     """All event tuples over `size` atoms in lexicographic bitmask order."""
-    def events():
-        for mask in range(1 << size):
-            yield tuple(j for j in range(size) if mask >> j & 1)
-
     if arity == 0:
-        yield ()
-        return
-    for head in events():
-        if arity == 1:
-            yield (head,)
-        else:
-            for rest in _tuple_candidates(size, arity - 1):
-                yield (head,) + rest
+        return iter(((),))
+    events = [()]
+    for j in range(size):  # events[mask | 1 << j] == events[mask] + (j,)
+        events += [e + (j,) for e in events]
+    return itertools.product(events, repeat=arity)
 
 
 def _greedy_descent(size, arity, seed, evaluate):
@@ -285,21 +284,62 @@ def _refine_search(act: FkAction, arity: int, max_refine: int, stop_below, prepa
 
 def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
     """Per-depth set-up of the second-condition search: candidates are scored
-    by c2_distance against the joint law of (anchor, parameters), starting
-    from the lifted base parameter."""
+    against the joint law of (anchor, parameters), starting from the lifted
+    base parameter.
+
+    Each score is the value c2_distance would return, computed in integer
+    units of 1/D, D the lcm of the refined atoms' denominators.  Every atom's
+    joint sign is packed into one int: anchor bits first, then the orbit
+    tuple's bits in _orbit_tuple's coordinate order.  The target law is
+    re-keyed the same way; its masses are sums of whole refined atoms, hence
+    multiples of 1/D.  Only the final half-sum becomes a Fraction."""
     bcat = tuples[0]
     for b in tuples[1:]:
         bcat = bcat.concat(b)
     target = joint_distribution(a, bcat)
+    base_arity = a.arity
+    arity = tuples[0].arity
+
+    def pack(signs: Sequence[int]) -> int:
+        return sum(bit << i for i, bit in enumerate(signs))
 
     def prepare(refined: FkAction, projection: Sequence[int]):
-        a_lift = lift_tuple(a, refined.algebra, projection)
-        b0_lift = lift_tuple(tuples[0], refined.algebra, projection)
+        alg = refined.algebra
+        denom = alg.denominator_lcm()
+        weights = [m.numerator * (denom // m.denominator) for m in alg.atoms]
+        target_units = {
+            pack(r) | pack(s) << base_arity: m.numerator * (denom // m.denominator)
+            for (r, s), m in target.mass.items()
+        }
+        target_total = sum(target_units.values())
+        a_lift = lift_tuple(a, alg, projection)
+        anchor_bits = [pack(signs) for signs in _sign_map(a_lift)]
+        # (coordinate, generator image) pairs: bit base_arity + i*arity + j
+        # of atom y is set iff y lies in g_i(c_j), g_0 the identity.
+        images = [tuple(range(alg.size))] + list(refined.gens)
+        placed = [
+            [(1 << (base_arity + i * arity + j), g) for i, g in enumerate(images)]
+            for j in range(arity)
+        ]
 
         def evaluate(members: tuple[tuple[int, ...], ...]) -> Fraction:
-            c = EventTuple.of_members(refined.algebra, members)
-            return c2_distance(refined, a_lift, target, c)
+            bits = anchor_bits[:]
+            for coord, event in zip(placed, members):
+                for bit, g in coord:
+                    for x in event:
+                        bits[g[x]] |= bit
+            counts: dict[int, int] = {}
+            for key, w in zip(bits, weights):
+                counts[key] = counts.get(key, 0) + w
+            # sum of |target - counts| over all keys; a key missing from
+            # counts contributes its whole target mass
+            total = target_total
+            for key, units in counts.items():
+                t = target_units.get(key, 0)
+                total += abs(t - units) - t
+            return Fraction(total, 2 * denom)
 
+        b0_lift = lift_tuple(tuples[0], alg, projection)
         return evaluate, tuple(e.members for e in b0_lift.events)
 
     return prepare

@@ -20,10 +20,10 @@ from .algebra import (
     Event,
     EventTuple,
     MeasuredAlgebra,
+    Sign,
     _fresh_id,
     _sign_map,
     dist_partition,
-    generated_partition,
     lift_tuple,
     validate_algebra,
 )
@@ -194,16 +194,19 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
         raise AlgebraMismatch("tuples live on different algebras")
     if a.arity != b.arity:
         raise ArityMismatch(f"tuples have arities {a.arity} and {b.arity}")
-    pa = generated_partition(a)
-    pb = generated_partition(b)
-    masses_a = {s: c[1] for s, c in pa.cells.items()}
-    masses_b = {s: c[1] for s, c in pb.cells.items()}
-    if masses_a != masses_b:
-        raise TypeMismatch("tuples are not equidistributed: cell masses differ")
-
     alg = a.algebra
     sa = _sign_map(a)
     sb = _sign_map(b)
+    # Only the cells that occur: every atom has positive mass, so an empty
+    # cell has mass 0 under both tuples and never needs comparing.
+    masses_a: dict[Sign, Fraction] = {}
+    masses_b: dict[Sign, Fraction] = {}
+    for x, mass in enumerate(alg.atoms):
+        masses_a[sa[x]] = masses_a.get(sa[x], ZERO) + mass
+        masses_b[sb[x]] = masses_b.get(sb[x], ZERO) + mass
+    if masses_a != masses_b:
+        raise TypeMismatch("tuples are not equidistributed: cell masses differ")
+
     moving = [x for x in range(alg.size) if sa[x] != sb[x]]
     dp = sum((alg.atoms[x] for x in moving), ZERO)
 
@@ -226,13 +229,18 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
             atoms.append(mass)
     refined = MeasuredAlgebra(_fresh_id(), tuple(atoms))
 
+    leaving: dict[Sign, list[int]] = {}
+    entering: dict[Sign, list[int]] = {}
+    for x in moving:
+        leaving.setdefault(sa[x], []).extend(fragments[x])
+        entering.setdefault(sb[x], []).extend(fragments[x])
     perm = list(range(refined.size))
     for s in sorted(masses_a):
-        leaving = [f for x in moving if sa[x] == s for f in fragments[x]]
-        entering = [f for x in moving if sb[x] == s for f in fragments[x]]
-        if len(leaving) != len(entering):
+        sources = leaving.get(s, [])
+        targets = entering.get(s, [])
+        if len(sources) != len(targets):
             raise LPInternal("fragment counts disagree within a sign vector")
-        for src, tgt in zip(leaving, entering):
+        for src, tgt in zip(sources, targets):
             perm[src] = tgt
 
     a_lifted = lift_tuple(a, refined, projection)

@@ -23,7 +23,6 @@ from .algebra import (
     Sign,
     _same_algebra,
     _sign_map,
-    generated_partition,
     joint_distribution,
 )
 from .errors import ArityMismatch, InstanceTooLarge, LPInternal, NonpositiveEps
@@ -230,7 +229,7 @@ def oracle_type_distance(
     n = b.arity
     if n > 2:
         raise InstanceTooLarge(f"fiber arity {n} exceeds the oracle bound 2")
-    cells = generated_partition(base).nonzero_signs()
+    cells = sorted(set(_sign_map(base)))
     if len(cells) > 3:
         raise InstanceTooLarge(f"{len(cells)} base cells exceed the oracle bound 3")
     if n == 0:

@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmplab.algebra import (
     EventTuple,
     joint_distribution,
+    lift_tuple,
     validate_algebra,
 )
 from pmplab.action import (
@@ -23,7 +26,12 @@ from pmplab.action import (
     validate_action,
 )
 from pmplab.audit import (
+    EXHAUSTIVE_TUPLE_CAP,
+    _c2_prepare,
+    _refine_search,
+    _tuple_candidates,
     axiom_residual,
+    c2_distance,
     check_C1,
     ec_in_extension_check,
     search_C2_witness,
@@ -275,6 +283,15 @@ def test_ec_tensor_extension_regression():
     assert [e.members for e in deep.witness.cs.events] == [(0, 2)]
 
 
+def test_tuple_candidates_lexicographic_in_bitmasks():
+    assert list(_tuple_candidates(2, 1)) == [((),), ((0,),), ((1,),), ((0, 1),)]
+    pairs = list(_tuple_candidates(2, 2))
+    assert len(pairs) == 16
+    assert pairs[:5] == [((), ()), ((), (0,)), ((), (1,)), ((), (0, 1)), ((0,), ())]
+    # arity 0 has the one empty tuple and never lists the 2**size events
+    assert list(_tuple_candidates(200, 0)) == [()]
+
+
 def test_searches_visit_expected_depths(monkeypatch):
     """Each audit stops at the first depth whose best value passes its own
     test: strictly below 2*eps (C2), below eps (EC), at most 2*worst
@@ -351,3 +368,138 @@ def test_ec_rejects_bad_embeddings_and_eps():
     )
     with pytest.raises(NonpositiveEps):
         ec_in_extension_check(small, big, good, anchors, bs, words, F(0))
+
+
+# ---------------------------------------------------------------------------
+# the integer C2 scorer against the Fraction oracle
+
+
+def oracle_c2_prepare(a, tuples):
+    """The obviously correct scorer: rebuild each candidate as an EventTuple
+    and score it with the public Fraction definition c2_distance."""
+    bcat = tuples[0]
+    for b in tuples[1:]:
+        bcat = bcat.concat(b)
+    target = joint_distribution(a, bcat)
+
+    def prepare(refined, projection):
+        a_lift = lift_tuple(a, refined.algebra, projection)
+        b0_lift = lift_tuple(tuples[0], refined.algebra, projection)
+
+        def evaluate(members):
+            c = EventTuple.of_members(refined.algebra, members)
+            return c2_distance(refined, a_lift, target, c)
+
+        return evaluate, tuple(e.members for e in b0_lift.events)
+
+    return prepare
+
+
+@st.composite
+def _mixed_c2_instances(draw):
+    """An action on atoms of unequal masses (classes of equal-mass atoms that
+    the generators shuffle), anchor and parameters, a depth and candidates."""
+    classes = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 9)), min_size=1, max_size=3
+        )
+    )
+    total = sum(size * weight for size, weight in classes)
+    masses = [F(weight, total) for size, weight in classes for _ in range(size)]
+    alg = validate_algebra(masses)
+    n = alg.size
+    k = draw(st.integers(1, 2))
+    gens = []
+    for _ in range(k):
+        perm, start = [], 0
+        for size, _weight in classes:
+            block = draw(st.permutations(range(start, start + size)))
+            perm.extend(block)
+            start += size
+        gens.append(perm)
+    act = validate_action(alg, gens)
+
+    def tuple_of(arity, size, alg_):
+        events = draw(
+            st.lists(
+                st.sets(st.integers(0, size - 1)), min_size=arity, max_size=arity
+            )
+        )
+        return EventTuple.of_members(alg_, events)
+
+    a = tuple_of(draw(st.integers(0, 2)), n, alg)
+    arity = draw(st.integers(0, 2))
+    bs = [tuple_of(arity, n, alg) for _ in range(k + 1)]
+    depth = draw(st.integers(1, 3))
+    candidates = draw(
+        st.lists(
+            st.lists(
+                st.sets(st.integers(0, n * depth - 1)),
+                min_size=arity,
+                max_size=arity,
+            ),
+            max_size=4,
+        )
+    )
+    return act, a, bs, depth, candidates
+
+
+@given(_mixed_c2_instances())
+@settings(max_examples=150, deadline=None)
+def test_c2_scorer_matches_fraction_oracle(instance):
+    act, a, bs, depth, candidates = instance
+    refined, projection = equal_refine_action(act, depth)
+    evaluate, seed = _c2_prepare(a, bs)(refined, projection)
+    oracle, oracle_seed = oracle_c2_prepare(a, bs)(refined, projection)
+    assert seed == oracle_seed
+    for members in [seed] + [tuple(tuple(sorted(e)) for e in c) for c in candidates]:
+        value = evaluate(members)
+        assert type(value) is Fraction
+        assert value == oracle(members)
+
+
+def _exhaustive_instance():
+    # depths 1 and 2: 16 and 256 candidates over unequal masses
+    alg = validate_algebra([F(1, 6), F(1, 6), F(1, 3), F(1, 3)])
+    act = validate_action(alg, [(1, 0, 3, 2), (0, 1, 3, 2)])
+    a = EventTuple.of_members(alg, [[0, 2]])
+    bs = [
+        EventTuple.of_members(alg, [[1, 2]]),
+        EventTuple.of_members(alg, [[0]]),
+        EventTuple.of_members(alg, [[3]]),
+    ]
+    return act, a, bs, 1, 2
+
+
+def _greedy_instance():
+    # 8 atoms, arity 2: 2**16 candidates, past the exhaustive cap
+    act = quotient_action(cyclic_group(8, [1, 3]))
+    alg = act.algebra
+    rng = random.Random(97)
+    a = random_tuple(rng, alg, arity=1)
+    bs = [random_tuple(rng, alg, arity=2) for _ in range(3)]
+    return act, a, bs, 2, 1
+
+
+@pytest.mark.parametrize(
+    "build, exhaustive",
+    [(_exhaustive_instance, True), (_greedy_instance, False)],
+    ids=["exhaustive", "greedy"],
+)
+def test_refine_search_same_with_oracle_scorer(build, exhaustive):
+    act, a, bs, arity, max_refine = build()
+    for depth in range(1, max_refine + 1):
+        total = (1 << act.algebra.size * depth) ** arity
+        assert (total <= EXHAUSTIVE_TUPLE_CAP) == exhaustive
+
+    def run(prepare):
+        return [
+            (value, tuple(e.members for e in c.events), depth)
+            for value, c, depth in _refine_search(
+                act, arity, max_refine, F(0), prepare(a, bs)
+            )
+        ]
+
+    fast = run(_c2_prepare)
+    assert fast == run(oracle_c2_prepare)
+    assert all(type(value) is Fraction for value, _m, _d in fast)

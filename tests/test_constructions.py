@@ -142,6 +142,25 @@ def test_match_partitions_type_mismatch():
         match_partitions(a, b)
 
 
+def test_match_partitions_wide_tuples_on_few_atoms():
+    """40 events over 4 atoms: only the occurring cells are examined, never
+    the 2**40 sign vectors."""
+    rng = random.Random(223)
+    alg = validate_algebra([F(1, 6), F(1, 6), F(1, 3), F(1, 3)])
+    swap = (1, 0, 3, 2)
+    a = random_tuple(rng, alg, arity=40)
+    b = EventTuple.of(alg, [apply_perm_event(swap, e) for e in a.events])
+    m = match_partitions(a, b)
+    assert m.dp == dist_partition(a, b)
+    for ea, eb in zip(m.a_lifted.events, m.b_lifted.events):
+        assert apply_perm_event(m.perm, ea).members == eb.members
+    assert uniform_distance(m.refined, m.perm, tuple(range(m.refined.size))) <= m.dp
+    lopsided = EventTuple.of(alg, a.events[:-1] + (Event.of(alg, [0, 2]),))
+    unequal = EventTuple.of(alg, b.events[:-1] + (Event.of(alg, [0]),))
+    with pytest.raises(TypeMismatch):
+        match_partitions(lopsided, unequal)
+
+
 def test_match_partitions_postconditions_random():
     rng = random.Random(211)
     for _ in range(30):

@@ -137,6 +137,19 @@ def test_oracle_rejects_bad_instances():
         oracle_type_distance(base, wide_b, wide_b, grid=2)
 
 
+def test_oracle_accepts_a_wide_base_with_few_cells():
+    """A 40-event base over 4 atoms has 3 nonempty cells; only those are
+    enumerated, never the 2**40 sign vectors."""
+    alg = uniform_algebra(4)
+    narrow = _tuples(alg, [0, 1], [0, 1, 2])
+    wide = _tuples(alg, *([[0, 1], [0, 1, 2]] * 20))
+    b = _tuples(alg, [0, 2])
+    c = _tuples(alg, [1, 3])
+    expected = oracle_type_distance(narrow, b, c, grid=2)
+    assert expected == F(1, 2)
+    assert oracle_type_distance(wide, b, c, grid=2) == expected
+
+
 def test_joining_product_example():
     alg = uniform_algebra(4)
     base = _tuples(alg)
