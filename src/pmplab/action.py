@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     ZERO,
@@ -41,7 +41,7 @@ def perm_identity(n: int) -> Perm:
 
 def perm_compose(f: Perm, g: Perm) -> Perm:
     """The permutation x -> f(g(x))."""
-    return tuple(f[g[x]] for x in range(len(f)))
+    return tuple([f[y] for y in g])
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -145,27 +145,45 @@ class InvariantDecomposition:
         return AtomPartition(self.algebra, self.components)
 
 
+def _breadth_first(start, gens, step, limit: Optional[int] = None):
+    """Closure of start under x -> step(x, g) for every g in gens.
+
+    Returns the elements in breadth-first discovery order, scanning gens in
+    their given order from each element, and a dict from each element to its
+    position in that list.  With a limit the walk stops as soon as more than
+    limit elements are found, so a list longer than limit is cut short."""
+    found = [start]
+    index = {start: 0}
+    for x in found:  # found grows while it is read: it is the queue
+        for g in gens:
+            y = step(x, g)
+            if y not in index:
+                index[y] = len(found)
+                found.append(y)
+                if limit is not None and len(found) > limit:
+                    return found, index
+    return found, index
+
+
+def _orbit_walks(act: FkAction) -> list[list[int]]:
+    """Every orbit of the atoms in breadth-first order from its least atom,
+    along the generators and then their inverses; orbits by least atom."""
+    perms = act.gens + act.inv_gens
+    walks: list[list[int]] = []
+    covered: set[int] = set()
+    for root in range(act.algebra.size):
+        if root not in covered:
+            walk, index = _breadth_first(root, perms, lambda x, p: p[x])
+            walks.append(walk)
+            covered.update(index)
+    return walks
+
+
 def invariant_components(act: FkAction) -> InvariantDecomposition:
     """Orbit components of the atoms under all generators."""
-    n = act.algebra.size
-    seen = [False] * n
-    components: list[frozenset[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = {start}
-        while stack:
-            x = stack.pop()
-            for p in act.gens + act.inv_gens:
-                y = p[x]
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        components.append(frozenset(comp))
-    return InvariantDecomposition(act.algebra, tuple(sorted(components, key=min)))
+    return InvariantDecomposition(
+        act.algebra, tuple(frozenset(walk) for walk in _orbit_walks(act))
+    )
 
 
 def generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
+    InstanceTooLarge,
     MassNotOne,
     PartMassMismatch,
     ValidationError,
@@ -188,13 +189,20 @@ class CellPartition:
         return [s for s in sorted(self.cells) if self.cells[s][1] > 0]
 
 
+# generated_partition lists all 2^arity cells, empty ones included.
+MAX_PARTITION_ARITY = 16
+
+
 def generated_partition(t: EventTuple) -> CellPartition:
     """Cells of the partition generated by t.
 
     The cell of sign vector s is the intersection over i of event i (when
     s[i] = 1) or its complement (when s[i] = 0).  The empty tuple generates
-    the single cell of mass one, keyed by the empty sign vector.
+    the single cell of mass one, keyed by the empty sign vector.  Raises
+    InstanceTooLarge beyond MAX_PARTITION_ARITY events.
     """
+    if t.arity > MAX_PARTITION_ARITY:
+        raise InstanceTooLarge(f"{t.arity} events exceed the cap {MAX_PARTITION_ARITY}")
     signs = _sign_map(t)
     groups: dict[Sign, set[int]] = {s: set() for s in itertools.product((0, 1), repeat=t.arity)}
     for atom, s in enumerate(signs):

@@ -10,6 +10,7 @@ stdout), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -406,8 +407,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser per process: parsing reads it and never changes it.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def cli_dispatch(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:

@@ -8,10 +8,9 @@ with the metrics from the algebra and action modules.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -30,6 +29,8 @@ from .algebra import (
 from .action import (
     FkAction,
     Perm,
+    _breadth_first,
+    _orbit_walks,
     apply_perm_event,
     invariant_components,
     perm_compose,
@@ -44,6 +45,7 @@ from .errors import (
     AlgebraMismatch,
     ArityMismatch,
     BoundViolated,
+    InstanceTooLarge,
     InvalidGroupTable,
     LPInternal,
     NotBijective,
@@ -340,10 +342,22 @@ class MarkedGroup:
         raise InvalidGroupTable(f"element {x} has no inverse")
 
 
+# Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).
+MAX_GROUP_ORDER = 1024
+
+
 def validate_marked_group(
     mul: Sequence[Sequence[int]], gen_images: Sequence[int]
 ) -> MarkedGroup:
-    """Full check: table shape, identity, inverses, associativity, generation."""
+    """Full check of a table from outside: shape, identity, inverses,
+    generation, associativity.
+
+    Associativity is tested only against the marked generators, in
+    O(k order^2): let S be the set of z with (xy)z = x(yz) for all x, y.
+    The identity is in S.  If a and g are in S then so is ag, since
+    (xy)(ag) = ((xy)a)g = (x(ya))g = x((ya)g) = x(y(ag)).  Once the
+    generation check has passed, every element is a product
+    (...(e g1) g2 ...) gn of marked generators, so every element is in S."""
     order = len(mul)
     if order == 0:
         raise InvalidGroupTable("empty multiplication table")
@@ -363,37 +377,47 @@ def validate_marked_group(
             table[x][y] == identity and table[y][x] == identity for y in range(order)
         ):
             raise InvalidGroupTable(f"element {x} has no inverse")
-    for x in range(order):
-        for y in range(order):
-            for z in range(order):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise InvalidGroupTable("multiplication is not associative")
     gens = tuple(gen_images)
     for g in gens:
         if not 0 <= g < order:
             raise InvalidGroupTable(f"generator image {g} out of range")
-    reached = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = table[x][g]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
+    reached, _ = _breadth_first(identity, gens, lambda x, g: table[x][g])
     if len(reached) != order:
         raise NotGenerating(
             f"marked generators reach only {len(reached)} of {order} elements"
         )
+    for x in range(order):
+        for y in range(order):
+            xy, row_y = table[table[x][y]], table[y]
+            for g in gens:
+                if xy[g] != table[x][row_y[g]]:
+                    raise InvalidGroupTable("multiplication is not associative")
     return MarkedGroup(order, table, identity, gens)
 
 
 def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
-    """Z/n with marked generators given as residues."""
+    """Z/n with marked generators given as residues, up to MAX_GROUP_ORDER."""
     if n < 1:
         raise InvalidGroupTable(f"cyclic group order must be >= 1, got {n}")
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return validate_marked_group(mul, [i % n for i in images])
+    if n > MAX_GROUP_ORDER:
+        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    gens = tuple(i % n for i in images)
+    reached = n // gcd(n, *gens)
+    if reached != n:
+        raise NotGenerating(f"marked generators reach only {reached} of {n} elements")
+    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return MarkedGroup(n, mul, 0, gens)
+
+
+def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
+    """The group generated by gens under compose, enumerated breadth-first
+    from the identity by multiplying on the right by the generators in
+    order; element i of the returned list is group element i."""
+    elements, index = _breadth_first(identity, gens, compose, MAX_GROUP_ORDER)
+    if len(elements) > MAX_GROUP_ORDER:
+        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    mul = tuple(tuple(index[compose(x, y)] for y in elements) for x in elements)
+    return MarkedGroup(len(elements), mul, 0, tuple(index[g] for g in gens)), elements
 
 
 def permutation_marked_group(
@@ -404,7 +428,8 @@ def permutation_marked_group(
     Elements are enumerated breadth-first from the identity, multiplying on
     the right by the generators in order; the element list is returned
     alongside the abstract marked group, and indices follow discovery order
-    with the identity first."""
+    with the identity first.  Raises InstanceTooLarge beyond MAX_GROUP_ORDER
+    elements."""
     if not perms:
         raise InvalidGroupTable("need at least one generator permutation")
     degree = len(perms[0])
@@ -414,24 +439,7 @@ def permutation_marked_group(
         if len(q) != degree or sorted(q) != list(range(degree)):
             raise NotBijective("generator is not a permutation")
         gens.append(q)
-    identity = perm_identity(degree)
-    elements: list[Perm] = [identity]
-    index: dict[Perm, int] = {identity: 0}
-    queue = [identity]
-    while queue:
-        current = queue.pop(0)
-        for g in gens:
-            nxt = perm_compose(current, g)
-            if nxt not in index:
-                index[nxt] = len(elements)
-                elements.append(nxt)
-                queue.append(nxt)
-    order = len(elements)
-    mul = [
-        [index[perm_compose(elements[i], elements[j])] for j in range(order)]
-        for i in range(order)
-    ]
-    group = validate_marked_group(mul, [index[g] for g in gens])
+    group, elements = _generated_group(perm_identity(degree), gens, perm_compose)
     return group, tuple(elements)
 
 
@@ -446,20 +454,16 @@ def marked_group_isomorphism(g: MarkedGroup, h: MarkedGroup) -> Optional[tuple[i
         return None
     if g.order != h.order:
         return None
-    phi: dict[int, int] = {g.identity: h.identity}
-    queue = [g.identity]
-    while queue:
-        x = queue.pop(0)
-        for gi in range(g.k):
-            y = g.mul[x][g.gen_images[gi]]
-            image = h.mul[phi[x]][h.gen_images[gi]]
-            if y in phi:
-                if phi[y] != image:
-                    return None
-            else:
-                phi[y] = image
-                queue.append(y)
-    if len(phi) != g.order or len(set(phi.values())) != g.order:
+    # Walk pairs (x, phi(x)): the pairs reached form the graph of a map
+    # exactly when no more than order of them are found.
+    pairs, _ = _breadth_first(
+        (g.identity, h.identity),
+        tuple(zip(g.gen_images, h.gen_images)),
+        lambda p, a: (g.mul[p[0]][a[0]], h.mul[p[1]][a[1]]),
+        g.order,
+    )
+    phi = dict(pairs)
+    if len(pairs) != g.order or len(set(phi.values())) != g.order:
         return None
     for x in range(g.order):
         for y in range(g.order):
@@ -503,29 +507,10 @@ def joint_quotient(g1: MarkedGroup, g2: MarkedGroup) -> JointQuotient:
     the recorded projections."""
     if g1.k != g2.k:
         raise ArityMismatch(f"groups mark {g1.k} and {g2.k} generators")
-    start = (g1.identity, g2.identity)
-    elements: list[tuple[int, int]] = [start]
-    index: dict[tuple[int, int], int] = {start: 0}
-    queue = [start]
-    pair_gens = list(zip(g1.gen_images, g2.gen_images))
-    while queue:
-        x1, x2 = queue.pop(0)
-        for a1, a2 in pair_gens:
-            nxt = (g1.mul[x1][a1], g2.mul[x2][a2])
-            if nxt not in index:
-                index[nxt] = len(elements)
-                elements.append(nxt)
-                queue.append(nxt)
-    order = len(elements)
-    mul = [[0] * order for _ in range(order)]
-    for i, (x1, x2) in enumerate(elements):
-        for j, (y1, y2) in enumerate(elements):
-            prod = (g1.mul[x1][y1], g2.mul[x2][y2])
-            if prod not in index:
-                raise InvalidGroupTable("generated pair set is not closed")
-            mul[i][j] = index[prod]
-    group = validate_marked_group(
-        mul, [index[(a1, a2)] for a1, a2 in pair_gens]
+    group, elements = _generated_group(
+        (g1.identity, g2.identity),
+        list(zip(g1.gen_images, g2.gen_images)),
+        lambda x, y: (g1.mul[x[0]][y[0]], g2.mul[x[1]][y[1]]),
     )
     return JointQuotient(
         group,
@@ -641,20 +626,11 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
             bp[bi] = fixed.blocks.index(image)
         block_perms.append(bp)
 
-    seen = [False] * len(fixed.blocks)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        b = stack.pop()
-        for bp in block_perms:
-            for nb in (bp[b], bp.index(b)):
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-    if not all(seen):
-        element = tuple(
-            sorted(x for bi, block in enumerate(fixed.blocks) if seen[bi] for x in block)
-        )
+    # The inverse of a block permutation is one of its powers, so the
+    # forward maps alone reach every block connected to block 0.
+    reached, _ = _breadth_first(0, block_perms, lambda b, bp: bp[b])
+    if len(reached) != len(fixed.blocks):
+        element = tuple(sorted(x for bi in reached for x in fixed.blocks[bi]))
         raise PreconditionInvariantElement(
             "a nontrivial union of fixed blocks is invariant under all generators",
             element,
@@ -860,21 +836,7 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> Optional[tuple[int, ...]]:
     Returns None when no exact conjugacy is found within the node budget.
     """
     n = r1.algebra.size
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            order.append(x)
-            for p in r1.gens + r1.inv_gens:
-                y = p[x]
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
+    order = [x for walk in _orbit_walks(r1) for x in walk]
     mapping = [-1] * n
     used = [False] * n
     edges = list(zip(r1.gens, r1.inv_gens, r2.gens, r2.inv_gens))

@@ -62,7 +62,9 @@ class NonpositiveEps(ValidationError):
 
 
 class InstanceTooLarge(ValidationError):
-    """The brute-force oracle refuses instances beyond its documented size."""
+    """An instance is beyond a documented size cap: the brute-force oracle's
+    bounds, a group enumeration past MAX_GROUP_ORDER elements, or a
+    generated partition past MAX_PARTITION_ARITY events."""
 
 
 class LPInternal(PmplabError):

@@ -27,7 +27,7 @@ from .constructions import (
     permutation_marked_group,
     validate_marked_group,
 )
-from .errors import ValidationError
+from .errors import InstanceTooLarge, ValidationError
 
 DECIMAL_DIGITS = 20
 
@@ -196,6 +196,8 @@ def group_from_json(obj: Any) -> MarkedGroup:
     if isinstance(obj, str):
         try:
             return _parse_builtin_group(obj)
+        except InstanceTooLarge:
+            raise
         except ValueError as exc:
             raise ValidationError(f"bad builtin group {obj!r}: {exc}") from exc
     if isinstance(obj, Mapping) and {"mul", "gens"} <= set(obj):

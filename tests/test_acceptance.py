@@ -361,6 +361,22 @@ def test_criterion_10_sigma_embeddings():
     budget.check()
 
 
+def test_criterion_10_sigma_embedding_of_an_s6_action():
+    budget = Budget(10)
+    act = validate_action(
+        uniform_algebra(6), [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+    )
+    emb = embed_transitive_into_quotient(act)
+    assert emb.group.order == 720
+    blocks = emb.sigma.atom_blocks()
+    for c in range(6):
+        assert emb.target.algebra.mass_of(blocks[c]) == F(1, 6)
+        for i in range(act.k):
+            pushed = {emb.target.gens[i][x] for x in blocks[c]}
+            assert pushed == set(blocks[act.gens[i][c]])
+    budget.check()
+
+
 def _single_atom_instances(group):
     act = quotient_action(group)
     alg = act.algebra

@@ -18,6 +18,7 @@ from pmplab.algebra import (
 )
 from pmplab.action import (
     FkAction,
+    _orbit_walks,
     Word,
     apply_perm_event,
     apply_word,
@@ -336,3 +337,76 @@ def test_action_apply_perm_event_respects_algebra():
     other = validate_algebra([F(1, 2), F(1, 2)])
     with pytest.raises(AlgebraMismatch):
         apply_word(act, Word.of([1]), Event.of(other, [0]))
+
+
+# ---------------------------------------------------------------- orbit walks
+
+
+def oracle_components(act: FkAction) -> tuple[frozenset[int], ...]:
+    """Depth-first components over generators and inverses, sorted by least atom."""
+    n = act.algebra.size
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = {start}
+        while stack:
+            x = stack.pop()
+            for p in act.gens + act.inv_gens:
+                y = p[x]
+                if not seen[y]:
+                    seen[y] = True
+                    comp.add(y)
+                    stack.append(y)
+        components.append(frozenset(comp))
+    return tuple(sorted(components, key=min))
+
+
+def oracle_visit_order(act: FkAction) -> list[int]:
+    """The exact conjugacy search's atom order: a queue from each unseen
+    root in increasing order, generators before inverses."""
+    n = act.algebra.size
+    order = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        while queue:
+            x = queue.pop(0)
+            order.append(x)
+            for p in act.gens + act.inv_gens:
+                y = p[x]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return order
+
+
+@st.composite
+def _small_actions(draw):
+    n = draw(st.integers(1, 14))
+    k = draw(st.integers(0, 3))
+    # Permutations with many short cycles as well as random ones, so that
+    # actions with several orbits are common.
+    gens = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            gens.append(tuple(draw(st.permutations(range(n)))))
+        else:
+            cut = draw(st.integers(1, n))
+            low = tuple(draw(st.permutations(range(cut))))
+            gens.append(low + tuple(range(cut, n)))
+    return validate_action(uniform_algebra(n), gens)
+
+
+@given(_small_actions())
+@settings(max_examples=200, deadline=None)
+def test_orbit_walks_match_the_queue_and_stack_loops(act):
+    walks = _orbit_walks(act)
+    assert [x for walk in walks for x in walk] == oracle_visit_order(act)
+    assert invariant_components(act).components == oracle_components(act)

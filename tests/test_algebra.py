@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmplab.algebra import (
+    MAX_PARTITION_ARITY,
     AtomPartition,
     Event,
     EventTuple,
@@ -26,6 +27,7 @@ from pmplab.algebra import (
 from pmplab.errors import (
     AlgebraMismatch,
     ArityMismatch,
+    InstanceTooLarge,
     MassNotOne,
     PartMassMismatch,
     ValidationError,
@@ -92,6 +94,15 @@ def test_generated_partition_single_event():
     cells = {s: (set(c[0]), c[1]) for s, c in part.cells.items()}
     assert cells[(1,)] == ({0}, F(1, 2))
     assert cells[(0,)] == ({1, 2}, F(1, 2))
+
+
+def test_generated_partition_arity_cap():
+    alg = validate_algebra([F(1, 2), F(1, 2)])
+    at_cap = generated_partition(EventTuple.of_members(alg, [[0]] * MAX_PARTITION_ARITY))
+    assert len(at_cap.cells) == 2**MAX_PARTITION_ARITY
+    assert at_cap.mass_of((1,) * MAX_PARTITION_ARITY) == F(1, 2)
+    with pytest.raises(InstanceTooLarge):
+        generated_partition(EventTuple.of_members(alg, [[0]] * (MAX_PARTITION_ARITY + 1)))
 
 
 def test_generated_partition_pair_of_events():

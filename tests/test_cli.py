@@ -54,6 +54,22 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert cli_dispatch([]) == 64
 
 
+def test_parser_is_reused_across_requests(capsys):
+    embed = ("embed", Z2_ACTION)
+    first = run(capsys, *embed)
+    assert first[0] == 0
+    assert run(capsys, "embed", Z2_ACTION, "--mode", "sideways") == (64, "")
+    transitive = run(capsys, *embed, "--mode", "transitive")
+    assert transitive[0] == 0 and "base_factor" not in json.loads(transitive[1])
+    assert run(capsys, *embed) == first
+
+
+def test_group_past_the_order_cap_is_refused(capsys):
+    code, out = run(capsys, "gen-quotient", "sym:7:1,2,3,4,5,6,0;1,0,2,3,4,5,6")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+
+
 def test_validation_error_object(capsys):
     code, out = run(capsys, "dist", '{"atoms":["1/2","1/3"]}', "[[0]]", "[[1]]")
     assert code == 2

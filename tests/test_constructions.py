@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmplab.algebra import (
     AtomPartition,
@@ -24,8 +27,10 @@ from pmplab.action import (
     validate_action,
 )
 from pmplab.constructions import (
+    MAX_GROUP_ORDER,
     Isomorphism,
     MarkedGroup,
+    _generated_group,
     PartialIsomorphism,
     approx_conjugacy_search,
     cyclic_group,
@@ -46,6 +51,7 @@ from pmplab.errors import (
     AlgebraMismatch,
     ArityMismatch,
     BoundViolated,
+    InstanceTooLarge,
     InvalidGroupTable,
     NotGenerating,
     NotMassPreserving,
@@ -57,6 +63,7 @@ from pmplab.errors import (
 
 from conftest import (
     random_algebra,
+    random_permutation,
     random_equal_atom_action,
     random_mass_preserving_perm,
     random_partial_automorphism,
@@ -254,6 +261,172 @@ def test_validate_marked_group_errors():
         validate_marked_group(bad_assoc, [1])
     with pytest.raises(NotGenerating):
         cyclic_group(4, [2])
+
+
+def oracle_validate_marked_group(mul, gen_images) -> MarkedGroup:
+    """The obviously correct check: every test of validate_marked_group in
+    the same order, with associativity tested on all triples, O(order^3)."""
+    order = len(mul)
+    if order == 0:
+        raise InvalidGroupTable("empty multiplication table")
+    table = tuple(tuple(row) for row in mul)
+    for row in table:
+        if len(row) != order or any(not 0 <= v < order for v in row):
+            raise InvalidGroupTable("multiplication table is not square over the elements")
+    identity = None
+    for e in range(order):
+        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
+            identity = e
+            break
+    if identity is None:
+        raise InvalidGroupTable("no identity element")
+    for x in range(order):
+        if not any(
+            table[x][y] == identity and table[y][x] == identity for y in range(order)
+        ):
+            raise InvalidGroupTable(f"element {x} has no inverse")
+    gens = tuple(gen_images)
+    for g in gens:
+        if not 0 <= g < order:
+            raise InvalidGroupTable(f"generator image {g} out of range")
+    reached = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = table[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    if len(reached) != order:
+        raise NotGenerating(
+            f"marked generators reach only {len(reached)} of {order} elements"
+        )
+    for x in range(order):
+        for y in range(order):
+            for z in range(order):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    raise InvalidGroupTable("multiplication is not associative")
+    return MarkedGroup(order, table, identity, gens)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (InvalidGroupTable, NotGenerating) as exc:
+        return type(exc), str(exc)
+
+
+def test_generator_associativity_matches_oracle_on_all_order_3_tables():
+    # Every table of order 3 whose element 0 is an identity, with every
+    # marked set of one or two elements.
+    for cells in product(range(3), repeat=4):
+        mul = [[0, 1, 2], [1, cells[0], cells[1]], [2, cells[2], cells[3]]]
+        for gens in ([1], [2], [0, 1], [1, 2], [2, 2]):
+            assert _outcome(validate_marked_group, mul, gens) == _outcome(
+                oracle_validate_marked_group, mul, gens
+            )
+
+
+SMALL_GROUP_TABLES = [
+    [[(i + j) % n for j in range(n)] for i in range(n)] for n in range(2, 7)
+] + [
+    [[i ^ j for j in range(4)] for i in range(4)],
+    [list(row) for row in permutation_marked_group([(1, 0, 2), (0, 2, 1)])[0].mul],
+]
+
+
+@st.composite
+def near_group_tables(draw):
+    """Tables with an identity at 0: the Cayley table of a small group under
+    a relabelling that fixes 0, with up to two cells off row and column 0
+    overwritten, and one or two marked elements."""
+    base = draw(st.sampled_from(SMALL_GROUP_TABLES))
+    order = len(base)
+    pi = [0, *draw(st.permutations(range(1, order)))]
+    mul = [[0] * order for _ in range(order)]
+    for a in range(order):
+        for b in range(order):
+            mul[pi[a]][pi[b]] = pi[base[a][b]]
+    cell = st.integers(1, order - 1)
+    for a, b, v in draw(st.lists(st.tuples(cell, cell, st.integers(0, order - 1)), max_size=2)):
+        mul[a][b] = v
+    gens = draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=2))
+    return mul, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_group_tables())
+def test_generator_associativity_matches_oracle(case):
+    mul, gens = case
+    assert _outcome(validate_marked_group, mul, gens) == _outcome(
+        oracle_validate_marked_group, mul, gens
+    )
+
+
+# The generators of the transitive actions the conj-embed benchmark embeds:
+# Z/12, the dihedral group of order 12, A_4, S_4 and S_5.
+BENCHMARK_PERMUTATION_GROUPS = (
+    [[(x + 1) % 12 for x in range(12)], [(x + 5) % 12 for x in range(12)]],
+    [[(x + 1) % 6 for x in range(6)], [(-x) % 6 for x in range(6)]],
+    [[1, 2, 0, 3], [0, 2, 3, 1]],
+    [[1, 2, 3, 0], [1, 0, 2, 3]],
+    [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]],
+)
+
+
+def _check_permutation_group(perms):
+    group, elements = permutation_marked_group(perms)
+    assert validate_marked_group(group.mul, group.gen_images) == group
+    assert elements[0] == tuple(range(len(perms[0])))
+    assert len(set(elements)) == group.order
+    for i in range(group.order):
+        for j in range(group.order):
+            assert elements[group.mul[i][j]] == perm_compose(elements[i], elements[j])
+    assert [elements[g] for g in group.gen_images] == [tuple(p) for p in perms]
+
+
+def test_builders_are_groups_by_construction():
+    for n in range(1, 41):
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        for images in ([1], [n - 1], [0], [0, 1], [2, 3], [n // 2, 1], [6, 10, 15]):
+            assert _outcome(cyclic_group, n, images) == _outcome(
+                validate_marked_group, table, [i % n for i in images]
+            )
+    for perms in BENCHMARK_PERMUTATION_GROUPS:
+        _check_permutation_group(perms)
+    rng = random.Random(404)
+    for _ in range(60):
+        degree = rng.randint(1, 5)
+        _check_permutation_group(
+            [random_permutation(rng, degree) for _ in range(rng.randint(1, 3))]
+        )
+    small = [cyclic_group(2, [1, 0]), cyclic_group(3, [1, 2]), cyclic_group(4, [1, 1]),
+             permutation_marked_group([(1, 0, 2), (1, 2, 0)])[0]]
+    for g1 in small:
+        for g2 in small:
+            jq = joint_quotient(g1, g2)
+            assert validate_marked_group(jq.group.mul, jq.group.gen_images) == jq.group
+            assert (jq.proj1[0], jq.proj2[0]) == (g1.identity, g2.identity)
+
+
+def test_group_order_cap():
+    assert MAX_GROUP_ORDER >= 720  # S_6 is admitted
+    assert MAX_GROUP_ORDER < 5040  # S_7 is refused
+    with pytest.raises(InstanceTooLarge):
+        cyclic_group(MAX_GROUP_ORDER + 1, [1])
+    calls = []
+
+    def add(x, y):
+        calls.append(1)
+        return (x + y) % (MAX_GROUP_ORDER + 1)
+
+    with pytest.raises(InstanceTooLarge):
+        _generated_group(0, [1], add)
+    # The enumeration stops past the cap, before any table entry is built.
+    assert len(calls) == MAX_GROUP_ORDER
+    with pytest.raises(InstanceTooLarge):
+        permutation_marked_group([(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
 
 
 def test_cyclic_and_permutation_groups():
