@@ -30,7 +30,6 @@ from .action import (
     FkAction,
     Perm,
     _breadth_first,
-    _orbit_walks,
     apply_perm_event,
     invariant_components,
     perm_compose,
@@ -753,9 +752,10 @@ class ConjugacyCertificate:
 
     eps equals max over generators of the uniform distance between the
     conjugated generator and its counterpart, recomputed from the mapping.
-    exhausted is currently just eps != 0: no exact conjugacy was found at
-    any refinement depth tried.  It does not say the search space was used
-    up, so a positive eps is an upper bound, not a refutation."""
+    exhausted is eps != 0.  The exact phase is complete, so a positive eps
+    means no exact conjugacy exists at the refinement depths tried.  eps
+    itself is an upper bound on the least defect, not a refutation of
+    closer conjugacies at finer refinements."""
 
     iso: Isomorphism
     eps: Fraction
@@ -785,15 +785,17 @@ def approx_conjugacy_search(
     """Search for a near-conjugacy between two actions.
 
     Both actions are refined to a common uniform atom count (growing with
-    the refinement depth).  A budgeted backtracking search first looks for
-    an exact conjugacy (zero broken generator edges); when none is found
-    within the budget, a beam search builds the atom bijection greedily:
+    the refinement depth).  A complete search first looks for an exact
+    conjugacy (zero broken generator edges), one orbit at a time; when none
+    exists at that depth, a beam search builds the atom bijection greedily:
     source atoms in increasing order, candidate targets scored by the
     number of generator edges they break among decided atoms, ties to the
     lexicographically smallest mapping.  Over uniform atoms this is the
     one-block extension step with mass bookkeeping trivial.  The reported
     eps is recomputed exactly from the returned mapping, and the search
-    stops early when it reaches zero; optimality is never claimed."""
+    stops early when it reaches zero.  A positive eps proves that no exact
+    conjugacy exists at the depths tried; it is an upper bound on the least
+    defect there, and the beam's optimality is never claimed."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     if max_refine < 1 or beam_width < 1:
@@ -823,57 +825,44 @@ def approx_conjugacy_search(
     return best
 
 
-EXACT_SEARCH_BUDGET = 200_000
-
-
 def _exact_assign(r1: FkAction, r2: FkAction) -> Optional[tuple[int, ...]]:
-    """Backtracking search for a bijection conjugating r1 exactly onto r2.
+    """Exact conjugacy of r1 onto r2, placed one orbit of r1 at a time.
 
-    Atoms are visited breadth-first along generator edges, so all but the
-    component roots have a decided neighbor when placed; candidate targets
-    must respect every generator edge into decided atoms.  Both the atom
-    order and the target order are fixed, so the result is deterministic.
-    Returns None when no exact conjugacy is found within the node budget.
-    """
+    Orbits are taken by least atom and walked as in _orbit_walks.  A walk's
+    root tries the unused targets in increasing order; every later atom is
+    forced by the placed neighbor it is reached from, and every generator
+    edge is checked, fixed points included.  An exact conjugacy maps each
+    orbit onto an isomorphic orbit, and isomorphic orbits are
+    interchangeable, so a placed orbit is never revisited: the search takes
+    O(n^2 k) steps, is complete, and returns None only when no exact
+    conjugacy exists."""
     n = r1.algebra.size
-    order = [x for walk in _orbit_walks(r1) for x in walk]
     mapping = [-1] * n
     used = [False] * n
-    edges = list(zip(r1.gens, r1.inv_gens, r2.gens, r2.inv_gens))
-    budget = EXACT_SEARCH_BUDGET
+    perms = list(zip(r1.gens + r1.inv_gens, r2.gens + r2.inv_gens))
 
-    def fits(x: int, t: int) -> bool:
-        for g1, ig1, g2, ig2 in edges:
-            y = mapping[g1[x]]
-            if y >= 0 and y != g2[t]:
-                return False
-            z = mapping[ig1[x]]
-            if z >= 0 and z != ig2[t]:
-                return False
+    def place(root: int, t: int) -> bool:
+        mapping[root], used[t] = t, True
+        walk = [root]
+        for x in walk:  # walk grows while it is read: it is the queue
+            for p1, p2 in perms:
+                y, u = p1[x], p2[mapping[x]]
+                if mapping[y] < 0 and not used[u]:
+                    mapping[y], used[u] = u, True
+                    walk.append(y)
+                elif mapping[y] != u:
+                    for z in walk:
+                        used[mapping[z]] = False
+                        mapping[z] = -1
+                    return False
         return True
 
-    def descend(idx: int) -> bool:
-        nonlocal budget
-        if idx == n:
-            return True
-        x = order[idx]
-        for t in range(n):
-            if used[t] or not fits(x, t):
-                continue
-            budget -= 1
-            if budget < 0:
-                return False
-            mapping[x] = t
-            used[t] = True
-            if descend(idx + 1):
-                return True
-            mapping[x] = -1
-            used[t] = False
-        return False
-
-    if descend(0):
-        return tuple(mapping)
-    return None
+    for root in range(n):
+        if mapping[root] < 0 and not any(
+            place(root, t) for t in range(n) if not used[t]
+        ):
+            return None
+    return tuple(mapping)
 
 
 def _beam_assign(r1: FkAction, r2: FkAction, beam_width: int) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from .constructions import (
     permutation_marked_group,
     validate_marked_group,
 )
-from .errors import InstanceTooLarge, ValidationError
+from .errors import PmplabError, ValidationError
 
 DECIMAL_DIGITS = 20
 
@@ -196,10 +196,9 @@ def group_from_json(obj: Any) -> MarkedGroup:
     if isinstance(obj, str):
         try:
             return _parse_builtin_group(obj)
-        except InstanceTooLarge:
-            raise
         except ValueError as exc:
-            raise ValidationError(f"bad builtin group {obj!r}: {exc}") from exc
+            kind = type(exc) if isinstance(exc, PmplabError) else ValidationError
+            raise kind(f"bad builtin group {obj!r}: {exc}") from exc
     if isinstance(obj, Mapping) and {"mul", "gens"} <= set(obj):
         group = validate_marked_group(obj["mul"], obj["gens"])
         if "order" in obj and obj["order"] != group.order:

@@ -141,3 +141,27 @@ def random_partial_automorphism(
             used_src.add(atom)
             used_tgt.add(tgt)
     return PartialIsomorphism.of(alg, alg, pairs)
+
+
+def relabeled_action(act: FkAction, relabel: tuple[int, ...]) -> FkAction:
+    """The action carried along the atom permutation relabel."""
+    inv = [0] * len(relabel)
+    for i, r in enumerate(relabel):
+        inv[r] = i
+    return validate_action(
+        act.algebra,
+        [tuple(relabel[g[y]] for y in inv) for g in act.gens],
+    )
+
+
+def cycle_mismatch_pair(rng: random.Random, n: int) -> tuple[FkAction, FkAction]:
+    """One 8-cycle on the last eight atoms plus 4-cycles, against 4-cycles
+    only, relabeled at random: equal atom counts, never conjugate."""
+    p = [(x // 4) * 4 + (x + 1) % 4 for x in range(n - 8)]
+    p += [n - 8 + (j + 1) % 8 for j in range(8)]
+    q = [(x // 4) * 4 + (x + 1) % 4 for x in range(n)]
+    alg = uniform_algebra(n)
+    return (
+        validate_action(alg, [tuple(p)]),
+        relabeled_action(validate_action(alg, [tuple(q)]), random_permutation(rng, n)),
+    )

@@ -57,6 +57,7 @@ from pmplab.modeltheory import (
 )
 
 from conftest import (
+    cycle_mismatch_pair,
     random_algebra,
     random_event,
     random_mass_preserving_perm,
@@ -460,6 +461,17 @@ def test_criterion_12_conjugacy_certificates():
     cert = approx_conjugacy_search(q, t)
     assert verify_conjugacy(cert) == cert.eps
     assert cert.eps == 0
+    budget.check()
+
+
+def test_criterion_12_cycle_type_mismatch_is_settled_within_a_second():
+    """An 8-cycle plus 4-cycles against 4-cycles only on 36 atoms: the exact
+    phase refutes conjugacy and the beam's certificate re-verifies."""
+    budget = Budget(1)
+    a1, a2 = cycle_mismatch_pair(random.Random(36), 36)
+    cert = approx_conjugacy_search(a1, a2)
+    assert cert.eps == F(1, 18) and cert.exhausted
+    assert verify_conjugacy(cert) == cert.eps
     budget.check()
 
 

@@ -70,6 +70,22 @@ def test_group_past_the_order_cap_is_refused(capsys):
     assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("cyclic:4:2", "NotGenerating"),
+        ("sym:3:0,0,1", "NotBijective"),
+        ("cyclic:3:x", "ValidationError"),
+    ],
+)
+def test_builtin_group_error_keeps_its_type(capsys, text, kind):
+    code, out = run(capsys, "gen-quotient", text)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == kind
+    assert error["message"].startswith(f"bad builtin group {text!r}: ")
+
+
 def test_validation_error_object(capsys):
     code, out = run(capsys, "dist", '{"atoms":["1/2","1/3"]}', "[[0]]", "[[1]]")
     assert code == 2

@@ -19,6 +19,8 @@ from pmplab.algebra import (
     validate_algebra,
 )
 from pmplab.action import (
+    FkAction,
+    _orbit_walks,
     apply_perm_event,
     invariant_components,
     perm_compose,
@@ -30,6 +32,7 @@ from pmplab.constructions import (
     MAX_GROUP_ORDER,
     Isomorphism,
     MarkedGroup,
+    _exact_assign,
     _generated_group,
     PartialIsomorphism,
     approx_conjugacy_search,
@@ -62,6 +65,7 @@ from pmplab.errors import (
 )
 
 from conftest import (
+    cycle_mismatch_pair,
     random_algebra,
     random_permutation,
     random_equal_atom_action,
@@ -70,6 +74,7 @@ from conftest import (
     random_small_order_action,
     random_transitive_small_action,
     random_tuple,
+    relabeled_action,
     uniform_algebra,
 )
 
@@ -744,3 +749,127 @@ def test_conjugacy_search_arity_mismatch():
     a2 = validate_action(alg, [(1, 0), (0, 1)])
     with pytest.raises(ArityMismatch):
         approx_conjugacy_search(a1, a2)
+
+
+def oracle_exact_assign(r1: FkAction, r2: FkAction):
+    """Depth-first search for an exact conjugacy, atom by atom along the
+    orbit walks, targets in increasing order, with no node budget.  A
+    candidate is checked with its own atom placed, so a fixed point of a
+    generator must land on a fixed point."""
+    n = r1.algebra.size
+    order = [x for walk in _orbit_walks(r1) for x in walk]
+    mapping = [-1] * n
+    used = [False] * n
+    edges = list(zip(r1.gens, r1.inv_gens, r2.gens, r2.inv_gens))
+
+    def fits(x: int, t: int) -> bool:
+        return all(
+            mapping[g1[x]] in (-1, g2[t]) and mapping[ig1[x]] in (-1, ig2[t])
+            for g1, ig1, g2, ig2 in edges
+        )
+
+    def descend(idx: int) -> bool:
+        if idx == n:
+            return True
+        x = order[idx]
+        for t in range(n):
+            if used[t]:
+                continue
+            mapping[x] = t
+            used[t] = True
+            if fits(x, t) and descend(idx + 1):
+                return True
+            mapping[x] = -1
+            used[t] = False
+        return False
+
+    return tuple(mapping) if descend(0) else None
+
+
+def conjugates_exactly(r1: FkAction, r2: FkAction, mapping) -> bool:
+    return sorted(mapping) == list(range(len(mapping))) and all(
+        mapping[g1[x]] == g2[mapping[x]]
+        for g1, g2 in zip(r1.gens, r2.gens)
+        for x in range(len(mapping))
+    )
+
+
+def _block_action(draw, n: int, k: int) -> FkAction:
+    """Generators built block by block; a block often repeats the generators
+    of an earlier block of its size, so isomorphic orbits recur."""
+    gens: list[list[int]] = [[] for _ in range(k)]
+    shapes: dict[int, list] = {}
+    while len(gens[0]) < n:
+        size = draw(st.integers(1, min(3, n - len(gens[0]))))
+        seen = shapes.setdefault(size, [])
+        if seen and draw(st.booleans()):
+            shape = draw(st.sampled_from(seen))
+        else:
+            shape = [draw(st.permutations(range(size))) for _ in range(k)]
+            seen.append(shape)
+        base = len(gens[0])
+        for g, p in zip(gens, shape):
+            g.extend(base + y for y in p)
+    act = validate_action(uniform_algebra(n), [tuple(g) for g in gens])
+    return relabeled_action(act, draw(st.permutations(range(n))))
+
+
+@st.composite
+def _conjugacy_pairs(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 3))
+    r1 = _block_action(draw, n, k)
+    kind = draw(st.sampled_from(["relabeled", "perturbed", "random"]))
+    if kind == "random":
+        return r1, _block_action(draw, n, k)
+    r2 = relabeled_action(r1, draw(st.permutations(range(n))))
+    if kind == "perturbed" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        swap = list(range(n))
+        swap[i], swap[j] = j, i
+        which = draw(st.integers(0, k - 1))
+        gens = list(r2.gens)
+        gens[which] = perm_compose(tuple(swap), gens[which])
+        r2 = validate_action(r2.algebra, gens)
+    return r1, r2
+
+
+@given(_conjugacy_pairs())
+@settings(max_examples=300, deadline=None)
+def test_exact_assign_matches_the_depth_first_oracle(pair):
+    r1, r2 = pair
+    mapping = _exact_assign(r1, r2)
+    assert mapping == oracle_exact_assign(r1, r2)
+    assert mapping is None or conjugates_exactly(r1, r2, mapping)
+
+
+def test_exact_phase_checks_generator_fixed_points():
+    alg = uniform_algebra(8)
+    fixed_points = validate_action(alg, [(0, 2, 1, 3, 4, 6, 5, 7)])
+    four_cycle = validate_action(alg, [(4, 6, 3, 0, 2, 7, 1, 5)])
+    assert _exact_assign(fixed_points, four_cycle) is None
+    cert = approx_conjugacy_search(fixed_points, four_cycle)
+    assert cert.eps == F(1, 2) and cert.exhausted
+    assert verify_conjugacy(cert) == cert.eps
+
+
+# The beam's answers to the cycle-type mismatches, as recorded when the exact
+# phase was a depth-first search with a node budget.
+MISMATCH_BEAM = {
+    20: (F(1, 10), (0, 5, 13, 6, 1, 15, 2, 11, 3, 8, 4, 10, 7, 18, 17, 19, 9, 12,
+                    14, 16)),
+    28: (F(1, 14), (0, 20, 1, 8, 2, 16, 18, 15, 3, 17, 4, 23, 5, 22, 19, 7, 6, 13,
+                    14, 25, 9, 12, 10, 27, 11, 21, 26, 24)),
+    36: (F(1, 18), (0, 5, 20, 16, 1, 3, 21, 18, 2, 24, 25, 22, 4, 33, 26, 10, 6, 15,
+                    12, 27, 7, 31, 23, 8, 9, 30, 19, 29, 11, 13, 28, 17, 14, 32, 35,
+                    34)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MISMATCH_BEAM))
+def test_cycle_type_mismatch_is_refuted_then_left_to_the_beam(n):
+    a1, a2 = cycle_mismatch_pair(random.Random(n), n)
+    assert _exact_assign(a1, a2) is None
+    cert = approx_conjugacy_search(a1, a2)
+    assert (cert.eps, cert.iso.mapping) == MISMATCH_BEAM[n]
+    assert cert.exhausted and verify_conjugacy(cert) == cert.eps
