@@ -83,9 +83,14 @@ def event_from_json(alg: MeasuredAlgebra, obj: Any) -> Event:
         members = obj
     else:
         raise ValidationError('event JSON must be {"members": [...]} or a plain list')
-    if not all(isinstance(i, int) for i in members):
+    if not all(_is_int(i) for i in members):
         raise ValidationError("event members must be integers")
     return Event.of(alg, members)
+
+
+def _is_int(value: Any) -> bool:
+    """An int and not a bool: JSON `true` must not pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def tuple_to_json(t: EventTuple) -> dict:
@@ -146,7 +151,7 @@ def action_from_json(obj: Any) -> FkAction:
 def word_from_json(obj: Any) -> Word:
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise ValidationError("word JSON must be a list of signed integers")
-    if not all(isinstance(v, int) for v in obj):
+    if not all(_is_int(v) for v in obj):
         raise ValidationError("word letters must be integers")
     return Word.of(obj)
 
@@ -234,14 +239,22 @@ def partial_from_json(
         raise ValidationError('partial JSON must be {"pairs": [...]} or a plain list')
     pairs = []
     for entry in raw:
-        if isinstance(entry, Mapping):
-            pairs.append((entry["source"], entry["target"]))
+        if isinstance(entry, Mapping) and {"source", "target"} <= set(entry):
+            pair = (entry["source"], entry["target"])
         elif isinstance(entry, Sequence) and len(entry) == 2:
-            pairs.append((entry[0], entry[1]))
+            pair = (entry[0], entry[1])
         else:
             raise ValidationError(
                 'each pair must be {"source": [...], "target": [...]} or [src, tgt]'
             )
+        for block in pair:
+            if (
+                not isinstance(block, Sequence)
+                or isinstance(block, (str, bytes))
+                or not all(_is_int(i) for i in block)
+            ):
+                raise ValidationError("pair blocks must be lists of integers")
+        pairs.append(pair)
     return PartialIsomorphism.of(source, target, pairs)
 
 

@@ -1,21 +1,27 @@
 """Exact rational linear programming by the two-phase simplex method.
 
-Minimizes c.x subject to A x = b, x >= 0, over Fractions on a dense tableau.
-Bland's smallest-index rule picks both the entering and the leaving variable,
-which rules out cycling; every pivot is exact, so the reported optimum is the
-true rational optimum.  Instances in this package are tiny (tens of columns),
-so no effort is spent on sparsity.
+Minimizes c.x subject to A x = b, x >= 0 on a dense fraction-free tableau
+(Edmonds 1967; Bareiss 1968).  Every row and its right-hand side are scaled
+by one common L, the lcm of all their denominators, and the objective by the
+lcm of its own.  The tableau then holds integers over one common denominator
+`det`: a pivot on p > 0 keeps the pivot row, maps every other row, the
+reduced-cost row included, to (v*p - f*w) // det, and sets det = p.  Each
+division is exact, since every entry is a minor of the scaled matrix, and
+ratios are compared by cross-multiplication.  Bland's smallest-index rule
+picks the entering and the leaving variable, which rules out cycling.  The
+scale is common so that the phase-1 artificials keep equal weights: every
+reduced cost and ratio then keeps its sign and order, and the pivots, the
+basis and x are those of the same simplex over Fractions.  Instances are
+tiny (tens of columns), so no effort is spent on sparsity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import LPInternal
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -37,24 +43,26 @@ def solve_lp(
     """
     n = len(objective)
     m = len(rows)
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        if len(rows[i]) != n:
-            raise LPInternal("constraint row has wrong length")
-        row = [Fraction(v) for v in rows[i]] + [Fraction(rhs[i])]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        tableau.append(row)
+    if any(len(row) != n for row in rows):
+        raise LPInternal("constraint row has wrong length")
+    body = [[*rows[i], rhs[i]] for i in range(m)]
+    scale = lcm(*(v.denominator for row in body for v in row))
 
-    # Phase 1: artificial variable j + n in row j, minimize their sum.
-    for i in range(m):
-        body = tableau[i][:n]
-        art = [ONE if j == i else ZERO for j in range(m)]
-        tableau[i] = body + art + [tableau[i][-1]]
+    # Phase 1: artificial variable j + n in row j, minimize their sum.  The
+    # last row of the tableau is its reduced-cost row: minus the sum of the
+    # rows, zero under the artificials.
+    tableau: list[list[int]] = []
+    for i, row in enumerate(body):
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
+        tableau.append(ints[:n] + [int(j == i) for j in range(m)] + ints[n:])
+    red = [-sum(row[j] for row in tableau) for j in range(n + m + 1)]
+    red[n : n + m] = [0] * m
+    tableau.append(red)
     basis = [n + i for i in range(m)]
-    cost1 = [ZERO] * n + [ONE] * m
-    _optimize(tableau, basis, cost1)
-    if _objective_value(tableau, basis, cost1) != 0:
+    det = _optimize(tableau, basis, 1)
+    if tableau[-1][-1] != 0:
         raise LPInternal("phase 1 ended positive: infeasible program")
 
     # Drive leftover artificials out of the basis, dropping redundant rows.
@@ -66,79 +74,70 @@ def solve_lp(
         pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
         if pivot_col is None:
             continue  # redundant constraint
-        _pivot(tableau, basis, i, pivot_col)
+        if tableau[i][pivot_col] < 0:
+            tableau[i] = [-v for v in tableau[i]]  # its rhs is 0
+        det = _pivot(tableau, basis, i, pivot_col, det)
         keep.append(i)
-    tableau = [[tableau[i][j] for j in range(n)] + [tableau[i][-1]] for i in keep]
+    tableau = [tableau[i][:n] + tableau[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
 
-    cost2 = [Fraction(v) for v in objective]
-    _optimize(tableau, basis, cost2)
-    x = [ZERO] * n
-    for i, var in enumerate(basis):
-        x[var] = tableau[i][-1]
-    return LPSolution(_objective_value(tableau, basis, cost2), tuple(x))
+    # Phase 2: reduced costs c.det - sum_i c_B(i) row_i of the scaled objective.
+    cscale = lcm(*(v.denominator for v in objective))
+    cost = [v.numerator * (cscale // v.denominator) for v in objective]
+    red = [c * det for c in cost] + [0]
+    for row, var in zip(tableau, basis):
+        if cost[var] != 0:
+            red = [r - cost[var] * v for r, v in zip(red, row)]
+    tableau.append(red)
+    det = _optimize(tableau, basis, det)
+    x = [Fraction(0)] * n
+    for row, var in zip(tableau, basis):
+        x[var] = Fraction(row[-1], det)
+    return LPSolution(Fraction(-tableau[-1][-1], det * cscale), tuple(x))
 
 
-def _reduced_costs(
-    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> list[Fraction]:
-    width = len(tableau[0]) - 1
-    reduced = list(cost[:width])
-    for i, var in enumerate(basis):
-        cb = cost[var]
-        if cb == 0:
-            continue
-        row = tableau[i]
-        for j in range(width):
-            if row[j] != 0:
-                reduced[j] -= cb * row[j]
-    return reduced
-
-
-def _objective_value(
-    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> Fraction:
-    return sum((cost[var] * tableau[i][-1] for i, var in enumerate(basis)), ZERO)
-
-
-def _optimize(
-    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> None:
+def _optimize(tableau: list[list[int]], basis: list[int], det: int) -> int:
+    """Pivot by Bland's rule until no reduced cost (the last row) is negative;
+    return the final common denominator."""
     while True:
-        reduced = _reduced_costs(tableau, basis, cost)
-        entering = next((j for j, r in enumerate(reduced) if r < 0), None)
+        red = tableau[-1]
+        entering = next((j for j, r in enumerate(red[:-1]) if r < 0), None)
         if entering is None:
-            return
+            return det
         leaving_row = None
-        best_ratio = None
-        for i, row in enumerate(tableau):
-            if row[entering] <= 0:
+        for i, var in enumerate(basis):
+            a = tableau[i][entering]
+            if a <= 0:
                 continue
-            ratio = row[-1] / row[entering]
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[i] < basis[leaving_row])
-            ):
-                best_ratio = ratio
-                leaving_row = i
+            b = tableau[i][-1]
+            if leaving_row is not None:
+                # b / a against best_b / best_a, both denominators positive
+                here, best = b * best_a, best_b * a
+                if here > best or (here == best and var > basis[leaving_row]):
+                    continue
+            leaving_row, best_a, best_b = i, a, b
         if leaving_row is None:
             raise LPInternal("unbounded program")
-        _pivot(tableau, basis, leaving_row, entering)
+        det = _pivot(tableau, basis, leaving_row, entering, det)
 
 
 def _pivot(
-    tableau: list[list[Fraction]], basis: list[int], row: int, col: int
-) -> None:
-    pivot = tableau[row][col]
+    tableau: list[list[int]], basis: list[int], row: int, col: int, det: int
+) -> int:
+    """Pivot on tableau[row][col] > 0 and return it, the new denominator."""
+    pivot_row = tableau[row]
+    pivot = pivot_row[col]
     if pivot == 0:
         raise LPInternal("zero pivot")
-    tableau[row] = [v / pivot for v in tableau[row]]
-    for i in range(len(tableau)):
+    for i, other in enumerate(tableau):
         if i == row:
             continue
-        factor = tableau[i][col]
+        factor = other[col]
         if factor == 0:
-            continue
-        tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[row])]
+            tableau[i] = [v * pivot // det for v in other]
+        else:
+            tableau[i] = [
+                (v * pivot - factor * w) // det for v, w in zip(other, pivot_row)
+            ]
     basis[row] = col
+    return pivot

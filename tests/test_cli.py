@@ -156,6 +156,33 @@ def test_eppa_positional_partials(capsys):
     assert doc["action"]["gens"] == [[1, 0], [0, 1]]
 
 
+HALVES = '{"atoms":["1/2","1/2"]}'
+Z4_ACTION = '{"algebra":%s,"gens":[[2,3,0,1]]}' % QUARTERS
+Z2_IN_Z4 = '{"pairs":[{"source":[0],"target":[0,1]},{"source":[1],"target":[2,3]}]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eppa", HALVES, '{"pairs":[{"source":[0]}]}'),
+        ("eppa", HALVES, '{"pairs":[{"target":[1]}]}'),
+        ("eppa", HALVES, "[[[true],[0]]]"),
+        ("eppa", HALVES, "[[[0],[false]]]"),
+        ("dist", HALVES, "[[true]]", "[[0]]"),
+        (
+            "audit-ec", Z2_ACTION, Z4_ACTION, Z2_IN_Z4,
+            "[[0]]", "[[0,2]]", "[[true]]", "1/4",
+        ),
+    ],
+)
+def test_malformed_json_is_a_validation_error(capsys, argv):
+    # a pair without "source" or "target", and `true` or `false` where an
+    # atom index or a word letter is meant
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 def test_embed_modes(capsys):
     code, out = run(capsys, "embed", Z2_ACTION, "--mode", "transitive")
     assert code == 0

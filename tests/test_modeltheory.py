@@ -86,6 +86,32 @@ def test_type_distance_sandwich():
         assert mx <= tv <= n * 2 ** (n - 1) * mx
 
 
+def test_type_distance_max_between_coordinate_and_joint_tv():
+    # An optimal coupling mismatches coordinate i on at least the TV distance
+    # of the i-th coordinates' types, and the TV coupling of the whole tuples
+    # mismatches each coordinate on at most their TV distance; one coordinate's
+    # optimal coupling is its TV coupling, so arity 1 gives equality.
+    rng = random.Random(107)
+    for _ in range(60):
+        alg = random_algebra(rng, max_atoms=6, max_den=30)
+        base = random_tuple(rng, alg, arity=rng.randint(0, 2))
+        n = rng.randint(1, 3)
+        b = random_tuple(rng, alg, arity=n)
+        c = random_tuple(rng, alg, arity=n)
+        coordinate = max(
+            type_distance_tv(
+                base,
+                EventTuple.of(alg, [b.events[i]]),
+                EventTuple.of(alg, [c.events[i]]),
+            )
+            for i in range(n)
+        )
+        mx = type_distance_max(base, b, c)
+        assert coordinate <= mx <= type_distance_tv(base, b, c)
+        if n == 1:
+            assert mx == coordinate
+
+
 def test_type_distance_tv_matches_oracle_on_small_instances():
     rng = random.Random(103)
     done = 0
