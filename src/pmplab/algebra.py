@@ -57,7 +57,7 @@ class MeasuredAlgebra:
         return len(self.atoms)
 
     def mass_of(self, members: Iterable[int]) -> Fraction:
-        return sum((self.atoms[i] for i in members), ZERO)
+        return _mass_sum([self.atoms[i] for i in members])
 
     def denominator_lcm(self) -> int:
         return lcm(*(m.denominator for m in self.atoms))
@@ -75,10 +75,17 @@ def validate_algebra(masses: Sequence[Fraction]) -> MeasuredAlgebra:
     for i, m in enumerate(atoms):
         if m <= 0:
             raise ZeroAtom(f"atom {i} has nonpositive mass {m}")
-    total = sum(atoms, ZERO)
+    total = _mass_sum(atoms)
     if total != ONE:
         raise MassNotOne(f"atom masses sum to {total}, expected 1")
     return MeasuredAlgebra(_fresh_id(), atoms)
+
+
+def _mass_sum(masses: Sequence[Fraction]) -> Fraction:
+    """The exact sum: numerators scaled to the lcm of the denominators, added
+    as integers, and one Fraction at the end."""
+    den = lcm(*(m.denominator for m in masses))
+    return Fraction(sum(m.numerator * (den // m.denominator) for m in masses), den)
 
 
 def _same_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra, what: str) -> None:
@@ -285,14 +292,30 @@ def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
     )
 
 
+# refine_equal builds size * m atoms, and every audit depth refines that far.
+# The largest refinement in the test suite and the benchmark has 192 atoms.
+MAX_REFINED_ATOMS = 1 << 16
+
+
+def _check_refined_size(size: int, m: int) -> None:
+    """Raise InstanceTooLarge when splitting size atoms into m parts each
+    would pass MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
+    if size * m > MAX_REFINED_ATOMS:
+        raise InstanceTooLarge(
+            f"{size} atoms in {m} parts exceed the cap {MAX_REFINED_ATOMS} atoms"
+        )
+
+
 def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
     """Split every atom into m equal parts.
 
     Part j of atom i becomes atom i*m + j.  Returns the refined algebra and
-    the projection mapping each new atom to its parent.
+    the projection mapping each new atom to its parent.  Raises
+    InstanceTooLarge beyond MAX_REFINED_ATOMS atoms.
     """
     if m < 1:
         raise PartMassMismatch(f"refinement factor must be >= 1, got {m}")
+    _check_refined_size(alg.size, m)
     atoms: list[Fraction] = []
     projection: list[int] = []
     for i, mass in enumerate(alg.atoms):

@@ -14,21 +14,29 @@ candidate space is small, otherwise steepest-descent toggling from a fixed
 seed.  Negative outcomes are reported as best-seen upper bounds, never as
 refutations.
 
-The second-condition search scores candidates in integer units of 1/D, D
-the common denominator of the refined atoms, and turns each score into a
-Fraction only at the boundary; every score equals what c2_distance returns.
+One driver runs every search.  Each audit gives it a scorer that holds one
+candidate tuple and changes it in place: flipping one atom of one coordinate
+returns the new score as an integer, in units of one common denominator per
+depth.  The exhaustive scan walks its order as a binary counter, about two
+flips per candidate; the descent scores each toggle by flipping it and back.
+The second-condition scorer updates only the k + 1 atoms a flip moves, so a
+flip costs O(k) however large the refinement; the extension scorer
+recomputes its small pattern.  Comparisons stay in integers, and each depth
+turns its best score into one Fraction, equal to what c2_distance (or the
+Fraction pattern) would give.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Sequence
 
 from .algebra import (
     ZERO,
     EventTuple,
     MeasuredAlgebra,
+    _check_refined_size,
     _sign_map,
     joint_distribution,
     lift_tuple,
@@ -39,6 +47,7 @@ from .action import (
     apply_gen_tuple,
     apply_word,
     equal_refine_action,
+    letter_perm,
 )
 from .constructions import PartialIsomorphism
 from .errors import (
@@ -78,9 +87,11 @@ class C1Report:
     satisfied: bool
 
 
-def _check_depth(max_refine: int) -> None:
+def _check_depth(act: FkAction, max_refine: int) -> None:
+    """The deepest refinement is checked before any search starts."""
     if max_refine < 1:
         raise ValueError(f"max_refine must be >= 1, got {max_refine}")
+    _check_refined_size(act.algebra.size, max_refine)
 
 
 def _check_instance(
@@ -197,85 +208,80 @@ def c2_distance(
     return joint_tv_distance(target_joint, jc)
 
 
-def _tuple_candidates(size: int, arity: int):
-    """All event tuples over `size` atoms in lexicographic bitmask order."""
-    if arity == 0:
-        return iter(((),))
-    events = [()]
-    for j in range(size):  # events[mask | 1 << j] == events[mask] + (j,)
-        events += [e + (j,) for e in events]
-    return itertools.product(events, repeat=arity)
-
-
-def _greedy_descent(size, arity, seed, evaluate):
-    """Steepest-descent search toggling one atom of one coordinate at a time.
-
-    Deterministic: starts from the seed, toggles scanned lexicographically,
-    strict improvement required, fixed round budget."""
-    current = tuple(tuple(sorted(e)) for e in seed)
-    value = evaluate(current)
-    for _ in range(GREEDY_ROUNDS):
-        improved = None
-        for coord in range(arity):
-            members = set(current[coord])
-            for atom in range(size):
-                flipped = sorted(
-                    members ^ {atom}
-                )
-                candidate = (
-                    current[:coord] + (tuple(flipped),) + current[coord + 1 :]
-                )
-                v = evaluate(candidate)
-                if v < value and (improved is None or v < improved[0]):
-                    improved = (v, candidate)
-        if improved is None:
-            break
-        value, current = improved
-    return value, current
-
-
-def _search_best(
-    size: int,
-    arity: int,
-    seed,
-    evaluate,
-    stop_below: Fraction,
-):
+def _search_best(size: int, arity: int, scorer, stop_below):
     """Best candidate tuple by exhaustion or greedy descent.
+
+    scorer is (flip, start, scale, seed) from a prepare function: flip(coord,
+    atom) toggles one atom of one coordinate of the scorer's current tuple
+    and returns its new integer score, start is the score of the all-empty
+    tuple, a score s stands for s/scale, and seed starts the greedy descent.
+    Returns the best value, the one Fraction built, and its member tuple.
 
     Exhaustion applies when the total number of candidate tuples is at most
     EXHAUSTIVE_TUPLE_CAP; enumeration order is lexicographic in bitmasks and
     the scan stops at the first candidate strictly below stop_below (or at
-    zero, which cannot be improved)."""
-    total = (1 << size) ** arity if arity else 1
-    if total <= EXHAUSTIVE_TUPLE_CAP:
-        best_val: Optional[Fraction] = None
-        best_members = None
-        for members in _tuple_candidates(size, arity):
-            v = evaluate(members)
-            if best_val is None or v < best_val:
-                best_val, best_members = v, members
-                if v < stop_below or v == 0:
-                    break
-        return best_val, best_members
-    return _greedy_descent(size, arity, seed, evaluate)
+    zero, which cannot be improved).  The order is a binary counter over the
+    concatenated masks, coordinate 0 most significant and atom j at bit j of
+    its coordinate, so candidate i follows i - 1 by flipping the bits of
+    (i - 1) ^ i, two on average.  Otherwise steepest descent from the seed
+    toggles one atom of one coordinate at a time, scanned lexicographically:
+    each toggle is scored by flipping it and back, the first strict best
+    wins, for at most GREEDY_ROUNDS rounds.  Scores are compared as
+    integers: v < stop_below = p/q is v*q < p*scale."""
+    flip, value, scale, seed = scorer
+    p, q = stop_below.numerator, stop_below.denominator
+    limit = p * scale
+    if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
+        best, best_i = value, 0
+        if value * q >= limit and value != 0:
+            places = [(arity - 1 - b // size, b % size) for b in range(size * arity)]
+            for i in range(1, 1 << size * arity):
+                for b in range((i & -i).bit_length()):
+                    value = flip(*places[b])
+                if value < best:
+                    best, best_i = value, i
+                    if value * q < limit or value == 0:
+                        break
+        members = tuple(
+            tuple(
+                x for x in range(size)
+                if best_i >> ((arity - 1 - coord) * size + x) & 1
+            )
+            for coord in range(arity)
+        )
+        return Fraction(best, scale), members
+    current = [set(e) for e in seed]
+    for coord, event in enumerate(current):
+        for x in event:
+            value = flip(coord, x)
+    for _ in range(GREEDY_ROUNDS):
+        best, move = value, None
+        for coord in range(arity):
+            for atom in range(size):
+                v = flip(coord, atom)
+                flip(coord, atom)
+                if v < best:
+                    best, move = v, (coord, atom)
+        if move is None:
+            break
+        value = flip(*move)
+        current[move[0]] ^= {move[1]}
+    return Fraction(value, scale), tuple(tuple(sorted(e)) for e in current)
 
 
 def _refine_search(act: FkAction, arity: int, max_refine: int, stop_below, prepare):
     """The refine-lift-search loop shared by the audits.
 
     For each depth m = 1..max_refine every atom of act is split into m equal
-    parts; prepare(refined, projection) returns the candidate scorer and the
-    search seed for that depth, and _search_best scans candidates of the
-    given arity.  After each depth yields the best (value, tuple, depth)
-    seen so far, earlier depths winning ties; callers stop when it is good
-    enough."""
+    parts; prepare(refined, projection) returns the scorer for that depth
+    (see _search_best), and _search_best scans candidates of the given
+    arity.  After each depth yields the best (value, tuple, depth) seen so
+    far, earlier depths winning ties; callers stop when it is good enough."""
     best = None
     for depth in range(1, max_refine + 1):
         refined, projection = equal_refine_action(act, depth)
-        evaluate, seed = prepare(refined, projection)
         val, members = _search_best(
-            refined.algebra.size, arity, seed, evaluate, stop_below
+            refined.algebra.size, arity, prepare(refined, projection), stop_below
         )
         if best is None or val < best[0]:
             best = (val, EventTuple.of_members(refined.algebra, members), depth)
@@ -287,12 +293,18 @@ def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
     against the joint law of (anchor, parameters), starting from the lifted
     base parameter.
 
-    Each score is the value c2_distance would return, computed in integer
-    units of 1/D, D the lcm of the refined atoms' denominators.  Every atom's
-    joint sign is packed into one int: anchor bits first, then the orbit
-    tuple's bits in _orbit_tuple's coordinate order.  The target law is
-    re-keyed the same way; its masses are sums of whole refined atoms, hence
-    multiples of 1/D.  Only the final half-sum becomes a Fraction."""
+    The scorer holds one candidate tuple c and changes it in place.  Every
+    atom's joint sign is packed into one int key: anchor bits first, then
+    the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
+    base_arity + i*arity + j of atom y is set iff y lies in g_i(c_j), g_0
+    the identity.  Masses are integer units of 1/D, D the lcm of the refined
+    atoms' denominators; the target law is re-keyed the same way, its masses
+    being sums of whole refined atoms.  The scorer keeps every atom's key,
+    the target minus the counted mass under each key, and the running sum
+    of their absolute values.  Toggling atom x of c_j moves each of the k + 1
+    atoms g_i(x) from its key to the key with one bit flipped, and updates
+    the total from the two keys it touches: O(k) per flip.  A score s is
+    the value s/(2D) that c2_distance would return."""
     bcat = tuples[0]
     for b in tuples[1:]:
         bcat = bcat.concat(b)
@@ -311,36 +323,42 @@ def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
             pack(r) | pack(s) << base_arity: m.numerator * (denom // m.denominator)
             for (r, s), m in target.mass.items()
         }
-        target_total = sum(target_units.values())
         a_lift = lift_tuple(a, alg, projection)
-        anchor_bits = [pack(signs) for signs in _sign_map(a_lift)]
-        # (coordinate, generator image) pairs: bit base_arity + i*arity + j
-        # of atom y is set iff y lies in g_i(c_j), g_0 the identity.
+        keys = [pack(signs) for signs in _sign_map(a_lift)]
+        # diff[key] = target - counts under key; the score is the sum of |diff|
+        diff = dict(target_units)
+        for key, w in zip(keys, weights):
+            diff[key] = diff.get(key, 0) - w
+        total = sum(abs(d) for d in diff.values())
         images = [tuple(range(alg.size))] + list(refined.gens)
-        placed = [
-            [(1 << (base_arity + i * arity + j), g) for i, g in enumerate(images)]
+        # moves[j][x]: the (atom, key bit) pairs that toggling x in c_j flips;
+        # the generators preserve mass, so every such atom weighs as much as x
+        moves = [
+            [
+                [(g[x], 1 << (base_arity + i * arity + j)) for i, g in enumerate(images)]
+                for x in range(alg.size)
+            ]
             for j in range(arity)
         ]
+        diff_of = diff.get
 
-        def evaluate(members: tuple[tuple[int, ...], ...]) -> Fraction:
-            bits = anchor_bits[:]
-            for coord, event in zip(placed, members):
-                for bit, g in coord:
-                    for x in event:
-                        bits[g[x]] |= bit
-            counts: dict[int, int] = {}
-            for key, w in zip(bits, weights):
-                counts[key] = counts.get(key, 0) + w
-            # sum of |target - counts| over all keys; a key missing from
-            # counts contributes its whole target mass
-            total = target_total
-            for key, units in counts.items():
-                t = target_units.get(key, 0)
-                total += abs(t - units) - t
-            return Fraction(total, 2 * denom)
+        def flip(coord: int, atom: int) -> int:
+            nonlocal total
+            w = weights[atom]
+            # two generators may send atom to the same y; the second move
+            # then starts from the key the first one left
+            for y, bit in moves[coord][atom]:
+                old = keys[y]
+                new = keys[y] = old ^ bit
+                d = diff[old]
+                diff[old] = d + w
+                e = diff_of(new, 0)
+                diff[new] = e - w
+                total += abs(d + w) - abs(d) + abs(e - w) - abs(e)
+            return total
 
         b0_lift = lift_tuple(tuples[0], alg, projection)
-        return evaluate, tuple(e.members for e in b0_lift.events)
+        return flip, total, 2 * denom, tuple(e.members for e in b0_lift.events)
 
     return prepare
 
@@ -360,7 +378,7 @@ def search_C2_witness(
     law of (lifted anchor, c with all its generator pushes).  A witness is
     any candidate with distance strictly below 2*eps; the best candidate is
     reported either way."""
-    _check_depth(max_refine)
+    _check_depth(act, max_refine)
     tuples = _check_instance(act, a, bs, eps)
     threshold = 2 * eps
     prepare = _c2_prepare(a, tuples)
@@ -382,7 +400,7 @@ def axiom_residual(
     search distance upper-bounds the true infimum over all extensions, so a
     zero return certifies the axiom instance; a positive return is only a
     bound."""
-    _check_depth(max_refine)
+    _check_depth(act, max_refine)
     report = check_C1(act, a, bs, Fraction(1))
     quantities = list(report.xi) + list(report.psi)
     worst = max(quantities) if quantities else ZERO
@@ -477,7 +495,7 @@ def ec_in_extension_check(
     send atoms to blocks and intertwine the generators exactly."""
     if eps <= 0:
         raise NonpositiveEps(f"tolerance must be positive, got {eps}")
-    _check_depth(max_refine)
+    _check_depth(small, max_refine)
     blocks = _check_embedding(small, big, embed)
     if anchors.algebra.id != small.algebra.id:
         raise AlgebraMismatch("anchor tuple must live in the small system")
@@ -486,26 +504,68 @@ def ec_in_extension_check(
     ws = list(words)
     pushed_anchors = embed.map_tuple(anchors)
     target = _triple_pattern(big.algebra, big, pushed_anchors, bs, ws)
-
-    def prepare(refined: FkAction, projection: Sequence[int]):
-        a_lift = lift_tuple(anchors, refined.algebra, projection)
-
-        def evaluate(members: tuple[tuple[int, ...], ...]) -> Fraction:
-            cs = EventTuple.of_members(refined.algebra, members)
-            pattern = _triple_pattern(refined.algebra, refined, a_lift, cs, ws)
-            return max(
-                (abs(pattern[key] - target[key]) for key in target),
-                default=ZERO,
-            )
-
-        return evaluate, _pullback_seed(bs, blocks, projection)
-
+    prepare = _ec_prepare(anchors, bs, ws, target, blocks)
     for value, cs, depth in _refine_search(
         small, bs.arity, max_refine, eps, prepare
     ):
         if value < eps:
             break
     return EcSearchResult(value < eps, EcWitness(cs, value, depth))
+
+
+def _ec_prepare(
+    anchors: EventTuple,
+    bs: EventTuple,
+    words: Sequence[Word],
+    target: dict[tuple[int, int, int, int], Fraction],
+    blocks: dict[int, frozenset[int]],
+):
+    """Per-depth set-up of the extension-imitation search: candidates cs are
+    scored by the largest deviation of their triple intersection pattern
+    from the target, starting from the pulled-back target tuple.
+
+    The scorer keeps the member sets of cs and of every w_l(cs), and a flip
+    recomputes the whole pattern.  Masses and target values are integer
+    units of 1/D, D the lcm of the refined atoms' and the target's
+    denominators, so a score s is the Fraction s/D."""
+    keys = list(target)
+
+    def prepare(refined: FkAction, projection: Sequence[int]):
+        alg = refined.algebra
+        denom = lcm(alg.denominator_lcm(), *(m.denominator for m in target.values()))
+        weights = [m.numerator * (denom // m.denominator) for m in alg.atoms]
+        goal = [
+            target[key].numerator * (denom // target[key].denominator) for key in keys
+        ]
+        a_sets = [set(e.members) for e in lift_tuple(anchors, alg, projection).events]
+        perms = []
+        for w in words:
+            perm = list(range(alg.size))
+            for letter in reversed(w.letters):  # rightmost letter first
+                p = letter_perm(refined, letter)
+                perm = [p[x] for x in perm]
+            perms.append(perm)
+        members: list[set[int]] = [set() for _ in range(bs.arity)]
+        moved = [[set() for _ in range(bs.arity)] for _ in perms]
+
+        def score() -> int:
+            return max(
+                (
+                    abs(sum(weights[x] for x in a_sets[i] & members[j] & moved[l][k]) - t)
+                    for (i, j, l, k), t in zip(keys, goal)
+                ),
+                default=0,
+            )
+
+        def flip(coord: int, atom: int) -> int:
+            members[coord] ^= {atom}
+            for perm, row in zip(perms, moved):
+                row[coord] ^= {perm[atom]}
+            return score()
+
+        return flip, score(), denom, _pullback_seed(bs, blocks, projection)
+
+    return prepare
 
 
 def _pullback_seed(

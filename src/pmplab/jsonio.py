@@ -41,6 +41,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not (isinstance(text, str) or _is_int(text)):
+        raise ValidationError(f"not a rational: {text!r}")
     try:
         if isinstance(text, str) and "/" in text:
             num, den = text.split("/", 1)
@@ -67,7 +69,7 @@ def algebra_to_json(alg: MeasuredAlgebra) -> dict:
 
 
 def algebra_from_json(obj: Any) -> MeasuredAlgebra:
-    if not isinstance(obj, Mapping) or "atoms" not in obj:
+    if not isinstance(obj, Mapping) or not _is_list(obj.get("atoms")):
         raise ValidationError('algebra JSON must be {"atoms": [...]}')
     return validate_algebra([parse_rational(m) for m in obj["atoms"]])
 
@@ -79,7 +81,7 @@ def event_to_json(e: Event) -> dict:
 def event_from_json(alg: MeasuredAlgebra, obj: Any) -> Event:
     if isinstance(obj, Mapping) and "members" in obj:
         members = obj["members"]
-    elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
+    elif _is_list(obj):
         members = obj
     else:
         raise ValidationError('event JSON must be {"members": [...]} or a plain list')
@@ -93,6 +95,16 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_list(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _int_list(value: Any, what: str) -> Sequence[int]:
+    if not _is_list(value) or not all(_is_int(v) for v in value):
+        raise ValidationError(f"{what} must be a list of integers")
+    return value
+
+
 def tuple_to_json(t: EventTuple) -> dict:
     return {"events": [event_to_json(e) for e in t.events]}
 
@@ -100,7 +112,7 @@ def tuple_to_json(t: EventTuple) -> dict:
 def tuple_from_json(alg: MeasuredAlgebra, obj: Any) -> EventTuple:
     if isinstance(obj, Mapping) and "events" in obj:
         events = obj["events"]
-    elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
+    elif _is_list(obj):
         events = obj
     else:
         raise ValidationError('tuple JSON must be {"events": [...]} or a plain list')
@@ -110,7 +122,7 @@ def tuple_from_json(alg: MeasuredAlgebra, obj: Any) -> EventTuple:
 def partition_from_json(alg: MeasuredAlgebra, obj: Any) -> AtomPartition:
     if isinstance(obj, Mapping) and "blocks" in obj:
         blocks = obj["blocks"]
-    elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
+    elif _is_list(obj):
         blocks = obj
     else:
         raise ValidationError('partition JSON must be {"blocks": [...]} or a plain list')
@@ -140,16 +152,16 @@ def action_from_json(obj: Any) -> FkAction:
         )
     alg = algebra_from_json(obj["algebra"])
     gens = obj["gens"]
-    if not isinstance(gens, Sequence):
+    if not _is_list(gens):
         raise ValidationError("gens must be a list of permutations")
-    act = validate_action(alg, [tuple(p) for p in gens])
+    act = validate_action(alg, [tuple(_int_list(p, "a permutation")) for p in gens])
     if "k" in obj and obj["k"] != act.k:
         raise ValidationError(f'declared k={obj["k"]} but {act.k} generators given')
     return act
 
 
 def word_from_json(obj: Any) -> Word:
-    if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
+    if not _is_list(obj):
         raise ValidationError("word JSON must be a list of signed integers")
     if not all(_is_int(v) for v in obj):
         raise ValidationError("word letters must be integers")
@@ -205,7 +217,10 @@ def group_from_json(obj: Any) -> MarkedGroup:
             kind = type(exc) if isinstance(exc, PmplabError) else ValidationError
             raise kind(f"bad builtin group {obj!r}: {exc}") from exc
     if isinstance(obj, Mapping) and {"mul", "gens"} <= set(obj):
-        group = validate_marked_group(obj["mul"], obj["gens"])
+        if not _is_list(obj["mul"]):
+            raise ValidationError("mul must be a list of rows")
+        mul = [_int_list(row, "a table row") for row in obj["mul"]]
+        group = validate_marked_group(mul, _int_list(obj["gens"], "gens"))
         if "order" in obj and obj["order"] != group.order:
             raise ValidationError(
                 f'declared order {obj["order"]} but table has {group.order} elements'
@@ -233,7 +248,7 @@ def partial_from_json(
 ) -> PartialIsomorphism:
     if isinstance(obj, Mapping) and "pairs" in obj:
         raw = obj["pairs"]
-    elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
+    elif _is_list(obj):
         raw = obj
     else:
         raise ValidationError('partial JSON must be {"pairs": [...]} or a plain list')
@@ -248,11 +263,7 @@ def partial_from_json(
                 'each pair must be {"source": [...], "target": [...]} or [src, tgt]'
             )
         for block in pair:
-            if (
-                not isinstance(block, Sequence)
-                or isinstance(block, (str, bytes))
-                or not all(_is_int(i) for i in block)
-            ):
+            if not _is_list(block) or not all(_is_int(i) for i in block):
                 raise ValidationError("pair blocks must be lists of integers")
         pairs.append(pair)
     return PartialIsomorphism.of(source, target, pairs)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmplab.algebra import (
     MAX_PARTITION_ARITY,
+    MAX_REFINED_ATOMS,
     AtomPartition,
     Event,
     EventTuple,
@@ -60,6 +61,30 @@ def test_validate_algebra_rejects_bad_total():
         validate_algebra([])
 
 
+@given(
+    st.lists(
+        st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40),
+        min_size=1,
+        max_size=8,
+    ),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_mass_sums_match_fraction_sums(masses, data):
+    """The integer sums give what adding Fractions one at a time gives, in
+    the algebra check's message and in mass_of."""
+    total = sum(masses, F(0))
+    if total != 1:
+        with pytest.raises(MassNotOne) as err:
+            validate_algebra(masses)
+        assert str(err.value) == f"atom masses sum to {total}, expected 1"
+        masses = [m / total for m in masses]
+    alg = validate_algebra(masses)
+    members = data.draw(st.sets(st.integers(0, alg.size - 1)))
+    assert alg.mass_of(members) == sum((alg.atoms[i] for i in members), F(0))
+    assert alg.mass_of([]) == 0
+
+
 def test_event_validation_and_mass():
     alg = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
     e = Event.of(alg, [2, 0, 2])
@@ -103,6 +128,17 @@ def test_generated_partition_arity_cap():
     assert at_cap.mass_of((1,) * MAX_PARTITION_ARITY) == F(1, 2)
     with pytest.raises(InstanceTooLarge):
         generated_partition(EventTuple.of_members(alg, [[0]] * (MAX_PARTITION_ARITY + 1)))
+
+
+def test_refine_equal_size_cap():
+    alg = validate_algebra([F(1, 2), F(1, 2)])
+    at_cap, projection = refine_equal(alg, MAX_REFINED_ATOMS // 2)
+    assert at_cap.size == len(projection) == MAX_REFINED_ATOMS
+    # one atom past the cap, and far past it: refused before anything is built
+    with pytest.raises(InstanceTooLarge):
+        refine_equal(validate_algebra([F(1)]), MAX_REFINED_ATOMS + 1)
+    with pytest.raises(InstanceTooLarge):
+        refine_equal(alg, 10**12)
 
 
 def test_generated_partition_pair_of_events():

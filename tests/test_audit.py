@@ -3,6 +3,7 @@ searches on refinements, residual bounds, and the extension-imitation
 check."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,11 +26,17 @@ from pmplab.action import (
     tensor_trivial,
     validate_action,
 )
+import pmplab.audit as audit
 from pmplab.audit import (
     EXHAUSTIVE_TUPLE_CAP,
+    GREEDY_ROUNDS,
     _c2_prepare,
+    _check_embedding,
+    _ec_prepare,
+    _pullback_seed,
     _refine_search,
-    _tuple_candidates,
+    _search_best,
+    _triple_pattern,
     axiom_residual,
     c2_distance,
     check_C1,
@@ -296,8 +303,6 @@ def test_searches_visit_expected_depths(monkeypatch):
     """Each audit stops at the first depth whose best value passes its own
     test: strictly below 2*eps (C2), below eps (EC), at most 2*worst
     (residual)."""
-    import pmplab.audit as audit
-
     visited = []
 
     def recording(act, m):
@@ -371,7 +376,70 @@ def test_ec_rejects_bad_embeddings_and_eps():
 
 
 # ---------------------------------------------------------------------------
-# the integer C2 scorer against the Fraction oracle
+# the flip-based search against the Fraction oracle
+#
+# The oracle is the search that rebuilds every candidate: each one becomes a
+# member tuple, then an EventTuple, and is scored as a Fraction by the public
+# definitions (c2_distance, the triple pattern).
+
+
+def _tuple_candidates(size, arity):
+    """All event tuples over `size` atoms in lexicographic bitmask order."""
+    if arity == 0:
+        return iter(((),))
+    events = [()]
+    for j in range(size):  # events[mask | 1 << j] == events[mask] + (j,)
+        events += [e + (j,) for e in events]
+    return itertools.product(events, repeat=arity)
+
+
+def oracle_greedy_descent(size, arity, seed, evaluate):
+    """Steepest descent toggling one atom of one coordinate at a time,
+    toggles scanned lexicographically, strict improvement required."""
+    current = tuple(tuple(sorted(e)) for e in seed)
+    value = evaluate(current)
+    for _ in range(GREEDY_ROUNDS):
+        improved = None
+        for coord in range(arity):
+            members = set(current[coord])
+            for atom in range(size):
+                flipped = tuple(sorted(members ^ {atom}))
+                candidate = current[:coord] + (flipped,) + current[coord + 1 :]
+                v = evaluate(candidate)
+                if v < value and (improved is None or v < improved[0]):
+                    improved = (v, candidate)
+        if improved is None:
+            break
+        value, current = improved
+    return value, current
+
+
+def oracle_search_best(size, arity, seed, evaluate, stop_below):
+    if (1 << size) ** arity <= EXHAUSTIVE_TUPLE_CAP:
+        best_val = best_members = None
+        for members in _tuple_candidates(size, arity):
+            v = evaluate(members)
+            if best_val is None or v < best_val:
+                best_val, best_members = v, members
+                if v < stop_below or v == 0:
+                    break
+        return best_val, best_members
+    return oracle_greedy_descent(size, arity, seed, evaluate)
+
+
+def oracle_refine_search(act, arity, max_refine, stop_below, prepare):
+    """The (value, members, depth) sequence of _refine_search, from a prepare
+    that returns (evaluate, seed)."""
+    best = None
+    for depth in range(1, max_refine + 1):
+        refined, projection = equal_refine_action(act, depth)
+        evaluate, seed = prepare(refined, projection)
+        val, members = oracle_search_best(
+            refined.algebra.size, arity, seed, evaluate, stop_below
+        )
+        if best is None or val < best[0]:
+            best = (val, members, depth)
+        yield best
 
 
 def oracle_c2_prepare(a, tuples):
@@ -393,6 +461,47 @@ def oracle_c2_prepare(a, tuples):
         return evaluate, tuple(e.members for e in b0_lift.events)
 
     return prepare
+
+
+def oracle_ec_prepare(anchors, bs, words, target, blocks):
+    """Each candidate's whole Fraction triple pattern against the target."""
+
+    def prepare(refined, projection):
+        a_lift = lift_tuple(anchors, refined.algebra, projection)
+
+        def evaluate(members):
+            cs = EventTuple.of_members(refined.algebra, members)
+            pattern = _triple_pattern(refined.algebra, refined, a_lift, cs, words)
+            return max(
+                (abs(pattern[key] - target[key]) for key in target), default=F(0)
+            )
+
+        return evaluate, _pullback_seed(bs, blocks, projection)
+
+    return prepare
+
+
+def run_search(act, arity, max_refine, stop_below, prepare):
+    out = []
+    for value, c, depth in _refine_search(act, arity, max_refine, stop_below, prepare):
+        assert type(value) is Fraction
+        out.append((value, tuple(e.members for e in c.events), depth))
+    return out
+
+
+def score_of(scorer, members):
+    """Flip members into an all-empty scorer, read the score, flip them back
+    out and check that the start score returns."""
+    flip, start, scale, _seed = scorer
+    value = back = start
+    for coord, event in enumerate(members):
+        for x in event:
+            value = flip(coord, x)
+    for coord, event in enumerate(members):
+        for x in event:
+            back = flip(coord, x)
+    assert back == start
+    return Fraction(value, scale)
 
 
 @st.composite
@@ -449,13 +558,12 @@ def _mixed_c2_instances(draw):
 def test_c2_scorer_matches_fraction_oracle(instance):
     act, a, bs, depth, candidates = instance
     refined, projection = equal_refine_action(act, depth)
-    evaluate, seed = _c2_prepare(a, bs)(refined, projection)
+    scorer = _c2_prepare(a, bs)(refined, projection)
     oracle, oracle_seed = oracle_c2_prepare(a, bs)(refined, projection)
+    seed = scorer[3]
     assert seed == oracle_seed
     for members in [seed] + [tuple(tuple(sorted(e)) for e in c) for c in candidates]:
-        value = evaluate(members)
-        assert type(value) is Fraction
-        assert value == oracle(members)
+        assert score_of(scorer, members) == oracle(members)
 
 
 def _exhaustive_instance():
@@ -492,14 +600,179 @@ def test_refine_search_same_with_oracle_scorer(build, exhaustive):
         total = (1 << act.algebra.size * depth) ** arity
         assert (total <= EXHAUSTIVE_TUPLE_CAP) == exhaustive
 
-    def run(prepare):
-        return [
-            (value, tuple(e.members for e in c.events), depth)
-            for value, c, depth in _refine_search(
-                act, arity, max_refine, F(0), prepare(a, bs)
-            )
-        ]
+    fast = run_search(act, arity, max_refine, F(0), _c2_prepare(a, bs))
+    oracle = oracle_refine_search(act, arity, max_refine, F(0), oracle_c2_prepare(a, bs))
+    assert fast == list(oracle)
 
-    fast = run(_c2_prepare)
-    assert fast == run(oracle_c2_prepare)
-    assert all(type(value) is Fraction for value, _m, _d in fast)
+
+@st.composite
+def _search_instances(draw, greedy):
+    """An action on classes of equal-mass atoms, a search arity, a depth and
+    a stop threshold.  With greedy, at least one depth has more candidates
+    than EXHAUSTIVE_TUPLE_CAP; otherwise every depth is scanned whole, at
+    most 1024 candidates each to keep the oracle quick.  Generators often
+    agree on an atom: classes of one atom are fixed points, where g_i(x) is
+    g_0(x) = x, and the last generator may repeat the first."""
+    if greedy:
+        arity = draw(st.integers(1, 2))
+        n = draw(st.integers(7, 12 if arity == 1 else 9))
+        max_refine = 2 if arity == 1 else draw(st.integers(1, 2))
+    else:
+        arity = draw(st.integers(0, 2))
+        max_refine = draw(st.integers(1, 2))
+        n = draw(st.integers(1, 6 if arity == 0 else 10 // (max_refine * arity)))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(3, n - sum(sizes)))))
+    weights = [draw(st.integers(1, 9)) for _ in sizes]
+    total = sum(size * weight for size, weight in zip(sizes, weights))
+    alg = validate_algebra(
+        [F(w, total) for size, w in zip(sizes, weights) for _ in range(size)]
+    )
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm, start = [], 0
+        for size in sizes:
+            perm.extend(draw(st.permutations(range(start, start + size))))
+            start += size
+        gens.append(perm)
+    if draw(st.booleans()):
+        gens[-1] = gens[0]
+    # 0 stops only at a zero, 2 at candidate 0
+    stop = draw(st.sampled_from([F(0), F(2)]) | st.fractions(0, F(1, 4), max_denominator=30))
+    return validate_action(alg, gens), arity, max_refine, stop
+
+
+def _draw_tuple(data, alg, arity):
+    events = data.draw(
+        st.lists(st.sets(st.integers(0, alg.size - 1)), min_size=arity, max_size=arity)
+    )
+    return EventTuple.of_members(alg, events)
+
+
+@pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_refine_search_matches_oracle_c2(greedy, data):
+    act, arity, max_refine, stop = data.draw(_search_instances(greedy))
+    alg = act.algebra
+    a = _draw_tuple(data, alg, data.draw(st.integers(0, 2)))
+    b0 = _draw_tuple(data, alg, arity)
+    if data.draw(st.booleans()):
+        # realizable: the lifted b0 scores zero
+        bs = [b0] + [apply_gen_tuple(act, i, b0) for i in range(1, act.k + 1)]
+    else:
+        bs = [b0] + [_draw_tuple(data, alg, arity) for _ in range(act.k)]
+    expected = oracle_refine_search(act, arity, max_refine, stop, oracle_c2_prepare(a, bs))
+    assert run_search(act, arity, max_refine, stop, _c2_prepare(a, bs)) == list(expected)
+
+
+@pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_refine_search_matches_oracle_ec(greedy, data):
+    small, arity, max_refine, stop = data.draw(_search_instances(greedy))
+    n = small.algebra.size
+    parts = data.draw(st.integers(2, 3))
+    big = tensor_trivial(small, validate_algebra([F(1, parts)] * parts))
+    embed = PartialIsomorphism.of(
+        small.algebra,
+        big.algebra,
+        [([x], list(range(x * parts, (x + 1) * parts))) for x in range(n)],
+    )
+    blocks = _check_embedding(small, big, embed)
+    anchors = _draw_tuple(data, small.algebra, data.draw(st.integers(1, 2)))
+    if data.draw(st.integers(0, 2)) == 0:
+        # an image of the small system: some candidate matches it exactly
+        bs = embed.map_tuple(_draw_tuple(data, small.algebra, arity))
+    else:
+        bs = _draw_tuple(data, big.algebra, arity)
+    letters = st.integers(1, small.k).flatmap(lambda g: st.sampled_from([g, -g]))
+    words = [
+        Word.of(w)
+        for w in data.draw(st.lists(st.lists(letters, max_size=2), min_size=1, max_size=2))
+    ]
+    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    expected = oracle_refine_search(
+        small, arity, max_refine, stop,
+        oracle_ec_prepare(anchors, bs, words, target, blocks),
+    )
+    fast = run_search(
+        small, arity, max_refine, stop, _ec_prepare(anchors, bs, words, target, blocks)
+    )
+    assert fast == list(expected)
+
+
+def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
+    """Words whose letters do not commute: w = g1 g2 moves an event by g2
+    first, then by g1."""
+    small = validate_action(uniform_algebra(3), [(1, 0, 2), (0, 2, 1)])
+    big = tensor_trivial(small, validate_algebra([F(1, 3), F(2, 3)]))
+    embed = PartialIsomorphism.of(
+        small.algebra, big.algebra, [([x], [2 * x, 2 * x + 1]) for x in range(3)]
+    )
+    blocks = _check_embedding(small, big, embed)
+    anchors = EventTuple.of_members(small.algebra, [[0], [0, 1]])
+    bs = EventTuple.of_members(big.algebra, [[0, 3, 5]])
+    words = [Word.of([1, 2]), Word.of([-2, 1])]
+    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    for depth in (1, 2):
+        refined, projection = equal_refine_action(small, depth)
+        scorer = _ec_prepare(anchors, bs, words, target, blocks)(refined, projection)
+        oracle, seed = oracle_ec_prepare(anchors, bs, words, target, blocks)(
+            refined, projection
+        )
+        assert scorer[3] == seed
+        for members in _tuple_candidates(refined.algebra.size, 1):
+            assert score_of(scorer, members) == oracle(members)
+
+
+def test_counter_walk_visits_candidates_in_lexicographic_order():
+    """A score that falls along the lexicographic order makes the scan stop
+    at candidate m exactly when the stop is just above its score, and only
+    if candidates 0..m-1 were scored before it."""
+    for size, arity in [(2, 1), (2, 2), (3, 2), (1, 3), (4, 0)]:
+        order = list(_tuple_candidates(size, arity))
+        rank = {members: i for i, members in enumerate(order)}
+        for m, members in enumerate(order):
+            state = [set() for _ in range(arity)]
+
+            def flip(coord, atom, state=state):
+                state[coord] ^= {atom}
+                return -1 - rank[tuple(tuple(sorted(e)) for e in state)]
+
+            scorer = (flip, -1, 1, ((),) * arity)
+            assert _search_best(size, arity, scorer, F(-m)) == (-1 - m, members)
+
+            # a zero at candidate m ends the scan there, whatever the stop
+            def flip_zero(coord, atom, state=state):
+                state[coord] ^= {atom}
+                return 0 if tuple(tuple(sorted(e)) for e in state) == members else 1
+
+            state[:] = [set() for _ in range(arity)]
+            start = 0 if m == 0 else 1
+            scorer = (flip_zero, start, 1, ((),) * arity)
+            assert _search_best(size, arity, scorer, F(0)) == (0, members)
+            assert tuple(tuple(sorted(e)) for e in state) == members
+
+
+def test_exhaustive_scan_builds_one_fraction_per_depth(monkeypatch):
+    """A 4096-candidate scan that never reaches zero scores every candidate
+    in integers; only the depth's result becomes a Fraction."""
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    act = quotient_action(cyclic_group(12, [1]))
+    alg = act.algebra
+    a = EventTuple.of_members(alg, [range(6)])
+    # b1 weighs twice b0, so no candidate c and its push g(c) match them
+    bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
+    assert 1 << alg.size == EXHAUSTIVE_TUPLE_CAP
+    monkeypatch.setattr(audit, "Fraction", CountingFraction)
+    [(value, _c, depth)] = list(_refine_search(act, 1, 1, F(0), _c2_prepare(a, bs)))
+    assert value > 0 and depth == 1
+    assert len(built) <= 1

@@ -173,14 +173,32 @@ Z2_IN_Z4 = '{"pairs":[{"source":[0],"target":[0,1]},{"source":[1],"target":[2,3]
             "audit-ec", Z2_ACTION, Z4_ACTION, Z2_IN_Z4,
             "[[0]]", "[[0,2]]", "[[true]]", "1/4",
         ),
+        ("dist", '{"atoms":5}', "[[0]]", "[[0]]"),
+        ("dist", '{"atoms":[null]}', "[[0]]", "[[0]]"),
+        ("gen-quotient", '{"mul":[[0]],"gens":[[0]]}'),
+        ("gen-quotient", '{"mul":5,"gens":[0]}'),
+        ("refine", '{"algebra":%s,"gens":[5]}' % HALVES, "2"),
     ],
 )
 def test_malformed_json_is_a_validation_error(capsys, argv):
-    # a pair without "source" or "target", and `true` or `false` where an
-    # atom index or a word letter is meant
+    # a pair without "source" or "target"; `true` or `false` where an atom
+    # index or a word letter is meant; a number or null where a list or a
+    # rational is meant
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+def test_refinement_past_the_atom_cap_is_refused(capsys):
+    code, out = run(capsys, "refine", Z2_ACTION, "100000000")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+    code, out = run(
+        capsys, "audit-c2", Z2_TWO_GENS, "[[0]]", "1/10", "[[0]]", "[[1]]", "[[1]]",
+        "--max-refine", "100000000",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
 
 
 def test_embed_modes(capsys):
