@@ -292,17 +292,18 @@ def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
     )
 
 
-# refine_equal builds size * m atoms, and every audit depth refines that far.
-# The largest refinement in the test suite and the benchmark has 192 atoms.
+# refine_equal builds size * m atoms, and every audit depth refines that far;
+# the unit refinements build 1/unit atoms.  The largest refinement in the
+# test suite and the benchmark has 192 atoms.
 MAX_REFINED_ATOMS = 1 << 16
 
 
-def _check_refined_size(size: int, m: int) -> None:
+def _check_refined_size(size: int, m: int = 1) -> None:
     """Raise InstanceTooLarge when splitting size atoms into m parts each
     would pass MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
     if size * m > MAX_REFINED_ATOMS:
         raise InstanceTooLarge(
-            f"{size} atoms in {m} parts exceed the cap {MAX_REFINED_ATOMS} atoms"
+            f"a refinement to {size * m} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
         )
 
 
@@ -331,16 +332,21 @@ def refine_to_unit(
 ) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
     """Split every atom into parts of the given unit mass.
 
-    The unit must divide every atom mass exactly.
+    The unit must divide every atom mass exactly.  The masses sum to one, so
+    the refinement has 1/unit atoms; raises InstanceTooLarge beyond
+    MAX_REFINED_ATOMS atoms before any is built.
     """
-    atoms: list[Fraction] = []
-    projection: list[int] = []
-    for i, mass in enumerate(alg.atoms):
+    for mass in alg.atoms:
         count = mass / unit
         if count.denominator != 1 or count < 1:
             raise PartMassMismatch(f"unit {unit} does not divide atom mass {mass}")
-        atoms.extend([unit] * int(count))
-        projection.extend([i] * int(count))
+    _check_refined_size(int(1 / unit))
+    atoms: list[Fraction] = []
+    projection: list[int] = []
+    for i, mass in enumerate(alg.atoms):
+        count = int(mass / unit)
+        atoms.extend([unit] * count)
+        projection.extend([i] * count)
     return MeasuredAlgebra(_fresh_id(), tuple(atoms)), tuple(projection)
 
 

@@ -8,6 +8,7 @@ with the metrics from the algebra and action modules.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,10 +21,12 @@ from .algebra import (
     EventTuple,
     MeasuredAlgebra,
     Sign,
+    _check_refined_size,
     _fresh_id,
     _sign_map,
     dist_partition,
     lift_tuple,
+    refine_to_unit,
     validate_algebra,
 )
 from .action import (
@@ -190,7 +193,9 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     fragments leaving cell s under a are paired lexicographically with those
     entering cell s under b, and all other atoms stay fixed.  The pairing
     moves exactly the disagreement mass, so the uniform distance of g from
-    the identity is at most dist_partition(a, b)."""
+    the identity is at most dist_partition(a, b).  Raises InstanceTooLarge,
+    before splitting anything, when the refinement would pass
+    MAX_REFINED_ATOMS atoms."""
     if a.algebra.id != b.algebra.id:
         raise AlgebraMismatch("tuples live on different algebras")
     if a.arity != b.arity:
@@ -215,6 +220,7 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
         unit = Fraction(1, lcm(*(alg.atoms[x].denominator for x in moving)))
     else:
         unit = Fraction(1)
+    _check_refined_size(int(dp / unit) + alg.size - len(moving))
     atoms: list[Fraction] = []
     projection: list[int] = []
     fragments: dict[int, list[int]] = {}
@@ -411,12 +417,36 @@ def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
 def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
     """The group generated by gens under compose, enumerated breadth-first
     from the identity by multiplying on the right by the generators in
-    order; element i of the returned list is group element i."""
-    elements, index = _breadth_first(identity, gens, compose, MAX_GROUP_ORDER)
-    if len(elements) > MAX_GROUP_ORDER:
+    order; element i of the returned list is group element i.
+
+    The table is filled from the right Cayley graph (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005).  The walk records
+    right[x][g], the index of x * gens[g], for every element: order * k
+    compositions, the only ones made.  Element j > 0 was first reached as
+    parent(j) * gens[g], so x * j = (x * parent(j)) * gens[g] for every x:
+    column j of the table is column parent(j) looked up in right[.][g],
+    starting from column 0, where x * identity = x."""
+    products = []
+
+    def step(x, g):
+        y = compose(x, g)
+        products.append(y)
+        return y
+
+    elements, index = _breadth_first(identity, gens, step, MAX_GROUP_ORDER)
+    order = len(elements)
+    if order > MAX_GROUP_ORDER:
         raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
-    mul = tuple(tuple(index[compose(x, y)] for y in elements) for x in elements)
-    return MarkedGroup(len(elements), mul, 0, tuple(index[g] for g in gens)), elements
+    k = len(gens)
+    # right[g][x]: the walk composed element x with gens[g] at call x*k + g
+    right = [[index[y] for y in products[g::k]] for g in range(k)]
+    columns = [range(order)]
+    for x in range(order):
+        for times_g in right:
+            if times_g[x] == len(columns):  # first reached here: x is its parent
+                columns.append(list(map(times_g.__getitem__, columns[x])))
+    mul = tuple(zip(*columns))
+    return MarkedGroup(order, mul, 0, tuple(index[g] for g in gens)), elements
 
 
 def permutation_marked_group(
@@ -542,12 +572,13 @@ def eppa_extend(
     atom i embeds as a run of consecutive unit atoms.  Each partial becomes a
     partial injection on units by refining paired blocks lexicographically,
     and is completed by matching the leftover units in increasing order, one
-    generator per partial."""
+    generator per partial.  Raises InstanceTooLarge beyond MAX_REFINED_ATOMS
+    units."""
     for p in partials:
         if p.source.id != alg.id or p.target.id != alg.id:
             raise AlgebraMismatch("partials must map the given algebra to itself")
     n_units = alg.denominator_lcm()
-    big = validate_algebra([Fraction(1, n_units)] * n_units)
+    big, _ = refine_to_unit(alg, Fraction(1, n_units))
     starts: list[int] = []
     pos = 0
     for mass in alg.atoms:
@@ -795,7 +826,9 @@ def approx_conjugacy_search(
     eps is recomputed exactly from the returned mapping, and the search
     stops early when it reaches zero.  A positive eps proves that no exact
     conjugacy exists at the depths tried; it is an upper bound on the least
-    defect there, and the beam's optimality is never claimed."""
+    defect there, and the beam's optimality is never claimed.  The deepest
+    refinement is checked against MAX_REFINED_ATOMS before any search
+    starts."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     if max_refine < 1 or beam_width < 1:
@@ -803,6 +836,7 @@ def approx_conjugacy_search(
     base_units = lcm(
         act1.algebra.denominator_lcm(), act2.algebra.denominator_lcm()
     )
+    _check_refined_size(base_units, max_refine)
     best: Optional[ConjugacyCertificate] = None
     for depth in range(1, max_refine + 1):
         n = base_units * depth
@@ -866,28 +900,36 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> Optional[tuple[int, ...]]:
 
 
 def _beam_assign(r1: FkAction, r2: FkAction, beam_width: int) -> tuple[int, ...]:
-    """Greedy beam assignment of source atoms to target atoms."""
+    """Greedy beam assignment of source atoms to target atoms.
+
+    Source atoms are placed in increasing order.  Placing x on t keeps the
+    edge from x to a placed y = g1[x] only when g2[t] = mapping[y], and the
+    edge from a placed z = g1^-1[x] to x only when t = g2[mapping[z]]; each
+    placed neighbor spares exactly one target, so one pass over the
+    neighbors scores every target of a state.  Candidates are kept as
+    (score, parent mapping, t): all parents have the same length, so this
+    orders them as (score, parent mapping + (t,)) would, and the beam_width
+    survivors, taken with heapq.nsmallest, are the only mappings copied."""
     n = r1.algebra.size
-    gens1 = r1.gens
-    inv1 = r1.inv_gens
-    gens2 = r2.gens
+    edges = list(zip(r1.gens, r1.inv_gens, r2.gens, r2.inv_gens))
     states: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     for x in range(n):
-        grown: list[tuple[int, tuple[int, ...]]] = []
+        # placed neighbors y of x, each with the map from y's target to the
+        # one target of x that keeps the edge
+        spare = [(ig2, g1[x]) for g1, _, _, ig2 in edges if g1[x] < x]
+        spare += [(g2, ig1[x]) for _, ig1, g2, _ in edges if ig1[x] < x]
+        grown: list[tuple[int, tuple[int, ...], int]] = []
         for score, mapping in states:
-            used = set(mapping)
-            for t in range(n):
-                if t in used:
-                    continue
-                penalty = 0
-                for g1, ig1, g2 in zip(gens1, inv1, gens2):
-                    y = g1[x]
-                    if y < x and mapping[y] != g2[t]:
-                        penalty += 1
-                    z = ig1[x]
-                    if z < x and g2[mapping[z]] != t:
-                        penalty += 1
-                grown.append((score + penalty, mapping + (t,)))
-        grown.sort()
-        states = grown[:beam_width]
+            penalty: list = [score + len(spare)] * n
+            for keep, y in spare:
+                penalty[keep[mapping[y]]] -= 1
+            for t in mapping:
+                penalty[t] = None
+            grown.extend(
+                (p, mapping, t) for t, p in enumerate(penalty) if p is not None
+            )
+        states = [
+            (score, mapping + (t,))
+            for score, mapping, t in heapq.nsmallest(beam_width, grown)
+        ]
     return states[0][1]

@@ -273,7 +273,63 @@ def partial_from_json(
 # document rendering
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def render_document(obj: Any) -> str:
     """The one canonical JSON serialization: sorted keys, two-space indent,
-    trailing newline.  Byte-identical output for equal objects."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    trailing newline.  Byte-identical output for equal objects.
+
+    The bytes are those of json.dumps(obj, indent=2, sort_keys=True) + "\\n",
+    written by a direct walk of the payload: dicts with str keys, lists and
+    tuples, str, int, bool and None; any other type raises TypeError.  A
+    list of plain ints is written with one join, and strings are escaped by
+    the json module's C escaper."""
+    out: list[str] = []
+    _render(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(obj: Any, newline: str, out: list[str]) -> None:
+    """Append obj to out; newline is a line break and the current indent."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(opener + _quote(key) + ": ")
+            _render(obj[key], inner, out)
+            opener = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:  # plain ints only: no bool
+            items = ("," + inner).join(map(int.__repr__, obj))
+            out.append("[" + inner + items + newline + "]")
+            return
+        opener = "[" + inner
+        for item in obj:
+            out.append(opener)
+            _render(item, inner, out)
+            opener = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -141,6 +141,18 @@ def test_refine_equal_size_cap():
         refine_equal(alg, 10**12)
 
 
+def test_refine_to_unit_size_cap():
+    at_cap, projection = refine_to_unit(validate_algebra([F(1, 2)] * 2), F(1, MAX_REFINED_ATOMS))
+    assert at_cap.size == len(projection) == MAX_REFINED_ATOMS
+    # the masses sum to one, so the unit alone fixes the size: refused
+    # before anything is built
+    with pytest.raises(InstanceTooLarge):
+        refine_to_unit(validate_algebra([F(1)]), F(1, MAX_REFINED_ATOMS + 1))
+    # a unit that divides no mass is still a PartMassMismatch
+    with pytest.raises(PartMassMismatch):
+        refine_to_unit(validate_algebra([F(1, 2)] * 2), F(1, MAX_REFINED_ATOMS + 1))
+
+
 def test_generated_partition_pair_of_events():
     alg = validate_algebra([F(1, 4)] * 4)
     part = generated_partition(EventTuple.of_members(alg, [[0, 1], [0, 2]]))

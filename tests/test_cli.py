@@ -199,6 +199,12 @@ def test_refinement_past_the_atom_cap_is_refused(capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+    # the swap against the identity is never conjugate, so without the
+    # up-front check every depth up to 10^8 would be searched
+    identity = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[0,1]]}'
+    code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", "100000000")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
 
 
 def test_embed_modes(capsys):

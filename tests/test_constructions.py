@@ -12,14 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmplab.algebra import (
+    MAX_REFINED_ATOMS,
     AtomPartition,
     Event,
     EventTuple,
     dist_partition,
     validate_algebra,
 )
+from pmplab import constructions
 from pmplab.action import (
     FkAction,
+    _breadth_first,
     _orbit_walks,
     apply_perm_event,
     invariant_components,
@@ -32,6 +35,7 @@ from pmplab.constructions import (
     MAX_GROUP_ORDER,
     Isomorphism,
     MarkedGroup,
+    _beam_assign,
     _exact_assign,
     _generated_group,
     PartialIsomorphism,
@@ -873,3 +877,168 @@ def test_cycle_type_mismatch_is_refuted_then_left_to_the_beam(n):
     cert = approx_conjugacy_search(a1, a2)
     assert (cert.eps, cert.iso.mapping) == MISMATCH_BEAM[n]
     assert cert.exhausted and verify_conjugacy(cert) == cert.eps
+
+
+# ------------------------------------------ fast kernels against the old code
+
+S6_GENERATORS = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+S5_GENERATORS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+
+
+def oracle_generated_group(identity, gens, compose):
+    """The table as built before the Cayley-graph fill: every product of
+    two elements composed and looked up, order^2 compositions."""
+    elements, index = _breadth_first(identity, gens, compose, MAX_GROUP_ORDER)
+    if len(elements) > MAX_GROUP_ORDER:
+        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    mul = tuple(tuple(index[compose(x, y)] for y in elements) for x in elements)
+    return MarkedGroup(len(elements), mul, 0, tuple(index[g] for g in gens)), elements
+
+
+def _pair_compose(g1, g2):
+    return lambda x, y: (g1.mul[x[0]][y[0]], g2.mul[x[1]][y[1]])
+
+
+def test_group_tables_match_the_order_squared_oracle():
+    rng = random.Random(808)
+    cases = [S6_GENERATORS, S5_GENERATORS, *BENCHMARK_PERMUTATION_GROUPS]
+    for _ in range(80):
+        degree = rng.randint(1, 5)
+        cases.append([random_permutation(rng, degree) for _ in range(rng.randint(1, 3))])
+    groups = []
+    for perms in cases:
+        perms = [tuple(p) for p in perms]
+        identity = tuple(range(len(perms[0])))
+        got = permutation_marked_group(perms)
+        group, elements = oracle_generated_group(identity, perms, perm_compose)
+        assert got == (group, tuple(elements))
+        if group.order <= 60:
+            groups.append(group)
+    for _ in range(60):
+        g1, g2 = rng.sample(groups, 2)
+        if g1.k != g2.k:
+            continue
+        jq = joint_quotient(g1, g2)
+        group, elements = oracle_generated_group(
+            (g1.identity, g2.identity),
+            list(zip(g1.gen_images, g2.gen_images)),
+            _pair_compose(g1, g2),
+        )
+        assert jq.group == group
+        assert (jq.proj1, jq.proj2) == tuple(tuple(e[i] for e in elements) for i in (0, 1))
+
+
+def _counting(compose, calls):
+    def counted(x, y):
+        calls.append((x, y))
+        return compose(x, y)
+
+    return counted
+
+
+def test_group_tables_compose_order_k_plus_order_times_at_most(monkeypatch):
+    """The Cayley-graph fill composes each element with each generator and
+    looks every other product up: a guard on the table cost without timing."""
+    calls = []
+    monkeypatch.setattr(constructions, "perm_compose", _counting(perm_compose, calls))
+    s5, _ = permutation_marked_group(S5_GENERATORS)
+    assert s5.order == 120 and 0 < len(calls) <= s5.order * (s5.k + 1)
+    calls.clear()
+    emb = embed_transitive_into_quotient(validate_action(uniform_algebra(6), S6_GENERATORS))
+    s6 = emb.group
+    assert s6.order == 720 and 0 < len(calls) <= s6.order * (s6.k + 1)
+
+    g1 = permutation_marked_group([(1, 2, 3, 0), (1, 0, 2, 3)])[0]
+    g2 = cyclic_group(6, [1, 3])
+    calls.clear()
+    group, _ = _generated_group(
+        (g1.identity, g2.identity),
+        list(zip(g1.gen_images, g2.gen_images)),
+        _counting(_pair_compose(g1, g2), calls),
+    )
+    assert group == joint_quotient(g1, g2).group
+    assert group.order == 72 and 0 < len(calls) <= group.order * (group.k + 1)
+
+
+def oracle_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
+    """The beam as it was: every candidate mapping copied, all of them
+    sorted, the first beam_width kept."""
+    n = r1.algebra.size
+    states = [(0, ())]
+    for x in range(n):
+        grown = []
+        for score, mapping in states:
+            used = set(mapping)
+            for t in range(n):
+                if t in used:
+                    continue
+                penalty = 0
+                for g1, ig1, g2 in zip(r1.gens, r1.inv_gens, r2.gens):
+                    y = g1[x]
+                    if y < x and mapping[y] != g2[t]:
+                        penalty += 1
+                    z = ig1[x]
+                    if z < x and g2[mapping[z]] != t:
+                        penalty += 1
+                grown.append((score + penalty, mapping + (t,)))
+        grown.sort()
+        states = grown[:beam_width]
+    return states[0][1]
+
+
+def test_beam_matches_the_sort_everything_oracle():
+    rng = random.Random(909)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, 3)
+        r1 = random_equal_atom_action(rng, n, k)
+        if rng.random() < 0.5:
+            r2 = random_equal_atom_action(rng, n, k)
+        else:
+            r2 = relabeled_action(r1, random_permutation(rng, n))
+        for beam_width in (1, 2, 16, n + 1):
+            assert _beam_assign(r1, r2, beam_width) == oracle_beam_assign(r1, r2, beam_width)
+    for n in sorted(MISMATCH_BEAM):
+        a1, a2 = cycle_mismatch_pair(random.Random(n), n)
+        for beam_width in (1, 2, 16):
+            assert _beam_assign(a1, a2, beam_width) == oracle_beam_assign(a1, a2, beam_width)
+
+
+# ------------------------------------------------------- unit refinement caps
+
+
+def test_match_partitions_refinement_cap():
+    """Two moving atoms of mass (2^15 - 1)/2^16 split into fragments of
+    1/2^16; the fixed atoms are kept whole and set the total."""
+    m = F(MAX_REFINED_ATOMS // 2 - 1, MAX_REFINED_ATOMS)
+    unit = F(1, MAX_REFINED_ATOMS)
+    at_cap = validate_algebra([m, m, unit, unit])
+    a = EventTuple.of_members(at_cap, [[0]])
+    b = EventTuple.of_members(at_cap, [[1]])
+    matching = match_partitions(a, b)
+    assert matching.refined.size == MAX_REFINED_ATOMS
+    assert matching.dp == 2 * m
+    # one fixed atom more: one atom past the cap, refused before any split
+    past = validate_algebra([m, m, unit, unit / 2, unit / 2])
+    assert 2 * (m / unit) + 3 == MAX_REFINED_ATOMS + 1
+    with pytest.raises(InstanceTooLarge):
+        match_partitions(
+            EventTuple.of_members(past, [[0]]), EventTuple.of_members(past, [[1]])
+        )
+
+
+def test_eppa_and_conjugacy_refinement_caps():
+    at_cap = validate_algebra([F(1, MAX_REFINED_ATOMS), F(MAX_REFINED_ATOMS - 1, MAX_REFINED_ATOMS)])
+    assert eppa_extend(at_cap, []).algebra.size == MAX_REFINED_ATOMS
+    past = validate_algebra(
+        [F(1, MAX_REFINED_ATOMS + 1), F(MAX_REFINED_ATOMS, MAX_REFINED_ATOMS + 1)]
+    )
+    with pytest.raises(InstanceTooLarge):
+        eppa_extend(past, [])
+    # 2 base units at the deepest depth: at the cap the identity conjugates
+    # to itself at depth 1; one depth more is refused before any search
+    identity = validate_action(uniform_algebra(2), [(0, 1)])
+    cert = approx_conjugacy_search(identity, identity, max_refine=MAX_REFINED_ATOMS // 2)
+    assert cert.eps == 0 and cert.iso.source.size == 2
+    with pytest.raises(InstanceTooLarge):
+        approx_conjugacy_search(identity, identity, max_refine=MAX_REFINED_ATOMS // 2 + 1)

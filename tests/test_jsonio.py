@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmplab.algebra import AtomPartition, Event, EventTuple, validate_algebra
 from pmplab.action import validate_action
@@ -155,3 +157,48 @@ def test_render_document_is_stable():
     assert text.endswith("\n")
     assert json.loads(text) == {"b": "1/2", "a": [1, 2]}
     assert text.index('"a"') < text.index('"b"')
+
+
+def oracle_render(obj) -> str:
+    """The encoder render_document replaced."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# Quotes, backslashes, control characters and non-ASCII text, besides
+# whatever hypothesis draws.
+_tricky = st.text(alphabet='"\\/\n\t\r\b\f\x00\x1f\x7f a\u00e9\u20ac\U0001f600')
+_strings = st.one_of(st.text(), _tricky)
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), _strings)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_strings, inner, max_size=5),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.lists(st.integers(), max_size=6).map(tuple),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_documents)
+def test_render_document_matches_json_dumps(obj):
+    assert render_document(obj) == oracle_render(obj)
+
+
+def test_render_document_edge_cases_match_json_dumps():
+    for obj in [
+        {}, [], (), "", 0, -1, True, False, None, 10**40,
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+        [1, True, 2], [True, False], [0, None], [[1, 2], [3]], (1, (2, 3)),
+        {"\u00e9": "\x00\"\\", "": [""], "z": {"y": {"x": [1]}}},
+    ]:
+        assert render_document(obj) == oracle_render(obj)
+
+
+def test_render_document_refuses_other_types():
+    for obj in [1.5, F(1, 2), {1, 2}, b"x", {1: "a"}, [object()], {"a": [0.5]}]:
+        with pytest.raises(TypeError):
+            render_document(obj)
