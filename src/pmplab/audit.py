@@ -17,8 +17,9 @@ refutations.
 One driver runs every search.  Each audit gives it a scorer that holds one
 candidate tuple and changes it in place: flipping one atom of one coordinate
 returns the new score as an integer, in units of one common denominator per
-depth.  The exhaustive scan walks its order as a binary counter, about two
-flips per candidate; the descent scores each toggle by flipping it and back.
+depth.  The exhaustive scan walks blocks of candidates in Gray-code order,
+about one flip per candidate, and returns what a scan in lexicographic
+order would; the descent scores each toggle by flipping it and back.
 The second-condition scorer updates only the k + 1 atoms a flip moves, so a
 flip costs O(k) however large the refinement; the extension scorer
 recomputes its small pattern.  Comparisons stay in integers, and each depth
@@ -33,10 +34,10 @@ from math import lcm
 from typing import Sequence
 
 from .algebra import (
+    MAX_REFINED_ATOMS,
     ZERO,
     EventTuple,
     MeasuredAlgebra,
-    _check_refined_size,
     _sign_map,
     joint_distribution,
     lift_tuple,
@@ -54,6 +55,7 @@ from .errors import (
     AlgebraMismatch,
     ArityMismatch,
     EmbeddingNotEquivariant,
+    InstanceTooLarge,
     NonpositiveEps,
     WrongTupleCount,
 )
@@ -65,6 +67,7 @@ from .modeltheory import (
 )
 
 EXHAUSTIVE_TUPLE_CAP = 4096
+_GRAY_BITS = 6  # low index bits an exhaustive scan walks in Gray-code order
 GREEDY_ROUNDS = 64
 
 
@@ -88,10 +91,17 @@ class C1Report:
 
 
 def _check_depth(act: FkAction, max_refine: int) -> None:
-    """The deepest refinement is checked before any search starts."""
+    """Every depth 1..max_refine may be searched in turn, so the refined atoms
+    summed over them, size*M*(M+1)/2, are checked against MAX_REFINED_ATOMS
+    before any search starts: only arithmetic, nothing is built."""
     if max_refine < 1:
         raise ValueError(f"max_refine must be >= 1, got {max_refine}")
-    _check_refined_size(act.algebra.size, max_refine)
+    summed = act.algebra.size * (max_refine * (max_refine + 1) // 2)
+    if summed > MAX_REFINED_ATOMS:
+        raise InstanceTooLarge(
+            f"refinements to depths 1..{max_refine} sum to {summed} atoms, "
+            f"past the cap {MAX_REFINED_ATOMS} atoms"
+        )
 
 
 def _check_instance(
@@ -215,33 +225,66 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     atom) toggles one atom of one coordinate of the scorer's current tuple
     and returns its new integer score, start is the score of the all-empty
     tuple, a score s stands for s/scale, and seed starts the greedy descent.
-    Returns the best value, the one Fraction built, and its member tuple.
+    Scores are never negative.  Returns the best value, the one Fraction
+    built, and its member tuple.
 
     Exhaustion applies when the total number of candidate tuples is at most
-    EXHAUSTIVE_TUPLE_CAP; enumeration order is lexicographic in bitmasks and
-    the scan stops at the first candidate strictly below stop_below (or at
-    zero, which cannot be improved).  The order is a binary counter over the
-    concatenated masks, coordinate 0 most significant and atom j at bit j of
-    its coordinate, so candidate i follows i - 1 by flipping the bits of
-    (i - 1) ^ i, two on average.  Otherwise steepest descent from the seed
-    toggles one atom of one coordinate at a time, scanned lexicographically:
-    each toggle is scored by flipping it and back, the first strict best
-    wins, for at most GREEDY_ROUNDS rounds.  Scores are compared as
-    integers: v < stop_below = p/q is v*q < p*scale."""
+    EXHAUSTIVE_TUPLE_CAP.  Candidate i is the concatenated masks, coordinate
+    0 most significant and atom j at bit j of its coordinate.  A hit is a
+    score strictly below stop_below, or zero; it is below every score that
+    is not a hit.  The result is the hit of least index, or with no hit the
+    least (score, index): what a scan in lexicographic order returns that
+    stops at its first hit.  The scan runs in blocks of 2**L candidates that
+    share the bits above the low L = min(size*arity, _GRAY_BITS).  The blocks
+    come in order, one binary-counter step on the high bits apart; inside a
+    block, step t flips low bit ctz(t), the reflected Gray code, which visits
+    all 2**L low values once from any start.  So every candidate costs one
+    flip, plus one per block on average.  The scan ends with the first block
+    that holds a hit and flips the scorer back to its least-index hit.
+
+    Otherwise steepest descent from the seed toggles one atom of one
+    coordinate at a time, scanned lexicographically: each toggle is scored
+    by flipping it and back, the first strict best wins, for at most
+    GREEDY_ROUNDS rounds.  Scores are compared as integers: v < stop_below
+    = p/q is v*q < p*scale, that is v < cut = ceil(p*scale/q)."""
     flip, value, scale, seed = scorer
     p, q = stop_below.numerator, stop_below.denominator
-    limit = p * scale
-    if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
+    cut = -(-p * scale // q)
+    n = size * arity
+    if 1 << n <= EXHAUSTIVE_TUPLE_CAP:
         best, best_i = value, 0
-        if value * q >= limit and value != 0:
-            places = [(arity - 1 - b // size, b % size) for b in range(size * arity)]
-            for i in range(1, 1 << size * arity):
-                for b in range((i & -i).bit_length()):
-                    value = flip(*places[b])
-                if value < best:
-                    best, best_i = value, i
-                    if value * q < limit or value == 0:
-                        break
+        if value >= cut and value != 0:
+            places = [(arity - 1 - b // size, b % size) for b in range(n)]
+            low = min(n, _GRAY_BITS)
+            # (coord, atom, low bit) flipped by steps 1 .. 2**low - 1 of a block
+            gray = [
+                (*places[b], 1 << b)
+                for b in ((t & -t).bit_length() - 1 for t in range(1, 1 << low))
+            ]
+            # block h > 0 is entered by flipping bit `low` last, the rest first
+            entered = ([(*places[low], 0)] if low < n else []) + gray
+            cur, hit, steps = 0, None, gray
+            for h in range(1 << n - low):
+                if h:
+                    for b in range(low + 1, low + (h & -h).bit_length()):
+                        flip(*places[b])
+                    steps = entered
+                base = h << low
+                for coord, atom, bit in steps:
+                    value = flip(coord, atom)
+                    cur ^= bit
+                    if value < cut or value == 0:
+                        if hit is None or cur < hit[1]:
+                            hit = value, cur
+                    elif value < best or value == best and base | cur < best_i:
+                        best, best_i = value, base | cur
+                if hit is not None:
+                    best, best_i = hit[0], base | hit[1]
+                    undo = cur ^ hit[1]
+                    for b in range(low):
+                        if undo >> b & 1:
+                            flip(*places[b])
+                    break
         members = tuple(
             tuple(
                 x for x in range(size)

@@ -174,19 +174,22 @@ def _cmd_indep(args) -> dict:
 
 
 def _parse_perm_arg(alg, obj) -> tuple:
-    if not isinstance(obj, list):
-        raise ValidationError("permutation argument must be a JSON array")
-    perm = tuple(obj)
+    perm = tuple(jsonio._int_list(obj, "permutation argument"))
     check_permutation(alg, perm)
     return perm
+
+
+def _is_perm_list(obj) -> bool:
+    """A JSON array whose first entry is an array: a list of permutations."""
+    return isinstance(obj, list) and bool(obj) and isinstance(obj[0], list)
 
 
 def _cmd_delta(args) -> dict:
     alg = jsonio.algebra_from_json(_load(args.algebra))
     g = _load(args.g)
     h = _load(args.h)
-    if g and isinstance(g[0], list):
-        if not (h and isinstance(h[0], list)) or len(g) != len(h):
+    if _is_perm_list(g):
+        if not _is_perm_list(h) or len(g) != len(h):
             raise ArityMismatch("both sides must be equal-length lists of permutations")
         gs = [_parse_perm_arg(alg, p) for p in g]
         hs = [_parse_perm_arg(alg, p) for p in h]

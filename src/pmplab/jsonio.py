@@ -79,11 +79,8 @@ def event_to_json(e: Event) -> dict:
 
 
 def event_from_json(alg: MeasuredAlgebra, obj: Any) -> Event:
-    if isinstance(obj, Mapping) and "members" in obj:
-        members = obj["members"]
-    elif _is_list(obj):
-        members = obj
-    else:
+    members = obj.get("members") if isinstance(obj, Mapping) else obj
+    if not _is_list(members):
         raise ValidationError('event JSON must be {"members": [...]} or a plain list')
     if not all(_is_int(i) for i in members):
         raise ValidationError("event members must be integers")
@@ -110,23 +107,17 @@ def tuple_to_json(t: EventTuple) -> dict:
 
 
 def tuple_from_json(alg: MeasuredAlgebra, obj: Any) -> EventTuple:
-    if isinstance(obj, Mapping) and "events" in obj:
-        events = obj["events"]
-    elif _is_list(obj):
-        events = obj
-    else:
+    events = obj.get("events") if isinstance(obj, Mapping) else obj
+    if not _is_list(events):
         raise ValidationError('tuple JSON must be {"events": [...]} or a plain list')
     return EventTuple.of(alg, [event_from_json(alg, e) for e in events])
 
 
 def partition_from_json(alg: MeasuredAlgebra, obj: Any) -> AtomPartition:
-    if isinstance(obj, Mapping) and "blocks" in obj:
-        blocks = obj["blocks"]
-    elif _is_list(obj):
-        blocks = obj
-    else:
+    blocks = obj.get("blocks") if isinstance(obj, Mapping) else obj
+    if not _is_list(blocks):
         raise ValidationError('partition JSON must be {"blocks": [...]} or a plain list')
-    return AtomPartition.of(alg, blocks)
+    return AtomPartition.of(alg, [_int_list(b, "a partition block") for b in blocks])
 
 
 def partition_to_json(part: AtomPartition) -> dict:
@@ -246,11 +237,8 @@ def partial_to_json(p: PartialIsomorphism) -> dict:
 def partial_from_json(
     source: MeasuredAlgebra, target: MeasuredAlgebra, obj: Any
 ) -> PartialIsomorphism:
-    if isinstance(obj, Mapping) and "pairs" in obj:
-        raw = obj["pairs"]
-    elif _is_list(obj):
-        raw = obj
-    else:
+    raw = obj.get("pairs") if isinstance(obj, Mapping) else obj
+    if not _is_list(raw):
         raise ValidationError('partial JSON must be {"pairs": [...]} or a plain list')
     pairs = []
     for entry in raw:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmplab.algebra import (
+    MAX_REFINED_ATOMS,
     EventTuple,
     joint_distribution,
     lift_tuple,
@@ -50,6 +51,7 @@ from pmplab.constructions import (
 )
 from pmplab.errors import (
     EmbeddingNotEquivariant,
+    InstanceTooLarge,
     NonpositiveEps,
     WrongTupleCount,
 )
@@ -355,6 +357,44 @@ def test_searches_visit_expected_depths(monkeypatch):
     )
     assert visited == [1]
     assert residual == 0
+
+
+def test_audit_depths_are_capped_by_their_summed_atoms(monkeypatch):
+    """Depths 1..M of a 2-atom action refine to 2*M*(M+1)/2 atoms in all:
+    65280 for M = 255, inside MAX_REFINED_ATOMS, and 65792 for M = 256,
+    which every audit refuses before refining anything."""
+    assert 255 * 256 <= MAX_REFINED_ATOMS < 256 * 257
+    visited = []
+
+    def recording(act, m):
+        visited.append(m)
+        return equal_refine_action(act, m)
+
+    monkeypatch.setattr(audit, "equal_refine_action", recording)
+    act = quotient_action(cyclic_group(2, [1]))
+    alg = act.algebra
+    a = EventTuple.of_members(alg, [[0]])
+    # c and g(c) always weigh the same, b0 and b1 do not: no depth stops early
+    bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[0, 1]])]
+    res = search_C2_witness(act, a, bs, F(1, 10**6), max_refine=255)
+    assert not res.found
+    assert visited == list(range(1, 256))
+
+    visited.clear()
+    big = tensor_trivial(act, validate_algebra([F(1, 2), F(1, 2)]))
+    embed = PartialIsomorphism.of(alg, big.algebra, [([0], [0, 1]), ([1], [2, 3])])
+    past = [
+        lambda: search_C2_witness(act, a, bs, F(1, 10**6), max_refine=256),
+        lambda: axiom_residual(act, a, bs, max_refine=256),
+        lambda: ec_in_extension_check(
+            act, big, embed, a, EventTuple.of_members(big.algebra, [[0, 2]]),
+            [Word.of([])], F(1, 4), max_refine=256,
+        ),
+    ]
+    for audit_call in past:
+        with pytest.raises(InstanceTooLarge):
+            audit_call()
+    assert visited == []
 
 
 def test_ec_rejects_bad_embeddings_and_eps():
@@ -776,3 +816,191 @@ def test_exhaustive_scan_builds_one_fraction_per_depth(monkeypatch):
     [(value, _c, depth)] = list(_refine_search(act, 1, 1, F(0), _c2_prepare(a, bs)))
     assert value > 0 and depth == 1
     assert len(built) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the Gray-code block scan against the binary-counter scan
+
+
+def members_of(index, size, arity):
+    """The member tuple of candidate `index`: coordinate 0 most significant,
+    atom x at bit x of its coordinate."""
+    return tuple(
+        tuple(x for x in range(size) if (index >> ((arity - 1 - coord) * size + x)) & 1)
+        for coord in range(arity)
+    )
+
+
+def oracle_counter_scan(size, arity, scorer, stop_below):
+    """The exhaustive scan in lexicographic order, stepped as a binary
+    counter: candidate i follows i - 1 by flipping the bits of (i - 1) ^ i,
+    and the scan stops at the first strict new best that is below
+    stop_below or zero."""
+    flip, value, scale, _seed = scorer
+    p, q = stop_below.numerator, stop_below.denominator
+    limit = p * scale
+    assert 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP
+    best, best_i = value, 0
+    if value * q >= limit and value != 0:
+        places = [(arity - 1 - b // size, b % size) for b in range(size * arity)]
+        for i in range(1, 1 << size * arity):
+            for b in range((i & -i).bit_length()):
+                value = flip(*places[b])
+            if value < best:
+                best, best_i = value, i
+                if value * q < limit or value == 0:
+                    break
+    return Fraction(best, scale), members_of(best_i, size, arity)
+
+
+class TableScorer:
+    """A scorer over a table of scores indexed by candidate: it holds the
+    index of its current candidate and counts its flips."""
+
+    def __init__(self, size, arity, table, scale=1):
+        self.size, self.arity, self.table = size, arity, table
+        self.index = self.flips = 0
+        self.scorer = (self.flip, table[0], scale, ((),) * arity)
+
+    def flip(self, coord, atom):
+        self.index ^= 1 << ((self.arity - 1 - coord) * self.size + atom)
+        self.flips += 1
+        return self.table[self.index]
+
+
+def compare_scans(size, arity, table, stop, scale=1):
+    """Both scans on one table give the same (value, members); after a hit
+    both scorers hold the returned candidate.  Returns the result, whether
+    it is a hit, and the flips of both scans."""
+    fast = TableScorer(size, arity, table, scale)
+    slow = TableScorer(size, arity, table, scale)
+    result = _search_best(size, arity, fast.scorer, stop)
+    assert result == oracle_counter_scan(size, arity, slow.scorer, stop)
+    value, members = result
+    hit = value < stop or value == 0
+    if hit:
+        assert members_of(fast.index, size, arity) == members
+        assert fast.index == slow.index
+    return result, hit, fast.flips, slow.flips
+
+
+@st.composite
+def _score_tables(draw):
+    """A candidate count up to EXHAUSTIVE_TUPLE_CAP, a table of non-negative
+    scores over a few values (so ties and zeros are common), a scale and a
+    stop (0 stops only at a zero, 2 may stop at candidate 0)."""
+    arity = draw(st.integers(0, 3))
+    size = draw(st.integers(1, 12 // arity if arity else 3))
+    count = 1 << size * arity
+    top = draw(st.integers(0, 6))
+    if count <= 128:
+        table = draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        table = [rng.randint(0, top) for _ in range(count)]
+    if draw(st.booleans()):
+        table[0] = draw(st.integers(0, top))
+    scale = draw(st.integers(1, 4))
+    stop = draw(st.sampled_from([F(0), F(2)]) | st.fractions(0, F(3, 2), max_denominator=8))
+    return size, arity, table, stop, scale
+
+
+@given(_score_tables())
+@settings(max_examples=300, deadline=None)
+def test_gray_scan_matches_counter_scan_on_score_tables(instance):
+    size, arity, table, stop, scale = instance
+    compare_scans(size, arity, table, stop, scale)
+
+
+def test_gray_scan_edge_cases():
+    size, arity = 4, 2  # 256 candidates, 4 blocks of 64
+    count = 1 << size * arity
+
+    # no hit: the least score, its first candidate among ties
+    table = [5] * count
+    table[70] = table[40] = table[200] = 2
+    (value, members), hit, _, _ = compare_scans(size, arity, table, F(1))
+    assert (value, members, hit) == (2, members_of(40, size, arity), False)
+
+    # a stop at candidate 0, by a zero and by the threshold
+    for first, stop in [(0, F(0)), (1, F(2))]:
+        table = [7] * count
+        table[0] = first
+        (value, members), hit, flips, _ = compare_scans(size, arity, table, stop)
+        assert (value, members, hit, flips) == (first, ((), ()), True, 0)
+
+    # zeros: the first zero wins over an earlier score below the stop
+    table = [9] * count
+    table[150], table[130] = 0, 1
+    assert compare_scans(size, arity, table, F(2))[0] == (1, members_of(130, size, arity))
+    assert compare_scans(size, arity, table, F(0))[0] == (0, members_of(150, size, arity))
+
+    # ties among hits: the first one, whatever its score
+    table = [9] * count
+    table[100], table[90] = 3, 4
+    assert compare_scans(size, arity, table, F(5))[0] == (4, members_of(90, size, arity))
+
+    # two hits in one block, the one scanned later at the lower index: block
+    # 0 runs 0, 1, 3, 2, ..., 32; block 1 starts at 96, keeping the low bits
+    # block 0 ended on, and ends at 64
+    for early, late in [(3, 2), (64 + 32, 64)]:
+        table = [9] * count
+        table[early], table[late] = 1, 4
+        (value, members), hit, flips, _ = compare_scans(size, arity, table, F(5))
+        assert (value, members) == (4, members_of(late, size, arity))
+        assert flips <= (late // 64 + 1) * 64 + 6
+
+
+def test_full_gray_scan_flips_once_per_candidate():
+    """A full 4096-candidate scan, on a table and on the C2 and extension
+    scorers, makes at most N + 2N/64 flips; the binary counter makes about
+    2N."""
+    count = EXHAUSTIVE_TUPLE_CAP
+    bound = count + 2 * count // 64
+    rng = random.Random(5)
+    table = [rng.randint(1, 50) for _ in range(count)]
+    _result, hit, flips, counter_flips = compare_scans(12, 1, table, F(0))
+    assert not hit
+    assert count - 1 <= flips <= bound < counter_flips
+
+    def counted(scorer, tally):
+        flip, start, scale, seed = scorer
+
+        def counting(coord, atom):
+            tally.append(coord)
+            return flip(coord, atom)
+
+        return counting, start, scale, seed
+
+    # the C2 instance of test_exhaustive_scan_builds_one_fraction_per_depth
+    act = quotient_action(cyclic_group(12, [1]))
+    alg = act.algebra
+    a = EventTuple.of_members(alg, [range(6)])
+    bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
+    refined, projection = equal_refine_action(act, 1)
+    c2_flips = []
+    fast = _search_best(12, 1, counted(_c2_prepare(a, bs)(refined, projection), c2_flips), F(0))
+    oracle = oracle_counter_scan(12, 1, _c2_prepare(a, bs)(refined, projection), F(0))
+    assert fast == oracle and fast[0] > 0
+    assert count - 1 <= len(c2_flips) <= bound
+
+    # pairs of events on Z/6 against a target whose first event is a third
+    # of an anchor atom: every discrepancy is at least 1/18, so the scan runs
+    # to the end
+    small = quotient_action(cyclic_group(6, [1]))
+    big = tensor_trivial(small, validate_algebra([F(1, 3), F(2, 3)]))
+    embed = PartialIsomorphism.of(
+        small.algebra, big.algebra, [([x], [2 * x, 2 * x + 1]) for x in range(6)]
+    )
+    blocks = _check_embedding(small, big, embed)
+    anchors = EventTuple.of_members(small.algebra, [[0, 1, 2]])
+    target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
+    words = [Word.of([]), Word.of([1])]
+    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), target_tuple, words)
+    prepare = _ec_prepare(anchors, target_tuple, words, target, blocks)
+    refined, projection = equal_refine_action(small, 1)
+    ec_flips = []
+    fast = _search_best(6, 2, counted(prepare(refined, projection), ec_flips), F(0))
+    assert fast == oracle_counter_scan(6, 2, prepare(refined, projection), F(0))
+    assert fast[0] > 0
+    assert count - 1 <= len(ec_flips) <= bound

@@ -2,12 +2,16 @@
 determinism, and environment handling."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmplab.cli import cli_dispatch
 from pmplab.constructions import cyclic_group, quotient_action
@@ -189,6 +193,37 @@ def test_malformed_json_is_a_validation_error(capsys, argv):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", QUARTERS, "[1,0,null,3]", "[0,1,2,3]"),
+        ("delta", QUARTERS, '["x",0,2,3]', "[0,1,2,3]"),
+        ("delta", QUARTERS, '{"a":1}', "[0,1,2,3]"),
+        ("delta", QUARTERS, "[0,1,2,3]", '{"a":1}'),
+        ("delta", QUARTERS, "[0,true,2,3]", "[0,1,2,3]"),
+        ("ergodize", Z4_ACTION, "[null]"),
+        ("ergodize", Z4_ACTION, "[5]"),
+        ("ergodize", Z4_ACTION, '[["0"]]'),
+        ("ergodize", Z4_ACTION, "[[0,true],[2,3]]"),
+        ("ergodize", Z4_ACTION, '{"blocks":null}'),
+        ("eppa", HALVES, '{"pairs":5}'),
+        ("eppa", HALVES, '{"pairs":null}'),
+        ("audit-ec", Z2_ACTION, Z4_ACTION, '{"pairs":5}', "[[0]]", "[[0,2]]", "[[1]]", "1/4"),
+        ("audit-ec", Z2_ACTION, Z4_ACTION, '{"pairs":null}', "[[0]]", "[[0,2]]", "[[1]]", "1/4"),
+        ("dist", HALVES, '{"events":5}', "[[0]]"),
+        ("dist", HALVES, '[{"members":null}]', "[[0]]"),
+    ],
+)
+def test_malformed_permutations_partitions_and_pairs_are_validation_errors(capsys, argv):
+    # a null, string or bool entry in a permutation; a non-list in place of
+    # a permutation, a partition block, a pair list, an event list or an
+    # event's members
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 def test_refinement_past_the_atom_cap_is_refused(capsys):
     code, out = run(capsys, "refine", Z2_ACTION, "100000000")
     assert code == 2
@@ -205,6 +240,18 @@ def test_refinement_past_the_atom_cap_is_refused(capsys):
     code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", "100000000")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+
+
+def test_audit_depths_past_the_summed_cap_are_refused(capsys):
+    # depths 1..256 of two atoms sum to 65792 atoms; 1..30000 used to run
+    # one search per depth for more than 10 s
+    for depth in ("256", "30000"):
+        code, out = run(
+            capsys, "audit-c2", Z2_ACTION, "[[0]]", "1/1000000", "[[0]]", "[[0,1]]",
+            "--max-refine", depth,
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
 
 
 def test_embed_modes(capsys):
@@ -326,3 +373,111 @@ def test_module_entry_point():
     )
     assert usage.returncode == 64
     assert "usage" in usage.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the dispatcher with mutated documents
+
+_HALVES = {"atoms": ["1/2", "1/2"]}
+_QUARTERS = {"atoms": ["1/4"] * 4}
+_SWAP = {"algebra": _HALVES, "k": 1, "gens": [[1, 0]]}
+_SWAP_TWICE = {"algebra": _HALVES, "k": 2, "gens": [[1, 0], [1, 0]]}
+_HALF_TURN = {"algebra": _QUARTERS, "gens": [[2, 3, 0, 1]]}
+_Z2_GROUP = {"order": 2, "mul": [[0, 1], [1, 0]], "gens": [1]}
+_Z2_IN_Z4 = {
+    "pairs": [{"source": [0], "target": [0, 1]}, {"source": [1], "target": [2, 3]}]
+}
+
+# one small valid request per subcommand; JSON arguments are objects here,
+# the other arguments strings
+VALID_REQUESTS = [
+    ("gen-quotient", _Z2_GROUP),
+    ("joint-quotient", _Z2_GROUP, _Z2_GROUP),
+    ("tensor", _SWAP, _HALVES),
+    ("refine", _SWAP, "2"),
+    ("dist", _HALVES, [[0]], {"events": [{"members": [1]}]}),
+    ("typedist", _QUARTERS, [], [[0, 1]], [[0, 2]]),
+    ("indep", _QUARTERS, [[0]], [[0, 1]], [[0, 2]]),
+    ("delta", _QUARTERS, [1, 0, 3, 2], [0, 1, 2, 3]),
+    ("delta", _QUARTERS, [[1, 0, 3, 2], [2, 3, 0, 1]], [[0, 1, 2, 3], [2, 3, 0, 1]]),
+    ("match", _QUARTERS, [[0, 1]], [[0, 2]]),
+    ("eppa", _HALVES, {"pairs": [{"source": [0], "target": [1]}]}, [[[0], [1]]]),
+    ("ergodize", _HALF_TURN, {"blocks": [[0, 1], [2, 3]]}),
+    ("embed", _SWAP),
+    ("conjsearch", _SWAP, _HALF_TURN),
+    ("audit-c1", _SWAP_TWICE, [[0]], "1/2", [[0]], [[1]], [[1]]),
+    ("audit-c2", _SWAP_TWICE, [[0]], "1/10", [[0]], [[1]], [[1]]),
+    ("audit-residual", _SWAP_TWICE, [[0]], [[0]], [[1]], [[1]]),
+    ("audit-ec", _SWAP, _HALF_TURN, _Z2_IN_Z4, [[0]], [[0, 2]], [[], [1]], "1/4"),
+]
+
+_HOSTILE_VALUES = st.sampled_from(
+    [None, True, False, 0, 1, -1, 0.5, 1e300, 10**30, -(10**30), "x", "1/0", "",
+     [], {}, [None], [[]], [True], {"members": None}]
+)
+_HOSTILE_STRINGS = st.sampled_from(
+    ["0", "-1", "x", "1/0", "0.5", "true", "null", "1" * 5000, str(10**30)]
+)
+
+
+def _argv(request):
+    return [request[0]] + [
+        arg if isinstance(arg, str) else json.dumps(arg) for arg in request[1:]
+    ]
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON value, the value itself first."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, path + (i,))
+
+
+def _mutate(data, obj):
+    """Replace one position of obj by a hostile value, or delete it from its
+    dict or list."""
+    path = data.draw(st.sampled_from(list(_paths(obj))))
+    if not path:
+        return data.draw(_HOSTILE_VALUES)
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_HOSTILE_VALUES)
+    return obj
+
+
+@pytest.mark.parametrize("request_", VALID_REQUESTS, ids=lambda r: r[0])
+def test_fuzz_requests_are_valid(capsys, request_):
+    assert run(capsys, *_argv(request_), "--max-refine", "1")[0] == 0
+
+
+@pytest.mark.parametrize("request_", VALID_REQUESTS, ids=lambda r: r[0])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_documents_exit_cleanly(request_, data):
+    """Wrong types, missing keys, nulls, bools, floats and huge ints in any
+    argument end in exit 0, 2 or 64, never in an exception."""
+    args = list(request_[1:])
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(args) - 1))
+        if isinstance(args[i], str):
+            args[i] = data.draw(_HOSTILE_STRINGS)
+        else:
+            args[i] = _mutate(data, args[i])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_dispatch(_argv((request_[0], *args)) + ["--max-refine", "1"])
+    assert code in (0, 2, 64)
+    if code == 64:
+        assert out.getvalue() == ""
+    else:
+        doc = json.loads(out.getvalue())
+        assert ("error" in doc) == (code == 2)
