@@ -8,14 +8,12 @@ conjugacy certificates.  No floats anywhere; every reported quantity can be
 recomputed exactly from the returned witness."""
 from .algebra import (
     AtomPartition,
-    CellPartition,
     Event,
     EventTuple,
     JointDistribution,
     MeasuredAlgebra,
     dist_max,
     dist_partition,
-    generated_partition,
     joint_distribution,
     lift_event,
     lift_tuple,
@@ -71,7 +69,6 @@ from .constructions import (
     ergodize,
     extend_partial_step,
     joint_quotient,
-    marked_group_isomorphism,
     match_partitions,
     permutation_marked_group,
     quotient_action,
@@ -81,10 +78,8 @@ from .constructions import (
 from .errors import PmplabError, ValidationError
 from .modeltheory import (
     TripleDistribution,
-    eps_independent,
     independence_deficiency,
     joint_tv_distance,
-    oracle_type_distance,
     relatively_independent_joining,
     triple_law,
     type_distance_max,

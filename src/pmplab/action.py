@@ -20,7 +20,6 @@ from .algebra import (
     EventTuple,
     MeasuredAlgebra,
     _sign_map,
-    lift_tuple,
     product_algebra,
     refine_to_unit,
 )
@@ -140,9 +139,6 @@ class InvariantDecomposition:
     @property
     def ergodic(self) -> bool:
         return len(self.components) == 1
-
-    def as_partition(self) -> AtomPartition:
-        return AtomPartition(self.algebra, self.components)
 
 
 def _breadth_first(start, gens, step, limit: Optional[int] = None):
@@ -363,18 +359,3 @@ def perturb_small(act: FkAction, fixed: AtomPartition, delta: Fraction) -> Pertu
         for a, b in zip(units[:t], units[t : 2 * t]):
             s[a], s[b] = s[b], s[a]
     return Perturbation(refined_act, projection, tuple(s), tuple(moved))
-
-
-def restrict_tuple_to_action(act: FkAction, t: EventTuple) -> EventTuple:
-    """Re-home a tuple built on a structurally identical algebra."""
-    if t.algebra.atoms != act.algebra.atoms:
-        raise AlgebraMismatch("tuple algebra differs structurally from the action's")
-    return EventTuple(
-        act.algebra, tuple(Event(act.algebra, e.members) for e in t.events)
-    )
-
-
-def lift_tuple_to_action(
-    t: EventTuple, refined_act: FkAction, projection: Sequence[int]
-) -> EventTuple:
-    return lift_tuple(t, refined_act.algebra, projection)

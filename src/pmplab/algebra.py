@@ -162,10 +162,6 @@ class EventTuple:
         _same_algebra(self.algebra, other.algebra, "tuples")
         return EventTuple(self.algebra, self.events + other.events)
 
-    def signs_of(self, atom: int) -> Sign:
-        """Membership vector of one atom: 1 in coordinate i iff atom is in event i."""
-        return tuple(1 if atom in e.members else 0 for e in self.events)
-
 
 def _member_sets(t: EventTuple) -> list[set[int]]:
     return [set(e.members) for e in t.events]
@@ -175,49 +171,6 @@ def _sign_map(t: EventTuple) -> list[Sign]:
     """Sign vector of every atom of the algebra, indexed by atom."""
     sets = _member_sets(t)
     return [tuple(1 if a in s else 0 for s in sets) for a in range(t.algebra.size)]
-
-
-@dataclass(frozen=True)
-class CellPartition:
-    """The partition generated by an event tuple, indexed by sign vectors.
-
-    cells maps every sign vector in {0,1}^arity to its atom set and mass;
-    empty cells are retained with mass 0 so sign-vector indexing is total.
-    """
-
-    algebra: MeasuredAlgebra
-    arity: int
-    cells: Mapping[Sign, tuple[frozenset[int], Fraction]]
-
-    def mass_of(self, sign: Sign) -> Fraction:
-        return self.cells[sign][1]
-
-    def nonzero_signs(self) -> list[Sign]:
-        return [s for s in sorted(self.cells) if self.cells[s][1] > 0]
-
-
-# generated_partition lists all 2^arity cells, empty ones included.
-MAX_PARTITION_ARITY = 16
-
-
-def generated_partition(t: EventTuple) -> CellPartition:
-    """Cells of the partition generated by t.
-
-    The cell of sign vector s is the intersection over i of event i (when
-    s[i] = 1) or its complement (when s[i] = 0).  The empty tuple generates
-    the single cell of mass one, keyed by the empty sign vector.  Raises
-    InstanceTooLarge beyond MAX_PARTITION_ARITY events.
-    """
-    if t.arity > MAX_PARTITION_ARITY:
-        raise InstanceTooLarge(f"{t.arity} events exceed the cap {MAX_PARTITION_ARITY}")
-    signs = _sign_map(t)
-    groups: dict[Sign, set[int]] = {s: set() for s in itertools.product((0, 1), repeat=t.arity)}
-    for atom, s in enumerate(signs):
-        groups[s].add(atom)
-    cells = {
-        s: (frozenset(atoms), t.algebra.mass_of(atoms)) for s, atoms in groups.items()
-    }
-    return CellPartition(t.algebra, t.arity, cells)
 
 
 @dataclass(frozen=True)
@@ -239,12 +192,6 @@ class JointDistribution:
         out: dict[Sign, Fraction] = {}
         for (r, _s), m in self.mass.items():
             out[r] = out.get(r, ZERO) + m
-        return out
-
-    def fiber_marginal(self) -> dict[Sign, Fraction]:
-        out: dict[Sign, Fraction] = {}
-        for (_r, s), m in self.mass.items():
-            out[s] = out.get(s, ZERO) + m
         return out
 
 
@@ -373,8 +320,7 @@ class AtomPartition:
     """A plain partition of the atoms into blocks.
 
     Blocks are canonically ordered by least member.  This is the currency of
-    invariant decompositions, generated subalgebras and fixed subalgebras;
-    unlike CellPartition it carries no sign-vector indexing.
+    invariant decompositions, generated subalgebras and fixed subalgebras.
     """
 
     algebra: MeasuredAlgebra
@@ -397,16 +343,6 @@ class AtomPartition:
     @staticmethod
     def trivial(algebra: MeasuredAlgebra) -> AtomPartition:
         return AtomPartition(algebra, (frozenset(range(algebra.size)),))
-
-    @staticmethod
-    def discrete(algebra: MeasuredAlgebra) -> AtomPartition:
-        return AtomPartition(algebra, tuple(frozenset((i,)) for i in range(algebra.size)))
-
-    def block_of(self, atom: int) -> frozenset[int]:
-        for b in self.blocks:
-            if atom in b:
-                return b
-        raise KeyError(atom)
 
     def block_index(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -428,10 +428,10 @@ def cli_dispatch(argv) -> int:
             )
         payload = args.handler(args)
         document = jsonio.render_document(payload)
-        sys.stdout.write(document)
-        if args.out:
+        if args.out:  # first, so a failed write prints only the error document
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(document)
+        sys.stdout.write(document)
         return 0
     except PmplabError as exc:
         error: dict[str, Any] = {

@@ -472,35 +472,6 @@ def permutation_marked_group(
     return group, tuple(elements)
 
 
-def marked_group_isomorphism(g: MarkedGroup, h: MarkedGroup) -> Optional[tuple[int, ...]]:
-    """A generator-respecting isomorphism g -> h as an index map, or None.
-
-    Since the marked generators generate, the map is forced: the image of a
-    product of generators is the corresponding product of images.  The forced
-    map is built breadth-first and checked for bijectivity and for preserving
-    the whole multiplication table."""
-    if g.k != h.k:
-        return None
-    if g.order != h.order:
-        return None
-    # Walk pairs (x, phi(x)): the pairs reached form the graph of a map
-    # exactly when no more than order of them are found.
-    pairs, _ = _breadth_first(
-        (g.identity, h.identity),
-        tuple(zip(g.gen_images, h.gen_images)),
-        lambda p, a: (g.mul[p[0]][a[0]], h.mul[p[1]][a[1]]),
-        g.order,
-    )
-    phi = dict(pairs)
-    if len(pairs) != g.order or len(set(phi.values())) != g.order:
-        return None
-    for x in range(g.order):
-        for y in range(g.order):
-            if phi[g.mul[x][y]] != h.mul[phi[x]][phi[y]]:
-                return None
-    return tuple(phi[x] for x in range(g.order))
-
-
 # ---------------------------------------------------------------------------
 # quotient actions
 

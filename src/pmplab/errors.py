@@ -62,10 +62,9 @@ class NonpositiveEps(ValidationError):
 
 
 class InstanceTooLarge(ValidationError):
-    """An instance is beyond a documented size cap: the brute-force oracle's
-    bounds, a group enumeration past MAX_GROUP_ORDER elements, a generated
-    partition past MAX_PARTITION_ARITY events, or an equal refinement past
-    MAX_REFINED_ATOMS atoms."""
+    """An instance is beyond a documented size cap: a group enumeration past
+    MAX_GROUP_ORDER elements or a refinement past MAX_REFINED_ATOMS atoms.
+    The brute-force oracles in tests/ raise it past their own bounds."""
 
 
 class LPInternal(PmplabError):

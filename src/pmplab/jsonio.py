@@ -120,10 +120,6 @@ def partition_from_json(alg: MeasuredAlgebra, obj: Any) -> AtomPartition:
     return AtomPartition.of(alg, [_int_list(b, "a partition block") for b in blocks])
 
 
-def partition_to_json(part: AtomPartition) -> dict:
-    return {"blocks": [sorted(b) for b in part.blocks]}
-
-
 # ---------------------------------------------------------------------------
 # actions and words
 
@@ -146,8 +142,9 @@ def action_from_json(obj: Any) -> FkAction:
     if not _is_list(gens):
         raise ValidationError("gens must be a list of permutations")
     act = validate_action(alg, [tuple(_int_list(p, "a permutation")) for p in gens])
-    if "k" in obj and obj["k"] != act.k:
-        raise ValidationError(f'declared k={obj["k"]} but {act.k} generators given')
+    declared = obj.get("k", act.k)
+    if not (_is_int(declared) and declared == act.k):
+        raise ValidationError(f"declared k={declared} but {act.k} generators given")
     return act
 
 
@@ -212,9 +209,10 @@ def group_from_json(obj: Any) -> MarkedGroup:
             raise ValidationError("mul must be a list of rows")
         mul = [_int_list(row, "a table row") for row in obj["mul"]]
         group = validate_marked_group(mul, _int_list(obj["gens"], "gens"))
-        if "order" in obj and obj["order"] != group.order:
+        declared = obj.get("order", group.order)
+        if not (_is_int(declared) and declared == group.order):
             raise ValidationError(
-                f'declared order {obj["order"]} but table has {group.order} elements'
+                f"declared order {declared} but table has {group.order} elements"
             )
         return group
     raise ValidationError(

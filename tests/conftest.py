@@ -1,16 +1,34 @@
-"""Shared deterministic generators for randomized tests.
+"""Shared deterministic generators for randomized tests, and the slow
+reference oracles that more than one test module checks the library against.
 
-Everything takes an explicit random.Random so each test controls its seed;
-algebras are built over one common denominator, which keeps refinement
-lcms small and exact arithmetic fast."""
+Every generator takes an explicit random.Random so each test controls its
+seed; algebras are built over one common denominator, which keeps refinement
+lcms small and exact arithmetic fast.  The oracles (oracle_type_distance,
+marked_group_isomorphism) are slow, obviously correct reference code that
+the library never calls; an oracle that only one test module uses lives in
+that module instead."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Iterator, Optional, Sequence
 
-from pmplab.algebra import Event, EventTuple, MeasuredAlgebra, validate_algebra
-from pmplab.action import FkAction, validate_action
-from pmplab.constructions import PartialIsomorphism
+from pmplab.algebra import (
+    ZERO,
+    Event,
+    EventTuple,
+    MeasuredAlgebra,
+    Sign,
+    _sign_map,
+    joint_distribution,
+    validate_algebra,
+)
+from pmplab.action import FkAction, _breadth_first, validate_action
+from pmplab.constructions import MarkedGroup, PartialIsomorphism
+from pmplab.errors import InstanceTooLarge, LPInternal
+from pmplab.modeltheory import _check_triple, _fiber_support
 
 
 def random_algebra(
@@ -165,3 +183,159 @@ def cycle_mismatch_pair(rng: random.Random, n: int) -> tuple[FkAction, FkAction]
         validate_action(alg, [tuple(p)]),
         relabeled_action(validate_action(alg, [tuple(q)]), random_permutation(rng, n)),
     )
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def oracle_type_distance(
+    base: EventTuple,
+    b: EventTuple,
+    c: EventTuple,
+    grid: int,
+    metric: str = "tv",
+) -> Fraction:
+    """Brute-force upper bound on a type distance by coupling enumeration.
+
+    Enumerates, per base cell, every coupling of the two conditional laws
+    whose entries are multiples of 1 / (grid * lcm of mass denominators),
+    and minimizes the chosen metric over all combinations.  Margins are
+    always on the grid, so the bound is valid for every grid and converges
+    to the true distance as the grid is refined; for the tv metric it is
+    exact once the grid resolves the optimal overlap coupling.
+
+    Only small instances are accepted: at most 3 nonempty base cells, fiber
+    arity at most 2, grid at most 64.
+    """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    if grid > 64:
+        raise InstanceTooLarge(f"grid {grid} exceeds the oracle bound 64")
+    if metric not in ("tv", "max"):
+        raise ValueError(f"unknown metric {metric!r}")
+    _check_triple(base, b, c)
+    n = b.arity
+    if n > 2:
+        raise InstanceTooLarge(f"fiber arity {n} exceeds the oracle bound 2")
+    cells = sorted(set(_sign_map(base)))
+    if len(cells) > 3:
+        raise InstanceTooLarge(f"{len(cells)} base cells exceed the oracle bound 3")
+    if n == 0:
+        return ZERO
+
+    jb = joint_distribution(base, b)
+    jc = joint_distribution(base, c)
+    denominators = [m.denominator for m in itertools.chain(jb.mass.values(), jc.mass.values())]
+    step = Fraction(1, grid * lcm(*denominators))
+
+    per_cell: list[list[tuple[Sign, Sign, tuple[int, ...]]]] = []
+    for r in cells:
+        ss = _fiber_support(jb, r)
+        ts = _fiber_support(jc, r)
+        row_units = [int(jb.mass_of(r, s) / step) for s in ss]
+        col_units = [int(jc.mass_of(r, t) / step) for t in ts]
+        tables = list(_tables(row_units, col_units))
+        per_cell.append([(ss, ts, table) for table in tables])
+
+    if metric == "tv":
+        total = ZERO
+        for options in per_cell:
+            best = None
+            for ss, ts, table in options:
+                mism = 0
+                for i, s in enumerate(ss):
+                    for j, t in enumerate(ts):
+                        if s != t:
+                            mism += table[i * len(ts) + j]
+                if best is None or mism < best:
+                    best = mism
+            total += best * step
+        return total
+
+    combos = 1
+    for options in per_cell:
+        combos *= len(options)
+        if combos > 2_000_000:
+            raise InstanceTooLarge("too many couplings to enumerate")
+    best_value = None
+    for choice in itertools.product(*per_cell):
+        coord = [0] * n
+        for ss, ts, table in choice:
+            for i, s in enumerate(ss):
+                for j, t in enumerate(ts):
+                    units = table[i * len(ts) + j]
+                    if units == 0:
+                        continue
+                    for x in range(n):
+                        if s[x] != t[x]:
+                            coord[x] += units
+        value = max(coord)
+        if best_value is None or value < best_value:
+            best_value = value
+    return best_value * step
+
+
+def _tables(rows: Sequence[int], cols: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All nonnegative integer matrices with the given row and column sums,
+    flattened row-major.  Row and column totals must agree."""
+    if sum(rows) != sum(cols):
+        raise LPInternal("margins disagree")
+    ncols = len(cols)
+
+    def rec(row_idx: int, remaining_cols: tuple[int, ...], acc: list[int]):
+        if row_idx == len(rows):
+            yield tuple(acc)
+            return
+        target = rows[row_idx]
+        for combo in _compositions(target, remaining_cols):
+            new_cols = tuple(rc - v for rc, v in zip(remaining_cols, combo))
+            acc.extend(combo)
+            yield from rec(row_idx + 1, new_cols, acc)
+            del acc[len(acc) - ncols :]
+
+    yield from rec(0, tuple(cols), [])
+
+
+def _compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All ways to write total as an ordered sum bounded by caps."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    head_cap = min(caps[0], total)
+    rest = caps[1:]
+    rest_cap = sum(rest)
+    lo = max(0, total - rest_cap)
+    for v in range(lo, head_cap + 1):
+        for tail in _compositions(total - v, rest):
+            yield (v,) + tail
+
+
+def marked_group_isomorphism(g: MarkedGroup, h: MarkedGroup) -> Optional[tuple[int, ...]]:
+    """A generator-respecting isomorphism g -> h as an index map, or None.
+
+    Since the marked generators generate, the map is forced: the image of a
+    product of generators is the corresponding product of images.  The forced
+    map is built breadth-first and checked for bijectivity and for preserving
+    the whole multiplication table."""
+    if g.k != h.k:
+        return None
+    if g.order != h.order:
+        return None
+    # Walk pairs (x, phi(x)): the pairs reached form the graph of a map
+    # exactly when no more than order of them are found.
+    pairs, _ = _breadth_first(
+        (g.identity, h.identity),
+        tuple(zip(g.gen_images, h.gen_images)),
+        lambda p, a: (g.mul[p[0]][a[0]], h.mul[p[1]][a[1]]),
+        g.order,
+    )
+    phi = dict(pairs)
+    if len(pairs) != g.order or len(set(phi.values())) != g.order:
+        return None
+    for x in range(g.order):
+        for y in range(g.order):
+            if phi[g.mul[x][y]] != h.mul[phi[x]][phi[y]]:
+                return None
+    return tuple(phi[x] for x in range(g.order))

@@ -19,14 +19,13 @@ from pmplab.algebra import (
     dist_max,
     dist_partition,
     joint_distribution,
+    lift_tuple,
     validate_algebra,
 )
 from pmplab.action import (
     apply_gen_tuple,
     equal_refine_action,
     invariant_components,
-    lift_tuple_to_action,
-    restrict_tuple_to_action,
     tensor_trivial,
     uniform_distance,
     validate_action,
@@ -40,7 +39,6 @@ from pmplab.constructions import (
     eppa_extend,
     ergodize,
     joint_quotient,
-    marked_group_isomorphism,
     match_partitions,
     permutation_marked_group,
     quotient_action,
@@ -50,7 +48,6 @@ from pmplab.errors import InstanceTooLarge, PreconditionInvariantElement
 from pmplab.modeltheory import (
     independence_deficiency,
     joint_tv_distance,
-    oracle_type_distance,
     relatively_independent_joining,
     triple_law,
     type_distance_tv,
@@ -58,6 +55,8 @@ from pmplab.modeltheory import (
 
 from conftest import (
     cycle_mismatch_pair,
+    marked_group_isomorphism,
+    oracle_type_distance,
     random_algebra,
     random_event,
     random_mass_preserving_perm,
@@ -394,8 +393,8 @@ def _single_atom_instances(group):
 def _recompute_witness_distance(act, a, bs, res: C2SearchResult) -> Fraction:
     w = res.witness
     refined, projection = equal_refine_action(act, w.refinement_depth)
-    a_lift = lift_tuple_to_action(a, refined, projection)
-    c = restrict_tuple_to_action(refined, w.c)
+    a_lift = lift_tuple(a, refined.algebra, projection)
+    c = EventTuple.of_members(refined.algebra, [e.members for e in w.c.events])
     bcat = bs[0]
     for b in bs[1:]:
         bcat = bcat.concat(b)

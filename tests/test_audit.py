@@ -22,8 +22,6 @@ from pmplab.action import (
     Word,
     apply_gen_tuple,
     equal_refine_action,
-    lift_tuple_to_action,
-    restrict_tuple_to_action,
     tensor_trivial,
     validate_action,
 )
@@ -209,8 +207,8 @@ def test_search_c2_witness_distance_is_recomputable():
         res = search_C2_witness(act, a, bs, F(1, 9), max_refine=2)
         w = res.witness
         refined, projection = equal_refine_action(act, w.refinement_depth)
-        a_lift = lift_tuple_to_action(a, refined, projection)
-        c = restrict_tuple_to_action(refined, w.c)
+        a_lift = lift_tuple(a, refined.algebra, projection)
+        c = EventTuple.of_members(refined.algebra, [e.members for e in w.c.events])
         bcat = bs[0]
         for b in bs[1:]:
             bcat = bcat.concat(b)

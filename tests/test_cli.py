@@ -182,12 +182,14 @@ Z2_IN_Z4 = '{"pairs":[{"source":[0],"target":[0,1]},{"source":[1],"target":[2,3]
         ("gen-quotient", '{"mul":[[0]],"gens":[[0]]}'),
         ("gen-quotient", '{"mul":5,"gens":[0]}'),
         ("refine", '{"algebra":%s,"gens":[5]}' % HALVES, "2"),
+        ("gen-quotient", '{"order":true,"mul":[[0]],"gens":[0]}'),
+        ("refine", '{"algebra":%s,"gens":[[1,0]],"k":1.0}' % HALVES, "1"),
     ],
 )
 def test_malformed_json_is_a_validation_error(capsys, argv):
     # a pair without "source" or "target"; `true` or `false` where an atom
     # index or a word letter is meant; a number or null where a list or a
-    # rational is meant
+    # rational is meant; `true` or 1.0 as a declared count of 1
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValidationError"
@@ -332,6 +334,14 @@ def test_determinism_and_out_file(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_failed_out_file_prints_only_the_error(capsys, tmp_path):
+    code, out = run(
+        capsys, "gen-quotient", "cyclic:2:1", "--out", str(tmp_path / "absent" / "x.json")
+    )
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]  # one document: the error alone
 
 
 def test_input_from_file(capsys, tmp_path):

@@ -47,7 +47,6 @@ from pmplab.constructions import (
     ergodize,
     extend_partial_step,
     joint_quotient,
-    marked_group_isomorphism,
     match_partitions,
     permutation_marked_group,
     quotient_action,
@@ -70,6 +69,7 @@ from pmplab.errors import (
 
 from conftest import (
     cycle_mismatch_pair,
+    marked_group_isomorphism,
     random_algebra,
     random_permutation,
     random_equal_atom_action,

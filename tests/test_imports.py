@@ -1,8 +1,10 @@
-"""Every library module uses each name it imports, and every module-level
-private name of the package is used somewhere in the package.
+"""Every library module uses each name it imports, every module-level
+private name of the package is used somewhere in the package, and every
+public function, class, constant or method is called by package code unless
+it is listed in LIBRARY_ONLY.
 
-The package's __init__ is exempt from the import check: its imports are the
-public re-exports."""
+The package's __init__ is exempt: its imports are the public re-exports,
+and a re-export alone does not count as a use."""
 from __future__ import annotations
 
 import ast
@@ -48,6 +50,29 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, imports or takes as an attribute."""
+    referenced: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Private names bound at the top level of a module that no module reads,
     imports or takes as an attribute."""
@@ -56,21 +81,8 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            defined.extend((module, name) for name in names if _is_private(name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+            defined.extend((module, name) for name in _bound_names(node) if _is_private(name))
+        referenced |= _referenced_names(tree)
     return sorted(f"{module}: {name}" for module, name in defined if name not in referenced)
 
 
@@ -85,3 +97,64 @@ def test_detects_an_unreferenced_private_name():
 def test_every_private_name_is_used_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unreferenced_private_names(sources) == []
+
+
+# Public names no package code calls, kept on purpose.  Reference code that
+# only tests need belongs in tests/, not here.
+LIBRARY_ONLY = {
+    "action.generated_subalgebra": "paper construction: the least invariant subalgebra holding some events",
+    "action.perturb_small": "paper construction: an automorphism moving less than delta per block",
+    "constructions.extend_partial_step": "paper construction: extend a partial correspondence by one block",
+    "audit.c2_distance": "the public way to recompute the distance of a C2 witness",
+    "algebra.Event.complement": "Boolean operation of the measure algebra",
+    "algebra.Event.union": "Boolean operation of the measure algebra",
+    "algebra.Event.intersect": "Boolean operation of the measure algebra",
+    "algebra.AtomPartition.trivial": "the one-block partition, bottom of the partition lattice",
+    "constructions.MarkedGroup.inverse": "group inverse, completing the marked-group interface",
+}
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Public top-level names and public methods of top-level classes, as
+    module.name or module.Class.method, that no module reads, imports or
+    takes as an attribute."""
+    defined: list[tuple[str, str]] = []
+    referenced: set[str] = set()
+    for module, source in sources.items():
+        stem = module.removesuffix(".py")
+        tree = ast.parse(source)
+        for node in tree.body:
+            defined.extend((name, f"{stem}.{name}") for name in _bound_names(node))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (sub.name, f"{stem}.{node.name}.{sub.name}")
+                    for sub in node.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+        referenced |= _referenced_names(tree)
+    return sorted(
+        qualified
+        for name, qualified in defined
+        if not name.startswith("_") and name not in referenced
+    )
+
+
+def test_detects_an_unreferenced_public_name():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "def used():\n    return LIMIT\n"
+            "def dead():\n    return used()\n"
+            "class C:\n"
+            "    def kept(self):\n        return 0\n"
+            "    def gone(self):\n        return self.kept()\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+        "b.py": "from a import C\n",
+    }
+    assert unreferenced_public_names(sources) == ["a.C.gone", "a.dead"]
+
+
+def test_every_public_name_is_used_in_the_package_or_allowlisted():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced_public_names(sources) == sorted(LIBRARY_ONLY)

@@ -28,7 +28,6 @@ from pmplab.jsonio import (
     partial_from_json,
     partial_to_json,
     partition_from_json,
-    partition_to_json,
     render_document,
     tuple_from_json,
     tuple_to_json,
@@ -85,7 +84,7 @@ def test_event_and_tuple_forms():
 def test_partition_round_trip():
     alg = validate_algebra([F(1, 4)] * 4)
     part = AtomPartition.of(alg, [[0, 2], [1, 3]])
-    doc = partition_to_json(part)
+    doc = {"blocks": [sorted(b) for b in part.blocks]}
     assert partition_from_json(alg, doc).blocks == part.blocks
     assert partition_from_json(alg, [[0, 2], [1, 3]]).blocks == part.blocks
     with pytest.raises(ValidationError):

@@ -13,19 +13,17 @@ from pmplab.algebra import (
     product_algebra,
     validate_algebra,
 )
-from pmplab.errors import ArityMismatch, InstanceTooLarge, NonpositiveEps
+from pmplab.errors import ArityMismatch, InstanceTooLarge
 from pmplab.modeltheory import (
-    eps_independent,
     independence_deficiency,
     joint_tv_distance,
-    oracle_type_distance,
     relatively_independent_joining,
     triple_law,
     type_distance_max,
     type_distance_tv,
 )
 
-from conftest import random_algebra, random_tuple, uniform_algebra
+from conftest import oracle_type_distance, random_algebra, random_tuple, uniform_algebra
 
 F = Fraction
 
@@ -233,17 +231,6 @@ def test_deficiency_zero_iff_product_identity():
         assert (dp == 0) == (symmetric == 0)
         seen_nonzero = seen_nonzero or dp > 0
     assert seen_nonzero
-
-
-def test_eps_independent_is_strict():
-    alg = uniform_algebra(4)
-    base = _tuples(alg)
-    b = _tuples(alg, [0, 1])
-    assert not eps_independent(base, b, b, F(1, 2))
-    assert eps_independent(base, b, b, F(3, 4))
-    assert eps_independent(base, b, _tuples(alg, [0, 2]), F(1, 100))
-    with pytest.raises(NonpositiveEps):
-        eps_independent(base, b, b, F(0))
 
 
 def test_type_distance_invariant_under_mass_preserving_relabeling():
