@@ -254,6 +254,18 @@ def _check_refined_size(size: int, m: int = 1) -> None:
         )
 
 
+def _check_summed_refinement(size: int, depths: int) -> None:
+    """Raise InstanceTooLarge when refining size atoms at every depth
+    1..depths, size*depths*(depths+1)/2 atoms in all, would pass
+    MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
+    summed = size * (depths * (depths + 1) // 2)
+    if summed > MAX_REFINED_ATOMS:
+        raise InstanceTooLarge(
+            f"refinements to depths 1..{depths} sum to {summed} atoms, "
+            f"past the cap {MAX_REFINED_ATOMS} atoms"
+        )
+
+
 def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
     """Split every atom into m equal parts.
 

@@ -11,8 +11,12 @@ intersection pattern of tuples from the large one.
 
 All searches are deterministic: exhaustive in lexicographic order when the
 candidate space is small, otherwise steepest-descent toggling from a fixed
-seed.  Negative outcomes are reported as best-seen upper bounds, never as
-refutations.
+seed.  The best value seen is an upper bound.  The second condition also
+has a floor that measure preservation alone gives: coarsening both joint
+laws to one bit, whether an atom lies in g_i(c_j) or in b_ij, cannot raise
+their distance, and g_i(c_j) weighs what c_j weighs.  Each depth's floor
+ends its scan at the first candidate that reaches it, and a floor over
+every extension ends the search over depths and can refute a witness.
 
 One driver runs every search.  Each audit gives it a scorer that holds one
 candidate tuple and changes it in place: flipping one atom of one coordinate
@@ -30,14 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .algebra import (
-    MAX_REFINED_ATOMS,
     ZERO,
     EventTuple,
     MeasuredAlgebra,
+    _check_summed_refinement,
     _sign_map,
     joint_distribution,
     lift_tuple,
@@ -55,7 +59,6 @@ from .errors import (
     AlgebraMismatch,
     ArityMismatch,
     EmbeddingNotEquivariant,
-    InstanceTooLarge,
     NonpositiveEps,
     WrongTupleCount,
 )
@@ -96,12 +99,7 @@ def _check_depth(act: FkAction, max_refine: int) -> None:
     before any search starts: only arithmetic, nothing is built."""
     if max_refine < 1:
         raise ValueError(f"max_refine must be >= 1, got {max_refine}")
-    summed = act.algebra.size * (max_refine * (max_refine + 1) // 2)
-    if summed > MAX_REFINED_ATOMS:
-        raise InstanceTooLarge(
-            f"refinements to depths 1..{max_refine} sum to {summed} atoms, "
-            f"past the cap {MAX_REFINED_ATOMS} atoms"
-        )
+    _check_summed_refinement(act.algebra.size, max_refine)
 
 
 def _check_instance(
@@ -192,11 +190,19 @@ class C2Witness:
 
 @dataclass(frozen=True)
 class C2SearchResult:
-    """Search outcome: found marks distance < 2*eps; the best witness seen is
-    always reported, making a negative answer a certified upper bound only."""
+    """Search outcome: found marks distance < 2*eps, and the best witness
+    seen is always reported, an upper bound on the least distance.
+
+    lower_bound is a floor on the distance of every candidate in every
+    measure-preserving extension, not only in the refinements searched:
+    half the largest spread max_i mu(b_ij) - min_i mu(b_ij) over the
+    coordinates j.  refuted marks lower_bound >= 2*eps, a proof that no
+    extension holds a witness."""
 
     found: bool
     witness: C2Witness
+    lower_bound: Fraction
+    refuted: bool
 
 
 def _orbit_tuple(act: FkAction, c: EventTuple) -> EventTuple:
@@ -221,12 +227,12 @@ def c2_distance(
 def _search_best(size: int, arity: int, scorer, stop_below):
     """Best candidate tuple by exhaustion or greedy descent.
 
-    scorer is (flip, start, scale, seed) from a prepare function: flip(coord,
-    atom) toggles one atom of one coordinate of the scorer's current tuple
-    and returns its new integer score, start is the score of the all-empty
-    tuple, a score s stands for s/scale, and seed starts the greedy descent.
-    Scores are never negative.  Returns the best value, the one Fraction
-    built, and its member tuple.
+    scorer is (flip, start, scale, seed, floor) from a prepare function:
+    flip(coord, atom) toggles one atom of one coordinate of the scorer's
+    current tuple and returns its new integer score, start is the score of
+    the all-empty tuple, a score s stands for s/scale, seed starts the
+    greedy descent, and no score is below floor >= 0.  Returns the best
+    value, the one Fraction built, and its member tuple.
 
     Exhaustion applies when the total number of candidate tuples is at most
     EXHAUSTIVE_TUPLE_CAP.  Candidate i is the concatenated masks, coordinate
@@ -234,7 +240,11 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     score strictly below stop_below, or zero; it is below every score that
     is not a hit.  The result is the hit of least index, or with no hit the
     least (score, index): what a scan in lexicographic order returns that
-    stops at its first hit.  The scan runs in blocks of 2**L candidates that
+    stops at its first hit.  A score equal to the floor counts as a hit as
+    well, which changes no result: with a floor at or above the stop and
+    above zero there is no true hit, and the first candidate at the floor
+    is the least (score, index); with a lower floor such a candidate is a
+    true hit anyway.  The scan runs in blocks of 2**L candidates that
     share the bits above the low L = min(size*arity, _GRAY_BITS).  The blocks
     come in order, one binary-counter step on the high bits apart; inside a
     block, step t flips low bit ctz(t), the reflected Gray code, which visits
@@ -245,15 +255,17 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     Otherwise steepest descent from the seed toggles one atom of one
     coordinate at a time, scanned lexicographically: each toggle is scored
     by flipping it and back, the first strict best wins, for at most
-    GREEDY_ROUNDS rounds.  Scores are compared as integers: v < stop_below
-    = p/q is v*q < p*scale, that is v < cut = ceil(p*scale/q)."""
-    flip, value, scale, seed = scorer
+    GREEDY_ROUNDS rounds, and a descent at the floor stops, since no toggle
+    can improve on it.  Scores are compared as integers: v < stop_below =
+    p/q is v*q < p*scale, that is v < ceil(p*scale/q), and a hit is v < cut
+    = max(ceil(p*scale/q), floor + 1), so a zero score is always a hit."""
+    flip, value, scale, seed, floor = scorer
     p, q = stop_below.numerator, stop_below.denominator
-    cut = -(-p * scale // q)
+    cut = max(-(-p * scale // q), floor + 1)
     n = size * arity
     if 1 << n <= EXHAUSTIVE_TUPLE_CAP:
         best, best_i = value, 0
-        if value >= cut and value != 0:
+        if value >= cut:
             places = [(arity - 1 - b // size, b % size) for b in range(n)]
             low = min(n, _GRAY_BITS)
             # (coord, atom, low bit) flipped by steps 1 .. 2**low - 1 of a block
@@ -273,7 +285,7 @@ def _search_best(size: int, arity: int, scorer, stop_below):
                 for coord, atom, bit in steps:
                     value = flip(coord, atom)
                     cur ^= bit
-                    if value < cut or value == 0:
+                    if value < cut:
                         if hit is None or cur < hit[1]:
                             hit = value, cur
                     elif value < best or value == best and base | cur < best_i:
@@ -298,6 +310,8 @@ def _search_best(size: int, arity: int, scorer, stop_below):
         for x in event:
             value = flip(coord, x)
     for _ in range(GREEDY_ROUNDS):
+        if value <= floor:
+            break
         best, move = value, None
         for coord in range(arity):
             for atom in range(size):
@@ -347,7 +361,15 @@ def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
     of their absolute values.  Toggling atom x of c_j moves each of the k + 1
     atoms g_i(x) from its key to the key with one bit flipped, and updates
     the total from the two keys it touches: O(k) per flip.  A score s is
-    the value s/(2D) that c2_distance would return."""
+    the value s/(2D) that c2_distance would return.
+
+    The floor coarsens both laws to one key bit: its candidate side g_i(c_j)
+    weighs mu(c_j)*D = m, a multiple of g = gcd of the atom weights in
+    [0, D], and its target side weighs T_ij = D*mu(b_ij), so every score is
+    at least 2*|T_ij - m| for each i.  The floor is 2*max_j min_m max_i
+    |T_ij - m|; the inner max is convex in m, so only the two multiples of
+    g nearest (min_i T_ij + max_i T_ij)/2 need checking."""
+    spans = _mass_spans(tuples)
     bcat = tuples[0]
     for b in tuples[1:]:
         bcat = bcat.concat(b)
@@ -400,10 +422,35 @@ def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
                 total += abs(d + w) - abs(d) + abs(e - w) - abs(e)
             return total
 
+        g = gcd(*weights)
+        floor = 0
+        for lo, hi in spans:
+            lo = lo.numerator * (denom // lo.denominator)
+            hi = hi.numerator * (denom // hi.denominator)
+            m = (lo + hi) // (2 * g) * g
+            floor = max(floor, min(max(hi - x, x - lo) for x in (m, m + g)))
         b0_lift = lift_tuple(tuples[0], alg, projection)
-        return flip, total, 2 * denom, tuple(e.members for e in b0_lift.events)
+        seed = tuple(e.members for e in b0_lift.events)
+        return flip, total, 2 * denom, seed, 2 * floor
 
     return prepare
+
+
+def _mass_spans(tuples: Sequence[EventTuple]) -> list[tuple[Fraction, Fraction]]:
+    """(min_i mu(b_ij), max_i mu(b_ij)) for each coordinate j."""
+    return [
+        (min(column), max(column))
+        for column in zip(*([e.mass for e in b.events] for b in tuples))
+    ]
+
+
+def _extension_floor(tuples: Sequence[EventTuple]) -> Fraction:
+    """A floor on the second-condition distance of every candidate in every
+    measure-preserving extension: coarsened to the bit of b_ij, the distance
+    is |mu(b_ij) - mu(c_j)|, and the best single mu(c_j) leaves half the
+    spread max_i mu(b_ij) - min_i mu(b_ij).  No depth of the search scores
+    below it, since each depth's floor is at least as high."""
+    return max((hi - lo for lo, hi in _mass_spans(tuples)), default=ZERO) / 2
 
 
 def search_C2_witness(
@@ -420,17 +467,23 @@ def search_C2_witness(
     the total-variation gap between the law of (anchor, parameters) and the
     law of (lifted anchor, c with all its generator pushes).  A witness is
     any candidate with distance strictly below 2*eps; the best candidate is
-    reported either way."""
+    reported either way, with the floor over every extension (see
+    C2SearchResult).  The search stops going deeper at a witness, or once
+    its best value is at the floor: no deeper depth could beat it strictly,
+    and earlier depths win ties."""
     _check_depth(act, max_refine)
     tuples = _check_instance(act, a, bs, eps)
     threshold = 2 * eps
+    floor = _extension_floor(tuples)
     prepare = _c2_prepare(a, tuples)
     for value, c, depth in _refine_search(
         act, tuples[0].arity, max_refine, threshold, prepare
     ):
-        if value < threshold:
+        if value < threshold or value <= floor:
             break
-    return C2SearchResult(value < threshold, C2Witness(c, value, depth))
+    return C2SearchResult(
+        value < threshold, C2Witness(c, value, depth), floor, floor >= threshold
+    )
 
 
 def axiom_residual(
@@ -442,7 +495,10 @@ def axiom_residual(
     witness, and returns max(0, best distance - 2 * worst quantity).  The
     search distance upper-bounds the true infimum over all extensions, so a
     zero return certifies the axiom instance; a positive return is only a
-    bound."""
+    bound.  The second-condition floors never end this search sooner: each
+    xi_i is at least |mu(b_ij) - mu(b_0j)|, and D*mu(b_0j) is a sum of
+    refined atom weights, so every depth's floor is at most worst, below
+    the stop 2 * worst."""
     _check_depth(act, max_refine)
     report = check_C1(act, a, bs, Fraction(1))
     quantities = list(report.xi) + list(report.psi)
@@ -570,7 +626,7 @@ def _ec_prepare(
     The scorer keeps the member sets of cs and of every w_l(cs), and a flip
     recomputes the whole pattern.  Masses and target values are integer
     units of 1/D, D the lcm of the refined atoms' and the target's
-    denominators, so a score s is the Fraction s/D."""
+    denominators, so a score s is the Fraction s/D.  The floor is 0."""
     keys = list(target)
 
     def prepare(refined: FkAction, projection: Sequence[int]):
@@ -606,7 +662,7 @@ def _ec_prepare(
                 row[coord] ^= {perm[atom]}
             return score()
 
-        return flip, score(), denom, _pullback_seed(bs, blocks, projection)
+        return flip, score(), denom, _pullback_seed(bs, blocks, projection), 0
 
     return prepare
 

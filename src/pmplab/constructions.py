@@ -22,6 +22,7 @@ from .algebra import (
     MeasuredAlgebra,
     Sign,
     _check_refined_size,
+    _check_summed_refinement,
     _fresh_id,
     _sign_map,
     dist_partition,
@@ -797,9 +798,10 @@ def approx_conjugacy_search(
     eps is recomputed exactly from the returned mapping, and the search
     stops early when it reaches zero.  A positive eps proves that no exact
     conjugacy exists at the depths tried; it is an upper bound on the least
-    defect there, and the beam's optimality is never claimed.  The deepest
-    refinement is checked against MAX_REFINED_ATOMS before any search
-    starts."""
+    defect there, and the beam's optimality is never claimed.  Every depth
+    may be searched in turn, so the refined atoms summed over depths
+    1..max_refine, base_units*M*(M+1)/2, are checked against
+    MAX_REFINED_ATOMS before any search starts."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     if max_refine < 1 or beam_width < 1:
@@ -807,7 +809,7 @@ def approx_conjugacy_search(
     base_units = lcm(
         act1.algebra.denominator_lcm(), act2.algebra.denominator_lcm()
     )
-    _check_refined_size(base_units, max_refine)
+    _check_summed_refinement(base_units, max_refine)
     best: Optional[ConjugacyCertificate] = None
     for depth in range(1, max_refine + 1):
         n = base_units * depth

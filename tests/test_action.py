@@ -20,7 +20,6 @@ from pmplab.action import (
     FkAction,
     _orbit_walks,
     Word,
-    apply_perm_event,
     apply_word,
     equal_refine_action,
     generated_subalgebra,

@@ -13,7 +13,6 @@ from pmplab.algebra import (
     AtomPartition,
     Event,
     EventTuple,
-    MeasuredAlgebra,
     dist_max,
     dist_partition,
     joint_distribution,

@@ -301,8 +301,8 @@ def test_tuple_candidates_lexicographic_in_bitmasks():
 
 def test_searches_visit_expected_depths(monkeypatch):
     """Each audit stops at the first depth whose best value passes its own
-    test: strictly below 2*eps (C2), below eps (EC), at most 2*worst
-    (residual)."""
+    test: strictly below 2*eps or at most the floor over every extension
+    (C2), below eps (EC), at most 2*worst (residual)."""
     visited = []
 
     def recording(act, m):
@@ -322,6 +322,21 @@ def test_searches_visit_expected_depths(monkeypatch):
         max_refine=2,
     )
     assert visited == [1]
+
+    # against the swap of two halves, b0 = {0} and b1 = {} weigh 1/2 and 0:
+    # every candidate in every extension is at least 1/4 away; depth 1 gets
+    # 1/2 and depth 2 reaches 1/4
+    visited.clear()
+    swap = quotient_action(cyclic_group(2, [1]))
+    empty = EventTuple.of_members(swap.algebra, [])
+    halves = [
+        EventTuple.of_members(swap.algebra, [[0]]),
+        EventTuple.of_members(swap.algebra, [[]]),
+    ]
+    res = search_C2_witness(swap, empty, halves, F(1, 100), max_refine=4)
+    assert visited == [1, 2]
+    assert (res.lower_bound, res.refuted, res.found) == (F(1, 4), True, False)
+    assert (res.witness.distance, res.witness.refinement_depth) == (F(1, 4), 2)
 
     visited.clear()
     small = quotient_action(cyclic_group(2, [1]))
@@ -530,7 +545,7 @@ def run_search(act, arity, max_refine, stop_below, prepare):
 def score_of(scorer, members):
     """Flip members into an all-empty scorer, read the score, flip them back
     out and check that the start score returns."""
-    flip, start, scale, _seed = scorer
+    flip, start, scale, _seed, _floor = scorer
     value = back = start
     for coord, event in enumerate(members):
         for x in event:
@@ -659,6 +674,15 @@ def _search_instances(draw, greedy):
         arity = draw(st.integers(0, 2))
         max_refine = draw(st.integers(1, 2))
         n = draw(st.integers(1, 6 if arity == 0 else 10 // (max_refine * arity)))
+    act = _class_action(draw, n)
+    # 0 stops only at a zero, 2 at candidate 0
+    stop = draw(st.sampled_from([F(0), F(2)]) | st.fractions(0, F(1, 4), max_denominator=30))
+    return act, arity, max_refine, stop
+
+
+def _class_action(draw, n):
+    """An action on n atoms in classes of equal mass that the generators
+    shuffle."""
     sizes = []
     while sum(sizes) < n:
         sizes.append(draw(st.integers(1, min(3, n - sum(sizes)))))
@@ -676,9 +700,7 @@ def _search_instances(draw, greedy):
         gens.append(perm)
     if draw(st.booleans()):
         gens[-1] = gens[0]
-    # 0 stops only at a zero, 2 at candidate 0
-    stop = draw(st.sampled_from([F(0), F(2)]) | st.fractions(0, F(1, 4), max_denominator=30))
-    return validate_action(alg, gens), arity, max_refine, stop
+    return validate_action(alg, gens)
 
 
 def _draw_tuple(data, alg, arity):
@@ -779,7 +801,8 @@ def test_counter_walk_visits_candidates_in_lexicographic_order():
                 state[coord] ^= {atom}
                 return -1 - rank[tuple(tuple(sorted(e)) for e in state)]
 
-            scorer = (flip, -1, 1, ((),) * arity)
+            # scores run down to -len(order), which is their floor
+            scorer = (flip, -1, 1, ((),) * arity, -len(order))
             assert _search_best(size, arity, scorer, F(-m)) == (-1 - m, members)
 
             # a zero at candidate m ends the scan there, whatever the stop
@@ -789,9 +812,16 @@ def test_counter_walk_visits_candidates_in_lexicographic_order():
 
             state[:] = [set() for _ in range(arity)]
             start = 0 if m == 0 else 1
-            scorer = (flip_zero, start, 1, ((),) * arity)
+            scorer = (flip_zero, start, 1, ((),) * arity, 0)
             assert _search_best(size, arity, scorer, F(0)) == (0, members)
             assert tuple(tuple(sorted(e)) for e in state) == members
+
+
+def full_scan_parameters(alg):
+    """Parameters on Z/12 that no candidate matches and whose floor is 0: b0
+    = b1 = {0}, but only the empty and the whole event equal their own push,
+    so every distance is positive and an exhaustive scan runs to the end."""
+    return [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[0]])]
 
 
 def test_exhaustive_scan_builds_one_fraction_per_depth(monkeypatch):
@@ -807,8 +837,7 @@ def test_exhaustive_scan_builds_one_fraction_per_depth(monkeypatch):
     act = quotient_action(cyclic_group(12, [1]))
     alg = act.algebra
     a = EventTuple.of_members(alg, [range(6)])
-    # b1 weighs twice b0, so no candidate c and its push g(c) match them
-    bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
+    bs = full_scan_parameters(alg)
     assert 1 << alg.size == EXHAUSTIVE_TUPLE_CAP
     monkeypatch.setattr(audit, "Fraction", CountingFraction)
     [(value, _c, depth)] = list(_refine_search(act, 1, 1, F(0), _c2_prepare(a, bs)))
@@ -834,7 +863,7 @@ def oracle_counter_scan(size, arity, scorer, stop_below):
     counter: candidate i follows i - 1 by flipping the bits of (i - 1) ^ i,
     and the scan stops at the first strict new best that is below
     stop_below or zero."""
-    flip, value, scale, _seed = scorer
+    flip, value, scale, _seed, _floor = scorer
     p, q = stop_below.numerator, stop_below.denominator
     limit = p * scale
     assert 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP
@@ -855,10 +884,10 @@ class TableScorer:
     """A scorer over a table of scores indexed by candidate: it holds the
     index of its current candidate and counts its flips."""
 
-    def __init__(self, size, arity, table, scale=1):
+    def __init__(self, size, arity, table, scale=1, floor=0):
         self.size, self.arity, self.table = size, arity, table
         self.index = self.flips = 0
-        self.scorer = (self.flip, table[0], scale, ((),) * arity)
+        self.scorer = (self.flip, table[0], scale, ((),) * arity, floor)
 
     def flip(self, coord, atom):
         self.index ^= 1 << ((self.arity - 1 - coord) * self.size + atom)
@@ -866,11 +895,12 @@ class TableScorer:
         return self.table[self.index]
 
 
-def compare_scans(size, arity, table, stop, scale=1):
-    """Both scans on one table give the same (value, members); after a hit
-    both scorers hold the returned candidate.  Returns the result, whether
-    it is a hit, and the flips of both scans."""
-    fast = TableScorer(size, arity, table, scale)
+def compare_scans(size, arity, table, stop, scale=1, floor=0):
+    """Both scans on one table give the same (value, members), the Gray-code
+    scan told the table's floor and the counter scan not; after a hit both
+    scorers hold the returned candidate.  Returns the result, whether it is
+    a hit, and the flips of both scans."""
+    fast = TableScorer(size, arity, table, scale, floor)
     slow = TableScorer(size, arity, table, scale)
     result = _search_best(size, arity, fast.scorer, stop)
     assert result == oracle_counter_scan(size, arity, slow.scorer, stop)
@@ -885,8 +915,9 @@ def compare_scans(size, arity, table, stop, scale=1):
 @st.composite
 def _score_tables(draw):
     """A candidate count up to EXHAUSTIVE_TUPLE_CAP, a table of non-negative
-    scores over a few values (so ties and zeros are common), a scale and a
-    stop (0 stops only at a zero, 2 may stop at candidate 0)."""
+    scores over a few values (so ties and zeros are common), a scale, a stop
+    (0 stops only at a zero, 2 may stop at candidate 0) and a floor at most
+    the least score."""
     arity = draw(st.integers(0, 3))
     size = draw(st.integers(1, 12 // arity if arity else 3))
     count = 1 << size * arity
@@ -900,14 +931,14 @@ def _score_tables(draw):
         table[0] = draw(st.integers(0, top))
     scale = draw(st.integers(1, 4))
     stop = draw(st.sampled_from([F(0), F(2)]) | st.fractions(0, F(3, 2), max_denominator=8))
-    return size, arity, table, stop, scale
+    floor = draw(st.integers(0, min(table)))
+    return size, arity, table, stop, scale, floor
 
 
 @given(_score_tables())
 @settings(max_examples=300, deadline=None)
 def test_gray_scan_matches_counter_scan_on_score_tables(instance):
-    size, arity, table, stop, scale = instance
-    compare_scans(size, arity, table, stop, scale)
+    compare_scans(*instance)
 
 
 def test_gray_scan_edge_cases():
@@ -962,19 +993,19 @@ def test_full_gray_scan_flips_once_per_candidate():
     assert count - 1 <= flips <= bound < counter_flips
 
     def counted(scorer, tally):
-        flip, start, scale, seed = scorer
+        flip, start, scale, seed, floor = scorer
 
         def counting(coord, atom):
             tally.append(coord)
             return flip(coord, atom)
 
-        return counting, start, scale, seed
+        return counting, start, scale, seed, floor
 
     # the C2 instance of test_exhaustive_scan_builds_one_fraction_per_depth
     act = quotient_action(cyclic_group(12, [1]))
     alg = act.algebra
     a = EventTuple.of_members(alg, [range(6)])
-    bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
+    bs = full_scan_parameters(alg)
     refined, projection = equal_refine_action(act, 1)
     c2_flips = []
     fast = _search_best(12, 1, counted(_c2_prepare(a, bs)(refined, projection), c2_flips), F(0))
@@ -1002,3 +1033,103 @@ def test_full_gray_scan_flips_once_per_candidate():
     assert fast == oracle_counter_scan(6, 2, prepare(refined, projection), F(0))
     assert fast[0] > 0
     assert count - 1 <= len(ec_flips) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the second-condition floors against brute force
+
+
+def brute_force_minimum(act, a, bs, depth):
+    """The least c2_distance over every candidate tuple at one depth."""
+    refined, projection = equal_refine_action(act, depth)
+    evaluate, _seed = oracle_c2_prepare(a, bs)(refined, projection)
+    return min(evaluate(m) for m in _tuple_candidates(refined.algebra.size, bs[0].arity))
+
+
+@st.composite
+def _floor_instances(draw):
+    """An action, anchor and parameters, and a depth 1..3 with at most 1024
+    candidates.  Half the parameters are pushes of b0, which some candidate
+    matches exactly; the rest are drawn freely, often of unequal masses."""
+    data = draw(st.data())
+    arity = draw(st.integers(0, 2))
+    depth = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 if arity == 0 else 10 // (depth * arity)))
+    act = _class_action(draw, n)
+    a = _draw_tuple(data, act.algebra, draw(st.integers(0, 2)))
+    b0 = _draw_tuple(data, act.algebra, arity)
+    if draw(st.booleans()):
+        bs = [b0] + [apply_gen_tuple(act, i, b0) for i in range(1, act.k + 1)]
+    else:
+        bs = [b0] + [_draw_tuple(data, act.algebra, arity) for _ in range(act.k)]
+    return act, a, bs, depth
+
+
+@given(_floor_instances(), st.sampled_from([F(0), F(2)]) | st.fractions(0, F(1, 4)))
+@settings(max_examples=60, deadline=None)
+def test_c2_floors_against_brute_force(instance, stop):
+    """Both floors are at most the least distance at the depth, and the scan
+    that stops at the depth's floor returns what the counter scan does."""
+    act, a, bs, depth = instance
+    refined, projection = equal_refine_action(act, depth)
+    prepare = _c2_prepare(a, bs)
+    _flip, _start, scale, _seed, floor = prepare(refined, projection)
+    least = brute_force_minimum(act, a, bs, depth)
+    assert 0 <= audit._extension_floor(bs) <= F(floor, scale) <= least
+    size, arity = refined.algebra.size, bs[0].arity
+    fast = _search_best(size, arity, prepare(refined, projection), stop)
+    assert fast == oracle_counter_scan(size, arity, prepare(refined, projection), stop)
+
+
+def test_scan_stops_at_the_first_candidate_at_the_floor():
+    """On Z/12, b1 weighs twice b0, so no candidate c and its push g(c)
+    match them: the floor is 2 units of 1/24, and candidate {0} reaches it
+    in the first Gray-code block, where the scan stops."""
+    act = quotient_action(cyclic_group(12, [1]))
+    alg = act.algebra
+    a = EventTuple.of_members(alg, [range(6)])
+    bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
+    refined, projection = equal_refine_action(act, 1)
+    scorer = _c2_prepare(a, bs)(refined, projection)
+    assert (scorer[2], scorer[4]) == (24, 2)
+    flips = []
+
+    def counting(coord, atom):
+        flips.append(coord)
+        return scorer[0](coord, atom)
+
+    fast = _search_best(12, 1, (counting,) + scorer[1:], F(0))
+    assert fast == (F(1, 12), ((0,),))
+    assert fast == oracle_counter_scan(12, 1, _c2_prepare(a, bs)(refined, projection), F(0))
+    assert len(flips) <= 64 + 1
+
+
+@given(_floor_instances())
+@settings(max_examples=40, deadline=None)
+def test_residual_stop_is_above_every_floor(instance):
+    """The residual stops at 2 * worst, and each depth's floor is at most
+    worst: the floors could never end its search sooner."""
+    act, a, bs, depth = instance
+    report = check_C1(act, a, bs, F(1))
+    worst = max(report.xi + report.psi)
+    refined, projection = equal_refine_action(act, depth)
+    _flip, _start, scale, _seed, floor = _c2_prepare(a, bs)(refined, projection)
+    assert audit._extension_floor(bs) <= F(floor, scale) <= worst
+
+
+@given(_floor_instances(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_refuted_instances_have_no_witness_at_any_depth(instance, data):
+    act, a, bs, max_refine = instance
+    lower = audit._extension_floor(bs)
+    if lower > 0 and data.draw(st.booleans()):
+        eps = lower / data.draw(st.integers(2, 3))
+    else:
+        eps = data.draw(st.fractions(F(1, 100), F(1, 2)))
+    res = search_C2_witness(act, a, bs, eps, max_refine=max_refine)
+    assert res.lower_bound == lower <= res.witness.distance
+    assert res.refuted == (lower >= 2 * eps)
+    if res.refuted:
+        assert not res.found
+        for depth in range(1, max_refine + 1):
+            assert brute_force_minimum(act, a, bs, depth) >= 2 * eps

@@ -256,6 +256,16 @@ def test_audit_depths_past_the_summed_cap_are_refused(capsys):
         assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
 
 
+def test_conjsearch_depths_past_the_summed_cap_are_refused(capsys):
+    # the swap against the identity is never conjugate, so every depth runs;
+    # 1..32768 (65536 atoms at the deepest) used to run for more than 10 s
+    identity = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[0,1]]}'
+    for depth in ("256", "32768"):
+        code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", depth)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+
+
 def test_embed_modes(capsys):
     code, out = run(capsys, "embed", Z2_ACTION, "--mode", "transitive")
     assert code == 0

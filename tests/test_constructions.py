@@ -1035,10 +1035,12 @@ def test_eppa_and_conjugacy_refinement_caps():
     )
     with pytest.raises(InstanceTooLarge):
         eppa_extend(past, [])
-    # 2 base units at the deepest depth: at the cap the identity conjugates
-    # to itself at depth 1; one depth more is refused before any search
+    # 2 base units: depths 1..255 sum to 65280 atoms, inside the cap, and the
+    # identity conjugates to itself at depth 1; depths 1..256 sum to 65792
+    # atoms and are refused before any search
+    assert 255 * 256 <= MAX_REFINED_ATOMS < 256 * 257
     identity = validate_action(uniform_algebra(2), [(0, 1)])
-    cert = approx_conjugacy_search(identity, identity, max_refine=MAX_REFINED_ATOMS // 2)
+    cert = approx_conjugacy_search(identity, identity, max_refine=255)
     assert cert.eps == 0 and cert.iso.source.size == 2
     with pytest.raises(InstanceTooLarge):
-        approx_conjugacy_search(identity, identity, max_refine=MAX_REFINED_ATOMS // 2 + 1)
+        approx_conjugacy_search(identity, identity, max_refine=256)

@@ -1,7 +1,7 @@
-"""Every library module uses each name it imports, every module-level
-private name of the package is used somewhere in the package, and every
-public function, class, constant or method is called by package code unless
-it is listed in LIBRARY_ONLY.
+"""Every library and test module uses each name it imports, every
+module-level private name of the package is used somewhere in the package,
+and every public function, class, constant or method is called by package
+code unless it is listed in LIBRARY_ONLY.
 
 The package's __init__ is exempt: its imports are the public re-exports,
 and a re-export alone does not count as a use."""
@@ -15,6 +15,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pmplab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,7 +42,7 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["Optional (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
