@@ -6,6 +6,8 @@ independence distances, extension and ergodization constructions, quotient
 actions of finite marked groups, closure-condition audits, and approximate
 conjugacy certificates.  No floats anywhere; every reported quantity can be
 recomputed exactly from the returned witness."""
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     AtomPartition,
     Event,
@@ -88,4 +90,10 @@ from .modeltheory import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The re-exported names only: the submodules bound by the imports above stay
+# out, so that `from pmplab import *` cannot rebind a caller's own names.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

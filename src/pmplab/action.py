@@ -8,7 +8,6 @@ quotient permutation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -30,6 +29,7 @@ from .errors import (
     NotBijective,
     NotMeasurePreserving,
 )
+from .record import Record
 
 Perm = tuple[int, ...]
 
@@ -67,8 +67,7 @@ def check_permutation(alg: MeasuredAlgebra, p: Sequence[int]) -> Perm:
     return tuple(p)
 
 
-@dataclass(frozen=True)
-class FkAction:
+class FkAction(Record):
     """An action of the free group on k generators by atom permutations."""
 
     algebra: MeasuredAlgebra
@@ -86,8 +85,7 @@ def validate_action(alg: MeasuredAlgebra, gens: Sequence[Sequence[int]]) -> FkAc
     return FkAction(alg, checked, tuple(perm_inverse(g) for g in checked))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A word in generators (positive letters) and inverses (negative letters).
 
     Letter i in 1..k names generator i; letter -i names its inverse.  The
@@ -129,8 +127,7 @@ def apply_gen_tuple(act: FkAction, i: int, t: EventTuple) -> EventTuple:
     return EventTuple(t.algebra, tuple(apply_perm_event(p, e) for e in t.events))
 
 
-@dataclass(frozen=True)
-class InvariantDecomposition:
+class InvariantDecomposition(Record):
     """Connected components of the atom graph drawn by all generators."""
 
     algebra: MeasuredAlgebra
@@ -310,8 +307,7 @@ def uniform_distance_tuples(
     return best
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(Record):
     """A small automorphism of a refined algebra, fixing given blocks setwise.
 
     action is the input action extended to the refinement; s swaps, within

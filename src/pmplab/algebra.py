@@ -13,7 +13,6 @@ compare equal and may not be combined.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -21,12 +20,13 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
-    InstanceTooLarge,
     MassNotOne,
     PartMassMismatch,
     ValidationError,
     ZeroAtom,
 )
+from .limits import _check_refined_size
+from .record import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,8 +40,7 @@ def _fresh_id() -> int:
     return next(_ids)
 
 
-@dataclass(frozen=True)
-class MeasuredAlgebra:
+class MeasuredAlgebra(Record):
     """A finite measure algebra given by its atom masses.
 
     Construct through validate_algebra; internal operations that already
@@ -93,8 +92,7 @@ def _same_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra, what: str) -> None:
         raise AlgebraMismatch(f"{what} belong to different algebras")
 
 
-@dataclass(frozen=True)
-class Event(object):
+class Event(Record):
     """A measurable set: a sorted duplicate-free tuple of atom indices."""
 
     algebra: MeasuredAlgebra
@@ -132,8 +130,7 @@ class Event(object):
         return Event(self.algebra, tuple(sorted(set(self.members) ^ set(other.members))))
 
 
-@dataclass(frozen=True)
-class EventTuple:
+class EventTuple(Record):
     """An ordered tuple of events over one algebra."""
 
     algebra: MeasuredAlgebra
@@ -173,8 +170,7 @@ def _sign_map(t: EventTuple) -> list[Sign]:
     return [tuple(1 if a in s else 0 for s in sets) for a in range(t.algebra.size)]
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Record):
     """Joint cell-mass law of a base tuple and a fiber tuple.
 
     mass holds only the cells of positive mass; absent keys mean zero.  Keys
@@ -239,33 +235,6 @@ def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
     )
 
 
-# refine_equal builds size * m atoms, and every audit depth refines that far;
-# the unit refinements build 1/unit atoms.  The largest refinement in the
-# test suite and the benchmark has 192 atoms.
-MAX_REFINED_ATOMS = 1 << 16
-
-
-def _check_refined_size(size: int, m: int = 1) -> None:
-    """Raise InstanceTooLarge when splitting size atoms into m parts each
-    would pass MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
-    if size * m > MAX_REFINED_ATOMS:
-        raise InstanceTooLarge(
-            f"a refinement to {size * m} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
-        )
-
-
-def _check_summed_refinement(size: int, depths: int) -> None:
-    """Raise InstanceTooLarge when refining size atoms at every depth
-    1..depths, size*depths*(depths+1)/2 atoms in all, would pass
-    MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
-    summed = size * (depths * (depths + 1) // 2)
-    if summed > MAX_REFINED_ATOMS:
-        raise InstanceTooLarge(
-            f"refinements to depths 1..{depths} sum to {summed} atoms, "
-            f"past the cap {MAX_REFINED_ATOMS} atoms"
-        )
-
-
 def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
     """Split every atom into m equal parts.
 
@@ -327,8 +296,7 @@ def product_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra) -> MeasuredAlgebra:
     return MeasuredAlgebra(_fresh_id(), atoms)
 
 
-@dataclass(frozen=True)
-class AtomPartition:
+class AtomPartition(Record):
     """A plain partition of the atoms into blocks.
 
     Blocks are canonically ordered by least member.  This is the currency of

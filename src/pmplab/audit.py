@@ -32,7 +32,6 @@ Fraction pattern) would give.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -41,7 +40,6 @@ from .algebra import (
     ZERO,
     EventTuple,
     MeasuredAlgebra,
-    _check_summed_refinement,
     _sign_map,
     joint_distribution,
     lift_tuple,
@@ -62,24 +60,23 @@ from .errors import (
     NonpositiveEps,
     WrongTupleCount,
 )
+from .limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, _check_summed_refinement
 from .modeltheory import (
     independence_deficiency,
     joint_tv_distance,
     type_distance_max,
     type_distance_tv,
 )
+from .record import Record
 
-EXHAUSTIVE_TUPLE_CAP = 4096
 _GRAY_BITS = 6  # low index bits an exhaustive scan walks in Gray-code order
-GREEDY_ROUNDS = 64
 
 
 # ---------------------------------------------------------------------------
 # first closure condition
 
 
-@dataclass(frozen=True)
-class C1Report:
+class C1Report(Record):
     """Pushforward distances and independence defects for one instance.
 
     xi[i-1] measures how far the i-th parameter is from the pushed base
@@ -175,8 +172,7 @@ def check_C1(
 # second closure condition: witness search
 
 
-@dataclass(frozen=True)
-class C2Witness:
+class C2Witness(Record):
     """A candidate tuple on a refined action and its exact distance.
 
     distance is the total-variation gap between the joint law of the anchor
@@ -188,8 +184,7 @@ class C2Witness:
     refinement_depth: int
 
 
-@dataclass(frozen=True)
-class C2SearchResult:
+class C2SearchResult(Record):
     """Search outcome: found marks distance < 2*eps, and the best witness
     seen is always reported, an upper bound on the least distance.
 
@@ -517,8 +512,7 @@ def axiom_residual(
 # existential closedness inside an extension
 
 
-@dataclass(frozen=True)
-class EcWitness:
+class EcWitness(Record):
     """A tuple in a refinement of the small system whose triple intersection
     pattern with the anchor imitates the target tuple in the extension."""
 
@@ -527,8 +521,10 @@ class EcWitness:
     refinement_depth: int
 
 
-@dataclass(frozen=True)
-class EcSearchResult:
+class EcSearchResult(Record):
+    """Search outcome: found marks a discrepancy below eps, and the best
+    witness seen is always reported."""
+
     found: bool
     witness: EcWitness
 

@@ -9,7 +9,6 @@ with the metrics from the algebra and action modules.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -21,8 +20,6 @@ from .algebra import (
     EventTuple,
     MeasuredAlgebra,
     Sign,
-    _check_refined_size,
-    _check_summed_refinement,
     _fresh_id,
     _sign_map,
     dist_partition,
@@ -60,13 +57,19 @@ from .errors import (
     TypeMismatch,
     UnequalAtoms,
 )
+from .limits import (
+    MAX_GROUP_ORDER,
+    _check_beam_steps,
+    _check_refined_size,
+    _check_summed_refinement,
+)
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # block correspondences
 
 
-@dataclass(frozen=True)
-class PartialIsomorphism:
+class PartialIsomorphism(Record):
     """A partial mass-preserving correspondence given by block pairs.
 
     Source blocks are pairwise disjoint atom sets of the source algebra,
@@ -142,8 +145,7 @@ class PartialIsomorphism:
         return EventTuple(self.target, tuple(self.map_event(e) for e in t.events))
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(Record):
     """A total atom-to-atom mass-preserving bijection between two algebras."""
 
     source: MeasuredAlgebra
@@ -168,8 +170,7 @@ class Isomorphism:
 # partition matching
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """An automorphism realizing the partition-metric bound between two
     equidistributed tuples.
 
@@ -260,8 +261,7 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     return Matching(refined, tuple(projection), g, dp, a_lifted, b_lifted)
 
 
-@dataclass(frozen=True)
-class PartialExtension:
+class PartialExtension(Record):
     """Result of one extension step: the grown correspondence, the target
     refinement it lives on, and the (unchanged) partition-metric defect."""
 
@@ -324,8 +324,7 @@ def lift_members(members: frozenset[int], projection: Sequence[int]) -> list[int
 # marked groups
 
 
-@dataclass(frozen=True)
-class MarkedGroup:
+class MarkedGroup(Record):
     """A finite group with a multiplication table and k marked generators.
 
     Element 0-based indices; mul[a][b] is the product ab; gen_images must
@@ -346,10 +345,6 @@ class MarkedGroup:
             if row[y] == self.identity:
                 return y
         raise InvalidGroupTable(f"element {x} has no inverse")
-
-
-# Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).
-MAX_GROUP_ORDER = 1024
 
 
 def validate_marked_group(
@@ -490,8 +485,7 @@ def quotient_action(group: MarkedGroup) -> FkAction:
     return validate_action(alg, gens)
 
 
-@dataclass(frozen=True)
-class JointQuotient:
+class JointQuotient(Record):
     """The subgroup of a direct product generated by paired generators,
     with the coordinate projections recorded per element."""
 
@@ -524,8 +518,7 @@ def joint_quotient(g1: MarkedGroup, g2: MarkedGroup) -> JointQuotient:
 # extension of partial automorphisms to an equal-atom overalgebra
 
 
-@dataclass(frozen=True)
-class EppaExtension:
+class EppaExtension(Record):
     """An equal-atom algebra, an action extending the partial automorphisms,
     and the blockwise embedding of the original algebra."""
 
@@ -590,8 +583,7 @@ def eppa_extend(
 # ergodization
 
 
-@dataclass(frozen=True)
-class Ergodization:
+class Ergodization(Record):
     """A transitive action obtained by composing generators with atom swaps,
     together with the number of swaps applied."""
 
@@ -683,8 +675,7 @@ def _find_merge_swap(
 # embeddings into quotient systems
 
 
-@dataclass(frozen=True)
-class QuotientEmbedding:
+class QuotientEmbedding(Record):
     """An exact embedding of an action into a quotient (or quotient tensor
     trivial) action, with the generated permutation group and its elements."""
 
@@ -748,8 +739,7 @@ def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
 # approximate conjugacy search
 
 
-@dataclass(frozen=True)
-class ConjugacyCertificate:
+class ConjugacyCertificate(Record):
     """An explicit isomorphism between uniform refinements of two actions and
     its exact defect.
 
@@ -801,7 +791,9 @@ def approx_conjugacy_search(
     defect there, and the beam's optimality is never claimed.  Every depth
     may be searched in turn, so the refined atoms summed over depths
     1..max_refine, base_units*M*(M+1)/2, are checked against
-    MAX_REFINED_ATOMS before any search starts."""
+    MAX_REFINED_ATOMS before any search starts.  A beam over n atoms takes
+    beam_width*n^2 steps; before each beam the steps summed over the beams
+    run so far, this one included, are checked against MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     if max_refine < 1 or beam_width < 1:
@@ -810,6 +802,7 @@ def approx_conjugacy_search(
         act1.algebra.denominator_lcm(), act2.algebra.denominator_lcm()
     )
     _check_summed_refinement(base_units, max_refine)
+    beam_steps = 0
     best: Optional[ConjugacyCertificate] = None
     for depth in range(1, max_refine + 1):
         n = base_units * depth
@@ -818,6 +811,8 @@ def approx_conjugacy_search(
         r2, proj2 = refine_action_to_unit(act2, unit)
         mapping = _exact_assign(r1, r2)
         if mapping is None:
+            beam_steps += beam_width * n * n
+            _check_beam_steps(beam_steps)
             mapping = _beam_assign(r1, r2, beam_width)
         iso = Isomorphism.of(r1.algebra, r2.algebra, mapping)
         cert = ConjugacyCertificate(

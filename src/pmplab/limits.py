@@ -1,0 +1,72 @@
+"""Every size cap of pmplab, with the checks that enforce them.
+
+Refusals.  Each check is arithmetic only and runs before anything of the
+refused size is built; past a cap the entry point raises InstanceTooLarge,
+which the command line reports with exit 2.
+
+- MAX_REFINED_ATOMS bounds the atoms of one refinement
+  (_check_refined_size: refine_equal, refine_to_unit, match_partitions, and
+  through them eppa_extend, refine_action_to_unit and perturb_small) and the
+  atoms summed over refinement depths 1..max_refine
+  (_check_summed_refinement: search_C2_witness, axiom_residual,
+  ec_in_extension_check and approx_conjugacy_search).
+- MAX_GROUP_ORDER bounds the elements of a group the library enumerates:
+  cyclic_group, permutation_marked_group and joint_quotient.
+- MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
+  beam_width * n^2 for n refined atoms, summed over the depths that run it
+  (_check_beam_steps, before each beam).
+
+Search bounds.  These end a search instead of refusing it.
+
+- EXHAUSTIVE_TUPLE_CAP: an audit depth with at most this many candidate
+  tuples is scanned whole, a larger one by greedy descent
+  (search_C2_witness, axiom_residual, ec_in_extension_check).
+- GREEDY_ROUNDS bounds the rounds of one greedy descent.
+"""
+from __future__ import annotations
+
+from .errors import InstanceTooLarge
+
+# refine_equal builds size * m atoms, and every audit depth refines that far;
+# the unit refinements build 1/unit atoms.  The largest refinement in the
+# test suite and the benchmark has 192 atoms.
+MAX_REFINED_ATOMS = 1 << 16
+
+# Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).
+MAX_GROUP_ORDER = 1024
+
+# The largest beam in the benchmark takes 16 * 64^2 = 65536 steps.
+MAX_BEAM_STEPS = 1 << 22
+
+EXHAUSTIVE_TUPLE_CAP = 4096
+GREEDY_ROUNDS = 64
+
+
+def _check_refined_size(size: int, m: int = 1) -> None:
+    """Raise InstanceTooLarge when splitting size atoms into m parts each
+    would pass MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
+    if size * m > MAX_REFINED_ATOMS:
+        raise InstanceTooLarge(
+            f"a refinement to {size * m} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
+        )
+
+
+def _check_summed_refinement(size: int, depths: int) -> None:
+    """Raise InstanceTooLarge when refining size atoms at every depth
+    1..depths, size*depths*(depths+1)/2 atoms in all, would pass
+    MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
+    summed = size * (depths * (depths + 1) // 2)
+    if summed > MAX_REFINED_ATOMS:
+        raise InstanceTooLarge(
+            f"refinements to depths 1..{depths} sum to {summed} atoms, "
+            f"past the cap {MAX_REFINED_ATOMS} atoms"
+        )
+
+
+def _check_beam_steps(steps: int) -> None:
+    """Raise InstanceTooLarge when the beam steps summed so far, the
+    next beam's included, pass MAX_BEAM_STEPS."""
+    if steps > MAX_BEAM_STEPS:
+        raise InstanceTooLarge(
+            f"beam searches summing to {steps} steps exceed the cap {MAX_BEAM_STEPS} steps"
+        )

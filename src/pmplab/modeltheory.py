@@ -10,7 +10,6 @@ total-variation gap to the relatively independent joining.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -24,6 +23,7 @@ from .algebra import (
     joint_distribution,
 )
 from .errors import ArityMismatch, LPInternal
+from .record import Record
 from .simplex import solve_lp
 
 
@@ -121,8 +121,7 @@ def _check_triple(base: EventTuple, b: EventTuple, c: EventTuple) -> None:
         raise ArityMismatch(f"fiber tuples have arities {b.arity} and {c.arity}")
 
 
-@dataclass(frozen=True)
-class TripleDistribution:
+class TripleDistribution(Record):
     """Joint cell-mass law over base x mid x fiber sign vectors.
 
     Keys are (base sign r, mid sign t, fiber sign s); absent keys mean zero.

@@ -16,16 +16,15 @@ tiny (tens of columns), so no effort is spent on sparsity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .errors import LPInternal
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(Record):
     value: Fraction
     x: tuple[Fraction, ...]
 

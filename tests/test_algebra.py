@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmplab.algebra import (
-    MAX_REFINED_ATOMS,
     AtomPartition,
     Event,
     EventTuple,
@@ -32,6 +31,7 @@ from pmplab.errors import (
     ValidationError,
     ZeroAtom,
 )
+from pmplab.limits import MAX_REFINED_ATOMS
 
 from conftest import random_algebra, random_tuple
 

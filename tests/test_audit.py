@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmplab.algebra import (
-    MAX_REFINED_ATOMS,
     EventTuple,
     joint_distribution,
     lift_tuple,
@@ -27,8 +26,6 @@ from pmplab.action import (
 )
 import pmplab.audit as audit
 from pmplab.audit import (
-    EXHAUSTIVE_TUPLE_CAP,
-    GREEDY_ROUNDS,
     _c2_prepare,
     _check_embedding,
     _ec_prepare,
@@ -53,6 +50,7 @@ from pmplab.errors import (
     NonpositiveEps,
     WrongTupleCount,
 )
+from pmplab.limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, MAX_REFINED_ATOMS
 from pmplab.modeltheory import joint_tv_distance
 
 from conftest import random_tuple, uniform_algebra

@@ -266,6 +266,18 @@ def test_conjsearch_depths_past_the_summed_cap_are_refused(capsys):
         assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
 
 
+def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):
+    # depths 1..255 of two atoms fit the atom cap, but the swap against the
+    # identity runs a beam at every depth; those beams used to run for more
+    # than 120 s, and depth 58 now passes the beam cap
+    identity = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[0,1]]}'
+    code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", "255")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InstanceTooLarge"
+    assert "beam" in error["message"]
+
+
 def test_embed_modes(capsys):
     code, out = run(capsys, "embed", Z2_ACTION, "--mode", "transitive")
     assert code == 0

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmplab.algebra import (
-    MAX_REFINED_ATOMS,
     AtomPartition,
     Event,
     EventTuple,
@@ -32,7 +31,6 @@ from pmplab.action import (
     validate_action,
 )
 from pmplab.constructions import (
-    MAX_GROUP_ORDER,
     Isomorphism,
     MarkedGroup,
     _beam_assign,
@@ -65,6 +63,12 @@ from pmplab.errors import (
     PreconditionInvariantElement,
     TypeMismatch,
     UnequalAtoms,
+)
+from pmplab.limits import (
+    MAX_BEAM_STEPS,
+    MAX_GROUP_ORDER,
+    MAX_REFINED_ATOMS,
+    _check_beam_steps,
 )
 
 from conftest import (
@@ -1044,3 +1048,30 @@ def test_eppa_and_conjugacy_refinement_caps():
     assert cert.eps == 0 and cert.iso.source.size == 2
     with pytest.raises(InstanceTooLarge):
         approx_conjugacy_search(identity, identity, max_refine=256)
+
+
+def test_conjugacy_beams_are_capped_by_their_summed_steps():
+    """A beam over n atoms takes beam_width * n^2 steps; before each beam the
+    steps summed over the beams run so far must stay within MAX_BEAM_STEPS."""
+    _check_beam_steps(MAX_BEAM_STEPS)
+    with pytest.raises(InstanceTooLarge):
+        _check_beam_steps(MAX_BEAM_STEPS + 1)
+    # the swap against the identity is never conjugate, so every depth runs a
+    # beam: 2 atoms at depth 1 and 4 at depth 2, beam_width * (4 + 16) steps;
+    # one more unit of width passes the cap on the sum, not on depth 2 alone
+    swap = validate_action(uniform_algebra(2), [(1, 0)])
+    identity = validate_action(uniform_algebra(2), [(0, 1)])
+    width = MAX_BEAM_STEPS // 20
+    assert 20 * width <= MAX_BEAM_STEPS < 20 * (width + 1)
+    assert 16 * (width + 1) <= MAX_BEAM_STEPS
+    cert = approx_conjugacy_search(swap, identity, max_refine=2, beam_width=width)
+    assert cert.exhausted
+    with pytest.raises(InstanceTooLarge):
+        approx_conjugacy_search(swap, identity, max_refine=2, beam_width=width + 1)
+
+    # with the default width 16, depths 1..D sum to 16 * sum (2d)^2 steps:
+    # depth 57 still runs, depth 58 is refused, inside the atom cap's 255
+    def summed(depths: int) -> int:
+        return sum(16 * (2 * d) ** 2 for d in range(1, depths + 1))
+
+    assert summed(57) <= MAX_BEAM_STEPS < summed(58)

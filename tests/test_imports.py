@@ -1,16 +1,25 @@
 """Every library and test module uses each name it imports, every
 module-level private name of the package is used somewhere in the package,
 and every public function, class, constant or method is called by package
-code unless it is listed in LIBRARY_ONLY.
+code unless it is listed in LIBRARY_ONLY.  Importing the command line
+stays light: no module of the package imports dataclasses, and the import
+loads neither dataclasses nor inspect.  The package exports no submodule.
 
 The package's __init__ is exempt: its imports are the public re-exports,
 and a re-export alone does not count as a use."""
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import pmplab
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pmplab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -159,3 +168,58 @@ def test_detects_an_unreferenced_public_name():
 def test_every_public_name_is_used_in_the_package_or_allowlisted():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert unreferenced_public_names(sources) == sorted(LIBRARY_ONLY)
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports, relative imports
+    excluded."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_detects_an_imported_module():
+    source = "import a.b\nfrom c.d import e\nfrom . import f\nfrom .g import h\n"
+    assert imported_modules(source) == {"a", "c"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # diffed against the modules loaded before the import: site may load
+    # some of them on its own
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import pmplab.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    added = set(json.loads(proc.stdout))
+    assert "pmplab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_all_lists_no_submodule():
+    assert pmplab.__all__ == sorted(set(pmplab.__all__))
+    assert not [name for name in pmplab.__all__ if isinstance(getattr(pmplab, name), ModuleType)]
+    for module in ("action", "algebra", "audit", "constructions", "errors", "limits",
+                   "modeltheory", "record", "simplex"):
+        assert module not in pmplab.__all__
+    namespace: dict = {}
+    exec("from pmplab import *", namespace)
+    assert not [v for v in namespace.values() if isinstance(v, ModuleType)]
+    assert {"MeasuredAlgebra", "search_C2_witness", "ValidationError"} <= set(namespace)
