@@ -18,8 +18,10 @@ from .algebra import (
     Event,
     EventTuple,
     MeasuredAlgebra,
+    _runs,
     _sign_map,
     product_algebra,
+    refine_equal,
     refine_to_unit,
 )
 from .errors import (
@@ -211,31 +213,16 @@ def generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:
 
 def equal_refine_action(act: FkAction, m: int) -> tuple[FkAction, tuple[int, ...]]:
     """Refine every atom into m equal parts; generators act part-for-part."""
-    from .algebra import refine_equal
-
     refined, projection = refine_equal(act.algebra, m)
-    gens = []
-    for p in act.gens:
-        q = [0] * refined.size
-        for x in range(act.algebra.size):
-            for j in range(m):
-                q[x * m + j] = p[x] * m + j
-        gens.append(tuple(q))
-    return validate_action(refined, gens), projection
+    return _lift_action(act, refined, projection), projection
 
 
 def tensor_trivial(act: FkAction, factor: MeasuredAlgebra) -> FkAction:
     """Tensor with a trivial action: generators act on the first coordinate."""
     prod = product_algebra(act.algebra, factor)
-    nb = factor.size
-    gens = []
-    for p in act.gens:
-        q = [0] * prod.size
-        for i in range(act.algebra.size):
-            for j in range(nb):
-                q[i * nb + j] = p[i] * nb + j
-        gens.append(tuple(q))
-    return validate_action(prod, gens)
+    # atom (i, j) of the product is part j of atom i
+    projection = [i for i in range(act.algebra.size) for _ in range(factor.size)]
+    return _lift_action(act, prod, projection)
 
 
 def refine_action_to_unit(
@@ -244,20 +231,22 @@ def refine_action_to_unit(
     """Refine every atom into parts of the given unit mass; extend generators
     part-for-part.  The unit must divide every atom mass."""
     refined, projection = refine_to_unit(act.algebra, unit)
-    starts: list[int] = []
-    pos = 0
-    for mass in act.algebra.atoms:
-        starts.append(pos)
-        pos += int(mass / unit)
+    return _lift_action(act, refined, projection), projection
+
+
+def _lift_action(
+    act: FkAction, refined: MeasuredAlgebra, projection: Sequence[int]
+) -> FkAction:
+    """Extend every generator part-for-part to a refinement laid out in runs
+    (algebra._split): part j of atom x goes to part j of p[x]."""
+    runs = _runs(projection)
     gens = []
     for p in act.gens:
         q = [0] * refined.size
-        for x, mass in enumerate(act.algebra.atoms):
-            count = int(mass / unit)
-            for j in range(count):
-                q[starts[x] + j] = starts[p[x]] + j
+        for run, x_image in zip(runs, p):
+            q[run.start : run.stop] = runs[x_image]
         gens.append(tuple(q))
-    return validate_action(refined, gens), projection
+    return validate_action(refined, gens)
 
 
 def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -> Fraction:
@@ -345,12 +334,10 @@ def perturb_small(act: FkAction, fixed: AtomPartition, delta: Fraction) -> Pertu
     )
     unit = Fraction(1, unit_den)
     refined_act, projection = refine_action_to_unit(act, unit)
-    positions: dict[int, list[int]] = {}
-    for j, parent in enumerate(projection):
-        positions.setdefault(parent, []).append(j)
+    runs = _runs(projection)
     s = list(range(refined_act.algebra.size))
     for i, block in enumerate(fixed.blocks):
-        units = [j for atom in sorted(block) for j in positions[atom]]
+        units = [j for atom in sorted(block) for j in runs[atom]]
         t = int(moved[i] / unit)
         for a, b in zip(units[:t], units[t : 2 * t]):
             s[a], s[b] = s[b], s[a]

@@ -43,9 +43,10 @@ def _fresh_id() -> int:
 class MeasuredAlgebra(Record):
     """A finite measure algebra given by its atom masses.
 
-    Construct through validate_algebra; internal operations that already
-    guarantee the invariants build instances directly.  The id field gives
-    each constructed algebra a distinct identity.
+    Construct through validate_algebra.  Only this module builds instances
+    directly: _split for refinements and product_algebra, whose masses
+    already satisfy the invariants.  The id field gives each constructed
+    algebra a distinct identity.
     """
 
     id: int
@@ -160,13 +161,9 @@ class EventTuple(Record):
         return EventTuple(self.algebra, self.events + other.events)
 
 
-def _member_sets(t: EventTuple) -> list[set[int]]:
-    return [set(e.members) for e in t.events]
-
-
 def _sign_map(t: EventTuple) -> list[Sign]:
     """Sign vector of every atom of the algebra, indexed by atom."""
-    sets = _member_sets(t)
+    sets = [set(e.members) for e in t.events]
     return [tuple(1 if a in s else 0 for s in sets) for a in range(t.algebra.size)]
 
 
@@ -194,14 +191,18 @@ class JointDistribution(Record):
 def joint_distribution(base: EventTuple, fiber: EventTuple) -> JointDistribution:
     """Joint law of the two generated partitions, computed atom by atom."""
     _same_algebra(base.algebra, fiber.algebra, "base and fiber tuples")
-    base_signs = _sign_map(base)
-    fiber_signs = _sign_map(fiber)
-    mass: dict[tuple[Sign, Sign], Fraction] = {}
-    for atom in range(base.algebra.size):
-        key = (base_signs[atom], fiber_signs[atom])
-        mass[key] = mass.get(key, ZERO) + base.algebra.atoms[atom]
-    mass = {k: m for k, m in mass.items() if m > 0}
-    return JointDistribution(base.arity, fiber.arity, mass)
+    return JointDistribution(base.arity, fiber.arity, _cell_law(base, fiber))
+
+
+def _cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
+    """Mass of every cell the tuples generate together, keyed by the tuple of
+    their sign vectors and summed atom by atom.  Every atom has positive
+    mass, so every key has positive mass."""
+    mass: dict[tuple[Sign, ...], Fraction] = {}
+    keys = zip(*(_sign_map(t) for t in tuples))
+    for key, atom_mass in zip(keys, tuples[0].algebra.atoms):
+        mass[key] = mass.get(key, ZERO) + atom_mass
+    return mass
 
 
 def dist_max(a: EventTuple, b: EventTuple) -> Fraction:
@@ -244,15 +245,7 @@ def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[i
     """
     if m < 1:
         raise PartMassMismatch(f"refinement factor must be >= 1, got {m}")
-    _check_refined_size(alg.size, m)
-    atoms: list[Fraction] = []
-    projection: list[int] = []
-    for i, mass in enumerate(alg.atoms):
-        part = mass / m
-        for _ in range(m):
-            atoms.append(part)
-            projection.append(i)
-    return MeasuredAlgebra(_fresh_id(), tuple(atoms)), tuple(projection)
+    return _split(alg, [m] * alg.size)
 
 
 def refine_to_unit(
@@ -264,18 +257,38 @@ def refine_to_unit(
     the refinement has 1/unit atoms; raises InstanceTooLarge beyond
     MAX_REFINED_ATOMS atoms before any is built.
     """
+    counts = []
     for mass in alg.atoms:
         count = mass / unit
         if count.denominator != 1 or count < 1:
             raise PartMassMismatch(f"unit {unit} does not divide atom mass {mass}")
-    _check_refined_size(int(1 / unit))
+        counts.append(int(count))
+    return _split(alg, counts)
+
+
+def _split(
+    alg: MeasuredAlgebra, counts: Sequence[int]
+) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
+    """Split atom x into counts[x] >= 1 equal parts: the layout of every
+    refinement but the product algebra.  The parts of each atom form one run,
+    the runs come in atom order, and the projection maps each part to its
+    parent.  Raises InstanceTooLarge, before any part is built, when
+    sum(counts) passes MAX_REFINED_ATOMS."""
+    _check_refined_size(sum(counts))
     atoms: list[Fraction] = []
     projection: list[int] = []
-    for i, mass in enumerate(alg.atoms):
-        count = int(mass / unit)
-        atoms.extend([unit] * count)
-        projection.extend([i] * count)
+    for x, (mass, count) in enumerate(zip(alg.atoms, counts)):
+        atoms.extend([mass / count] * count)
+        projection.extend([x] * count)
     return MeasuredAlgebra(_fresh_id(), tuple(atoms)), tuple(projection)
+
+
+def _runs(projection: Sequence[int]) -> list[range]:
+    """The run of refined atoms of each parent, indexed by parent, for a
+    projection laid out by _split."""
+    sizes = (sum(1 for _ in parts) for _parent, parts in itertools.groupby(projection))
+    stops = list(itertools.accumulate(sizes))
+    return [range(start, stop) for start, stop in zip([0] + stops, stops)]
 
 
 def lift_event(e: Event, refined: MeasuredAlgebra, projection: Sequence[int]) -> Event:

@@ -58,6 +58,7 @@ from .errors import (
     ArityMismatch,
     EmbeddingNotEquivariant,
     NonpositiveEps,
+    ValidationError,
     WrongTupleCount,
 )
 from .limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, _check_summed_refinement
@@ -95,7 +96,7 @@ def _check_depth(act: FkAction, max_refine: int) -> None:
     summed over them, size*M*(M+1)/2, are checked against MAX_REFINED_ATOMS
     before any search starts: only arithmetic, nothing is built."""
     if max_refine < 1:
-        raise ValueError(f"max_refine must be >= 1, got {max_refine}")
+        raise ValidationError(f"max_refine must be >= 1, got {max_refine}")
     _check_summed_refinement(act.algebra.size, max_refine)
 
 

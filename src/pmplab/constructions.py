@@ -20,9 +20,11 @@ from .algebra import (
     EventTuple,
     MeasuredAlgebra,
     Sign,
-    _fresh_id,
+    _runs,
     _sign_map,
+    _split,
     dist_partition,
+    lift_event,
     lift_tuple,
     refine_to_unit,
     validate_algebra,
@@ -56,11 +58,11 @@ from .errors import (
     PreconditionInvariantElement,
     TypeMismatch,
     UnequalAtoms,
+    ValidationError,
 )
 from .limits import (
     MAX_GROUP_ORDER,
     _check_beam_steps,
-    _check_refined_size,
     _check_summed_refinement,
 )
 from .record import Record
@@ -218,25 +220,13 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     moving = [x for x in range(alg.size) if sa[x] != sb[x]]
     dp = sum((alg.atoms[x] for x in moving), ZERO)
 
-    if moving:
-        unit = Fraction(1, lcm(*(alg.atoms[x].denominator for x in moving)))
-    else:
-        unit = Fraction(1)
-    _check_refined_size(int(dp / unit) + alg.size - len(moving))
-    atoms: list[Fraction] = []
-    projection: list[int] = []
-    fragments: dict[int, list[int]] = {}
-    moving_set = set(moving)
-    for x, mass in enumerate(alg.atoms):
-        if x in moving_set:
-            count = int(mass / unit)
-            fragments[x] = list(range(len(atoms), len(atoms) + count))
-            atoms.extend([unit] * count)
-            projection.extend([x] * count)
-        else:
-            projection.append(x)
-            atoms.append(mass)
-    refined = MeasuredAlgebra(_fresh_id(), tuple(atoms))
+    # lcm() of no denominators is 1: when nothing moves, nothing is split
+    unit = Fraction(1, lcm(*(alg.atoms[x].denominator for x in moving)))
+    counts = [
+        int(mass / unit) if sa[x] != sb[x] else 1 for x, mass in enumerate(alg.atoms)
+    ]
+    refined, projection = _split(alg, counts)
+    fragments = _runs(projection)
 
     leaving: dict[Sign, list[int]] = {}
     entering: dict[Sign, list[int]] = {}
@@ -258,7 +248,7 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     for ea, eb in zip(a_lifted.events, b_lifted.events):
         if apply_perm_event(g, ea).members != eb.members:
             raise LPInternal("matching permutation does not carry a onto b")
-    return Matching(refined, tuple(projection), g, dp, a_lifted, b_lifted)
+    return Matching(refined, projection, g, dp, a_lifted, b_lifted)
 
 
 class PartialExtension(Record):
@@ -298,26 +288,16 @@ def extend_partial_step(
         raise BoundViolated(f"current defect {defect} is not below the bound {bound}")
     matching = match_partitions(gb, c)
     g_new = apply_perm_event(g, newsource)
-    g_new_lifted = Event(
-        matching.refined,
-        tuple(
-            j
-            for j, parent in enumerate(matching.projection)
-            if parent in set(g_new.members)
-        ),
-    )
+    g_new_lifted = lift_event(g_new, matching.refined, matching.projection)
     new_target = apply_perm_event(matching.perm, g_new_lifted)
+    # the lifted c is the matching's b_lifted: block by block, in pair order
     pairs = [
-        (tuple(src), tuple(lift_members(tgt, matching.projection)))
-        for src, tgt in p.pairs
+        (tuple(src), lifted.members)
+        for (src, _tgt), lifted in zip(p.pairs, matching.b_lifted.events)
     ]
     pairs.append((tuple(newsource.members), tuple(new_target.members)))
     extended = PartialIsomorphism.of(alg, matching.refined, pairs)
     return PartialExtension(extended, matching.refined, matching.projection, defect)
-
-
-def lift_members(members: frozenset[int], projection: Sequence[int]) -> list[int]:
-    return [j for j, parent in enumerate(projection) if parent in members]
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +523,11 @@ def eppa_extend(
         if p.source.id != alg.id or p.target.id != alg.id:
             raise AlgebraMismatch("partials must map the given algebra to itself")
     n_units = alg.denominator_lcm()
-    big, _ = refine_to_unit(alg, Fraction(1, n_units))
-    starts: list[int] = []
-    pos = 0
-    for mass in alg.atoms:
-        starts.append(pos)
-        pos += int(mass * n_units)
-    counts = [int(mass * n_units) for mass in alg.atoms]
+    big, projection = refine_to_unit(alg, Fraction(1, n_units))
+    runs = _runs(projection)
 
     def block_units(block: frozenset[int]) -> list[int]:
-        return [
-            starts[atom] + j for atom in sorted(block) for j in range(counts[atom])
-        ]
+        return [u for atom in sorted(block) for u in runs[atom]]
 
     gens: list[Perm] = []
     for p in partials:
@@ -797,7 +770,7 @@ def approx_conjugacy_search(
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     if max_refine < 1 or beam_width < 1:
-        raise ValueError("max_refine and beam_width must be >= 1")
+        raise ValidationError("max_refine and beam_width must be >= 1")
     base_units = lcm(
         act1.algebra.denominator_lcm(), act2.algebra.denominator_lcm()
     )

@@ -5,9 +5,12 @@ refused size is built; past a cap the entry point raises InstanceTooLarge,
 which the command line reports with exit 2.
 
 - MAX_REFINED_ATOMS bounds the atoms of one refinement
-  (_check_refined_size: refine_equal, refine_to_unit, match_partitions, and
-  through them eppa_extend, refine_action_to_unit and perturb_small) and the
-  atoms summed over refinement depths 1..max_refine
+  (_check_refined_size, in algebra._split, which builds every refinement
+  but the product algebra: refine_equal, refine_to_unit and
+  match_partitions, and through them equal_refine_action,
+  refine_action_to_unit, perturb_small, eppa_extend, extend_partial_step
+  and the audit and conjugacy searches).
+  It also bounds the atoms summed over refinement depths 1..max_refine
   (_check_summed_refinement: search_C2_witness, axiom_residual,
   ec_in_extension_check and approx_conjugacy_search).
 - MAX_GROUP_ORDER bounds the elements of a group the library enumerates:
@@ -42,12 +45,12 @@ EXHAUSTIVE_TUPLE_CAP = 4096
 GREEDY_ROUNDS = 64
 
 
-def _check_refined_size(size: int, m: int = 1) -> None:
-    """Raise InstanceTooLarge when splitting size atoms into m parts each
-    would pass MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
-    if size * m > MAX_REFINED_ATOMS:
+def _check_refined_size(atoms: int) -> None:
+    """Raise InstanceTooLarge when a refinement to this many atoms would pass
+    MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
+    if atoms > MAX_REFINED_ATOMS:
         raise InstanceTooLarge(
-            f"a refinement to {size * m} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
+            f"a refinement to {atoms} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
         )
 
 

@@ -18,8 +18,8 @@ from .algebra import (
     EventTuple,
     JointDistribution,
     Sign,
+    _cell_law,
     _same_algebra,
-    _sign_map,
     joint_distribution,
 )
 from .errors import ArityMismatch, LPInternal
@@ -34,11 +34,13 @@ def joint_tv_distance(j1: JointDistribution, j2: JointDistribution) -> Fraction:
     mass maps are compared, so base and fiber arities must agree."""
     if j1.base_arity != j2.base_arity or j1.fiber_arity != j2.fiber_arity:
         raise ArityMismatch("joint distributions have different shapes")
-    keys = set(j1.mass) | set(j2.mass)
-    total = sum(
-        (abs(j1.mass.get(k, ZERO) - j2.mass.get(k, ZERO)) for k in keys), ZERO
-    )
-    return total / 2
+    return _tv(j1.mass, j2.mass)
+
+
+def _tv(p: Mapping, q: Mapping) -> Fraction:
+    """Half the summed absolute difference of two sign-keyed mass maps."""
+    keys = set(p) | set(q)
+    return sum((abs(p.get(k, ZERO) - q.get(k, ZERO)) for k in keys), ZERO) / 2
 
 
 def type_distance_tv(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
@@ -140,15 +142,8 @@ def triple_law(base: EventTuple, mid: EventTuple, fiber: EventTuple) -> TripleDi
     """Actual joint law of three tuples, computed atom by atom."""
     _same_algebra(base.algebra, mid.algebra, "tuples")
     _same_algebra(base.algebra, fiber.algebra, "tuples")
-    rs = _sign_map(base)
-    ts = _sign_map(mid)
-    ss = _sign_map(fiber)
-    mass: dict[tuple[Sign, Sign, Sign], Fraction] = {}
-    for atom in range(base.algebra.size):
-        key = (rs[atom], ts[atom], ss[atom])
-        mass[key] = mass.get(key, ZERO) + base.algebra.atoms[atom]
     return TripleDistribution(
-        base.arity, mid.arity, fiber.arity, {k: m for k, m in mass.items() if m > 0}
+        base.arity, mid.arity, fiber.arity, _cell_law(base, mid, fiber)
     )
 
 
@@ -169,9 +164,7 @@ def relatively_independent_joining(
     mass: dict[tuple[Sign, Sign, Sign], Fraction] = {}
     for (r, s), mb in jb.mass.items():
         for t in _fiber_support(jc, r):
-            m = mb * jc.mass_of(r, t) / base_masses[r]
-            if m > 0:
-                mass[(r, t, s)] = m
+            mass[(r, t, s)] = mb * jc.mass_of(r, t) / base_masses[r]
     return TripleDistribution(base.arity, c.arity, b.arity, mass)
 
 
@@ -182,7 +175,4 @@ def independence_deficiency(
     (base, c, b) and the relatively independent joining; zero exactly when
     b and c are conditionally independent over the base partition."""
     actual = triple_law(base, c, b).mass
-    joined = relatively_independent_joining(base, b, c).mass
-    keys = set(actual) | set(joined)
-    total = sum((abs(actual.get(k, ZERO) - joined.get(k, ZERO)) for k in keys), ZERO)
-    return total / 2
+    return _tv(actual, relatively_independent_joining(base, b, c).mass)

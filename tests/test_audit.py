@@ -48,6 +48,7 @@ from pmplab.errors import (
     EmbeddingNotEquivariant,
     InstanceTooLarge,
     NonpositiveEps,
+    ValidationError,
     WrongTupleCount,
 )
 from pmplab.limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, MAX_REFINED_ATOMS
@@ -1131,3 +1132,13 @@ def test_refuted_instances_have_no_witness_at_any_depth(instance, data):
         assert not res.found
         for depth in range(1, max_refine + 1):
             assert brute_force_minimum(act, a, bs, depth) >= 2 * eps
+
+
+def test_audit_depth_below_one_is_a_validation_error():
+    act = quotient_action(cyclic_group(2, [1]))
+    a = EventTuple.of_members(act.algebra, [[0]])
+    bs = [EventTuple.of_members(act.algebra, [[0]])]
+    with pytest.raises(ValidationError, match="max_refine"):
+        search_C2_witness(act, a, bs, F(1, 4), max_refine=0)
+    with pytest.raises(ValidationError, match="max_refine"):
+        axiom_residual(act, a, bs, max_refine=0)

@@ -278,6 +278,14 @@ def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):
     assert "beam" in error["message"]
 
 
+def test_conjsearch_without_a_beam_is_a_validation_error(capsys):
+    code, out = run(capsys, "conjsearch", Z2_ACTION, Z2_ACTION, "--beam", "0")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert "beam_width" in error["message"]
+
+
 def test_embed_modes(capsys):
     code, out = run(capsys, "embed", Z2_ACTION, "--mode", "transitive")
     assert code == 0

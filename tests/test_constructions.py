@@ -63,6 +63,7 @@ from pmplab.errors import (
     PreconditionInvariantElement,
     TypeMismatch,
     UnequalAtoms,
+    ValidationError,
 )
 from pmplab.limits import (
     MAX_BEAM_STEPS,
@@ -1075,3 +1076,12 @@ def test_conjugacy_beams_are_capped_by_their_summed_steps():
         return sum(16 * (2 * d) ** 2 for d in range(1, depths + 1))
 
     assert summed(57) <= MAX_BEAM_STEPS < summed(58)
+
+
+def test_conjugacy_search_without_a_beam_or_a_depth_is_a_validation_error():
+    act = quotient_action(cyclic_group(2, [1]))
+    for max_refine, beam_width in ((1, 0), (0, 16)):
+        with pytest.raises(ValidationError, match="beam_width"):
+            approx_conjugacy_search(
+                act, act, max_refine=max_refine, beam_width=beam_width
+            )

@@ -170,6 +170,47 @@ def test_every_public_name_is_used_in_the_package_or_allowlisted():
     assert unreferenced_public_names(sources) == sorted(LIBRARY_ONLY)
 
 
+def algebras_built_outside_algebra(sources: dict[str, str]) -> list[str]:
+    """Calls of MeasuredAlgebra(...) or _fresh_id() in any module but
+    algebra.py, as module:line: name.  Refined algebras are laid out by
+    algebra._split alone, and every other algebra comes from
+    validate_algebra or product_algebra."""
+    found: list[str] = []
+    for module, source in sources.items():
+        if module == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("MeasuredAlgebra", "_fresh_id"):
+                found.append(f"{module}:{node.lineno}: {name}")
+    return sorted(found)
+
+
+def test_detects_an_algebra_built_outside_algebra():
+    sources = {
+        "algebra.py": "def f():\n    return MeasuredAlgebra(_fresh_id(), ())\n",
+        "b.py": (
+            "from .algebra import MeasuredAlgebra, _fresh_id\n"
+            "x = MeasuredAlgebra(_fresh_id(), ())\n"
+            "y = algebra.MeasuredAlgebra(1, ())\n"
+            "def g(alg: MeasuredAlgebra) -> MeasuredAlgebra:\n    return alg\n"
+        ),
+    }
+    assert algebras_built_outside_algebra(sources) == [
+        "b.py:2: MeasuredAlgebra",
+        "b.py:2: _fresh_id",
+        "b.py:3: MeasuredAlgebra",
+    ]
+
+
+def test_only_the_algebra_module_builds_algebras():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert algebras_built_outside_algebra(sources) == []
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the modules a source imports, relative imports
     excluded."""
