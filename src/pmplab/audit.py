@@ -65,8 +65,7 @@ from .limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, _check_summed_refinemen
 from .modeltheory import (
     independence_deficiency,
     joint_tv_distance,
-    type_distance_max,
-    type_distance_tv,
+    type_distance,
 )
 from .record import Record
 
@@ -139,11 +138,9 @@ def check_C1(
     from the anchor joined with the other pushes, over the i-th push.
 
     metric selects the type distance for the xi values: "tv" (closed form,
-    the default) or "max" (linear-program cross-check).  The psi defects are
-    total-variation quantities in both modes."""
-    if metric not in ("tv", "max"):
-        raise ValueError(f'metric must be "tv" or "max", got {metric!r}')
-    distance = type_distance_tv if metric == "tv" else type_distance_max
+    the default) or "max" (linear-program cross-check); any other name raises
+    ValidationError.  The psi defects are total variation in both modes."""
+    distance = type_distance(metric)
     tuples = _check_instance(act, a, bs, eps)
     b0 = tuples[0]
     k = act.k

@@ -43,11 +43,7 @@ from .constructions import (
     quotient_action,
 )
 from .errors import ArityMismatch, PmplabError, ValidationError
-from .modeltheory import (
-    independence_deficiency,
-    type_distance_max,
-    type_distance_tv,
-)
+from .modeltheory import TYPE_METRICS, independence_deficiency, type_distance
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -88,13 +84,6 @@ def _load(arg: str) -> Any:
     )
 
 
-def _check_k(args, actual: int) -> None:
-    if args.k is not None and args.k != actual:
-        raise ArityMismatch(
-            f"--k {args.k} does not match the object's {actual} generators"
-        )
-
-
 def _fr(value: Fraction) -> str:
     return jsonio.format_rational(value)
 
@@ -109,14 +98,12 @@ def _dec(value: Fraction) -> str:
 
 def _cmd_gen_quotient(args) -> dict:
     group = jsonio.group_from_json(_load(args.group))
-    _check_k(args, group.k)
     return jsonio.action_to_json(quotient_action(group))
 
 
 def _cmd_joint_quotient(args) -> dict:
     g1 = jsonio.group_from_json(_load(args.group1))
     g2 = jsonio.group_from_json(_load(args.group2))
-    _check_k(args, g1.k)
     jq = joint_quotient(g1, g2)
     return {
         "group": jsonio.group_to_json(jq.group),
@@ -127,14 +114,12 @@ def _cmd_joint_quotient(args) -> dict:
 
 def _cmd_tensor(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(args, act.k)
     factor = jsonio.algebra_from_json(_load(args.factor))
     return jsonio.action_to_json(tensor_trivial(act, factor))
 
 
 def _cmd_refine(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(args, act.k)
     if args.parts < 1:
         raise ValidationError(f"parts must be >= 1, got {args.parts}")
     refined, projection = equal_refine_action(act, args.parts)
@@ -159,8 +144,7 @@ def _cmd_typedist(args) -> dict:
     base = jsonio.tuple_from_json(alg, _load(args.base))
     b = jsonio.tuple_from_json(alg, _load(args.b))
     c = jsonio.tuple_from_json(alg, _load(args.c))
-    fn = type_distance_tv if args.metric == "tv" else type_distance_max
-    value = fn(base, b, c)
+    value = type_distance(args.metric)(base, b, c)
     return {"metric": args.metric, "distance": _fr(value), "distance_decimal": _dec(value)}
 
 
@@ -227,7 +211,6 @@ def _cmd_eppa(args) -> dict:
 
 def _cmd_ergodize(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(args, act.k)
     fixed = jsonio.partition_from_json(act.algebra, _load(args.fixed))
     res = ergodize(act, fixed)
     return {
@@ -238,7 +221,6 @@ def _cmd_ergodize(args) -> dict:
 
 def _cmd_embed(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
-    _check_k(args, act.k)
     if args.mode == "transitive":
         res = embed_transitive_into_quotient(act)
     else:
@@ -257,7 +239,6 @@ def _cmd_embed(args) -> dict:
 def _cmd_conjsearch(args) -> dict:
     a1 = jsonio.action_from_json(_load(args.action1))
     a2 = jsonio.action_from_json(_load(args.action2))
-    _check_k(args, a1.k)
     cert = approx_conjugacy_search(
         a1, a2, max_refine=args.max_refine, beam_width=args.beam
     )
@@ -279,7 +260,6 @@ def _audit_inputs(args):
 
 def _cmd_audit_c1(args) -> dict:
     act, a, bs = _audit_inputs(args)
-    _check_k(args, act.k)
     eps = jsonio.parse_rational(args.eps)
     report = check_C1(act, a, bs, eps, metric=args.metric)
     return {
@@ -295,7 +275,6 @@ def _cmd_audit_c1(args) -> dict:
 
 def _cmd_audit_c2(args) -> dict:
     act, a, bs = _audit_inputs(args)
-    _check_k(args, act.k)
     eps = jsonio.parse_rational(args.eps)
     res = search_C2_witness(act, a, bs, eps, max_refine=args.max_refine)
     w = res.witness
@@ -310,7 +289,6 @@ def _cmd_audit_c2(args) -> dict:
 
 def _cmd_audit_residual(args) -> dict:
     act, a, bs = _audit_inputs(args)
-    _check_k(args, act.k)
     value = axiom_residual(act, a, bs, max_refine=args.max_refine)
     return {"residual": _fr(value), "residual_decimal": _dec(value)}
 
@@ -318,7 +296,6 @@ def _cmd_audit_residual(args) -> dict:
 def _cmd_audit_ec(args) -> dict:
     small = jsonio.action_from_json(_load(args.small))
     big = jsonio.action_from_json(_load(args.big))
-    _check_k(args, small.k)
     embed = jsonio.partial_from_json(small.algebra, big.algebra, _load(args.embed))
     anchors = jsonio.tuple_from_json(small.algebra, _load(args.a))
     bs = jsonio.tuple_from_json(big.algebra, _load(args.bs))
@@ -345,24 +322,23 @@ def _cmd_audit_ec(args) -> dict:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--k", type=int, default=None, help="expected generator count")
-    common.add_argument("--max-refine", type=int, default=1, dest="max_refine")
-    common.add_argument("--metric", choices=("tv", "max"), default="tv")
-    common.add_argument("--out", default=None, help="also write the document here")
-
     parser = _Parser(prog="pmplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    bs = ("bs", {"nargs": "+"})
+    depth = ("--max-refine", {"type": int, "default": 1, "dest": "max_refine"})
+    metric = ("--metric", {"choices": TYPE_METRICS, "default": "tv"})
 
-    def add(name, handler, *positionals, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        for pos in positionals:
-            if isinstance(pos, tuple):
-                p.add_argument(pos[0], **pos[1])
+    def add(name, handler, *arguments, **kwargs):
+        """A subcommand with its arguments, each a name or (name, options),
+        and --out."""
+        p = sub.add_parser(name, **kwargs)
+        for arg in arguments:
+            if isinstance(arg, tuple):
+                p.add_argument(arg[0], **arg[1])
             else:
-                p.add_argument(pos)
+                p.add_argument(arg)
+        p.add_argument("--out", default=None, help="also write the document here")
         p.set_defaults(handler=handler)
-        return p
 
     add("gen-quotient", _cmd_gen_quotient, "group",
         help="quotient action of a marked group")
@@ -375,7 +351,7 @@ def build_parser() -> _Parser:
         help="split every atom into equal parts")
     add("dist", _cmd_dist, "algebra", "a", "b",
         help="max and partition distances between tuples")
-    add("typedist", _cmd_typedist, "algebra", "base", "b", "c",
+    add("typedist", _cmd_typedist, "algebra", "base", "b", "c", metric,
         help="type distance over a base tuple")
     add("indep", _cmd_indep, "algebra", "base", "b", "c",
         help="conditional independence deficiency")
@@ -388,24 +364,20 @@ def build_parser() -> _Parser:
         help="extend partial automorphisms over an equal-atom algebra")
     add("ergodize", _cmd_ergodize, "action", "fixed",
         help="make an action transitive fixing a block partition")
-    p_embed = add("embed", _cmd_embed, "action",
-                  help="embed into a quotient (or quotient tensor trivial) action")
-    p_embed.add_argument("--mode", choices=("transitive", "profinite"),
-                         default="profinite")
-    p_conj = add("conjsearch", _cmd_conjsearch, "action1", "action2",
-                 help="search for a near-conjugacy with an exact certificate")
-    p_conj.add_argument("--beam", type=int, default=16)
-    add("audit-c1", _cmd_audit_c1, "action", "a", "eps",
-        ("bs", {"nargs": "+"}),
+    add("embed", _cmd_embed, "action",
+        ("--mode", {"choices": ("transitive", "profinite"), "default": "profinite"}),
+        help="embed into a quotient (or quotient tensor trivial) action")
+    add("conjsearch", _cmd_conjsearch, "action1", "action2", depth,
+        ("--beam", {"type": int, "default": 16}),
+        help="search for a near-conjugacy with an exact certificate")
+    add("audit-c1", _cmd_audit_c1, "action", "a", "eps", bs, metric,
         help="first closure condition quantities")
-    add("audit-c2", _cmd_audit_c2, "action", "a", "eps",
-        ("bs", {"nargs": "+"}),
+    add("audit-c2", _cmd_audit_c2, "action", "a", "eps", bs, depth,
         help="witness search for the second closure condition")
-    add("audit-residual", _cmd_audit_residual, "action", "a",
-        ("bs", {"nargs": "+"}),
+    add("audit-residual", _cmd_audit_residual, "action", "a", bs, depth,
         help="certified upper bound for the closure axiom residual")
     add("audit-ec", _cmd_audit_ec, "small", "big", "embed", "a", "bs",
-        "words", "eps",
+        "words", "eps", depth,
         help="imitate an extension tuple inside the small system")
     return parser
 
@@ -422,10 +394,6 @@ def cli_dispatch(argv) -> int:
         code = exc.code
         return int(code) if code else 0
     try:
-        if args.max_refine < 1:
-            raise ValidationError(
-                f"--max-refine must be >= 1, got {args.max_refine}"
-            )
         payload = args.handler(args)
         document = jsonio.render_document(payload)
         if args.out:  # first, so a failed write prints only the error document

@@ -673,11 +673,7 @@ def embed_transitive_into_quotient(act: FkAction) -> QuotientEmbedding:
         raise NotTransitive("action is not transitive on atoms")
     group, elements = permutation_marked_group(act.gens)
     target = quotient_action(group)
-    pairs = []
-    for c in range(alg.size):
-        stab = tuple(i for i, e in enumerate(elements) if e[0] == c)
-        pairs.append(((c,), stab))
-    sigma = PartialIsomorphism.of(alg, target.algebra, pairs)
+    sigma = _coset_sigma(act, target, elements, [frozenset(range(alg.size))])
     return QuotientEmbedding(group, elements, target, sigma)
 
 
@@ -696,16 +692,24 @@ def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
     base_factor = validate_algebra([alg.mass_of(c) for c in comps])
     group, elements = permutation_marked_group(act.gens)
     target = tensor_trivial(quotient_action(group), base_factor)
+    sigma = _coset_sigma(act, target, elements, comps)
+    return QuotientEmbedding(group, elements, target, sigma, base_factor)
+
+
+def _coset_sigma(
+    act: FkAction, target: FkAction, elements: Sequence[Perm], comps: Sequence[frozenset[int]]
+) -> PartialIsomorphism:
+    """Atom c of orbit component o goes to the target atoms gamma * len(comps)
+    + o over the group elements gamma sending o's lowest atom to c.  A
+    transitive action is one component, and the target has no factor."""
     width = len(comps)
-    pairs = []
+    images: list[list[int]] = [[] for _ in range(act.algebra.size)]
     for oi, comp in enumerate(comps):
         base_atom = min(comp)
-        for c in sorted(comp):
-            gammas = [i for i, e in enumerate(elements) if e[base_atom] == c]
-            pairs.append(((c,), tuple(g * width + oi for g in gammas)))
-    pairs.sort(key=lambda pr: pr[0])
-    sigma = PartialIsomorphism.of(alg, target.algebra, pairs)
-    return QuotientEmbedding(group, elements, target, sigma, base_factor)
+        for g, e in enumerate(elements):
+            images[e[base_atom]].append(g * width + oi)
+    pairs = [((c,), tuple(gammas)) for c, gammas in enumerate(images)]
+    return PartialIsomorphism.of(act.algebra, target.algebra, pairs)
 
 
 # ---------------------------------------------------------------------------

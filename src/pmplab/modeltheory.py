@@ -22,7 +22,7 @@ from .algebra import (
     _same_algebra,
     joint_distribution,
 )
-from .errors import ArityMismatch, LPInternal
+from .errors import ArityMismatch, LPInternal, ValidationError
 from .record import Record
 from .simplex import solve_lp
 
@@ -110,6 +110,18 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
     if solution.value < 0:
         raise LPInternal("coupling program returned a negative distance")
     return solution.value
+
+
+TYPE_METRICS = ("tv", "max")
+
+
+def type_distance(metric: str):
+    """type_distance_tv (closed form) for "tv", type_distance_max (exact
+    simplex) for "max".  Read from this module when called, so a wrapper
+    set on the module attribute sees calls made by metric name."""
+    if metric not in TYPE_METRICS:
+        raise ValidationError(f'metric must be "tv" or "max", got {metric!r}')
+    return type_distance_tv if metric == "tv" else type_distance_max
 
 
 def _fiber_support(joint: JointDistribution, r: Sign) -> list[Sign]:

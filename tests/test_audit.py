@@ -1142,3 +1142,11 @@ def test_audit_depth_below_one_is_a_validation_error():
         search_C2_witness(act, a, bs, F(1, 4), max_refine=0)
     with pytest.raises(ValidationError, match="max_refine"):
         axiom_residual(act, a, bs, max_refine=0)
+
+
+def test_check_c1_unknown_metric_is_a_validation_error():
+    act = quotient_action(cyclic_group(2, [1]))
+    a = EventTuple.of_members(act.algebra, [[0]])
+    bs = [EventTuple.of_members(act.algebra, [[0]])] * 2
+    with pytest.raises(ValidationError, match="metric"):
+        check_C1(act, a, bs, F(1, 4), metric="euclid")

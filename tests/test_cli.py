@@ -5,19 +5,23 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmplab import cli
 from pmplab.cli import cli_dispatch
 from pmplab.constructions import cyclic_group, quotient_action
 from pmplab.jsonio import action_from_json
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 Z2_ACTION = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[1,0]]}'
 Z2_TWO_GENS = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[1,0],[1,0]]}'
@@ -386,30 +390,43 @@ def test_input_from_file(capsys, tmp_path):
 
 
 def test_flag_validation(capsys):
-    code, out = run(capsys, "gen-quotient", "cyclic:2:1,1", "--k", "1")
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "ArityMismatch"
-    code, _ = run(capsys, "gen-quotient", "cyclic:2:1,1", "--k", "2")
-    assert code == 0
+    # a flag exists only on the subcommands that read it
+    for argv in (
+        ("gen-quotient", "cyclic:2:1,1", "--k", "2"),
+        ("dist", HALVES, "[[0]]", "[[1]]", "--metric", "max"),
+        ("gen-quotient", "cyclic:2:1,1", "--max-refine", "1"),
+    ):
+        assert run(capsys, *argv) == (64, "")
 
-    code, out = run(capsys, "gen-quotient", "cyclic:2:1,1", "--max-refine", "0")
-    assert code == 2
+    for argv in (
+        ("audit-c2", Z2_TWO_GENS, "[[0]]", "1/10", "[[0]]", "[[1]]", "[[1]]"),
+        ("conjsearch", Z2_ACTION, Z2_ACTION),
+    ):
+        code, out = run(capsys, *argv, "--max-refine", "0")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError"
+        assert "max_refine" in error["message"]
 
     code, _ = run(capsys, "gen-quotient", "cyclic:2:1,1", "--seed", "1")
     assert code == 64
 
 
 def test_module_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "pmplab.cli", "delta",
          '{"atoms":["1/2","1/2"]}', "[1,0]", "[1,0]"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == '{\n  "delta": "0/1"\n}\n'
     usage = subprocess.run(
         [sys.executable, "-m", "pmplab.cli", "nope"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert usage.returncode == 64
     assert "usage" in usage.stderr
@@ -494,9 +511,68 @@ def _mutate(data, obj):
     return obj
 
 
+class RecordingArgs:
+    """A parsed namespace that notes the name of every attribute read."""
+
+    def __init__(self, namespace):
+        self._values = vars(namespace)
+        self.read: set[str] = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        try:
+            return self._values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+def test_recording_args_notes_reads():
+    args = RecordingArgs(cli._parser().parse_args(["dist", "x", "y", "z"]))
+    assert (args.algebra, args.b) == ("x", "z")
+    assert args.read == {"algebra", "b"}
+    with pytest.raises(AttributeError):
+        args.k
+
+
+@pytest.mark.parametrize("request_", VALID_REQUESTS, ids=lambda r: r[0])
+def test_handler_reads_every_flag_its_subcommand_defines(request_):
+    namespace = cli._parser().parse_args(_argv(request_))
+    args = RecordingArgs(namespace)
+    namespace.handler(args)
+    defined = set(vars(namespace)) - {"out", "handler", "command"}
+    assert defined - args.read == set()
+
+
+def test_valid_requests_cover_every_subcommand():
+    handlers = {cli._parser().parse_args(_argv(r)).handler for r in VALID_REQUESTS}
+    assert {h.__name__ for h in handlers} == {
+        name for name in vars(cli) if name.startswith("_cmd_")
+    }
+
+
+_SEARCHES = ("conjsearch", "audit-c2", "audit-residual", "audit-ec")
+
+
+def _depth_flag(command):
+    """The search depth, passed to the searches, which alone take it."""
+    return ["--max-refine", "1"] if command in _SEARCHES else []
+
+
 @pytest.mark.parametrize("request_", VALID_REQUESTS, ids=lambda r: r[0])
 def test_fuzz_requests_are_valid(capsys, request_):
-    assert run(capsys, *_argv(request_), "--max-refine", "1")[0] == 0
+    assert run(capsys, *_argv(request_), *_depth_flag(request_[0]))[0] == 0
+
+
+@pytest.mark.parametrize("request_", VALID_REQUESTS, ids=lambda r: r[0])
+def test_flags_outside_their_subcommands_are_usage_errors(capsys, request_):
+    command = request_[0]
+    flags = [("--k", "1")]
+    if command not in _SEARCHES:
+        flags.append(("--max-refine", "1"))
+    if command not in ("typedist", "audit-c1"):
+        flags.append(("--metric", "tv"))
+    for flag in flags:
+        assert run(capsys, *_argv(request_), *flag) == (64, "")
 
 
 @pytest.mark.parametrize("request_", VALID_REQUESTS, ids=lambda r: r[0])
@@ -514,7 +590,7 @@ def test_mutated_documents_exit_cleanly(request_, data):
             args[i] = _mutate(data, args[i])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli_dispatch(_argv((request_[0], *args)) + ["--max-refine", "1"])
+        code = cli_dispatch(_argv((request_[0], *args)) + _depth_flag(request_[0]))
     assert code in (0, 2, 64)
     if code == 64:
         assert out.getvalue() == ""

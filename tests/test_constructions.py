@@ -694,6 +694,28 @@ def test_embed_profinite_tensor_properties():
                 assert pushed == set(blocks[act.gens[i][c]])
 
 
+def test_embedding_pairs_follow_the_orbit_components():
+    # atom c of component o goes to the pairs (gamma, o), gamma sending o's
+    # lowest atom to c; a transitive action is one component of width 1,
+    # where both embeddings give the same pairs
+    rng = random.Random(433)
+    for make in (random_small_order_action, random_transitive_small_action):
+        for _ in range(15):
+            act = make(rng, rng.randint(2, 8), rng.randint(1, 2))
+            emb = embed_into_profinite_tensor(act)
+            comps = invariant_components(act).components
+            width = len(comps)
+            expected = []
+            for c in range(act.algebra.size):
+                o = next(i for i, comp in enumerate(comps) if c in comp)
+                base = min(comps[o])
+                gammas = [g for g, e in enumerate(emb.elements) if e[base] == c]
+                expected.append((frozenset([c]), frozenset(g * width + o for g in gammas)))
+            assert emb.sigma.pairs == tuple(expected)
+            if width == 1:
+                assert embed_transitive_into_quotient(act).sigma.pairs == emb.sigma.pairs
+
+
 # ---------------------------------------------------------------- conjugacy
 
 

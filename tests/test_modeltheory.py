@@ -13,12 +13,14 @@ from pmplab.algebra import (
     product_algebra,
     validate_algebra,
 )
-from pmplab.errors import ArityMismatch, InstanceTooLarge
+from pmplab.errors import ArityMismatch, InstanceTooLarge, ValidationError
 from pmplab.modeltheory import (
+    TYPE_METRICS,
     independence_deficiency,
     joint_tv_distance,
     relatively_independent_joining,
     triple_law,
+    type_distance,
     type_distance_max,
     type_distance_tv,
 )
@@ -61,6 +63,14 @@ def test_type_distance_pair_example():
     assert type_distance_max(base, b, c) == F(1, 2)
     assert oracle_type_distance(base, b, c, grid=4, metric="max") == F(1, 2)
     assert oracle_type_distance(base, b, c, grid=4) == 1
+
+
+def test_metric_names_select_the_type_distances():
+    assert TYPE_METRICS == ("tv", "max")
+    assert type_distance("tv") is type_distance_tv
+    assert type_distance("max") is type_distance_max
+    with pytest.raises(ValidationError, match="euclid"):
+        type_distance("euclid")
 
 
 def test_joint_tv_distance_shape_check():
