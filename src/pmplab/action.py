@@ -54,18 +54,20 @@ def perm_inverse(p: Perm) -> Perm:
 
 def check_permutation(alg: MeasuredAlgebra, p: Sequence[int]) -> Perm:
     """Validate p as a mass-preserving permutation of the atoms of alg."""
-    if len(p) != alg.size:
-        raise NotBijective(f"permutation length {len(p)} != atom count {alg.size}")
-    seen = [False] * alg.size
-    for x, y in enumerate(p):
-        if not 0 <= y < alg.size or seen[y]:
+    n = alg.size
+    if len(p) != n:
+        raise NotBijective(f"permutation length {len(p)} != atom count {n}")
+    seen = [False] * n
+    for y in p:
+        if not 0 <= y < n or seen[y]:
             raise NotBijective("generator table is not a permutation")
         seen[y] = True
-    for x, y in enumerate(p):
-        if alg.atoms[x] != alg.atoms[y]:
-            raise NotMeasurePreserving(
-                f"atom {x} (mass {alg.atoms[x]}) maps to atom {y} (mass {alg.atoms[y]})"
-            )
+    units = alg._units
+    if tuple([units[y] for y in p]) != units:
+        x, y = next((x, y) for x, y in enumerate(p) if units[x] != units[y])
+        raise NotMeasurePreserving(
+            f"atom {x} (mass {alg.atoms[x]}) maps to atom {y} (mass {alg.atoms[y]})"
+        )
     return tuple(p)
 
 
@@ -260,26 +262,21 @@ def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -
     gp = check_permutation(alg, g)
     hp = check_permutation(alg, h)
     p = perm_compose(perm_inverse(hp), gp)
+    units = alg._units
     seen = [False] * alg.size
-    total = ZERO
+    total = 0
     for start in range(alg.size):
         if seen[start]:
             continue
-        cycle = [start]
+        length = 1
         seen[start] = True
         x = p[start]
         while x != start:
             seen[x] = True
-            cycle.append(x)
+            length += 1
             x = p[x]
-        if len(cycle) == 1:
-            continue
-        mass = alg.mass_of(cycle)
-        if len(cycle) % 2 == 0:
-            total += mass
-        else:
-            total += mass - min(alg.atoms[i] for i in cycle)
-    return total
+        total += units[start] * (length - length % 2)
+    return Fraction(total, alg._den)
 
 
 def uniform_distance_tuples(

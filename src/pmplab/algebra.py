@@ -6,6 +6,14 @@ generate sign-vector partitions, and every distance in this package is a sum
 of cell masses of such partitions.  All arithmetic is exact; nothing here
 touches floats.
 
+Each algebra also carries, derived from its atoms and computed once, the
+common denominator D of its masses (the lcm of their denominators) and its
+atoms as integer units of 1/D.  The measure kernels (mass sums, joint laws,
+the partition metric, mass-preservation checks) add and compare those
+integers and build one Fraction per result, so every value they return is
+still a Fraction.  The units are not fields: an algebra's repr, equality,
+hash, pickle and copies are those of its id and atoms alone.
+
 Algebras have nominal identity: two algebras with identical atom lists are
 still distinct objects, and events belonging to different algebras never
 compare equal and may not be combined.
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -29,7 +38,6 @@ from .limits import _check_refined_size
 from .record import Record
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Sign = tuple[int, ...]
 
@@ -56,11 +64,26 @@ class MeasuredAlgebra(Record):
     def size(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def _den(self) -> int:
+        return lcm(*(m.denominator for m in self.atoms))
+
+    @cached_property
+    def _units(self) -> tuple[int, ...]:
+        """Atom x weighs _units[x] / _den."""
+        den = self._den
+        return tuple([m.numerator * (den // m.denominator) for m in self.atoms])
+
+    def __getstate__(self) -> dict:
+        # the cached units are derived: pickles and copies carry the fields alone
+        return {name: getattr(self, name) for name in self.__match_args__}
+
     def mass_of(self, members: Iterable[int]) -> Fraction:
-        return _mass_sum([self.atoms[i] for i in members])
+        units = self._units
+        return Fraction(sum([units[i] for i in members]), self._den)
 
     def denominator_lcm(self) -> int:
-        return lcm(*(m.denominator for m in self.atoms))
+        return self._den
 
 
 def validate_algebra(masses: Sequence[Fraction]) -> MeasuredAlgebra:
@@ -69,23 +92,22 @@ def validate_algebra(masses: Sequence[Fraction]) -> MeasuredAlgebra:
     Raises ZeroAtom for empty input or a nonpositive mass, MassNotOne when
     the total differs from one.
     """
-    atoms = tuple(Fraction(m) for m in masses)
+    atoms = tuple([m if type(m) is Fraction else Fraction(m) for m in masses])
     if not atoms:
         raise ZeroAtom("an algebra needs at least one atom")
-    for i, m in enumerate(atoms):
-        if m <= 0:
-            raise ZeroAtom(f"atom {i} has nonpositive mass {m}")
-    total = _mass_sum(atoms)
-    if total != ONE:
-        raise MassNotOne(f"atom masses sum to {total}, expected 1")
-    return MeasuredAlgebra(_fresh_id(), atoms)
-
-
-def _mass_sum(masses: Sequence[Fraction]) -> Fraction:
-    """The exact sum: numerators scaled to the lcm of the denominators, added
-    as integers, and one Fraction at the end."""
-    den = lcm(*(m.denominator for m in masses))
-    return Fraction(sum(m.numerator * (den // m.denominator) for m in masses), den)
+    numerators = [m.numerator for m in atoms]
+    if min(numerators) <= 0:
+        i = next(i for i, num in enumerate(numerators) if num <= 0)
+        raise ZeroAtom(f"atom {i} has nonpositive mass {atoms[i]}")
+    denominators = [m.denominator for m in atoms]
+    den = lcm(*denominators)
+    units = tuple([num * (den // d) for num, d in zip(numerators, denominators)])
+    total = sum(units)
+    if total != den:
+        raise MassNotOne(f"atom masses sum to {Fraction(total, den)}, expected 1")
+    alg = MeasuredAlgebra(_fresh_id(), atoms)
+    alg.__dict__.update(_den=den, _units=units)
+    return alg
 
 
 def _same_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra, what: str) -> None:
@@ -163,8 +185,16 @@ class EventTuple(Record):
 
 def _sign_map(t: EventTuple) -> list[Sign]:
     """Sign vector of every atom of the algebra, indexed by atom."""
-    sets = [set(e.members) for e in t.events]
-    return [tuple(1 if a in s else 0 for s in sets) for a in range(t.algebra.size)]
+    n = t.algebra.size
+    if not t.events:
+        return [()] * n
+    columns = []
+    for e in t.events:
+        column = [0] * n
+        for a in e.members:
+            column[a] = 1
+        columns.append(column)
+    return list(zip(*columns))
 
 
 class JointDistribution(Record):
@@ -196,13 +226,16 @@ def joint_distribution(base: EventTuple, fiber: EventTuple) -> JointDistribution
 
 def _cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
     """Mass of every cell the tuples generate together, keyed by the tuple of
-    their sign vectors and summed atom by atom.  Every atom has positive
-    mass, so every key has positive mass."""
-    mass: dict[tuple[Sign, ...], Fraction] = {}
-    keys = zip(*(_sign_map(t) for t in tuples))
-    for key, atom_mass in zip(keys, tuples[0].algebra.atoms):
-        mass[key] = mass.get(key, ZERO) + atom_mass
-    return mass
+    their sign vectors, in order of each cell's first atom, and summed atom by
+    atom in units.  Every atom has positive mass, so every key has positive
+    mass."""
+    alg = tuples[0].algebra
+    cells: dict[tuple[Sign, ...], int] = {}
+    keys = zip(*[_sign_map(t) for t in tuples])
+    for key, u in zip(keys, alg._units):
+        cells[key] = cells.get(key, 0) + u
+    den = alg._den
+    return {key: Fraction(u, den) for key, u in cells.items()}
 
 
 def dist_max(a: EventTuple, b: EventTuple) -> Fraction:
@@ -229,11 +262,9 @@ def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
     _same_algebra(a.algebra, b.algebra, "tuples")
     if a.arity != b.arity:
         raise ArityMismatch(f"tuples have arities {a.arity} and {b.arity}")
-    sa = _sign_map(a)
-    sb = _sign_map(b)
-    return sum(
-        (a.algebra.atoms[x] for x in range(a.algebra.size) if sa[x] != sb[x]), ZERO
-    )
+    units = a.algebra._units
+    moved = [u for u, sa, sb in zip(units, _sign_map(a), _sign_map(b)) if sa != sb]
+    return Fraction(sum(moved), a.algebra._den)
 
 
 def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[int, ...]]:

@@ -375,8 +375,7 @@ def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
 
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
-        denom = alg.denominator_lcm()
-        weights = [m.numerator * (denom // m.denominator) for m in alg.atoms]
+        denom, weights = alg._den, alg._units
         target_units = {
             pack(r) | pack(s) << base_arity: m.numerator * (denom // m.denominator)
             for (r, s), m in target.mass.items()
@@ -625,8 +624,9 @@ def _ec_prepare(
 
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
-        denom = lcm(alg.denominator_lcm(), *(m.denominator for m in target.values()))
-        weights = [m.numerator * (denom // m.denominator) for m in alg.atoms]
+        denom = lcm(alg._den, *(m.denominator for m in target.values()))
+        scale = denom // alg._den
+        weights = [u * scale for u in alg._units]
         goal = [
             target[key].numerator * (denom // target[key].denominator) for key in keys
         ]

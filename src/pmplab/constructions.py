@@ -160,8 +160,10 @@ class Isomorphism(Record):
     ) -> Isomorphism:
         if source.size != target.size or sorted(mapping) != list(range(source.size)):
             raise NotBijective("mapping is not a bijection between the atom sets")
+        su, sd = source._units, source._den
+        tu, td = target._units, target._den
         for x, y in enumerate(mapping):
-            if source.atoms[x] != target.atoms[y]:
+            if su[x] * td != tu[y] * sd:
                 raise NotMassPreserving(
                     f"atom {x} of mass {source.atoms[x]} maps to mass {target.atoms[y]}"
                 )
@@ -208,17 +210,19 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     sa = _sign_map(a)
     sb = _sign_map(b)
     # Only the cells that occur: every atom has positive mass, so an empty
-    # cell has mass 0 under both tuples and never needs comparing.
-    masses_a: dict[Sign, Fraction] = {}
-    masses_b: dict[Sign, Fraction] = {}
-    for x, mass in enumerate(alg.atoms):
-        masses_a[sa[x]] = masses_a.get(sa[x], ZERO) + mass
-        masses_b[sb[x]] = masses_b.get(sb[x], ZERO) + mass
+    # cell has mass 0 under both tuples and never needs comparing.  Masses
+    # are in the algebra's integer units.
+    units = alg._units
+    masses_a: dict[Sign, int] = {}
+    masses_b: dict[Sign, int] = {}
+    for ra, rb, u in zip(sa, sb, units):
+        masses_a[ra] = masses_a.get(ra, 0) + u
+        masses_b[rb] = masses_b.get(rb, 0) + u
     if masses_a != masses_b:
         raise TypeMismatch("tuples are not equidistributed: cell masses differ")
 
     moving = [x for x in range(alg.size) if sa[x] != sb[x]]
-    dp = sum((alg.atoms[x] for x in moving), ZERO)
+    dp = Fraction(sum([units[x] for x in moving]), alg._den)
 
     # lcm() of no denominators is 1: when nothing moves, nothing is split
     unit = Fraction(1, lcm(*(alg.atoms[x].denominator for x in moving)))
@@ -564,6 +568,12 @@ class Ergodization(Record):
     modifications: int
 
 
+def _equal_atoms(alg: MeasuredAlgebra) -> bool:
+    """Whether all atoms of alg have one mass: ergodization and both
+    embeddings require it."""
+    return len(set(alg._units)) == 1
+
+
 def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     """Make an equal-atom action transitive without disturbing a subalgebra.
 
@@ -578,7 +588,7 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     alg = act.algebra
     if fixed.algebra.id != alg.id:
         raise AlgebraMismatch("fixed partition does not live on the action's algebra")
-    if len(set(alg.atoms)) != 1:
+    if not _equal_atoms(alg):
         raise UnequalAtoms("ergodization requires all atoms of equal mass")
     block_index = fixed.block_index()
     block_perms: list[list[int]] = []
@@ -667,7 +677,7 @@ def embed_transitive_into_quotient(act: FkAction) -> QuotientEmbedding:
     elements sending o to c; left multiplication by a generator permutes
     these sets exactly as the generator permutes atoms."""
     alg = act.algebra
-    if len(set(alg.atoms)) != 1:
+    if not _equal_atoms(alg):
         raise UnequalAtoms("embedding requires all atoms of equal mass")
     if not invariant_components(act).ergodic:
         raise NotTransitive("action is not transitive on atoms")
@@ -686,7 +696,7 @@ def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
     of that set is exactly the atom mass, and left multiplication on the
     first coordinate intertwines the actions."""
     alg = act.algebra
-    if len(set(alg.atoms)) != 1:
+    if not _equal_atoms(alg):
         raise UnequalAtoms("embedding requires all atoms of equal mass")
     comps = invariant_components(act).components
     base_factor = validate_algebra([alg.mass_of(c) for c in comps])
@@ -773,8 +783,10 @@ def approx_conjugacy_search(
     run so far, this one included, are checked against MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
-    if max_refine < 1 or beam_width < 1:
-        raise ValidationError("max_refine and beam_width must be >= 1")
+    if max_refine < 1:
+        raise ValidationError(f"max_refine must be >= 1, got {max_refine}")
+    if beam_width < 1:
+        raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
     base_units = lcm(
         act1.algebra.denominator_lcm(), act2.algebra.denominator_lcm()
     )

@@ -290,6 +290,18 @@ def test_conjsearch_without_a_beam_is_a_validation_error(capsys):
     assert "beam_width" in error["message"]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-refine", "0", "max_refine must be >= 1, got 0"),
+    ("--max-refine", "-1", "max_refine must be >= 1, got -1"),
+    ("--beam", "0", "beam_width must be >= 1, got 0"),
+    ("--beam", "-3", "beam_width must be >= 1, got -3"),
+])
+def test_conjsearch_names_the_bad_depth_or_beam(capsys, flag, value, message):
+    code, out = run(capsys, "conjsearch", Z2_ACTION, Z2_ACTION, flag, value)
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "ValidationError"}}
+
+
 def test_embed_modes(capsys):
     code, out = run(capsys, "embed", Z2_ACTION, "--mode", "transitive")
     assert code == 0

@@ -1102,8 +1102,13 @@ def test_conjugacy_beams_are_capped_by_their_summed_steps():
 
 def test_conjugacy_search_without_a_beam_or_a_depth_is_a_validation_error():
     act = quotient_action(cyclic_group(2, [1]))
-    for max_refine, beam_width in ((1, 0), (0, 16)):
-        with pytest.raises(ValidationError, match="beam_width"):
+    for max_refine, beam_width, message in (
+        (1, 0, "beam_width must be >= 1, got 0"),
+        (0, 16, "max_refine must be >= 1, got 0"),
+        (-2, 0, "max_refine must be >= 1, got -2"),
+    ):
+        with pytest.raises(ValidationError) as err:
             approx_conjugacy_search(
                 act, act, max_refine=max_refine, beam_width=beam_width
             )
+        assert str(err.value) == message

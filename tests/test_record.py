@@ -6,10 +6,21 @@ import copy
 import dataclasses
 import inspect
 import pickle
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import pmplab
+from pmplab.action import check_permutation
+from pmplab.algebra import (
+    EventTuple,
+    MeasuredAlgebra,
+    _cell_law,
+    dist_partition,
+    refine_equal,
+    validate_algebra,
+)
 from pmplab.record import Record
 
 # Importing pmplab imports every module, so every record class exists.
@@ -131,3 +142,41 @@ def test_record_class_rules():
         pass
 
     assert Empty() == Empty() and repr(Empty()) == "test_record_class_rules.<locals>.Empty()"
+
+
+def test_cached_units_leave_the_algebra_record_unchanged(monkeypatch):
+    """An algebra's common denominator and integer units are derived and
+    cached: its repr, ==, hash, pickle and copies are those of its fields,
+    before and after the units are computed, and each algebra computes
+    them once."""
+    alg = validate_algebra([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    plain = MeasuredAlgebra(alg.id, alg.atoms)
+    before = (repr(plain), hash(plain), pickle.dumps(plain))
+    assert sorted(vars(plain)) == ["atoms", "id"]
+    assert (plain._den, plain._units) == (alg._den, alg._units) == (6, (3, 2, 1))
+    assert (repr(plain), hash(plain), pickle.dumps(plain)) == before
+    assert (repr(alg), hash(alg), pickle.dumps(alg)) == before
+    assert plain == alg and repr(alg) == f"MeasuredAlgebra(id={alg.id}, atoms={alg.atoms!r})"
+    for back in (pickle.loads(pickle.dumps(alg)), copy.copy(alg), copy.deepcopy(alg)):
+        assert back == alg and hash(back) == hash(alg) and repr(back) == repr(alg)
+        assert sorted(vars(back)) == ["atoms", "id"]
+        assert (back._den, back._units) == (6, (3, 2, 1))
+
+    calls = []
+
+    def counted_lcm(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(pmplab.algebra, "lcm", counted_lcm)
+    built = validate_algebra(alg.atoms)
+    refined, _ = refine_equal(built, 2)
+    assert len(calls) == 1  # validate_algebra's; the refinement is lazy
+    for target in (built, refined, copy.copy(built)):
+        t = EventTuple.of_members(target, [[0], [1, 2]])
+        for _ in range(3):
+            target.mass_of([0, 1])
+            _cell_law(t, t)
+            dist_partition(t, t)
+            check_permutation(target, range(target.size))
+    assert len(calls) == 3  # plus one for the refinement and one for the copy
