@@ -52,8 +52,9 @@ class MeasuredAlgebra(Record):
     """A finite measure algebra given by its atom masses.
 
     Construct through validate_algebra.  Only this module builds instances
-    directly: _split for refinements and product_algebra, whose masses
-    already satisfy the invariants.  The id field gives each constructed
+    directly, through _new_algebra: _split for refinements and
+    product_algebra, whose masses already satisfy the invariants and whose
+    units come from their parents'.  The id field gives each constructed
     algebra a distinct identity.
     """
 
@@ -105,6 +106,14 @@ def validate_algebra(masses: Sequence[Fraction]) -> MeasuredAlgebra:
     total = sum(units)
     if total != den:
         raise MassNotOne(f"atom masses sum to {Fraction(total, den)}, expected 1")
+    return _new_algebra(atoms, den, units)
+
+
+def _new_algebra(
+    atoms: tuple[Fraction, ...], den: int, units: tuple[int, ...]
+) -> MeasuredAlgebra:
+    """A fresh algebra whose units cache is filled with den and units, which
+    must be the ones its atoms give."""
     alg = MeasuredAlgebra(_fresh_id(), atoms)
     alg.__dict__.update(_den=den, _units=units)
     return alg
@@ -288,12 +297,14 @@ def refine_to_unit(
     the refinement has 1/unit atoms; raises InstanceTooLarge beyond
     MAX_REFINED_ATOMS atoms before any is built.
     """
+    # atom x holds units[x] * unit.denominator / (D * unit.numerator) parts
+    scale = alg._den * unit.numerator
     counts = []
-    for mass in alg.atoms:
-        count = mass / unit
-        if count.denominator != 1 or count < 1:
+    for mass, u in zip(alg.atoms, alg._units):
+        count, rest = divmod(u * unit.denominator, scale)
+        if rest or count < 1:
             raise PartMassMismatch(f"unit {unit} does not divide atom mass {mass}")
-        counts.append(int(count))
+        counts.append(count)
     return _split(alg, counts)
 
 
@@ -304,14 +315,23 @@ def _split(
     refinement but the product algebra.  The parts of each atom form one run,
     the runs come in atom order, and the projection maps each part to its
     parent.  Raises InstanceTooLarge, before any part is built, when
-    sum(counts) passes MAX_REFINED_ATOMS."""
+    sum(counts) passes MAX_REFINED_ATOMS.
+
+    The child's units come from one part per parent atom.  For an equal
+    split by m they are the parent's units, each repeated m times, over D*m:
+    the units of an algebra have gcd 1, since they sum to D and D is the
+    least common denominator."""
     _check_refined_size(sum(counts))
+    parts = [mass / count for mass, count in zip(alg.atoms, counts)]
+    den = lcm(*[part.denominator for part in parts])
     atoms: list[Fraction] = []
+    units: list[int] = []
     projection: list[int] = []
-    for x, (mass, count) in enumerate(zip(alg.atoms, counts)):
-        atoms.extend([mass / count] * count)
+    for x, (part, count) in enumerate(zip(parts, counts)):
+        atoms.extend([part] * count)
+        units.extend([part.numerator * (den // part.denominator)] * count)
         projection.extend([x] * count)
-    return MeasuredAlgebra(_fresh_id(), tuple(atoms)), tuple(projection)
+    return _new_algebra(tuple(atoms), den, tuple(units)), tuple(projection)
 
 
 def _runs(projection: Sequence[int]) -> list[range]:
@@ -335,9 +355,13 @@ def lift_tuple(
 
 
 def product_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra) -> MeasuredAlgebra:
-    """Product measure algebra, atom (i, j) at index i * b.size + j."""
-    atoms = tuple(ma * mb for ma in a.atoms for mb in b.atoms)
-    return MeasuredAlgebra(_fresh_id(), atoms)
+    """Product measure algebra, atom (i, j) at index i * b.size + j.
+
+    Its units are the products of the factors' units over D_a * D_b, exact
+    because the units of each factor have gcd 1."""
+    atoms = tuple([ma * mb for ma in a.atoms for mb in b.atoms])
+    units = tuple([ua * ub for ua in a._units for ub in b._units])
+    return _new_algebra(atoms, a._den * b._den, units)
 
 
 class AtomPartition(Record):

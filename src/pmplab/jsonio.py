@@ -269,8 +269,8 @@ def render_document(obj: Any) -> str:
     The bytes are those of json.dumps(obj, indent=2, sort_keys=True) + "\\n",
     written by a direct walk of the payload: dicts with str keys, lists and
     tuples, str, int, bool and None; any other type raises TypeError.  A
-    list of plain ints is written with one join, and strings are escaped by
-    the json module's C escaper."""
+    list of plain ints, or of plain strs, is written with one join, and
+    strings are escaped by the json module's C escaper."""
     out: list[str] = []
     _render(obj, "\n", out)
     out.append("\n")
@@ -307,8 +307,10 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if set(map(type, obj)) == {int}:  # plain ints only: no bool
-            items = ("," + inner).join(map(int.__repr__, obj))
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {str}:  # plain ints (no bool) or strs
+            write = int.__repr__ if kinds == {int} else _quote
+            items = ("," + inner).join(map(write, obj))
             out.append("[" + inner + items + newline + "]")
             return
         opener = "[" + inner

@@ -7,10 +7,28 @@ the other.  Two metrics are provided: a total-variation form with a closed
 formula, and a max-coordinate form computed by an exact rational linear
 program over couplings.  Conditional independence is measured as the
 total-variation gap to the relatively independent joining.
+
+The kernels on tuples of one algebra read its laws in integer units of 1/D,
+D its common denominator, grouped by base cell in one pass over the atoms,
+and build one Fraction per result; joint_tv_distance, whose two laws may
+come from two algebras, adds over the lcm of their denominators.
+
+Both type distances start from the residual laws: in each base cell, the
+law p of b less min(p, q) and the law q of c less min(p, q), sign by sign.
+Shared mass can stay on the diagonal of an optimal coupling.  If a coupling
+sends d from s to t' and d from s' to s, sending d from s' to t' and d from
+s to s keeps both margins, and by the triangle inequality for each
+coordinate's mismatch [s_i != t_i] it raises no coordinate's mismatch mass.
+So the max-metric program couples only the residual masses, whose supports
+are disjoint: a cell where the two laws agree drops out, and at arity 1
+every residual pair mismatches in its one coordinate, so the max distance
+is the total-variation distance, the summed residual mass.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import Mapping
 
 from .algebra import (
@@ -20,7 +38,7 @@ from .algebra import (
     Sign,
     _cell_law,
     _same_algebra,
-    joint_distribution,
+    _sign_map,
 )
 from .errors import ArityMismatch, LPInternal, ValidationError
 from .record import Record
@@ -38,9 +56,46 @@ def joint_tv_distance(j1: JointDistribution, j2: JointDistribution) -> Fraction:
 
 
 def _tv(p: Mapping, q: Mapping) -> Fraction:
-    """Half the summed absolute difference of two sign-keyed mass maps."""
-    keys = set(p) | set(q)
-    return sum((abs(p.get(k, ZERO) - q.get(k, ZERO)) for k in keys), ZERO) / 2
+    """Half the summed absolute difference of two sign-keyed mass maps, added
+    in integer units of the lcm of their denominators."""
+    den = lcm(*[m.denominator for law in (p, q) for m in law.values()])
+    gap = {k: m.numerator * (den // m.denominator) for k, m in p.items()}
+    for k, m in q.items():
+        gap[k] = gap.get(k, 0) - m.numerator * (den // m.denominator)
+    return Fraction(sum(map(abs, gap.values())), 2 * den)
+
+
+def _residual_laws(
+    base: EventTuple, b: EventTuple, c: EventTuple
+) -> list[tuple[dict[Sign, int], dict[Sign, int]]]:
+    """The residual laws of b and c in each base cell where they differ, in
+    units of 1/D: p - min(p, q) and q - min(p, q), positive entries only.
+
+    An atom where b and c have one sign adds to p and q alike, so only the
+    atoms where they differ are read.  The two sides of a cell have disjoint
+    supports and equal totals."""
+    cells: dict[Sign, dict[Sign, int]] = {}
+    signs = zip(_sign_map(base), _sign_map(b), _sign_map(c), base.algebra._units)
+    for r, s, t, u in signs:
+        if s != t:
+            gap = cells.get(r)
+            if gap is None:
+                gap = cells[r] = {}
+            gap[s] = gap.get(s, 0) + u
+            gap[t] = gap.get(t, 0) - u
+    laws = []
+    for gap in cells.values():
+        p = {s: m for s, m in gap.items() if m > 0}
+        if p:
+            laws.append((p, {t: -m for t, m in gap.items() if m < 0}))
+    return laws
+
+
+def _residual_mass(
+    laws: list[tuple[dict[Sign, int], dict[Sign, int]]], den: int
+) -> Fraction:
+    """The summed residual mass of b: the total-variation distance."""
+    return Fraction(sum([sum(p.values()) for p, _q in laws]), den)
 
 
 def type_distance_tv(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
@@ -48,10 +103,10 @@ def type_distance_tv(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction
 
     Equals half the summed absolute difference of the two joint laws, i.e.
     the least partition-metric distance between c and any tuple realizing
-    the type of b over the base.
+    the type of b over the base: the summed residual mass of b.
     """
     _check_triple(base, b, c)
-    return joint_tv_distance(joint_distribution(base, b), joint_distribution(base, c))
+    return _residual_mass(_residual_laws(base, b, c), base.algebra._den)
 
 
 def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
@@ -61,55 +116,53 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
     joint law of b over the base, found by an exact simplex over per-cell
     couplings: one coupling per base cell with the two conditional laws as
     margins, minimizing the largest per-coordinate mismatch mass.
+
+    Some optimal coupling keeps min(p(s), q(s)) on the diagonal of every
+    cell (see the module docstring), so the program couples only the
+    residual laws, with integer rows in units of 1/D and one variable per
+    residual pair.  No program is solved when the laws agree in every cell
+    (the distance is 0) or at arity 1, where the distance equals the
+    total-variation distance, the summed residual mass.
     """
     _check_triple(base, b, c)
+    cells = _residual_laws(base, b, c)
+    den = base.algebra._den
     n = b.arity
-    if n == 0:
-        return ZERO
-    jb = joint_distribution(base, b)
-    jc = joint_distribution(base, c)
-    cells = sorted(jb.base_marginal())
+    if n == 1 or not cells:
+        return _residual_mass(cells, den)  # 0 when no cell is left
 
-    var_index: dict[tuple[Sign, Sign, Sign], int] = {}
-    for r in cells:
-        for s in _fiber_support(jb, r):
-            for t in _fiber_support(jc, r):
-                var_index[(r, s, t)] = len(var_index)
-    z_index = len(var_index)
-    slack_base = z_index + 1
-    width = slack_base + n
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for r in cells:
-        for s in _fiber_support(jb, r):
-            row = [ZERO] * width
-            for t in _fiber_support(jc, r):
-                row[var_index[(r, s, t)]] = Fraction(1)
+    z = sum([len(p) * len(q) for p, q in cells])
+    width = z + 1 + n
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    pairs: list[tuple[Sign, Sign]] = []
+    for p, q in cells:
+        start, step = len(pairs), len(q)
+        stop = start + len(p) * step
+        for i, mass in enumerate(p.values()):
+            row = [0] * width
+            row[start + i * step : start + (i + 1) * step] = [1] * step
             rows.append(row)
-            rhs.append(jb.mass_of(r, s))
-        for t in _fiber_support(jc, r):
-            row = [ZERO] * width
-            for s in _fiber_support(jb, r):
-                row[var_index[(r, s, t)]] = Fraction(1)
+            rhs.append(mass)
+        for j, mass in enumerate(q.values()):
+            row = [0] * width
+            row[start + j : stop : step] = [1] * len(p)
             rows.append(row)
-            rhs.append(jc.mass_of(r, t))
+            rhs.append(mass)
+        pairs.extend(product(p, q))
     for i in range(n):
-        row = [ZERO] * width
-        for (r, s, t), j in var_index.items():
-            if s[i] != t[i]:
-                row[j] = Fraction(1)
-        row[z_index] = Fraction(-1)
-        row[slack_base + i] = Fraction(1)
+        row = [int(s[i] != t[i]) for s, t in pairs] + [0] * (1 + n)
+        row[z] = -1
+        row[z + 1 + i] = 1
         rows.append(row)
-        rhs.append(ZERO)
+        rhs.append(0)
 
-    objective = [ZERO] * width
-    objective[z_index] = Fraction(1)
+    objective = [0] * width
+    objective[z] = 1
     solution = solve_lp(objective, rows, rhs)
     if solution.value < 0:
         raise LPInternal("coupling program returned a negative distance")
-    return solution.value
+    return solution.value / den
 
 
 TYPE_METRICS = ("tv", "max")
@@ -122,10 +175,6 @@ def type_distance(metric: str):
     if metric not in TYPE_METRICS:
         raise ValidationError(f'metric must be "tv" or "max", got {metric!r}')
     return type_distance_tv if metric == "tv" else type_distance_max
-
-
-def _fiber_support(joint: JointDistribution, r: Sign) -> list[Sign]:
-    return sorted(s for (rr, s) in joint.mass if rr == r)
 
 
 def _check_triple(base: EventTuple, b: EventTuple, c: EventTuple) -> None:
@@ -166,17 +215,28 @@ def relatively_independent_joining(
 
         mass(r, t, s) = mass(r, t) * mass(r, s) / mass(r).
 
-    Base cells of mass zero contribute nothing.
+    Base cells of mass zero contribute nothing.  Keys come in the order of
+    the first atom of each (r, s), then in sorted order of t; in units of
+    1/D each mass is B(r, s) * C(r, t) / (D * U(r)).
     """
     _same_algebra(base.algebra, b.algebra, "tuples")
     _same_algebra(base.algebra, c.algebra, "tuples")
-    jb = joint_distribution(base, b)
-    jc = joint_distribution(base, c)
-    base_masses = jb.base_marginal()
+    law_b: dict[tuple[Sign, Sign], int] = {}
+    cells: dict[Sign, dict[Sign, int]] = {}
+    signs = zip(_sign_map(base), _sign_map(b), _sign_map(c), base.algebra._units)
+    for r, s, t, u in signs:
+        law_b[r, s] = law_b.get((r, s), 0) + u
+        law_c = cells.get(r)
+        if law_c is None:
+            law_c = cells[r] = {}
+        law_c[t] = law_c.get(t, 0) + u
+    den = base.algebra._den
+    scale = {r: den * sum(law_c.values()) for r, law_c in cells.items()}
     mass: dict[tuple[Sign, Sign, Sign], Fraction] = {}
-    for (r, s), mb in jb.mass.items():
-        for t in _fiber_support(jc, r):
-            mass[(r, t, s)] = mb * jc.mass_of(r, t) / base_masses[r]
+    for (r, s), mb in law_b.items():
+        law_c = cells[r]
+        for t in sorted(law_c):
+            mass[(r, t, s)] = Fraction(mb * law_c[t], scale[r])
     return TripleDistribution(base.arity, c.arity, b.arity, mass)
 
 
@@ -185,6 +245,33 @@ def independence_deficiency(
 ) -> Fraction:
     """Total-variation distance between the actual joint law of
     (base, c, b) and the relatively independent joining; zero exactly when
-    b and c are conditionally independent over the base partition."""
-    actual = triple_law(base, c, b).mass
-    return _tv(actual, relatively_independent_joining(base, b, c).mass)
+    b and c are conditionally independent over the base partition.
+
+    The joining's support holds the actual law's, so base cell r adds
+    sum |A(r, t, s) * U(r) - B(r, s) * C(r, t)| / (2 * U(r) * D) over its
+    pairs (t, s), all in units of 1/D; the inner sum is all integer."""
+    _same_algebra(base.algebra, c.algebra, "tuples")
+    _same_algebra(base.algebra, b.algebra, "tuples")
+    cells: dict[Sign, dict[tuple[Sign, Sign], int]] = {}
+    signs = zip(_sign_map(base), _sign_map(c), _sign_map(b), base.algebra._units)
+    for r, t, s, u in signs:
+        law = cells.get(r)
+        if law is None:
+            law = cells[r] = {}
+        law[t, s] = law.get((t, s), 0) + u
+    total = ZERO
+    for law in cells.values():
+        law_c: dict[Sign, int] = {}
+        law_b: dict[Sign, int] = {}
+        for (t, s), a in law.items():
+            law_c[t] = law_c.get(t, 0) + a
+            law_b[s] = law_b.get(s, 0) + a
+        mass = sum(law_c.values())
+        gap = sum([
+            abs(law.get((t, s), 0) * mass - mb * mc)
+            for t, mc in law_c.items()
+            for s, mb in law_b.items()
+        ])
+        if gap:
+            total += Fraction(gap, mass)
+    return total / (2 * base.algebra._den)

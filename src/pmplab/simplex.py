@@ -30,11 +30,15 @@ class LPSolution(Record):
 
 
 def solve_lp(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    objective: Sequence[int | Fraction],
+    rows: Sequence[Sequence[int | Fraction]],
+    rhs: Sequence[int | Fraction],
 ) -> LPSolution:
     """Minimize objective . x subject to rows . x = rhs, x >= 0.
+
+    Coefficients may be ints or Fractions, mixed freely: only their
+    numerators and denominators are read, and an int is its own numerator
+    over 1.  The solution is the same either way, in Fractions.
 
     Raises LPInternal if the program is infeasible or unbounded; callers in
     this package only build feasible bounded programs, so either condition

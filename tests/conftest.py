@@ -19,6 +19,7 @@ from pmplab.algebra import (
     ZERO,
     Event,
     EventTuple,
+    JointDistribution,
     MeasuredAlgebra,
     Sign,
     _sign_map,
@@ -28,7 +29,7 @@ from pmplab.algebra import (
 from pmplab.action import FkAction, _breadth_first, validate_action
 from pmplab.constructions import MarkedGroup, PartialIsomorphism
 from pmplab.errors import InstanceTooLarge, LPInternal
-from pmplab.modeltheory import _check_triple, _fiber_support
+from pmplab.modeltheory import _check_triple
 
 
 def random_algebra(
@@ -231,8 +232,8 @@ def oracle_type_distance(
 
     per_cell: list[list[tuple[Sign, Sign, tuple[int, ...]]]] = []
     for r in cells:
-        ss = _fiber_support(jb, r)
-        ts = _fiber_support(jc, r)
+        ss = fiber_support(jb, r)
+        ts = fiber_support(jc, r)
         row_units = [int(jb.mass_of(r, s) / step) for s in ss]
         col_units = [int(jc.mass_of(r, t) / step) for t in ts]
         tables = list(_tables(row_units, col_units))
@@ -274,6 +275,11 @@ def oracle_type_distance(
         if best_value is None or value < best_value:
             best_value = value
     return best_value * step
+
+
+def fiber_support(joint: JointDistribution, r: Sign) -> list[Sign]:
+    """The fiber signs of positive mass in base cell r, sorted."""
+    return sorted(s for (rr, s) in joint.mass if rr == r)
 
 
 def _tables(rows: Sequence[int], cols: Sequence[int]) -> Iterator[tuple[int, ...]]:

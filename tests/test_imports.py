@@ -121,6 +121,9 @@ LIBRARY_ONLY = {
     "algebra.Event.intersect": "Boolean operation of the measure algebra",
     "algebra.AtomPartition.trivial": "the one-block partition, bottom of the partition lattice",
     "constructions.MarkedGroup.inverse": "group inverse, completing the marked-group interface",
+    "modeltheory.relatively_independent_joining": "paper construction: the joining that independence_deficiency measures against",
+    "modeltheory.triple_law": "the actual joint law that independence_deficiency compares with the joining",
+    "algebra.JointDistribution.base_marginal": "the base-cell masses of a joint law",
 }
 
 
@@ -171,8 +174,8 @@ def test_every_public_name_is_used_in_the_package_or_allowlisted():
 
 
 def algebras_built_outside_algebra(sources: dict[str, str]) -> list[str]:
-    """Calls of MeasuredAlgebra(...) or _fresh_id() in any module but
-    algebra.py, as module:line: name.  Refined algebras are laid out by
+    """Calls of MeasuredAlgebra(...), _fresh_id() or _new_algebra(...) in
+    any module but algebra.py, as module:line: name.  Refined algebras are laid out by
     algebra._split alone, and every other algebra comes from
     validate_algebra or product_algebra."""
     found: list[str] = []
@@ -184,7 +187,7 @@ def algebras_built_outside_algebra(sources: dict[str, str]) -> list[str]:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("MeasuredAlgebra", "_fresh_id"):
+            if name in ("MeasuredAlgebra", "_fresh_id", "_new_algebra"):
                 found.append(f"{module}:{node.lineno}: {name}")
     return sorted(found)
 
@@ -196,6 +199,7 @@ def test_detects_an_algebra_built_outside_algebra():
             "from .algebra import MeasuredAlgebra, _fresh_id\n"
             "x = MeasuredAlgebra(_fresh_id(), ())\n"
             "y = algebra.MeasuredAlgebra(1, ())\n"
+            "z = _new_algebra((), 1, ())\n"
             "def g(alg: MeasuredAlgebra) -> MeasuredAlgebra:\n    return alg\n"
         ),
     }
@@ -203,6 +207,7 @@ def test_detects_an_algebra_built_outside_algebra():
         "b.py:2: MeasuredAlgebra",
         "b.py:2: _fresh_id",
         "b.py:3: MeasuredAlgebra",
+        "b.py:4: _new_algebra",
     ]
 
 

@@ -1,35 +1,60 @@
 """The measure kernels add integer units over one common denominator per
-algebra.  Each is checked here against the Fraction-by-Fraction code it
+algebra, and so do the type distances, the joining and the independence
+deficiency.  Each is checked here against the Fraction-by-Fraction code it
 replaced, kept as the oracle: equal values, equal key order in the laws,
-and equal exception types and messages."""
+and equal exception types and messages.  Refinements and products build
+their units from their parents' and are checked against the units their
+atoms give."""
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmplab import modeltheory
 from pmplab.action import check_permutation
 from pmplab.algebra import (
     EventTuple,
     MeasuredAlgebra,
     _cell_law,
+    _sign_map,
+    _split,
     dist_partition,
     joint_distribution,
+    product_algebra,
+    refine_equal,
+    refine_to_unit,
     validate_algebra,
 )
 from pmplab.constructions import Isomorphism
 from pmplab.errors import (
     AlgebraMismatch,
     ArityMismatch,
+    InstanceTooLarge,
+    LPInternal,
     MassNotOne,
     NotBijective,
     NotMassPreserving,
     NotMeasurePreserving,
+    PartMassMismatch,
     ZeroAtom,
 )
+from pmplab.modeltheory import (
+    TripleDistribution,
+    independence_deficiency,
+    joint_tv_distance,
+    relatively_independent_joining,
+    triple_law,
+    type_distance_max,
+    type_distance_tv,
+)
+from pmplab.simplex import LPSolution, solve_lp
+
+from conftest import fiber_support
 
 F = Fraction
 ZERO = F(0)
@@ -108,6 +133,84 @@ def oracle_isomorphism(source: MeasuredAlgebra, target: MeasuredAlgebra, mapping
     return tuple(mapping)
 
 
+def oracle_refine_to_unit(alg: MeasuredAlgebra, unit: Fraction):
+    counts = []
+    for mass in alg.atoms:
+        count = mass / unit
+        if count.denominator != 1 or count < 1:
+            raise PartMassMismatch(f"unit {unit} does not divide atom mass {mass}")
+        counts.append(int(count))
+    return _split(alg, counts)
+
+
+def oracle_tv(p, q) -> Fraction:
+    keys = set(p) | set(q)
+    return sum((abs(p.get(k, ZERO) - q.get(k, ZERO)) for k in keys), ZERO) / 2
+
+
+def oracle_type_distance_tv(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
+    return oracle_tv(joint_distribution(base, b).mass, joint_distribution(base, c).mass)
+
+
+def oracle_type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
+    """One coupling variable for every pair of fiber signs of each base cell,
+    shared mass included, with Fraction rows."""
+    n = b.arity
+    if n == 0:
+        return ZERO
+    jb = joint_distribution(base, b)
+    jc = joint_distribution(base, c)
+    cells = sorted(jb.base_marginal())
+    var_index = {}
+    for r in cells:
+        for s in fiber_support(jb, r):
+            for t in fiber_support(jc, r):
+                var_index[(r, s, t)] = len(var_index)
+    z_index = len(var_index)
+    width = z_index + 1 + n
+    rows, rhs = [], []
+    for r in cells:
+        for s in fiber_support(jb, r):
+            row = [ZERO] * width
+            for t in fiber_support(jc, r):
+                row[var_index[(r, s, t)]] = F(1)
+            rows.append(row)
+            rhs.append(jb.mass_of(r, s))
+        for t in fiber_support(jc, r):
+            row = [ZERO] * width
+            for s in fiber_support(jb, r):
+                row[var_index[(r, s, t)]] = F(1)
+            rows.append(row)
+            rhs.append(jc.mass_of(r, t))
+    for i in range(n):
+        row = [ZERO] * width
+        for (r, s, t), j in var_index.items():
+            if s[i] != t[i]:
+                row[j] = F(1)
+        row[z_index] = F(-1)
+        row[z_index + 1 + i] = F(1)
+        rows.append(row)
+        rhs.append(ZERO)
+    objective = [ZERO] * width
+    objective[z_index] = F(1)
+    return solve_lp(objective, rows, rhs).value
+
+
+def oracle_joining(base: EventTuple, b: EventTuple, c: EventTuple) -> TripleDistribution:
+    jb = joint_distribution(base, b)
+    jc = joint_distribution(base, c)
+    base_masses = jb.base_marginal()
+    mass = {}
+    for (r, s), mb in jb.mass.items():
+        for t in fiber_support(jc, r):
+            mass[(r, t, s)] = mb * jc.mass_of(r, t) / base_masses[r]
+    return TripleDistribution(base.arity, c.arity, b.arity, mass)
+
+
+def oracle_independence_deficiency(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
+    return oracle_tv(triple_law(base, c, b).mass, oracle_joining(base, b, c).mass)
+
+
 def outcome(fn, *args):
     """The value fn returns, or the type and message of what it raises."""
     try:
@@ -162,6 +265,35 @@ def permutation_tables(draw, alg: MeasuredAlgebra) -> list[int]:
         for x, y in zip(members, draw(st.permutations(members))):
             table[x] = y
     return table
+
+
+@st.composite
+def type_instances(draw):
+    """An algebra of 1-40 atoms, a base tuple of arity 0-2 and two fiber
+    tuples b and c of arity 0-3.  c is drawn afresh, or its law agrees with
+    b's in some or in every base cell: there c carries b's signs moved along
+    a mass-preserving permutation of the cell's atoms, so the two tuples
+    differ while their laws agree."""
+    alg = validate_algebra(draw(mixed_masses(max_atoms=40)))
+    n = alg.size
+    members = st.sets(st.integers(0, n - 1))
+    base = EventTuple.of_members(alg, draw(st.lists(members, max_size=2)))
+    arity = draw(st.sampled_from([2, 3, 1, 0]))  # programs are the point
+    b = EventTuple.of_members(alg, draw(st.lists(members, min_size=arity, max_size=arity)))
+    fresh = [set(e) for e in draw(st.lists(members, min_size=arity, max_size=arity))]
+    signs = [tuple(int(x in e) for e in fresh) for x in range(n)]
+    b_signs = _sign_map(b)
+    cells: dict = {}
+    for x, r in enumerate(_sign_map(base)):
+        cells.setdefault(r, {}).setdefault(alg.atoms[x], []).append(x)
+    agree = draw(st.sampled_from(["none", "some", "all"]))
+    for classes in cells.values():
+        if agree == "all" or (agree == "some" and draw(st.booleans())):
+            for group in classes.values():
+                for x, y in zip(group, draw(st.permutations(group))):
+                    signs[y] = b_signs[x]
+    c = EventTuple.of_members(alg, [[x for x in range(n) if signs[x][i]] for i in range(arity)])
+    return base, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +393,168 @@ def test_isomorphism_compares_masses_over_two_denominators():
     assert str(err.value) == "atom 1 of mass 1/4 maps to mass 1/6"
     twin = validate_algebra([F(1, 4), F(1, 2), F(1, 4)])
     assert Isomorphism.of(source, twin, [1, 0, 2]).mapping == (1, 0, 2)
+
+
+def inherited_and_derived_units(alg: MeasuredAlgebra):
+    """The units cache an algebra was built with, and the units its atoms
+    give to a fresh record."""
+    plain = MeasuredAlgebra(alg.id, alg.atoms)
+    return (vars(alg)["_den"], vars(alg)["_units"]), (plain._den, plain._units)
+
+
+@given(mixed_masses(max_atoms=12), mixed_masses(max_atoms=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_refinements_and_products_inherit_the_units_their_atoms_give(m1, m2, data):
+    alg = validate_algebra(m1)
+    factor = validate_algebra(m2)
+    m = data.draw(st.integers(1, 4))
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=alg.size, max_size=alg.size))
+    equal, _ = refine_equal(alg, m)
+    assert vars(equal)["_den"] == alg._den * m
+    assert vars(equal)["_units"] == tuple(u for u in alg._units for _ in range(m))
+    prod = product_algebra(alg, factor)
+    assert vars(prod)["_den"] == alg._den * factor._den
+    children = [equal, _split(alg, counts)[0], prod, refine_equal(prod, 2)[0]]
+    children.append(product_algebra(equal, factor))
+    try:
+        children.append(refine_to_unit(alg, F(1, alg._den * data.draw(st.integers(1, 3))))[0])
+    except InstanceTooLarge:
+        pass
+    for child in children:
+        inherited, derived = inherited_and_derived_units(child)
+        assert inherited == derived
+
+
+raw_units = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=200).filter(bool),
+    st.integers(1, 3),
+)
+
+
+@given(mixed_masses(max_atoms=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_refine_to_unit_matches_the_fraction_oracle(masses, data):
+    alg = validate_algebra(masses)
+    unit = data.draw(st.one_of(
+        raw_units,
+        st.integers(1, 4).map(lambda k: F(1, alg._den * k)),
+        st.sampled_from(alg.atoms),
+        st.sampled_from(alg.atoms).map(lambda m: m / 2),
+    ))
+    got = outcome(refine_to_unit, alg, unit)
+    expected = outcome(oracle_refine_to_unit, alg, unit)
+    if got[0] == "value":
+        assert expected[0] == "value"
+        assert got[1][0].atoms == expected[1][0].atoms
+        assert got[1][1] == expected[1][1]
+    else:
+        assert got == expected
+    with pytest.raises(ZeroDivisionError):
+        refine_to_unit(alg, F(0))
+
+
+@given(type_instances())
+@settings(max_examples=300, deadline=None)
+def test_type_distances_match_the_fraction_oracles(instance):
+    base, b, c = instance
+    for got, expected in [
+        (type_distance_tv(base, b, c), oracle_type_distance_tv(base, b, c)),
+        (type_distance_max(base, b, c), oracle_type_distance_max(base, b, c)),
+    ]:
+        assert got == expected and type(got) is Fraction
+
+
+@given(type_instances())
+@settings(max_examples=200, deadline=None)
+def test_joining_and_deficiency_match_the_fraction_oracles(instance):
+    base, b, c = instance
+    joining = relatively_independent_joining(base, b, c)
+    expected = oracle_joining(base, b, c)
+    assert joining == expected and repr(joining) == repr(expected)
+    assert list(joining.mass.items()) == list(expected.mass.items())
+    assert all(type(m) is Fraction for m in joining.mass.values())
+    for x, y in [(b, c), (c, b), (base, b)]:
+        got = independence_deficiency(base, x, y)
+        assert got == oracle_independence_deficiency(base, x, y)
+        assert type(got) is Fraction
+
+
+@given(algebra_and_tuples(), algebra_and_tuples())
+@settings(max_examples=150, deadline=None)
+def test_joint_tv_distance_across_algebras_matches_the_fraction_oracle(one, other):
+    (_, [a, *rest]), (_, [x, *more]) = one, other
+    b = rest[-1] if rest else a
+    y = more[-1] if more else x
+    j1, j2 = joint_distribution(a, b), joint_distribution(x, y)
+    got = outcome(joint_tv_distance, j1, j2)
+    if (a.arity, b.arity) == (x.arity, y.arity):
+        assert got == ("value", oracle_tv(j1.mass, j2.mass))
+        assert type(got[1]) is Fraction
+        assert joint_tv_distance(j1, j1) == 0
+    else:
+        assert got == (ArityMismatch, "joint distributions have different shapes")
+
+
+def residual_pairs(base: EventTuple, b: EventTuple, c: EventTuple) -> int:
+    """Per base cell, the signs where b's law exceeds c's times those where
+    c's exceeds b's, summed."""
+    jb, jc = joint_distribution(base, b), joint_distribution(base, c)
+    pairs = 0
+    for r in jb.base_marginal():
+        keys = set(fiber_support(jb, r)) | set(fiber_support(jc, r))
+        more = sum(1 for s in keys if jb.mass_of(r, s) > jc.mass_of(r, s))
+        less = sum(1 for s in keys if jb.mass_of(r, s) < jc.mass_of(r, s))
+        pairs += more * less
+    return pairs
+
+
+def simplex_calls(base: EventTuple, b: EventTuple, c: EventTuple):
+    """type_distance_max's value and the programs it hands the simplex."""
+    calls = []
+
+    def counted(objective, rows, rhs):
+        calls.append((objective, rows, rhs))
+        return solve_lp(objective, rows, rhs)
+
+    with mock.patch.object(modeltheory, "solve_lp", counted):
+        value = type_distance_max(base, b, c)
+    return value, calls
+
+
+@given(type_instances())
+@settings(max_examples=200, deadline=None)
+def test_the_simplex_sees_only_residual_pairs(instance):
+    """No program at arity 0 or 1, nor when the laws agree in every base
+    cell; otherwise one integer program with one variable per residual pair
+    besides the maximum and the n slacks."""
+    base, b, c = instance
+    value, calls = simplex_calls(base, b, c)
+    pairs = residual_pairs(base, b, c)
+    if b.arity <= 1 or pairs == 0:
+        assert calls == []
+        assert value == oracle_type_distance_tv(base, b, c)
+    else:
+        [(objective, rows, rhs)] = calls
+        assert len(objective) == pairs + 1 + b.arity
+        assert all(type(v) is int for v in [*objective, *rhs, *(v for row in rows for v in row)])
+
+
+def test_agreeing_laws_and_arity_one_solve_no_program():
+    alg = validate_algebra([F(1, 4), F(1, 4), F(1, 3), F(1, 6)])
+    base = EventTuple.of_members(alg, [[0, 1, 2]])
+    b = EventTuple.of_members(alg, [[0], [0, 3], [1, 2]])
+    swapped = EventTuple.of_members(alg, [[1], [1, 3], [0, 2]])  # atoms 0 and 1 swap
+    value, calls = simplex_calls(base, b, swapped)
+    assert (value, calls) == (0, []) and type(value) is Fraction
+    other = EventTuple.of_members(alg, [[2]])
+    value, calls = simplex_calls(base, EventTuple.of_members(alg, [[0]]), other)
+    assert (value, calls) == (F(1, 12), [])
+    value, calls = simplex_calls(base, b, EventTuple.of_members(alg, [[2], [3], []]))
+    assert len(calls) == 1 and value == oracle_type_distance_max(
+        base, b, EventTuple.of_members(alg, [[2], [3], []])
+    )
+    with pytest.raises(ArityMismatch):
+        type_distance_max(base, b, other)
+    negative = mock.patch.object(modeltheory, "solve_lp", lambda *_: LPSolution(F(-1), ()))
+    with negative, pytest.raises(LPInternal, match="negative distance"):
+        type_distance_max(base, b, EventTuple.of_members(alg, [[2], [3], []]))

@@ -158,6 +158,10 @@ def test_render_document_is_stable():
     assert text.index('"a"') < text.index('"b"')
 
 
+class _Text(str):
+    """A str subclass: its lists take the general path of the walk."""
+
+
 def oracle_render(obj) -> str:
     """The encoder render_document replaced."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -176,6 +180,9 @@ _documents = st.recursive(
         st.dictionaries(_strings, inner, max_size=5),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
         st.lists(st.integers(), max_size=6).map(tuple),
+        st.lists(_strings, max_size=6),
+        st.lists(_tricky, max_size=6).map(tuple),
+        st.lists(st.one_of(_strings, st.integers(), st.none()), max_size=6),
     ),
     max_leaves=30,
 )
@@ -193,6 +200,9 @@ def test_render_document_edge_cases_match_json_dumps():
         {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
         [1, True, 2], [True, False], [0, None], [[1, 2], [3]], (1, (2, 3)),
         {"\u00e9": "\x00\"\\", "": [""], "z": {"y": {"x": [1]}}},
+        ["1/2", "0/1"], ("\"", "\\", "\x00\x1f", "\u00e9\U0001f600", ""),
+        ["1/2", 1], [1, "1/2"], ["a", None], [None, "a"], ["a", True],
+        ["a", ["b"]], [_Text("a"), "b"], [_Text("\n")],
     ]:
         assert render_document(obj) == oracle_render(obj)
 

@@ -171,7 +171,12 @@ def test_cached_units_leave_the_algebra_record_unchanged(monkeypatch):
     monkeypatch.setattr(pmplab.algebra, "lcm", counted_lcm)
     built = validate_algebra(alg.atoms)
     refined, _ = refine_equal(built, 2)
-    assert len(calls) == 1  # validate_algebra's; the refinement is lazy
+    assert len(calls) == 2  # validate_algebra's and the refinement's, built from its parent
+    assert (vars(refined)["_den"], vars(refined)["_units"]) == (12, (3, 3, 2, 2, 1, 1))
+    plain_refined = MeasuredAlgebra(refined.id, refined.atoms)
+    assert (repr(refined), hash(refined), pickle.dumps(refined)) == (
+        repr(plain_refined), hash(plain_refined), pickle.dumps(plain_refined)
+    )
     for target in (built, refined, copy.copy(built)):
         t = EventTuple.of_members(target, [[0], [1, 2]])
         for _ in range(3):
@@ -179,4 +184,4 @@ def test_cached_units_leave_the_algebra_record_unchanged(monkeypatch):
             _cell_law(t, t)
             dist_partition(t, t)
             check_permutation(target, range(target.size))
-    assert len(calls) == 3  # plus one for the refinement and one for the copy
+    assert len(calls) == 3  # plus one for the copy

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import pytest
@@ -315,3 +316,25 @@ def test_coupling_programs_match_the_fraction_oracle(program):
 @settings(max_examples=400, deadline=None)
 def test_general_programs_match_the_fraction_oracle(program):
     _same_as_oracle(*program)
+
+
+@given(_coupling_programs())
+@settings(max_examples=200, deadline=None)
+def test_integer_programs_match_their_fraction_copies(program):
+    """The program `type_distance_max` builds is all integer: the same
+    coupling program with its right-hand side in units of 1/scale gives the
+    same LPSolution as its copy in Fractions, and scale times the value."""
+    objective, rows, rhs = program
+    scale = lcm(*(v.denominator for v in rhs))
+    ints = (
+        [int(v) for v in objective],
+        [[int(v) for v in row] for row in rows],
+        [int(v * scale) for v in rhs],
+    )
+    copy = [[Fraction(v) for v in part] for part in (ints[0], *ints[1], ints[2])]
+    fractions = (copy[0], copy[1:-1], copy[-1])
+    assert all(type(v) is int for v in ints[0] + ints[2])
+    got = solve_lp(*ints)
+    assert got == solve_lp(*fractions)
+    assert type(got.value) is Fraction and all(type(v) is Fraction for v in got.x)
+    assert got.value == solve_lp(*program).value * scale
