@@ -133,11 +133,10 @@ class Event(Record):
     @staticmethod
     def of(algebra: MeasuredAlgebra, members: Iterable[int]) -> Event:
         ms = sorted(set(members))
-        for i in ms:
-            if not 0 <= i < algebra.size:
-                raise ValidationError(
-                    f"atom index {i} out of range for algebra of size {algebra.size}"
-                )
+        size = algebra.size
+        if ms and (ms[0] < 0 or ms[-1] >= size):
+            i = next(i for i in ms if not 0 <= i < size)
+            raise ValidationError(f"atom index {i} out of range for algebra of size {size}")
         return Event(algebra, tuple(ms))
 
     @property
@@ -322,8 +321,13 @@ def _split(
     the units of an algebra have gcd 1, since they sum to D and D is the
     least common denominator."""
     _check_refined_size(sum(counts))
-    parts = [mass / count for mass, count in zip(alg.atoms, counts)]
-    den = lcm(*[part.denominator for part in parts])
+    # one Fraction per distinct (units, count): atom x splits into parts of
+    # units[x] / (D * counts[x])
+    parent_den = alg._den
+    keys = list(zip(alg._units, counts))
+    split = {key: Fraction(key[0], parent_den * key[1]) for key in set(keys)}
+    parts = [split[key] for key in keys]
+    den = lcm(*[part.denominator for part in split.values()])
     atoms: list[Fraction] = []
     units: list[int] = []
     projection: list[int] = []
@@ -358,10 +362,12 @@ def product_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra) -> MeasuredAlgebra:
     """Product measure algebra, atom (i, j) at index i * b.size + j.
 
     Its units are the products of the factors' units over D_a * D_b, exact
-    because the units of each factor have gcd 1."""
-    atoms = tuple([ma * mb for ma in a.atoms for mb in b.atoms])
+    because the units of each factor have gcd 1; one Fraction is built per
+    distinct unit product."""
     units = tuple([ua * ub for ua in a._units for ub in b._units])
-    return _new_algebra(atoms, a._den * b._den, units)
+    den = a._den * b._den
+    mass = {u: Fraction(u, den) for u in set(units)}
+    return _new_algebra(tuple([mass[u] for u in units]), den, units)
 
 
 class AtomPartition(Record):

@@ -90,20 +90,24 @@ class PartialIsomorphism(Record):
         target: MeasuredAlgebra,
         pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     ) -> PartialIsomorphism:
+        # block masses compare as unit sums across the two denominators
+        src_units, src_den, src_size = source._units, source._den, source.size
+        tgt_units, tgt_den, tgt_size = target._units, target._den, target.size
         seen_src: set[int] = set()
         seen_tgt: set[int] = set()
         out = []
         for src, tgt in pairs:
             fs, ft = frozenset(src), frozenset(tgt)
-            if not all(0 <= i < source.size for i in fs):
+            if fs and (min(fs) < 0 or max(fs) >= src_size):
                 raise AlgebraMismatch("source block out of range")
-            if not all(0 <= i < target.size for i in ft):
+            if ft and (min(ft) < 0 or max(ft) >= tgt_size):
                 raise AlgebraMismatch("target block out of range")
             if fs & seen_src or ft & seen_tgt:
                 raise NotMassPreserving("blocks of a partial isomorphism overlap")
             seen_src |= fs
             seen_tgt |= ft
-            if source.mass_of(fs) != target.mass_of(ft):
+            src_mass = sum([src_units[i] for i in fs])
+            if src_mass * tgt_den != sum([tgt_units[i] for i in ft]) * src_den:
                 raise NotMassPreserving(
                     f"block masses differ: {source.mass_of(fs)} vs {target.mass_of(ft)}"
                 )
@@ -517,12 +521,14 @@ def eppa_extend(
     """Extend partial automorphisms of alg to automorphisms of an equal-atom
     algebra.
 
-    The overalgebra has N = lcm of the mass denominators atoms of mass 1/N;
-    atom i embeds as a run of consecutive unit atoms.  Each partial becomes a
-    partial injection on units by refining paired blocks lexicographically,
-    and is completed by matching the leftover units in increasing order, one
-    generator per partial.  Raises InstanceTooLarge beyond MAX_REFINED_ATOMS
-    units."""
+    The overalgebra has N = lcm of the mass denominators atoms of mass 1/N:
+    atom i, of u_i units of 1/N, embeds as a run of u_i consecutive unit
+    atoms.  Each partial becomes a partial injection on units by refining
+    paired blocks lexicographically, and is completed by matching the
+    leftover units in increasing order, one generator per partial; the
+    injection is an image list over the units, None where unassigned, with a
+    used flag per target unit.  Raises InstanceTooLarge beyond
+    MAX_REFINED_ATOMS units."""
     for p in partials:
         if p.source.id != alg.id or p.target.id != alg.id:
             raise AlgebraMismatch("partials must map the given algebra to itself")
@@ -530,29 +536,24 @@ def eppa_extend(
     big, projection = refine_to_unit(alg, Fraction(1, n_units))
     runs = _runs(projection)
 
-    def block_units(block: frozenset[int]) -> list[int]:
-        return [u for atom in sorted(block) for u in runs[atom]]
-
     gens: list[Perm] = []
     for p in partials:
-        assignment: dict[int, int] = {}
-        used_targets: set[int] = set()
+        image: list[Optional[int]] = [None] * n_units
+        used = [False] * n_units
         for src, tgt in p.pairs:
-            src_units = block_units(src)
-            tgt_units = block_units(tgt)
+            src_units = [u for atom in sorted(src) for u in runs[atom]]
+            tgt_units = [v for atom in sorted(tgt) for v in runs[atom]]
             for u, v in zip(src_units, tgt_units):
-                assignment[u] = v
-                used_targets.add(v)
-        free_sources = [u for u in range(n_units) if u not in assignment]
-        free_targets = [v for v in range(n_units) if v not in used_targets]
+                image[u] = v
+                used[v] = True
+        free_sources = [u for u in range(n_units) if image[u] is None]
+        free_targets = [v for v in range(n_units) if not used[v]]
         for u, v in zip(free_sources, free_targets):
-            assignment[u] = v
-        gens.append(tuple(assignment[u] for u in range(n_units)))
+            image[u] = v
+        gens.append(tuple(image))
 
     action = validate_action(big, gens)
-    embedding = PartialIsomorphism.of(
-        alg, big, [((i,), tuple(block_units(frozenset([i])))) for i in range(alg.size)]
-    )
+    embedding = PartialIsomorphism.of(alg, big, [((i,), runs[i]) for i in range(alg.size)])
     return EppaExtension(big, action, embedding)
 
 

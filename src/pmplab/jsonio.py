@@ -4,13 +4,19 @@ All rational values travel as exact "num/den" strings, zero included
 ("0/1").  Decimal renderings, where emitted, are advisory 20-significant-
 digit strings; the rational strings are normative.  Parsers validate through
 the same constructors the library uses, so a parsed object is a checked
-object."""
+object.
+
+An algebra's atoms are written from its integer units (atom x weighs
+units[x] / D): one Fraction and one string per distinct unit count, not
+per atom.  Its atoms are read back with one parse per distinct string, so
+an equal-atom algebra costs one parse however many atoms it has."""
 from __future__ import annotations
 
 import decimal
 import json
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .algebra import (
     AtomPartition,
@@ -65,13 +71,22 @@ def decimal_rendering(value: Fraction) -> str:
 
 
 def algebra_to_json(alg: MeasuredAlgebra) -> dict:
-    return {"atoms": [format_rational(m) for m in alg.atoms]}
+    """One string per distinct unit count: atom x is units[x] / D."""
+    units, den = alg._units, alg._den
+    text = {u: format_rational(Fraction(u, den)) for u in set(units)}
+    return {"atoms": [text[u] for u in units]}
 
 
 def algebra_from_json(obj: Any) -> MeasuredAlgebra:
+    """A list of strs is parsed once per distinct string, in order of first
+    appearance, so the first bad entry raises; other lists entry by entry."""
     if not isinstance(obj, Mapping) or not _is_list(obj.get("atoms")):
         raise ValidationError('algebra JSON must be {"atoms": [...]}')
-    return validate_algebra([parse_rational(m) for m in obj["atoms"]])
+    raw = obj["atoms"]
+    if all(type(m) is str for m in raw):
+        parsed = {m: parse_rational(m) for m in dict.fromkeys(raw)}
+        return validate_algebra([parsed[m] for m in raw])
+    return validate_algebra([parse_rational(m) for m in raw])
 
 
 def event_to_json(e: Event) -> dict:
@@ -82,7 +97,7 @@ def event_from_json(alg: MeasuredAlgebra, obj: Any) -> Event:
     members = obj.get("members") if isinstance(obj, Mapping) else obj
     if not _is_list(members):
         raise ValidationError('event JSON must be {"members": [...]} or a plain list')
-    if not all(_is_int(i) for i in members):
+    if not _all_ints(members):
         raise ValidationError("event members must be integers")
     return Event.of(alg, members)
 
@@ -92,12 +107,18 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _all_ints(values: Sequence) -> bool:
+    """Whether every value is an int and none a bool: one pass over the
+    types for the plain-int lists a parsed document holds."""
+    return set(map(type, values)) == {int} or all(_is_int(v) for v in values)
+
+
 def _is_list(value: Any) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
 def _int_list(value: Any, what: str) -> Sequence[int]:
-    if not _is_list(value) or not all(_is_int(v) for v in value):
+    if not _is_list(value) or not _all_ints(value):
         raise ValidationError(f"{what} must be a list of integers")
     return value
 
@@ -151,7 +172,7 @@ def action_from_json(obj: Any) -> FkAction:
 def word_from_json(obj: Any) -> Word:
     if not _is_list(obj):
         raise ValidationError("word JSON must be a list of signed integers")
-    if not all(_is_int(v) for v in obj):
+    if not _all_ints(obj):
         raise ValidationError("word letters must be integers")
     return Word.of(obj)
 
@@ -249,7 +270,7 @@ def partial_from_json(
                 'each pair must be {"source": [...], "target": [...]} or [src, tgt]'
             )
         for block in pair:
-            if not _is_list(block) or not all(_is_int(i) for i in block):
+            if not _is_list(block) or not _all_ints(block):
                 raise ValidationError("pair blocks must be lists of integers")
         pairs.append(pair)
     return PartialIsomorphism.of(source, target, pairs)
@@ -270,7 +291,10 @@ def render_document(obj: Any) -> str:
     written by a direct walk of the payload: dicts with str keys, lists and
     tuples, str, int, bool and None; any other type raises TypeError.  A
     list of plain ints, or of plain strs, is written with one join, and
-    strings are escaped by the json module's C escaper."""
+    strings are escaped by the json module's C escaper.  A dict value or a
+    list item that is a non-empty list of plain ints (a block of atoms, a
+    permutation, a table row) is written inline by the dict's or the list's
+    own loop, with no call for the inner list."""
     out: list[str] = []
     _render(obj, "\n", out)
     out.append("\n")
@@ -298,8 +322,12 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(opener + _quote(key) + ": ")
-            _render(obj[key], inner, out)
+            value = obj[key]
+            if type(value) is list and value and set(map(type, value)) == {int}:
+                out.append(opener + _quote(key) + ": " + _joined(value, int.__repr__, inner))
+            else:
+                out.append(opener + _quote(key) + ": ")
+                _render(value, inner, out)
             opener = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -309,15 +337,24 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         kinds = set(map(type, obj))
         if kinds == {int} or kinds == {str}:  # plain ints (no bool) or strs
-            write = int.__repr__ if kinds == {int} else _quote
-            items = ("," + inner).join(map(write, obj))
-            out.append("[" + inner + items + newline + "]")
+            out.append(_joined(obj, int.__repr__ if kinds == {int} else _quote, newline))
             return
         opener = "[" + inner
         for item in obj:
-            out.append(opener)
-            _render(item, inner, out)
+            if type(item) is list and item and set(map(type, item)) == {int}:
+                out.append(opener + _joined(item, int.__repr__, inner))
+            else:
+                out.append(opener)
+                _render(item, inner, out)
             opener = "," + inner
         out.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _joined(values: Sequence, write: Callable[[Any], str], newline: str) -> str:
+    """A non-empty list of plain ints or strs, one item per line, in one
+    join.  The loop that holds a plain-int list (a block, a permutation, a
+    table row) calls this directly, so such a list costs no _render call."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(write, values)) + newline + "]"

@@ -6,7 +6,8 @@ seed; algebras are built over one common denominator, which keeps refinement
 lcms small and exact arithmetic fast.  The oracles (oracle_type_distance,
 marked_group_isomorphism) are slow, obviously correct reference code that
 the library never calls; an oracle that only one test module uses lives in
-that module instead."""
+that module instead.  outcome turns a call into its value or its exception
+type and message, for comparing a kernel with its oracle."""
 from __future__ import annotations
 
 import itertools
@@ -345,3 +346,11 @@ def marked_group_isomorphism(g: MarkedGroup, h: MarkedGroup) -> Optional[tuple[i
             if phi[g.mul[x][y]] != h.mul[phi[x]][phi[y]]:
                 return None
     return tuple(phi[x] for x in range(g.order))
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the comparison is the point: any exception
+        return type(exc), str(exc)

@@ -15,7 +15,9 @@ from pmplab.algebra import (
     AtomPartition,
     Event,
     EventTuple,
+    _runs,
     dist_partition,
+    refine_to_unit,
     validate_algebra,
 )
 from pmplab import constructions
@@ -561,6 +563,91 @@ def test_eppa_generators_extend_the_partials():
                 src_units = {u for x in src for u in blocks[x]}
                 tgt_units = {u for x in tgt for u in blocks[x]}
                 assert {gen[u] for u in src_units} == tgt_units
+
+
+def oracle_eppa(alg, partials):
+    """eppa_extend's completion as it was: an assignment dict and a set of
+    used targets per partial; the overalgebra's atoms, the generators and
+    the embedding's pairs."""
+    n_units = alg.denominator_lcm()
+    big, projection = refine_to_unit(alg, Fraction(1, n_units))
+    runs = _runs(projection)
+
+    def block_units(block):
+        return [u for atom in sorted(block) for u in runs[atom]]
+
+    gens = []
+    for p in partials:
+        assignment: dict[int, int] = {}
+        used_targets: set[int] = set()
+        for src, tgt in p.pairs:
+            for u, v in zip(block_units(src), block_units(tgt)):
+                assignment[u] = v
+                used_targets.add(v)
+        free_sources = [u for u in range(n_units) if u not in assignment]
+        free_targets = [v for v in range(n_units) if v not in used_targets]
+        for u, v in zip(free_sources, free_targets):
+            assignment[u] = v
+        gens.append(tuple(assignment[u] for u in range(n_units)))
+    embedding = PartialIsomorphism.of(
+        alg, big, [((i,), tuple(block_units(frozenset([i])))) for i in range(alg.size)]
+    )
+    return big.atoms, tuple(gens), embedding.pairs
+
+
+@st.composite
+def eppa_instances(draw):
+    """An algebra whose atoms come in groups, each group a random split of
+    a small total weight, so that groups of one weight recur with different
+    splits; the atoms are shuffled.  Each of 1-3 partial automorphisms
+    pairs some groups with groups of the same weight (blocks of unequal
+    atom counts), and may merge neighbouring pairs into one and add a pair
+    of empty blocks."""
+    totals = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=8))
+    splits = []
+    for t in totals:
+        cuts = sorted(draw(st.sets(st.integers(1, t - 1)))) if t > 1 else []
+        splits.append([b - a for a, b in zip([0] + cuts, cuts + [t])])
+    n = sum(len(split) for split in splits)
+    place = draw(st.permutations(range(n)))
+    units = [0] * n
+    groups = []
+    k = 0
+    for split in splits:
+        groups.append([place[k + j] for j in range(len(split))])
+        for j, u in enumerate(split):
+            units[place[k + j]] = u
+        k += len(split)
+    alg = validate_algebra([Fraction(u, sum(totals)) for u in units])
+    by_total: dict[int, list[int]] = {}
+    for g, t in enumerate(totals):
+        by_total.setdefault(t, []).append(g)
+    partials = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = []
+        for members in by_total.values():
+            for g, h in zip(members, draw(st.permutations(members))):
+                if draw(st.booleans()):
+                    pairs.append((list(groups[g]), list(groups[h])))
+        if len(pairs) > 1 and draw(st.booleans()):
+            (s1, t1), (s2, t2) = pairs.pop(), pairs.pop()
+            pairs.append((s1 + s2, t1 + t2))
+        if draw(st.booleans()):
+            pairs.insert(draw(st.integers(0, len(pairs))), ([], []))
+        partials.append(PartialIsomorphism.of(alg, alg, pairs))
+    return alg, partials
+
+
+@given(eppa_instances())
+@settings(max_examples=200, deadline=None)
+def test_eppa_matches_the_dict_completion(instance):
+    alg, partials = instance
+    ext = eppa_extend(alg, partials)
+    atoms, gens, pairs = oracle_eppa(alg, partials)
+    assert ext.algebra.atoms == atoms
+    assert ext.action.gens == gens
+    assert ext.embedding.pairs == pairs
+    assert (ext.embedding.source, ext.embedding.target) == (alg, ext.algebra)
 
 
 def test_eppa_rejects_foreign_partials():

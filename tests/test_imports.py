@@ -1,7 +1,8 @@
 """Every library and test module uses each name it imports, every
 module-level private name of the package is used somewhere in the package,
 and every public function, class, constant or method is called by package
-code unless it is listed in LIBRARY_ONLY.  Importing the command line
+code unless it is listed in LIBRARY_ONLY.  No isinstance or issubclass
+call names a class imported from typing.  Importing the command line
 stays light: no module of the package imports dataclasses, and the import
 loads neither dataclasses nor inspect.  The package exports no submodule.
 
@@ -214,6 +215,57 @@ def test_detects_an_algebra_built_outside_algebra():
 def test_only_the_algebra_module_builds_algebras():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert algebras_built_outside_algebra(sources) == []
+
+
+def typing_class_checks(source: str) -> list[str]:
+    """isinstance and issubclass calls that name a class imported from
+    typing, as line N: name.  typing's aliases send every such check
+    through typing's own __instancecheck__; collections.abc has the same
+    classes without that detour."""
+    tree = ast.parse(source)
+    aliases: set[str] = set()
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            aliases.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "typing")
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+            continue
+        classes = node.args[1]
+        for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+            if isinstance(cls, ast.Name) and cls.id in aliases:
+                found.append((node.lineno, cls.id))
+            elif (isinstance(cls, ast.Attribute) and isinstance(cls.value, ast.Name)
+                  and cls.value.id in modules):
+                found.append((node.lineno, f"{cls.value.id}.{cls.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_an_isinstance_check_on_a_typing_class():
+    source = (
+        "import typing\n"
+        "import typing as t\n"
+        "from typing import Any, Mapping as M, Sequence\n"
+        "from collections.abc import Iterable\n"
+        "def f(x: Sequence[int]) -> Any:\n"
+        "    a = isinstance(x, M)\n"
+        "    b = issubclass(type(x), (int, Sequence))\n"
+        "    c = isinstance(x, typing.Sized) or isinstance(x, t.Hashable)\n"
+        "    return isinstance(x, (Iterable, str)) and isinstance(x, Any.__class__)\n"
+    )
+    assert typing_class_checks(source) == [
+        "line 6: M", "line 7: Sequence", "line 8: t.Hashable", "line 8: typing.Sized",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_isinstance_check_names_a_typing_class(path):
+    assert typing_class_checks(path.read_text(encoding="utf-8")) == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -4,7 +4,9 @@ deficiency.  Each is checked here against the Fraction-by-Fraction code it
 replaced, kept as the oracle: equal values, equal key order in the laws,
 and equal exception types and messages.  Refinements and products build
 their units from their parents' and are checked against the units their
-atoms give."""
+atoms give, and their atoms against the Fraction quotients and products.
+PartialIsomorphism.of compares block masses as unit sums over two
+denominators and is checked against the Fraction comparison it replaced."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -30,7 +32,7 @@ from pmplab.algebra import (
     refine_to_unit,
     validate_algebra,
 )
-from pmplab.constructions import Isomorphism
+from pmplab.constructions import Isomorphism, PartialIsomorphism
 from pmplab.errors import (
     AlgebraMismatch,
     ArityMismatch,
@@ -54,7 +56,7 @@ from pmplab.modeltheory import (
 )
 from pmplab.simplex import LPSolution, solve_lp
 
-from conftest import fiber_support
+from conftest import fiber_support, outcome
 
 F = Fraction
 ZERO = F(0)
@@ -131,6 +133,29 @@ def oracle_isomorphism(source: MeasuredAlgebra, target: MeasuredAlgebra, mapping
                 f"atom {x} of mass {source.atoms[x]} maps to mass {target.atoms[y]}"
             )
     return tuple(mapping)
+
+
+def oracle_partial_isomorphism(source: MeasuredAlgebra, target: MeasuredAlgebra, pairs):
+    seen_src: set[int] = set()
+    seen_tgt: set[int] = set()
+    out = []
+    for src, tgt in pairs:
+        fs, ft = frozenset(src), frozenset(tgt)
+        if not all(0 <= i < source.size for i in fs):
+            raise AlgebraMismatch("source block out of range")
+        if not all(0 <= i < target.size for i in ft):
+            raise AlgebraMismatch("target block out of range")
+        if fs & seen_src or ft & seen_tgt:
+            raise NotMassPreserving("blocks of a partial isomorphism overlap")
+        seen_src |= fs
+        seen_tgt |= ft
+        if oracle_mass_of(source, fs) != oracle_mass_of(target, ft):
+            raise NotMassPreserving(
+                f"block masses differ: {oracle_mass_of(source, fs)} vs "
+                f"{oracle_mass_of(target, ft)}"
+            )
+        out.append((fs, ft))
+    return PartialIsomorphism(source, target, tuple(out))
 
 
 def oracle_refine_to_unit(alg: MeasuredAlgebra, unit: Fraction):
@@ -211,14 +236,6 @@ def oracle_independence_deficiency(base: EventTuple, b: EventTuple, c: EventTupl
     return oracle_tv(triple_law(base, c, b).mass, oracle_joining(base, b, c).mass)
 
 
-def outcome(fn, *args):
-    """The value fn returns, or the type and message of what it raises."""
-    try:
-        return "value", fn(*args)
-    except Exception as exc:  # the comparison is the point: any exception
-        return type(exc), str(exc)
-
-
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -294,6 +311,71 @@ def type_instances(draw):
                     signs[y] = b_signs[x]
     c = EventTuple.of_members(alg, [[x for x in range(n) if signs[x][i]] for i in range(arity)])
     return base, b, c
+
+
+PAIR_FAULTS = ("good", "good", "empty", "whole", "range", "negative", "overlap", "mass", "any")
+
+
+@st.composite
+def partial_instances(draw):
+    """A source algebra of 1-40 atoms; a target algebra that is another
+    algebra, either the source's atoms shuffled with some split in two or
+    three (so that a block and its image weigh the same over another common
+    denominator) or an unrelated one; and 1-6 block pairs, all good, or
+    each good or with a fault: empty blocks, the whole algebra on each side, an index out
+    of range or negative, a block that meets an earlier one, a block that
+    lost or gained an atom, or indices drawn anywhere.  Several faults in
+    one list pin which one is reported first."""
+    source = validate_algebra(draw(mixed_masses(max_atoms=40)))
+    n = source.size
+    image = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        pieces = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        masses: list[Fraction] = []
+        image = [[] for _ in range(n)]
+        for x in order:
+            image[x] = list(range(len(masses), len(masses) + pieces[x]))
+            masses.extend([source.atoms[x] / pieces[x]] * pieces[x])
+        target = validate_algebra(masses)
+    else:
+        target = validate_algebra(draw(mixed_masses(max_atoms=40)))
+    m = target.size
+    faults = draw(st.sampled_from([("good",), PAIR_FAULTS]))
+    pairs = []
+    used: set[int] = set()
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(faults))
+        free = [x for x in range(n) if x not in used] or [0]
+        src = set(draw(st.lists(st.sampled_from(free), max_size=4)))
+        used |= src
+        if image is None:
+            tgt = draw(st.sets(st.integers(0, m - 1), max_size=4))
+        else:
+            tgt = {y for x in src for y in image[x]}
+        side = draw(st.sampled_from([src, tgt]))
+        if kind == "empty":
+            src, tgt = draw(st.sampled_from([(set(), set()), (src, set()), (set(), tgt)]))
+        elif kind == "whole":
+            src, tgt = set(range(n)), set(range(m))
+        elif kind == "range":
+            side.add((n if side is src else m) + draw(st.integers(0, 2)))
+        elif kind == "negative":
+            side.add(-draw(st.integers(1, 3)))
+        elif kind == "overlap" and pairs:
+            earlier = draw(st.sampled_from(pairs))
+            side.add(draw(st.sampled_from(sorted(earlier[0 if side is src else 1]) or [0])))
+        elif kind == "mass":
+            if side:
+                side.discard(draw(st.sampled_from(sorted(side))))
+            else:
+                side.add(0)
+        elif kind == "any":
+            src = draw(st.sets(st.integers(-2, n + 1), max_size=4))
+            tgt = draw(st.sets(st.integers(-2, m + 1), max_size=4))
+        form = draw(st.sampled_from([list, tuple, sorted]))
+        pairs.append((form(src), form(tgt)))
+    return source, target, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +475,65 @@ def test_isomorphism_compares_masses_over_two_denominators():
     assert str(err.value) == "atom 1 of mass 1/4 maps to mass 1/6"
     twin = validate_algebra([F(1, 4), F(1, 2), F(1, 4)])
     assert Isomorphism.of(source, twin, [1, 0, 2]).mapping == (1, 0, 2)
+
+
+@given(partial_instances())
+@settings(max_examples=400, deadline=None)
+def test_partial_isomorphism_matches_the_fraction_oracle(instance):
+    source, target, pairs = instance
+    assert outcome(PartialIsomorphism.of, source, target, pairs) == outcome(
+        oracle_partial_isomorphism, source, target, pairs
+    )
+
+
+def test_partial_isomorphism_builds_masses_only_for_its_message():
+    source = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
+    target = validate_algebra([F(1, 6), F(1, 2), F(1, 3)])
+    refuse = mock.patch.object(MeasuredAlgebra, "mass_of", side_effect=AssertionError)
+    with refuse:
+        assert PartialIsomorphism.of(source, target, []).pairs == ()
+        p = PartialIsomorphism.of(source, target, [([0], [1]), ([1, 2], (0, 2)), ([], [])])
+    assert p.pairs == (
+        (frozenset({0}), frozenset({1})),
+        (frozenset({1, 2}), frozenset({0, 2})),
+        (frozenset(), frozenset()),
+    )
+    with pytest.raises(NotMassPreserving) as err:
+        PartialIsomorphism.of(source, target, [([0], [1]), ([1], [0])])
+    assert str(err.value) == "block masses differ: 1/4 vs 1/6"
+
+
+@pytest.mark.parametrize("pairs, error, message", [
+    # out of range on both sides, overlapping and unequal: the source range wins
+    ([([0], [1]), ([0, 3], [-1])], AlgebraMismatch, "source block out of range"),
+    ([([0], [1]), ([-1], [5])], AlgebraMismatch, "source block out of range"),
+    # then the target range, before the overlap and the masses
+    ([([0], [1]), ([0], [3])], AlgebraMismatch, "target block out of range"),
+    ([([0], [1]), ([0], [0])], NotMassPreserving, "blocks of a partial isomorphism overlap"),
+    # a fault in an earlier pair wins over any fault in a later one
+    ([([1], [0]), ([3], [3])], NotMassPreserving, "block masses differ: 1/4 vs 1/6"),
+    ([([], [0]), ([0], [0])], NotMassPreserving, "block masses differ: 0 vs 1/6"),
+])
+def test_partial_isomorphism_reports_the_first_fault(pairs, error, message):
+    source = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
+    target = validate_algebra([F(1, 6), F(1, 2), F(1, 3)])
+    with pytest.raises(error) as err:
+        PartialIsomorphism.of(source, target, pairs)
+    assert (type(err.value), str(err.value)) == (error, message)
+    assert outcome(oracle_partial_isomorphism, source, target, pairs) == (error, message)
+
+
+@given(mixed_masses(max_atoms=12), mixed_masses(max_atoms=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_splits_and_products_build_the_fraction_atoms(m1, m2, data):
+    alg = validate_algebra(m1)
+    factor = validate_algebra(m2)
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=alg.size, max_size=alg.size))
+    split, _ = _split(alg, counts)
+    prod = product_algebra(alg, factor)
+    assert split.atoms == tuple(m / c for m, c in zip(alg.atoms, counts) for _ in range(c))
+    assert prod.atoms == tuple(a * b for a in alg.atoms for b in factor.atoms)
+    assert {type(m) for m in split.atoms + prod.atoms} == {Fraction}
 
 
 def inherited_and_derived_units(alg: MeasuredAlgebra):

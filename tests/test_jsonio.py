@@ -5,11 +5,22 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmplab.algebra import AtomPartition, Event, EventTuple, validate_algebra
+from pmplab import jsonio
+from pmplab.algebra import (
+    AtomPartition,
+    Event,
+    EventTuple,
+    product_algebra,
+    refine_equal,
+    refine_to_unit,
+    validate_algebra,
+)
 from pmplab.action import validate_action
 from pmplab.constructions import PartialIsomorphism, cyclic_group
 from pmplab.errors import ValidationError
@@ -34,6 +45,8 @@ from pmplab.jsonio import (
     word_from_json,
 )
 
+from conftest import outcome
+
 F = Fraction
 
 
@@ -47,6 +60,110 @@ def test_rational_round_trip():
         parse_rational("1/0")
     with pytest.raises(ValidationError):
         parse_rational("a/b")
+
+
+# What parse_rational accepts today, leniencies included: int() strips
+# whitespace, reads underscores, signs and non-ASCII digits on either side of
+# the slash, and Fraction reduces.
+PARSED = [
+    ("1/2", F(1, 2)),
+    (" 1/2", F(1, 2)),
+    ("1/2 ", F(1, 2)),
+    ("1_0/30", F(1, 3)),
+    ("+1/2", F(1, 2)),
+    ("1/-2", F(-1, 2)),
+    ("-1/-2", F(1, 2)),
+    ("\u0661/\u0662", F(1, 2)),
+    ("\uff13", F(3)),
+    ("2/4", F(1, 2)),
+    ("0/5", F(0)),
+    ("3", F(3)),
+    (" 7 ", F(7)),
+    (3, F(3)),
+    (-2, F(-2)),
+]
+
+REFUSED = ["1.5", "1e3", "1/0", "0/0", "", "/", "1/", "/2", "1/2/3", "a/b", "1 /2 3",
+           "1__0/3", "0x10", True, False, None, 1.5, F(1, 2), [1, 2], ["1/2"], {"n": 1}]
+
+
+@pytest.mark.parametrize("text, value", PARSED, ids=repr)
+def test_parse_rational_accepts(text, value):
+    got = parse_rational(text)
+    assert (type(got), got) == (Fraction, value)
+
+
+@pytest.mark.parametrize("text", REFUSED, ids=repr)
+def test_parse_rational_refuses(text):
+    with pytest.raises(ValidationError) as err:
+        parse_rational(text)
+    assert str(err.value) == f"not a rational: {text!r}"
+
+
+def oracle_algebra_from_json(obj):
+    """algebra_from_json as it was: one parse_rational per entry."""
+    return validate_algebra([parse_rational(m) for m in obj["atoms"]]).atoms
+
+
+@st.composite
+def atom_entries(draw):
+    """Atom lists of an algebra, each mass spelled in one of several ways, so
+    that equal strings and equal masses under other spellings recur; some
+    with hostile entries put in anywhere: unparseable or zero-denominator
+    strings, bools, None, floats, nested lists, bare ints and masses that
+    break the total or are not positive."""
+    den = draw(st.integers(1, 12))
+    units = draw(st.lists(st.integers(1, 4), min_size=1, max_size=24))
+    total = sum(units)
+    entries = []
+    for u in units:
+        m = F(u, total)
+        entries.append(draw(st.sampled_from([
+            f"{m.numerator}/{m.denominator}",
+            f"{m.numerator * den}/{m.denominator * den}",
+            f" {m.numerator}/{m.denominator}",
+            f"+{m.numerator}/{m.denominator}",
+        ])))
+    hostile = st.sampled_from(["x", "1/0", "1.5", "", "-1/2", "0/1", "2/1", True, False, None,
+                               0.5, ["1/2"], 1, 0, -1, "1_0/30", "\u0661/\u0662"])
+    for _ in range(draw(st.integers(0, 3))):
+        entries.insert(draw(st.integers(0, len(entries))), draw(hostile))
+    return entries
+
+
+@given(atom_entries())
+@settings(max_examples=300, deadline=None)
+def test_algebra_from_json_matches_the_per_entry_parse(entries):
+    doc = {"atoms": entries}
+    got = outcome(algebra_from_json, doc)
+    expected = outcome(oracle_algebra_from_json, doc)
+    assert (got[0], got[1].atoms if got[0] == "value" else got[1]) == expected
+
+
+def test_algebra_from_json_reports_the_first_bad_entry():
+    # a repeated good string is parsed once; the first bad entry still wins
+    for atoms, message in [
+        (["1/4", "1/4", "x", "1/0", "1/4"], "not a rational: 'x'"),
+        (["1/4", "1/0", "x", "1/0"], "not a rational: '1/0'"),
+        (["1/4", True, "x"], "not a rational: True"),
+        (["1/4", "x", True], "not a rational: 'x'"),
+        (["1/2", "1/2", "0/1"], "atom 2 has nonpositive mass 0"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            algebra_from_json({"atoms": atoms})
+        assert str(err.value) == message
+    alg = algebra_from_json({"atoms": ["1/4", "2/8", " 1/4", "1/4"]})
+    assert alg.atoms == (F(1, 4),) * 4
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=24), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_algebra_to_json_writes_each_atom(units, m):
+    alg = validate_algebra([F(u, sum(units)) for u in units])
+    other = validate_algebra([F(1, 3), F(1, 6), F(1, 2)])
+    for each in [alg, refine_equal(alg, m)[0], refine_to_unit(alg, F(1, alg._den))[0],
+                 product_algebra(alg, other), product_algebra(other, alg)]:
+        assert algebra_to_json(each) == {"atoms": [format_rational(x) for x in each.atoms]}
 
 
 def test_decimal_rendering_is_advisory():
@@ -162,6 +279,14 @@ class _Text(str):
     """A str subclass: its lists take the general path of the walk."""
 
 
+class _Int(int):
+    """An int subclass whose repr is not its value: json.dumps writes it
+    with int.__repr__, and its lists take the general path of the walk."""
+
+    def __repr__(self) -> str:
+        return "_Int"
+
+
 def oracle_render(obj) -> str:
     """The encoder render_document replaced."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -172,12 +297,22 @@ def oracle_render(obj) -> str:
 _tricky = st.text(alphabet='"\\/\n\t\r\b\f\x00\x1f\x7f a\u00e9\u20ac\U0001f600')
 _strings = st.one_of(st.text(), _tricky)
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(), _strings)
+# Plain ints alone may be written inline by the dict or list that holds them.
+_int_lists = st.one_of(
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.booleans(), max_size=6),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+    st.lists(st.integers().map(_Int), max_size=6),
+    st.lists(st.one_of(st.integers(), st.integers().map(_Int)), max_size=6),
+)
 _documents = st.recursive(
     _leaves,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(_strings, inner, max_size=5),
+        st.dictionaries(_strings, st.one_of(_int_lists, inner), max_size=5),
+        st.lists(st.one_of(_int_lists, inner), max_size=5),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
         st.lists(st.integers(), max_size=6).map(tuple),
         st.lists(_strings, max_size=6),
@@ -194,8 +329,30 @@ def test_render_document_matches_json_dumps(obj):
     assert render_document(obj) == oracle_render(obj)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_only_plain_int_and_str_lists_are_joined(obj):
+    with mock.patch.object(jsonio, "_joined", wraps=jsonio._joined) as joined:
+        assert render_document(obj) == oracle_render(obj)
+    for values, write, _newline in (call.args for call in joined.call_args_list):
+        assert type(values) in (list, tuple) and values
+        kinds = {type(v) for v in values}
+        assert (kinds, write) in [({int}, int.__repr__), ({str}, jsonio._quote)]
+
+
+def test_blocks_and_rows_are_written_inline():
+    doc = {"b": [True], "gens": [[1, 0], [0, 1]], "i": [_Int(1)],
+           "pairs": [{"source": [0], "target": [3, 1, 2]}]}
+    with mock.patch.object(jsonio, "_joined", wraps=jsonio._joined) as joined:
+        assert render_document(doc) == oracle_render(doc)
+    assert [call.args[0] for call in joined.call_args_list] == [[1, 0], [0, 1], [0], [3, 1, 2]]
+
+
 def test_render_document_edge_cases_match_json_dumps():
     for obj in [
+        {"source": [0], "target": [3, 1, 2]}, {"a": [], "b": [True], "c": [1, False]},
+        {"a": [_Int(1), 2], "b": [_Int(-3)], "c": (1, 2), "d": [[1], [], [2, True]]},
+        [[1, 2], [_Int(3)], [True], [], [[4]], {"a": [5]}], {"pairs": [{"s": [1]}]},
         {}, [], (), "", 0, -1, True, False, None, 10**40,
         {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
         [1, True, 2], [True, False], [0, None], [[1, 2], [3]], (1, (2, 3)),
