@@ -21,6 +21,7 @@ compare equal and may not be combined.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -340,10 +341,11 @@ def _split(
 
 def _runs(projection: Sequence[int]) -> list[range]:
     """The run of refined atoms of each parent, indexed by parent, for a
-    projection laid out by _split."""
-    sizes = (sum(1 for _ in parts) for _parent, parts in itertools.groupby(projection))
-    stops = list(itertools.accumulate(sizes))
-    return [range(start, stop) for start, stop in zip([0] + stops, stops)]
+    projection laid out by _split: it never decreases and reaches every
+    parent, so parent p's run starts at the first index holding p."""
+    parents = projection[-1] + 1 if projection else 0
+    starts = [bisect_left(projection, p) for p in range(parents + 1)]
+    return [range(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 def lift_event(e: Event, refined: MeasuredAlgebra, projection: Sequence[int]) -> Event:

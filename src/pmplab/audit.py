@@ -19,21 +19,28 @@ ends its scan at the first candidate that reaches it, and a floor over
 every extension ends the search over depths and can refute a witness.
 
 One driver runs every search.  Each audit gives it a scorer that holds one
-candidate tuple and changes it in place: flipping one atom of one coordinate
-returns the new score as an integer, in units of one common denominator per
-depth.  The exhaustive scan walks blocks of candidates in Gray-code order,
-about one flip per candidate, and returns what a scan in lexicographic
-order would; the descent scores each toggle by flipping it and back.
-The second-condition scorer updates only the k + 1 atoms a flip moves, so a
-flip costs O(k) however large the refinement; the extension scorer
+candidate tuple and changes it in place.  A toggle, one atom of one
+coordinate, is one flat index coord * size + atom; walk applies toggles in
+order and returns each new score, and peek returns the score of one toggle
+and leaves the tuple as it was.  Scores are integers, in units of one
+common denominator per depth.  The exhaustive scan walks blocks of
+candidates in Gray-code order, one walk call per block and about one toggle
+per candidate, and returns what a scan in lexicographic order would; the
+descent peeks at every toggle and walks only the one it takes.  The
+second-condition scorer updates only the k + 1 atoms a toggle moves, so a
+toggle costs O(k) however large the refinement; the extension scorer
 recomputes its small pattern.  Comparisons stay in integers, and each depth
 turns its best score into one Fraction, equal to what c2_distance (or the
 Fraction pattern) would give.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
+from operator import xor
 from typing import Sequence
 
 from .algebra import (
@@ -70,6 +77,7 @@ from .modeltheory import (
 from .record import Record
 
 _GRAY_BITS = 6  # low index bits an exhaustive scan walks in Gray-code order
+_DENSE_KEY_BITS = 16  # the C2 residuals are a list up to this many key bits
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +225,43 @@ def c2_distance(
     return joint_tv_distance(target_joint, jc)
 
 
+@lru_cache(maxsize=None)
+def _gray_plan(size: int, arity: int):
+    """The fixed step lists of an exhaustive scan over size*arity candidate
+    bits, built once per shape: (low, places, first, entered, prefixes,
+    codes).
+
+    Candidate bit b is toggle places[b] = (arity-1 - b//size)*size + b%size.
+    first walks block 0 from candidate 0, step t flipping low bit ctz(t);
+    entered walks block h > 0, bit `low` first, after prefixes[ctz(h)] has
+    flipped bits low+1 .. low+ctz(h) unscored.  A block starts at low value
+    0 when h is even and at 2**(low-1) when h is odd, and codes[h & 1][t] is
+    the low value after step t of entered; block 0 uses codes[0][1:].
+    Only shapes with 2**(size*arity) <= EXHAUSTIVE_TUPLE_CAP are scanned,
+    so the cache stays small."""
+    n = size * arity
+    low = min(n, _GRAY_BITS)
+    places = tuple((arity - 1 - b // size) * size + b % size for b in range(n))
+    bits = [(t & -t).bit_length() - 1 for t in range(1, 1 << low)]
+    first = tuple(places[b] for b in bits)
+    entered = ((places[low],) if low < n else ()) + first
+    prefixes = tuple(places[low + 1 : low + 1 + t] for t in range(n - low))
+    even = tuple(accumulate((1 << b for b in bits), xor, initial=0))
+    odd = tuple(c ^ 1 << low - 1 for c in even)
+    return low, places, first, entered, prefixes, (even, odd)
+
+
 def _search_best(size: int, arity: int, scorer, stop_below):
     """Best candidate tuple by exhaustion or greedy descent.
 
-    scorer is (flip, start, scale, seed, floor) from a prepare function:
-    flip(coord, atom) toggles one atom of one coordinate of the scorer's
-    current tuple and returns its new integer score, start is the score of
-    the all-empty tuple, a score s stands for s/scale, seed starts the
-    greedy descent, and no score is below floor >= 0.  Returns the best
-    value, the one Fraction built, and its member tuple.
+    scorer is (walk, peek, start, scale, seed, floor) from a prepare
+    function.  Toggle b = coord*size + atom flips one atom of one coordinate
+    of the scorer's current tuple; walk(indices) applies toggles in order and
+    returns the list of new integer scores, and peek(b) returns the score
+    toggle b would give and changes nothing.  start is the score of the
+    all-empty tuple, a score s stands for s/scale, seed starts the greedy
+    descent, and no score is below floor >= 0.  Returns the best value, the
+    one Fraction built, and its member tuple.
 
     Exhaustion applies when the total number of candidate tuples is at most
     EXHAUSTIVE_TUPLE_CAP.  Candidate i is the concatenated masks, coordinate
@@ -242,54 +278,45 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     come in order, one binary-counter step on the high bits apart; inside a
     block, step t flips low bit ctz(t), the reflected Gray code, which visits
     all 2**L low values once from any start.  So every candidate costs one
-    flip, plus one per block on average.  The scan ends with the first block
-    that holds a hit and flips the scorer back to its least-index hit.
+    toggle, plus one per block on average.  Each block is one walk call
+    (see _gray_plan); its hits and its best come from min over its scores
+    zipped with their low values, which earlier blocks never tie, having
+    lower indices.  The scan ends with the first block that holds a hit and
+    walks the scorer back to its least-index hit.
 
     Otherwise steepest descent from the seed toggles one atom of one
-    coordinate at a time, scanned lexicographically: each toggle is scored
-    by flipping it and back, the first strict best wins, for at most
-    GREEDY_ROUNDS rounds, and a descent at the floor stops, since no toggle
-    can improve on it.  Scores are compared as integers: v < stop_below =
-    p/q is v*q < p*scale, that is v < ceil(p*scale/q), and a hit is v < cut
-    = max(ceil(p*scale/q), floor + 1), so a zero score is always a hit."""
-    flip, value, scale, seed, floor = scorer
+    coordinate at a time, scanned lexicographically: it peeks at every
+    toggle and walks the first strict best, for at most GREEDY_ROUNDS
+    rounds, and a descent at the floor stops, since no toggle can improve
+    on it.  Scores are compared as integers: v < stop_below = p/q is v*q <
+    p*scale, that is v < ceil(p*scale/q), and a hit is v < cut =
+    max(ceil(p*scale/q), floor + 1), so a zero score is always a hit."""
+    walk, peek, value, scale, seed, floor = scorer
     p, q = stop_below.numerator, stop_below.denominator
     cut = max(-(-p * scale // q), floor + 1)
     n = size * arity
     if 1 << n <= EXHAUSTIVE_TUPLE_CAP:
         best, best_i = value, 0
-        if value >= cut:
-            places = [(arity - 1 - b // size, b % size) for b in range(n)]
-            low = min(n, _GRAY_BITS)
-            # (coord, atom, low bit) flipped by steps 1 .. 2**low - 1 of a block
-            gray = [
-                (*places[b], 1 << b)
-                for b in ((t & -t).bit_length() - 1 for t in range(1, 1 << low))
-            ]
-            # block h > 0 is entered by flipping bit `low` last, the rest first
-            entered = ([(*places[low], 0)] if low < n else []) + gray
-            cur, hit, steps = 0, None, gray
+        if value >= cut and n:
+            low, places, first, entered, prefixes, codes = _gray_plan(size, arity)
             for h in range(1 << n - low):
                 if h:
-                    for b in range(low + 1, low + (h & -h).bit_length()):
-                        flip(*places[b])
-                    steps = entered
-                base = h << low
-                for coord, atom, bit in steps:
-                    value = flip(coord, atom)
-                    cur ^= bit
-                    if value < cut:
-                        if hit is None or cur < hit[1]:
-                            hit = value, cur
-                    elif value < best or value == best and base | cur < best_i:
-                        best, best_i = value, base | cur
-                if hit is not None:
-                    best, best_i = hit[0], base | hit[1]
-                    undo = cur ^ hit[1]
-                    for b in range(low):
-                        if undo >> b & 1:
-                            flip(*places[b])
+                    prefix = prefixes[(h & -h).bit_length() - 1]
+                    if prefix:
+                        walk(prefix)
+                    scores, lows = walk(entered), codes[h & 1]
+                else:
+                    scores, lows = walk(first), codes[0][1:]
+                least = min(scores)
+                if least < cut:
+                    c, best = min((c, s) for s, c in zip(scores, lows) if s < cut)
+                    best_i = h << low | c
+                    undo = lows[-1] ^ c
+                    walk([places[b] for b in range(low) if undo >> b & 1])
                     break
+                if least < best:
+                    best, c = min(zip(scores, lows))
+                    best_i = h << low | c
         members = tuple(
             tuple(
                 x for x in range(size)
@@ -299,23 +326,19 @@ def _search_best(size: int, arity: int, scorer, stop_below):
         )
         return Fraction(best, scale), members
     current = [set(e) for e in seed]
-    for coord, event in enumerate(current):
-        for x in event:
-            value = flip(coord, x)
+    toggles = [coord * size + x for coord, event in enumerate(seed) for x in event]
+    if toggles:
+        value = walk(toggles)[-1]
     for _ in range(GREEDY_ROUNDS):
         if value <= floor:
             break
-        best, move = value, None
-        for coord in range(arity):
-            for atom in range(size):
-                v = flip(coord, atom)
-                flip(coord, atom)
-                if v < best:
-                    best, move = v, (coord, atom)
-        if move is None:
+        scores = list(map(peek, range(n)))
+        best = min(scores)
+        if best >= value:
             break
-        value = flip(*move)
-        current[move[0]] ^= {move[1]}
+        move = scores.index(best)
+        [value] = walk((move,))
+        current[move // size] ^= {move % size}
     return Fraction(value, scale), tuple(tuple(sorted(e)) for e in current)
 
 
@@ -338,23 +361,38 @@ def _refine_search(act: FkAction, arity: int, max_refine: int, stop_below, prepa
         yield best
 
 
-def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
-    """Per-depth set-up of the second-condition search: candidates are scored
-    against the joint law of (anchor, parameters), starting from the lifted
-    base parameter.
+def _c2_prepare(
+    a: EventTuple,
+    tuples: Sequence[EventTuple],
+    spans: Sequence[tuple[Fraction, Fraction]],
+):
+    """Set-up of the second-condition search: candidates are scored against
+    the joint law of (anchor, parameters), starting from the lifted base
+    parameter.  spans is _mass_spans(tuples).  Returns the per-depth
+    prepare(refined, projection), which gives the scorer of _search_best.
 
     The scorer holds one candidate tuple c and changes it in place.  Every
     atom's joint sign is packed into one int key: anchor bits first, then
     the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
     base_arity + i*arity + j of atom y is set iff y lies in g_i(c_j), g_0
-    the identity.  Masses are integer units of 1/D, D the lcm of the refined
-    atoms' denominators; the target law is re-keyed the same way, its masses
-    being sums of whole refined atoms.  The scorer keeps every atom's key,
-    the target minus the counted mass under each key, and the running sum
-    of their absolute values.  Toggling atom x of c_j moves each of the k + 1
-    atoms g_i(x) from its key to the key with one bit flipped, and updates
-    the total from the two keys it touches: O(k) per flip.  A score s is
-    the value s/(2D) that c2_distance would return.
+    the identity.  The target law's keys and the base atoms' anchor keys
+    are packed once per request; a depth rescales the target masses and
+    reads each refined atom's anchor key through the projection.  Masses are
+    integer units of 1/D, D the lcm of the refined atoms' denominators; the
+    target masses are sums of whole refined atoms.  The scorer keeps every
+    atom's key, the residual diff[key] = target minus counted mass under
+    key, and the total of their absolute values.  The residuals are a list
+    indexed by key when there are at most _DENSE_KEY_BITS key bits, and a
+    defaultdict(int) above that, read and written by the same code.
+    Toggling atom x of c_j moves each of the k + 1 atoms g_i(x), all of
+    weight w = weight(x), from its key to the key with one bit flipped: the
+    key it leaves gains w, which changes the total by w, -w or 2d + w as its
+    residual d is >= 0, <= -w or in between, and the key it enters loses w,
+    the mirror image.  So a toggle costs O(k).  Two generators may send x to
+    the same y; the second move then starts from the key the first one
+    left.  peek applies a toggle, keeps its score and undoes the moves in
+    reverse order.  A score s is the value s/(2D) that c2_distance would
+    return.
 
     The floor coarsens both laws to one key bit: its candidate side g_i(c_j)
     weighs mu(c_j)*D = m, a multiple of g = gcd of the atom weights in
@@ -362,57 +400,89 @@ def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
     at least 2*|T_ij - m| for each i.  The floor is 2*max_j min_m max_i
     |T_ij - m|; the inner max is convex in m, so only the two multiples of
     g nearest (min_i T_ij + max_i T_ij)/2 need checking."""
-    spans = _mass_spans(tuples)
     bcat = tuples[0]
     for b in tuples[1:]:
         bcat = bcat.concat(b)
-    target = joint_distribution(a, bcat)
     base_arity = a.arity
     arity = tuples[0].arity
+    key_bits = base_arity + len(tuples) * arity
 
     def pack(signs: Sequence[int]) -> int:
         return sum(bit << i for i, bit in enumerate(signs))
 
+    cells = [
+        (pack(r) | pack(s) << base_arity, m.numerator, m.denominator)
+        for (r, s), m in joint_distribution(a, bcat).mass.items()
+    ]
+    anchor_keys = [pack(signs) for signs in _sign_map(a)]
+    bits = [
+        [1 << (base_arity + i * arity + j) for i in range(len(tuples))]
+        for j in range(arity)
+    ]
+
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
-        denom, weights = alg._den, alg._units
-        target_units = {
-            pack(r) | pack(s) << base_arity: m.numerator * (denom // m.denominator)
-            for (r, s), m in target.mass.items()
-        }
-        a_lift = lift_tuple(a, alg, projection)
-        keys = [pack(signs) for signs in _sign_map(a_lift)]
-        # diff[key] = target - counts under key; the score is the sum of |diff|
-        diff = dict(target_units)
+        denom, weights, size = alg._den, alg._units, alg.size
+        keys = [anchor_keys[p] for p in projection]
+        diff = defaultdict(int)
+        for key, num, den in cells:
+            diff[key] = num * (denom // den)
         for key, w in zip(keys, weights):
-            diff[key] = diff.get(key, 0) - w
-        total = sum(abs(d) for d in diff.values())
-        images = [tuple(range(alg.size))] + list(refined.gens)
-        # moves[j][x]: the (atom, key bit) pairs that toggling x in c_j flips;
-        # the generators preserve mass, so every such atom weighs as much as x
+            diff[key] -= w
+        total = sum(map(abs, diff.values()))
+        if key_bits <= _DENSE_KEY_BITS:
+            dense = [0] * (1 << key_bits)
+            for key, d in diff.items():
+                dense[key] = d
+            diff = dense
+        images = [range(size)] + list(refined.gens)
+        # moves[b]: the weight of toggle b and the (atom, key bit) pairs it
+        # flips; the generators preserve mass, so every such atom weighs w
         moves = [
-            [
-                [(g[x], 1 << (base_arity + i * arity + j)) for i, g in enumerate(images)]
-                for x in range(alg.size)
-            ]
+            (weights[x], [(g[x], bit) for g, bit in zip(images, bits[j])])
             for j in range(arity)
+            for x in range(size)
         ]
-        diff_of = diff.get
 
-        def flip(coord: int, atom: int) -> int:
+        def walk(indices) -> list[int]:
             nonlocal total
-            w = weights[atom]
-            # two generators may send atom to the same y; the second move
-            # then starts from the key the first one left
-            for y, bit in moves[coord][atom]:
+            t = total
+            scores = []
+            for b in indices:
+                w, flips = moves[b]
+                for y, bit in flips:
+                    old = keys[y]
+                    new = keys[y] = old ^ bit
+                    d = diff[old]
+                    diff[old] = d + w
+                    e = diff[new]
+                    diff[new] = e - w
+                    t += (w if d >= 0 else -w if d <= -w else 2 * d + w) + (
+                        w if e <= 0 else -w if e >= w else w - 2 * e
+                    )
+                scores.append(t)
+            total = t
+            return scores
+
+        def peek(b: int) -> int:
+            w, flips = moves[b]
+            t = total
+            for y, bit in flips:
                 old = keys[y]
                 new = keys[y] = old ^ bit
                 d = diff[old]
                 diff[old] = d + w
-                e = diff_of(new, 0)
+                e = diff[new]
                 diff[new] = e - w
-                total += abs(d + w) - abs(d) + abs(e - w) - abs(e)
-            return total
+                t += (w if d >= 0 else -w if d <= -w else 2 * d + w) + (
+                    w if e <= 0 else -w if e >= w else w - 2 * e
+                )
+            for y, bit in reversed(flips):
+                new = keys[y]
+                old = keys[y] = new ^ bit
+                diff[old] -= w
+                diff[new] += w
+            return t
 
         g = gcd(*weights)
         floor = 0
@@ -423,7 +493,7 @@ def _c2_prepare(a: EventTuple, tuples: Sequence[EventTuple]):
             floor = max(floor, min(max(hi - x, x - lo) for x in (m, m + g)))
         b0_lift = lift_tuple(tuples[0], alg, projection)
         seed = tuple(e.members for e in b0_lift.events)
-        return flip, total, 2 * denom, seed, 2 * floor
+        return walk, peek, total, 2 * denom, seed, 2 * floor
 
     return prepare
 
@@ -436,13 +506,14 @@ def _mass_spans(tuples: Sequence[EventTuple]) -> list[tuple[Fraction, Fraction]]
     ]
 
 
-def _extension_floor(tuples: Sequence[EventTuple]) -> Fraction:
+def _extension_floor(spans: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
     """A floor on the second-condition distance of every candidate in every
-    measure-preserving extension: coarsened to the bit of b_ij, the distance
-    is |mu(b_ij) - mu(c_j)|, and the best single mu(c_j) leaves half the
-    spread max_i mu(b_ij) - min_i mu(b_ij).  No depth of the search scores
-    below it, since each depth's floor is at least as high."""
-    return max((hi - lo for lo, hi in _mass_spans(tuples)), default=ZERO) / 2
+    measure-preserving extension, from spans = _mass_spans(tuples): coarsened
+    to the bit of b_ij, the distance is |mu(b_ij) - mu(c_j)|, and the best
+    single mu(c_j) leaves half the spread max_i mu(b_ij) - min_i mu(b_ij).
+    No depth of the search scores below it, since each depth's floor is at
+    least as high."""
+    return max((hi - lo for lo, hi in spans), default=ZERO) / 2
 
 
 def search_C2_witness(
@@ -466,8 +537,9 @@ def search_C2_witness(
     _check_depth(act, max_refine)
     tuples = _check_instance(act, a, bs, eps)
     threshold = 2 * eps
-    floor = _extension_floor(tuples)
-    prepare = _c2_prepare(a, tuples)
+    spans = _mass_spans(tuples)
+    floor = _extension_floor(spans)
+    prepare = _c2_prepare(a, tuples, spans)
     for value, c, depth in _refine_search(
         act, tuples[0].arity, max_refine, threshold, prepare
     ):
@@ -495,7 +567,7 @@ def axiom_residual(
     report = check_C1(act, a, bs, Fraction(1))
     quantities = list(report.xi) + list(report.psi)
     worst = max(quantities) if quantities else ZERO
-    prepare = _c2_prepare(a, bs)
+    prepare = _c2_prepare(a, bs, _mass_spans(bs))
     for best, _c, _depth in _refine_search(
         act, bs[0].arity, max_refine, 2 * worst, prepare
     ):
@@ -616,8 +688,9 @@ def _ec_prepare(
     scored by the largest deviation of their triple intersection pattern
     from the target, starting from the pulled-back target tuple.
 
-    The scorer keeps the member sets of cs and of every w_l(cs), and a flip
-    recomputes the whole pattern.  Masses and target values are integer
+    The scorer keeps the member sets of cs and of every w_l(cs), and each
+    toggle recomputes the whole pattern: walk toggles in turn, and peek
+    toggles and toggles back.  Masses and target values are integer
     units of 1/D, D the lcm of the refined atoms' and the target's
     denominators, so a score s is the Fraction s/D.  The floor is 0."""
     keys = list(target)
@@ -640,6 +713,7 @@ def _ec_prepare(
             perms.append(perm)
         members: list[set[int]] = [set() for _ in range(bs.arity)]
         moved = [[set() for _ in range(bs.arity)] for _ in perms]
+        size = alg.size
 
         def score() -> int:
             return max(
@@ -650,13 +724,23 @@ def _ec_prepare(
                 default=0,
             )
 
-        def flip(coord: int, atom: int) -> int:
+        def flip(b: int) -> int:
+            coord, atom = divmod(b, size)
             members[coord] ^= {atom}
             for perm, row in zip(perms, moved):
                 row[coord] ^= {perm[atom]}
             return score()
 
-        return flip, score(), denom, _pullback_seed(bs, blocks, projection), 0
+        def walk(indices) -> list[int]:
+            return [flip(b) for b in indices]
+
+        def peek(b: int) -> int:
+            value = flip(b)
+            flip(b)
+            return value
+
+        seed = _pullback_seed(bs, blocks, projection)
+        return walk, peek, score(), denom, seed, 0
 
     return prepare
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from pmplab.algebra import (
     EventTuple,
+    _sign_map,
     joint_distribution,
     lift_tuple,
     validate_algebra,
@@ -29,6 +31,7 @@ from pmplab.audit import (
     _c2_prepare,
     _check_embedding,
     _ec_prepare,
+    _mass_spans,
     _pullback_seed,
     _refine_search,
     _search_best,
@@ -533,6 +536,15 @@ def oracle_ec_prepare(anchors, bs, words, target, blocks):
     return prepare
 
 
+def c2_prepare(a, bs):
+    """_c2_prepare given the mass spans, as the searches give them."""
+    return _c2_prepare(a, bs, _mass_spans(bs))
+
+
+def extension_floor(bs):
+    return audit._extension_floor(_mass_spans(bs))
+
+
 def run_search(act, arity, max_refine, stop_below, prepare):
     out = []
     for value, c, depth in _refine_search(act, arity, max_refine, stop_below, prepare):
@@ -541,17 +553,20 @@ def run_search(act, arity, max_refine, stop_below, prepare):
     return out
 
 
-def score_of(scorer, members):
-    """Flip members into an all-empty scorer, read the score, flip them back
+def toggles_of(members, size):
+    """The flat toggle indices coord * size + atom of a member tuple."""
+    return [coord * size + x for coord, event in enumerate(members) for x in event]
+
+
+def score_of(scorer, members, size):
+    """Walk members into an all-empty scorer, read the score, walk them back
     out and check that the start score returns."""
-    flip, start, scale, _seed, _floor = scorer
+    walk, _peek, start, scale, _seed, _floor = scorer
+    toggles = toggles_of(members, size)
     value = back = start
-    for coord, event in enumerate(members):
-        for x in event:
-            value = flip(coord, x)
-    for coord, event in enumerate(members):
-        for x in event:
-            back = flip(coord, x)
+    if toggles:
+        value = walk(toggles)[-1]
+        back = walk(toggles)[-1]
     assert back == start
     return Fraction(value, scale)
 
@@ -610,12 +625,12 @@ def _mixed_c2_instances(draw):
 def test_c2_scorer_matches_fraction_oracle(instance):
     act, a, bs, depth, candidates = instance
     refined, projection = equal_refine_action(act, depth)
-    scorer = _c2_prepare(a, bs)(refined, projection)
+    scorer = c2_prepare(a, bs)(refined, projection)
     oracle, oracle_seed = oracle_c2_prepare(a, bs)(refined, projection)
-    seed = scorer[3]
+    seed = scorer[4]
     assert seed == oracle_seed
     for members in [seed] + [tuple(tuple(sorted(e)) for e in c) for c in candidates]:
-        assert score_of(scorer, members) == oracle(members)
+        assert score_of(scorer, members, refined.algebra.size) == oracle(members)
 
 
 def _exhaustive_instance():
@@ -652,7 +667,7 @@ def test_refine_search_same_with_oracle_scorer(build, exhaustive):
         total = (1 << act.algebra.size * depth) ** arity
         assert (total <= EXHAUSTIVE_TUPLE_CAP) == exhaustive
 
-    fast = run_search(act, arity, max_refine, F(0), _c2_prepare(a, bs))
+    fast = run_search(act, arity, max_refine, F(0), c2_prepare(a, bs))
     oracle = oracle_refine_search(act, arity, max_refine, F(0), oracle_c2_prepare(a, bs))
     assert fast == list(oracle)
 
@@ -723,7 +738,7 @@ def test_refine_search_matches_oracle_c2(greedy, data):
     else:
         bs = [b0] + [_draw_tuple(data, alg, arity) for _ in range(act.k)]
     expected = oracle_refine_search(act, arity, max_refine, stop, oracle_c2_prepare(a, bs))
-    assert run_search(act, arity, max_refine, stop, _c2_prepare(a, bs)) == list(expected)
+    assert run_search(act, arity, max_refine, stop, c2_prepare(a, bs)) == list(expected)
 
 
 @pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
@@ -781,9 +796,24 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
         oracle, seed = oracle_ec_prepare(anchors, bs, words, target, blocks)(
             refined, projection
         )
-        assert scorer[3] == seed
+        assert scorer[4] == seed
         for members in _tuple_candidates(refined.algebra.size, 1):
-            assert score_of(scorer, members) == oracle(members)
+            assert score_of(scorer, members, refined.algebra.size) == oracle(members)
+
+
+def flip_scorer(flip, size, start, scale, seed, floor):
+    """A scorer from flip(coord, atom): walk flips each toggle in turn, and
+    peek flips and flips back."""
+
+    def walk(indices):
+        return [flip(*divmod(b, size)) for b in indices]
+
+    def peek(b):
+        value = flip(*divmod(b, size))
+        flip(*divmod(b, size))
+        return value
+
+    return walk, peek, start, scale, seed, floor
 
 
 def test_counter_walk_visits_candidates_in_lexicographic_order():
@@ -801,7 +831,7 @@ def test_counter_walk_visits_candidates_in_lexicographic_order():
                 return -1 - rank[tuple(tuple(sorted(e)) for e in state)]
 
             # scores run down to -len(order), which is their floor
-            scorer = (flip, -1, 1, ((),) * arity, -len(order))
+            scorer = flip_scorer(flip, size, -1, 1, ((),) * arity, -len(order))
             assert _search_best(size, arity, scorer, F(-m)) == (-1 - m, members)
 
             # a zero at candidate m ends the scan there, whatever the stop
@@ -811,7 +841,7 @@ def test_counter_walk_visits_candidates_in_lexicographic_order():
 
             state[:] = [set() for _ in range(arity)]
             start = 0 if m == 0 else 1
-            scorer = (flip_zero, start, 1, ((),) * arity, 0)
+            scorer = flip_scorer(flip_zero, size, start, 1, ((),) * arity, 0)
             assert _search_best(size, arity, scorer, F(0)) == (0, members)
             assert tuple(tuple(sorted(e)) for e in state) == members
 
@@ -839,7 +869,7 @@ def test_exhaustive_scan_builds_one_fraction_per_depth(monkeypatch):
     bs = full_scan_parameters(alg)
     assert 1 << alg.size == EXHAUSTIVE_TUPLE_CAP
     monkeypatch.setattr(audit, "Fraction", CountingFraction)
-    [(value, _c, depth)] = list(_refine_search(act, 1, 1, F(0), _c2_prepare(a, bs)))
+    [(value, _c, depth)] = list(_refine_search(act, 1, 1, F(0), c2_prepare(a, bs)))
     assert value > 0 and depth == 1
     assert len(built) <= 1
 
@@ -862,16 +892,16 @@ def oracle_counter_scan(size, arity, scorer, stop_below):
     counter: candidate i follows i - 1 by flipping the bits of (i - 1) ^ i,
     and the scan stops at the first strict new best that is below
     stop_below or zero."""
-    flip, value, scale, _seed, _floor = scorer
+    walk, _peek, value, scale, _seed, _floor = scorer
     p, q = stop_below.numerator, stop_below.denominator
     limit = p * scale
     assert 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP
     best, best_i = value, 0
     if value * q >= limit and value != 0:
-        places = [(arity - 1 - b // size, b % size) for b in range(size * arity)]
+        places = [(arity - 1 - b // size) * size + b % size for b in range(size * arity)]
         for i in range(1, 1 << size * arity):
             for b in range((i & -i).bit_length()):
-                value = flip(*places[b])
+                [value] = walk([places[b]])
             if value < best:
                 best, best_i = value, i
                 if value * q < limit or value == 0:
@@ -881,17 +911,29 @@ def oracle_counter_scan(size, arity, scorer, stop_below):
 
 class TableScorer:
     """A scorer over a table of scores indexed by candidate: it holds the
-    index of its current candidate and counts its flips."""
+    index of its current candidate and counts its scored steps, one per
+    toggle walked and one per peek."""
 
     def __init__(self, size, arity, table, scale=1, floor=0):
         self.size, self.arity, self.table = size, arity, table
         self.index = self.flips = 0
-        self.scorer = (self.flip, table[0], scale, ((),) * arity, floor)
+        self.scorer = (self.walk, self.peek, table[0], scale, ((),) * arity, floor)
 
-    def flip(self, coord, atom):
-        self.index ^= 1 << ((self.arity - 1 - coord) * self.size + atom)
+    def bit(self, b):
+        coord, atom = divmod(b, self.size)
+        return 1 << ((self.arity - 1 - coord) * self.size + atom)
+
+    def walk(self, indices):
+        scores = []
+        for b in indices:
+            self.index ^= self.bit(b)
+            self.flips += 1
+            scores.append(self.table[self.index])
+        return scores
+
+    def peek(self, b):
         self.flips += 1
-        return self.table[self.index]
+        return self.table[self.index ^ self.bit(b)]
 
 
 def compare_scans(size, arity, table, stop, scale=1, floor=0):
@@ -992,13 +1034,17 @@ def test_full_gray_scan_flips_once_per_candidate():
     assert count - 1 <= flips <= bound < counter_flips
 
     def counted(scorer, tally):
-        flip, start, scale, seed, floor = scorer
+        walk, peek, start, scale, seed, floor = scorer
 
-        def counting(coord, atom):
-            tally.append(coord)
-            return flip(coord, atom)
+        def counting_walk(indices):
+            tally.extend(indices)
+            return walk(indices)
 
-        return counting, start, scale, seed, floor
+        def counting_peek(b):
+            tally.append(b)
+            return peek(b)
+
+        return counting_walk, counting_peek, start, scale, seed, floor
 
     # the C2 instance of test_exhaustive_scan_builds_one_fraction_per_depth
     act = quotient_action(cyclic_group(12, [1]))
@@ -1007,8 +1053,8 @@ def test_full_gray_scan_flips_once_per_candidate():
     bs = full_scan_parameters(alg)
     refined, projection = equal_refine_action(act, 1)
     c2_flips = []
-    fast = _search_best(12, 1, counted(_c2_prepare(a, bs)(refined, projection), c2_flips), F(0))
-    oracle = oracle_counter_scan(12, 1, _c2_prepare(a, bs)(refined, projection), F(0))
+    fast = _search_best(12, 1, counted(c2_prepare(a, bs)(refined, projection), c2_flips), F(0))
+    oracle = oracle_counter_scan(12, 1, c2_prepare(a, bs)(refined, projection), F(0))
     assert fast == oracle and fast[0] > 0
     assert count - 1 <= len(c2_flips) <= bound
 
@@ -1032,6 +1078,220 @@ def test_full_gray_scan_flips_once_per_candidate():
     assert fast == oracle_counter_scan(6, 2, prepare(refined, projection), F(0))
     assert fast[0] > 0
     assert count - 1 <= len(ec_flips) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the block walk, peek and dense residuals against the flip-and-abs scorer
+#
+# The oracle is the second-condition scorer as it was before toggles were
+# walked in blocks and peeked: flip(coord, atom) changes the tuple in place,
+# keeps the residuals in a dict and updates the total with abs.
+
+
+def oracle_flip_c2_prepare(a, tuples):
+    """prepare(refined, projection) -> (flip, start): the flip-and-abs
+    scorer, packing every key anew at each depth."""
+    bcat = tuples[0]
+    for b in tuples[1:]:
+        bcat = bcat.concat(b)
+    target = joint_distribution(a, bcat)
+    base_arity = a.arity
+    arity = tuples[0].arity
+
+    def pack(signs):
+        return sum(bit << i for i, bit in enumerate(signs))
+
+    def prepare(refined, projection):
+        alg = refined.algebra
+        denom, weights = alg._den, alg._units
+        diff = {
+            pack(r) | pack(s) << base_arity: m.numerator * (denom // m.denominator)
+            for (r, s), m in target.mass.items()
+        }
+        keys = [pack(signs) for signs in _sign_map(lift_tuple(a, alg, projection))]
+        for key, w in zip(keys, weights):
+            diff[key] = diff.get(key, 0) - w
+        total = sum(abs(d) for d in diff.values())
+        images = [tuple(range(alg.size))] + list(refined.gens)
+
+        def flip(coord, atom):
+            nonlocal total
+            w = weights[atom]
+            for i, g in enumerate(images):
+                y, bit = g[atom], 1 << (base_arity + i * arity + coord)
+                old = keys[y]
+                new = keys[y] = old ^ bit
+                d = diff[old]
+                diff[old] = d + w
+                e = diff.get(new, 0)
+                diff[new] = e - w
+                total += abs(d + w) - abs(d) + abs(e - w) - abs(e)
+            return total
+
+        return flip, total
+
+    return prepare
+
+
+def oracle_flip_descent(size, arity, flip, scorer):
+    """The greedy descent as it was, with the new scorer's start, scale,
+    seed and floor: each toggle is scored by flipping it and flipping it
+    back, and the first strict best is flipped in."""
+    _walk, _peek, value, scale, seed, floor = scorer
+    current = [set(e) for e in seed]
+    for coord, event in enumerate(current):
+        for x in event:
+            value = flip(coord, x)
+    for _ in range(GREEDY_ROUNDS):
+        if value <= floor:
+            break
+        best, move = value, None
+        for coord in range(arity):
+            for atom in range(size):
+                v = flip(coord, atom)
+                flip(coord, atom)
+                if v < best:
+                    best, move = v, (coord, atom)
+        if move is None:
+            break
+        value = flip(*move)
+        current[move[0]] ^= {move[1]}
+    return Fraction(value, scale), tuple(tuple(sorted(e)) for e in current)
+
+
+def oracle_toggle(flip, size, b):
+    return flip(*divmod(b, size))
+
+
+def oracle_peek(flip, size, b):
+    value = oracle_toggle(flip, size, b)
+    oracle_toggle(flip, size, b)
+    return value
+
+
+def _toggle_action(draw):
+    """Z/4 with shifts {1, 5}, where both generators agree on every atom, or
+    an action on classes of equal-mass atoms."""
+    if draw(st.booleans()):
+        return quotient_action(cyclic_group(4, [1, 5]))
+    return _class_action(draw, draw(st.integers(1, 6)))
+
+
+def _toggle_parameters(draw, act, arity):
+    """An anchor of arity 0-2, so that many atoms share a key, and
+    parameters that are pushes of b0 or drawn freely."""
+    data = draw(st.data())
+    a = _draw_tuple(data, act.algebra, draw(st.integers(0, 2)))
+    b0 = _draw_tuple(data, act.algebra, arity)
+    if draw(st.booleans()):
+        return a, [b0] + [apply_gen_tuple(act, i, b0) for i in range(1, act.k + 1)]
+    return a, [b0] + [_draw_tuple(data, act.algebra, arity) for _ in range(act.k)]
+
+
+@st.composite
+def _toggle_scripts(draw):
+    """An instance at depth 1-3 and a script of walks and peeks."""
+    act = _toggle_action(draw)
+    arity = draw(st.integers(1, 2))
+    a, bs = _toggle_parameters(draw, act, arity)
+    depth = draw(st.integers(1, 3))
+    n = act.algebra.size * depth * arity
+    toggle = st.integers(0, n - 1)
+    script = draw(
+        st.lists(
+            st.tuples(st.just("walk"), st.lists(toggle, max_size=8))
+            | st.tuples(st.just("peek"), toggle),
+            max_size=12,
+        )
+    )
+    return act, a, bs, depth, script
+
+
+@given(_toggle_scripts())
+@settings(max_examples=150, deadline=None)
+def test_c2_walk_and_peek_match_the_flip_oracle(instance):
+    """walk returns the oracle's scores one by one, peek returns what a flip
+    would, at every step and for every toggle, and the walks after a peek
+    score as if it never happened."""
+    act, a, bs, depth, script = instance
+    refined, projection = equal_refine_action(act, depth)
+    size = refined.algebra.size
+    walk, peek, start, *_ = c2_prepare(a, bs)(refined, projection)
+    flip, oracle_start = oracle_flip_c2_prepare(a, bs)(refined, projection)
+    assert start == oracle_start
+    every = list(range(size * bs[0].arity))
+    for op, arg in script:
+        if op == "walk":
+            assert walk(arg) == [oracle_toggle(flip, size, b) for b in arg]
+        else:
+            assert peek(arg) == oracle_peek(flip, size, arg)
+        assert [peek(b) for b in every] == [oracle_peek(flip, size, b) for b in every]
+    assert walk(every) == [oracle_toggle(flip, size, b) for b in every]
+
+
+@st.composite
+def _descent_instances(draw):
+    """An instance with 13-24 candidate bits, past the exhaustive cap."""
+    act = _toggle_action(draw)
+    arity = draw(st.integers(1, 2))
+    a, bs = _toggle_parameters(draw, act, arity)
+    per_depth = act.algebra.size * arity
+    least = -(-13 // per_depth)
+    depth = draw(st.integers(least, max(least, 24 // per_depth)))
+    return act, a, bs, depth
+
+
+@given(_descent_instances())
+@settings(max_examples=60, deadline=None)
+def test_descent_matches_the_flip_and_flip_back_oracle(instance):
+    act, a, bs, depth = instance
+    refined, projection = equal_refine_action(act, depth)
+    size, arity = refined.algebra.size, bs[0].arity
+    assert 1 << size * arity > EXHAUSTIVE_TUPLE_CAP
+    scorer = c2_prepare(a, bs)(refined, projection)
+    flip, _start = oracle_flip_c2_prepare(a, bs)(refined, projection)
+    expected = oracle_flip_descent(size, arity, flip, scorer)
+    assert _search_best(size, arity, scorer, F(0)) == expected
+
+
+def residuals_of(walk):
+    """The residual table a C2 scorer's walk closes over."""
+    return walk.__closure__[walk.__code__.co_freevars.index("diff")].cell_contents
+
+
+@pytest.mark.parametrize("base_arity", [0, 1], ids=["list-at-bound", "dict-above-bound"])
+def test_c2_residuals_at_and_just_above_the_dense_key_bound(base_arity, monkeypatch):
+    """Z/4 with shifts {1, 5, 3} (two generators agree) and parameters of
+    arity 4 pack 16 key bits, plus one per anchor event: at the bound the
+    residuals are a list, one bit above it a defaultdict, and both give the
+    oracle's scores; moving the bound switches the kind and keeps them."""
+    act = quotient_action(cyclic_group(4, [1, 5, 3]))
+    rng = random.Random(18)
+    a = random_tuple(rng, act.algebra, base_arity)
+    bs = [random_tuple(rng, act.algebra, 4) for _ in range(4)]
+    key_bits = base_arity + 4 * 4
+    assert key_bits == audit._DENSE_KEY_BITS + base_arity
+    refined, projection = equal_refine_action(act, 1)
+    steps = [rng.randrange(16) for _ in range(64)]
+
+    def scores():
+        walk, peek, start, *_ = c2_prepare(a, bs)(refined, projection)
+        out = [start]
+        for b in steps:
+            out.append(peek(b))
+            out.extend(walk([b]))
+        return type(residuals_of(walk)), out
+
+    kind, fast = scores()
+    assert kind is (defaultdict if base_arity else list)
+    flip, start = oracle_flip_c2_prepare(a, bs)(refined, projection)
+    expected = [start]
+    for b in steps:
+        expected += [oracle_peek(flip, 4, b), oracle_toggle(flip, 4, b)]
+    assert fast == expected
+    monkeypatch.setattr(audit, "_DENSE_KEY_BITS", key_bits - 1 + 2 * base_arity)
+    other_kind, other = scores()
+    assert other_kind is not kind and other == fast
 
 
 # ---------------------------------------------------------------------------
@@ -1071,10 +1331,10 @@ def test_c2_floors_against_brute_force(instance, stop):
     that stops at the depth's floor returns what the counter scan does."""
     act, a, bs, depth = instance
     refined, projection = equal_refine_action(act, depth)
-    prepare = _c2_prepare(a, bs)
-    _flip, _start, scale, _seed, floor = prepare(refined, projection)
+    prepare = c2_prepare(a, bs)
+    _walk, _peek, _start, scale, _seed, floor = prepare(refined, projection)
     least = brute_force_minimum(act, a, bs, depth)
-    assert 0 <= audit._extension_floor(bs) <= F(floor, scale) <= least
+    assert 0 <= extension_floor(bs) <= F(floor, scale) <= least
     size, arity = refined.algebra.size, bs[0].arity
     fast = _search_best(size, arity, prepare(refined, projection), stop)
     assert fast == oracle_counter_scan(size, arity, prepare(refined, projection), stop)
@@ -1089,17 +1349,21 @@ def test_scan_stops_at_the_first_candidate_at_the_floor():
     a = EventTuple.of_members(alg, [range(6)])
     bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
     refined, projection = equal_refine_action(act, 1)
-    scorer = _c2_prepare(a, bs)(refined, projection)
-    assert (scorer[2], scorer[4]) == (24, 2)
+    scorer = c2_prepare(a, bs)(refined, projection)
+    assert (scorer[3], scorer[5]) == (24, 2)
     flips = []
 
-    def counting(coord, atom):
-        flips.append(coord)
-        return scorer[0](coord, atom)
+    def counting_walk(indices):
+        flips.extend(indices)
+        return scorer[0](indices)
 
-    fast = _search_best(12, 1, (counting,) + scorer[1:], F(0))
+    def counting_peek(b):
+        flips.append(b)
+        return scorer[1](b)
+
+    fast = _search_best(12, 1, (counting_walk, counting_peek) + scorer[2:], F(0))
     assert fast == (F(1, 12), ((0,),))
-    assert fast == oracle_counter_scan(12, 1, _c2_prepare(a, bs)(refined, projection), F(0))
+    assert fast == oracle_counter_scan(12, 1, c2_prepare(a, bs)(refined, projection), F(0))
     assert len(flips) <= 64 + 1
 
 
@@ -1112,15 +1376,15 @@ def test_residual_stop_is_above_every_floor(instance):
     report = check_C1(act, a, bs, F(1))
     worst = max(report.xi + report.psi)
     refined, projection = equal_refine_action(act, depth)
-    _flip, _start, scale, _seed, floor = _c2_prepare(a, bs)(refined, projection)
-    assert audit._extension_floor(bs) <= F(floor, scale) <= worst
+    _walk, _peek, _start, scale, _seed, floor = c2_prepare(a, bs)(refined, projection)
+    assert extension_floor(bs) <= F(floor, scale) <= worst
 
 
 @given(_floor_instances(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_refuted_instances_have_no_witness_at_any_depth(instance, data):
     act, a, bs, max_refine = instance
-    lower = audit._extension_floor(bs)
+    lower = extension_floor(bs)
     if lower > 0 and data.draw(st.booleans()):
         eps = lower / data.draw(st.integers(2, 3))
     else:

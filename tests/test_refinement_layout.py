@@ -6,6 +6,7 @@ The checks below read the layout from the projection alone, atom by atom,
 so they do not lean on the library's own run bookkeeping."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from pmplab.algebra import (
     EventTuple,
     MeasuredAlgebra,
     _runs,
+    _split,
     refine_equal,
     refine_to_unit,
 )
@@ -35,6 +37,7 @@ from conftest import (
     random_mass_preserving_perm,
     random_partial_automorphism,
     random_tuple,
+    uniform_algebra,
 )
 
 F = Fraction
@@ -132,3 +135,21 @@ def test_every_refinement_has_the_run_layout(seed):
     perturbation = perturb_small(act, random_partition(rng, alg), delta)
     assert_run_layout(alg, perturbation.action.algebra, perturbation.projection)
     assert_part_for_part(act, perturbation.action, perturbation.projection)
+
+
+def oracle_runs(projection) -> list[range]:
+    """_runs counting each parent's run one refined atom at a time."""
+    sizes = (sum(1 for _ in parts) for _parent, parts in itertools.groupby(projection))
+    stops = list(itertools.accumulate(sizes))
+    return [range(start, stop) for start, stop in zip([0] + stops, stops)]
+
+
+@given(st.lists(st.just(1) | st.integers(2, 40), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_runs_match_the_groupby_oracle(counts):
+    """Parents of one part and of many, in any mix, on _split's layout."""
+    alg = uniform_algebra(len(counts))
+    _refined, projection = _split(alg, counts)
+    assert _runs(projection) == oracle_runs(projection)
+    assert [len(run) for run in _runs(projection)] == counts
+    assert _runs(()) == oracle_runs(()) == []
