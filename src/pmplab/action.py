@@ -115,14 +115,20 @@ def apply_perm_event(p: Perm, e: Event) -> Event:
     return Event(e.algebra, tuple(sorted(p[x] for x in e.members)))
 
 
+def _word_perm(act: FkAction, w: Word) -> Perm:
+    """The atom permutation of a word: its letters composed, rightmost
+    letter applied first."""
+    perm = perm_identity(act.algebra.size)
+    for letter in reversed(w.letters):
+        perm = perm_compose(letter_perm(act, letter), perm)
+    return perm
+
+
 def apply_word(act: FkAction, w: Word, e: Event) -> Event:
     """Apply the word to an event, rightmost letter first."""
     if e.algebra.id != act.algebra.id:
         raise AlgebraMismatch("event does not live on the action's algebra")
-    out = e
-    for letter in reversed(w.letters):
-        out = apply_perm_event(letter_perm(act, letter), out)
-    return out
+    return apply_perm_event(_word_perm(act, w), e)
 
 
 def apply_gen_tuple(act: FkAction, i: int, t: EventTuple) -> EventTuple:
@@ -187,30 +193,28 @@ def generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:
     """Coarsest partition refining the seed partition of events and mapped
     onto itself by every generator.
 
-    Computed as a partition-refinement fixpoint: split blocks by the block
-    membership of their generator images until stable.  Its blocks are the
-    atoms of the smallest action-invariant algebra containing the events.
+    Computed as a partition-refinement fixpoint on integer labels: an atom's
+    first label numbers its sign vector, and each round relabels it by its
+    own label and the labels of its generator images, until the number of
+    labels stops growing.  Labels are numbered in order of first atom, so
+    label i is the block of the i-th least member.  Its blocks are the atoms
+    of the smallest action-invariant algebra containing the events.
     """
     if events.algebra.id != act.algebra.id:
         raise AlgebraMismatch("seed events do not live on the action's algebra")
-    signs = _sign_map(events)
-    groups: dict[tuple, set[int]] = {}
-    for atom in range(act.algebra.size):
-        groups.setdefault(signs[atom], set()).add(atom)
-    blocks = sorted((frozenset(g) for g in groups.values()), key=min)
-    while True:
-        index: dict[int, int] = {}
-        for i, b in enumerate(blocks):
-            for atom in b:
-                index[atom] = i
-        split: dict[tuple[int, ...], set[int]] = {}
-        for atom in range(act.algebra.size):
-            key = (index[atom],) + tuple(index[p[atom]] for p in act.gens)
-            split.setdefault(key, set()).add(atom)
-        new_blocks = sorted((frozenset(g) for g in split.values()), key=min)
-        if len(new_blocks) == len(blocks):
-            return AtomPartition(act.algebra, tuple(blocks))
-        blocks = new_blocks
+    ids: dict = {}
+    labels = [ids.setdefault(s, len(ids)) for s in _sign_map(events)]
+    count = 0
+    while len(ids) > count:
+        count, ids = len(ids), {}
+        labels = [
+            ids.setdefault((label, *[labels[p[x]] for p in act.gens]), len(ids))
+            for x, label in enumerate(labels)
+        ]
+    blocks: list[list[int]] = [[] for _ in range(count)]
+    for x, label in enumerate(labels):
+        blocks[label].append(x)
+    return AtomPartition(act.algebra, tuple(map(frozenset, blocks)))
 
 
 def equal_refine_action(act: FkAction, m: int) -> tuple[FkAction, tuple[int, ...]]:

@@ -187,9 +187,13 @@ class EventTuple(Record):
     def arity(self) -> int:
         return len(self.events)
 
-    def concat(self, other: EventTuple) -> EventTuple:
-        _same_algebra(self.algebra, other.algebra, "tuples")
-        return EventTuple(self.algebra, self.events + other.events)
+    def concat(self, *others: EventTuple) -> EventTuple:
+        """The events of self, then those of each other tuple in turn."""
+        for other in others:
+            _same_algebra(self.algebra, other.algebra, "tuples")
+        return EventTuple(
+            self.algebra, self.events + tuple([e for o in others for e in o.events])
+        )
 
 
 def _sign_map(t: EventTuple) -> list[Sign]:
@@ -233,18 +237,22 @@ def joint_distribution(base: EventTuple, fiber: EventTuple) -> JointDistribution
     return JointDistribution(base.arity, fiber.arity, _cell_law(base, fiber))
 
 
-def _cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
-    """Mass of every cell the tuples generate together, keyed by the tuple of
-    their sign vectors, in order of each cell's first atom, and summed atom by
-    atom in units.  Every atom has positive mass, so every key has positive
-    mass."""
-    alg = tuples[0].algebra
+def _unit_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], int]:
+    """Weight in units of 1/D of every cell the tuples generate together,
+    keyed by the tuple of their sign vectors, in order of each cell's first
+    atom.  Every atom has positive mass, so every key has a positive weight.
+    This is the one place that groups atoms into cells."""
     cells: dict[tuple[Sign, ...], int] = {}
     keys = zip(*[_sign_map(t) for t in tuples])
-    for key, u in zip(keys, alg._units):
+    for key, u in zip(keys, tuples[0].algebra._units):
         cells[key] = cells.get(key, 0) + u
-    den = alg._den
-    return {key: Fraction(u, den) for key, u in cells.items()}
+    return cells
+
+
+def _cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
+    """_unit_law as masses: one Fraction per cell."""
+    den = tuples[0].algebra._den
+    return {key: Fraction(u, den) for key, u in _unit_law(*tuples).items()}
 
 
 def dist_max(a: EventTuple, b: EventTuple) -> Fraction:

@@ -29,9 +29,11 @@ per candidate, and returns what a scan in lexicographic order would; the
 descent peeks at every toggle and walks only the one it takes.  The
 second-condition scorer updates only the k + 1 atoms a toggle moves, so a
 toggle costs O(k) however large the refinement; the extension scorer
-recomputes its small pattern.  Comparisons stay in integers, and each depth
-turns its best score into one Fraction, equal to what c2_distance (or the
-Fraction pattern) would give.
+recomputes its small pattern.  One integer kernel, _triple_units, gives the
+weight of every a_i & c_j & w_l(c_k): the extension check's target in the
+big system and every candidate's pattern.  Comparisons stay in integers,
+and each depth turns its best score into one Fraction, equal to what
+c2_distance (or the triple pattern in masses) would give.
 """
 from __future__ import annotations
 
@@ -40,24 +42,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import xor
+from operator import sub, xor
 from typing import Sequence
 
 from .algebra import (
     ZERO,
     EventTuple,
-    MeasuredAlgebra,
     _sign_map,
+    _unit_law,
     joint_distribution,
     lift_tuple,
 )
 from .action import (
     FkAction,
     Word,
+    _word_perm,
     apply_gen_tuple,
-    apply_word,
     equal_refine_action,
-    letter_perm,
 )
 from .constructions import PartialIsomorphism
 from .errors import (
@@ -157,17 +158,10 @@ def check_C1(
         distance(pushed[i - 1], tuples[i], apply_gen_tuple(act, i, b0))
         for i in range(1, k + 1)
     )
-    orbit = a
-    if pushed:
-        orbit = pushed[0]
-        for extra in pushed[1:]:
-            orbit = orbit.concat(extra)
+    orbit = pushed[0].concat(*pushed[1:]) if pushed else a
     psi = [independence_deficiency(a, b0, orbit)]
     for i in range(1, k + 1):
-        others = a
-        for j in range(1, k + 1):
-            if j != i:
-                others = others.concat(pushed[j - 1])
+        others = a.concat(*pushed[: i - 1], *pushed[i:])
         psi.append(independence_deficiency(pushed[i - 1], tuples[i], others))
     quantities = list(xi) + psi
     worst = max(quantities) if quantities else ZERO
@@ -207,10 +201,7 @@ class C2SearchResult(Record):
 
 
 def _orbit_tuple(act: FkAction, c: EventTuple) -> EventTuple:
-    out = c
-    for i in range(1, act.k + 1):
-        out = out.concat(apply_gen_tuple(act, i, c))
-    return out
+    return c.concat(*[apply_gen_tuple(act, i, c) for i in range(1, act.k + 1)])
 
 
 def c2_distance(
@@ -375,13 +366,14 @@ def _c2_prepare(
     atom's joint sign is packed into one int key: anchor bits first, then
     the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
     base_arity + i*arity + j of atom y is set iff y lies in g_i(c_j), g_0
-    the identity.  The target law's keys and the base atoms' anchor keys
-    are packed once per request; a depth rescales the target masses and
-    reads each refined atom's anchor key through the projection.  Masses are
+    the identity.  The target law's keys and units (algebra._unit_law) and
+    the base atoms' anchor keys are packed once per request; a depth scales
+    the target units by D/D0, D0 the base algebra's denominator, and reads
+    each refined atom's anchor key through the projection.  Masses are
     integer units of 1/D, D the lcm of the refined atoms' denominators; the
-    target masses are sums of whole refined atoms.  The scorer keeps every
-    atom's key, the residual diff[key] = target minus counted mass under
-    key, and the total of their absolute values.  The residuals are a list
+    target masses are sums of whole refined atoms, so D0 divides D.  The
+    scorer keeps every atom's key, the residual diff[key] = target minus
+    counted mass under key, and the total of their absolute values.  The residuals are a list
     indexed by key when there are at most _DENSE_KEY_BITS key bits, and a
     defaultdict(int) above that, read and written by the same code.
     Toggling atom x of c_j moves each of the k + 1 atoms g_i(x), all of
@@ -400,9 +392,6 @@ def _c2_prepare(
     at least 2*|T_ij - m| for each i.  The floor is 2*max_j min_m max_i
     |T_ij - m|; the inner max is convex in m, so only the two multiples of
     g nearest (min_i T_ij + max_i T_ij)/2 need checking."""
-    bcat = tuples[0]
-    for b in tuples[1:]:
-        bcat = bcat.concat(b)
     base_arity = a.arity
     arity = tuples[0].arity
     key_bits = base_arity + len(tuples) * arity
@@ -411,9 +400,10 @@ def _c2_prepare(
         return sum(bit << i for i, bit in enumerate(signs))
 
     cells = [
-        (pack(r) | pack(s) << base_arity, m.numerator, m.denominator)
-        for (r, s), m in joint_distribution(a, bcat).mass.items()
+        (pack(r) | pack(s) << base_arity, u)
+        for (r, s), u in _unit_law(a, tuples[0].concat(*tuples[1:])).items()
     ]
+    base_den = a.algebra._den
     anchor_keys = [pack(signs) for signs in _sign_map(a)]
     bits = [
         [1 << (base_arity + i * arity + j) for i in range(len(tuples))]
@@ -425,8 +415,9 @@ def _c2_prepare(
         denom, weights, size = alg._den, alg._units, alg.size
         keys = [anchor_keys[p] for p in projection]
         diff = defaultdict(int)
-        for key, num, den in cells:
-            diff[key] = num * (denom // den)
+        scale = denom // base_den
+        for key, u in cells:
+            diff[key] = u * scale
         for key, w in zip(keys, weights):
             diff[key] -= w
         total = sum(map(abs, diff.values()))
@@ -618,26 +609,18 @@ def _check_embedding(
     return blocks
 
 
-def _triple_pattern(
-    alg: MeasuredAlgebra,
-    act: FkAction,
-    anchors: EventTuple,
-    fibers: EventTuple,
-    words: Sequence[Word],
-) -> dict[tuple[int, int, int, int], Fraction]:
-    """All triple intersection masses mu(a_i & c_j & w_l(c_k))."""
-    moved = [
-        [apply_word(act, w, e) for e in fibers.events] for w in words
-    ]
-    out: dict[tuple[int, int, int, int], Fraction] = {}
-    for i, a_e in enumerate(anchors.events):
-        a_set = set(a_e.members)
-        for j, c_e in enumerate(fibers.events):
-            base = a_set & set(c_e.members)
-            for l, row in enumerate(moved):
-                for k2, m_e in enumerate(row):
-                    out[(i, j, l, k2)] = alg.mass_of(base & set(m_e.members))
-    return out
+def _triple_units(
+    weights: Sequence[int],
+    a_sets: Sequence[set[int]],
+    c_sets: Sequence[set[int]],
+    moved: Sequence[Sequence[set[int]]],
+) -> list[int]:
+    """The weight of every a_i & c_j & w_l(c_k), in the units of the atom
+    weights, in lexicographic order of (i, j, l, k).  a_sets and c_sets hold
+    the members of the anchors and the fibers, and moved[l][k] those of
+    w_l(c_k)."""
+    pairs = [a & c for a in a_sets for c in c_sets]
+    return [sum([weights[x] for x in ac & m]) for ac in pairs for row in moved for m in row]
 
 
 def ec_in_extension_check(
@@ -653,8 +636,9 @@ def ec_in_extension_check(
     """Can the small system imitate a tuple living in the extension?
 
     The target pattern is every mass mu(embed(a_i) & b_j & w_l(b_k)) in the
-    big system.  Candidates cs on refinements of the small system are scored
-    by the largest absolute deviation of their own pattern from the target;
+    big system, computed by _triple_units in units of the big algebra's
+    1/D.  Candidates cs on refinements of the small system are scored by
+    the largest absolute deviation of their own pattern from the target;
     a witness needs every deviation strictly below eps.  The embedding must
     send atoms to blocks and intertwine the generators exactly."""
     if eps <= 0:
@@ -666,9 +650,11 @@ def ec_in_extension_check(
     if bs.algebra.id != big.algebra.id:
         raise AlgebraMismatch("target tuple must live in the big system")
     ws = list(words)
-    pushed_anchors = embed.map_tuple(anchors)
-    target = _triple_pattern(big.algebra, big, pushed_anchors, bs, ws)
-    prepare = _ec_prepare(anchors, bs, ws, target, blocks)
+    a_sets = [set(e.members) for e in embed.map_tuple(anchors).events]
+    b_sets = [set(e.members) for e in bs.events]
+    moved = [[{p[x] for x in b} for b in b_sets] for p in [_word_perm(big, w) for w in ws]]
+    target = _triple_units(big.algebra._units, a_sets, b_sets, moved)
+    prepare = _ec_prepare(anchors, bs, ws, target, big.algebra._den, blocks)
     for value, cs, depth in _refine_search(
         small, bs.arity, max_refine, eps, prepare
     ):
@@ -681,48 +667,36 @@ def _ec_prepare(
     anchors: EventTuple,
     bs: EventTuple,
     words: Sequence[Word],
-    target: dict[tuple[int, int, int, int], Fraction],
+    target: Sequence[int],
+    target_den: int,
     blocks: dict[int, frozenset[int]],
 ):
     """Per-depth set-up of the extension-imitation search: candidates cs are
     scored by the largest deviation of their triple intersection pattern
-    from the target, starting from the pulled-back target tuple.
+    from the target, starting from the pulled-back target tuple.  target
+    is the pattern of ec_in_extension_check, in units of 1/target_den.
 
     The scorer keeps the member sets of cs and of every w_l(cs), and each
-    toggle recomputes the whole pattern: walk toggles in turn, and peek
-    toggles and toggles back.  Masses and target values are integer
-    units of 1/D, D the lcm of the refined atoms' and the target's
-    denominators, so a score s is the Fraction s/D.  The floor is 0."""
-    keys = list(target)
+    toggle recomputes the whole pattern with _triple_units: walk toggles in
+    turn, and peek toggles and toggles back.  Masses and target values are
+    integer units of 1/D, D the lcm of the refined atoms' denominator and
+    target_den, so a score s is the Fraction s/D.  The floor is 0."""
 
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
-        denom = lcm(alg._den, *(m.denominator for m in target.values()))
+        denom = lcm(alg._den, target_den)
         scale = denom // alg._den
         weights = [u * scale for u in alg._units]
-        goal = [
-            target[key].numerator * (denom // target[key].denominator) for key in keys
-        ]
+        goal = [t * (denom // target_den) for t in target]
         a_sets = [set(e.members) for e in lift_tuple(anchors, alg, projection).events]
-        perms = []
-        for w in words:
-            perm = list(range(alg.size))
-            for letter in reversed(w.letters):  # rightmost letter first
-                p = letter_perm(refined, letter)
-                perm = [p[x] for x in perm]
-            perms.append(perm)
+        perms = [_word_perm(refined, w) for w in words]
         members: list[set[int]] = [set() for _ in range(bs.arity)]
         moved = [[set() for _ in range(bs.arity)] for _ in perms]
         size = alg.size
 
         def score() -> int:
-            return max(
-                (
-                    abs(sum(weights[x] for x in a_sets[i] & members[j] & moved[l][k]) - t)
-                    for (i, j, l, k), t in zip(keys, goal)
-                ),
-                default=0,
-            )
+            pattern = _triple_units(weights, a_sets, members, moved)
+            return max(map(abs, map(sub, pattern, goal)), default=0)
 
         def flip(b: int) -> int:
             coord, atom = divmod(b, size)

@@ -23,6 +23,7 @@ from .algebra import (
     _runs,
     _sign_map,
     _split,
+    _unit_law,
     dist_partition,
     lift_event,
     lift_tuple,
@@ -216,15 +217,11 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     # Only the cells that occur: every atom has positive mass, so an empty
     # cell has mass 0 under both tuples and never needs comparing.  Masses
     # are in the algebra's integer units.
-    units = alg._units
-    masses_a: dict[Sign, int] = {}
-    masses_b: dict[Sign, int] = {}
-    for ra, rb, u in zip(sa, sb, units):
-        masses_a[ra] = masses_a.get(ra, 0) + u
-        masses_b[rb] = masses_b.get(rb, 0) + u
-    if masses_a != masses_b:
+    cells = _unit_law(a)
+    if cells != _unit_law(b):
         raise TypeMismatch("tuples are not equidistributed: cell masses differ")
 
+    units = alg._units
     moving = [x for x in range(alg.size) if sa[x] != sb[x]]
     dp = Fraction(sum([units[x] for x in moving]), alg._den)
 
@@ -242,7 +239,7 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
         leaving.setdefault(sa[x], []).extend(fragments[x])
         entering.setdefault(sb[x], []).extend(fragments[x])
     perm = list(range(refined.size))
-    for s in sorted(masses_a):
+    for (s,) in sorted(cells):
         sources = leaving.get(s, [])
         targets = entering.get(s, [])
         if len(sources) != len(targets):
@@ -749,12 +746,16 @@ class ConjugacyCertificate(Record):
 
 def verify_conjugacy(cert: ConjugacyCertificate) -> Fraction:
     """Recompute the certificate defect from scratch."""
-    h = cert.iso.mapping
+    return _conjugacy_defect(cert.iso.mapping, cert.act1_refined, cert.act2_refined)
+
+
+def _conjugacy_defect(h: Perm, r1: FkAction, r2: FkAction) -> Fraction:
+    """max over generators of the uniform distance between h g1 h^-1 and g2."""
     hinv = perm_inverse(h)
     worst = ZERO
-    for g1, g2 in zip(cert.act1_refined.gens, cert.act2_refined.gens):
+    for g1, g2 in zip(r1.gens, r2.gens):
         conj = perm_compose(h, perm_compose(g1, hinv))
-        d = uniform_distance(cert.act2_refined.algebra, conj, g2)
+        d = uniform_distance(r2.algebra, conj, g2)
         if d > worst:
             worst = d
     return worst
@@ -805,11 +806,8 @@ def approx_conjugacy_search(
             _check_beam_steps(beam_steps)
             mapping = _beam_assign(r1, r2, beam_width)
         iso = Isomorphism.of(r1.algebra, r2.algebra, mapping)
-        cert = ConjugacyCertificate(
-            iso, ZERO, r1, r2, proj1, proj2, exhausted=False
-        )
-        eps = verify_conjugacy(cert)
-        cert = ConjugacyCertificate(iso, eps, r1, r2, proj1, proj2, exhausted=eps != 0)
+        eps = _conjugacy_defect(iso.mapping, r1, r2)
+        cert = ConjugacyCertificate(iso, eps, r1, r2, proj1, proj2, eps != 0)
         if best is None or cert.eps < best.eps:
             best = cert
         if best.eps == 0:

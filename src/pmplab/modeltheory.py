@@ -8,10 +8,11 @@ formula, and a max-coordinate form computed by an exact rational linear
 program over couplings.  Conditional independence is measured as the
 total-variation gap to the relatively independent joining.
 
-The kernels on tuples of one algebra read its laws in integer units of 1/D,
-D its common denominator, grouped by base cell in one pass over the atoms,
-and build one Fraction per result; joint_tv_distance, whose two laws may
-come from two algebras, adds over the lcm of their denominators.
+The kernels on tuples of one algebra read the joint law of their tuples
+from algebra._unit_law, in integer units of 1/D, D its common denominator,
+group its cells by base sign, and build one Fraction per result;
+joint_tv_distance, whose two laws may come from two algebras, adds over the
+lcm of their denominators.
 
 Both type distances start from the residual laws: in each base cell, the
 law p of b less min(p, q) and the law q of c less min(p, q), sign by sign.
@@ -38,7 +39,7 @@ from .algebra import (
     Sign,
     _cell_law,
     _same_algebra,
-    _sign_map,
+    _unit_law,
 )
 from .errors import ArityMismatch, LPInternal, ValidationError
 from .record import Record
@@ -71,12 +72,11 @@ def _residual_laws(
     """The residual laws of b and c in each base cell where they differ, in
     units of 1/D: p - min(p, q) and q - min(p, q), positive entries only.
 
-    An atom where b and c have one sign adds to p and q alike, so only the
-    atoms where they differ are read.  The two sides of a cell have disjoint
-    supports and equal totals."""
+    A cell where b and c have one sign adds to p and q alike, so only the
+    cells (r, s, t) of the joint law where they differ are read.  The two
+    sides of a cell have disjoint supports and equal totals."""
     cells: dict[Sign, dict[Sign, int]] = {}
-    signs = zip(_sign_map(base), _sign_map(b), _sign_map(c), base.algebra._units)
-    for r, s, t, u in signs:
+    for (r, s, t), u in _unit_law(base, b, c).items():
         if s != t:
             gap = cells.get(r)
             if gap is None:
@@ -223,8 +223,7 @@ def relatively_independent_joining(
     _same_algebra(base.algebra, c.algebra, "tuples")
     law_b: dict[tuple[Sign, Sign], int] = {}
     cells: dict[Sign, dict[Sign, int]] = {}
-    signs = zip(_sign_map(base), _sign_map(b), _sign_map(c), base.algebra._units)
-    for r, s, t, u in signs:
+    for (r, s, t), u in _unit_law(base, b, c).items():
         law_b[r, s] = law_b.get((r, s), 0) + u
         law_c = cells.get(r)
         if law_c is None:
@@ -253,12 +252,11 @@ def independence_deficiency(
     _same_algebra(base.algebra, c.algebra, "tuples")
     _same_algebra(base.algebra, b.algebra, "tuples")
     cells: dict[Sign, dict[tuple[Sign, Sign], int]] = {}
-    signs = zip(_sign_map(base), _sign_map(c), _sign_map(b), base.algebra._units)
-    for r, t, s, u in signs:
+    for (r, t, s), u in _unit_law(base, c, b).items():
         law = cells.get(r)
         if law is None:
             law = cells[r] = {}
-        law[t, s] = law.get((t, s), 0) + u
+        law[t, s] = u
     total = ZERO
     for law in cells.values():
         law_c: dict[Sign, int] = {}

@@ -14,16 +14,19 @@ from pmplab.algebra import (
     AtomPartition,
     Event,
     EventTuple,
+    _sign_map,
     validate_algebra,
 )
 from pmplab.action import (
     FkAction,
     _orbit_walks,
     Word,
+    apply_perm_event,
     apply_word,
     equal_refine_action,
     generated_subalgebra,
     invariant_components,
+    letter_perm,
     perm_compose,
     perturb_small,
     tensor_trivial,
@@ -41,8 +44,10 @@ from pmplab.errors import (
 
 from conftest import (
     random_algebra,
+    random_event,
     random_mass_preserving_perm,
     random_permutation,
+    random_tuple,
     uniform_algebra,
 )
 
@@ -90,6 +95,35 @@ def test_apply_word_is_an_action():
             act, w1, apply_word(act, w2, e)
         )
         assert apply_word(act, w1, e).mass == e.mass
+
+
+def oracle_apply_word(act, w, e):
+    """apply_word letter by letter, rightmost letter first."""
+    out = e
+    for letter in reversed(w.letters):
+        out = apply_perm_event(letter_perm(act, letter), out)
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except LetterOutOfRange as err:
+        return ("LetterOutOfRange", str(err))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(-3, 3), max_size=5))
+def test_apply_word_matches_the_letter_by_letter_oracle(seed, letters):
+    """One permutation per word moves every event as its letters do, and an
+    out-of-range letter raises the same error; letters 0 and +-3 are out of
+    range for k = 2."""
+    rng = random.Random(seed)
+    alg = random_algebra(rng, max_atoms=8)
+    act = validate_action(alg, [random_mass_preserving_perm(rng, alg) for _ in range(2)])
+    e = random_event(rng, alg)
+    w = Word.of(letters)
+    assert _outcome(apply_word, act, w, e) == _outcome(oracle_apply_word, act, w, e)
 
 
 def test_invariant_components_examples():
@@ -179,6 +213,39 @@ def test_generated_subalgebra_matches_boolean_closure_oracle():
         t = EventTuple.of_members(alg, [sorted(s) for s in seeds])
         got = set(generated_subalgebra(act, t).blocks)
         assert got == _closure_blocks(act, seeds)
+
+
+def oracle_generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:
+    """generated_subalgebra as frozenset blocks, rebuilt and re-sorted by
+    least member in every round until their number stops growing."""
+    signs = _sign_map(events)
+    groups: dict[tuple, set[int]] = {}
+    for atom in range(act.algebra.size):
+        groups.setdefault(signs[atom], set()).add(atom)
+    blocks = sorted((frozenset(g) for g in groups.values()), key=min)
+    while True:
+        index: dict[int, int] = {}
+        for i, b in enumerate(blocks):
+            for atom in b:
+                index[atom] = i
+        split: dict[tuple[int, ...], set[int]] = {}
+        for atom in range(act.algebra.size):
+            key = (index[atom],) + tuple(index[p[atom]] for p in act.gens)
+            split.setdefault(key, set()).add(atom)
+        new_blocks = sorted((frozenset(g) for g in split.values()), key=min)
+        if len(new_blocks) == len(blocks):
+            return AtomPartition(act.algebra, tuple(blocks))
+        blocks = new_blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(0, 3))
+def test_generated_subalgebra_matches_the_block_oracle(seed, k, arity):
+    rng = random.Random(seed)
+    alg = random_algebra(rng, max_atoms=12)
+    act = validate_action(alg, [random_mass_preserving_perm(rng, alg) for _ in range(k)])
+    t = random_tuple(rng, alg, arity)
+    assert generated_subalgebra(act, t) == oracle_generated_subalgebra(act, t)
 
 
 def test_equal_refine_and_tensor_examples():

@@ -12,6 +12,7 @@ from pmplab.algebra import (
     AtomPartition,
     Event,
     EventTuple,
+    _unit_law,
     dist_max,
     dist_partition,
     joint_distribution,
@@ -225,6 +226,39 @@ def test_joint_distribution_marginals():
             assert joint.base_marginal().get(sign, F(0)) == mass
         total = sum(joint.mass.values(), F(0))
         assert total == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_unit_law_matches_the_oracle_cells(seed, arities):
+    """Every nonempty intersection of one oracle cell per tuple is a key of
+    _unit_law, with its mass in units of 1/D, and the keys come in order of
+    each cell's least atom."""
+    rng = random.Random(seed)
+    alg = random_algebra(rng, max_atoms=8, max_den=30)
+    tuples = [random_tuple(rng, alg, arity) for arity in arities]
+    expected = {}
+    for cells in itertools.product(*[oracle_cells(t).items() for t in tuples]):
+        atoms = frozenset.intersection(*[cell for _s, (cell, _m) in cells])
+        if atoms:
+            expected[tuple(s for s, _cell in cells)] = atoms
+    law = _unit_law(*tuples)
+    assert list(law) == sorted(expected, key=lambda key: min(expected[key]))
+    for key, atoms in expected.items():
+        assert F(law[key], alg._den) == sum((alg.atoms[x] for x in atoms), F(0))
+
+
+def test_concat_takes_any_number_of_tuples():
+    alg = validate_algebra([F(1, 4)] * 4)
+    a = EventTuple.of_members(alg, [[0]])
+    b = EventTuple.of_members(alg, [[1], [2]])
+    c = EventTuple.of_members(alg, [[3]])
+    assert a.concat() == a
+    assert a.concat(b) == EventTuple(alg, a.events + b.events)
+    assert a.concat(b, c) == a.concat(b).concat(c)
+    other = EventTuple.of_members(validate_algebra([F(1, 2)] * 2), [[0]])
+    with pytest.raises(AlgebraMismatch):
+        a.concat(b, other)
 
 
 def test_refine_equal_example():

@@ -7,6 +7,7 @@ import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -14,18 +15,22 @@ from hypothesis import strategies as st
 
 from pmplab.algebra import (
     EventTuple,
+    MeasuredAlgebra,
     _sign_map,
     joint_distribution,
     lift_tuple,
     validate_algebra,
 )
 from pmplab.action import (
+    FkAction,
     Word,
     apply_gen_tuple,
+    apply_word,
     equal_refine_action,
     tensor_trivial,
     validate_action,
 )
+import pmplab.algebra as algebra
 import pmplab.audit as audit
 from pmplab.audit import (
     _c2_prepare,
@@ -35,7 +40,6 @@ from pmplab.audit import (
     _pullback_seed,
     _refine_search,
     _search_best,
-    _triple_pattern,
     axiom_residual,
     c2_distance,
     check_C1,
@@ -518,6 +522,36 @@ def oracle_c2_prepare(a, tuples):
     return prepare
 
 
+def _triple_pattern(
+    alg: MeasuredAlgebra,
+    act: FkAction,
+    anchors: EventTuple,
+    fibers: EventTuple,
+    words: Sequence[Word],
+) -> dict[tuple[int, int, int, int], Fraction]:
+    """All triple intersection masses mu(a_i & c_j & w_l(c_k))."""
+    moved = [
+        [apply_word(act, w, e) for e in fibers.events] for w in words
+    ]
+    out: dict[tuple[int, int, int, int], Fraction] = {}
+    for i, a_e in enumerate(anchors.events):
+        a_set = set(a_e.members)
+        for j, c_e in enumerate(fibers.events):
+            base = a_set & set(c_e.members)
+            for l, row in enumerate(moved):
+                for k2, m_e in enumerate(row):
+                    out[(i, j, l, k2)] = alg.mass_of(base & set(m_e.members))
+    return out
+
+
+def ec_target(big, target):
+    """A Fraction pattern of _triple_pattern on the big system as
+    _ec_prepare takes it: (units of 1/D in key order, D), D the big
+    algebra's common denominator."""
+    den = big.algebra._den
+    return [m.numerator * (den // m.denominator) for m in target.values()], den
+
+
 def oracle_ec_prepare(anchors, bs, words, target, blocks):
     """Each candidate's whole Fraction triple pattern against the target."""
 
@@ -741,11 +775,9 @@ def test_refine_search_matches_oracle_c2(greedy, data):
     assert run_search(act, arity, max_refine, stop, c2_prepare(a, bs)) == list(expected)
 
 
-@pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_refine_search_matches_oracle_ec(greedy, data):
-    small, arity, max_refine, stop = data.draw(_search_instances(greedy))
+def _draw_ec_instance(data, small, arity):
+    """A tensor extension of small by 2 or 3 equal parts, its embedding and
+    blocks, anchors, a target tuple of the given arity and words."""
     n = small.algebra.size
     parts = data.draw(st.integers(2, 3))
     big = tensor_trivial(small, validate_algebra([F(1, parts)] * parts))
@@ -766,15 +798,46 @@ def test_refine_search_matches_oracle_ec(greedy, data):
         Word.of(w)
         for w in data.draw(st.lists(st.lists(letters, max_size=2), min_size=1, max_size=2))
     ]
+    return big, embed, blocks, anchors, bs, words
+
+
+@pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_refine_search_matches_oracle_ec(greedy, data):
+    small, arity, max_refine, stop = data.draw(_search_instances(greedy))
+    big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
     expected = oracle_refine_search(
         small, arity, max_refine, stop,
         oracle_ec_prepare(anchors, bs, words, target, blocks),
     )
     fast = run_search(
-        small, arity, max_refine, stop, _ec_prepare(anchors, bs, words, target, blocks)
+        small, arity, max_refine, stop,
+        _ec_prepare(anchors, bs, words, *ec_target(big, target), blocks),
     )
     assert fast == list(expected)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_ec_check_matches_the_fraction_oracle(data):
+    """The whole check, its integer target included, against the search
+    over the Fraction pattern of _triple_pattern, stopped at the first depth
+    whose best is below eps."""
+    small, arity, max_refine, _stop = data.draw(_search_instances(False))
+    big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
+    eps = data.draw(st.fractions(F(1, 60), F(1, 4), max_denominator=60))
+    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    for value, members, depth in oracle_refine_search(
+        small, arity, max_refine, eps, oracle_ec_prepare(anchors, bs, words, target, blocks)
+    ):
+        if value < eps:
+            break
+    res = ec_in_extension_check(small, big, embed, anchors, bs, words, eps, max_refine)
+    w = res.witness
+    assert (res.found, w.discrepancy, w.refinement_depth) == (value < eps, value, depth)
+    assert tuple(e.members for e in w.cs.events) == members
 
 
 def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
@@ -792,7 +855,9 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
     for depth in (1, 2):
         refined, projection = equal_refine_action(small, depth)
-        scorer = _ec_prepare(anchors, bs, words, target, blocks)(refined, projection)
+        scorer = _ec_prepare(anchors, bs, words, *ec_target(big, target), blocks)(
+            refined, projection
+        )
         oracle, seed = oracle_ec_prepare(anchors, bs, words, target, blocks)(
             refined, projection
         )
@@ -872,6 +937,45 @@ def test_exhaustive_scan_builds_one_fraction_per_depth(monkeypatch):
     [(value, _c, depth)] = list(_refine_search(act, 1, 1, F(0), c2_prepare(a, bs)))
     assert value > 0 and depth == 1
     assert len(built) <= 1
+
+
+def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
+    """The extension check computes its target and scores every candidate in
+    integer units; only each depth's result becomes a Fraction.  The
+    refinements' atom masses are the algebra's own and are not counted."""
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    depths = []
+
+    def refine_uncounted(act, m):
+        depths.append(m)
+        with monkeypatch.context() as inner:
+            inner.setattr(algebra, "Fraction", Fraction)
+            return equal_refine_action(act, m)
+
+    # the EC instance of test_full_gray_scan_flips_once_per_candidate:
+    # every discrepancy is at least 1/18, so no depth stops the search
+    small = quotient_action(cyclic_group(6, [1]))
+    big = tensor_trivial(small, validate_algebra([F(1, 3), F(2, 3)]))
+    embed = PartialIsomorphism.of(
+        small.algebra, big.algebra, [([x], [2 * x, 2 * x + 1]) for x in range(6)]
+    )
+    anchors = EventTuple.of_members(small.algebra, [[0, 1, 2]])
+    target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
+    words = [Word.of([]), Word.of([1])]
+    monkeypatch.setattr(audit, "equal_refine_action", refine_uncounted)
+    monkeypatch.setattr(audit, "Fraction", CountingFraction)
+    monkeypatch.setattr(algebra, "Fraction", CountingFraction)
+    res = ec_in_extension_check(
+        small, big, embed, anchors, target_tuple, words, F(1, 18), max_refine=2
+    )
+    assert not res.found and depths == [1, 2]
+    assert len(built) == len(depths)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1175,7 @@ def test_full_gray_scan_flips_once_per_candidate():
     target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
     words = [Word.of([]), Word.of([1])]
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), target_tuple, words)
-    prepare = _ec_prepare(anchors, target_tuple, words, target, blocks)
+    prepare = _ec_prepare(anchors, target_tuple, words, *ec_target(big, target), blocks)
     refined, projection = equal_refine_action(small, 1)
     ec_flips = []
     fast = _search_best(6, 2, counted(prepare(refined, projection), ec_flips), F(0))

@@ -1,6 +1,6 @@
 """Every library and test module uses each name it imports, every
-module-level private name of the package is used somewhere in the package,
-and every public function, class, constant or method is called by package
+module-level private name of the package is used somewhere in the package
+outside its own definition, and every public function, class, constant or method is called by package
 code unless it is listed in LIBRARY_ONLY.  No isinstance or issubclass
 call names a class imported from typing.  Importing the command line
 stays light: no module of the package imports dataclasses, and the import
@@ -71,8 +71,8 @@ def _bound_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def _referenced_names(tree: ast.Module) -> set[str]:
-    """Names a module reads, imports or takes as an attribute."""
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names a module or statement reads, imports or takes as an attribute."""
     referenced: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -86,15 +86,20 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Private names bound at the top level of a module that no module reads,
-    imports or takes as an attribute."""
-    defined: list[tuple[str, str]] = []
-    referenced: set[str] = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            defined.extend((module, name) for name in _bound_names(node) if _is_private(name))
-        referenced |= _referenced_names(tree)
-    return sorted(f"{module}: {name}" for module, name in defined if name not in referenced)
+    imports or takes as an attribute outside the statement that binds them:
+    a function that only calls itself, or a class that only names itself,
+    has no caller."""
+    statements = [
+        (module, node) for module, source in sources.items() for node in ast.parse(source).body
+    ]
+    references = [_referenced_names(node) for _module, node in statements]
+    return sorted(
+        f"{module}: {name}"
+        for i, (module, node) in enumerate(statements)
+        for name in _bound_names(node)
+        if _is_private(name)
+        and not any(name in refs for j, refs in enumerate(references) if j != i)
+    )
 
 
 def test_detects_an_unreferenced_private_name():
@@ -103,6 +108,18 @@ def test_detects_an_unreferenced_private_name():
         "b.py": "from a import _helper\n",
     }
     assert unreferenced_private_names(sources) == ["a.py: _dead"]
+
+
+def test_detects_a_private_name_used_only_in_its_own_definition():
+    sources = {
+        "a.py": (
+            "def _countdown(n):\n    return _countdown(n - 1) if n else 0\n"
+            "class _Node:\n    def copy(self):\n        return _Node()\n"
+            "def _kept():\n    return _kept\n"
+            "def public():\n    return _kept()\n"
+        ),
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _Node", "a.py: _countdown"]
 
 
 def test_every_private_name_is_used_in_the_package():
@@ -117,6 +134,8 @@ LIBRARY_ONLY = {
     "action.perturb_small": "paper construction: an automorphism moving less than delta per block",
     "constructions.extend_partial_step": "paper construction: extend a partial correspondence by one block",
     "audit.c2_distance": "the public way to recompute the distance of a C2 witness",
+    "constructions.verify_conjugacy": "the public way to recompute the defect of a conjugacy certificate",
+    "action.apply_word": "the action of a word on one event",
     "algebra.Event.complement": "Boolean operation of the measure algebra",
     "algebra.Event.union": "Boolean operation of the measure algebra",
     "algebra.Event.intersect": "Boolean operation of the measure algebra",
