@@ -240,8 +240,7 @@ def joint_distribution(base: EventTuple, fiber: EventTuple) -> JointDistribution
 def _unit_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], int]:
     """Weight in units of 1/D of every cell the tuples generate together,
     keyed by the tuple of their sign vectors, in order of each cell's first
-    atom.  Every atom has positive mass, so every key has a positive weight.
-    This is the one place that groups atoms into cells."""
+    atom.  Every atom has positive mass, so every key has a positive weight."""
     cells: dict[tuple[Sign, ...], int] = {}
     keys = zip(*[_sign_map(t) for t in tuples])
     for key, u in zip(keys, tuples[0].algebra._units):

@@ -29,11 +29,9 @@ per candidate, and returns what a scan in lexicographic order would; the
 descent peeks at every toggle and walks only the one it takes.  The
 second-condition scorer updates only the k + 1 atoms a toggle moves, so a
 toggle costs O(k) however large the refinement; the extension scorer
-recomputes its small pattern.  One integer kernel, _triple_units, gives the
-weight of every a_i & c_j & w_l(c_k): the extension check's target in the
-big system and every candidate's pattern.  Comparisons stay in integers,
-and each depth turns its best score into one Fraction, equal to what
-c2_distance (or the triple pattern in masses) would give.
+recomputes its small pattern with the kernel that gives its target.  Each
+depth turns its best score into one Fraction, equal to what c2_distance
+(or the triple pattern in masses) would give.
 """
 from __future__ import annotations
 
@@ -49,7 +47,6 @@ from .algebra import (
     ZERO,
     EventTuple,
     _sign_map,
-    _unit_law,
     joint_distribution,
     lift_tuple,
 )
@@ -366,16 +363,17 @@ def _c2_prepare(
     atom's joint sign is packed into one int key: anchor bits first, then
     the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
     base_arity + i*arity + j of atom y is set iff y lies in g_i(c_j), g_0
-    the identity.  The target law's keys and units (algebra._unit_law) and
-    the base atoms' anchor keys are packed once per request; a depth scales
-    the target units by D/D0, D0 the base algebra's denominator, and reads
-    each refined atom's anchor key through the projection.  Masses are
-    integer units of 1/D, D the lcm of the refined atoms' denominators; the
-    target masses are sums of whole refined atoms, so D0 divides D.  The
-    scorer keeps every atom's key, the residual diff[key] = target minus
-    counted mass under key, and the total of their absolute values.  The residuals are a list
-    indexed by key when there are at most _DENSE_KEY_BITS key bits, and a
-    defaultdict(int) above that, read and written by the same code.
+    the identity.  The target law's keys and masses in units of 1/D0, D0
+    the base algebra's denominator, and the base atoms' anchor keys are
+    packed once per request; a depth scales the target units by D/D0 and
+    reads each refined atom's anchor key through the projection.  Masses
+    are integer units of 1/D, D the lcm of the refined atoms' denominators;
+    the target masses are sums of whole refined atoms, so D0 divides D.
+    The scorer keeps every atom's key, the residual diff[key] = target
+    minus counted mass under key, and the total of their absolute values.
+    The residuals are a list indexed by key when there are at most
+    _DENSE_KEY_BITS key bits, and a defaultdict(int) above that, read and
+    written by the same code.
     Toggling atom x of c_j moves each of the k + 1 atoms g_i(x), all of
     weight w = weight(x), from its key to the key with one bit flipped: the
     key it leaves gains w, which changes the total by w, -w or 2d + w as its
@@ -399,11 +397,12 @@ def _c2_prepare(
     def pack(signs: Sequence[int]) -> int:
         return sum(bit << i for i, bit in enumerate(signs))
 
-    cells = [
-        (pack(r) | pack(s) << base_arity, u)
-        for (r, s), u in _unit_law(a, tuples[0].concat(*tuples[1:])).items()
-    ]
     base_den = a.algebra._den
+    law = joint_distribution(a, tuples[0].concat(*tuples[1:]))
+    cells = [
+        (pack(r) | pack(s) << base_arity, m.numerator * (base_den // m.denominator))
+        for (r, s), m in law.mass.items()
+    ]
     anchor_keys = [pack(signs) for signs in _sign_map(a)]
     bits = [
         [1 << (base_arity + i * arity + j) for i in range(len(tuples))]
@@ -636,10 +635,10 @@ def ec_in_extension_check(
     """Can the small system imitate a tuple living in the extension?
 
     The target pattern is every mass mu(embed(a_i) & b_j & w_l(b_k)) in the
-    big system, computed by _triple_units in units of the big algebra's
-    1/D.  Candidates cs on refinements of the small system are scored by
-    the largest absolute deviation of their own pattern from the target;
-    a witness needs every deviation strictly below eps.  The embedding must
+    big system, in units of its 1/D.  Candidates cs on refinements of the
+    small system are scored by the largest absolute deviation of their
+    own pattern from the target; a witness needs every deviation strictly
+    below eps.  The embedding must
     send atoms to blocks and intertwine the generators exactly."""
     if eps <= 0:
         raise NonpositiveEps(f"tolerance must be positive, got {eps}")

@@ -8,11 +8,10 @@ formula, and a max-coordinate form computed by an exact rational linear
 program over couplings.  Conditional independence is measured as the
 total-variation gap to the relatively independent joining.
 
-The kernels on tuples of one algebra read the joint law of their tuples
-from algebra._unit_law, in integer units of 1/D, D its common denominator,
-group its cells by base sign, and build one Fraction per result;
-joint_tv_distance, whose two laws may come from two algebras, adds over the
-lcm of their denominators.
+The kernels on tuples of one algebra read the joint law of their tuples in
+integer units of 1/D, D its common denominator, and build one Fraction per
+result; joint_tv_distance, whose two laws may come from two algebras, adds
+over the lcm of their denominators.
 
 Both type distances start from the residual laws: in each base cell, the
 law p of b less min(p, q) and the law q of c less min(p, q), sign by sign.
