@@ -9,6 +9,7 @@ with the metrics from the algebra and action modules.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -391,7 +392,8 @@ def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
     reached = n // gcd(n, *gens)
     if reached != n:
         raise NotGenerating(f"marked generators reach only {reached} of {n} elements")
-    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    row = tuple(range(n))
+    mul = tuple(row[i:] + row[:i] for i in range(n))
     return MarkedGroup(n, mul, 0, gens)
 
 
@@ -464,10 +466,7 @@ def quotient_action(group: MarkedGroup) -> FkAction:
     gen_images[i] * x.  The action is transitive because the marked
     generators generate."""
     alg = validate_algebra([Fraction(1, group.order)] * group.order)
-    gens = [
-        tuple(group.mul[g][x] for x in range(group.order)) for g in group.gen_images
-    ]
-    return validate_action(alg, gens)
+    return validate_action(alg, [group.mul[g] for g in group.gen_images])
 
 
 class JointQuotient(Record):
@@ -780,9 +779,10 @@ def approx_conjugacy_search(
     defect there, and the beam's optimality is never claimed.  Every depth
     may be searched in turn, so the refined atoms summed over depths
     1..max_refine, base_units*M*(M+1)/2, are checked against
-    MAX_REFINED_ATOMS before any search starts.  A beam over n atoms takes
-    beam_width*n^2 steps; before each beam the steps summed over the beams
-    run so far, this one included, are checked against MAX_BEAM_STEPS."""
+    MAX_REFINED_ATOMS before any search starts.  A beam over n atoms is
+    counted as beam_width*n^2 steps, a bound on its work and not the work
+    it does; before each beam the steps summed over the beams run so far,
+    this one included, are checked against MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     if max_refine < 1:
@@ -861,31 +861,51 @@ def _beam_assign(r1: FkAction, r2: FkAction, beam_width: int) -> tuple[int, ...]
     Source atoms are placed in increasing order.  Placing x on t keeps the
     edge from x to a placed y = g1[x] only when g2[t] = mapping[y], and the
     edge from a placed z = g1^-1[x] to x only when t = g2[mapping[z]]; each
-    placed neighbor spares exactly one target, so one pass over the
-    neighbors scores every target of a state.  Candidates are kept as
-    (score, parent mapping, t): all parents have the same length, so this
-    orders them as (score, parent mapping + (t,)) would, and the beam_width
-    survivors, taken with heapq.nsmallest, are the only mappings copied."""
+    placed neighbor spares exactly one target, so a free target of a state
+    of score s scores s + len(spare) less the neighbors sparing it.
+    Candidates are kept as (score, parent mapping, t, parent's free
+    targets): no two share their first three entries, so the fourth is
+    never compared, and all parents have the same length, so this orders
+    them as (score, parent mapping + (t,)) would.  The beam_width survivors
+    are taken with heapq.nsmallest.
+
+    Only two kinds of candidate are ranked: each state's spared free
+    targets, at most 2k, and the first beam_width free targets of the walk
+    over the states in order, each state's free targets in increasing
+    order.  None that could survive is missed: the states are sorted and
+    distinct, so an unspared target, keyed (s + len(spare), mapping, t),
+    has a larger key than every target before it in the walk, spared or
+    not, and it survives only if fewer than beam_width come before it.
+    Each state keeps its free targets as a sorted tuple, copied only for
+    the survivors."""
     n = r1.algebra.size
     edges = list(zip(r1.gens, r1.inv_gens, r2.gens, r2.inv_gens))
-    states: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    states: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [
+        (0, (), tuple(range(n)))
+    ]
     for x in range(n):
         # placed neighbors y of x, each with the map from y's target to the
         # one target of x that keeps the edge
         spare = [(ig2, g1[x]) for g1, _, _, ig2 in edges if g1[x] < x]
         spare += [(g2, ig1[x]) for _, ig1, g2, _ in edges if ig1[x] < x]
-        grown: list[tuple[int, tuple[int, ...], int]] = []
-        for score, mapping in states:
-            penalty: list = [score + len(spare)] * n
+        grown: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []
+        unwalked = beam_width
+        for score, mapping, free in states:
+            worst = score + len(spare)
+            spared: dict[int, int] = {}  # spared target -> its score
             for keep, y in spare:
-                penalty[keep[mapping[y]]] -= 1
-            for t in mapping:
-                penalty[t] = None
-            grown.extend(
-                (p, mapping, t) for t, p in enumerate(penalty) if p is not None
-            )
-        states = [
-            (score, mapping + (t,))
-            for score, mapping, t in heapq.nsmallest(beam_width, grown)
-        ]
+                t = keep[mapping[y]]
+                spared[t] = spared.get(t, worst) - 1
+            for t, p in spared.items():
+                i = bisect_left(free, t)
+                if i < len(free) and free[i] == t:
+                    grown.append((p, mapping, t, free))
+            if unwalked:
+                head = free[:unwalked]
+                grown += [(worst, mapping, t, free) for t in head if t not in spared]
+                unwalked -= len(head)
+        states = []
+        for score, mapping, t, free in heapq.nsmallest(beam_width, grown):
+            i = bisect_left(free, t)
+            states.append((score, mapping + (t,), free[:i] + free[i + 1 :]))
     return states[0][1]

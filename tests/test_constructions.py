@@ -1074,6 +1074,38 @@ def test_group_tables_compose_order_k_plus_order_times_at_most(monkeypatch):
     assert group.order == 72 and 0 < len(calls) <= group.order * (group.k + 1)
 
 
+def oracle_cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Z/n's table as built before the rotated rows: every entry summed."""
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def oracle_quotient_gens(group: MarkedGroup) -> list[tuple[int, ...]]:
+    """The quotient action's generators as built before: each table row
+    read entry by entry."""
+    return [
+        tuple(group.mul[g][x] for x in range(group.order)) for g in group.gen_images
+    ]
+
+
+def test_cyclic_tables_and_quotient_generators_match_the_entrywise_oracle():
+    for n in (1, 2, 3, 5, 7, 31, 36, 60, MAX_GROUP_ORDER):
+        images = [1, n // 2 + 3]
+        expected = MarkedGroup(n, oracle_cyclic_table(n), 0, tuple(i % n for i in images))
+        assert cyclic_group(n, images) == expected
+    rng = random.Random(811)
+    groups = [cyclic_group(n, [1, rng.randrange(n)]) for n in (1, 2, 12, 36, 60)]
+    for perms in (S5_GENERATORS, *BENCHMARK_PERMUTATION_GROUPS):
+        groups.append(permutation_marked_group([tuple(p) for p in perms])[0])
+    groups += [
+        joint_quotient(cyclic_group(6, [1, 4]), groups[-1]).group,
+        joint_quotient(groups[-2], groups[3]).group,
+        validate_marked_group([[0]], []),
+    ]
+    for group in groups:
+        act = quotient_action(group)
+        assert act == validate_action(act.algebra, oracle_quotient_gens(group))
+
+
 def oracle_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
     """The beam as it was: every candidate mapping copied, all of them
     sorted, the first beam_width kept."""
@@ -1100,6 +1132,18 @@ def oracle_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
     return states[0][1]
 
 
+def _mostly_fixed_action(rng: random.Random, n: int, k: int) -> FkAction:
+    """Generators that each move at most four atoms, some none at all."""
+    gens = []
+    for _ in range(k):
+        gen = list(range(n))
+        moved = rng.sample(range(n), rng.randint(0, 4))
+        for x, y in zip(moved, rng.sample(moved, len(moved))):
+            gen[x] = y
+        gens.append(tuple(gen))
+    return validate_action(uniform_algebra(n), gens)
+
+
 def test_beam_matches_the_sort_everything_oracle():
     rng = random.Random(909)
     for _ in range(150):
@@ -1116,6 +1160,27 @@ def test_beam_matches_the_sort_everything_oracle():
         a1, a2 = cycle_mismatch_pair(random.Random(n), n)
         for beam_width in (1, 2, 16):
             assert _beam_assign(a1, a2, beam_width) == oracle_beam_assign(a1, a2, beam_width)
+    # from n = 10 on, a width-16 beam ranks only some of a state's targets;
+    # over mostly fixed points nearly every target ties, so the survivors'
+    # unspared targets come from more than one state
+    rng = random.Random(910)
+    for case in range(24):
+        n = rng.randint(10, 40)
+        k = rng.randint(1, 3)
+        kind = case % 4
+        if kind == 0:
+            r1, r2 = (random_equal_atom_action(rng, n, k) for _ in range(2))
+        elif kind == 1:
+            r1 = random_equal_atom_action(rng, n, k)
+            r2 = relabeled_action(r1, random_permutation(rng, n))
+        elif kind == 2:
+            r1, r2 = (_mostly_fixed_action(rng, n, k) for _ in range(2))
+        else:
+            r1 = validate_action(uniform_algebra(n), [tuple(range(n))] * k)
+            r2 = _mostly_fixed_action(rng, n, k)
+        for beam_width in (1, 2, 16, n + 1):
+            assert _beam_assign(r1, r2, beam_width) == oracle_beam_assign(r1, r2, beam_width)
+            assert _beam_assign(r2, r1, beam_width) == oracle_beam_assign(r2, r1, beam_width)
 
 
 # ------------------------------------------------------- unit refinement caps
