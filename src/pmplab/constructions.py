@@ -900,7 +900,7 @@ def _beam_assign(r1: FkAction, r2: FkAction, beam_width: int) -> tuple[int, ...]
                 i = bisect_left(free, t)
                 if i < len(free) and free[i] == t:
                     grown.append((p, mapping, t, free))
-            if unwalked:
+            if unwalked:  # past the walk, a state adds only its spared targets
                 head = free[:unwalked]
                 grown += [(worst, mapping, t, free) for t in head if t not in spared]
                 unwalked -= len(head)

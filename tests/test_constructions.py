@@ -1093,15 +1093,13 @@ def test_cyclic_tables_and_quotient_generators_match_the_entrywise_oracle():
         expected = MarkedGroup(n, oracle_cyclic_table(n), 0, tuple(i % n for i in images))
         assert cyclic_group(n, images) == expected
     rng = random.Random(811)
-    groups = [cyclic_group(n, [1, rng.randrange(n)]) for n in (1, 2, 12, 36, 60)]
-    for perms in (S5_GENERATORS, *BENCHMARK_PERMUTATION_GROUPS):
-        groups.append(permutation_marked_group([tuple(p) for p in perms])[0])
-    groups += [
-        joint_quotient(cyclic_group(6, [1, 4]), groups[-1]).group,
-        joint_quotient(groups[-2], groups[3]).group,
-        validate_marked_group([[0]], []),
+    cyclic = [cyclic_group(n, [1, rng.randrange(n)]) for n in (1, 2, 12, 36, 60)]
+    perm = [permutation_marked_group(perms)[0] for perms in BENCHMARK_PERMUTATION_GROUPS]
+    joint = [
+        joint_quotient(cyclic_group(6, [1, 4]), perm[4]).group,  # Z/6 with S_5
+        joint_quotient(perm[3], cyclic[3]).group,  # S_4 with Z/36
     ]
-    for group in groups:
+    for group in (*cyclic, *perm, *joint, validate_marked_group([[0]], [])):
         act = quotient_action(group)
         assert act == validate_action(act.algebra, oracle_quotient_gens(group))
 
