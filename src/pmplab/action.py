@@ -62,7 +62,7 @@ def check_permutation(alg: MeasuredAlgebra, p: Sequence[int]) -> Perm:
         if not 0 <= y < n or seen[y]:
             raise NotBijective("generator table is not a permutation")
         seen[y] = True
-    units = alg._units
+    units = alg.units
     if tuple([units[y] for y in p]) != units:
         x, y = next((x, y) for x, y in enumerate(p) if units[x] != units[y])
         raise NotMeasurePreserving(
@@ -266,7 +266,7 @@ def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -
     gp = check_permutation(alg, g)
     hp = check_permutation(alg, h)
     p = perm_compose(perm_inverse(hp), gp)
-    units = alg._units
+    units = alg.units
     seen = [False] * alg.size
     total = 0
     for start in range(alg.size):
@@ -280,7 +280,7 @@ def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -
             length += 1
             x = p[x]
         total += units[start] * (length - length % 2)
-    return Fraction(total, alg._den)
+    return Fraction(total, alg.den)
 
 
 def uniform_distance_tuples(

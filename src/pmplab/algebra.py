@@ -1,18 +1,14 @@
 """Finite probability measure algebras with exact rational masses.
 
-An algebra is a finite list of atoms indexed 0..n-1 whose Fraction masses are
-positive and sum to one.  Events are sets of atom indices; tuples of events
-generate sign-vector partitions, and every distance in this package is a sum
-of cell masses of such partitions.  All arithmetic is exact; nothing here
-touches floats.
-
-Each algebra also carries, derived from its atoms and computed once, the
-common denominator D of its masses (the lcm of their denominators) and its
-atoms as integer units of 1/D.  The measure kernels (mass sums, joint laws,
-the partition metric, mass-preservation checks) add and compare those
-integers and build one Fraction per result, so every value they return is
-still a Fraction.  The units are not fields: an algebra's repr, equality,
-hash, pickle and copies are those of its id and atoms alone.
+An algebra is a finite list of atoms indexed 0..n-1, stored as integers: a
+common denominator D and one positive unit count per atom, atom x weighing
+units[x] / D.  The units sum to D and have gcd 1, so D is the least common
+denominator of the masses.  Events are sets of atom indices; tuples of
+events generate sign-vector partitions, and every distance in this package
+is a sum of cell masses of such partitions.  The measure kernels (mass
+sums, joint laws, the partition metric, mass-preservation checks) add and
+compare units and build one Fraction per result, so every value they return
+is still a Fraction.  All arithmetic is exact; nothing here touches floats.
 
 Algebras have nominal identity: two algebras with identical atom lists are
 still distinct objects, and events belonging to different algebras never
@@ -23,8 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -50,42 +45,36 @@ def _fresh_id() -> int:
 
 
 class MeasuredAlgebra(Record):
-    """A finite measure algebra given by its atom masses.
+    """A finite measure algebra: atom x weighs units[x] / den.
 
-    Construct through validate_algebra.  Only this module builds instances
-    directly, through _new_algebra: _split for refinements and
-    product_algebra, whose masses already satisfy the invariants and whose
-    units come from their parents'.  The id field gives each constructed
-    algebra a distinct identity.
+    The units are positive with gcd 1 and sum to den.  Construct through
+    validate_algebra.  Only this module builds instances directly: _split
+    for refinements and product_algebra, whose units come from their
+    parents' in integers alone.  The id field gives each constructed algebra
+    a distinct identity.
     """
 
     id: int
-    atoms: tuple[Fraction, ...]
+    den: int
+    units: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.atoms)
+        return len(self.units)
 
-    @cached_property
-    def _den(self) -> int:
-        return lcm(*(m.denominator for m in self.atoms))
-
-    @cached_property
-    def _units(self) -> tuple[int, ...]:
-        """Atom x weighs _units[x] / _den."""
-        den = self._den
-        return tuple([m.numerator * (den // m.denominator) for m in self.atoms])
-
-    def __getstate__(self) -> dict:
-        # the cached units are derived: pickles and copies carry the fields alone
-        return {name: getattr(self, name) for name in self.__match_args__}
+    @property
+    def atoms(self) -> tuple[Fraction, ...]:
+        """The atom masses, one Fraction built per distinct unit count."""
+        den, units = self.den, self.units
+        mass = {u: Fraction(u, den) for u in set(units)}
+        return tuple([mass[u] for u in units])
 
     def mass_of(self, members: Iterable[int]) -> Fraction:
-        units = self._units
-        return Fraction(sum([units[i] for i in members]), self._den)
+        units = self.units
+        return Fraction(sum([units[i] for i in members]), self.den)
 
     def denominator_lcm(self) -> int:
-        return self._den
+        return self.den
 
 
 def validate_algebra(masses: Sequence[Fraction]) -> MeasuredAlgebra:
@@ -107,17 +96,7 @@ def validate_algebra(masses: Sequence[Fraction]) -> MeasuredAlgebra:
     total = sum(units)
     if total != den:
         raise MassNotOne(f"atom masses sum to {Fraction(total, den)}, expected 1")
-    return _new_algebra(atoms, den, units)
-
-
-def _new_algebra(
-    atoms: tuple[Fraction, ...], den: int, units: tuple[int, ...]
-) -> MeasuredAlgebra:
-    """A fresh algebra whose units cache is filled with den and units, which
-    must be the ones its atoms give."""
-    alg = MeasuredAlgebra(_fresh_id(), atoms)
-    alg.__dict__.update(_den=den, _units=units)
-    return alg
+    return MeasuredAlgebra(_fresh_id(), den, units)
 
 
 def _same_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra, what: str) -> None:
@@ -243,14 +222,14 @@ def _unit_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], int]:
     atom.  Every atom has positive mass, so every key has a positive weight."""
     cells: dict[tuple[Sign, ...], int] = {}
     keys = zip(*[_sign_map(t) for t in tuples])
-    for key, u in zip(keys, tuples[0].algebra._units):
+    for key, u in zip(keys, tuples[0].algebra.units):
         cells[key] = cells.get(key, 0) + u
     return cells
 
 
 def _cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
     """_unit_law as masses: one Fraction per cell."""
-    den = tuples[0].algebra._den
+    den = tuples[0].algebra.den
     return {key: Fraction(u, den) for key, u in _unit_law(*tuples).items()}
 
 
@@ -278,9 +257,9 @@ def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
     _same_algebra(a.algebra, b.algebra, "tuples")
     if a.arity != b.arity:
         raise ArityMismatch(f"tuples have arities {a.arity} and {b.arity}")
-    units = a.algebra._units
+    units = a.algebra.units
     moved = [u for u, sa, sb in zip(units, _sign_map(a), _sign_map(b)) if sa != sb]
-    return Fraction(sum(moved), a.algebra._den)
+    return Fraction(sum(moved), a.algebra.den)
 
 
 def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
@@ -305,12 +284,15 @@ def refine_to_unit(
     MAX_REFINED_ATOMS atoms before any is built.
     """
     # atom x holds units[x] * unit.denominator / (D * unit.numerator) parts
-    scale = alg._den * unit.numerator
+    den = alg.den
+    scale = den * unit.numerator
     counts = []
-    for mass, u in zip(alg.atoms, alg._units):
+    for u in alg.units:
         count, rest = divmod(u * unit.denominator, scale)
         if rest or count < 1:
-            raise PartMassMismatch(f"unit {unit} does not divide atom mass {mass}")
+            raise PartMassMismatch(
+                f"unit {unit} does not divide atom mass {Fraction(u, den)}"
+            )
         counts.append(count)
     return _split(alg, counts)
 
@@ -324,26 +306,23 @@ def _split(
     parent.  Raises InstanceTooLarge, before any part is built, when
     sum(counts) passes MAX_REFINED_ATOMS.
 
-    The child's units come from one part per parent atom.  For an equal
-    split by m they are the parent's units, each repeated m times, over D*m:
-    the units of an algebra have gcd 1, since they sum to D and D is the
-    least common denominator."""
+    A part of atom x weighs u/(D*c), u = units[x] and c = counts[x], whose
+    least denominator is D*c // gcd(u, D*c).  The child's den is the lcm of
+    those over the distinct (u, c), and such a part holds u*den // (D*c) of
+    its units.  For an equal split by m that is the parent's units, each
+    repeated m times, over D*m, since the parent's units have gcd 1."""
     _check_refined_size(sum(counts))
-    # one Fraction per distinct (units, count): atom x splits into parts of
-    # units[x] / (D * counts[x])
-    parent_den = alg._den
-    keys = list(zip(alg._units, counts))
-    split = {key: Fraction(key[0], parent_den * key[1]) for key in set(keys)}
-    parts = [split[key] for key in keys]
-    den = lcm(*[part.denominator for part in split.values()])
-    atoms: list[Fraction] = []
+    parent_den = alg.den
+    keys = list(zip(alg.units, counts))
+    distinct = set(keys)
+    den = lcm(*[parent_den * c // gcd(u, parent_den * c) for u, c in distinct])
+    part = {(u, c): u * den // (parent_den * c) for u, c in distinct}
     units: list[int] = []
     projection: list[int] = []
-    for x, (part, count) in enumerate(zip(parts, counts)):
-        atoms.extend([part] * count)
-        units.extend([part.numerator * (den // part.denominator)] * count)
+    for x, (u, count) in enumerate(keys):
+        units.extend([part[u, count]] * count)
         projection.extend([x] * count)
-    return _new_algebra(tuple(atoms), den, tuple(units)), tuple(projection)
+    return MeasuredAlgebra(_fresh_id(), den, tuple(units)), tuple(projection)
 
 
 def _runs(projection: Sequence[int]) -> list[range]:
@@ -370,13 +349,10 @@ def lift_tuple(
 def product_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra) -> MeasuredAlgebra:
     """Product measure algebra, atom (i, j) at index i * b.size + j.
 
-    Its units are the products of the factors' units over D_a * D_b, exact
-    because the units of each factor have gcd 1; one Fraction is built per
-    distinct unit product."""
-    units = tuple([ua * ub for ua in a._units for ub in b._units])
-    den = a._den * b._den
-    mass = {u: Fraction(u, den) for u in set(units)}
-    return _new_algebra(tuple([mass[u] for u in units]), den, units)
+    Its units are the products of the factors' units over D_a * D_b: they
+    have gcd 1 because the units of each factor do."""
+    units = tuple([ua * ub for ua in a.units for ub in b.units])
+    return MeasuredAlgebra(_fresh_id(), a.den * b.den, units)
 
 
 class AtomPartition(Record):

@@ -93,7 +93,15 @@ class C1Report(Record):
     xi: tuple[Fraction, ...]
     psi: tuple[Fraction, ...]
     eps: Fraction
-    satisfied: bool
+
+    @property
+    def worst(self) -> Fraction:
+        """The largest quantity; psi always holds psi_0."""
+        return max(self.xi + self.psi)
+
+    @property
+    def satisfied(self) -> bool:
+        return self.worst < self.eps
 
 
 def _check_depth(act: FkAction, max_refine: int) -> None:
@@ -160,9 +168,7 @@ def check_C1(
     for i in range(1, k + 1):
         others = a.concat(*pushed[: i - 1], *pushed[i:])
         psi.append(independence_deficiency(pushed[i - 1], tuples[i], others))
-    quantities = list(xi) + psi
-    worst = max(quantities) if quantities else ZERO
-    return C1Report(xi, tuple(psi), eps, worst < eps)
+    return C1Report(xi, tuple(psi), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +403,7 @@ def _c2_prepare(
     def pack(signs: Sequence[int]) -> int:
         return sum(bit << i for i, bit in enumerate(signs))
 
-    base_den = a.algebra._den
+    base_den = a.algebra.den
     law = joint_distribution(a, tuples[0].concat(*tuples[1:]))
     cells = [
         (pack(r) | pack(s) << base_arity, m.numerator * (base_den // m.denominator))
@@ -411,7 +417,7 @@ def _c2_prepare(
 
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
-        denom, weights, size = alg._den, alg._units, alg.size
+        denom, weights, size = alg.den, alg.units, alg.size
         keys = [anchor_keys[p] for p in projection]
         diff = defaultdict(int)
         scale = denom // base_den
@@ -554,9 +560,7 @@ def axiom_residual(
     refined atom weights, so every depth's floor is at most worst, below
     the stop 2 * worst."""
     _check_depth(act, max_refine)
-    report = check_C1(act, a, bs, Fraction(1))
-    quantities = list(report.xi) + list(report.psi)
-    worst = max(quantities) if quantities else ZERO
+    worst = check_C1(act, a, bs, Fraction(1)).worst
     prepare = _c2_prepare(a, bs, _mass_spans(bs))
     for best, _c, _depth in _refine_search(
         act, bs[0].arity, max_refine, 2 * worst, prepare
@@ -652,8 +656,8 @@ def ec_in_extension_check(
     a_sets = [set(e.members) for e in embed.map_tuple(anchors).events]
     b_sets = [set(e.members) for e in bs.events]
     moved = [[{p[x] for x in b} for b in b_sets] for p in [_word_perm(big, w) for w in ws]]
-    target = _triple_units(big.algebra._units, a_sets, b_sets, moved)
-    prepare = _ec_prepare(anchors, bs, ws, target, big.algebra._den, blocks)
+    target = _triple_units(big.algebra.units, a_sets, b_sets, moved)
+    prepare = _ec_prepare(anchors, bs, ws, target, big.algebra.den, blocks)
     for value, cs, depth in _refine_search(
         small, bs.arity, max_refine, eps, prepare
     ):
@@ -683,9 +687,9 @@ def _ec_prepare(
 
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
-        denom = lcm(alg._den, target_den)
-        scale = denom // alg._den
-        weights = [u * scale for u in alg._units]
+        denom = lcm(alg.den, target_den)
+        scale = denom // alg.den
+        weights = [u * scale for u in alg.units]
         goal = [t * (denom // target_den) for t in target]
         a_sets = [set(e.members) for e in lift_tuple(anchors, alg, projection).events]
         perms = [_word_perm(refined, w) for w in words]

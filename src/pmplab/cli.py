@@ -43,6 +43,7 @@ from .constructions import (
     quotient_action,
 )
 from .errors import ArityMismatch, PmplabError, ValidationError
+from .jsonio import _int_list
 from .modeltheory import TYPE_METRICS, independence_deficiency, type_distance
 
 USAGE_EXIT = 64
@@ -158,7 +159,7 @@ def _cmd_indep(args) -> dict:
 
 
 def _parse_perm_arg(alg, obj) -> tuple:
-    perm = tuple(jsonio._int_list(obj, "permutation argument"))
+    perm = tuple(_int_list(obj, "permutation argument"))
     check_permutation(alg, perm)
     return perm
 

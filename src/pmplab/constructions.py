@@ -93,8 +93,8 @@ class PartialIsomorphism(Record):
         pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     ) -> PartialIsomorphism:
         # block masses compare as unit sums across the two denominators
-        src_units, src_den, src_size = source._units, source._den, source.size
-        tgt_units, tgt_den, tgt_size = target._units, target._den, target.size
+        src_units, src_den, src_size = source.units, source.den, source.size
+        tgt_units, tgt_den, tgt_size = target.units, target.den, target.size
         seen_src: set[int] = set()
         seen_tgt: set[int] = set()
         out = []
@@ -166,8 +166,8 @@ class Isomorphism(Record):
     ) -> Isomorphism:
         if source.size != target.size or sorted(mapping) != list(range(source.size)):
             raise NotBijective("mapping is not a bijection between the atom sets")
-        su, sd = source._units, source._den
-        tu, td = target._units, target._den
+        su, sd = source.units, source.den
+        tu, td = target.units, target.den
         for x, y in enumerate(mapping):
             if su[x] * td != tu[y] * sd:
                 raise NotMassPreserving(
@@ -222,15 +222,17 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     if cells != _unit_law(b):
         raise TypeMismatch("tuples are not equidistributed: cell masses differ")
 
-    units = alg._units
+    units, den = alg.units, alg.den
     moving = [x for x in range(alg.size) if sa[x] != sb[x]]
-    dp = Fraction(sum([units[x] for x in moving]), alg._den)
+    dp = Fraction(sum([units[x] for x in moving]), den)
 
-    # lcm() of no denominators is 1: when nothing moves, nothing is split
-    unit = Fraction(1, lcm(*(alg.atoms[x].denominator for x in moving)))
-    counts = [
-        int(mass / unit) if sa[x] != sb[x] else 1 for x, mass in enumerate(alg.atoms)
-    ]
+    # The fragments weigh 1/L, L the lcm of the moving masses' denominators,
+    # so moving atom x splits into units[x] * L / D of them.  lcm() of
+    # nothing is 1: when nothing moves, nothing is split.
+    fragments_den = lcm(*[den // gcd(units[x], den) for x in moving])
+    counts = [1] * alg.size
+    for x in moving:
+        counts[x] = units[x] * fragments_den // den
     refined, projection = _split(alg, counts)
     fragments = _runs(projection)
 
@@ -568,7 +570,7 @@ class Ergodization(Record):
 def _equal_atoms(alg: MeasuredAlgebra) -> bool:
     """Whether all atoms of alg have one mass: ergodization and both
     embeddings require it."""
-    return len(set(alg._units)) == 1
+    return len(set(alg.units)) == 1
 
 
 def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
@@ -623,8 +625,8 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
             raise LPInternal("no merging swap found despite precondition")
         gi, u, v = swap
         p = gens[gi]
-        pu = [x for x in range(alg.size) if p[x] == u][0]
-        pv = [x for x in range(alg.size) if p[x] == v][0]
+        pu = p.index(u)
+        pv = p.index(v)
         p[pu], p[pv] = v, u
         modifications += 1
 

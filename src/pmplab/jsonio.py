@@ -72,7 +72,7 @@ def decimal_rendering(value: Fraction) -> str:
 
 def algebra_to_json(alg: MeasuredAlgebra) -> dict:
     """One string per distinct unit count: atom x is units[x] / D."""
-    units, den = alg._units, alg._den
+    units, den = alg.units, alg.den
     text = {u: format_rational(Fraction(u, den)) for u in set(units)}
     return {"atoms": [text[u] for u in units]}
 

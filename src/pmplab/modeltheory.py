@@ -105,7 +105,7 @@ def type_distance_tv(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction
     the type of b over the base: the summed residual mass of b.
     """
     _check_triple(base, b, c)
-    return _residual_mass(_residual_laws(base, b, c), base.algebra._den)
+    return _residual_mass(_residual_laws(base, b, c), base.algebra.den)
 
 
 def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
@@ -125,7 +125,7 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
     """
     _check_triple(base, b, c)
     cells = _residual_laws(base, b, c)
-    den = base.algebra._den
+    den = base.algebra.den
     n = b.arity
     if n == 1 or not cells:
         return _residual_mass(cells, den)  # 0 when no cell is left
@@ -228,7 +228,7 @@ def relatively_independent_joining(
         if law_c is None:
             law_c = cells[r] = {}
         law_c[t] = law_c.get(t, 0) + u
-    den = base.algebra._den
+    den = base.algebra.den
     scale = {r: den * sum(law_c.values()) for r, law_c in cells.items()}
     mass: dict[tuple[Sign, Sign, Sign], Fraction] = {}
     for (r, s), mb in law_b.items():
@@ -271,4 +271,4 @@ def independence_deficiency(
         ])
         if gap:
             total += Fraction(gap, mass)
-    return total / (2 * base.algebra._den)
+    return total / (2 * base.algebra.den)

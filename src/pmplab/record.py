@@ -45,23 +45,24 @@ class Record:
         cls.__init__ = init
         cls.__match_args__ = fields
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({inner})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return _values(self) == _values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(_values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _values(record: Record) -> tuple:
+    return tuple([getattr(record, name) for name in record.__match_args__])

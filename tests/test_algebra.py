@@ -245,7 +245,7 @@ def test_unit_law_matches_the_oracle_cells(seed, arities):
     law = _unit_law(*tuples)
     assert list(law) == sorted(expected, key=lambda key: min(expected[key]))
     for key, atoms in expected.items():
-        assert F(law[key], alg._den) == sum((alg.atoms[x] for x in atoms), F(0))
+        assert F(law[key], alg.den) == sum((alg.atoms[x] for x in atoms), F(0))
 
 
 def test_concat_takes_any_number_of_tuples():

@@ -548,7 +548,7 @@ def ec_target(big, target):
     """A Fraction pattern of _triple_pattern on the big system as
     _ec_prepare takes it: (units of 1/D in key order, D), D the big
     algebra's common denominator."""
-    den = big.algebra._den
+    den = big.algebra.den
     return [m.numerator * (den // m.denominator) for m in target.values()], den
 
 
@@ -1207,7 +1207,7 @@ def oracle_flip_c2_prepare(a, tuples):
 
     def prepare(refined, projection):
         alg = refined.algebra
-        denom, weights = alg._den, alg._units
+        denom, weights = alg.den, alg.units
         diff = {
             pack(r) | pack(s) << base_arity: m.numerator * (denom // m.denominator)
             for (r, s), m in target.mass.items()

@@ -2,7 +2,8 @@
 module-level private name of the package is used somewhere in the package
 outside its own definition, and every public function, class, constant or method is called by package
 code unless it is listed in LIBRARY_ONLY.  No isinstance or issubclass
-call names a class imported from typing.  Importing the command line
+call names a class imported from typing, and no package module reads a
+private attribute through anything but self or cls.  Importing the command line
 stays light: no module of the package imports dataclasses, and the import
 loads neither dataclasses nor inspect.  The package exports no submodule.
 
@@ -194,8 +195,8 @@ def test_every_public_name_is_used_in_the_package_or_allowlisted():
 
 
 def algebras_built_outside_algebra(sources: dict[str, str]) -> list[str]:
-    """Calls of MeasuredAlgebra(...), _fresh_id() or _new_algebra(...) in
-    any module but algebra.py, as module:line: name.  Refined algebras are laid out by
+    """Calls of MeasuredAlgebra(...) or _fresh_id() in any module but
+    algebra.py, as module:line: name.  Refined algebras are laid out by
     algebra._split alone, and every other algebra comes from
     validate_algebra or product_algebra."""
     found: list[str] = []
@@ -207,19 +208,18 @@ def algebras_built_outside_algebra(sources: dict[str, str]) -> list[str]:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("MeasuredAlgebra", "_fresh_id", "_new_algebra"):
+            if name in ("MeasuredAlgebra", "_fresh_id"):
                 found.append(f"{module}:{node.lineno}: {name}")
     return sorted(found)
 
 
 def test_detects_an_algebra_built_outside_algebra():
     sources = {
-        "algebra.py": "def f():\n    return MeasuredAlgebra(_fresh_id(), ())\n",
+        "algebra.py": "def f():\n    return MeasuredAlgebra(_fresh_id(), 1, (1,))\n",
         "b.py": (
             "from .algebra import MeasuredAlgebra, _fresh_id\n"
-            "x = MeasuredAlgebra(_fresh_id(), ())\n"
-            "y = algebra.MeasuredAlgebra(1, ())\n"
-            "z = _new_algebra((), 1, ())\n"
+            "x = MeasuredAlgebra(_fresh_id(), 1, (1,))\n"
+            "y = algebra.MeasuredAlgebra(1, 1, (1,))\n"
             "def g(alg: MeasuredAlgebra) -> MeasuredAlgebra:\n    return alg\n"
         ),
     }
@@ -227,13 +227,46 @@ def test_detects_an_algebra_built_outside_algebra():
         "b.py:2: MeasuredAlgebra",
         "b.py:2: _fresh_id",
         "b.py:3: MeasuredAlgebra",
-        "b.py:4: _new_algebra",
     ]
 
 
 def test_only_the_algebra_module_builds_algebras():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert algebras_built_outside_algebra(sources) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """Private, non-dunder attributes read through anything but self or cls,
+    as line N: expression.  A module's private names are its own: another
+    module imports the ones it needs by name, and an object's private
+    attributes are read by its own methods alone."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Attribute) and _is_private(node.attr)):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_detects_a_private_read_through_another_object():
+    source = (
+        "import jsonio\n"
+        "class A:\n"
+        "    def f(self, other):\n"
+        "        return self._x, cls._y, self.__dict__, other.__class__\n"
+        "    def g(self, other):\n"
+        "        return other._x + jsonio._int_list(other.alg._units)\n"
+    )
+    assert private_reads(source) == [
+        "line 6: jsonio._int_list", "line 6: other._x", "line 6: other.alg._units",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_a_private_attribute_of_another_object(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
 
 
 def typing_class_checks(source: str) -> list[str]:

@@ -2,9 +2,10 @@
 algebra, and so do the type distances, the joining and the independence
 deficiency.  Each is checked here against the Fraction-by-Fraction code it
 replaced, kept as the oracle: equal values, equal key order in the laws,
-and equal exception types and messages.  Refinements and products build
-their units from their parents' and are checked against the units their
-atoms give, and their atoms against the Fraction quotients and products.
+and equal exception types and messages.  Every algebra a constructor
+builds from its parents' integer units is checked against the units
+validate_algebra gives its atoms, and the atoms of splits and products
+against the Fraction quotients and products.
 PartialIsomorphism.of compares block masses as unit sums over two
 denominators and is checked against the Fraction comparison it replaced."""
 from __future__ import annotations
@@ -18,8 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmplab import modeltheory
-from pmplab.action import check_permutation
+from pmplab.action import (
+    check_permutation,
+    invariant_components,
+    perturb_small,
+    validate_action,
+)
 from pmplab.algebra import (
+    AtomPartition,
     EventTuple,
     MeasuredAlgebra,
     _cell_law,
@@ -32,7 +39,12 @@ from pmplab.algebra import (
     refine_to_unit,
     validate_algebra,
 )
-from pmplab.constructions import Isomorphism, PartialIsomorphism
+from pmplab.constructions import (
+    Isomorphism,
+    PartialIsomorphism,
+    eppa_extend,
+    match_partitions,
+)
 from pmplab.errors import (
     AlgebraMismatch,
     ArityMismatch,
@@ -403,7 +415,7 @@ def test_validate_algebra_matches_the_fraction_oracle(masses):
     assert all(type(m) is Fraction for m in alg.atoms)
     den = lcm(*(m.denominator for m in expected))
     assert alg.denominator_lcm() == den
-    assert [Fraction(u, den) for u in alg._units] == list(expected)
+    assert [Fraction(u, den) for u in alg.units] == list(expected)
 
 
 @given(algebra_and_tuples(), st.data())
@@ -469,7 +481,7 @@ def test_isomorphism_compares_masses_over_two_denominators():
     source = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
     target = validate_algebra([F(1, 6), F(1, 2), F(1, 3)])
     # atom 0 and target atom 1 both weigh 1/2: 2 units of 1/4, 3 of 1/6
-    assert (source._units[0], target._units[1]) == (2, 3)
+    assert (source.units[0], target.units[1]) == (2, 3)
     with pytest.raises(NotMassPreserving) as err:
         Isomorphism.of(source, target, [1, 0, 2])
     assert str(err.value) == "atom 1 of mass 1/4 maps to mass 1/6"
@@ -536,34 +548,66 @@ def test_splits_and_products_build_the_fraction_atoms(m1, m2, data):
     assert {type(m) for m in split.atoms + prod.atoms} == {Fraction}
 
 
-def inherited_and_derived_units(alg: MeasuredAlgebra):
-    """The units cache an algebra was built with, and the units its atoms
-    give to a fresh record."""
-    plain = MeasuredAlgebra(alg.id, alg.atoms)
-    return (vars(alg)["_den"], vars(alg)["_units"]), (plain._den, plain._units)
+def assert_units_are_those_its_atoms_give(alg: MeasuredAlgebra) -> None:
+    fresh = validate_algebra(alg.atoms)
+    assert (alg.den, alg.units) == (fresh.den, fresh.units)
+
+
+def preserving_permutation(data, alg: MeasuredAlgebra) -> list[int]:
+    """A mass-preserving permutation: atoms of one unit count shuffled."""
+    classes: dict[int, list[int]] = {}
+    for x, u in enumerate(alg.units):
+        classes.setdefault(u, []).append(x)
+    table = [0] * alg.size
+    for members in classes.values():
+        for x, y in zip(members, data.draw(st.permutations(members))):
+            table[x] = y
+    return table
 
 
 @given(mixed_masses(max_atoms=12), mixed_masses(max_atoms=6), st.data())
 @settings(max_examples=200, deadline=None)
-def test_refinements_and_products_inherit_the_units_their_atoms_give(m1, m2, data):
+def test_every_constructor_gives_the_units_its_atoms_give(m1, m2, data):
+    """Refinements, products, the matching's refinement, the eppa
+    overalgebra and the perturbation's refinement build their units from
+    their parents' integers; each equals what validate_algebra gives their
+    atoms."""
     alg = validate_algebra(m1)
     factor = validate_algebra(m2)
     m = data.draw(st.integers(1, 4))
     counts = data.draw(st.lists(st.integers(1, 4), min_size=alg.size, max_size=alg.size))
     equal, _ = refine_equal(alg, m)
-    assert vars(equal)["_den"] == alg._den * m
-    assert vars(equal)["_units"] == tuple(u for u in alg._units for _ in range(m))
+    assert equal.den == alg.den * m
+    assert equal.units == tuple(u for u in alg.units for _ in range(m))
     prod = product_algebra(alg, factor)
-    assert vars(prod)["_den"] == alg._den * factor._den
-    children = [equal, _split(alg, counts)[0], prod, refine_equal(prod, 2)[0]]
-    children.append(product_algebra(equal, factor))
-    try:
-        children.append(refine_to_unit(alg, F(1, alg._den * data.draw(st.integers(1, 3))))[0])
-    except InstanceTooLarge:
-        pass
-    for child in children:
-        inherited, derived = inherited_and_derived_units(child)
-        assert inherited == derived
+    assert prod.den == alg.den * factor.den
+    built = [alg, factor, equal, _split(alg, counts)[0], prod, refine_equal(prod, 2)[0]]
+    built.append(product_algebra(equal, factor))
+
+    p = preserving_permutation(data, alg)
+    members = st.sets(st.integers(0, alg.size - 1))
+    a = EventTuple.of_members(alg, data.draw(st.lists(members, min_size=1, max_size=3)))
+    b = EventTuple.of_members(alg, [[p[x] for x in e.members] for e in a.events])
+    partial = PartialIsomorphism.of(alg, alg, [([x], [y]) for x, y in enumerate(p)])
+    act = validate_action(alg, [p])
+    fixed = data.draw(st.sampled_from([
+        AtomPartition.trivial(alg),
+        AtomPartition.of(alg, invariant_components(act).components),
+    ]))
+    delta = data.draw(st.fractions(min_value=F(1, 16), max_value=1).filter(bool))
+    refusable = [
+        lambda: refine_to_unit(alg, F(1, alg.den * data.draw(st.integers(1, 3))))[0],
+        lambda: match_partitions(a, b).refined,
+        lambda: eppa_extend(alg, [partial]).algebra,
+        lambda: perturb_small(act, fixed, delta).action.algebra,
+    ]
+    for build in refusable:
+        try:
+            built.append(build())
+        except InstanceTooLarge:
+            pass
+    for each in built:
+        assert_units_are_those_its_atoms_give(each)
 
 
 raw_units = st.one_of(
@@ -578,7 +622,7 @@ def test_refine_to_unit_matches_the_fraction_oracle(masses, data):
     alg = validate_algebra(masses)
     unit = data.draw(st.one_of(
         raw_units,
-        st.integers(1, 4).map(lambda k: F(1, alg._den * k)),
+        st.integers(1, 4).map(lambda k: F(1, alg.den * k)),
         st.sampled_from(alg.atoms),
         st.sampled_from(alg.atoms).map(lambda m: m / 2),
     ))

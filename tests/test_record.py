@@ -18,6 +18,7 @@ from pmplab.algebra import (
     MeasuredAlgebra,
     _cell_law,
     dist_partition,
+    product_algebra,
     refine_equal,
     validate_algebra,
 )
@@ -144,23 +145,23 @@ def test_record_class_rules():
     assert Empty() == Empty() and repr(Empty()) == "test_record_class_rules.<locals>.Empty()"
 
 
-def test_cached_units_leave_the_algebra_record_unchanged(monkeypatch):
-    """An algebra's common denominator and integer units are derived and
-    cached: its repr, ==, hash, pickle and copies are those of its fields,
-    before and after the units are computed, and each algebra computes
-    them once."""
+def test_an_algebra_record_is_its_id_den_and_units(monkeypatch):
+    """An algebra's fields are its id, common denominator and integer units:
+    its repr, ==, hash, pickle and copies are those of (id, den, units), its
+    atoms are derived from them, and building it calls lcm once, a product
+    not at all."""
     alg = validate_algebra([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
-    plain = MeasuredAlgebra(alg.id, alg.atoms)
-    before = (repr(plain), hash(plain), pickle.dumps(plain))
-    assert sorted(vars(plain)) == ["atoms", "id"]
-    assert (plain._den, plain._units) == (alg._den, alg._units) == (6, (3, 2, 1))
-    assert (repr(plain), hash(plain), pickle.dumps(plain)) == before
-    assert (repr(alg), hash(alg), pickle.dumps(alg)) == before
-    assert plain == alg and repr(alg) == f"MeasuredAlgebra(id={alg.id}, atoms={alg.atoms!r})"
+    assert MeasuredAlgebra.__match_args__ == ("id", "den", "units")
+    assert vars(alg) == {"id": alg.id, "den": 6, "units": (3, 2, 1)}
+    assert repr(alg) == f"MeasuredAlgebra(id={alg.id}, den=6, units=(3, 2, 1))"
+    twin = MeasuredAlgebra(alg.id, 6, (3, 2, 1))
+    assert twin == alg and hash(twin) == hash(alg) == hash((alg.id, 6, (3, 2, 1)))
+    assert alg != MeasuredAlgebra(alg.id + 1, 6, (3, 2, 1))
+    assert alg.atoms == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     for back in (pickle.loads(pickle.dumps(alg)), copy.copy(alg), copy.deepcopy(alg)):
         assert back == alg and hash(back) == hash(alg) and repr(back) == repr(alg)
-        assert sorted(vars(back)) == ["atoms", "id"]
-        assert (back._den, back._units) == (6, (3, 2, 1))
+        assert vars(back) == vars(alg)
+    assert pickle.dumps(twin) == pickle.dumps(alg)
 
     calls = []
 
@@ -172,16 +173,15 @@ def test_cached_units_leave_the_algebra_record_unchanged(monkeypatch):
     built = validate_algebra(alg.atoms)
     refined, _ = refine_equal(built, 2)
     assert len(calls) == 2  # validate_algebra's and the refinement's, built from its parent
-    assert (vars(refined)["_den"], vars(refined)["_units"]) == (12, (3, 3, 2, 2, 1, 1))
-    plain_refined = MeasuredAlgebra(refined.id, refined.atoms)
-    assert (repr(refined), hash(refined), pickle.dumps(refined)) == (
-        repr(plain_refined), hash(plain_refined), pickle.dumps(plain_refined)
-    )
-    for target in (built, refined, copy.copy(built)):
+    assert (refined.den, refined.units) == (12, (3, 3, 2, 2, 1, 1))
+    product = product_algebra(built, refined)
+    assert len(calls) == 2
+    assert (product.den, product.units[:3]) == (72, (9, 9, 6))
+    for target in (built, refined, product, copy.copy(built)):
         t = EventTuple.of_members(target, [[0], [1, 2]])
         for _ in range(3):
             target.mass_of([0, 1])
             _cell_law(t, t)
             dist_partition(t, t)
             check_permutation(target, range(target.size))
-    assert len(calls) == 3  # plus one for the copy
+    assert len(calls) == 2
