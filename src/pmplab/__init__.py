@@ -20,8 +20,8 @@ from .algebra import (
     lift_event,
     lift_tuple,
     product_algebra,
-    refine_equal,
     refine_to_unit,
+    uniform_algebra,
     validate_algebra,
 )
 from .action import (
@@ -31,12 +31,11 @@ from .action import (
     Word,
     apply_gen_tuple,
     apply_word,
-    equal_refine_action,
     generated_subalgebra,
     invariant_components,
     perturb_small,
+    product_action,
     refine_action_to_unit,
-    tensor_trivial,
     uniform_distance,
     uniform_distance_tuples,
     validate_action,

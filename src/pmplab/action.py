@@ -21,7 +21,6 @@ from .algebra import (
     _runs,
     _sign_map,
     product_algebra,
-    refine_equal,
     refine_to_unit,
 )
 from .errors import (
@@ -217,18 +216,15 @@ def generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:
     return AtomPartition(act.algebra, tuple(map(frozenset, blocks)))
 
 
-def equal_refine_action(act: FkAction, m: int) -> tuple[FkAction, tuple[int, ...]]:
-    """Refine every atom into m equal parts; generators act part-for-part."""
-    refined, projection = refine_equal(act.algebra, m)
-    return _lift_action(act, refined, projection), projection
-
-
-def tensor_trivial(act: FkAction, factor: MeasuredAlgebra) -> FkAction:
-    """Tensor with a trivial action: generators act on the first coordinate."""
-    prod = product_algebra(act.algebra, factor)
-    # atom (i, j) of the product is part j of atom i
-    projection = [i for i in range(act.algebra.size) for _ in range(factor.size)]
-    return _lift_action(act, prod, projection)
+def product_action(act: FkAction, fiber: MeasuredAlgebra) -> tuple[FkAction, tuple[int, ...]]:
+    """The extension of act by a fiber on which every generator acts
+    trivially: atom (x, h), at index x*fiber.size + h, goes to (g_i(x), h).
+    Returns it with the projection (x, h) -> x.  With fiber
+    uniform_algebra(m) it splits every atom into m equal parts.  Raises
+    InstanceTooLarge beyond MAX_REFINED_ATOMS atoms."""
+    prod = product_algebra(act.algebra, fiber)
+    projection = tuple([u // fiber.size for u in range(prod.size)])
+    return _lift_action(act, prod, projection), projection
 
 
 def refine_action_to_unit(
@@ -244,7 +240,8 @@ def _lift_action(
     act: FkAction, refined: MeasuredAlgebra, projection: Sequence[int]
 ) -> FkAction:
     """Extend every generator part-for-part to a refinement laid out in runs
-    (algebra._split): part j of atom x goes to part j of p[x]."""
+    (algebra._split or product_algebra): part j of atom x goes to part j of
+    p[x]."""
     runs = _runs(projection)
     gens = []
     for p in act.gens:

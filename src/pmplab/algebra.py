@@ -49,8 +49,8 @@ class MeasuredAlgebra(Record):
 
     The units are positive with gcd 1 and sum to den.  Construct through
     validate_algebra.  Only this module builds instances directly: _split
-    for refinements and product_algebra, whose units come from their
-    parents' in integers alone.  The id field gives each constructed algebra
+    for refinements, product_algebra and uniform_algebra, whose units come
+    from integers alone.  The id field gives each constructed algebra
     a distinct identity.
     """
 
@@ -262,16 +262,14 @@ def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
     return Fraction(sum(moved), a.algebra.den)
 
 
-def refine_equal(alg: MeasuredAlgebra, m: int) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
-    """Split every atom into m equal parts.
-
-    Part j of atom i becomes atom i*m + j.  Returns the refined algebra and
-    the projection mapping each new atom to its parent.  Raises
-    InstanceTooLarge beyond MAX_REFINED_ATOMS atoms.
-    """
+def uniform_algebra(m: int) -> MeasuredAlgebra:
+    """m atoms of mass 1/m, built from integers: the fiber of an equal split
+    by m.  Raises ZeroAtom for m < 1 and InstanceTooLarge beyond
+    MAX_REFINED_ATOMS atoms, before any atom is built."""
     if m < 1:
-        raise PartMassMismatch(f"refinement factor must be >= 1, got {m}")
-    return _split(alg, [m] * alg.size)
+        raise ZeroAtom(f"an algebra needs at least one atom, got {m}")
+    _check_refined_size(m)
+    return MeasuredAlgebra(_fresh_id(), m, (1,) * m)
 
 
 def refine_to_unit(
@@ -300,8 +298,8 @@ def refine_to_unit(
 def _split(
     alg: MeasuredAlgebra, counts: Sequence[int]
 ) -> tuple[MeasuredAlgebra, tuple[int, ...]]:
-    """Split atom x into counts[x] >= 1 equal parts: the layout of every
-    refinement but the product algebra.  The parts of each atom form one run,
+    """Split atom x into counts[x] >= 1 equal parts, for refine_to_unit and
+    match_partitions.  The parts of each atom form one run,
     the runs come in atom order, and the projection maps each part to its
     parent.  Raises InstanceTooLarge, before any part is built, when
     sum(counts) passes MAX_REFINED_ATOMS.
@@ -309,8 +307,7 @@ def _split(
     A part of atom x weighs u/(D*c), u = units[x] and c = counts[x], whose
     least denominator is D*c // gcd(u, D*c).  The child's den is the lcm of
     those over the distinct (u, c), and such a part holds u*den // (D*c) of
-    its units.  For an equal split by m that is the parent's units, each
-    repeated m times, over D*m, since the parent's units have gcd 1."""
+    its units."""
     _check_refined_size(sum(counts))
     parent_den = alg.den
     keys = list(zip(alg.units, counts))
@@ -327,8 +324,9 @@ def _split(
 
 def _runs(projection: Sequence[int]) -> list[range]:
     """The run of refined atoms of each parent, indexed by parent, for a
-    projection laid out by _split: it never decreases and reaches every
-    parent, so parent p's run starts at the first index holding p."""
+    projection laid out by _split or product_algebra: it never decreases and
+    reaches every parent, so parent p's run starts at the first index
+    holding p."""
     parents = projection[-1] + 1 if projection else 0
     starts = [bisect_left(projection, p) for p in range(parents + 1)]
     return [range(start, stop) for start, stop in zip(starts, starts[1:])]
@@ -350,7 +348,10 @@ def product_algebra(a: MeasuredAlgebra, b: MeasuredAlgebra) -> MeasuredAlgebra:
     """Product measure algebra, atom (i, j) at index i * b.size + j.
 
     Its units are the products of the factors' units over D_a * D_b: they
-    have gcd 1 because the units of each factor do."""
+    have gcd 1 because the units of each factor do.  The parts (i, j) of
+    atom i form one run, as in _split.  Raises InstanceTooLarge beyond
+    MAX_REFINED_ATOMS atoms before any is built."""
+    _check_refined_size(a.size * b.size)
     units = tuple([ua * ub for ua in a.units for ub in b.units])
     return MeasuredAlgebra(_fresh_id(), a.den * b.den, units)
 

@@ -49,13 +49,14 @@ from .algebra import (
     _sign_map,
     joint_distribution,
     lift_tuple,
+    uniform_algebra,
 )
 from .action import (
     FkAction,
     Word,
     _word_perm,
     apply_gen_tuple,
-    equal_refine_action,
+    product_action,
 )
 from .constructions import PartialIsomorphism
 from .errors import (
@@ -339,14 +340,16 @@ def _search_best(size: int, arity: int, scorer, stop_below):
 def _refine_search(act: FkAction, arity: int, max_refine: int, stop_below, prepare):
     """The refine-lift-search loop shared by the audits.
 
-    For each depth m = 1..max_refine every atom of act is split into m equal
-    parts; prepare(refined, projection) returns the scorer for that depth
-    (see _search_best), and _search_best scans candidates of the given
-    arity.  After each depth yields the best (value, tuple, depth) seen so
-    far, earlier depths winning ties; callers stop when it is good enough."""
+    For each depth m = 1..max_refine act is extended by the m-atom uniform
+    fiber (product_action), which splits every atom into m equal parts
+    that the generators carry part-for-part.  prepare(refined, projection)
+    returns the scorer for that depth (see _search_best), and _search_best
+    scans candidates of the given arity.  After each depth yields the best
+    (value, tuple, depth) seen so far, earlier depths winning ties; callers
+    stop when it is good enough."""
     best = None
     for depth in range(1, max_refine + 1):
-        refined, projection = equal_refine_action(act, depth)
+        refined, projection = product_action(act, uniform_algebra(depth))
         val, members = _search_best(
             refined.algebra.size, arity, prepare(refined, projection), stop_below
         )
@@ -521,10 +524,12 @@ def search_C2_witness(
 ) -> C2SearchResult:
     """Search refinements for a tuple realizing the parameters jointly.
 
-    For each refinement depth m = 1..max_refine every atom is split into m
-    equal parts, the anchor is lifted, and candidate tuples c are scored by
-    the total-variation gap between the law of (anchor, parameters) and the
-    law of (lifted anchor, c with all its generator pushes).  A witness is
+    For each refinement depth m = 1..max_refine the action is extended by
+    the m-atom uniform fiber, splitting every atom into m equal parts that
+    the generators carry part-for-part; the anchor is lifted, and candidate
+    tuples c are scored by the total-variation gap between the law of
+    (anchor, parameters) and the law of (lifted anchor, c with all its
+    generator pushes).  A witness is
     any candidate with distance strictly below 2*eps; the best candidate is
     reported either way, with the floor over every extension (see
     C2SearchResult).  The search stops going deeper at a witness, or once

@@ -20,12 +20,11 @@ from typing import Any
 from . import jsonio
 from .action import (
     check_permutation,
-    equal_refine_action,
-    tensor_trivial,
+    product_action,
     uniform_distance,
     uniform_distance_tuples,
 )
-from .algebra import dist_max, dist_partition
+from .algebra import dist_max, dist_partition, uniform_algebra
 from .audit import (
     axiom_residual,
     check_C1,
@@ -116,14 +115,14 @@ def _cmd_joint_quotient(args) -> dict:
 def _cmd_tensor(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
     factor = jsonio.algebra_from_json(_load(args.factor))
-    return jsonio.action_to_json(tensor_trivial(act, factor))
+    return jsonio.action_to_json(product_action(act, factor)[0])
 
 
 def _cmd_refine(args) -> dict:
     act = jsonio.action_from_json(_load(args.action))
     if args.parts < 1:
         raise ValidationError(f"parts must be >= 1, got {args.parts}")
-    refined, projection = equal_refine_action(act, args.parts)
+    refined, projection = product_action(act, uniform_algebra(args.parts))
     return {
         "action": jsonio.action_to_json(refined),
         "projection": list(projection),

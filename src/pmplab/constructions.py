@@ -29,6 +29,7 @@ from .algebra import (
     lift_event,
     lift_tuple,
     refine_to_unit,
+    uniform_algebra,
     validate_algebra,
 )
 from .action import (
@@ -40,8 +41,8 @@ from .action import (
     perm_compose,
     perm_identity,
     perm_inverse,
+    product_action,
     refine_action_to_unit,
-    tensor_trivial,
     uniform_distance,
     validate_action,
 )
@@ -327,13 +328,6 @@ class MarkedGroup(Record):
     def k(self) -> int:
         return len(self.gen_images)
 
-    def inverse(self, x: int) -> int:
-        row = self.mul[x]
-        for y in range(self.order):
-            if row[y] == self.identity:
-                return y
-        raise InvalidGroupTable(f"element {x} has no inverse")
-
 
 def validate_marked_group(
     mul: Sequence[Sequence[int]], gen_images: Sequence[int]
@@ -467,7 +461,7 @@ def quotient_action(group: MarkedGroup) -> FkAction:
     Atom x is group element x with mass 1/order; generator i sends x to
     gen_images[i] * x.  The action is transitive because the marked
     generators generate."""
-    alg = validate_algebra([Fraction(1, group.order)] * group.order)
+    alg = uniform_algebra(group.order)
     return validate_action(alg, [group.mul[g] for g in group.gen_images])
 
 
@@ -700,7 +694,7 @@ def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
     comps = invariant_components(act).components
     base_factor = validate_algebra([alg.mass_of(c) for c in comps])
     group, elements = permutation_marked_group(act.gens)
-    target = tensor_trivial(quotient_action(group), base_factor)
+    target = product_action(quotient_action(group), base_factor)[0]
     sigma = _coset_sigma(act, target, elements, comps)
     return QuotientEmbedding(group, elements, target, sigma, base_factor)
 

@@ -63,7 +63,7 @@ class NonpositiveEps(ValidationError):
 
 class InstanceTooLarge(ValidationError):
     """An instance is beyond a size cap of the limits module: a group
-    enumeration past MAX_GROUP_ORDER elements, a refinement past
+    enumeration past MAX_GROUP_ORDER elements, a refinement or product past
     MAX_REFINED_ATOMS atoms or conjugacy beams past MAX_BEAM_STEPS steps.
     The brute-force oracles in tests/ raise it past their own bounds."""
 

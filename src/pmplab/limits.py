@@ -4,12 +4,13 @@ Refusals.  Each check is arithmetic only and runs before anything of the
 refused size is built; past a cap the entry point raises InstanceTooLarge,
 which the command line reports with exit 2.
 
-- MAX_REFINED_ATOMS bounds the atoms of one refinement
-  (_check_refined_size, in algebra._split, which builds every refinement
-  but the product algebra: refine_equal, refine_to_unit and
-  match_partitions, and through them equal_refine_action,
-  refine_action_to_unit, perturb_small, eppa_extend, extend_partial_step
-  and the audit and conjugacy searches).
+- MAX_REFINED_ATOMS bounds the atoms of one refinement or product
+  (_check_refined_size).  algebra._split checks it for refine_to_unit and
+  match_partitions, and through them refine_action_to_unit,
+  perturb_small, eppa_extend, extend_partial_step and the conjugacy
+  search.  product_algebra and uniform_algebra check it for every
+  extension by product_action: the audit depths, refine, tensor and
+  embed_into_profinite_tensor.
   It also bounds the atoms summed over refinement depths 1..max_refine
   (_check_summed_refinement: search_C2_witness, axiom_residual,
   ec_in_extension_check and approx_conjugacy_search).
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 from .errors import InstanceTooLarge
 
-# refine_equal builds size * m atoms, and every audit depth refines that far;
-# the unit refinements build 1/unit atoms.  The largest refinement in the
-# test suite and the benchmark has 192 atoms.
+# A product builds size * fiber.size atoms: an audit depth m and
+# `refine ACTION m` build size * m.  The unit refinements build 1/unit atoms.
+# The largest refinement or product of the benchmark's seeds 0-2 has 405
+# atoms (a unit refinement; the largest product has 288).
 MAX_REFINED_ATOMS = 1 << 16
 
 # Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).

@@ -25,6 +25,7 @@ from pmplab.algebra import (
     Sign,
     _sign_map,
     joint_distribution,
+    uniform_algebra,
     validate_algebra,
 )
 from pmplab.action import FkAction, _breadth_first, validate_action
@@ -46,10 +47,6 @@ def random_algebra(
     bounds = [0] + cuts + [den]
     masses = [Fraction(bounds[i + 1] - bounds[i], den) for i in range(n)]
     return validate_algebra(masses)
-
-
-def uniform_algebra(n: int) -> MeasuredAlgebra:
-    return validate_algebra([Fraction(1, n)] * n)
 
 
 def random_event(rng: random.Random, alg: MeasuredAlgebra) -> Event:

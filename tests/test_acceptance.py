@@ -23,9 +23,8 @@ from pmplab.algebra import (
 )
 from pmplab.action import (
     apply_gen_tuple,
-    equal_refine_action,
     invariant_components,
-    tensor_trivial,
+    product_action,
     uniform_distance,
     validate_action,
 )
@@ -391,7 +390,7 @@ def _single_atom_instances(group):
 
 def _recompute_witness_distance(act, a, bs, res: C2SearchResult) -> Fraction:
     w = res.witness
-    refined, projection = equal_refine_action(act, w.refinement_depth)
+    refined, projection = product_action(act, uniform_algebra(w.refinement_depth))
     a_lift = lift_tuple(a, refined.algebra, projection)
     c = EventTuple.of_members(refined.algebra, [e.members for e in w.c.events])
     bcat = bs[0]
@@ -455,7 +454,7 @@ def test_criterion_12_conjugacy_certificates():
         assert verify_conjugacy(cert) == 0
 
     q = quotient_action(cyclic_group(2, [1]))
-    t = tensor_trivial(q, validate_algebra([F(1, 2), F(1, 2)]))
+    t = product_action(q, validate_algebra([F(1, 2), F(1, 2)]))[0]
     cert = approx_conjugacy_search(q, t)
     assert verify_conjugacy(cert) == cert.eps
     assert cert.eps == 0

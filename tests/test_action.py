@@ -23,13 +23,12 @@ from pmplab.action import (
     Word,
     apply_perm_event,
     apply_word,
-    equal_refine_action,
     generated_subalgebra,
     invariant_components,
     letter_perm,
     perm_compose,
     perturb_small,
-    tensor_trivial,
+    product_action,
     uniform_distance,
     uniform_distance_tuples,
     validate_action,
@@ -250,18 +249,20 @@ def test_generated_subalgebra_matches_the_block_oracle(seed, k, arity):
 
 def test_equal_refine_and_tensor_examples():
     act = z2_action()
-    refined, projection = equal_refine_action(act, 2)
+    refined, projection = product_action(act, uniform_algebra(2))
     assert refined.algebra.atoms == (F(1, 4),) * 4
     assert refined.gens == ((2, 3, 0, 1),)
     assert projection == (0, 0, 1, 1)
 
-    tens = tensor_trivial(act, validate_algebra([F(1, 2), F(1, 2)]))
+    tens, projection = product_action(act, validate_algebra([F(1, 2), F(1, 2)]))
     assert tens.algebra.atoms == (F(1, 4),) * 4
     assert tens.gens == ((2, 3, 0, 1),)
+    assert projection == (0, 0, 1, 1)
 
-    copy = tensor_trivial(act, validate_algebra([F(1)]))
+    copy, projection = product_action(act, validate_algebra([F(1)]))
     assert copy.gens == act.gens
     assert copy.algebra.atoms == act.algebra.atoms
+    assert projection == (0, 1)
 
 
 def brute_force_uniform_distance(alg, g, h) -> Fraction:

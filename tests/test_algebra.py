@@ -19,8 +19,8 @@ from pmplab.algebra import (
     lift_event,
     lift_tuple,
     product_algebra,
-    refine_equal,
     refine_to_unit,
+    uniform_algebra,
     validate_algebra,
 )
 from pmplab.errors import (
@@ -135,15 +135,23 @@ def test_generated_partition_single_event():
     assert cells[(0,)] == ({1, 2}, F(1, 2))
 
 
-def test_refine_equal_size_cap():
-    alg = validate_algebra([F(1, 2), F(1, 2)])
-    at_cap, projection = refine_equal(alg, MAX_REFINED_ATOMS // 2)
-    assert at_cap.size == len(projection) == MAX_REFINED_ATOMS
-    # one atom past the cap, and far past it: refused before anything is built
+def test_equal_split_size_cap():
+    """An equal split by m is the product with uniform_algebra(m); both
+    builders refuse past MAX_REFINED_ATOMS atoms before building any."""
+    assert 256 * 256 == MAX_REFINED_ATOMS
+    at_cap = product_algebra(uniform_algebra(256), uniform_algebra(256))
+    assert at_cap.size == MAX_REFINED_ATOMS
+    # one atom past the cap, and far past it: a 10**12-atom build would not
+    # return, so these refusals come before anything is built
     with pytest.raises(InstanceTooLarge):
-        refine_equal(validate_algebra([F(1)]), MAX_REFINED_ATOMS + 1)
+        product_algebra(uniform_algebra(256), uniform_algebra(257))
     with pytest.raises(InstanceTooLarge):
-        refine_equal(alg, 10**12)
+        uniform_algebra(MAX_REFINED_ATOMS + 1)
+    with pytest.raises(InstanceTooLarge):
+        uniform_algebra(10**12)
+    for m in (0, -1):
+        with pytest.raises(ZeroAtom):
+            uniform_algebra(m)
 
 
 def test_refine_to_unit_size_cap():
@@ -261,11 +269,12 @@ def test_concat_takes_any_number_of_tuples():
         a.concat(b, other)
 
 
-def test_refine_equal_example():
+def test_equal_split_example():
     alg = validate_algebra([F(1, 3), F(2, 3)])
-    refined, projection = refine_equal(alg, 3)
+    assert (uniform_algebra(3).den, uniform_algebra(3).units) == (3, (1, 1, 1))
+    refined = product_algebra(alg, uniform_algebra(3))
     assert refined.atoms == (F(1, 9),) * 3 + (F(2, 9),) * 3
-    assert projection == (0, 0, 0, 1, 1, 1)
+    assert (refined.den, refined.units) == (9, (1, 1, 1, 2, 2, 2))
 
 
 def test_refine_to_unit_and_lift():

@@ -26,8 +26,7 @@ from pmplab.action import (
     Word,
     apply_gen_tuple,
     apply_word,
-    equal_refine_action,
-    tensor_trivial,
+    product_action,
     validate_action,
 )
 import pmplab.algebra as algebra
@@ -212,7 +211,7 @@ def test_search_c2_witness_distance_is_recomputable():
         bs = [random_tuple(rng, alg4, arity=1) for _ in range(3)]
         res = search_C2_witness(act, a, bs, F(1, 9), max_refine=2)
         w = res.witness
-        refined, projection = equal_refine_action(act, w.refinement_depth)
+        refined, projection = product_action(act, uniform_algebra(w.refinement_depth))
         a_lift = lift_tuple(a, refined.algebra, projection)
         c = EventTuple.of_members(refined.algebra, [e.members for e in w.c.events])
         bcat = bs[0]
@@ -275,7 +274,7 @@ def test_ec_self_extension_is_exact():
 
 def test_ec_tensor_extension_regression():
     small = quotient_action(cyclic_group(2, [1]))
-    big = tensor_trivial(small, validate_algebra([F(1, 2), F(1, 2)]))
+    big = product_action(small, validate_algebra([F(1, 2), F(1, 2)]))[0]
     embed = PartialIsomorphism.of(
         small.algebra, big.algebra, [([0], [0, 1]), ([1], [2, 3])]
     )
@@ -311,11 +310,11 @@ def test_searches_visit_expected_depths(monkeypatch):
     (C2), below eps (EC), at most 2*worst (residual)."""
     visited = []
 
-    def recording(act, m):
-        visited.append(m)
-        return equal_refine_action(act, m)
+    def recording(act, fiber):
+        visited.append(fiber.size)
+        return product_action(act, fiber)
 
-    monkeypatch.setattr(audit, "equal_refine_action", recording)
+    monkeypatch.setattr(audit, "product_action", recording)
 
     act = z2_two_gens()
     alg = act.algebra
@@ -346,7 +345,7 @@ def test_searches_visit_expected_depths(monkeypatch):
 
     visited.clear()
     small = quotient_action(cyclic_group(2, [1]))
-    big = tensor_trivial(small, validate_algebra([F(1, 2), F(1, 2)]))
+    big = product_action(small, validate_algebra([F(1, 2), F(1, 2)]))[0]
     embed = PartialIsomorphism.of(
         small.algebra, big.algebra, [([0], [0, 1]), ([1], [2, 3])]
     )
@@ -385,11 +384,11 @@ def test_audit_depths_are_capped_by_their_summed_atoms(monkeypatch):
     assert 255 * 256 <= MAX_REFINED_ATOMS < 256 * 257
     visited = []
 
-    def recording(act, m):
-        visited.append(m)
-        return equal_refine_action(act, m)
+    def recording(act, fiber):
+        visited.append(fiber.size)
+        return product_action(act, fiber)
 
-    monkeypatch.setattr(audit, "equal_refine_action", recording)
+    monkeypatch.setattr(audit, "product_action", recording)
     act = quotient_action(cyclic_group(2, [1]))
     alg = act.algebra
     a = EventTuple.of_members(alg, [[0]])
@@ -400,7 +399,7 @@ def test_audit_depths_are_capped_by_their_summed_atoms(monkeypatch):
     assert visited == list(range(1, 256))
 
     visited.clear()
-    big = tensor_trivial(act, validate_algebra([F(1, 2), F(1, 2)]))
+    big = product_action(act, validate_algebra([F(1, 2), F(1, 2)]))[0]
     embed = PartialIsomorphism.of(alg, big.algebra, [([0], [0, 1]), ([1], [2, 3])])
     past = [
         lambda: search_C2_witness(act, a, bs, F(1, 10**6), max_refine=256),
@@ -418,7 +417,7 @@ def test_audit_depths_are_capped_by_their_summed_atoms(monkeypatch):
 
 def test_ec_rejects_bad_embeddings_and_eps():
     small = quotient_action(cyclic_group(2, [1]))
-    big = tensor_trivial(small, validate_algebra([F(1, 2), F(1, 2)]))
+    big = product_action(small, validate_algebra([F(1, 2), F(1, 2)]))[0]
     anchors = EventTuple.of_members(small.algebra, [[0]])
     bs = EventTuple.of_members(big.algebra, [[0]])
     words = [Word.of([])]
@@ -491,7 +490,7 @@ def oracle_refine_search(act, arity, max_refine, stop_below, prepare):
     that returns (evaluate, seed)."""
     best = None
     for depth in range(1, max_refine + 1):
-        refined, projection = equal_refine_action(act, depth)
+        refined, projection = product_action(act, uniform_algebra(depth))
         evaluate, seed = prepare(refined, projection)
         val, members = oracle_search_best(
             refined.algebra.size, arity, seed, evaluate, stop_below
@@ -658,7 +657,7 @@ def _mixed_c2_instances(draw):
 @settings(max_examples=150, deadline=None)
 def test_c2_scorer_matches_fraction_oracle(instance):
     act, a, bs, depth, candidates = instance
-    refined, projection = equal_refine_action(act, depth)
+    refined, projection = product_action(act, uniform_algebra(depth))
     scorer = c2_prepare(a, bs)(refined, projection)
     oracle, oracle_seed = oracle_c2_prepare(a, bs)(refined, projection)
     seed = scorer[4]
@@ -780,7 +779,7 @@ def _draw_ec_instance(data, small, arity):
     blocks, anchors, a target tuple of the given arity and words."""
     n = small.algebra.size
     parts = data.draw(st.integers(2, 3))
-    big = tensor_trivial(small, validate_algebra([F(1, parts)] * parts))
+    big = product_action(small, validate_algebra([F(1, parts)] * parts))[0]
     embed = PartialIsomorphism.of(
         small.algebra,
         big.algebra,
@@ -844,7 +843,7 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
     """Words whose letters do not commute: w = g1 g2 moves an event by g2
     first, then by g1."""
     small = validate_action(uniform_algebra(3), [(1, 0, 2), (0, 2, 1)])
-    big = tensor_trivial(small, validate_algebra([F(1, 3), F(2, 3)]))
+    big = product_action(small, validate_algebra([F(1, 3), F(2, 3)]))[0]
     embed = PartialIsomorphism.of(
         small.algebra, big.algebra, [([x], [2 * x, 2 * x + 1]) for x in range(3)]
     )
@@ -854,7 +853,7 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
     words = [Word.of([1, 2]), Word.of([-2, 1])]
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
     for depth in (1, 2):
-        refined, projection = equal_refine_action(small, depth)
+        refined, projection = product_action(small, uniform_algebra(depth))
         scorer = _ec_prepare(anchors, bs, words, *ec_target(big, target), blocks)(
             refined, projection
         )
@@ -952,23 +951,23 @@ def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
 
     depths = []
 
-    def refine_uncounted(act, m):
-        depths.append(m)
+    def refine_uncounted(act, fiber):
+        depths.append(fiber.size)
         with monkeypatch.context() as inner:
             inner.setattr(algebra, "Fraction", Fraction)
-            return equal_refine_action(act, m)
+            return product_action(act, fiber)
 
     # the EC instance of test_full_gray_scan_flips_once_per_candidate:
     # every discrepancy is at least 1/18, so no depth stops the search
     small = quotient_action(cyclic_group(6, [1]))
-    big = tensor_trivial(small, validate_algebra([F(1, 3), F(2, 3)]))
+    big = product_action(small, validate_algebra([F(1, 3), F(2, 3)]))[0]
     embed = PartialIsomorphism.of(
         small.algebra, big.algebra, [([x], [2 * x, 2 * x + 1]) for x in range(6)]
     )
     anchors = EventTuple.of_members(small.algebra, [[0, 1, 2]])
     target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
     words = [Word.of([]), Word.of([1])]
-    monkeypatch.setattr(audit, "equal_refine_action", refine_uncounted)
+    monkeypatch.setattr(audit, "product_action", refine_uncounted)
     monkeypatch.setattr(audit, "Fraction", CountingFraction)
     monkeypatch.setattr(algebra, "Fraction", CountingFraction)
     res = ec_in_extension_check(
@@ -1155,7 +1154,7 @@ def test_full_gray_scan_flips_once_per_candidate():
     alg = act.algebra
     a = EventTuple.of_members(alg, [range(6)])
     bs = full_scan_parameters(alg)
-    refined, projection = equal_refine_action(act, 1)
+    refined, projection = product_action(act, uniform_algebra(1))
     c2_flips = []
     fast = _search_best(12, 1, counted(c2_prepare(a, bs)(refined, projection), c2_flips), F(0))
     oracle = oracle_counter_scan(12, 1, c2_prepare(a, bs)(refined, projection), F(0))
@@ -1166,7 +1165,7 @@ def test_full_gray_scan_flips_once_per_candidate():
     # of an anchor atom: every discrepancy is at least 1/18, so the scan runs
     # to the end
     small = quotient_action(cyclic_group(6, [1]))
-    big = tensor_trivial(small, validate_algebra([F(1, 3), F(2, 3)]))
+    big = product_action(small, validate_algebra([F(1, 3), F(2, 3)]))[0]
     embed = PartialIsomorphism.of(
         small.algebra, big.algebra, [([x], [2 * x, 2 * x + 1]) for x in range(6)]
     )
@@ -1176,7 +1175,7 @@ def test_full_gray_scan_flips_once_per_candidate():
     words = [Word.of([]), Word.of([1])]
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), target_tuple, words)
     prepare = _ec_prepare(anchors, target_tuple, words, *ec_target(big, target), blocks)
-    refined, projection = equal_refine_action(small, 1)
+    refined, projection = product_action(small, uniform_algebra(1))
     ec_flips = []
     fast = _search_best(6, 2, counted(prepare(refined, projection), ec_flips), F(0))
     assert fast == oracle_counter_scan(6, 2, prepare(refined, projection), F(0))
@@ -1318,7 +1317,7 @@ def test_c2_walk_and_peek_match_the_flip_oracle(instance):
     would, at every step and for every toggle, and the walks after a peek
     score as if it never happened."""
     act, a, bs, depth, script = instance
-    refined, projection = equal_refine_action(act, depth)
+    refined, projection = product_action(act, uniform_algebra(depth))
     size = refined.algebra.size
     walk, peek, start, *_ = c2_prepare(a, bs)(refined, projection)
     flip, oracle_start = oracle_flip_c2_prepare(a, bs)(refined, projection)
@@ -1349,7 +1348,7 @@ def _descent_instances(draw):
 @settings(max_examples=60, deadline=None)
 def test_descent_matches_the_flip_and_flip_back_oracle(instance):
     act, a, bs, depth = instance
-    refined, projection = equal_refine_action(act, depth)
+    refined, projection = product_action(act, uniform_algebra(depth))
     size, arity = refined.algebra.size, bs[0].arity
     assert 1 << size * arity > EXHAUSTIVE_TUPLE_CAP
     scorer = c2_prepare(a, bs)(refined, projection)
@@ -1375,7 +1374,7 @@ def test_c2_residuals_at_and_just_above_the_dense_key_bound(base_arity, monkeypa
     bs = [random_tuple(rng, act.algebra, 4) for _ in range(4)]
     key_bits = base_arity + 4 * 4
     assert key_bits == audit._DENSE_KEY_BITS + base_arity
-    refined, projection = equal_refine_action(act, 1)
+    refined, projection = product_action(act, uniform_algebra(1))
     steps = [rng.randrange(16) for _ in range(64)]
 
     def scores():
@@ -1404,7 +1403,7 @@ def test_c2_residuals_at_and_just_above_the_dense_key_bound(base_arity, monkeypa
 
 def brute_force_minimum(act, a, bs, depth):
     """The least c2_distance over every candidate tuple at one depth."""
-    refined, projection = equal_refine_action(act, depth)
+    refined, projection = product_action(act, uniform_algebra(depth))
     evaluate, _seed = oracle_c2_prepare(a, bs)(refined, projection)
     return min(evaluate(m) for m in _tuple_candidates(refined.algebra.size, bs[0].arity))
 
@@ -1434,7 +1433,7 @@ def test_c2_floors_against_brute_force(instance, stop):
     """Both floors are at most the least distance at the depth, and the scan
     that stops at the depth's floor returns what the counter scan does."""
     act, a, bs, depth = instance
-    refined, projection = equal_refine_action(act, depth)
+    refined, projection = product_action(act, uniform_algebra(depth))
     prepare = c2_prepare(a, bs)
     _walk, _peek, _start, scale, _seed, floor = prepare(refined, projection)
     least = brute_force_minimum(act, a, bs, depth)
@@ -1452,7 +1451,7 @@ def test_scan_stops_at_the_first_candidate_at_the_floor():
     alg = act.algebra
     a = EventTuple.of_members(alg, [range(6)])
     bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
-    refined, projection = equal_refine_action(act, 1)
+    refined, projection = product_action(act, uniform_algebra(1))
     scorer = c2_prepare(a, bs)(refined, projection)
     assert (scorer[3], scorer[5]) == (24, 2)
     flips = []
@@ -1479,7 +1478,7 @@ def test_residual_stop_is_above_every_floor(instance):
     act, a, bs, depth = instance
     report = check_C1(act, a, bs, F(1))
     worst = max(report.xi + report.psi)
-    refined, projection = equal_refine_action(act, depth)
+    refined, projection = product_action(act, uniform_algebra(depth))
     _walk, _peek, _start, scale, _seed, floor = c2_prepare(a, bs)(refined, projection)
     assert extension_floor(bs) <= F(floor, scale) <= worst
 

@@ -230,6 +230,23 @@ def test_malformed_permutations_partitions_and_pairs_are_validation_errors(capsy
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+def test_products_past_the_atom_cap_are_refused(capsys):
+    """tensor builds size * factor atoms, 90000 here, and refine names the
+    parts alone once they pass the cap."""
+    rotation = json.dumps({
+        "algebra": {"atoms": ["1/300"] * 300},
+        "gens": [[(x + 1) % 300 for x in range(300)]],
+    })
+    code, out = run(capsys, "tensor", rotation, json.dumps({"atoms": ["1/300"] * 300}))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InstanceTooLarge"
+    assert "90000 atoms" in error["message"]
+    code, out = run(capsys, "refine", Z2_ACTION, "100000000")
+    assert code == 2
+    assert "a refinement to 100000000 atoms" in json.loads(out)["error"]["message"]
+
+
 def test_refinement_past_the_atom_cap_is_refused(capsys):
     code, out = run(capsys, "refine", Z2_ACTION, "100000000")
     assert code == 2

@@ -28,7 +28,7 @@ from pmplab.action import (
     apply_perm_event,
     invariant_components,
     perm_compose,
-    tensor_trivial,
+    product_action,
     uniform_distance,
     validate_action,
 )
@@ -449,7 +449,6 @@ def test_cyclic_and_permutation_groups():
     g = cyclic_group(6, [1])
     assert g.order == 6
     assert g.k == 1
-    assert g.inverse(1) == 5
     s3, elements = permutation_marked_group([(1, 0, 2), (0, 2, 1)])
     assert s3.order == 6
     assert elements[0] == (0, 1, 2)
@@ -828,7 +827,7 @@ def test_conjugacy_search_exact_on_relabeled_copy():
 
 def test_conjugacy_search_regressions():
     q = quotient_action(cyclic_group(2, [1]))
-    t = tensor_trivial(q, validate_algebra([F(1, 2), F(1, 2)]))
+    t = product_action(q, validate_algebra([F(1, 2), F(1, 2)]))[0]
     cert = approx_conjugacy_search(q, t)
     assert cert.eps == 0
     assert verify_conjugacy(cert) == 0
@@ -1221,6 +1220,22 @@ def test_eppa_and_conjugacy_refinement_caps():
     assert cert.eps == 0 and cert.iso.source.size == 2
     with pytest.raises(InstanceTooLarge):
         approx_conjugacy_search(identity, identity, max_refine=256)
+
+
+def test_profinite_tensor_embedding_is_capped():
+    """Z/1024 rotating 1024 atoms beside f fixed atoms has f + 1 orbit
+    components, so its target has 1024 * (f + 1) atoms: exactly the cap at
+    f = 63, and refused before the product is built at f = 64."""
+    assert 1024 * 64 == MAX_REFINED_ATOMS
+
+    def rotation_beside(fixed: int) -> FkAction:
+        n = 1024 + fixed
+        rotation = [(x + 1) % 1024 for x in range(1024)] + list(range(1024, n))
+        return validate_action(uniform_algebra(n), [rotation])
+
+    assert embed_into_profinite_tensor(rotation_beside(63)).target.algebra.size == MAX_REFINED_ATOMS
+    with pytest.raises(InstanceTooLarge):
+        embed_into_profinite_tensor(rotation_beside(64))
 
 
 def test_conjugacy_beams_are_capped_by_their_summed_steps():

@@ -35,8 +35,8 @@ from pmplab.algebra import (
     dist_partition,
     joint_distribution,
     product_algebra,
-    refine_equal,
     refine_to_unit,
+    uniform_algebra,
     validate_algebra,
 )
 from pmplab.constructions import (
@@ -576,12 +576,13 @@ def test_every_constructor_gives_the_units_its_atoms_give(m1, m2, data):
     factor = validate_algebra(m2)
     m = data.draw(st.integers(1, 4))
     counts = data.draw(st.lists(st.integers(1, 4), min_size=alg.size, max_size=alg.size))
-    equal, _ = refine_equal(alg, m)
+    equal = product_algebra(alg, uniform_algebra(m))
     assert equal.den == alg.den * m
     assert equal.units == tuple(u for u in alg.units for _ in range(m))
     prod = product_algebra(alg, factor)
     assert prod.den == alg.den * factor.den
-    built = [alg, factor, equal, _split(alg, counts)[0], prod, refine_equal(prod, 2)[0]]
+    built = [alg, factor, uniform_algebra(m), equal, _split(alg, counts)[0], prod]
+    built.append(product_algebra(prod, uniform_algebra(2)))
     built.append(product_algebra(equal, factor))
 
     p = preserving_permutation(data, alg)

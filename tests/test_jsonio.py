@@ -17,8 +17,8 @@ from pmplab.algebra import (
     Event,
     EventTuple,
     product_algebra,
-    refine_equal,
     refine_to_unit,
+    uniform_algebra,
     validate_algebra,
 )
 from pmplab.action import validate_action
@@ -161,7 +161,8 @@ def test_algebra_from_json_reports_the_first_bad_entry():
 def test_algebra_to_json_writes_each_atom(units, m):
     alg = validate_algebra([F(u, sum(units)) for u in units])
     other = validate_algebra([F(1, 3), F(1, 6), F(1, 2)])
-    for each in [alg, refine_equal(alg, m)[0], refine_to_unit(alg, F(1, alg.den))[0],
+    for each in [alg, product_algebra(alg, uniform_algebra(m)),
+                 refine_to_unit(alg, F(1, alg.den))[0],
                  product_algebra(alg, other), product_algebra(other, alg)]:
         assert algebra_to_json(each) == {"atoms": [format_rational(x) for x in each.atoms]}
 

@@ -19,7 +19,7 @@ from pmplab.algebra import (
     _cell_law,
     dist_partition,
     product_algebra,
-    refine_equal,
+    uniform_algebra,
     validate_algebra,
 )
 from pmplab.record import Record
@@ -171,11 +171,11 @@ def test_an_algebra_record_is_its_id_den_and_units(monkeypatch):
 
     monkeypatch.setattr(pmplab.algebra, "lcm", counted_lcm)
     built = validate_algebra(alg.atoms)
-    refined, _ = refine_equal(built, 2)
-    assert len(calls) == 2  # validate_algebra's and the refinement's, built from its parent
+    refined = product_algebra(built, uniform_algebra(2))
+    assert len(calls) == 1  # validate_algebra's: a product is built from its factors' units
     assert (refined.den, refined.units) == (12, (3, 3, 2, 2, 1, 1))
     product = product_algebra(built, refined)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert (product.den, product.units[:3]) == (72, (9, 9, 6))
     for target in (built, refined, product, copy.copy(built)):
         t = EventTuple.of_members(target, [[0], [1, 2]])
@@ -184,4 +184,4 @@ def test_an_algebra_record_is_its_id_den_and_units(monkeypatch):
             _cell_law(t, t)
             dist_partition(t, t)
             check_permutation(target, range(target.size))
-    assert len(calls) == 2
+    assert len(calls) == 1

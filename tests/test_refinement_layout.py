@@ -3,7 +3,9 @@ the parts of atom x are one run of consecutive atoms, the runs come in atom
 order, and a refined action sends part j of x to part j of g(x).
 
 The checks below read the layout from the projection alone, atom by atom,
-so they do not lean on the library's own run bookkeeping."""
+so they do not lean on the library's own run bookkeeping.  The equal split
+and the trivial tensor product that product_action replaced stay here as
+its oracles."""
 from __future__ import annotations
 
 import itertools
@@ -19,15 +21,15 @@ from pmplab.algebra import (
     MeasuredAlgebra,
     _runs,
     _split,
-    refine_equal,
+    product_algebra,
     refine_to_unit,
 )
 from pmplab.action import (
     FkAction,
-    equal_refine_action,
+    _lift_action,
     perturb_small,
+    product_action,
     refine_action_to_unit,
-    tensor_trivial,
     validate_action,
 )
 from pmplab.constructions import eppa_extend, match_partitions
@@ -97,10 +99,9 @@ def test_every_refinement_has_the_run_layout(seed):
     m = rng.randint(1, 3)
     unit = F(1, alg.denominator_lcm() * rng.randint(1, 2))
 
-    assert_run_layout(alg, *refine_equal(alg, m))
     assert_run_layout(alg, *refine_to_unit(alg, unit))
 
-    refined, projection = equal_refine_action(act, m)
+    refined, projection = product_action(act, uniform_algebra(m))
     assert_run_layout(alg, refined.algebra, projection)
     assert_part_for_part(act, refined, projection)
 
@@ -109,8 +110,7 @@ def test_every_refinement_has_the_run_layout(seed):
     assert_part_for_part(act, refined, projection)
 
     factor = random_algebra(rng, max_atoms=3, max_den=6)
-    tensored = tensor_trivial(act, factor)
-    projection = [u // factor.size for u in range(tensored.algebra.size)]
+    tensored, projection = product_action(act, factor)
     assert_run_layout(alg, tensored.algebra, projection, equal_parts=False)
     assert_part_for_part(act, tensored, projection)
 
@@ -153,3 +153,54 @@ def test_runs_match_the_groupby_oracle(counts):
     assert _runs(projection) == oracle_runs(projection)
     assert [len(run) for run in _runs(projection)] == counts
     assert _runs(()) == oracle_runs(()) == []
+
+
+def oracle_equal_refine_action(act: FkAction, m: int) -> tuple[FkAction, tuple[int, ...]]:
+    """Split every atom into m equal parts through _split, part j of atom x
+    at x*m + j, and carry the generators part-for-part."""
+    refined, projection = _split(act.algebra, [m] * act.algebra.size)
+    return _lift_action(act, refined, projection), projection
+
+
+def oracle_tensor_trivial(
+    act: FkAction, factor: MeasuredAlgebra
+) -> tuple[FkAction, list[int]]:
+    """Tensor with a trivial action: generators act on the first coordinate."""
+    prod = product_algebra(act.algebra, factor)
+    # atom (i, j) of the product is part j of atom i
+    projection = [i for i in range(act.algebra.size) for _ in range(factor.size)]
+    return _lift_action(act, prod, projection), projection
+
+
+def assert_extension(act: FkAction, fiber: MeasuredAlgebra, extended: FkAction, projection):
+    """Part (x, h), at x*fiber.size + h, lies over x and weighs
+    mass(x)·mass(h), and the projection intertwines every generator."""
+    alg = act.algebra
+    pairs = [(x, h) for x in range(alg.size) for h in range(fiber.size)]
+    assert list(projection) == [x for x, _h in pairs]
+    assert extended.algebra.atoms == tuple(alg.atoms[x] * fiber.atoms[h] for x, h in pairs)
+    assert extended.k == act.k
+    for p, q in zip(act.gens, extended.gens):
+        assert [projection[q[u]] for u in range(len(pairs))] == [p[x] for x in projection]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_product_action_matches_the_split_and_tensor_oracles(seed):
+    rng = random.Random(seed)
+    alg = random_algebra(rng, max_atoms=6, max_den=24)
+    gens = [random_mass_preserving_perm(rng, alg) for _ in range(rng.randint(1, 3))]
+    act = validate_action(alg, gens)
+    m = rng.randint(1, 4)
+    factor = random_algebra(rng, max_atoms=4, max_den=12)
+
+    def layout(extended, projection):
+        return extended.algebra.den, extended.algebra.units, extended.gens, tuple(projection)
+
+    split = product_action(act, uniform_algebra(m))
+    assert layout(*split) == layout(*oracle_equal_refine_action(act, m))
+    assert_extension(act, uniform_algebra(m), *split)
+
+    tensored = product_action(act, factor)
+    assert layout(*tensored) == layout(*oracle_tensor_trivial(act, factor))
+    assert_extension(act, factor, *tensored)
