@@ -15,7 +15,6 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
-    ZERO,
     AtomPartition,
     Event,
     EventTuple,
@@ -43,7 +42,7 @@ from .action import (
     perm_inverse,
     product_action,
     refine_action_to_unit,
-    uniform_distance,
+    uniform_distance_tuples,
     validate_action,
 )
 from .errors import (
@@ -314,19 +313,39 @@ def extend_partial_step(
 
 
 class MarkedGroup(Record):
-    """A finite group with a multiplication table and k marked generators.
-
-    Element 0-based indices; mul[a][b] is the product ab; gen_images must
-    generate the whole group."""
+    """A finite group with k marked generators, kept as its right Cayley
+    graph: right[i][x] is the index of x * g_i.  Elements are 0-based
+    indices, and the marked generators generate the whole group."""
 
     order: int
-    mul: tuple[tuple[int, ...], ...]
     identity: int
-    gen_images: tuple[int, ...]
+    right: tuple[tuple[int, ...], ...]
 
     @property
     def k(self) -> int:
-        return len(self.gen_images)
+        return len(self.right)
+
+    @property
+    def gen_images(self) -> tuple[int, ...]:
+        return tuple(column[self.identity] for column in self.right)
+
+    def rows(self, zs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The table rows z * x, x over the elements, for each z in zs: a walk
+        from the identity, where z * identity = z (Holt, Eick & O'Brien,
+        Handbook of Computational Group Theory, 2005).  Element y first
+        reached as x * g_i has z * y = (z * x) * g_i, so column y is column
+        x looked up in right[i], a list for speed."""
+        right = [list(column) for column in self.right]
+        columns: list = [None] * self.order
+        columns[self.identity] = list(zs)
+        walk = [self.identity]
+        for x in walk:  # walk grows while it is read: it is the queue
+            for times_g in right:
+                y = times_g[x]
+                if columns[y] is None:
+                    columns[y] = list(map(times_g.__getitem__, columns[x]))
+                    walk.append(y)
+        return tuple(zip(*columns))
 
 
 def validate_marked_group(
@@ -375,7 +394,7 @@ def validate_marked_group(
             for g in gens:
                 if xy[g] != table[x][row_y[g]]:
                     raise InvalidGroupTable("multiplication is not associative")
-    return MarkedGroup(order, table, identity, gens)
+    return MarkedGroup(order, identity, tuple(tuple(row[g] for row in table) for g in gens))
 
 
 def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
@@ -389,8 +408,7 @@ def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
     if reached != n:
         raise NotGenerating(f"marked generators reach only {reached} of {n} elements")
     row = tuple(range(n))
-    mul = tuple(row[i:] + row[:i] for i in range(n))
-    return MarkedGroup(n, mul, 0, gens)
+    return MarkedGroup(n, 0, tuple(row[g:] + row[:g] for g in gens))
 
 
 def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
@@ -398,13 +416,9 @@ def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
     from the identity by multiplying on the right by the generators in
     order; element i of the returned list is group element i.
 
-    The table is filled from the right Cayley graph (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 2005).  The walk records
-    right[x][g], the index of x * gens[g], for every element: order * k
-    compositions, the only ones made.  Element j > 0 was first reached as
-    parent(j) * gens[g], so x * j = (x * parent(j)) * gens[g] for every x:
-    column j of the table is column parent(j) looked up in right[.][g],
-    starting from column 0, where x * identity = x."""
+    The walk records right[g][x], the index of x * gens[g], for every
+    element: order * k compositions, the only ones made, and exactly the
+    right Cayley graph the group keeps."""
     products = []
 
     def step(x, g):
@@ -418,14 +432,8 @@ def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
         raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
     k = len(gens)
     # right[g][x]: the walk composed element x with gens[g] at call x*k + g
-    right = [[index[y] for y in products[g::k]] for g in range(k)]
-    columns = [range(order)]
-    for x in range(order):
-        for times_g in right:
-            if times_g[x] == len(columns):  # first reached here: x is its parent
-                columns.append(list(map(times_g.__getitem__, columns[x])))
-    mul = tuple(zip(*columns))
-    return MarkedGroup(order, mul, 0, tuple(index[g] for g in gens)), elements
+    right = tuple(tuple([index[y] for y in products[g::k]]) for g in range(k))
+    return MarkedGroup(order, 0, right), elements
 
 
 def permutation_marked_group(
@@ -459,10 +467,10 @@ def quotient_action(group: MarkedGroup) -> FkAction:
     """The action on the group's uniform measure by left multiplication.
 
     Atom x is group element x with mass 1/order; generator i sends x to
-    gen_images[i] * x.  The action is transitive because the marked
-    generators generate."""
+    gen_images[i] * x, the table rows of the marked generators.  The action
+    is transitive because the marked generators generate."""
     alg = uniform_algebra(group.order)
-    return validate_action(alg, [group.mul[g] for g in group.gen_images])
+    return validate_action(alg, group.rows(group.gen_images))
 
 
 class JointQuotient(Record):
@@ -477,21 +485,17 @@ class JointQuotient(Record):
 def joint_quotient(g1: MarkedGroup, g2: MarkedGroup) -> JointQuotient:
     """Subgroup of g1 x g2 generated by (gen_i, gen_i) pairs.
 
-    Elements are discovered breadth-first from the identity pair; the
-    resulting quotient action factors onto both quotient actions through
-    the recorded projections."""
+    Elements are discovered breadth-first from the identity pair along both
+    right Cayley graphs; the resulting quotient action factors onto both
+    quotient actions through the recorded projections."""
     if g1.k != g2.k:
         raise ArityMismatch(f"groups mark {g1.k} and {g2.k} generators")
     group, elements = _generated_group(
         (g1.identity, g2.identity),
-        list(zip(g1.gen_images, g2.gen_images)),
-        lambda x, y: (g1.mul[x[0]][y[0]], g2.mul[x[1]][y[1]]),
+        list(zip(g1.right, g2.right)),
+        lambda x, c: (c[0][x[0]], c[1][x[1]]),
     )
-    return JointQuotient(
-        group,
-        tuple(e[0] for e in elements),
-        tuple(e[1] for e in elements),
-    )
+    return JointQuotient(group, *zip(*elements))
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +751,8 @@ def verify_conjugacy(cert: ConjugacyCertificate) -> Fraction:
 def _conjugacy_defect(h: Perm, r1: FkAction, r2: FkAction) -> Fraction:
     """max over generators of the uniform distance between h g1 h^-1 and g2."""
     hinv = perm_inverse(h)
-    worst = ZERO
-    for g1, g2 in zip(r1.gens, r2.gens):
-        conj = perm_compose(h, perm_compose(g1, hinv))
-        d = uniform_distance(r2.algebra, conj, g2)
-        if d > worst:
-            worst = d
-    return worst
+    conjugates = [perm_compose(h, perm_compose(g1, hinv)) for g1 in r1.gens]
+    return uniform_distance_tuples(r2.algebra, conjugates, r2.gens)
 
 
 def approx_conjugacy_search(

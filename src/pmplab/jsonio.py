@@ -184,7 +184,7 @@ def word_from_json(obj: Any) -> Word:
 def group_to_json(group: MarkedGroup) -> dict:
     return {
         "order": group.order,
-        "mul": [list(row) for row in group.mul],
+        "mul": [list(row) for row in group.rows(range(group.order))],
         "gens": list(group.gen_images),
     }
 

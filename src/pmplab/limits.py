@@ -38,6 +38,7 @@ from .errors import InstanceTooLarge
 MAX_REFINED_ATOMS = 1 << 16
 
 # Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).
+# A group holds k * order entries; only embed and joint-quotient write order^2.
 MAX_GROUP_ORDER = 1024
 
 # The largest beam in the benchmark takes 16 * 64^2 = 65536 steps.
@@ -48,11 +49,11 @@ GREEDY_ROUNDS = 64
 
 
 def _check_refined_size(atoms: int) -> None:
-    """Raise InstanceTooLarge when a refinement to this many atoms would pass
-    MAX_REFINED_ATOMS; only arithmetic, nothing is allocated."""
+    """Raise InstanceTooLarge, by arithmetic alone, when a refinement,
+    product or fiber of this many atoms would pass MAX_REFINED_ATOMS."""
     if atoms > MAX_REFINED_ATOMS:
         raise InstanceTooLarge(
-            f"a refinement to {atoms} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
+            f"an algebra of {atoms} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
         )
 
 

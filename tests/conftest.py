@@ -321,8 +321,8 @@ def marked_group_isomorphism(g: MarkedGroup, h: MarkedGroup) -> Optional[tuple[i
 
     Since the marked generators generate, the map is forced: the image of a
     product of generators is the corresponding product of images.  The forced
-    map is built breadth-first and checked for bijectivity and for preserving
-    the whole multiplication table."""
+    map is built breadth-first along both right Cayley graphs and checked for
+    bijectivity and for preserving the whole multiplication table."""
     if g.k != h.k:
         return None
     if g.order != h.order:
@@ -331,16 +331,17 @@ def marked_group_isomorphism(g: MarkedGroup, h: MarkedGroup) -> Optional[tuple[i
     # exactly when no more than order of them are found.
     pairs, _ = _breadth_first(
         (g.identity, h.identity),
-        tuple(zip(g.gen_images, h.gen_images)),
-        lambda p, a: (g.mul[p[0]][a[0]], h.mul[p[1]][a[1]]),
+        tuple(zip(g.right, h.right)),
+        lambda p, c: (c[0][p[0]], c[1][p[1]]),
         g.order,
     )
     phi = dict(pairs)
     if len(pairs) != g.order or len(set(phi.values())) != g.order:
         return None
+    g_table, h_table = g.rows(range(g.order)), h.rows(range(h.order))
     for x in range(g.order):
         for y in range(g.order):
-            if phi[g.mul[x][y]] != h.mul[phi[x]][phi[y]]:
+            if phi[g_table[x][y]] != h_table[phi[x]][phi[y]]:
                 return None
     return tuple(phi[x] for x in range(g.order))
 

@@ -147,7 +147,7 @@ def test_check_c1_invariant_under_commuting_relabeling():
     act = quotient_action(cyclic_group(4, [1, 3]))
     alg = act.algebra
     group = cyclic_group(4, [1])
-    shift = tuple(group.mul[x][2] for x in range(4))
+    (shift,) = group.rows([2])
 
     def moved(t):
         return EventTuple.of_members(

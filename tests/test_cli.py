@@ -244,7 +244,7 @@ def test_products_past_the_atom_cap_are_refused(capsys):
     assert "90000 atoms" in error["message"]
     code, out = run(capsys, "refine", Z2_ACTION, "100000000")
     assert code == 2
-    assert "a refinement to 100000000 atoms" in json.loads(out)["error"]["message"]
+    assert "an algebra of 100000000 atoms" in json.loads(out)["error"]["message"]
 
 
 def test_refinement_past_the_atom_cap_is_refused(capsys):

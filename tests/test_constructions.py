@@ -279,9 +279,10 @@ def test_validate_marked_group_errors():
         cyclic_group(4, [2])
 
 
-def oracle_validate_marked_group(mul, gen_images) -> MarkedGroup:
+def oracle_validate_marked_group(mul, gen_images):
     """The obviously correct check: every test of validate_marked_group in
-    the same order, with associativity tested on all triples, O(order^3)."""
+    the same order, with associativity tested on all triples, O(order^3).
+    Returns the checked table, the identity and the marked elements."""
     order = len(mul)
     if order == 0:
         raise InvalidGroupTable("empty multiplication table")
@@ -323,7 +324,17 @@ def oracle_validate_marked_group(mul, gen_images) -> MarkedGroup:
             for z in range(order):
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     raise InvalidGroupTable("multiplication is not associative")
-    return MarkedGroup(order, table, identity, gens)
+    return table, identity, gens
+
+
+def table_of(group: MarkedGroup):
+    """The group's full table as rows rebuilds it, with its identity and
+    marked elements: what oracle_validate_marked_group returns."""
+    return group.rows(range(group.order)), group.identity, group.gen_images
+
+
+def validated_table(mul, gen_images):
+    return table_of(validate_marked_group(mul, gen_images))
 
 
 def _outcome(build, *args):
@@ -339,7 +350,7 @@ def test_generator_associativity_matches_oracle_on_all_order_3_tables():
     for cells in product(range(3), repeat=4):
         mul = [[0, 1, 2], [1, cells[0], cells[1]], [2, cells[2], cells[3]]]
         for gens in ([1], [2], [0, 1], [1, 2], [2, 2]):
-            assert _outcome(validate_marked_group, mul, gens) == _outcome(
+            assert _outcome(validated_table, mul, gens) == _outcome(
                 oracle_validate_marked_group, mul, gens
             )
 
@@ -348,7 +359,7 @@ SMALL_GROUP_TABLES = [
     [[(i + j) % n for j in range(n)] for i in range(n)] for n in range(2, 7)
 ] + [
     [[i ^ j for j in range(4)] for i in range(4)],
-    [list(row) for row in permutation_marked_group([(1, 0, 2), (0, 2, 1)])[0].mul],
+    [list(row) for row in permutation_marked_group([(1, 0, 2), (0, 2, 1)])[0].rows(range(6))],
 ]
 
 
@@ -375,7 +386,7 @@ def near_group_tables(draw):
 @given(near_group_tables())
 def test_generator_associativity_matches_oracle(case):
     mul, gens = case
-    assert _outcome(validate_marked_group, mul, gens) == _outcome(
+    assert _outcome(validated_table, mul, gens) == _outcome(
         oracle_validate_marked_group, mul, gens
     )
 
@@ -393,12 +404,13 @@ BENCHMARK_PERMUTATION_GROUPS = (
 
 def _check_permutation_group(perms):
     group, elements = permutation_marked_group(perms)
-    assert validate_marked_group(group.mul, group.gen_images) == group
+    table = group.rows(range(group.order))
+    assert validate_marked_group(table, group.gen_images) == group
     assert elements[0] == tuple(range(len(perms[0])))
     assert len(set(elements)) == group.order
     for i in range(group.order):
         for j in range(group.order):
-            assert elements[group.mul[i][j]] == perm_compose(elements[i], elements[j])
+            assert elements[table[i][j]] == perm_compose(elements[i], elements[j])
     assert [elements[g] for g in group.gen_images] == [tuple(p) for p in perms]
 
 
@@ -422,7 +434,8 @@ def test_builders_are_groups_by_construction():
     for g1 in small:
         for g2 in small:
             jq = joint_quotient(g1, g2)
-            assert validate_marked_group(jq.group.mul, jq.group.gen_images) == jq.group
+            table = jq.group.rows(range(jq.group.order))
+            assert validate_marked_group(table, jq.group.gen_images) == jq.group
             assert (jq.proj1[0], jq.proj2[0]) == (g1.identity, g2.identity)
 
 
@@ -460,9 +473,10 @@ def test_marked_group_isomorphism():
     h = cyclic_group(4, [3])
     iso = marked_group_isomorphism(g, h)
     assert iso is not None
+    g_table, h_table = g.rows(range(4)), h.rows(range(4))
     for x in range(4):
         for y in range(4):
-            assert iso[g.mul[x][y]] == h.mul[iso[x]][iso[y]]
+            assert iso[g_table[x][y]] == h_table[iso[x]][iso[y]]
     assert marked_group_isomorphism(cyclic_group(2, [1]), cyclic_group(3, [1])) is None
 
 
@@ -507,11 +521,12 @@ def test_joint_quotient_projections_are_homomorphisms():
     g1 = cyclic_group(4, [1])
     g2 = cyclic_group(2, [1])
     jq = joint_quotient(g1, g2)
+    table, t1, t2 = (g.rows(range(g.order)) for g in (jq.group, g1, g2))
     for x in range(jq.group.order):
         for y in range(jq.group.order):
-            z = jq.group.mul[x][y]
-            assert jq.proj1[z] == g1.mul[jq.proj1[x]][jq.proj1[y]]
-            assert jq.proj2[z] == g2.mul[jq.proj2[x]][jq.proj2[y]]
+            z = table[x][y]
+            assert jq.proj1[z] == t1[jq.proj1[x]][jq.proj1[y]]
+            assert jq.proj2[z] == t2[jq.proj2[x]][jq.proj2[y]]
 
 
 # ---------------------------------------------------------------- eppa
@@ -999,17 +1014,19 @@ S5_GENERATORS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
 
 
 def oracle_generated_group(identity, gens, compose):
-    """The table as built before the Cayley-graph fill: every product of
-    two elements composed and looked up, order^2 compositions."""
+    """The table as built before the Cayley graph: every product of two
+    elements composed and looked up, order^2 compositions.  Returns the
+    table, the indices of the marked generators and the elements."""
     elements, index = _breadth_first(identity, gens, compose, MAX_GROUP_ORDER)
     if len(elements) > MAX_GROUP_ORDER:
         raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
     mul = tuple(tuple(index[compose(x, y)] for y in elements) for x in elements)
-    return MarkedGroup(len(elements), mul, 0, tuple(index[g] for g in gens)), elements
+    return mul, tuple(index[g] for g in gens), elements
 
 
-def _pair_compose(g1, g2):
-    return lambda x, y: (g1.mul[x[0]][y[0]], g2.mul[x[1]][y[1]])
+def _pair_compose(t1, t2):
+    """Multiplication in the product of two groups given by their tables."""
+    return lambda x, y: (t1[x[0]][y[0]], t2[x[1]][y[1]])
 
 
 def test_group_tables_match_the_order_squared_oracle():
@@ -1022,22 +1039,23 @@ def test_group_tables_match_the_order_squared_oracle():
     for perms in cases:
         perms = [tuple(p) for p in perms]
         identity = tuple(range(len(perms[0])))
-        got = permutation_marked_group(perms)
-        group, elements = oracle_generated_group(identity, perms, perm_compose)
-        assert got == (group, tuple(elements))
+        group, got_elements = permutation_marked_group(perms)
+        mul, gen_images, elements = oracle_generated_group(identity, perms, perm_compose)
+        assert table_of(group) == (mul, 0, gen_images)
+        assert got_elements == tuple(elements)
         if group.order <= 60:
-            groups.append(group)
+            groups.append((group, mul))
     for _ in range(60):
-        g1, g2 = rng.sample(groups, 2)
+        (g1, t1), (g2, t2) = rng.sample(groups, 2)
         if g1.k != g2.k:
             continue
         jq = joint_quotient(g1, g2)
-        group, elements = oracle_generated_group(
+        mul, gen_images, elements = oracle_generated_group(
             (g1.identity, g2.identity),
             list(zip(g1.gen_images, g2.gen_images)),
-            _pair_compose(g1, g2),
+            _pair_compose(t1, t2),
         )
-        assert jq.group == group
+        assert table_of(jq.group) == (mul, 0, gen_images)
         assert (jq.proj1, jq.proj2) == tuple(tuple(e[i] for e in elements) for i in (0, 1))
 
 
@@ -1050,8 +1068,8 @@ def _counting(compose, calls):
 
 
 def test_group_tables_compose_order_k_plus_order_times_at_most(monkeypatch):
-    """The Cayley-graph fill composes each element with each generator and
-    looks every other product up: a guard on the table cost without timing."""
+    """The walk composes each element with each generator once and builds
+    no table: a guard on the group's cost without timing."""
     calls = []
     monkeypatch.setattr(constructions, "perm_compose", _counting(perm_compose, calls))
     s5, _ = permutation_marked_group(S5_GENERATORS)
@@ -1067,7 +1085,7 @@ def test_group_tables_compose_order_k_plus_order_times_at_most(monkeypatch):
     group, _ = _generated_group(
         (g1.identity, g2.identity),
         list(zip(g1.gen_images, g2.gen_images)),
-        _counting(_pair_compose(g1, g2), calls),
+        _counting(_pair_compose(g1.rows(range(g1.order)), g2.rows(range(g2.order))), calls),
     )
     assert group == joint_quotient(g1, g2).group
     assert group.order == 72 and 0 < len(calls) <= group.order * (group.k + 1)
@@ -1078,19 +1096,17 @@ def oracle_cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
-def oracle_quotient_gens(group: MarkedGroup) -> list[tuple[int, ...]]:
-    """The quotient action's generators as built before: each table row
-    read entry by entry."""
-    return [
-        tuple(group.mul[g][x] for x in range(group.order)) for g in group.gen_images
-    ]
+def oracle_quotient_gens(table, gen_images) -> list[tuple[int, ...]]:
+    """The quotient action's generators as built before: the marked
+    generators' table rows read entry by entry."""
+    return [tuple(table[g][x] for x in range(len(table))) for g in gen_images]
 
 
 def test_cyclic_tables_and_quotient_generators_match_the_entrywise_oracle():
     for n in (1, 2, 3, 5, 7, 31, 36, 60, MAX_GROUP_ORDER):
         images = [1, n // 2 + 3]
-        expected = MarkedGroup(n, oracle_cyclic_table(n), 0, tuple(i % n for i in images))
-        assert cyclic_group(n, images) == expected
+        group = cyclic_group(n, images)
+        assert table_of(group) == (oracle_cyclic_table(n), 0, tuple(i % n for i in images))
     rng = random.Random(811)
     cyclic = [cyclic_group(n, [1, rng.randrange(n)]) for n in (1, 2, 12, 36, 60)]
     perm = [permutation_marked_group(perms)[0] for perms in BENCHMARK_PERMUTATION_GROUPS]
@@ -1100,7 +1116,71 @@ def test_cyclic_tables_and_quotient_generators_match_the_entrywise_oracle():
     ]
     for group in (*cyclic, *perm, *joint, validate_marked_group([[0]], [])):
         act = quotient_action(group)
-        assert act == validate_action(act.algebra, oracle_quotient_gens(group))
+        table = group.rows(range(group.order))
+        assert act == validate_action(act.algebra, oracle_quotient_gens(table, group.gen_images))
+
+
+# A generating set of each table in SMALL_GROUP_TABLES, and S_4's table as
+# the order^2 oracle builds it, generated by the elements at 1 and 2.
+SMALL_GROUP_GENERATORS = [[1]] * 5 + [[1, 2], [1, 2]]
+S4_TABLE = oracle_generated_group(
+    (0, 1, 2, 3), [(1, 2, 3, 0), (1, 0, 2, 3)], perm_compose
+)[0]
+
+
+@st.composite
+def relabeled_group_tables(draw):
+    """The Cayley table of a small group or S_4 under a relabelling that
+    moves the identity off index 0, marked by a generating set with up to
+    two more elements, in any order, and some elements to take rows of."""
+    base, gens = draw(st.sampled_from(
+        [*zip(SMALL_GROUP_TABLES, SMALL_GROUP_GENERATORS), (S4_TABLE, [1, 2])]
+    ))
+    order = len(base)
+    pi = draw(st.permutations(range(order)).filter(lambda p: p[0] != 0))
+    mul = [[0] * order for _ in range(order)]
+    for a in range(order):
+        for b in range(order):
+            mul[pi[a]][pi[b]] = pi[base[a][b]]
+    element = st.integers(0, order - 1)
+    extra = draw(st.lists(element, max_size=2))
+    marked = draw(st.permutations([pi[g] for g in gens] + extra))
+    return mul, marked, pi[0], draw(st.lists(element, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_group_tables())
+def test_rows_rebuild_a_table_whose_identity_is_not_element_0(case):
+    mul, marked, identity, zs = case
+    group = validate_marked_group(mul, marked)
+    assert group.identity == identity != 0
+    assert group.rows(range(group.order)) == tuple(tuple(row) for row in mul)
+    assert group.rows(zs) == tuple(tuple(mul[z]) for z in zs)
+    act = quotient_action(group)
+    assert act == validate_action(act.algebra, oracle_quotient_gens(mul, marked))
+
+
+def test_groups_are_built_without_rows_and_quotients_ask_for_k(monkeypatch):
+    """Building a group calls rows never, and a quotient action calls it
+    once, for the k marked generators: a guard on the table cost without
+    timing."""
+    calls = []
+    rows = MarkedGroup.rows
+
+    def counted(group, zs):
+        calls.append(tuple(zs))
+        return rows(group, zs)
+
+    monkeypatch.setattr(MarkedGroup, "rows", counted)
+    s5, _ = permutation_marked_group(S5_GENERATORS)
+    z36 = cyclic_group(36, [1, 5])
+    joint = joint_quotient(s5, cyclic_group(6, [1, 5])).group
+    klein = klein_group()
+    assert calls == []
+    for group in (s5, z36, joint, klein):
+        calls.clear()
+        quotient_action(group)
+        assert calls == [group.gen_images] and len(calls[0]) == group.k
 
 
 def oracle_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
