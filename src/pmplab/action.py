@@ -9,8 +9,9 @@ quotient permutation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     ZERO,
@@ -22,14 +23,18 @@ from .algebra import (
     _sign_map,
     product_algebra,
     refine_to_unit,
+    uniform_algebra,
 )
 from .errors import (
     AlgebraMismatch,
+    ArityMismatch,
     LetterOutOfRange,
     NonpositiveDelta,
     NotBijective,
     NotMeasurePreserving,
+    ValidationError,
 )
+from .limits import _check_summed_refinement
 from .record import Record
 
 Perm = tuple[int, ...]
@@ -227,6 +232,19 @@ def product_action(act: FkAction, fiber: MeasuredAlgebra) -> tuple[FkAction, tup
     return _lift_action(act, prod, projection), projection
 
 
+def extensions(act: FkAction, max_refine: int) -> Iterator[tuple[FkAction, tuple[int, ...]]]:
+    """What every search deepens through: at depth 1 act itself with the
+    identity projection, at each depth m = 2..max_refine product_action(act,
+    uniform_algebra(m)), built only when the search asks for it.  Raises
+    ValidationError for max_refine < 1 and InstanceTooLarge when the atoms
+    summed over every depth pass MAX_REFINED_ATOMS, before anything is built."""
+    if max_refine < 1:
+        raise ValidationError(f"max_refine must be >= 1, got {max_refine}")
+    _check_summed_refinement(act.algebra.size, max_refine)
+    deeper = (product_action(act, uniform_algebra(m)) for m in range(2, max_refine + 1))
+    return chain([(act, perm_identity(act.algebra.size))], deeper)
+
+
 def refine_action_to_unit(
     act: FkAction, unit: Fraction
 ) -> tuple[FkAction, tuple[int, ...]]:
@@ -285,7 +303,7 @@ def uniform_distance_tuples(
 ) -> Fraction:
     """Uniform distance between automorphism tuples: the max over coordinates."""
     if len(gs) != len(hs):
-        raise AlgebraMismatch("automorphism tuples have different lengths")
+        raise ArityMismatch("automorphism tuples have different lengths")
     best = ZERO
     for g, h in zip(gs, hs):
         d = uniform_distance(alg, g, h)

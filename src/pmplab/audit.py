@@ -18,10 +18,12 @@ their distance, and g_i(c_j) weighs what c_j weighs.  Each depth's floor
 ends its scan at the first candidate that reaches it, and a floor over
 every extension ends the search over depths and can refute a witness.
 
-One driver runs every search.  Each audit gives it a scorer that holds one
-candidate tuple and changes it in place.  A toggle, one atom of one
-coordinate, is one flat index coord * size + atom; walk applies toggles in
-order and returns each new score, and peek returns the score of one toggle
+One search routine serves every audit, over the depths of
+action.extensions: the action itself, then its m-fold equal splits, each
+built only when the search gets there.  Each audit gives it a scorer that
+holds one candidate tuple and changes it in place.  A toggle, one atom of
+one coordinate, is one flat index coord * size + atom; walk applies toggles
+in order and returns each new score, and peek returns the score of one toggle
 and leaves the tuple as it was.  Scores are integers, in units of one
 common denominator per depth.  The exhaustive scan walks blocks of
 candidates in Gray-code order, one walk call per block and about one toggle
@@ -49,14 +51,13 @@ from .algebra import (
     _sign_map,
     joint_distribution,
     lift_tuple,
-    uniform_algebra,
 )
 from .action import (
     FkAction,
     Word,
     _word_perm,
     apply_gen_tuple,
-    product_action,
+    extensions,
 )
 from .constructions import PartialIsomorphism
 from .errors import (
@@ -64,10 +65,9 @@ from .errors import (
     ArityMismatch,
     EmbeddingNotEquivariant,
     NonpositiveEps,
-    ValidationError,
     WrongTupleCount,
 )
-from .limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, _check_summed_refinement
+from .limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS
 from .modeltheory import (
     independence_deficiency,
     joint_tv_distance,
@@ -103,15 +103,6 @@ class C1Report(Record):
     @property
     def satisfied(self) -> bool:
         return self.worst < self.eps
-
-
-def _check_depth(act: FkAction, max_refine: int) -> None:
-    """Every depth 1..max_refine may be searched in turn, so the refined atoms
-    summed over them, size*M*(M+1)/2, are checked against MAX_REFINED_ATOMS
-    before any search starts: only arithmetic, nothing is built."""
-    if max_refine < 1:
-        raise ValidationError(f"max_refine must be >= 1, got {max_refine}")
-    _check_summed_refinement(act.algebra.size, max_refine)
 
 
 def _check_instance(
@@ -177,7 +168,8 @@ def check_C1(
 
 
 class C2Witness(Record):
-    """A candidate tuple on a refined action and its exact distance.
+    """A candidate tuple at one search depth (action.extensions): c lives on
+    the action itself at depth 1, on its m-fold equal split at depth m.
 
     distance is the total-variation gap between the joint law of the anchor
     with the parameters and the joint law of the lifted anchor with the
@@ -337,25 +329,26 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     return Fraction(value, scale), tuple(tuple(sorted(e)) for e in current)
 
 
-def _refine_search(act: FkAction, arity: int, max_refine: int, stop_below, prepare):
-    """The refine-lift-search loop shared by the audits.
+def _refine_search(depths, arity: int, stop_below, prepare, stop_at):
+    """The search over depths shared by the audits.
 
-    For each depth m = 1..max_refine act is extended by the m-atom uniform
-    fiber (product_action), which splits every atom into m equal parts
-    that the generators carry part-for-part.  prepare(refined, projection)
-    returns the scorer for that depth (see _search_best), and _search_best
-    scans candidates of the given arity.  After each depth yields the best
-    (value, tuple, depth) seen so far, earlier depths winning ties; callers
-    stop when it is good enough."""
+    depths is action.extensions(act, max_refine): act itself at depth 1,
+    then act with every atom split into m equal parts that the generators
+    carry part-for-part.  prepare(refined, projection) returns the scorer
+    for a depth (see _search_best), and _search_best scans candidates of
+    the given arity.  Returns the best (value, tuple, depth), earlier
+    depths winning ties.  The search stops going deeper once the best value
+    is below stop_below or at most stop_at, so no deeper depth is built."""
     best = None
-    for depth in range(1, max_refine + 1):
-        refined, projection = product_action(act, uniform_algebra(depth))
+    for depth, (refined, projection) in enumerate(depths, 1):
         val, members = _search_best(
             refined.algebra.size, arity, prepare(refined, projection), stop_below
         )
         if best is None or val < best[0]:
             best = (val, EventTuple.of_members(refined.algebra, members), depth)
-        yield best
+        if best[0] < stop_below or best[0] <= stop_at:
+            break
+    return best
 
 
 def _c2_prepare(
@@ -524,28 +517,26 @@ def search_C2_witness(
 ) -> C2SearchResult:
     """Search refinements for a tuple realizing the parameters jointly.
 
-    For each refinement depth m = 1..max_refine the action is extended by
-    the m-atom uniform fiber, splitting every atom into m equal parts that
-    the generators carry part-for-part; the anchor is lifted, and candidate
-    tuples c are scored by the total-variation gap between the law of
-    (anchor, parameters) and the law of (lifted anchor, c with all its
-    generator pushes).  A witness is
+    Depth 1 searches the action itself, and each depth m = 2..max_refine
+    its extension by the m-atom uniform fiber, which splits every atom into
+    m equal parts that the generators carry part-for-part.  The anchor is
+    lifted, and candidate tuples c are scored by the total-variation gap
+    between the law of (anchor, parameters) and the law of (lifted anchor,
+    c with all its generator pushes).  A witness is
     any candidate with distance strictly below 2*eps; the best candidate is
     reported either way, with the floor over every extension (see
     C2SearchResult).  The search stops going deeper at a witness, or once
     its best value is at the floor: no deeper depth could beat it strictly,
     and earlier depths win ties."""
-    _check_depth(act, max_refine)
+    depths = extensions(act, max_refine)
     tuples = _check_instance(act, a, bs, eps)
     threshold = 2 * eps
     spans = _mass_spans(tuples)
     floor = _extension_floor(spans)
     prepare = _c2_prepare(a, tuples, spans)
-    for value, c, depth in _refine_search(
-        act, tuples[0].arity, max_refine, threshold, prepare
-    ):
-        if value < threshold or value <= floor:
-            break
+    value, c, depth = _refine_search(
+        depths, tuples[0].arity, threshold, prepare, floor
+    )
     return C2SearchResult(
         value < threshold, C2Witness(c, value, depth), floor, floor >= threshold
     )
@@ -564,14 +555,10 @@ def axiom_residual(
     xi_i is at least |mu(b_ij) - mu(b_0j)|, and D*mu(b_0j) is a sum of
     refined atom weights, so every depth's floor is at most worst, below
     the stop 2 * worst."""
-    _check_depth(act, max_refine)
+    depths = extensions(act, max_refine)
     worst = check_C1(act, a, bs, Fraction(1)).worst
     prepare = _c2_prepare(a, bs, _mass_spans(bs))
-    for best, _c, _depth in _refine_search(
-        act, bs[0].arity, max_refine, 2 * worst, prepare
-    ):
-        if best <= 2 * worst:
-            break
+    best = _refine_search(depths, bs[0].arity, 2 * worst, prepare, 2 * worst)[0]
     residual = best - 2 * worst
     return residual if residual > 0 else ZERO
 
@@ -651,7 +638,7 @@ def ec_in_extension_check(
     send atoms to blocks and intertwine the generators exactly."""
     if eps <= 0:
         raise NonpositiveEps(f"tolerance must be positive, got {eps}")
-    _check_depth(small, max_refine)
+    depths = extensions(small, max_refine)
     blocks = _check_embedding(small, big, embed)
     if anchors.algebra.id != small.algebra.id:
         raise AlgebraMismatch("anchor tuple must live in the small system")
@@ -663,11 +650,7 @@ def ec_in_extension_check(
     moved = [[{p[x] for x in b} for b in b_sets] for p in [_word_perm(big, w) for w in ws]]
     target = _triple_units(big.algebra.units, a_sets, b_sets, moved)
     prepare = _ec_prepare(anchors, bs, ws, target, big.algebra.den, blocks)
-    for value, cs, depth in _refine_search(
-        small, bs.arity, max_refine, eps, prepare
-    ):
-        if value < eps:
-            break
+    value, cs, depth = _refine_search(depths, bs.arity, eps, prepare, ZERO)
     return EcSearchResult(value < eps, EcWitness(cs, value, depth))
 
 

@@ -36,6 +36,7 @@ from .action import (
     Perm,
     _breadth_first,
     apply_perm_event,
+    extensions,
     invariant_components,
     perm_compose,
     perm_identity,
@@ -65,7 +66,6 @@ from .errors import (
 from .limits import (
     MAX_GROUP_ORDER,
     _check_beam_steps,
-    _check_summed_refinement,
 )
 from .record import Record
 
@@ -760,8 +760,11 @@ def approx_conjugacy_search(
 ) -> ConjugacyCertificate:
     """Search for a near-conjugacy between two actions.
 
-    Both actions are refined to a common uniform atom count (growing with
-    the refinement depth).  A complete search first looks for an exact
+    Both actions are refined once to the common unit 1/L, L = lcm(D1, D2),
+    and depth m = 1..max_refine searches the m-fold equal splits of both
+    (action.extensions, which checks max_refine and the summed atoms): the
+    unit refinements to 1/(L*m), whose projections are the base projection
+    composed with the depth's.  A complete search first looks for an exact
     conjugacy (zero broken generator edges), one orbit at a time; when none
     exists at that depth, a beam search builds the atom bijection greedily:
     source atoms in increasing order, candidate targets scored by the
@@ -771,30 +774,22 @@ def approx_conjugacy_search(
     eps is recomputed exactly from the returned mapping, and the search
     stops early when it reaches zero.  A positive eps proves that no exact
     conjugacy exists at the depths tried; it is an upper bound on the least
-    defect there, and the beam's optimality is never claimed.  Every depth
-    may be searched in turn, so the refined atoms summed over depths
-    1..max_refine, base_units*M*(M+1)/2, are checked against
-    MAX_REFINED_ATOMS before any search starts.  A beam over n atoms is
-    counted as beam_width*n^2 steps, a bound on its work and not the work
-    it does; before each beam the steps summed over the beams run so far,
-    this one included, are checked against MAX_BEAM_STEPS."""
+    defect there, and the beam's optimality is never claimed.  A beam over
+    n atoms is counted as beam_width*n^2 steps, a bound on its work and not
+    the work it does; before each beam the steps summed over the beams run
+    so far, this one included, are checked against MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
-    if max_refine < 1:
-        raise ValidationError(f"max_refine must be >= 1, got {max_refine}")
+    unit = Fraction(1, lcm(act1.algebra.den, act2.algebra.den))
+    base1, base_proj1 = refine_action_to_unit(act1, unit)
+    base2, base_proj2 = refine_action_to_unit(act2, unit)
+    depths = zip(extensions(base1, max_refine), extensions(base2, max_refine))
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
-    base_units = lcm(
-        act1.algebra.denominator_lcm(), act2.algebra.denominator_lcm()
-    )
-    _check_summed_refinement(base_units, max_refine)
     beam_steps = 0
     best: Optional[ConjugacyCertificate] = None
-    for depth in range(1, max_refine + 1):
-        n = base_units * depth
-        unit = Fraction(1, n)
-        r1, proj1 = refine_action_to_unit(act1, unit)
-        r2, proj2 = refine_action_to_unit(act2, unit)
+    for (r1, proj1), (r2, proj2) in depths:
+        n = r1.algebra.size
         mapping = _exact_assign(r1, r2)
         if mapping is None:
             beam_steps += beam_width * n * n
@@ -802,7 +797,8 @@ def approx_conjugacy_search(
             mapping = _beam_assign(r1, r2, beam_width)
         iso = Isomorphism.of(r1.algebra, r2.algebra, mapping)
         eps = _conjugacy_defect(iso.mapping, r1, r2)
-        cert = ConjugacyCertificate(iso, eps, r1, r2, proj1, proj2, eps != 0)
+        projections = perm_compose(base_proj1, proj1), perm_compose(base_proj2, proj2)
+        cert = ConjugacyCertificate(iso, eps, r1, r2, *projections, eps != 0)
         if best is None or cert.eps < best.eps:
             best = cert
         if best.eps == 0:

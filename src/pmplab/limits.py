@@ -9,11 +9,12 @@ which the command line reports with exit 2.
   match_partitions, and through them refine_action_to_unit,
   perturb_small, eppa_extend, extend_partial_step and the conjugacy
   search.  product_algebra and uniform_algebra check it for every
-  extension by product_action: the audit depths, refine, tensor and
-  embed_into_profinite_tensor.
+  extension by product_action: the search depths past 1, refine, tensor
+  and embed_into_profinite_tensor.
   It also bounds the atoms summed over refinement depths 1..max_refine
-  (_check_summed_refinement: search_C2_witness, axiom_residual,
-  ec_in_extension_check and approx_conjugacy_search).
+  (_check_summed_refinement), checked only by action.extensions, which
+  every search deepens through: search_C2_witness, axiom_residual,
+  ec_in_extension_check and approx_conjugacy_search.
 - MAX_GROUP_ORDER bounds the elements of a group the library enumerates:
   cyclic_group, permutation_marked_group and joint_quotient.
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,

@@ -23,6 +23,7 @@ from pmplab.action import (
     Word,
     apply_perm_event,
     apply_word,
+    extensions,
     generated_subalgebra,
     invariant_components,
     letter_perm,
@@ -35,11 +36,15 @@ from pmplab.action import (
 )
 from pmplab.errors import (
     AlgebraMismatch,
+    ArityMismatch,
+    InstanceTooLarge,
     LetterOutOfRange,
     NonpositiveDelta,
     NotBijective,
     NotMeasurePreserving,
+    ValidationError,
 )
+from pmplab.limits import MAX_REFINED_ATOMS
 
 from conftest import (
     random_algebra,
@@ -325,6 +330,36 @@ def test_uniform_distance_tuples_takes_the_worst_coordinate():
     gs = [(1, 2, 0), (0, 1, 2)]
     hs = [(0, 1, 2), (0, 1, 2)]
     assert uniform_distance_tuples(alg, gs, hs) == F(2, 3)
+
+
+def test_uniform_distance_tuples_of_different_lengths_is_an_arity_mismatch():
+    alg = uniform_algebra(3)
+    with pytest.raises(ArityMismatch, match="automorphism tuples have different lengths"):
+        uniform_distance_tuples(alg, [(1, 2, 0), (0, 1, 2)], [(0, 1, 2)])
+
+
+def test_extensions_start_at_the_action_itself_and_refuse_before_building():
+    """Depth 1 is the action with the identity projection, depth m its
+    product with the m-atom uniform fiber; the depth and the summed atoms
+    are checked when extensions is called, before any depth is taken."""
+    alg = validate_algebra([F(1, 6), F(1, 6), F(2, 3)])
+    act = validate_action(alg, [(1, 0, 2)])
+    depths = list(extensions(act, 3))
+    assert depths[0] == (act, (0, 1, 2))
+    for m, (refined, projection) in enumerate(depths[1:], 2):
+        expected, expected_projection = product_action(act, uniform_algebra(m))
+        assert projection == expected_projection
+        assert (refined.algebra.den, refined.algebra.units, refined.gens) == (
+            expected.algebra.den, expected.algebra.units, expected.gens
+        )
+    for max_refine in (0, -1):
+        with pytest.raises(ValidationError, match=f"max_refine must be >= 1, got {max_refine}"):
+            extensions(act, max_refine)
+    # 3 atoms at depths 1..208 sum to 65208 atoms, at depths 1..209 to 65835
+    assert 3 * 208 * 209 // 2 <= MAX_REFINED_ATOMS < 3 * 209 * 210 // 2
+    extensions(act, 208)
+    with pytest.raises(InstanceTooLarge, match="depths 1..209 sum to 65835 atoms"):
+        extensions(act, 209)
 
 
 def test_perturb_small_whole_space_example():

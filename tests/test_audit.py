@@ -26,9 +26,11 @@ from pmplab.action import (
     Word,
     apply_gen_tuple,
     apply_word,
+    extensions,
     product_action,
     validate_action,
 )
+import pmplab.action as action
 import pmplab.algebra as algebra
 import pmplab.audit as audit
 from pmplab.audit import (
@@ -304,18 +306,29 @@ def test_tuple_candidates_lexicographic_in_bitmasks():
     assert list(_tuple_candidates(200, 0)) == [()]
 
 
+def record_depths(monkeypatch) -> list[int]:
+    """Make the audits record every depth they take from extensions, which
+    still refuses before it yields anything; depth m splits each atom into
+    m parts."""
+    visited: list[int] = []
+
+    def taken(act, depths):
+        for depth, (refined, projection) in enumerate(depths, 1):
+            assert refined.algebra.size == depth * act.algebra.size
+            visited.append(depth)
+            yield refined, projection
+
+    monkeypatch.setattr(
+        audit, "extensions", lambda act, max_refine: taken(act, extensions(act, max_refine))
+    )
+    return visited
+
+
 def test_searches_visit_expected_depths(monkeypatch):
     """Each audit stops at the first depth whose best value passes its own
     test: strictly below 2*eps or at most the floor over every extension
     (C2), below eps (EC), at most 2*worst (residual)."""
-    visited = []
-
-    def recording(act, fiber):
-        visited.append(fiber.size)
-        return product_action(act, fiber)
-
-    monkeypatch.setattr(audit, "product_action", recording)
-
+    visited = record_depths(monkeypatch)
     act = z2_two_gens()
     alg = act.algebra
     b1 = EventTuple.of_members(alg, [[1]])
@@ -377,18 +390,39 @@ def test_searches_visit_expected_depths(monkeypatch):
     assert residual == 0
 
 
+def test_audits_that_stop_at_depth_1_build_no_product(monkeypatch):
+    """Depth 1 searches the action itself: an audit that stops there never
+    calls product_action, and one that goes on builds one product per
+    further depth."""
+    products = []
+
+    def counting(act, fiber):
+        products.append(fiber.size)
+        return product_action(act, fiber)
+
+    monkeypatch.setattr(action, "product_action", counting)
+    act = z2_two_gens()
+    alg = act.algebra
+    a = EventTuple.of_members(alg, [[0]])
+    b1 = EventTuple.of_members(alg, [[1]])
+    found = search_C2_witness(act, a, [EventTuple.of_members(alg, [[0]]), b1, b1], F(1, 10), 4)
+    assert found.found and found.witness.refinement_depth == 1
+    assert found.witness.c.algebra is alg
+    assert axiom_residual(act, a, [EventTuple.of_members(alg, [[0]]), b1, b1], 4) == 0
+    assert products == []
+    # c and g(c) always weigh the same, b0 and b1 do not: every depth runs
+    swap = quotient_action(cyclic_group(2, [1]))
+    bs = [EventTuple.of_members(swap.algebra, [[0]]), whole(swap.algebra)]
+    search_C2_witness(swap, EventTuple.of_members(swap.algebra, [[0]]), bs, F(1, 10**6), 3)
+    assert products == [2, 3]
+
+
 def test_audit_depths_are_capped_by_their_summed_atoms(monkeypatch):
     """Depths 1..M of a 2-atom action refine to 2*M*(M+1)/2 atoms in all:
     65280 for M = 255, inside MAX_REFINED_ATOMS, and 65792 for M = 256,
     which every audit refuses before refining anything."""
     assert 255 * 256 <= MAX_REFINED_ATOMS < 256 * 257
-    visited = []
-
-    def recording(act, fiber):
-        visited.append(fiber.size)
-        return product_action(act, fiber)
-
-    monkeypatch.setattr(audit, "product_action", recording)
+    visited = record_depths(monkeypatch)
     act = quotient_action(cyclic_group(2, [1]))
     alg = act.algebra
     a = EventTuple.of_members(alg, [[0]])
@@ -578,12 +612,33 @@ def extension_floor(bs):
     return audit._extension_floor(_mass_spans(bs))
 
 
-def run_search(act, arity, max_refine, stop_below, prepare):
-    out = []
-    for value, c, depth in _refine_search(act, arity, max_refine, stop_below, prepare):
-        assert type(value) is Fraction
-        out.append((value, tuple(e.members for e in c.events), depth))
-    return out
+def run_search(act, arity, max_refine, stop_below, prepare, stop_at):
+    """_refine_search over extensions(act, max_refine), as (value, members,
+    depth)."""
+    value, c, depth = _refine_search(
+        extensions(act, max_refine), arity, stop_below, prepare, stop_at
+    )
+    assert type(value) is Fraction
+    return value, tuple(e.members for e in c.events), depth
+
+
+def stopped(sequence, stop_below, stop_at):
+    """The best of an oracle_refine_search sequence at the first depth whose
+    best is below stop_below or at most stop_at, else at its last depth."""
+    for best in sequence:
+        if best[0] < stop_below or best[0] <= stop_at:
+            break
+    return best
+
+
+def assert_search_matches_oracle(act, arity, max_refine, stop_below, stop_at, fast, oracle):
+    """Every depth limit 1..max_refine gives what the oracle sequence,
+    cut at that depth, gives: fast and oracle are the two prepare
+    functions."""
+    sequence = list(oracle_refine_search(act, arity, max_refine, stop_below, oracle))
+    for limit in range(1, max_refine + 1):
+        expected = stopped(sequence[:limit], stop_below, stop_at)
+        assert run_search(act, arity, limit, stop_below, fast, stop_at) == expected
 
 
 def toggles_of(members, size):
@@ -700,15 +755,16 @@ def test_refine_search_same_with_oracle_scorer(build, exhaustive):
         total = (1 << act.algebra.size * depth) ** arity
         assert (total <= EXHAUSTIVE_TUPLE_CAP) == exhaustive
 
-    fast = run_search(act, arity, max_refine, F(0), c2_prepare(a, bs))
-    oracle = oracle_refine_search(act, arity, max_refine, F(0), oracle_c2_prepare(a, bs))
-    assert fast == list(oracle)
+    for stop_at in (F(-1), extension_floor(bs)):
+        assert_search_matches_oracle(
+            act, arity, max_refine, F(0), stop_at, c2_prepare(a, bs), oracle_c2_prepare(a, bs)
+        )
 
 
 @st.composite
 def _search_instances(draw, greedy):
-    """An action on classes of equal-mass atoms, a search arity, a depth and
-    a stop threshold.  With greedy, at least one depth has more candidates
+    """An action on classes of equal-mass atoms, a search arity, a depth, a
+    stop threshold and a stop level (-1 never stops).  With greedy, at least one depth has more candidates
     than EXHAUSTIVE_TUPLE_CAP; otherwise every depth is scanned whole, at
     most 1024 candidates each to keep the oracle quick.  Generators often
     agree on an atom: classes of one atom are fixed points, where g_i(x) is
@@ -724,7 +780,8 @@ def _search_instances(draw, greedy):
     act = _class_action(draw, n)
     # 0 stops only at a zero, 2 at candidate 0
     stop = draw(st.sampled_from([F(0), F(2)]) | st.fractions(0, F(1, 4), max_denominator=30))
-    return act, arity, max_refine, stop
+    stop_at = draw(st.sampled_from([F(-1), F(0)]) | st.fractions(0, F(1, 4), max_denominator=30))
+    return act, arity, max_refine, stop, stop_at
 
 
 def _class_action(draw, n):
@@ -761,7 +818,7 @@ def _draw_tuple(data, alg, arity):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_refine_search_matches_oracle_c2(greedy, data):
-    act, arity, max_refine, stop = data.draw(_search_instances(greedy))
+    act, arity, max_refine, stop, stop_at = data.draw(_search_instances(greedy))
     alg = act.algebra
     a = _draw_tuple(data, alg, data.draw(st.integers(0, 2)))
     b0 = _draw_tuple(data, alg, arity)
@@ -770,8 +827,9 @@ def test_refine_search_matches_oracle_c2(greedy, data):
         bs = [b0] + [apply_gen_tuple(act, i, b0) for i in range(1, act.k + 1)]
     else:
         bs = [b0] + [_draw_tuple(data, alg, arity) for _ in range(act.k)]
-    expected = oracle_refine_search(act, arity, max_refine, stop, oracle_c2_prepare(a, bs))
-    assert run_search(act, arity, max_refine, stop, c2_prepare(a, bs)) == list(expected)
+    assert_search_matches_oracle(
+        act, arity, max_refine, stop, stop_at, c2_prepare(a, bs), oracle_c2_prepare(a, bs)
+    )
 
 
 def _draw_ec_instance(data, small, arity):
@@ -804,18 +862,14 @@ def _draw_ec_instance(data, small, arity):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_refine_search_matches_oracle_ec(greedy, data):
-    small, arity, max_refine, stop = data.draw(_search_instances(greedy))
+    small, arity, max_refine, stop, stop_at = data.draw(_search_instances(greedy))
     big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
-    expected = oracle_refine_search(
-        small, arity, max_refine, stop,
+    assert_search_matches_oracle(
+        small, arity, max_refine, stop, stop_at,
+        _ec_prepare(anchors, bs, words, *ec_target(big, target), blocks),
         oracle_ec_prepare(anchors, bs, words, target, blocks),
     )
-    fast = run_search(
-        small, arity, max_refine, stop,
-        _ec_prepare(anchors, bs, words, *ec_target(big, target), blocks),
-    )
-    assert fast == list(expected)
 
 
 @given(data=st.data())
@@ -824,7 +878,7 @@ def test_ec_check_matches_the_fraction_oracle(data):
     """The whole check, its integer target included, against the search
     over the Fraction pattern of _triple_pattern, stopped at the first depth
     whose best is below eps."""
-    small, arity, max_refine, _stop = data.draw(_search_instances(False))
+    small, arity, max_refine, _stop, _stop_at = data.draw(_search_instances(False))
     big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
     eps = data.draw(st.fractions(F(1, 60), F(1, 4), max_denominator=60))
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
@@ -933,29 +987,21 @@ def test_exhaustive_scan_builds_one_fraction_per_depth(monkeypatch):
     bs = full_scan_parameters(alg)
     assert 1 << alg.size == EXHAUSTIVE_TUPLE_CAP
     monkeypatch.setattr(audit, "Fraction", CountingFraction)
-    [(value, _c, depth)] = list(_refine_search(act, 1, 1, F(0), c2_prepare(a, bs)))
+    value, _c, depth = _refine_search(extensions(act, 1), 1, F(0), c2_prepare(a, bs), F(0))
     assert value > 0 and depth == 1
     assert len(built) <= 1
 
 
 def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
-    """The extension check computes its target and scores every candidate in
-    integer units; only each depth's result becomes a Fraction.  The
-    refinements' atom masses are the algebra's own and are not counted."""
+    """The extension check computes its target, builds its depths and scores
+    every candidate in integer units; only each depth's result becomes a
+    Fraction."""
     built = []
 
     class CountingFraction(Fraction):
         def __new__(cls, *args, **kwargs):
             built.append(args)
             return super().__new__(cls, *args, **kwargs)
-
-    depths = []
-
-    def refine_uncounted(act, fiber):
-        depths.append(fiber.size)
-        with monkeypatch.context() as inner:
-            inner.setattr(algebra, "Fraction", Fraction)
-            return product_action(act, fiber)
 
     # the EC instance of test_full_gray_scan_flips_once_per_candidate:
     # every discrepancy is at least 1/18, so no depth stops the search
@@ -967,7 +1013,7 @@ def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
     anchors = EventTuple.of_members(small.algebra, [[0, 1, 2]])
     target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
     words = [Word.of([]), Word.of([1])]
-    monkeypatch.setattr(audit, "product_action", refine_uncounted)
+    depths = record_depths(monkeypatch)
     monkeypatch.setattr(audit, "Fraction", CountingFraction)
     monkeypatch.setattr(algebra, "Fraction", CountingFraction)
     res = ec_in_extension_check(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmplab import cli
+from pmplab import algebra, cli
 from pmplab.cli import cli_dispatch
 from pmplab.constructions import cyclic_group, quotient_action
 from pmplab.jsonio import action_from_json
@@ -285,6 +285,30 @@ def test_conjsearch_depths_past_the_summed_cap_are_refused(capsys):
         code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", depth)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+
+
+def test_conjsearch_refuses_a_unit_refinement_past_the_cap(capsys, monkeypatch):
+    """Atoms 1/65537 and 65536/65537 need a unit refinement of 65537 atoms,
+    one past the cap.  It is refused as it would be built, before the depth
+    is checked, so a bad depth changes nothing; no algebra of more than two
+    atoms is built."""
+    sizes = []
+    built = algebra.MeasuredAlgebra
+
+    def recording(id, den, units):
+        sizes.append(len(units))
+        return built(id, den, units)
+
+    monkeypatch.setattr(algebra, "MeasuredAlgebra", recording)
+    act = '{"algebra":{"atoms":["1/65537","65536/65537"]},"gens":[[0,1]]}'
+    for extra in ([], ["--max-refine", "0"]):
+        code, out = run(capsys, "conjsearch", act, act, *extra)
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "message": "an algebra of 65537 atoms exceeds the cap 65536 atoms",
+            "type": "InstanceTooLarge",
+        }}
+    assert sizes and max(sizes) == 2
 
 
 def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,22 +21,27 @@ from pmplab.algebra import (
     refine_to_unit,
     validate_algebra,
 )
+from pmplab import action as action_module
 from pmplab import constructions
 from pmplab.action import (
     FkAction,
     _breadth_first,
     _orbit_walks,
     apply_perm_event,
+    extensions,
     invariant_components,
     perm_compose,
     product_action,
+    refine_action_to_unit,
     uniform_distance,
     validate_action,
 )
 from pmplab.constructions import (
+    ConjugacyCertificate,
     Isomorphism,
     MarkedGroup,
     _beam_assign,
+    _conjugacy_defect,
     _exact_assign,
     _generated_group,
     PartialIsomorphism,
@@ -983,6 +989,145 @@ def test_exact_phase_checks_generator_fixed_points():
     cert = approx_conjugacy_search(fixed_points, four_cycle)
     assert cert.eps == F(1, 2) and cert.exhausted
     assert verify_conjugacy(cert) == cert.eps
+
+
+# ------------------------------------------- conjugacy depths as unit refinements
+
+
+def oracle_unit_depths(act: FkAction, base: int, max_refine: int):
+    """The depths of the conjugacy search as it was: at depth m the action
+    refined anew to the unit 1/(base*m), with its projection."""
+    return [refine_action_to_unit(act, F(1, base * m)) for m in range(1, max_refine + 1)]
+
+
+def layout(refined: FkAction, projection):
+    """What a depth is, whatever the algebra's id: den, units, generators
+    and projection."""
+    return refined.algebra.den, refined.algebra.units, refined.gens, tuple(projection)
+
+
+def oracle_conjugacy_search(act1: FkAction, act2: FkAction, max_refine: int, beam_width=16):
+    """The search over oracle_unit_depths: the (mapping, eps, layout of each
+    refined action) of every depth it searched, and of its answer, the
+    least eps with earlier depths winning ties.  It stops at the first
+    zero."""
+    base = lcm(act1.algebra.den, act2.algebra.den)
+    searched = []
+    for (r1, p1), (r2, p2) in zip(
+        oracle_unit_depths(act1, base, max_refine), oracle_unit_depths(act2, base, max_refine)
+    ):
+        mapping = _exact_assign(r1, r2)
+        if mapping is None:
+            mapping = _beam_assign(r1, r2, beam_width)
+        searched.append((mapping, _conjugacy_defect(mapping, r1, r2), layout(r1, p1), layout(r2, p2)))
+        if searched[-1][1] == 0:
+            break
+    return searched, min(searched, key=lambda depth: depth[1])
+
+
+def certificate_layout(cert):
+    return (
+        cert.iso.mapping,
+        cert.eps,
+        layout(cert.act1_refined, cert.projection1),
+        layout(cert.act2_refined, cert.projection2),
+    )
+
+
+def _unequal_mass_action(draw, k: int) -> FkAction:
+    """Atoms of weights 1..3 over a total weight in {2, 3, 4, 6, 8, 12}, so
+    that two such algebras have an lcm of at most 24; every generator
+    shuffles each class of equal weight."""
+    total = draw(st.sampled_from([2, 3, 4, 6, 8, 12]))
+    weights: list[int] = []
+    while sum(weights) < total:
+        weights.append(draw(st.integers(1, min(3, total - sum(weights)))))
+    weights.sort()
+    alg = validate_algebra([F(w, total) for w in weights])
+    classes = [[x for x, v in enumerate(weights) if v == w] for w in sorted(set(weights))]
+    gens = [tuple(y for cls in classes for y in draw(st.permutations(cls))) for _ in range(k)]
+    return validate_action(alg, gens)
+
+
+@st.composite
+def _unequal_mass_pairs(draw):
+    k = draw(st.integers(1, 3))
+    act1 = _unequal_mass_action(draw, k)
+    if draw(st.booleans()):
+        act2 = _unequal_mass_action(draw, k)
+    else:
+        act2 = relabeled_action(act1, random_mass_preserving_perm(
+            random.Random(draw(st.integers(0, 99))), act1.algebra
+        ))
+    return act1, act2, draw(st.integers(1, 4))
+
+
+@given(_unequal_mass_pairs())
+@settings(max_examples=150, deadline=None)
+def test_conjugacy_depths_are_the_unit_refinements(pair):
+    """Depth m of the extensions of the unit refinement to 1/L, L = lcm(D1,
+    D2), is the unit refinement to 1/(L*m) atom for atom, with the composed
+    projection; so the search builds, depth by depth, the certificates the
+    per-depth refinements gave, and answers what they did."""
+    act1, act2, max_refine = pair
+    base = lcm(act1.algebra.den, act2.algebra.den)
+    for act in (act1, act2):
+        unit_refined, unit_projection = refine_action_to_unit(act, F(1, base))
+        depths = [
+            layout(refined, perm_compose(unit_projection, projection))
+            for refined, projection in extensions(unit_refined, max_refine)
+        ]
+        assert depths == [layout(*d) for d in oracle_unit_depths(act, base, max_refine)]
+    built = []
+
+    def recording(*fields):
+        built.append(certificate_layout(ConjugacyCertificate(*fields)))
+        return ConjugacyCertificate(*fields)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "ConjugacyCertificate", recording)
+        cert = approx_conjugacy_search(act1, act2, max_refine)
+    searched, answer = oracle_conjugacy_search(act1, act2, max_refine)
+    assert built == searched
+    assert certificate_layout(cert) == answer
+
+
+def test_conjugacy_search_refines_each_action_once(monkeypatch):
+    """However many depths run, each action is refined to the unit once and
+    every depth comes from extensions; a search that stops at depth 1
+    builds no product."""
+    refined, searched, products = [], [], []
+
+    def counting_refine(act, unit):
+        refined.append(unit)
+        return refine_action_to_unit(act, unit)
+
+    def counting_exact(r1, r2):
+        searched.append(r1.algebra.size)
+        return _exact_assign(r1, r2)
+
+    def counting_product(act, fiber):
+        products.append(fiber.size)
+        return product_action(act, fiber)
+
+    monkeypatch.setattr(constructions, "refine_action_to_unit", counting_refine)
+    monkeypatch.setattr(constructions, "_exact_assign", counting_exact)
+    monkeypatch.setattr(action_module, "product_action", counting_product)
+    # no exact conjugacy at any depth, so every depth runs
+    four_cycle = validate_action(uniform_algebra(4), [(1, 2, 3, 0)])
+    double_swap = validate_action(uniform_algebra(4), [(1, 0, 3, 2)])
+    for max_refine in range(1, 5):
+        del refined[:], searched[:], products[:]
+        cert = approx_conjugacy_search(four_cycle, double_swap, max_refine)
+        assert cert.eps == F(1, 2)
+        assert refined == [F(1, 4)] * 2
+        assert searched == [4 * m for m in range(1, max_refine + 1)]
+        assert products == [m for m in range(2, max_refine + 1) for _ in range(2)]
+    # a relabeled copy conjugates exactly at depth 1
+    del refined[:], searched[:], products[:]
+    relabeled = relabeled_action(four_cycle, (2, 0, 3, 1))
+    assert approx_conjugacy_search(four_cycle, relabeled, max_refine=4).eps == 0
+    assert (refined, searched, products) == ([F(1, 4)] * 2, [4], [])
 
 
 # The beam's answers to the cycle-type mismatches, as recorded when the exact
