@@ -764,9 +764,13 @@ def approx_conjugacy_search(
     and depth m = 1..max_refine searches the m-fold equal splits of both
     (action.extensions, which checks max_refine and the summed atoms): the
     unit refinements to 1/(L*m), whose projections are the base projection
-    composed with the depth's.  A complete search first looks for an exact
-    conjugacy (zero broken generator edges), one orbit at a time; when none
-    exists at that depth, a beam search builds the atom bijection greedily:
+    composed with the depth's.  At depth 1 a complete search first looks
+    for an exact conjugacy (zero broken generator edges), one orbit at a
+    time.  It runs at depth 1 only: depth m is m disjoint copies of the
+    depth-1 refinements, and a finite F_k-set splits uniquely into orbits,
+    so m copies of X are isomorphic to m copies of Y exactly when X is to
+    Y; a depth-1 failure is a failure at every depth.  At every depth with
+    no exact conjugacy, a beam search builds the atom bijection greedily:
     source atoms in increasing order, candidate targets scored by the
     number of generator edges they break among decided atoms, ties to the
     lexicographically smallest mapping.  Over uniform atoms this is the
@@ -788,9 +792,9 @@ def approx_conjugacy_search(
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
     beam_steps = 0
     best: Optional[ConjugacyCertificate] = None
-    for (r1, proj1), (r2, proj2) in depths:
+    for depth, ((r1, proj1), (r2, proj2)) in enumerate(depths, 1):
         n = r1.algebra.size
-        mapping = _exact_assign(r1, r2)
+        mapping = _exact_assign(r1, r2) if depth == 1 else None
         if mapping is None:
             beam_steps += beam_width * n * n
             _check_beam_steps(beam_steps)

@@ -25,7 +25,7 @@ from .algebra import (
     MeasuredAlgebra,
     validate_algebra,
 )
-from .action import FkAction, Word, validate_action
+from .action import FkAction, Word, _breadth_first, validate_action
 from .constructions import (
     MarkedGroup,
     PartialIsomorphism,
@@ -33,7 +33,14 @@ from .constructions import (
     permutation_marked_group,
     validate_marked_group,
 )
-from .errors import PmplabError, ValidationError
+from .errors import (
+    InstanceTooLarge,
+    InvalidGroupTable,
+    NotGenerating,
+    PmplabError,
+    ValidationError,
+)
+from .limits import MAX_GROUP_ORDER
 
 DECIMAL_DIGITS = 20
 
@@ -182,10 +189,13 @@ def word_from_json(obj: Any) -> Word:
 
 
 def group_to_json(group: MarkedGroup) -> dict:
+    """The group's own fields: its order, its identity and its right
+    Cayley graph, right[i][x] = x * g_i, k * order entries.  No table is
+    built; group_from_json rebuilds it to check the group."""
     return {
         "order": group.order,
-        "mul": [list(row) for row in group.rows(range(group.order))],
-        "gens": list(group.gen_images),
+        "identity": group.identity,
+        "right": [list(column) for column in group.right],
     }
 
 
@@ -218,7 +228,9 @@ def _parse_builtin_group(text: str) -> MarkedGroup:
 
 
 def group_from_json(obj: Any) -> MarkedGroup:
-    """Parse a group from a table object or a builtin string."""
+    """Parse a group from a builtin string, a table object
+    {"mul": [[...]], "gens": [...]} or a column object, group_to_json's
+    {"order": n, "identity": e, "right": [[...], ...]}."""
     if isinstance(obj, str):
         try:
             return _parse_builtin_group(obj)
@@ -236,9 +248,46 @@ def group_from_json(obj: Any) -> MarkedGroup:
                 f"declared order {declared} but table has {group.order} elements"
             )
         return group
+    if isinstance(obj, Mapping) and {"order", "identity", "right"} <= set(obj):
+        return _group_from_columns(obj["order"], obj["identity"], obj["right"])
     raise ValidationError(
-        'group JSON must be {"order": ..., "mul": [...], "gens": [...]} or a builtin string'
+        'group JSON must be {"order": ..., "identity": ..., "right": [...]}, '
+        '{"mul": [...], "gens": [...]} or a builtin string'
     )
+
+
+def _group_from_columns(order: Any, identity: Any, raw: Any) -> MarkedGroup:
+    """The group whose right Cayley graph the columns are, checked as fully
+    as a table is: the shape first, then the size cap before anything is
+    built, then generation along the columns.  Then the table the columns
+    determine (MarkedGroup.rows) must have them as its own generator
+    columns, x * g_i = right[i][x], so that its generation check walks the
+    same graph, and it goes through validate_marked_group, which finds the
+    same identity, the only one a table can have."""
+    if not _is_int(order):
+        raise ValidationError("order must be an integer")
+    if not _is_list(raw) or not raw:
+        raise ValidationError("right must be a non-empty list of columns")
+    right = tuple(tuple(_int_list(column, "a column")) for column in raw)
+    for column in right:
+        if len(column) != order or sorted(column) != list(range(order)):
+            raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")
+    if not _is_int(identity):
+        raise ValidationError("identity must be an integer")
+    if not 0 <= identity < order:
+        raise InvalidGroupTable(f"identity {identity} is not one of the {order} elements")
+    if order > MAX_GROUP_ORDER:
+        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    reached, _ = _breadth_first(identity, right, lambda x, column: column[x])
+    if len(reached) != order:
+        raise NotGenerating(
+            f"marked generators reach only {len(reached)} of {order} elements"
+        )
+    gen_images = [column[identity] for column in right]
+    table = MarkedGroup(order, identity, right).rows(range(order))
+    if tuple(tuple(row[g] for row in table) for g in gen_images) != right:
+        raise InvalidGroupTable("the columns are not the right Cayley graph of their table")
+    return validate_marked_group(table, gen_images)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ which the command line reports with exit 2.
   every search deepens through: search_C2_witness, axiom_residual,
   ec_in_extension_check and approx_conjugacy_search.
 - MAX_GROUP_ORDER bounds the elements of a group the library enumerates:
-  cyclic_group, permutation_marked_group and joint_quotient.
+  cyclic_group, permutation_marked_group and joint_quotient, and of a
+  group read as generator columns (jsonio.group_from_json), whose check
+  builds the order^2 table.
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
   beam_width * n^2 for n refined atoms, summed over the depths that run it
   (_check_beam_steps, before each beam).
@@ -39,7 +41,9 @@ from .errors import InstanceTooLarge
 MAX_REFINED_ATOMS = 1 << 16
 
 # Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).
-# A group holds k * order entries; only embed and joint-quotient write order^2.
+# A group holds k * order entries, and so does an embed document;
+# joint-quotient writes the order^2 table, and reading a group from JSON
+# builds one to check it.
 MAX_GROUP_ORDER = 1024
 
 # The largest beam in the benchmark takes 16 * 64^2 = 65536 steps.

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from pmplab import algebra, cli
 from pmplab.cli import cli_dispatch
-from pmplab.constructions import cyclic_group, quotient_action
+from pmplab.constructions import MarkedGroup, cyclic_group, quotient_action
 from pmplab.jsonio import action_from_json
+from pmplab.limits import MAX_GROUP_ORDER
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -358,6 +359,90 @@ def test_embed_modes(capsys):
     assert code == 0
 
 
+S6_ACTION = json.dumps(
+    {"algebra": {"atoms": ["1/6"] * 6}, "gens": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]}
+)
+
+
+@pytest.mark.parametrize("action", [Z2_ACTION, S6_ACTION], ids=["Z2", "S6"])
+def test_embed_group_columns_give_back_its_target(capsys, action):
+    """An embed document writes its group as generator columns, and the
+    quotient action of that group, read back, is the document's target."""
+    code, out = run(capsys, "embed", action, "--mode", "transitive")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["group"]) == {"order", "identity", "right"}
+    assert len(out) < 150_000
+    code, quotient = run(capsys, "gen-quotient", json.dumps(doc["group"]))
+    assert code == 0
+    assert json.loads(quotient) == doc["target"]
+
+
+def _cyclic_columns(order):
+    return {"order": order, "identity": 0, "right": [[(x + 1) % order for x in range(order)]]}
+
+
+@pytest.mark.parametrize(
+    "group, kind",
+    [
+        ({"order": 3, "identity": 0, "right": [[1, 1, 0]]}, "InvalidGroupTable"),
+        ({"order": 3, "identity": 0, "right": [[1, 2]]}, "InvalidGroupTable"),
+        ({"order": 3, "identity": 3, "right": [[1, 2, 0]]}, "InvalidGroupTable"),
+        ({"order": 3, "identity": -1, "right": [[1, 2, 0]]}, "InvalidGroupTable"),
+        ({"order": 4, "identity": 0, "right": [[1, 0, 3, 2]]}, "NotGenerating"),
+        # two 4-point permutations that generate S_4, not a group of order 4
+        ({"order": 4, "identity": 0, "right": [[1, 2, 3, 0], [1, 0, 2, 3]]}, "InvalidGroupTable"),
+        ({"order": 3, "identity": 0, "right": [[1, 0, 2], [2, 1, 0]]}, "InvalidGroupTable"),
+        ({"order": 3, "identity": 0, "right": [[0, 2, 1], [1, 2, 0]]}, "InvalidGroupTable"),
+        ({"order": 1, "identity": 0, "right": []}, "ValidationError"),
+        ({"order": True, "identity": 0, "right": [[0]]}, "ValidationError"),
+        ({"order": 1, "identity": False, "right": [[0]]}, "ValidationError"),
+        ({"order": 2, "identity": 0, "right": [[1, True]]}, "ValidationError"),
+    ],
+)
+def test_group_columns_are_refused_with_their_error_type(capsys, group, kind):
+    code, out = run(capsys, "gen-quotient", json.dumps(group))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == kind
+
+
+def test_group_columns_past_the_order_cap_are_refused_before_any_row(capsys, monkeypatch):
+    built = []
+    rows = MarkedGroup.rows
+
+    def recording(group, zs):
+        built.append(group.order)
+        return rows(group, zs)
+
+    monkeypatch.setattr(MarkedGroup, "rows", recording)
+    code, out = run(capsys, "gen-quotient", json.dumps(_cyclic_columns(MAX_GROUP_ORDER + 1)))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+    assert built == []
+    code, out = run(capsys, "gen-quotient", json.dumps(_cyclic_columns(MAX_GROUP_ORDER)))
+    assert code == 0
+    assert json.loads(out)["gens"] == _cyclic_columns(MAX_GROUP_ORDER)["right"]
+    assert built == [MAX_GROUP_ORDER, MAX_GROUP_ORDER]
+
+
+def test_joint_quotient_writes_its_group_as_a_table(capsys):
+    """joint-quotient still writes the whole table and the marked elements,
+    however its inputs are given."""
+    z3_columns = json.dumps({"order": 3, "identity": 0, "right": [[1, 2, 0]]})
+    for z3 in ("cyclic:3:1", z3_columns):
+        code, out = run(capsys, "joint-quotient", "cyclic:2:1", z3)
+        assert code == 0
+        assert json.loads(out) == {
+            "group": {
+                "order": 6,
+                "mul": [[(x + y) % 6 for y in range(6)] for x in range(6)],
+                "gens": [1],
+            },
+            "proj1": [0, 1, 0, 1, 0, 1],
+            "proj2": [0, 1, 2, 0, 1, 2],
+        }
+
+
 def test_conjsearch_document(capsys):
     tensored = '{"algebra":%s,"gens":[[2,3,0,1]]}' % QUARTERS
     code, out = run(capsys, "conjsearch", Z2_ACTION, tensored)
@@ -494,6 +579,7 @@ _SWAP = {"algebra": _HALVES, "k": 1, "gens": [[1, 0]]}
 _SWAP_TWICE = {"algebra": _HALVES, "k": 2, "gens": [[1, 0], [1, 0]]}
 _HALF_TURN = {"algebra": _QUARTERS, "gens": [[2, 3, 0, 1]]}
 _Z2_GROUP = {"order": 2, "mul": [[0, 1], [1, 0]], "gens": [1]}
+_Z2_COLUMNS = {"order": 2, "identity": 0, "right": [[1, 0]]}
 _Z2_IN_Z4 = {
     "pairs": [{"source": [0], "target": [0, 1]}, {"source": [1], "target": [2, 3]}]
 }
@@ -502,7 +588,7 @@ _Z2_IN_Z4 = {
 # the other arguments strings
 VALID_REQUESTS = [
     ("gen-quotient", _Z2_GROUP),
-    ("joint-quotient", _Z2_GROUP, _Z2_GROUP),
+    ("joint-quotient", _Z2_GROUP, _Z2_COLUMNS),
     ("tensor", _SWAP, _HALVES),
     ("refine", _SWAP, "2"),
     ("dist", _HALVES, [[0]], {"events": [{"members": [1]}]}),

@@ -1092,10 +1092,53 @@ def test_conjugacy_depths_are_the_unit_refinements(pair):
     assert certificate_layout(cert) == answer
 
 
+@st.composite
+def _equal_atom_pairs(draw):
+    """Two equal-atom actions: a relabelled copy, a random pair (rarely
+    conjugate) or a cycle-type mismatch, with a depth limit of 1-4."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["relabelled", "random", "mismatch"]))
+    if kind == "mismatch":
+        act1, act2 = cycle_mismatch_pair(rng, draw(st.sampled_from([8, 12])))
+    else:
+        n, k = draw(st.integers(1, 7)), draw(st.integers(1, 2))
+        act1 = random_equal_atom_action(rng, n, k)
+        if kind == "relabelled":
+            act2 = relabeled_action(act1, random_permutation(rng, n))
+        else:
+            act2 = random_equal_atom_action(rng, n, k)
+    return act1, act2, draw(st.integers(1, 4))
+
+
+@given(_equal_atom_pairs())
+@settings(max_examples=120, deadline=None)
+def test_exact_conjugacy_exists_at_every_depth_or_at_none(pair):
+    """Depth m is m disjoint copies of depth 1, and a finite F_k-set splits
+    uniquely into orbits, so the exact phase answers at depth m as it does
+    at depth 1; the search that runs it at depth 1 alone builds every
+    certificate the search that ran it at every depth built."""
+    act1, act2, max_refine = pair
+    depths = list(zip(extensions(act1, max_refine), extensions(act2, max_refine)))
+    exact = [_exact_assign(r1, r2) is not None for (r1, _), (r2, _) in depths]
+    assert exact == [exact[0]] * max_refine
+    built = []
+
+    def recording(*fields):
+        built.append(certificate_layout(ConjugacyCertificate(*fields)))
+        return ConjugacyCertificate(*fields)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "ConjugacyCertificate", recording)
+        cert = approx_conjugacy_search(act1, act2, max_refine)
+    searched, answer = oracle_conjugacy_search(act1, act2, max_refine)
+    assert built == searched
+    assert certificate_layout(cert) == answer
+
+
 def test_conjugacy_search_refines_each_action_once(monkeypatch):
     """However many depths run, each action is refined to the unit once and
-    every depth comes from extensions; a search that stops at depth 1
-    builds no product."""
+    every depth comes from extensions; the exact phase runs once, at depth
+    1; a search that stops at depth 1 builds no product."""
     refined, searched, products = [], [], []
 
     def counting_refine(act, unit):
@@ -1121,7 +1164,7 @@ def test_conjugacy_search_refines_each_action_once(monkeypatch):
         cert = approx_conjugacy_search(four_cycle, double_swap, max_refine)
         assert cert.eps == F(1, 2)
         assert refined == [F(1, 4)] * 2
-        assert searched == [4 * m for m in range(1, max_refine + 1)]
+        assert searched == [4]
         assert products == [m for m in range(2, max_refine + 1) for _ in range(2)]
     # a relabeled copy conjugates exactly at depth 1
     del refined[:], searched[:], products[:]

@@ -2,6 +2,7 @@
 partials, and the rendered document format."""
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -22,8 +23,14 @@ from pmplab.algebra import (
     validate_algebra,
 )
 from pmplab.action import validate_action
-from pmplab.constructions import PartialIsomorphism, cyclic_group
-from pmplab.errors import ValidationError
+from pmplab.constructions import (
+    MarkedGroup,
+    PartialIsomorphism,
+    cyclic_group,
+    permutation_marked_group,
+    validate_marked_group,
+)
+from pmplab.errors import InvalidGroupTable, NotGenerating, ValidationError
 from pmplab.jsonio import (
     action_from_json,
     action_to_json,
@@ -226,8 +233,13 @@ def test_action_round_trip_and_declared_k():
 def test_group_round_trip_and_builtins():
     g = cyclic_group(6, [1, 5])
     doc = group_to_json(g)
-    assert doc["mul"] == [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    assert doc == {
+        "order": 6,
+        "identity": 0,
+        "right": [[(x + 1) % 6 for x in range(6)], [(x + 5) % 6 for x in range(6)]],
+    }
     assert group_from_json(doc) == g
+    assert group_from_json(oracle_group_to_json(g)) == g
 
     z3 = group_from_json("cyclic:3:1,2")
     assert z3.order == 3
@@ -249,6 +261,95 @@ def test_group_round_trip_and_builtins():
     bad_order["order"] = 7
     with pytest.raises(ValidationError):
         group_from_json(bad_order)
+
+
+# ------------------------------------------------- groups as generator columns
+
+
+def oracle_group_to_json(group: MarkedGroup) -> dict:
+    """The group document as written before the columns: the whole
+    order^2 table and the marked elements."""
+    return {
+        "order": group.order,
+        "mul": [list(row) for row in group.rows(range(group.order))],
+        "gens": list(group.gen_images),
+    }
+
+
+def relabeled_group(group: MarkedGroup, pi) -> MarkedGroup:
+    """The same group with element x renamed pi[x], read from its table."""
+    table = group.rows(range(group.order))
+    mul = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            mul[pi[a]][pi[b]] = pi[ab]
+    return validate_marked_group(mul, [pi[g] for g in group.gen_images])
+
+
+def assert_columns_round_trip(group: MarkedGroup) -> None:
+    """The column document reads back as the same group, and its table is
+    the one the table document held."""
+    doc = group_to_json(group)
+    assert set(doc) == {"order", "identity", "right"}
+    back = group_from_json(json.loads(render_document(doc)))
+    assert back == group
+    assert [list(row) for row in back.rows(range(back.order))] == oracle_group_to_json(group)["mul"]
+
+
+@st.composite
+def permutation_groups(draw):
+    """A group generated by 1-3 permutations of degree at most 5, with its
+    elements renamed by a permutation that may move the identity off 0."""
+    degree = draw(st.integers(1, 5))
+    perms = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    group, _ = permutation_marked_group(perms)
+    return group, draw(st.permutations(range(group.order)))
+
+
+@given(permutation_groups())
+@settings(max_examples=120, deadline=None)
+def test_group_columns_round_trip(case):
+    group, pi = case
+    assert_columns_round_trip(group)
+    relabeled = relabeled_group(group, pi)
+    assert relabeled.identity == pi[group.identity]
+    assert_columns_round_trip(relabeled)
+
+
+def test_symmetric_group_columns_round_trip():
+    for degree in (5, 6):
+        cycle = tuple(range(1, degree)) + (0,)
+        swap = (1, 0) + tuple(range(2, degree))
+        group, _ = permutation_marked_group([cycle, swap])
+        assert group.order == {5: 120, 6: 720}[degree]
+        assert_columns_round_trip(group)
+    s5, _ = permutation_marked_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    moved = relabeled_group(s5, [(x + 7) % 120 for x in range(120)])
+    assert moved.identity == 7
+    assert_columns_round_trip(moved)
+
+
+def test_columns_are_read_exactly_when_they_generate_a_regular_group():
+    """Columns are a group's right Cayley graph exactly when they reach every
+    element from the identity and generate a permutation group of the
+    group's order, which then acts regularly: checked on every pair of
+    permutations of up to 4 points, and every single one."""
+    for order in range(1, 5):
+        perms = [list(p) for p in itertools.permutations(range(order))]
+        for right in [[p] for p in perms] + [[p, q] for p in perms for q in perms]:
+            doc = {"order": order, "identity": 0, "right": right}
+            regular = permutation_marked_group(right)[0].order == order
+            reached = {0}
+            for _ in range(order):
+                reached |= {column[x] for column in right for x in reached}
+            try:
+                group = group_from_json(doc)
+            except NotGenerating:
+                assert len(reached) < order
+            except InvalidGroupTable:
+                assert len(reached) == order and not regular
+            else:
+                assert regular and group_to_json(group) == doc
 
 
 def test_word_forms():

@@ -7,8 +7,11 @@ For each workload of DIR/perfbench/workloads.py and each seed, the cycle's
 input files are written to a temporary directory, and every request of the
 cycle is sent once to `pmplab.cli.cli_dispatch`, imported from DIR/src.
 Prints one line per workload: the number of requests and a sha256 over the
-(rid, exit code, stdout) of every request, in order.  Two checkouts that
-print the same lines answered every request with the same bytes.
+(rid, exit code, stdout) of every request, in order.  Under it, one line
+per command of the workload, in sorted order, hashes that command's
+requests alone the same way.  Two checkouts that print the same lines
+answered every request with the same bytes, and the command lines show
+which commands' answers differ when they do not.
 
 Standard library only.  No bytecode is written, so nothing in DIR changes.
 """
@@ -31,9 +34,11 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def replay(workloads, cli, workload: str, seeds: list[int]) -> tuple[int, str]:
-    digest = hashlib.sha256()
-    count = 0
+def replay(workloads, cli, workload: str, seeds: list[int]) -> dict:
+    """{None: (count, sha256) of every request, command: (count, sha256)
+    of that command's requests}."""
+    digests: dict = {}
+    counts: dict = {}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
             requests, texts = workloads.generate(workload, seed, Path(tmp))
@@ -42,11 +47,13 @@ def replay(workloads, cli, workload: str, seeds: list[int]) -> tuple[int, str]:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = cli.cli_dispatch(req.argv)
-                for part in (req.rid, str(code), out.getvalue()):
-                    data = part.encode()
-                    digest.update(len(data).to_bytes(8, "big") + data)
-                count += 1
-    return count, digest.hexdigest()
+                for key in (None, req.command):
+                    digest = digests.setdefault(key, hashlib.sha256())
+                    for part in (req.rid, str(code), out.getvalue()):
+                        data = part.encode()
+                        digest.update(len(data).to_bytes(8, "big") + data)
+                    counts[key] = counts.get(key, 0) + 1
+    return {key: (counts[key], digest.hexdigest()) for key, digest in digests.items()}
 
 
 def main(argv=None) -> int:
@@ -67,8 +74,12 @@ def main(argv=None) -> int:
             return 2
     seeds = parse_seeds(args.seeds)
     for workload in workloads.WORKLOADS:
-        count, digest = replay(workloads, cli, workload, seeds)
+        hashes = replay(workloads, cli, workload, seeds)
+        count, digest = hashes.pop(None)
         print(f"{workload}: {count} requests, sha256 {digest}")
+        for command in sorted(hashes):
+            count, digest = hashes[command]
+            print(f"  {workload} {command}: {count} requests, sha256 {digest}")
     return 0
 
 
