@@ -26,7 +26,6 @@ from .algebra import (
 )
 from .action import (
     FkAction,
-    InvariantDecomposition,
     Perturbation,
     Word,
     apply_gen_tuple,

@@ -141,17 +141,6 @@ def apply_gen_tuple(act: FkAction, i: int, t: EventTuple) -> EventTuple:
     return EventTuple(t.algebra, tuple(apply_perm_event(p, e) for e in t.events))
 
 
-class InvariantDecomposition(Record):
-    """Connected components of the atom graph drawn by all generators."""
-
-    algebra: MeasuredAlgebra
-    components: tuple[frozenset[int], ...]
-
-    @property
-    def ergodic(self) -> bool:
-        return len(self.components) == 1
-
-
 def _breadth_first(start, gens, step, limit: Optional[int] = None):
     """Closure of start under x -> step(x, g) for every g in gens.
 
@@ -186,11 +175,10 @@ def _orbit_walks(act: FkAction) -> list[list[int]]:
     return walks
 
 
-def invariant_components(act: FkAction) -> InvariantDecomposition:
-    """Orbit components of the atoms under all generators."""
-    return InvariantDecomposition(
-        act.algebra, tuple(frozenset(walk) for walk in _orbit_walks(act))
-    )
+def invariant_components(act: FkAction) -> AtomPartition:
+    """The orbits of the atoms under all generators, ordered by least atom;
+    the action is transitive exactly when there is one block."""
+    return AtomPartition(act.algebra, tuple(frozenset(walk) for walk in _orbit_walks(act)))
 
 
 def generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:

@@ -50,7 +50,6 @@ from .errors import (
     AlgebraMismatch,
     ArityMismatch,
     BoundViolated,
-    InstanceTooLarge,
     InvalidGroupTable,
     LPInternal,
     NotBijective,
@@ -63,10 +62,7 @@ from .errors import (
     UnequalAtoms,
     ValidationError,
 )
-from .limits import (
-    MAX_GROUP_ORDER,
-    _check_beam_steps,
-)
+from .limits import MAX_GROUP_ORDER, _check_beam_steps, _check_group_order
 from .record import Record
 
 # ---------------------------------------------------------------------------
@@ -401,8 +397,7 @@ def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
     """Z/n with marked generators given as residues, up to MAX_GROUP_ORDER."""
     if n < 1:
         raise InvalidGroupTable(f"cyclic group order must be >= 1, got {n}")
-    if n > MAX_GROUP_ORDER:
-        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    _check_group_order(n)
     gens = tuple(i % n for i in images)
     reached = n // gcd(n, *gens)
     if reached != n:
@@ -428,8 +423,7 @@ def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
 
     elements, index = _breadth_first(identity, gens, step, MAX_GROUP_ORDER)
     order = len(elements)
-    if order > MAX_GROUP_ORDER:
-        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    _check_group_order(order)
     k = len(gens)
     # right[g][x]: the walk composed element x with gens[g] at call x*k + g
     right = tuple(tuple([index[y] for y in products[g::k]]) for g in range(k))
@@ -610,14 +604,19 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
             element,
         )
 
+    if not act.gens and alg.size > 1:
+        raise ValidationError(
+            "ergodization needs at least one generator: with k = 0 each of the "
+            f"{alg.size} atoms is its own orbit"
+        )
     gens = [list(p) for p in act.gens]
     modifications = 0
     while True:
         current = validate_action(alg, [tuple(p) for p in gens])
-        comps = invariant_components(current).components
-        if len(comps) == 1:
+        orbits = invariant_components(current).blocks
+        if len(orbits) == 1:
             return Ergodization(current, modifications)
-        first = comps[0]
+        first = orbits[0]
         swap = _find_merge_swap(gens, fixed, block_index, first)
         if swap is None:
             raise LPInternal("no merging swap found despite precondition")
@@ -640,7 +639,15 @@ def _find_merge_swap(
     The image atom is where the generator sends the scanned component atom;
     the outside atom is the lowest atom of the same image block not in the
     component.  Swapping the two inside the generator keeps the induced block
-    maps intact."""
+    maps intact.
+
+    With k >= 1 a swap always exists (ergodize refuses k = 0 on two or more
+    atoms before it gets here).  If none is found, every generator
+    maps the union U of the blocks that meet the first orbit C into C, and
+    C lies in U.  A generator is a bijection, so it maps U onto C, and then
+    C = U and U is an invariant union of blocks.  The swaps never change
+    the block maps, so the precondition makes U the whole algebra, and C,
+    the first orbit, is everything: the action was already transitive."""
     for gi, p in enumerate(gens):
         for x in sorted(first):
             block = fixed.blocks[block_index[x]]
@@ -670,53 +677,41 @@ def embed_transitive_into_quotient(act: FkAction) -> QuotientEmbedding:
     """Embed a transitive equal-atom action into the quotient action of the
     permutation group its generators generate.
 
-    With base atom o the lowest atom, atom c maps to the set of group
-    elements sending o to c; left multiplication by a generator permutes
-    these sets exactly as the generator permutes atoms."""
-    alg = act.algebra
-    if not _equal_atoms(alg):
+    This is embed_into_profinite_tensor with one orbit: its trivial factor
+    has one atom, so the product changes no atom, generator or sigma pair,
+    and the factor is left out of the result."""
+    if not _equal_atoms(act.algebra):
         raise UnequalAtoms("embedding requires all atoms of equal mass")
-    if not invariant_components(act).ergodic:
+    if len(invariant_components(act).blocks) != 1:
         raise NotTransitive("action is not transitive on atoms")
-    group, elements = permutation_marked_group(act.gens)
-    target = quotient_action(group)
-    sigma = _coset_sigma(act, target, elements, [frozenset(range(alg.size))])
-    return QuotientEmbedding(group, elements, target, sigma)
+    emb = embed_into_profinite_tensor(act)
+    return QuotientEmbedding(emb.group, emb.elements, emb.target, emb.sigma)
 
 
 def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
     """Embed an equal-atom action into quotient action tensor trivial action.
 
-    One trivial-factor atom per orbit component, weighted by the component
-    mass.  An atom c in component o maps to the set of pairs (gamma, o) over
-    group elements gamma sending the component's lowest atom to c; the mass
-    of that set is exactly the atom mass, and left multiplication on the
-    first coordinate intertwines the actions."""
+    One trivial-factor atom per orbit, weighted by the orbit mass.  An atom
+    c in orbit o maps to the set of pairs (gamma, o), target atoms gamma *
+    len(orbits) + o, over group elements gamma sending the orbit's lowest
+    atom to c; the mass of that set is exactly the atom mass, and left
+    multiplication on the first coordinate intertwines the actions."""
     alg = act.algebra
     if not _equal_atoms(alg):
         raise UnequalAtoms("embedding requires all atoms of equal mass")
-    comps = invariant_components(act).components
-    base_factor = validate_algebra([alg.mass_of(c) for c in comps])
+    orbits = invariant_components(act).blocks
+    base_factor = validate_algebra([alg.mass_of(o) for o in orbits])
     group, elements = permutation_marked_group(act.gens)
     target = product_action(quotient_action(group), base_factor)[0]
-    sigma = _coset_sigma(act, target, elements, comps)
-    return QuotientEmbedding(group, elements, target, sigma, base_factor)
-
-
-def _coset_sigma(
-    act: FkAction, target: FkAction, elements: Sequence[Perm], comps: Sequence[frozenset[int]]
-) -> PartialIsomorphism:
-    """Atom c of orbit component o goes to the target atoms gamma * len(comps)
-    + o over the group elements gamma sending o's lowest atom to c.  A
-    transitive action is one component, and the target has no factor."""
-    width = len(comps)
-    images: list[list[int]] = [[] for _ in range(act.algebra.size)]
-    for oi, comp in enumerate(comps):
-        base_atom = min(comp)
+    width = len(orbits)
+    images: list[list[int]] = [[] for _ in range(alg.size)]
+    for oi, orbit in enumerate(orbits):
+        base_atom = min(orbit)
         for g, e in enumerate(elements):
             images[e[base_atom]].append(g * width + oi)
     pairs = [((c,), tuple(gammas)) for c, gammas in enumerate(images)]
-    return PartialIsomorphism.of(act.algebra, target.algebra, pairs)
+    sigma = PartialIsomorphism.of(alg, target.algebra, pairs)
+    return QuotientEmbedding(group, elements, target, sigma, base_factor)
 
 
 # ---------------------------------------------------------------------------

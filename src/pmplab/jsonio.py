@@ -34,13 +34,12 @@ from .constructions import (
     validate_marked_group,
 )
 from .errors import (
-    InstanceTooLarge,
     InvalidGroupTable,
     NotGenerating,
     PmplabError,
     ValidationError,
 )
-from .limits import MAX_GROUP_ORDER
+from .limits import _check_group_order
 
 DECIMAL_DIGITS = 20
 
@@ -101,9 +100,7 @@ def event_to_json(e: Event) -> dict:
 
 
 def event_from_json(alg: MeasuredAlgebra, obj: Any) -> Event:
-    members = obj.get("members") if isinstance(obj, Mapping) else obj
-    if not _is_list(members):
-        raise ValidationError('event JSON must be {"members": [...]} or a plain list')
+    members = _unwrap_list(obj, "members", "event")
     if not _all_ints(members):
         raise ValidationError("event members must be integers")
     return Event.of(alg, members)
@@ -124,6 +121,14 @@ def _is_list(value: Any) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
+def _unwrap_list(obj: Any, key: str, what: str) -> Sequence:
+    """obj[key] when obj is a mapping, else obj itself; either way a list."""
+    value = obj.get(key) if isinstance(obj, Mapping) else obj
+    if not _is_list(value):
+        raise ValidationError(f'{what} JSON must be {{"{key}": [...]}} or a plain list')
+    return value
+
+
 def _int_list(value: Any, what: str) -> Sequence[int]:
     if not _is_list(value) or not _all_ints(value):
         raise ValidationError(f"{what} must be a list of integers")
@@ -135,16 +140,12 @@ def tuple_to_json(t: EventTuple) -> dict:
 
 
 def tuple_from_json(alg: MeasuredAlgebra, obj: Any) -> EventTuple:
-    events = obj.get("events") if isinstance(obj, Mapping) else obj
-    if not _is_list(events):
-        raise ValidationError('tuple JSON must be {"events": [...]} or a plain list')
+    events = _unwrap_list(obj, "events", "tuple")
     return EventTuple.of(alg, [event_from_json(alg, e) for e in events])
 
 
 def partition_from_json(alg: MeasuredAlgebra, obj: Any) -> AtomPartition:
-    blocks = obj.get("blocks") if isinstance(obj, Mapping) else obj
-    if not _is_list(blocks):
-        raise ValidationError('partition JSON must be {"blocks": [...]} or a plain list')
+    blocks = _unwrap_list(obj, "blocks", "partition")
     return AtomPartition.of(alg, [_int_list(b, "a partition block") for b in blocks])
 
 
@@ -276,8 +277,7 @@ def _group_from_columns(order: Any, identity: Any, raw: Any) -> MarkedGroup:
         raise ValidationError("identity must be an integer")
     if not 0 <= identity < order:
         raise InvalidGroupTable(f"identity {identity} is not one of the {order} elements")
-    if order > MAX_GROUP_ORDER:
-        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    _check_group_order(order)
     reached, _ = _breadth_first(identity, right, lambda x, column: column[x])
     if len(reached) != order:
         raise NotGenerating(
@@ -305,9 +305,7 @@ def partial_to_json(p: PartialIsomorphism) -> dict:
 def partial_from_json(
     source: MeasuredAlgebra, target: MeasuredAlgebra, obj: Any
 ) -> PartialIsomorphism:
-    raw = obj.get("pairs") if isinstance(obj, Mapping) else obj
-    if not _is_list(raw):
-        raise ValidationError('partial JSON must be {"pairs": [...]} or a plain list')
+    raw = _unwrap_list(obj, "pairs", "partial")
     pairs = []
     for entry in raw:
         if isinstance(entry, Mapping) and {"source", "target"} <= set(entry):

@@ -18,7 +18,7 @@ which the command line reports with exit 2.
 - MAX_GROUP_ORDER bounds the elements of a group the library enumerates:
   cyclic_group, permutation_marked_group and joint_quotient, and of a
   group read as generator columns (jsonio.group_from_json), whose check
-  builds the order^2 table.
+  builds the order^2 table.  All of them raise through _check_group_order.
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
   beam_width * n^2 for n refined atoms, summed over the depths that run it
   (_check_beam_steps, before each beam).
@@ -60,6 +60,13 @@ def _check_refined_size(atoms: int) -> None:
         raise InstanceTooLarge(
             f"an algebra of {atoms} atoms exceeds the cap {MAX_REFINED_ATOMS} atoms"
         )
+
+
+def _check_group_order(order: int) -> None:
+    """Raise InstanceTooLarge when a group of this many elements would pass
+    MAX_GROUP_ORDER."""
+    if order > MAX_GROUP_ORDER:
+        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
 
 
 def _check_summed_refinement(size: int, depths: int) -> None:

@@ -132,15 +132,15 @@ def test_apply_word_matches_the_letter_by_letter_oracle(seed, letters):
 
 def test_invariant_components_examples():
     act = z2_action()
-    assert invariant_components(act).components == (frozenset({0, 1}),)
-    assert invariant_components(act).ergodic
+    assert invariant_components(act).blocks == (frozenset({0, 1}),)
+    assert len(invariant_components(act).blocks) == 1
 
     triv = validate_action(validate_algebra([F(1, 2), F(1, 2)]), [(0, 1)])
-    assert len(invariant_components(triv).components) == 2
+    assert len(invariant_components(triv).blocks) == 2
 
     alg4 = uniform_algebra(4)
     act4 = validate_action(alg4, [(1, 0, 3, 2), (0, 1, 2, 3)])
-    assert invariant_components(act4).components == (
+    assert invariant_components(act4).blocks == (
         frozenset({0, 1}),
         frozenset({2, 3}),
     )
@@ -511,4 +511,4 @@ def _small_actions(draw):
 def test_orbit_walks_match_the_queue_and_stack_loops(act):
     walks = _orbit_walks(act)
     assert [x for walk in walks for x in walk] == oracle_visit_order(act)
-    assert invariant_components(act).components == oracle_components(act)
+    assert invariant_components(act) == AtomPartition.of(act.algebra, oracle_components(act))

@@ -689,6 +689,38 @@ def test_valid_requests_cover_every_subcommand():
     }
 
 
+_NO_GENS = {"algebra": _HALVES, "k": 0, "gens": []}
+
+# every subcommand that takes an action, given one with no generators on two
+# atoms: each orbit is one atom, and no generator can join them
+NO_GENERATOR_REQUESTS = [
+    ("ergodize", _NO_GENS, [[0, 1]]),
+    ("embed", _NO_GENS, "--mode", "transitive"),
+    ("embed", _NO_GENS, "--mode", "profinite"),
+    ("conjsearch", _NO_GENS, _NO_GENS),
+    ("refine", _NO_GENS, "2"),
+    ("tensor", _NO_GENS, _HALVES),
+    ("audit-c1", _NO_GENS, [[0]], "1/2", [[1]]),
+    ("audit-c2", _NO_GENS, [[0]], "1/10", [[1]]),
+    ("audit-residual", _NO_GENS, [[0]], [[1]]),
+    ("audit-ec", _NO_GENS, _NO_GENS, {"pairs": [[[0], [0]], [[1], [1]]]},
+     [[0]], [[1]], [[]], "1/4"),
+]
+
+
+@pytest.mark.parametrize(
+    "request_", NO_GENERATOR_REQUESTS,
+    ids=lambda r: f"{r[0]}-{r[-1]}" if r[0] == "embed" else r[0],
+)
+def test_actions_without_generators_are_answered_or_refused(capsys, request_):
+    code, out = run(capsys, *_argv(request_), *_depth_flag(request_[0]))
+    assert code in (0, 2)
+    doc = json.loads(out)
+    assert ("error" in doc) == (code == 2)
+    if code == 2:
+        assert doc["error"]["type"] != "LPInternal"
+
+
 _SEARCHES = ("conjsearch", "audit-c2", "audit-residual", "audit-ec")
 
 

@@ -94,6 +94,7 @@ from conftest import (
     relabeled_action,
     uniform_algebra,
 )
+from test_action import oracle_components
 
 F = Fraction
 
@@ -506,7 +507,7 @@ def test_quotient_action_examples():
     z3 = quotient_action(cyclic_group(3, [1, 2]))
     assert z3.algebra.atoms == (F(1, 3),) * 3
     assert sorted(z3.gens) == sorted([(1, 2, 0), (2, 0, 1)])
-    assert invariant_components(z3).ergodic
+    assert len(invariant_components(z3).blocks) == 1
 
 
 def test_joint_quotient_examples():
@@ -687,7 +688,7 @@ def test_ergodize_example():
     erg = ergodize(act, AtomPartition.trivial(alg4))
     assert erg.action.gens == ((2, 0, 3, 1), (0, 1, 2, 3))
     assert erg.modifications == 1
-    assert invariant_components(erg.action).ergodic
+    assert len(invariant_components(erg.action).blocks) == 1
 
 
 def test_ergodize_already_ergodic_is_unchanged():
@@ -747,9 +748,9 @@ def test_ergodize_random_properties():
                     perm[x] = image_slots[off]
             gens.append(tuple(perm))
         act = validate_action(alg, gens)
-        comps = len(invariant_components(act).components)
+        comps = len(invariant_components(act).blocks)
         erg = ergodize(act, fixed)
-        assert invariant_components(erg.action).ergodic
+        assert len(invariant_components(erg.action).blocks) == 1
         assert erg.modifications <= comps - 1
         for gi in range(act.k):
             assert _block_map(act, fixed, gi) == _block_map(erg.action, fixed, gi)
@@ -801,16 +802,38 @@ def test_embed_profinite_tensor_properties():
                 assert pushed == set(blocks[act.gens[i][c]])
 
 
+def _assert_transitive_embed_is_profinite(act):
+    """The transitive embed is the one-orbit profinite embed without its
+    one-atom trivial factor."""
+    emb = embed_into_profinite_tensor(act)
+    transitive = embed_transitive_into_quotient(act)
+    assert emb.base_factor.atoms == (F(1),)
+    assert transitive.base_factor is None
+    assert transitive.group == emb.group
+    assert transitive.elements == emb.elements
+    assert transitive.target.algebra.atoms == emb.target.algebra.atoms
+    assert transitive.target.gens == emb.target.gens
+    assert transitive.sigma.pairs == emb.sigma.pairs
+
+
+def test_transitive_embed_is_the_profinite_embed_of_the_benchmark_groups():
+    for perms in BENCHMARK_PERMUTATION_GROUPS:
+        act = validate_action(uniform_algebra(len(perms[0])), perms)
+        _assert_transitive_embed_is_profinite(act)
+
+
 def test_embedding_pairs_follow_the_orbit_components():
-    # atom c of component o goes to the pairs (gamma, o), gamma sending o's
-    # lowest atom to c; a transitive action is one component of width 1,
-    # where both embeddings give the same pairs
+    # atom c of orbit o goes to the pairs (gamma, o), gamma sending o's
+    # lowest atom to c; a transitive action is one orbit of width 1, where
+    # both embeddings give the same group, target and pairs
     rng = random.Random(433)
     for make in (random_small_order_action, random_transitive_small_action):
         for _ in range(15):
             act = make(rng, rng.randint(2, 8), rng.randint(1, 2))
             emb = embed_into_profinite_tensor(act)
-            comps = invariant_components(act).components
+            orbits = invariant_components(act)
+            assert orbits == AtomPartition.of(act.algebra, oracle_components(act))
+            comps = orbits.blocks
             width = len(comps)
             expected = []
             for c in range(act.algebra.size):
@@ -820,7 +843,7 @@ def test_embedding_pairs_follow_the_orbit_components():
                 expected.append((frozenset([c]), frozenset(g * width + o for g in gammas)))
             assert emb.sigma.pairs == tuple(expected)
             if width == 1:
-                assert embed_transitive_into_quotient(act).sigma.pairs == emb.sigma.pairs
+                _assert_transitive_embed_is_profinite(act)
 
 
 # ---------------------------------------------------------------- conjugacy

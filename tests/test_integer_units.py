@@ -593,7 +593,7 @@ def test_every_constructor_gives_the_units_its_atoms_give(m1, m2, data):
     act = validate_action(alg, [p])
     fixed = data.draw(st.sampled_from([
         AtomPartition.trivial(alg),
-        AtomPartition.of(alg, invariant_components(act).components),
+        invariant_components(act),
     ]))
     delta = data.draw(st.fractions(min_value=F(1, 16), max_value=1).filter(bool))
     refusable = [
