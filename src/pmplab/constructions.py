@@ -317,6 +317,32 @@ class MarkedGroup(Record):
     identity: int
     right: tuple[tuple[int, ...], ...]
 
+    @staticmethod
+    def of(order: int, identity: int, right: Sequence[Sequence[int]]) -> MarkedGroup:
+        """The group whose right Cayley graph the columns are, each a list of
+        order elements (the readers check that shape), checked in O(k^2 order).
+
+        rows(gen_images) raises NotGenerating if its walk misses an element.
+        Then every column must be a permutation, and each left translation
+        L_a, a marked, must commute with every column r_b; else
+        InvalidGroupTable.  This is enough.  Let G be the group the columns
+        generate.  Commuting gives L_a L_b(e) = r_b r_a(e), so products of
+        the L_a reach every element from e.  An element of G fixing e then
+        fixes every c(e) with c commuting with G: G is regular.  So the
+        columns are right multiplication in G carried to the elements
+        (x * y = g(x) where g(e) = y), and rows gives its true table."""
+        group = MarkedGroup(order, identity, tuple(map(tuple, right)))
+        if not 0 <= identity < order:
+            raise InvalidGroupTable(f"identity {identity} is not one of the {order} elements")
+        lefts = group.rows(group.gen_images)
+        for column in group.right:
+            if len(set(column)) != order or any(
+                list(map(left.__getitem__, column)) != list(map(column.__getitem__, left))
+                for left in lefts
+            ):
+                raise InvalidGroupTable("multiplication is not associative")
+        return group
+
     @property
     def k(self) -> int:
         return len(self.right)
@@ -330,7 +356,8 @@ class MarkedGroup(Record):
         from the identity, where z * identity = z (Holt, Eick & O'Brien,
         Handbook of Computational Group Theory, 2005).  Element y first
         reached as x * g_i has z * y = (z * x) * g_i, so column y is column
-        x looked up in right[i], a list for speed."""
+        x looked up in right[i], a list for speed.  Raises NotGenerating
+        when the walk misses an element."""
         right = [list(column) for column in self.right]
         columns: list = [None] * self.order
         columns[self.identity] = list(zs)
@@ -341,21 +368,19 @@ class MarkedGroup(Record):
                 if columns[y] is None:
                     columns[y] = list(map(times_g.__getitem__, columns[x]))
                     walk.append(y)
+        if len(walk) != self.order:
+            raise NotGenerating(
+                f"marked generators reach only {len(walk)} of {self.order} elements"
+            )
         return tuple(zip(*columns))
 
 
 def validate_marked_group(
     mul: Sequence[Sequence[int]], gen_images: Sequence[int]
 ) -> MarkedGroup:
-    """Full check of a table from outside: shape, identity, inverses,
-    generation, associativity.
-
-    Associativity is tested only against the marked generators, in
-    O(k order^2): let S be the set of z with (xy)z = x(yz) for all x, y.
-    The identity is in S.  If a and g are in S then so is ag, since
-    (xy)(ag) = ((xy)a)g = (x(ya))g = x((ya)g) = x(y(ag)).  Once the
-    generation check has passed, every element is a product
-    (...(e g1) g2 ...) gn of marked generators, so every element is in S."""
+    """Full check of a table from outside: shape, identity, inverses and the
+    generator range here, then generation and the group law on the
+    generator columns (MarkedGroup.of), whose table must be this one."""
     order = len(mul)
     if order == 0:
         raise InvalidGroupTable("empty multiplication table")
@@ -379,18 +404,10 @@ def validate_marked_group(
     for g in gens:
         if not 0 <= g < order:
             raise InvalidGroupTable(f"generator image {g} out of range")
-    reached, _ = _breadth_first(identity, gens, lambda x, g: table[x][g])
-    if len(reached) != order:
-        raise NotGenerating(
-            f"marked generators reach only {len(reached)} of {order} elements"
-        )
-    for x in range(order):
-        for y in range(order):
-            xy, row_y = table[table[x][y]], table[y]
-            for g in gens:
-                if xy[g] != table[x][row_y[g]]:
-                    raise InvalidGroupTable("multiplication is not associative")
-    return MarkedGroup(order, identity, tuple(tuple(row[g] for row in table) for g in gens))
+    group = MarkedGroup.of(order, identity, [[row[g] for row in table] for g in gens])
+    if group.rows(range(order)) != table:
+        raise InvalidGroupTable("multiplication is not associative")
+    return group
 
 
 def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
@@ -406,10 +423,10 @@ def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
     return MarkedGroup(n, 0, tuple(row[g:] + row[:g] for g in gens))
 
 
-def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
+def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, tuple]:
     """The group generated by gens under compose, enumerated breadth-first
     from the identity by multiplying on the right by the generators in
-    order; element i of the returned list is group element i.
+    order; element i of the returned tuple is group element i.
 
     The walk records right[g][x], the index of x * gens[g], for every
     element: order * k compositions, the only ones made, and exactly the
@@ -427,7 +444,7 @@ def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, list]:
     k = len(gens)
     # right[g][x]: the walk composed element x with gens[g] at call x*k + g
     right = tuple(tuple([index[y] for y in products[g::k]]) for g in range(k))
-    return MarkedGroup(order, 0, right), elements
+    return MarkedGroup(order, 0, right), tuple(elements)
 
 
 def permutation_marked_group(
@@ -449,8 +466,7 @@ def permutation_marked_group(
         if len(q) != degree or sorted(q) != list(range(degree)):
             raise NotBijective("generator is not a permutation")
         gens.append(q)
-    group, elements = _generated_group(perm_identity(degree), gens, perm_compose)
-    return group, tuple(elements)
+    return _generated_group(perm_identity(degree), gens, perm_compose)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +717,7 @@ def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
         raise UnequalAtoms("embedding requires all atoms of equal mass")
     orbits = invariant_components(act).blocks
     base_factor = validate_algebra([alg.mass_of(o) for o in orbits])
-    group, elements = permutation_marked_group(act.gens)
+    group, elements = _generated_group(perm_identity(alg.size), act.gens, perm_compose)
     target = product_action(quotient_action(group), base_factor)[0]
     width = len(orbits)
     images: list[list[int]] = [[] for _ in range(alg.size)]

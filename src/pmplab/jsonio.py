@@ -25,7 +25,7 @@ from .algebra import (
     MeasuredAlgebra,
     validate_algebra,
 )
-from .action import FkAction, Word, _breadth_first, validate_action
+from .action import FkAction, Word, validate_action
 from .constructions import (
     MarkedGroup,
     PartialIsomorphism,
@@ -35,7 +35,6 @@ from .constructions import (
 )
 from .errors import (
     InvalidGroupTable,
-    NotGenerating,
     PmplabError,
     ValidationError,
 )
@@ -192,7 +191,7 @@ def word_from_json(obj: Any) -> Word:
 def group_to_json(group: MarkedGroup) -> dict:
     """The group's own fields: its order, its identity and its right
     Cayley graph, right[i][x] = x * g_i, k * order entries.  No table is
-    built; group_from_json rebuilds it to check the group."""
+    built, here or when group_from_json checks it (MarkedGroup.of)."""
     return {
         "order": group.order,
         "identity": group.identity,
@@ -258,36 +257,22 @@ def group_from_json(obj: Any) -> MarkedGroup:
 
 
 def _group_from_columns(order: Any, identity: Any, raw: Any) -> MarkedGroup:
-    """The group whose right Cayley graph the columns are, checked as fully
-    as a table is: the shape first, then the size cap before anything is
-    built, then generation along the columns.  Then the table the columns
-    determine (MarkedGroup.rows) must have them as its own generator
-    columns, x * g_i = right[i][x], so that its generation check walks the
-    same graph, and it goes through validate_marked_group, which finds the
-    same identity, the only one a table can have."""
+    """The group whose right Cayley graph the columns are: the size cap as
+    soon as the order is an integer, before any column is copied, then the
+    shape, every column a permutation of the elements, and then
+    MarkedGroup.of, which checks that they are a group's."""
     if not _is_int(order):
         raise ValidationError("order must be an integer")
-    if not _is_list(raw) or not raw:
-        raise ValidationError("right must be a non-empty list of columns")
+    _check_group_order(order)
+    if not _is_list(raw):
+        raise ValidationError("right must be a list of columns")
     right = tuple(tuple(_int_list(column, "a column")) for column in raw)
     for column in right:
         if len(column) != order or sorted(column) != list(range(order)):
             raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")
     if not _is_int(identity):
         raise ValidationError("identity must be an integer")
-    if not 0 <= identity < order:
-        raise InvalidGroupTable(f"identity {identity} is not one of the {order} elements")
-    _check_group_order(order)
-    reached, _ = _breadth_first(identity, right, lambda x, column: column[x])
-    if len(reached) != order:
-        raise NotGenerating(
-            f"marked generators reach only {len(reached)} of {order} elements"
-        )
-    gen_images = [column[identity] for column in right]
-    table = MarkedGroup(order, identity, right).rows(range(order))
-    if tuple(tuple(row[g] for row in table) for g in gen_images) != right:
-        raise InvalidGroupTable("the columns are not the right Cayley graph of their table")
-    return validate_marked_group(table, gen_images)
+    return MarkedGroup.of(order, identity, right)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ reference oracles that more than one test module checks the library against.
 Every generator takes an explicit random.Random so each test controls its
 seed; algebras are built over one common denominator, which keeps refinement
 lcms small and exact arithmetic fast.  The oracles (oracle_type_distance,
-marked_group_isomorphism) are slow, obviously correct reference code that
-the library never calls; an oracle that only one test module uses lives in
-that module instead.  outcome turns a call into its value or its exception
+marked_group_isomorphism, oracle_validate_marked_group) are slow, obviously
+correct reference code that the library never calls; an oracle that only one
+test module uses lives in that module instead.  outcome turns a call into its value or its exception
 type and message, for comparing a kernel with its oracle."""
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from pmplab.algebra import (
 )
 from pmplab.action import FkAction, _breadth_first, validate_action
 from pmplab.constructions import MarkedGroup, PartialIsomorphism
-from pmplab.errors import InstanceTooLarge, LPInternal
+from pmplab.errors import InstanceTooLarge, InvalidGroupTable, LPInternal, NotGenerating
 from pmplab.modeltheory import _check_triple
 
 
@@ -352,3 +352,51 @@ def outcome(fn, *args):
         return "value", fn(*args)
     except Exception as exc:  # the comparison is the point: any exception
         return type(exc), str(exc)
+
+
+def oracle_validate_marked_group(mul, gen_images):
+    """The obviously correct check: every test of validate_marked_group in
+    the same order, with associativity tested on all triples, O(order^3).
+    Returns the checked table, the identity and the marked elements."""
+    order = len(mul)
+    if order == 0:
+        raise InvalidGroupTable("empty multiplication table")
+    table = tuple(tuple(row) for row in mul)
+    for row in table:
+        if len(row) != order or any(not 0 <= v < order for v in row):
+            raise InvalidGroupTable("multiplication table is not square over the elements")
+    identity = None
+    for e in range(order):
+        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
+            identity = e
+            break
+    if identity is None:
+        raise InvalidGroupTable("no identity element")
+    for x in range(order):
+        if not any(
+            table[x][y] == identity and table[y][x] == identity for y in range(order)
+        ):
+            raise InvalidGroupTable(f"element {x} has no inverse")
+    gens = tuple(gen_images)
+    for g in gens:
+        if not 0 <= g < order:
+            raise InvalidGroupTable(f"generator image {g} out of range")
+    reached = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = table[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    if len(reached) != order:
+        raise NotGenerating(
+            f"marked generators reach only {len(reached)} of {order} elements"
+        )
+    for x in range(order):
+        for y in range(order):
+            for z in range(order):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    raise InvalidGroupTable("multiplication is not associative")
+    return table, identity, gens

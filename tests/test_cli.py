@@ -364,7 +364,12 @@ S6_ACTION = json.dumps(
 )
 
 
-@pytest.mark.parametrize("action", [Z2_ACTION, S6_ACTION], ids=["Z2", "S6"])
+ONE_ATOM_NO_GENERATORS = '{"algebra":{"atoms":["1"]},"k":0,"gens":[]}'
+
+
+@pytest.mark.parametrize(
+    "action", [Z2_ACTION, S6_ACTION, ONE_ATOM_NO_GENERATORS], ids=["Z2", "S6", "trivial"]
+)
 def test_embed_group_columns_give_back_its_target(capsys, action):
     """An embed document writes its group as generator columns, and the
     quotient action of that group, read back, is the document's target."""
@@ -394,10 +399,13 @@ def _cyclic_columns(order):
         ({"order": 4, "identity": 0, "right": [[1, 2, 3, 0], [1, 0, 2, 3]]}, "InvalidGroupTable"),
         ({"order": 3, "identity": 0, "right": [[1, 0, 2], [2, 1, 0]]}, "InvalidGroupTable"),
         ({"order": 3, "identity": 0, "right": [[0, 2, 1], [1, 2, 0]]}, "InvalidGroupTable"),
-        ({"order": 1, "identity": 0, "right": []}, "ValidationError"),
+        ({"order": 2, "identity": 0, "right": []}, "NotGenerating"),
         ({"order": True, "identity": 0, "right": [[0]]}, "ValidationError"),
         ({"order": 1, "identity": False, "right": [[0]]}, "ValidationError"),
         ({"order": 2, "identity": 0, "right": [[1, True]]}, "ValidationError"),
+        # past the cap, the order is refused before the columns are read
+        ({"order": MAX_GROUP_ORDER + 1, "identity": 0, "right": [[1, 1, 0]]}, "InstanceTooLarge"),
+        ({"order": MAX_GROUP_ORDER + 1, "identity": "e", "right": "columns"}, "InstanceTooLarge"),
     ],
 )
 def test_group_columns_are_refused_with_their_error_type(capsys, group, kind):
@@ -423,6 +431,20 @@ def test_group_columns_past_the_order_cap_are_refused_before_any_row(capsys, mon
     assert code == 0
     assert json.loads(out)["gens"] == _cyclic_columns(MAX_GROUP_ORDER)["right"]
     assert built == [MAX_GROUP_ORDER, MAX_GROUP_ORDER]
+
+
+def test_embed_of_a_zero_generator_action_is_into_the_trivial_group(capsys):
+    """With no generators the generated group is trivial, one element and
+    no columns, and each atom embeds as itself; the one-atom transitive
+    embed is read back with the other embeds above."""
+    three = '{"algebra":{"atoms":["1/3","1/3","1/3"]},"k":0,"gens":[]}'
+    code, out = run(capsys, "embed", three, "--mode", "profinite")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["group"] == {"order": 1, "identity": 0, "right": []}
+    assert doc["elements"] == [[0, 1, 2]]
+    assert doc["target"] == {"algebra": {"atoms": ["1/3"] * 3}, "gens": [], "k": 0}
+    assert doc["sigma"]["pairs"] == [{"source": [c], "target": [c]} for c in range(3)]
 
 
 def test_joint_quotient_writes_its_group_as_a_table(capsys):

@@ -83,6 +83,7 @@ from pmplab.limits import (
 from conftest import (
     cycle_mismatch_pair,
     marked_group_isomorphism,
+    oracle_validate_marked_group,
     random_algebra,
     random_permutation,
     random_equal_atom_action,
@@ -286,52 +287,23 @@ def test_validate_marked_group_errors():
         cyclic_group(4, [2])
 
 
-def oracle_validate_marked_group(mul, gen_images):
-    """The obviously correct check: every test of validate_marked_group in
-    the same order, with associativity tested on all triples, O(order^3).
-    Returns the checked table, the identity and the marked elements."""
-    order = len(mul)
-    if order == 0:
-        raise InvalidGroupTable("empty multiplication table")
-    table = tuple(tuple(row) for row in mul)
-    for row in table:
-        if len(row) != order or any(not 0 <= v < order for v in row):
-            raise InvalidGroupTable("multiplication table is not square over the elements")
-    identity = None
-    for e in range(order):
-        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
-            identity = e
-            break
-    if identity is None:
-        raise InvalidGroupTable("no identity element")
-    for x in range(order):
-        if not any(
-            table[x][y] == identity and table[y][x] == identity for y in range(order)
-        ):
-            raise InvalidGroupTable(f"element {x} has no inverse")
-    gens = tuple(gen_images)
-    for g in gens:
-        if not 0 <= g < order:
-            raise InvalidGroupTable(f"generator image {g} out of range")
-    reached = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = table[x][g]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    if len(reached) != order:
-        raise NotGenerating(
-            f"marked generators reach only {len(reached)} of {order} elements"
-        )
-    for x in range(order):
-        for y in range(order):
-            for z in range(order):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise InvalidGroupTable("multiplication is not associative")
-    return table, identity, gens
+def test_marked_group_of_checks_the_columns_alone():
+    """MarkedGroup.of on columns of in-range entries: a column that reaches
+    every element and commutes with its left translation but is not a
+    permutation, S_4 acting on 4 points, a set that misses an element and an
+    identity out of range are refused; a group's columns are its group."""
+    for right, kind in [
+        ([[1, 1]], InvalidGroupTable),
+        ([[1, 2, 3, 0], [1, 0, 2, 3]], InvalidGroupTable),
+        ([[1, 0, 3, 2]], NotGenerating),
+    ]:
+        with pytest.raises(kind):
+            MarkedGroup.of(len(right[0]), 0, right)
+    with pytest.raises(InvalidGroupTable, match="identity 2 is not one of the 2 elements"):
+        MarkedGroup.of(2, 2, [[1, 0]])
+    s4, _ = permutation_marked_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert MarkedGroup.of(24, 0, [list(column) for column in s4.right]) == s4
+    assert MarkedGroup.of(1, 0, []) == validate_marked_group([[0]], [])
 
 
 def table_of(group: MarkedGroup):
@@ -1372,9 +1344,10 @@ def test_rows_rebuild_a_table_whose_identity_is_not_element_0(case):
 
 
 def test_groups_are_built_without_rows_and_quotients_ask_for_k(monkeypatch):
-    """Building a group calls rows never, and a quotient action calls it
-    once, for the k marked generators: a guard on the table cost without
-    timing."""
+    """Building a group calls rows never, checking a table calls it for the
+    k marked generators and then for the whole table, and a quotient action
+    calls it once, for the k marked generators: a guard on the table cost
+    without timing."""
     calls = []
     rows = MarkedGroup.rows
 
@@ -1386,8 +1359,9 @@ def test_groups_are_built_without_rows_and_quotients_ask_for_k(monkeypatch):
     s5, _ = permutation_marked_group(S5_GENERATORS)
     z36 = cyclic_group(36, [1, 5])
     joint = joint_quotient(s5, cyclic_group(6, [1, 5])).group
-    klein = klein_group()
     assert calls == []
+    klein = klein_group()
+    assert calls == [(1, 2), (0, 1, 2, 3)]
     for group in (s5, z36, joint, klein):
         calls.clear()
         quotient_action(group)

@@ -52,7 +52,7 @@ from pmplab.jsonio import (
     word_from_json,
 )
 
-from conftest import outcome
+from conftest import oracle_validate_marked_group, outcome
 
 F = Fraction
 
@@ -350,6 +350,111 @@ def test_columns_are_read_exactly_when_they_generate_a_regular_group():
                 assert len(reached) == order and not regular
             else:
                 assert regular and group_to_json(group) == doc
+
+
+def oracle_group_from_columns(order, identity, right):
+    """The column reader as it was: the shape, generation along the columns,
+    then the table the columns determine, rebuilt in full, must have them as
+    its generator columns and pass every check of a table, associativity on
+    all triples included."""
+    if not right:
+        raise ValidationError("right must be a non-empty list of columns")
+    for column in right:
+        if len(column) != order or sorted(column) != list(range(order)):
+            raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")
+    if not 0 <= identity < order:
+        raise InvalidGroupTable(f"identity {identity} is not one of the {order} elements")
+    walk = [identity]
+    for x in walk:
+        for column in right:
+            if column[x] not in walk:
+                walk.append(column[x])
+    if len(walk) != order:
+        raise NotGenerating(f"marked generators reach only {len(walk)} of {order} elements")
+    # z * y for y first reached as x * g_i is (z * x) * g_i, and z * e = z
+    table = [[None] * order for _ in range(order)]
+    for z in range(order):
+        table[z][identity] = z
+        for x in walk:
+            for column in right:
+                if table[z][column[x]] is None:
+                    table[z][column[x]] = column[table[z][x]]
+    gens = [column[identity] for column in right]
+    if [[row[g] for row in table] for g in gens] != [list(column) for column in right]:
+        raise InvalidGroupTable("the columns are not the right Cayley graph of their table")
+    table, identity, gens = oracle_validate_marked_group(table, gens)
+    return MarkedGroup(order, identity, tuple(tuple(row[g] for row in table) for g in gens))
+
+
+def read_outcome(read, *args):
+    """The group read, or the type of the refusal."""
+    try:
+        return read(*args)
+    except (ValidationError, InvalidGroupTable, NotGenerating) as exc:
+        return type(exc)
+
+
+def assert_read_as_the_oracle_reads(order, identity, right):
+    doc = {"order": order, "identity": identity, "right": right}
+    assert read_outcome(group_from_json, doc) == read_outcome(
+        oracle_group_from_columns, order, identity, right
+    )
+
+
+def test_columns_are_read_as_the_oracle_reads_every_small_set():
+    """Every set of one or two permutations of at most 4 points, with every
+    identity."""
+    for order in range(1, 5):
+        perms = [list(p) for p in itertools.permutations(range(order))]
+        for right in [[p] for p in perms] + [[p, q] for p in perms for q in perms]:
+            for identity in range(order):
+                assert_read_as_the_oracle_reads(order, identity, right)
+
+
+@st.composite
+def near_group_columns(draw):
+    """The columns of a group generated by 1-2 permutations of at most 4
+    points, relabelled by a permutation of its elements, with up to two
+    pairs of entries of a column swapped, and the relabelled identity or
+    any element as the identity."""
+    degree = draw(st.integers(1, 4))
+    perms = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    group, _ = permutation_marked_group(perms)
+    order = group.order
+    pi = draw(st.permutations(range(order)))
+    right = [[0] * order for _ in group.right]
+    for column, relabeled in zip(group.right, right):
+        for x, y in enumerate(column):
+            relabeled[pi[x]] = pi[y]
+    entry = st.integers(0, order - 1)
+    swaps = st.tuples(st.integers(0, len(right) - 1), entry, entry)
+    for i, a, b in draw(st.lists(swaps, max_size=2)):
+        right[i][a], right[i][b] = right[i][b], right[i][a]
+    identity = draw(st.one_of(st.just(pi[group.identity]), entry))
+    return order, identity, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_group_columns())
+def test_columns_are_read_as_the_oracle_reads(case):
+    assert_read_as_the_oracle_reads(*case)
+
+
+def test_reading_columns_asks_rows_for_the_marked_generators_only(monkeypatch):
+    """Reading the S_6 columns builds k rows, not the order^2 table: a guard
+    on the read cost without timing."""
+    s6, _ = permutation_marked_group([(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+    doc = json.loads(render_document(group_to_json(s6)))
+    calls = []
+    rows = MarkedGroup.rows
+
+    def counted(group, zs):
+        calls.append(tuple(zs))
+        return rows(group, zs)
+
+    monkeypatch.setattr(MarkedGroup, "rows", counted)
+    assert group_from_json(doc) == s6
+    assert calls == [s6.gen_images]
 
 
 def test_word_forms():
