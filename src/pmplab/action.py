@@ -76,11 +76,16 @@ def check_permutation(alg: MeasuredAlgebra, p: Sequence[int]) -> Perm:
 
 
 class FkAction(Record):
-    """An action of the free group on k generators by atom permutations."""
+    """An action of the free group on k generators: an algebra and k
+    mass-preserving permutations of its atoms, whose inverses are not stored.
+
+    Construct through validate_action.  The library's builders
+    (_lift_action, quotient_action, eppa_extend, ergodize) build instances
+    directly, from generators that are checked permutations by construction.
+    """
 
     algebra: MeasuredAlgebra
     gens: tuple[Perm, ...]
-    inv_gens: tuple[Perm, ...]
 
     @property
     def k(self) -> int:
@@ -88,9 +93,8 @@ class FkAction(Record):
 
 
 def validate_action(alg: MeasuredAlgebra, gens: Sequence[Sequence[int]]) -> FkAction:
-    """Check every generator and return the action with cached inverses."""
-    checked = tuple(check_permutation(alg, g) for g in gens)
-    return FkAction(alg, checked, tuple(perm_inverse(g) for g in checked))
+    """Check every generator of an action given from outside and return it."""
+    return FkAction(alg, tuple([check_permutation(alg, g) for g in gens]))
 
 
 class Word(Record):
@@ -111,7 +115,7 @@ def letter_perm(act: FkAction, letter: int) -> Perm:
     if 1 <= letter <= act.k:
         return act.gens[letter - 1]
     if -act.k <= letter <= -1:
-        return act.inv_gens[-letter - 1]
+        return perm_inverse(act.gens[-letter - 1])
     raise LetterOutOfRange(f"letter {letter} is not in range for k = {act.k}")
 
 
@@ -162,14 +166,13 @@ def _breadth_first(start, gens, step, limit: Optional[int] = None):
 
 
 def _orbit_walks(act: FkAction) -> list[list[int]]:
-    """Every orbit of the atoms in breadth-first order from its least atom,
-    along the generators and then their inverses; orbits by least atom."""
-    perms = act.gens + act.inv_gens
+    """Every orbit of the atoms, by least atom, in breadth-first order from
+    that atom along the generators alone: an inverse is a power of its generator."""
     walks: list[list[int]] = []
     covered: set[int] = set()
     for root in range(act.algebra.size):
         if root not in covered:
-            walk, index = _breadth_first(root, perms, lambda x, p: p[x])
+            walk, index = _breadth_first(root, act.gens, lambda x, p: p[x])
             walks.append(walk)
             covered.update(index)
     return walks
@@ -246,16 +249,11 @@ def _lift_action(
     act: FkAction, refined: MeasuredAlgebra, projection: Sequence[int]
 ) -> FkAction:
     """Extend every generator part-for-part to a refinement laid out in runs
-    (algebra._split or product_algebra): part j of atom x goes to part j of
-    p[x]."""
+    (algebra._split or product_algebra): the run of atom x is sent onto the
+    run of p[x], whose parts have the same masses, so the lift needs no check."""
     runs = _runs(projection)
-    gens = []
-    for p in act.gens:
-        q = [0] * refined.size
-        for run, x_image in zip(runs, p):
-            q[run.start : run.stop] = runs[x_image]
-        gens.append(tuple(q))
-    return validate_action(refined, gens)
+    lift = [tuple(chain.from_iterable([runs[y] for y in p])) for p in act.gens]
+    return FkAction(refined, tuple(lift))
 
 
 def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -> Fraction:

@@ -44,7 +44,6 @@ from .action import (
     product_action,
     refine_action_to_unit,
     uniform_distance_tuples,
-    validate_action,
 )
 from .errors import (
     AlgebraMismatch,
@@ -478,9 +477,9 @@ def quotient_action(group: MarkedGroup) -> FkAction:
 
     Atom x is group element x with mass 1/order; generator i sends x to
     gen_images[i] * x, the table rows of the marked generators.  The action
-    is transitive because the marked generators generate."""
-    alg = uniform_algebra(group.order)
-    return validate_action(alg, group.rows(group.gen_images))
+    is transitive because the marked generators generate, and needs no
+    check: the rows of a checked group are permutations."""
+    return FkAction(uniform_algebra(group.order), group.rows(group.gen_images))
 
 
 class JointQuotient(Record):
@@ -558,7 +557,7 @@ def eppa_extend(
             image[u] = v
         gens.append(tuple(image))
 
-    action = validate_action(big, gens)
+    action = FkAction(big, tuple(gens))
     embedding = PartialIsomorphism.of(alg, big, [((i,), runs[i]) for i in range(alg.size)])
     return EppaExtension(big, action, embedding)
 
@@ -628,7 +627,7 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     gens = [list(p) for p in act.gens]
     modifications = 0
     while True:
-        current = validate_action(alg, [tuple(p) for p in gens])
+        current = FkAction(alg, tuple([tuple(p) for p in gens]))
         orbits = invariant_components(current).blocks
         if len(orbits) == 1:
             return Ergodization(current, modifications)
@@ -826,16 +825,16 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> Optional[tuple[int, ...]]:
 
     Orbits are taken by least atom and walked as in _orbit_walks.  A walk's
     root tries the unused targets in increasing order; every later atom is
-    forced by the placed neighbor it is reached from, and every generator
-    edge is checked, fixed points included.  An exact conjugacy maps each
-    orbit onto an isomorphic orbit, and isomorphic orbits are
-    interchangeable, so a placed orbit is never revisited: the search takes
-    O(n^2 k) steps, is complete, and returns None only when no exact
-    conjugacy exists."""
+    forced by the placed atom it is reached from, and every generator edge
+    x -> g(x) is checked, fixed points included, which checks the inverse
+    edges too.  An exact conjugacy maps each orbit onto an isomorphic orbit,
+    and isomorphic orbits are interchangeable, so a placed orbit is never
+    revisited: the search takes O(n^2 k) steps, is complete, and returns
+    None only when no exact conjugacy exists."""
     n = r1.algebra.size
     mapping = [-1] * n
     used = [False] * n
-    perms = list(zip(r1.gens + r1.inv_gens, r2.gens + r2.inv_gens))
+    perms = list(zip(r1.gens, r2.gens))
 
     def place(root: int, t: int) -> bool:
         mapping[root], used[t] = t, True
@@ -885,7 +884,7 @@ def _beam_assign(r1: FkAction, r2: FkAction, beam_width: int) -> tuple[int, ...]
     Each state keeps its free targets as a sorted tuple, copied only for
     the survivors."""
     n = r1.algebra.size
-    edges = list(zip(r1.gens, r1.inv_gens, r2.gens, r2.inv_gens))
+    edges = list(zip(r1.gens, map(perm_inverse, r1.gens), r2.gens, map(perm_inverse, r2.gens)))
     states: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [
         (0, (), tuple(range(n)))
     ]

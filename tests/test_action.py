@@ -28,6 +28,7 @@ from pmplab.action import (
     invariant_components,
     letter_perm,
     perm_compose,
+    perm_inverse,
     perturb_small,
     product_action,
     uniform_distance,
@@ -170,6 +171,7 @@ def _closure_blocks(act: FkAction, seeds: list[frozenset[int]]) -> set[frozenset
     sets: set[frozenset[int]] = {universe}
     for s in seeds:
         sets.add(frozenset(s))
+    perms = act.gens + tuple(map(perm_inverse, act.gens))
     changed = True
     while changed:
         changed = False
@@ -186,7 +188,7 @@ def _closure_blocks(act: FkAction, seeds: list[frozenset[int]]) -> set[frozenset
                 sets.add(new)
                 changed = True
         snapshot = list(sets)
-        for p in act.gens + act.inv_gens:
+        for p in perms:
             for s in snapshot:
                 new = frozenset(p[x] for x in s)
                 if new not in sets:
@@ -447,6 +449,7 @@ def test_action_apply_perm_event_respects_algebra():
 def oracle_components(act: FkAction) -> tuple[frozenset[int], ...]:
     """Depth-first components over generators and inverses, sorted by least atom."""
     n = act.algebra.size
+    perms = act.gens + tuple(map(perm_inverse, act.gens))
     seen = [False] * n
     components = []
     for start in range(n):
@@ -457,7 +460,7 @@ def oracle_components(act: FkAction) -> tuple[frozenset[int], ...]:
         comp = {start}
         while stack:
             x = stack.pop()
-            for p in act.gens + act.inv_gens:
+            for p in perms:
                 y = p[x]
                 if not seen[y]:
                     seen[y] = True
@@ -469,7 +472,7 @@ def oracle_components(act: FkAction) -> tuple[frozenset[int], ...]:
 
 def oracle_visit_order(act: FkAction) -> list[int]:
     """The exact conjugacy search's atom order: a queue from each unseen
-    root in increasing order, generators before inverses."""
+    root in increasing order, along the generators alone."""
     n = act.algebra.size
     order = []
     seen = [False] * n
@@ -481,7 +484,7 @@ def oracle_visit_order(act: FkAction) -> list[int]:
         while queue:
             x = queue.pop(0)
             order.append(x)
-            for p in act.gens + act.inv_gens:
+            for p in act.gens:
                 y = p[x]
                 if not seen[y]:
                     seen[y] = True

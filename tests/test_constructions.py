@@ -31,6 +31,8 @@ from pmplab.action import (
     extensions,
     invariant_components,
     perm_compose,
+    perm_inverse,
+    perturb_small,
     product_action,
     refine_action_to_unit,
     uniform_distance,
@@ -893,7 +895,7 @@ def oracle_exact_assign(r1: FkAction, r2: FkAction):
     order = [x for walk in _orbit_walks(r1) for x in walk]
     mapping = [-1] * n
     used = [False] * n
-    edges = list(zip(r1.gens, r1.inv_gens, r2.gens, r2.inv_gens))
+    edges = list(zip(r1.gens, map(perm_inverse, r1.gens), r2.gens, map(perm_inverse, r2.gens)))
 
     def fits(x: int, t: int) -> bool:
         return all(
@@ -1372,6 +1374,7 @@ def oracle_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
     """The beam as it was: every candidate mapping copied, all of them
     sorted, the first beam_width kept."""
     n = r1.algebra.size
+    inverses = [perm_inverse(g1) for g1 in r1.gens]
     states = [(0, ())]
     for x in range(n):
         grown = []
@@ -1381,7 +1384,7 @@ def oracle_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
                 if t in used:
                     continue
                 penalty = 0
-                for g1, ig1, g2 in zip(r1.gens, r1.inv_gens, r2.gens):
+                for g1, ig1, g2 in zip(r1.gens, inverses, r2.gens):
                     y = g1[x]
                     if y < x and mapping[y] != g2[t]:
                         penalty += 1
@@ -1542,3 +1545,45 @@ def test_conjugacy_search_without_a_beam_or_a_depth_is_a_validation_error():
                 act, act, max_refine=max_refine, beam_width=beam_width
             )
         assert str(err.value) == message
+
+
+# ------------------------------------------------- actions built unchecked
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_every_action_the_library_builds_passes_the_outside_check(rng):
+    """The builders make their actions without validate_action, from parts
+    that are mass-preserving permutations by construction; the check they
+    skip is kept here as the oracle, on every kind of action they build."""
+    alg = random_algebra(rng, max_atoms=5, max_den=12)
+    k = rng.randint(0, 2)
+    act = validate_action(alg, [random_mass_preserving_perm(rng, alg) for _ in range(k)])
+    built = [
+        product_action(act, random_algebra(rng, max_atoms=3, max_den=6))[0],
+        refine_action_to_unit(act, F(1, alg.den * rng.randint(1, 3)))[0],
+        perturb_small(act, invariant_components(act), F(1, rng.randint(2, 6))).action,
+        eppa_extend(alg, [random_partial_automorphism(rng, alg) for _ in range(k)]).action,
+    ]
+    n = rng.randint(1, 12)
+    images = [1] + [rng.randrange(n) for _ in range(k)]
+    rng.shuffle(images)
+    built.append(quotient_action(cyclic_group(n, images)))
+    m, k1 = rng.randint(1, 5), rng.randint(1, 2)
+    equal = random_equal_atom_action(rng, m, k1)
+    built += [
+        quotient_action(permutation_marked_group(equal.gens)[0]),
+        ergodize(equal, AtomPartition.trivial(equal.algebra)).action,
+        embed_into_profinite_tensor(equal).target,
+        embed_transitive_into_quotient(random_transitive_small_action(rng, m, k1)).target,
+    ]
+    pair = []
+    for _ in range(2):
+        small = random_algebra(rng, max_atoms=4, max_den=6)
+        pair.append(validate_action(
+            small, [random_mass_preserving_perm(rng, small) for _ in range(k)]
+        ))
+    cert = approx_conjugacy_search(*pair, max_refine=rng.randint(1, 2))
+    built += [cert.act1_refined, cert.act2_refined]
+    for b in built:
+        assert validate_action(b.algebra, b.gens) == b

@@ -6,6 +6,8 @@ call names a class imported from typing, and no package module reads a
 private attribute through anything but self or cls.  Importing the command line
 stays light: no module of the package imports dataclasses, and the import
 loads neither dataclasses nor inspect.  The package exports no submodule.
+Only algebra.py builds algebras, and only jsonio.action_from_json checks an
+action.
 
 The package's __init__ is exempt: its imports are the public re-exports,
 and a re-export alone does not count as a use."""
@@ -203,13 +205,19 @@ def algebras_built_outside_algebra(sources: dict[str, str]) -> list[str]:
         if module == "algebra.py":
             continue
         for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _called_name(node)
             if name in ("MeasuredAlgebra", "_fresh_id"):
                 found.append(f"{module}:{node.lineno}: {name}")
     return sorted(found)
+
+
+def _called_name(node: ast.AST):
+    """The name a call calls, bare or as an attribute; None if node is no
+    call."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def test_detects_an_algebra_built_outside_algebra():
@@ -232,6 +240,53 @@ def test_detects_an_algebra_built_outside_algebra():
 def test_only_the_algebra_module_builds_algebras():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert algebras_built_outside_algebra(sources) == []
+
+
+def actions_checked_past_the_boundary(sources: dict[str, str]) -> list[str]:
+    """Calls of validate_action(...) anywhere but in jsonio.action_from_json,
+    as module:line: the top-level definition holding the call.  An action
+    from outside is checked there, once; the library's builders make theirs
+    from parts that are already checked."""
+    found: list[str] = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            holder = getattr(top, "name", "<module>")
+            if (module, holder) == ("jsonio.py", "action_from_json"):
+                continue
+            found += [
+                f"{module}:{node.lineno}: {holder}"
+                for node in ast.walk(top)
+                if _called_name(node) == "validate_action"
+            ]
+    return sorted(found)
+
+
+def test_detects_an_action_checked_past_the_boundary():
+    sources = {
+        "jsonio.py": (
+            "from .action import validate_action\n"
+            "def action_from_json(obj):\n    return validate_action(obj[0], obj[1])\n"
+            "def other(obj):\n    return validate_action(obj[0], obj[1])\n"
+        ),
+        "action.py": (
+            "def validate_action(alg, gens):\n    return FkAction(alg, tuple(gens))\n"
+            "def _lift_action(act):\n    return validate_action(act.algebra, act.gens)\n"
+        ),
+        "b.py": (
+            "from . import action\n"
+            "class C:\n    def f(self, act):\n"
+            "        return action.validate_action(act.algebra, act.gens)\n"
+            "x = action.validate_action(None, [])\n"
+        ),
+    }
+    assert actions_checked_past_the_boundary(sources) == [
+        "action.py:4: _lift_action", "b.py:4: C", "b.py:5: <module>", "jsonio.py:5: other",
+    ]
+
+
+def test_only_the_json_reader_checks_an_action():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert actions_checked_past_the_boundary(sources) == []
 
 
 def private_reads(source: str) -> list[str]:
