@@ -266,7 +266,12 @@ def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -
     """
     gp = check_permutation(alg, g)
     hp = check_permutation(alg, h)
-    p = perm_compose(perm_inverse(hp), gp)
+    return _cycle_distance(alg, perm_compose(perm_inverse(hp), gp))
+
+
+def _cycle_distance(alg: MeasuredAlgebra, p: Perm) -> Fraction:
+    """The uniform distance between p and the identity, from p's cycles,
+    for a p that is known to be a mass-preserving permutation: unchecked."""
     units = alg.units
     seen = [False] * alg.size
     total = 0

@@ -8,13 +8,13 @@ with the metrics from the algebra and action modules.
 """
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .algebra import (
+    ZERO,
     AtomPartition,
     Event,
     EventTuple,
@@ -35,6 +35,7 @@ from .action import (
     FkAction,
     Perm,
     _breadth_first,
+    _cycle_distance,
     apply_perm_event,
     extensions,
     invariant_components,
@@ -754,15 +755,25 @@ class ConjugacyCertificate(Record):
 
 
 def verify_conjugacy(cert: ConjugacyCertificate) -> Fraction:
-    """Recompute the certificate defect from scratch."""
-    return _conjugacy_defect(cert.iso.mapping, cert.act1_refined, cert.act2_refined)
-
-
-def _conjugacy_defect(h: Perm, r1: FkAction, r2: FkAction) -> Fraction:
-    """max over generators of the uniform distance between h g1 h^-1 and g2."""
+    """Recompute the certificate defect from scratch: max over generators
+    of the uniform distance between h g1 h^-1 and g2, with every conjugate
+    and every generator of act2_refined checked as a permutation."""
+    h, r1, r2 = cert.iso.mapping, cert.act1_refined, cert.act2_refined
     hinv = perm_inverse(h)
     conjugates = [perm_compose(h, perm_compose(g1, hinv)) for g1 in r1.gens]
     return uniform_distance_tuples(r2.algebra, conjugates, r2.gens)
+
+
+def _conjugacy_defect(h: Perm, r1: FkAction, r2: FkAction) -> Fraction:
+    """The defect verify_conjugacy computes, for a bijection h and actions
+    the search built itself, so nothing is checked: the distance of each
+    g2^-1 h g1 h^-1 from the identity."""
+    hinv = perm_inverse(h)
+    distances = [
+        _cycle_distance(r2.algebra, tuple([ig2[h[g1[y]]] for y in hinv]))
+        for g1, ig2 in zip(r1.gens, map(perm_inverse, r2.gens))
+    ]
+    return max(distances, default=ZERO)
 
 
 def approx_conjugacy_search(
@@ -868,49 +879,58 @@ def _beam_assign(r1: FkAction, r2: FkAction, beam_width: int) -> tuple[int, ...]
     edge from a placed z = g1^-1[x] to x only when t = g2[mapping[z]]; each
     placed neighbor spares exactly one target, so a free target of a state
     of score s scores s + len(spare) less the neighbors sparing it.
-    Candidates are kept as (score, parent mapping, t, parent's free
-    targets): no two share their first three entries, so the fourth is
-    never compared, and all parents have the same length, so this orders
-    them as (score, parent mapping + (t,)) would.  The beam_width survivors
-    are taken with heapq.nsmallest.
+
+    A state is (score, rank, mapping, free): rank is its place in the
+    lexicographic order of the beam's mappings, and free is a bitmask of
+    the unused targets.  The states are kept sorted by (score, rank), that
+    is by (score, mapping).  A candidate is (score, parent rank, t, parent
+    index).  The parents' mappings have one length and are distinct, so
+    (parent rank, t) orders the grown mappings as parent mapping + (t,)
+    does, and no two candidates share their first three entries: the
+    index is never compared.  The beam_width smallest candidates survive,
+    and sorting the survivors by (parent rank, t) gives their new ranks.
 
     Only two kinds of candidate are ranked: each state's spared free
     targets, at most 2k, and the first beam_width free targets of the walk
     over the states in order, each state's free targets in increasing
-    order.  None that could survive is missed: the states are sorted and
-    distinct, so an unspared target, keyed (s + len(spare), mapping, t),
-    has a larger key than every target before it in the walk, spared or
-    not, and it survives only if fewer than beam_width come before it.
-    Each state keeps its free targets as a sorted tuple, copied only for
-    the survivors."""
+    order, the lowest set bits of its mask.  None that could survive is
+    missed: an unspared target of a state, keyed (s + len(spare), rank,
+    t), has a larger key than every target before it in the walk, spared
+    or not, and it survives only if fewer than beam_width come before it.
+    Each survivor copies its parent's mapping, O(n), so a beam over n
+    atoms does O(beam_width*n^2) work."""
     n = r1.algebra.size
     edges = list(zip(r1.gens, map(perm_inverse, r1.gens), r2.gens, map(perm_inverse, r2.gens)))
-    states: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [
-        (0, (), tuple(range(n)))
-    ]
+    states: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), (1 << n) - 1)]
     for x in range(n):
         # placed neighbors y of x, each with the map from y's target to the
         # one target of x that keeps the edge
         spare = [(ig2, g1[x]) for g1, _, _, ig2 in edges if g1[x] < x]
         spare += [(g2, ig1[x]) for _, ig1, g2, _ in edges if ig1[x] < x]
-        grown: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []
+        grown: list[tuple[int, int, int, int]] = []
         unwalked = beam_width
-        for score, mapping, free in states:
+        for i, (score, rank, mapping, free) in enumerate(states):
             worst = score + len(spare)
             spared: dict[int, int] = {}  # spared target -> its score
             for keep, y in spare:
                 t = keep[mapping[y]]
                 spared[t] = spared.get(t, worst) - 1
             for t, p in spared.items():
-                i = bisect_left(free, t)
-                if i < len(free) and free[i] == t:
-                    grown.append((p, mapping, t, free))
-            if unwalked:  # past the walk, a state adds only its spared targets
-                head = free[:unwalked]
-                grown += [(worst, mapping, t, free) for t in head if t not in spared]
-                unwalked -= len(head)
-        states = []
-        for score, mapping, t, free in heapq.nsmallest(beam_width, grown):
-            i = bisect_left(free, t)
-            states.append((score, mapping + (t,), free[:i] + free[i + 1 :]))
-    return states[0][1]
+                if free >> t & 1:
+                    grown.append((p, rank, t, i))
+            while unwalked and free:  # past the walk, only spared targets
+                low = free & -free
+                free ^= low
+                unwalked -= 1
+                t = low.bit_length() - 1
+                if t not in spared:
+                    grown.append((worst, rank, t, i))
+        grown.sort()
+        del grown[beam_width:]
+        grown.sort(key=itemgetter(1, 2))  # by (parent rank, t): the new ranks
+        parents, states = states, []
+        for rank, (score, _, t, i) in enumerate(grown):
+            _, _, mapping, free = parents[i]
+            states.append((score, rank, mapping + (t,), free ^ 1 << t))
+        states.sort()  # (score, rank) is unique: mappings are never compared
+    return states[0][2]

@@ -3,7 +3,9 @@ actions, equal-atom extensions, ergodization, embeddings, and the
 near-conjugacy search."""
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -67,8 +69,10 @@ from pmplab.errors import (
     BoundViolated,
     InstanceTooLarge,
     InvalidGroupTable,
+    NotBijective,
     NotGenerating,
     NotMassPreserving,
+    NotMeasurePreserving,
     NotTransitive,
     PreconditionInvariantElement,
     TypeMismatch,
@@ -878,6 +882,54 @@ def test_conjugacy_search_certificate_is_sound():
         assert sorted(mapping) == list(range(len(mapping)))
 
 
+def test_search_defect_checks_nothing_and_verify_checks_everything(monkeypatch):
+    """The search's own defect skips the permutation checks of
+    uniform_distance; verify_conjugacy recomputes the same eps through
+    them."""
+    checked = []
+    checked_distance = action_module.uniform_distance
+
+    def counted(alg, g, h):
+        checked.append(g)
+        return checked_distance(alg, g, h)
+
+    monkeypatch.setattr(action_module, "uniform_distance", counted)
+    rng = random.Random(29)
+    for _ in range(6):
+        k = rng.randint(0, 2)
+        a1, a2 = (random_equal_atom_action(rng, rng.randint(1, 6), k) for _ in range(2))
+        cert = approx_conjugacy_search(a1, a2, max_refine=2)
+        assert checked == []
+        assert verify_conjugacy(cert) == cert.eps
+        assert len(checked) == k
+        checked.clear()
+
+
+def test_verify_conjugacy_refuses_a_hand_built_certificate():
+    """A certificate built by hand, not by the search, is checked as
+    before: a conjugate that is not a permutation or does not preserve
+    mass, a bad act2 generator, and tuples of different lengths."""
+    alg = uniform_algebra(3)
+    skew = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
+    rotate = Isomorphism.of(alg, alg, (1, 2, 0))
+    rotation = FkAction(alg, ((1, 2, 0),))
+    not_a_permutation = (NotBijective, "generator table is not a permutation")
+    cases = [
+        (rotate, FkAction(alg, ((0, 0, 2),)), rotation, not_a_permutation),
+        (rotate, rotation, FkAction(alg, ((2, 2, 0),)), not_a_permutation),
+        (rotate, rotation, FkAction(alg, ()),
+         (ArityMismatch, "automorphism tuples have different lengths")),
+        (Isomorphism.of(skew, skew, (0, 2, 1)), FkAction(skew, ((1, 0, 2),)),
+         FkAction(skew, ((0, 1, 2),)),
+         (NotMeasurePreserving, "atom 0 (mass 1/2) maps to atom 2 (mass 1/4)")),
+    ]
+    for iso, r1, r2, (error, message) in cases:
+        cert = ConjugacyCertificate(iso, F(0), r1, r2, (0, 1, 2), (0, 1, 2), False)
+        with pytest.raises(error) as raised:
+            verify_conjugacy(cert)
+        assert str(raised.value) == message
+
+
 def test_conjugacy_search_arity_mismatch():
     alg = uniform_algebra(2)
     a1 = validate_action(alg, [(1, 0)])
@@ -1397,6 +1449,41 @@ def oracle_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
     return states[0][1]
 
 
+def oracle_bisect_beam_assign(r1: FkAction, r2: FkAction, beam_width: int):
+    """The beam as it was before its states were ranked: candidates keyed
+    (score, parent mapping, t, parent's free targets) and taken with
+    heapq.nsmallest, free targets kept as sorted tuples.  It ranks only
+    the candidates that can survive, as _beam_assign does, so it is fast
+    enough for sizes the sort-everything oracle never reaches."""
+    n = r1.algebra.size
+    edges = list(zip(r1.gens, map(perm_inverse, r1.gens), r2.gens, map(perm_inverse, r2.gens)))
+    states = [(0, (), tuple(range(n)))]
+    for x in range(n):
+        spare = [(ig2, g1[x]) for g1, _, _, ig2 in edges if g1[x] < x]
+        spare += [(g2, ig1[x]) for _, ig1, g2, _ in edges if ig1[x] < x]
+        grown = []
+        unwalked = beam_width
+        for score, mapping, free in states:
+            worst = score + len(spare)
+            spared = {}
+            for keep, y in spare:
+                t = keep[mapping[y]]
+                spared[t] = spared.get(t, worst) - 1
+            for t, p in spared.items():
+                i = bisect_left(free, t)
+                if i < len(free) and free[i] == t:
+                    grown.append((p, mapping, t, free))
+            if unwalked:
+                head = free[:unwalked]
+                grown += [(worst, mapping, t, free) for t in head if t not in spared]
+                unwalked -= len(head)
+        states = []
+        for score, mapping, t, free in heapq.nsmallest(beam_width, grown):
+            i = bisect_left(free, t)
+            states.append((score, mapping + (t,), free[:i] + free[i + 1 :]))
+    return states[0][1]
+
+
 def _mostly_fixed_action(rng: random.Random, n: int, k: int) -> FkAction:
     """Generators that each move at most four atoms, some none at all."""
     gens = []
@@ -1446,6 +1533,39 @@ def test_beam_matches_the_sort_everything_oracle():
         for beam_width in (1, 2, 16, n + 1):
             assert _beam_assign(r1, r2, beam_width) == oracle_beam_assign(r1, r2, beam_width)
             assert _beam_assign(r2, r1, beam_width) == oracle_beam_assign(r2, r1, beam_width)
+
+
+def test_beam_matches_the_bisect_oracle_at_larger_sizes():
+    """n from 64 to 256, where the ranks, the bitmask walk and the new
+    sort decide among many states with shared prefixes."""
+
+    def agree(r1, r2, widths=(1, 2, 16)):
+        for beam_width in widths:
+            for a, b in ((r1, r2), (r2, r1)):
+                assert _beam_assign(a, b, beam_width) == oracle_bisect_beam_assign(a, b, beam_width)
+
+    rng = random.Random(2929)
+    for case in range(24):
+        n = rng.randint(64, 256)
+        k = rng.randint(1, 3)
+        kind = case % 3
+        if kind == 0:
+            r1, r2 = (random_equal_atom_action(rng, n, k) for _ in range(2))
+        elif kind == 1:
+            r1 = random_equal_atom_action(rng, n, k)
+            r2 = relabeled_action(r1, random_permutation(rng, n))
+        else:
+            r1, r2 = (_mostly_fixed_action(rng, n, k) for _ in range(2))
+        agree(r1, r2)
+    agree(*cycle_mismatch_pair(random.Random(96), 96))
+    # edges: no generators, one atom, a beam wider than the algebra
+    for n in (1, 2, 5, 70):
+        alg = uniform_algebra(n)
+        agree(FkAction(alg, ()), FkAction(alg, ()), (1, 2, n, n + 1, 16))
+    one = validate_action(uniform_algebra(1), [(0,), (0,)])
+    agree(one, one, (1, 16))
+    r1, r2 = (random_equal_atom_action(rng, 6, 2) for _ in range(2))
+    agree(r1, r2, (7, 40))
 
 
 # ------------------------------------------------------- unit refinement caps
