@@ -47,6 +47,7 @@ from typing import Sequence
 
 from .algebra import (
     ZERO,
+    Event,
     EventTuple,
     _sign_map,
     joint_distribution,
@@ -649,23 +650,28 @@ def ec_in_extension_check(
     b_sets = [set(e.members) for e in bs.events]
     moved = [[{p[x] for x in b} for b in b_sets] for p in [_word_perm(big, w) for w in ws]]
     target = _triple_units(big.algebra.units, a_sets, b_sets, moved)
-    prepare = _ec_prepare(anchors, bs, ws, target, big.algebra.den, blocks)
+    # the target pulled back: the atoms whose image block lies inside it
+    pulled = EventTuple(small.algebra, tuple(
+        Event(small.algebra, tuple(x for x in range(small.algebra.size) if blocks[x] <= b))
+        for b in b_sets
+    ))
+    prepare = _ec_prepare(anchors, pulled, ws, target, big.algebra.den)
     value, cs, depth = _refine_search(depths, bs.arity, eps, prepare, ZERO)
     return EcSearchResult(value < eps, EcWitness(cs, value, depth))
 
 
 def _ec_prepare(
     anchors: EventTuple,
-    bs: EventTuple,
+    pulled: EventTuple,
     words: Sequence[Word],
     target: Sequence[int],
     target_den: int,
-    blocks: dict[int, frozenset[int]],
 ):
     """Per-depth set-up of the extension-imitation search: candidates cs are
     scored by the largest deviation of their triple intersection pattern
-    from the target, starting from the pulled-back target tuple.  target
-    is the pattern of ec_in_extension_check, in units of 1/target_den.
+    from the target, starting from pulled, the target tuple pulled back to
+    the small system, lifted to the depth.  target is the pattern of
+    ec_in_extension_check, in units of 1/target_den.
 
     The scorer keeps the member sets of cs and of every w_l(cs), and each
     toggle recomputes the whole pattern with _triple_units: walk toggles in
@@ -681,8 +687,8 @@ def _ec_prepare(
         goal = [t * (denom // target_den) for t in target]
         a_sets = [set(e.members) for e in lift_tuple(anchors, alg, projection).events]
         perms = [_word_perm(refined, w) for w in words]
-        members: list[set[int]] = [set() for _ in range(bs.arity)]
-        moved = [[set() for _ in range(bs.arity)] for _ in perms]
+        members: list[set[int]] = [set() for _ in range(pulled.arity)]
+        moved = [[set() for _ in range(pulled.arity)] for _ in perms]
         size = alg.size
 
         def score() -> int:
@@ -704,26 +710,8 @@ def _ec_prepare(
             flip(b)
             return value
 
-        seed = _pullback_seed(bs, blocks, projection)
+        seed = tuple(e.members for e in lift_tuple(pulled, alg, projection).events)
         return walk, peek, score(), denom, seed, 0
 
     return prepare
 
-
-def _pullback_seed(
-    bs: EventTuple,
-    blocks: dict[int, frozenset[int]],
-    projection: Sequence[int],
-) -> tuple[tuple[int, ...], ...]:
-    """Approximate preimage of the target tuple under the embedding: keep the
-    refined atoms whose parent's image block lies inside the target event."""
-    out = []
-    for e in bs.events:
-        members = set(e.members)
-        inside = {x for x, block in blocks.items() if block <= members}
-        out.append(
-            tuple(
-                u for u, parent in enumerate(projection) if parent in inside
-            )
-        )
-    return tuple(out)

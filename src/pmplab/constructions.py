@@ -76,6 +76,10 @@ class PartialIsomorphism(Record):
     target blocks likewise in the target algebra, and paired blocks have
     equal mass.  A total correspondence whose source blocks are singletons
     covering the source acts as an embedding.
+
+    Construct through .of.  The library's builders (eppa_extend,
+    embed_into_profinite_tensor) build instances directly, from blocks that
+    are disjoint and of equal mass by construction.
     """
 
     source: MeasuredAlgebra
@@ -150,7 +154,11 @@ class PartialIsomorphism(Record):
 
 
 class Isomorphism(Record):
-    """A total atom-to-atom mass-preserving bijection between two algebras."""
+    """A total atom-to-atom mass-preserving bijection between two algebras.
+
+    Construct through .of.  approx_conjugacy_search builds instances
+    directly, from bijections between two algebras of one unit.
+    """
 
     source: MeasuredAlgebra
     target: MeasuredAlgebra
@@ -559,7 +567,9 @@ def eppa_extend(
         gens.append(tuple(image))
 
     action = FkAction(big, tuple(gens))
-    embedding = PartialIsomorphism.of(alg, big, [((i,), runs[i]) for i in range(alg.size)])
+    # the runs are disjoint, and run i holds atom i's u_i units
+    pairs = tuple((frozenset((i,)), frozenset(run)) for i, run in enumerate(runs))
+    embedding = PartialIsomorphism(alg, big, pairs)
     return EppaExtension(big, action, embedding)
 
 
@@ -633,7 +643,7 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
         if len(orbits) == 1:
             return Ergodization(current, modifications)
         first = orbits[0]
-        swap = _find_merge_swap(gens, fixed, block_index, first)
+        swap = _find_merge_swap(gens, block_perms, fixed, block_index, first)
         if swap is None:
             raise LPInternal("no merging swap found despite precondition")
         gi, u, v = swap
@@ -646,6 +656,7 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
 
 def _find_merge_swap(
     gens: list[list[int]],
+    block_perms: list[list[int]],
     fixed: AtomPartition,
     block_index: dict[int, int],
     first: frozenset[int],
@@ -655,7 +666,8 @@ def _find_merge_swap(
     The image atom is where the generator sends the scanned component atom;
     the outside atom is the lowest atom of the same image block not in the
     component.  Swapping the two inside the generator keeps the induced block
-    maps intact.
+    maps intact, so the image block of x's block is read from block_perms,
+    the block maps ergodize built before any swap.
 
     With k >= 1 a swap always exists (ergodize refuses k = 0 on two or more
     atoms before it gets here).  If none is found, every generator
@@ -664,10 +676,9 @@ def _find_merge_swap(
     C = U and U is an invariant union of blocks.  The swaps never change
     the block maps, so the precondition makes U the whole algebra, and C,
     the first orbit, is everything: the action was already transitive."""
-    for gi, p in enumerate(gens):
+    for gi, (p, bp) in enumerate(zip(gens, block_perms)):
         for x in sorted(first):
-            block = fixed.blocks[block_index[x]]
-            image_block = frozenset(p[y] for y in block)
+            image_block = fixed.blocks[bp[block_index[x]]]
             outside = sorted(y for y in image_block if y not in first)
             if outside:
                 return gi, p[x], outside[0]
@@ -725,8 +736,9 @@ def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
         base_atom = min(orbit)
         for g, e in enumerate(elements):
             images[e[base_atom]].append(g * width + oi)
-    pairs = [((c,), tuple(gammas)) for c, gammas in enumerate(images)]
-    sigma = PartialIsomorphism.of(alg, target.algebra, pairs)
+    # target atom gamma * width + o comes from gamma(base_o) alone
+    pairs = tuple((frozenset((c,)), frozenset(gammas)) for c, gammas in enumerate(images))
+    sigma = PartialIsomorphism(alg, target.algebra, pairs)
     return QuotientEmbedding(group, elements, target, sigma, base_factor)
 
 
@@ -820,7 +832,7 @@ def approx_conjugacy_search(
             beam_steps += beam_width * n * n
             _check_beam_steps(beam_steps)
             mapping = _beam_assign(r1, r2, beam_width)
-        iso = Isomorphism.of(r1.algebra, r2.algebra, mapping)
+        iso = Isomorphism(r1.algebra, r2.algebra, mapping)
         eps = _conjugacy_defect(iso.mapping, r1, r2)
         projections = perm_compose(base_proj1, proj1), perm_compose(base_proj2, proj2)
         cert = ConjugacyCertificate(iso, eps, r1, r2, *projections, eps != 0)

@@ -8,6 +8,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,6 @@ from pmplab.audit import (
     _check_embedding,
     _ec_prepare,
     _mass_spans,
-    _pullback_seed,
     _refine_search,
     _search_best,
     axiom_residual,
@@ -585,6 +585,28 @@ def ec_target(big, target):
     return [m.numerator * (den // m.denominator) for m in target.values()], den
 
 
+def _pullback_seed(bs, blocks, projection):
+    """Approximate preimage of the target tuple under the embedding: keep the
+    refined atoms whose parent's image block lies inside the target event.
+    The oracle of the extension search's seed at every depth."""
+    out = []
+    for e in bs.events:
+        members = set(e.members)
+        inside = {x for x, block in blocks.items() if block <= members}
+        out.append(
+            tuple(
+                u for u, parent in enumerate(projection) if parent in inside
+            )
+        )
+    return tuple(out)
+
+
+def pulled_back(small, bs, blocks):
+    """The target tuple pulled back to the small algebra, as _ec_prepare
+    takes it: the oracle seed at the identity projection."""
+    return EventTuple.of_members(small, _pullback_seed(bs, blocks, range(small.size)))
+
+
 def oracle_ec_prepare(anchors, bs, words, target, blocks):
     """Each candidate's whole Fraction triple pattern against the target."""
 
@@ -865,9 +887,10 @@ def test_refine_search_matches_oracle_ec(greedy, data):
     small, arity, max_refine, stop, stop_at = data.draw(_search_instances(greedy))
     big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    pulled = pulled_back(small.algebra, bs, blocks)
     assert_search_matches_oracle(
         small, arity, max_refine, stop, stop_at,
-        _ec_prepare(anchors, bs, words, *ec_target(big, target), blocks),
+        _ec_prepare(anchors, pulled, words, *ec_target(big, target)),
         oracle_ec_prepare(anchors, bs, words, target, blocks),
     )
 
@@ -893,6 +916,32 @@ def test_ec_check_matches_the_fraction_oracle(data):
     assert tuple(e.members for e in w.cs.events) == members
 
 
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_ec_seed_is_the_pullback_oracle_at_every_depth(data):
+    """ec_in_extension_check pulls its target back to the small system once,
+    and each depth lifts that tuple: the seed _pullback_seed recomputed at
+    every depth is the oracle."""
+    small, arity, _max_refine, _stop, _stop_at = data.draw(_search_instances(False))
+    big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
+    given_pulled = []
+    real = audit._ec_prepare
+
+    def spy(anchors, pulled, *rest):
+        given_pulled.append(pulled)
+        return real(anchors, pulled, *rest)
+
+    with mock.patch.object(audit, "_ec_prepare", spy):
+        ec_in_extension_check(small, big, embed, anchors, bs, words, F(1, 2))
+    [pulled] = given_pulled
+    assert pulled == pulled_back(small.algebra, bs, blocks)
+    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    prepare = real(anchors, pulled, words, *ec_target(big, target))
+    for depth in (1, 2, 3):
+        refined, projection = product_action(small, uniform_algebra(depth))
+        assert prepare(refined, projection)[4] == _pullback_seed(bs, blocks, projection)
+
+
 def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
     """Words whose letters do not commute: w = g1 g2 moves an event by g2
     first, then by g1."""
@@ -906,9 +955,10 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
     bs = EventTuple.of_members(big.algebra, [[0, 3, 5]])
     words = [Word.of([1, 2]), Word.of([-2, 1])]
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    pulled = pulled_back(small.algebra, bs, blocks)
     for depth in (1, 2):
         refined, projection = product_action(small, uniform_algebra(depth))
-        scorer = _ec_prepare(anchors, bs, words, *ec_target(big, target), blocks)(
+        scorer = _ec_prepare(anchors, pulled, words, *ec_target(big, target))(
             refined, projection
         )
         oracle, seed = oracle_ec_prepare(anchors, bs, words, target, blocks)(
@@ -1220,7 +1270,9 @@ def test_full_gray_scan_flips_once_per_candidate():
     target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
     words = [Word.of([]), Word.of([1])]
     target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), target_tuple, words)
-    prepare = _ec_prepare(anchors, target_tuple, words, *ec_target(big, target), blocks)
+    prepare = _ec_prepare(
+        anchors, pulled_back(small.algebra, target_tuple, blocks), words, *ec_target(big, target)
+    )
     refined, projection = product_action(small, uniform_algebra(1))
     ec_flips = []
     fast = _search_best(6, 2, counted(prepare(refined, projection), ec_flips), F(0))

@@ -231,6 +231,71 @@ def test_malformed_permutations_partitions_and_pairs_are_validation_errors(capsy
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+UNEQUAL_THIRDS = '{"atoms":["1/2","1/4","1/4"]}'
+NOT_INTS = ("ValidationError", "permutation argument must be a list of integers")
+NOT_A_PERMUTATION = ("NotBijective", "generator table is not a permutation")
+
+
+@pytest.mark.parametrize(
+    "g, h, expected",
+    [
+        ('["x",1,2]', "[0,1,2]", NOT_INTS),
+        ("[0,1,2]", '["x",1,2]', NOT_INTS),
+        ('{"a":1}', "[0,1,2]", NOT_INTS),
+        ("[0,1]", "[0,1,2]", ("NotBijective", "permutation length 2 != atom count 3")),
+        ("[0,1,2]", "[0,1,2,0]", ("NotBijective", "permutation length 4 != atom count 3")),
+        ("[0,0,2]", "[0,1,2]", NOT_A_PERMUTATION),
+        ("[0,1,2]", "[0,1,3]", NOT_A_PERMUTATION),
+        ("[0,1,2]", "[0,-1,2]", NOT_A_PERMUTATION),
+        ("[1,0,2]", "[0,1,2]",
+         ("NotMeasurePreserving", "atom 0 (mass 1/2) maps to atom 1 (mass 1/4)")),
+        ("[0,1,2]", "[2,1,0]",
+         ("NotMeasurePreserving", "atom 0 (mass 1/2) maps to atom 2 (mass 1/4)")),
+        ('[[0,1,2],[0,"x",2]]', "[[0,1,2],[0,1,2]]", NOT_INTS),
+        ("[[0,1,2],[0,1,2]]", "[[0,1,2],[0,1,null]]", NOT_INTS),
+        ("[[0,1,2],[0,1,2]]", "[[0,1,2],5]", NOT_INTS),
+        ("[[0,1,2],[0,1]]", "[[0,1,2],[0,1,2]]",
+         ("NotBijective", "permutation length 2 != atom count 3")),
+        ("[[0,1,2],[0,1,2]]", "[[0,2,2],[0,1,2]]", NOT_A_PERMUTATION),
+        ("[[0,1,2],[1,0,2]]", "[[0,1,2],[0,1,2]]",
+         ("NotMeasurePreserving", "atom 0 (mass 1/2) maps to atom 1 (mass 1/4)")),
+        ("[[0,1,2],[0,1,2]]", "[[0,1,2]]",
+         ("ArityMismatch", "both sides must be equal-length lists of permutations")),
+        ("[[0,1,2]]", "[0,1,2]",
+         ("ArityMismatch", "both sides must be equal-length lists of permutations")),
+    ],
+)
+def test_delta_reports_each_single_fault_with_its_type_and_message(capsys, g, h, expected):
+    """delta parses its arguments as integer lists and leaves every
+    permutation check to uniform_distance: an input with one fault reports
+    it as the parse-and-check of each argument did."""
+    code, out = run(capsys, "delta", UNEQUAL_THIRDS, g, h)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == expected
+
+
+@pytest.mark.parametrize(
+    "g, h, expected",
+    [
+        ("[0,0,2]", '["x",1,2]', NOT_INTS),
+        ("[[0,0,2]]", '[["x",1,2]]', NOT_INTS),
+        ("[[0,1,2],[0,0,2]]", "[[1,0,2],[0,1,2]]",
+         ("NotMeasurePreserving", "atom 0 (mass 1/2) maps to atom 1 (mass 1/4)")),
+    ],
+)
+def test_delta_with_two_faults_reports_the_parse_then_the_first_coordinate(
+    capsys, g, h, expected
+):
+    """Every argument is parsed before any is checked, and the coordinates
+    are checked in pairs: a non-integer entry is reported before a
+    non-permutation, and h's first coordinate before g's second."""
+    code, out = run(capsys, "delta", UNEQUAL_THIRDS, g, h)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == expected
+
+
 def test_products_past_the_atom_cap_are_refused(capsys):
     """tensor builds size * factor atoms, 90000 here, and refine names the
     parts alone once they pass the cap."""

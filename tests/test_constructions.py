@@ -1707,3 +1707,36 @@ def test_every_action_the_library_builds_passes_the_outside_check(rng):
     built += [cert.act1_refined, cert.act2_refined]
     for b in built:
         assert validate_action(b.algebra, b.gens) == b
+
+
+# ------------------------------------------- correspondences built unchecked
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_every_correspondence_the_library_builds_passes_the_outside_check(rng):
+    """eppa_extend, the embeddings and the conjugacy search make their
+    correspondences without .of, from blocks that are disjoint and of equal
+    mass, or bijections between algebras of one unit, by construction; the
+    check they skip is kept here as the oracle."""
+    alg = random_algebra(rng, max_atoms=5, max_den=12)
+    k = rng.randint(0, 2)
+    partials = [random_partial_automorphism(rng, alg) for _ in range(k)]
+    m, k1 = rng.randint(1, 5), rng.randint(1, 2)
+    built = [
+        eppa_extend(alg, partials).embedding,
+        embed_into_profinite_tensor(random_equal_atom_action(rng, m, k1)).sigma,
+        embed_into_profinite_tensor(random_small_order_action(rng, m, k1)).sigma,
+        embed_transitive_into_quotient(random_transitive_small_action(rng, m, k1)).sigma,
+    ]
+    for p in built:
+        assert PartialIsomorphism.of(p.source, p.target, p.pairs) == p
+    act = validate_action(alg, [random_mass_preserving_perm(rng, alg) for _ in range(k)])
+    other = random_algebra(rng, max_atoms=4, max_den=6)
+    pairs = [
+        (act, relabeled_action(act, random_mass_preserving_perm(rng, alg))),
+        (act, validate_action(other, [random_mass_preserving_perm(rng, other) for _ in range(k)])),
+    ]
+    for act1, act2 in pairs:
+        iso = approx_conjugacy_search(act1, act2, max_refine=rng.randint(1, 2)).iso
+        assert Isomorphism.of(iso.source, iso.target, iso.mapping) == iso

@@ -289,6 +289,77 @@ def test_only_the_json_reader_checks_an_action():
     assert actions_checked_past_the_boundary(sources) == []
 
 
+CORRESPONDENCE_CHECKS = {
+    ("jsonio.py", "partial_from_json"),
+    ("constructions.py", "extend_partial_step"),
+}
+
+
+def _checked_correspondence(node: ast.AST) -> bool:
+    """Whether node calls PartialIsomorphism.of or Isomorphism.of, bare or
+    through a module."""
+    if _called_name(node) != "of" or not isinstance(node.func, ast.Attribute):
+        return False
+    owner = node.func.value
+    name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    return name in ("PartialIsomorphism", "Isomorphism")
+
+
+def correspondences_checked_past_the_boundary(sources: dict[str, str]) -> list[str]:
+    """Calls of PartialIsomorphism.of or Isomorphism.of anywhere but in
+    jsonio.partial_from_json and constructions.extend_partial_step, as
+    module:line: the top-level definition holding the call.  A
+    correspondence from outside is checked where it enters, and
+    extend_partial_step checks the block its caller adds; the library's
+    builders make theirs from blocks that are already disjoint and of equal
+    mass."""
+    found: list[str] = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            holder = getattr(top, "name", "<module>")
+            if (module, holder) in CORRESPONDENCE_CHECKS:
+                continue
+            found += [
+                f"{module}:{node.lineno}: {holder}"
+                for node in ast.walk(top)
+                if _checked_correspondence(node)
+            ]
+    return sorted(found)
+
+
+def test_detects_a_correspondence_checked_past_the_boundary():
+    sources = {
+        "jsonio.py": (
+            "from .constructions import PartialIsomorphism\n"
+            "def partial_from_json(obj):\n"
+            "    return PartialIsomorphism.of(obj[0], obj[1], obj[2])\n"
+            "def other(obj):\n    return PartialIsomorphism.of(obj[0], obj[1], obj[2])\n"
+        ),
+        "constructions.py": (
+            "def extend_partial_step(p):\n    return PartialIsomorphism.of(p, p, [])\n"
+            "def eppa_extend(alg):\n    return PartialIsomorphism.of(alg, alg, [])\n"
+            "def approx_conjugacy_search(r1, r2):\n"
+            "    return Isomorphism.of(r1, r2, []), Isomorphism(r1, r2, ())\n"
+            "def groups():\n    return MarkedGroup.of(1, 0, []), AtomPartition.of(a, [])\n"
+        ),
+        "b.py": (
+            "from . import constructions\n"
+            "class C:\n    def f(self, a):\n"
+            "        return constructions.Isomorphism.of(a, a, [0])\n"
+            "x = constructions.PartialIsomorphism.of(None, None, [])\n"
+        ),
+    }
+    assert correspondences_checked_past_the_boundary(sources) == [
+        "b.py:4: C", "b.py:5: <module>", "constructions.py:4: eppa_extend",
+        "constructions.py:6: approx_conjugacy_search", "jsonio.py:5: other",
+    ]
+
+
+def test_only_the_json_reader_and_the_extension_step_check_a_correspondence():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert correspondences_checked_past_the_boundary(sources) == []
+
+
 def private_reads(source: str) -> list[str]:
     """Private, non-dunder attributes read through anything but self or cls,
     as line N: expression.  A module's private names are its own: another
