@@ -14,35 +14,40 @@ candidate space is small, otherwise steepest-descent toggling from a fixed
 seed.  The best value seen is an upper bound.  The second condition also
 has a floor that measure preservation alone gives: coarsening both joint
 laws to one bit, whether an atom lies in g_i(c_j) or in b_ij, cannot raise
-their distance, and g_i(c_j) weighs what c_j weighs.  Each depth's floor
-ends its scan at the first candidate that reaches it, and a floor over
-every extension ends the search over depths and can refute a witness.
+their distance, and g_i(c_j) weighs what c_j weighs.  The first candidate
+that reaches a depth's floor is that depth's result, a descent at the floor
+stops, and a floor over every extension ends the search over depths and can
+refute a witness.
 
 One search routine serves every audit, over the depths of
 action.extensions: the action itself, then its m-fold equal splits, each
-built only when the search gets there.  Each audit gives it a scorer that
-holds one candidate tuple and changes it in place.  A toggle, one atom of
-one coordinate, is one flat index coord * size + atom; walk applies toggles
-in order and returns each new score, and peek returns the score of one toggle
-and leaves the tuple as it was.  Scores are integers, in units of one
-common denominator per depth.  The exhaustive scan walks blocks of
-candidates in Gray-code order, one walk call per block and about one toggle
-per candidate, and returns what a scan in lexicographic order would; the
-descent peeks at every toggle and walks only the one it takes.  The
-second-condition scorer updates only the k + 1 atoms a toggle moves, so a
-toggle costs O(k) however large the refinement; the extension scorer
-recomputes its small pattern with the kernel that gives its target.  Each
-depth turns its best score into one Fraction, equal to what c2_distance
-(or the triple pattern in masses) would give.
+built only when the search gets there.  Each audit gives it a scorer with
+two entry points, and a search calls only the one it needs: scan returns
+the score of every candidate in index order, and climb starts the descent,
+which reads the scores of every toggle of its current tuple and moves by
+one.  A toggle, one atom of one coordinate, is one flat index coord * size
++ atom.  Scores are integers, in units of one common denominator per
+depth.  The second-condition scorer scores many candidates at once: both
+joint laws have total mass D, so a candidate's distance is (D - sum of
+min(M, T)) / D, the sum over the target law T's keys only, M the
+candidate's law; each candidate is one fixed-width field of a Python int, whose minima come from
+a few whole-int operations per key.  A scan packs all 2**n candidates, a
+descent round the n toggles, and a move re-adds only the k + 1 atoms it
+moves.  The
+extension scorer holds one candidate tuple and recomputes its small pattern
+with the kernel that gives its target at each toggle: its scan is one
+reflected Gray-code walk, one toggle per candidate.  Each depth turns its
+best score into one Fraction, equal to what c2_distance (or the triple
+pattern in masses) would give.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import compress, count
 from math import gcd, lcm
-from operator import sub, xor
+from operator import sub
 from typing import Sequence
 
 from .algebra import (
@@ -76,8 +81,8 @@ from .modeltheory import (
 )
 from .record import Record
 
-_GRAY_BITS = 6  # low index bits an exhaustive scan walks in Gray-code order
-_DENSE_KEY_BITS = 16  # the C2 residuals are a list up to this many key bits
+# memoryview formats of the packed fields of 1, 2, 4 and 8 bytes
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 # ---------------------------------------------------------------------------
@@ -213,98 +218,139 @@ def c2_distance(
     return joint_tv_distance(target_joint, jc)
 
 
-@lru_cache(maxsize=None)
-def _gray_plan(size: int, arity: int):
-    """The fixed step lists of an exhaustive scan over size*arity candidate
-    bits, built once per shape: (low, places, first, entered, prefixes,
-    codes).
+def _field_bytes(denom: int) -> int:
+    """The least power of two fb with denom < 2**(8*fb - 1): the bytes of
+    one packed field (see _c2_prepare)."""
+    fb = 1
+    while denom >> 8 * fb - 1:
+        fb *= 2
+    return fb
 
-    Candidate bit b is toggle places[b] = (arity-1 - b//size)*size + b%size.
-    first walks block 0 from candidate 0, step t flipping low bit ctz(t);
-    entered walks block h > 0, bit `low` first, after prefixes[ctz(h)] has
-    flipped bits low+1 .. low+ctz(h) unscored.  A block starts at low value
-    0 when h is even and at 2**(low-1) when h is odd, and codes[h & 1][t] is
-    the low value after step t of entered; block 0 uses codes[0][1:].
-    Only shapes with 2**(size*arity) <= EXHAUSTIVE_TUPLE_CAP are scanned,
-    so the cache stays small."""
+
+def _ones(fields: int, fb: int) -> int:
+    """ONE: a 1 in each of `fields` packed fields of fb bytes, field 0 the
+    least significant."""
+    return int.from_bytes((b"\x01" + bytes(fb - 1)) * fields, "little")
+
+
+@lru_cache(maxsize=32)
+def _candidate_masks(n: int, fb: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The constants of a packed scan over 2**n candidates, candidate i in
+    field i of fb bytes: ONE, and for each candidate bit p the pair of the
+    fields of the candidates with bit p set and of those with it clear,
+    filled with ones.  Only n with 2**n <= EXHAUSTIVE_TUPLE_CAP are scanned,
+    and fb grows with the bits of the denominator, so a few entries serve
+    every request."""
+    ones, zeros = b"\xff" * fb, bytes(fb)
+    masks = []
+    for p in range(n):
+        run, repeat = 1 << p, 1 << n - 1 - p
+        masks.append((
+            int.from_bytes((zeros * run + ones * run) * repeat, "little"),
+            int.from_bytes((ones * run + zeros * run) * repeat, "little"),
+        ))
+    return _ones(1 << n, fb), tuple(masks)
+
+
+def _fields(packed: int, n: int, fb: int) -> list[int]:
+    """The n fields of fb bytes of packed, field 0 first."""
+    raw = packed.to_bytes(n * fb, sys.byteorder)
+    if fb in _FIELD_FORMATS:
+        return memoryview(raw).cast(_FIELD_FORMATS[fb]).tolist()
+    return [int.from_bytes(raw[i : i + fb], sys.byteorder) for i in range(0, len(raw), fb)]
+
+
+def _shared(law: dict, offsets: dict, high: int, shift: int) -> int:
+    """The packed sum over the target's keys of min(M[key], T[key]), field
+    by field: law holds the packed masses M, offsets[key] = high - T[key]*ONE,
+    and high = B*ONE with B = 2**shift the top bit of a field.  Each field
+    of v = M + offsets[key] lies in [B - D, B + D], inside [0, 2B) since D <
+    B, so no field borrows or overflows; its top bit is set exactly when
+    M >= T, and then the field less B is M - T, which the sum takes back
+    off M.  Every field of the sum is at most D."""
+    acc = 0
+    for key, m in law.items():
+        v = m + offsets[key]
+        hi = v & high
+        acc += m + hi - (v & (hi << 1) - (hi >> shift))
+    return acc
+
+
+def _toggle_scorer(size: int, arity: int, walk, peek, start: int, scale, seed, floor):
+    """The scorer of _search_best from one that holds a candidate tuple and
+    toggles it in place: walk(indices) applies toggles b = coord*size + atom
+    in order and returns each new score, peek(b) returns the score toggle b
+    would give and changes nothing, and start is the score of the all-empty
+    tuple the scorer holds at first.
+
+    scan walks every candidate once, in reflected Gray-code order from
+    candidate 0 (step t flips candidate bit ctz(t), and reaches candidate
+    t ^ t >> 1), and returns the scores in index order.  climb walks the
+    seed in, and the descent's neighbours peeks at every toggle."""
     n = size * arity
-    low = min(n, _GRAY_BITS)
-    places = tuple((arity - 1 - b // size) * size + b % size for b in range(n))
-    bits = [(t & -t).bit_length() - 1 for t in range(1, 1 << low)]
-    first = tuple(places[b] for b in bits)
-    entered = ((places[low],) if low < n else ()) + first
-    prefixes = tuple(places[low + 1 : low + 1 + t] for t in range(n - low))
-    even = tuple(accumulate((1 << b for b in bits), xor, initial=0))
-    odd = tuple(c ^ 1 << low - 1 for c in even)
-    return low, places, first, entered, prefixes, (even, odd)
+
+    def scan() -> list[int]:
+        places = [(arity - 1 - b // size) * size + b % size for b in range(n)]
+        walked = walk([places[(t & -t).bit_length() - 1] for t in range(1, 1 << n)])
+        scores = [start] * (1 << n)
+        for t, s in enumerate(walked, 1):
+            scores[t ^ t >> 1] = s
+        return scores
+
+    def climb():
+        toggles = [coord * size + x for coord, event in enumerate(seed) for x in event]
+        value = walk(toggles)[-1] if toggles else start
+        return value, descend
+
+    def descend():
+        return lambda: list(map(peek, range(n))), lambda b: walk((b,))
+
+    return scan, climb, scale, seed, floor
 
 
 def _search_best(size: int, arity: int, scorer, stop_below):
     """Best candidate tuple by exhaustion or greedy descent.
 
-    scorer is (walk, peek, start, scale, seed, floor) from a prepare
-    function.  Toggle b = coord*size + atom flips one atom of one coordinate
-    of the scorer's current tuple; walk(indices) applies toggles in order and
-    returns the list of new integer scores, and peek(b) returns the score
-    toggle b would give and changes nothing.  start is the score of the
-    all-empty tuple, a score s stands for s/scale, seed starts the greedy
-    descent, and no score is below floor >= 0.  Returns the best value, the
-    one Fraction built, and its member tuple.
+    scorer is (scan, climb, scale, seed, floor) from a prepare function,
+    whose scores are integers: a score s stands for s/scale, and no score
+    is below floor >= 0.  Candidate i is the concatenated masks, coordinate
+    0 most significant and atom x at bit x of its coordinate; toggle b =
+    coord*size + atom flips one atom of one coordinate.  scan() returns the
+    score of every candidate in index order.  climb() starts the greedy
+    descent at seed and returns (value, descend): value is the seed's
+    score, and descend(), called only when value is above the floor,
+    returns (neighbours, move), neighbours() the list of the scores each
+    toggle of the current tuple would give and move(b) applying toggle b.
+    Each search calls only what it needs.  Returns the best value, the one Fraction
+    built, and its member tuple.
 
     Exhaustion applies when the total number of candidate tuples is at most
-    EXHAUSTIVE_TUPLE_CAP.  Candidate i is the concatenated masks, coordinate
-    0 most significant and atom j at bit j of its coordinate.  A hit is a
-    score strictly below stop_below, or zero; it is below every score that
-    is not a hit.  The result is the hit of least index, or with no hit the
-    least (score, index): what a scan in lexicographic order returns that
-    stops at its first hit.  A score equal to the floor counts as a hit as
-    well, which changes no result: with a floor at or above the stop and
-    above zero there is no true hit, and the first candidate at the floor
-    is the least (score, index); with a lower floor such a candidate is a
-    true hit anyway.  The scan runs in blocks of 2**L candidates that
-    share the bits above the low L = min(size*arity, _GRAY_BITS).  The blocks
-    come in order, one binary-counter step on the high bits apart; inside a
-    block, step t flips low bit ctz(t), the reflected Gray code, which visits
-    all 2**L low values once from any start.  So every candidate costs one
-    toggle, plus one per block on average.  Each block is one walk call
-    (see _gray_plan); its hits and its best come from min over its scores
-    zipped with their low values, which earlier blocks never tie, having
-    lower indices.  The scan ends with the first block that holds a hit and
-    walks the scorer back to its least-index hit.
+    EXHAUSTIVE_TUPLE_CAP.  A hit is a score strictly below stop_below, or
+    zero; it is below every score that is not a hit.  The result is the hit
+    of least index, or with no hit the least (score, index): what a scan in
+    lexicographic order returns that stops at its first hit.  A score equal
+    to the floor counts as a hit as well, which changes no result: with a
+    floor at or above the stop and above zero there is no true hit, and the
+    first candidate at the floor is the least (score, index); with a lower
+    floor such a candidate is a true hit anyway.
 
     Otherwise steepest descent from the seed toggles one atom of one
-    coordinate at a time, scanned lexicographically: it peeks at every
-    toggle and walks the first strict best, for at most GREEDY_ROUNDS
-    rounds, and a descent at the floor stops, since no toggle can improve
-    on it.  Scores are compared as integers: v < stop_below = p/q is v*q <
-    p*scale, that is v < ceil(p*scale/q), and a hit is v < cut =
-    max(ceil(p*scale/q), floor + 1), so a zero score is always a hit."""
-    walk, peek, value, scale, seed, floor = scorer
+    coordinate at a time, scanned lexicographically: each round takes the
+    first toggle of least score if it is strictly better, for at most
+    GREEDY_ROUNDS rounds, and a descent at the floor stops, since no toggle
+    can improve on it.  Scores are compared as integers: v < stop_below =
+    p/q is v*q < p*scale, that is v < ceil(p*scale/q), and a hit is v < cut
+    = max(ceil(p*scale/q), floor + 1), so a zero score is always a hit."""
+    scan, climb, scale, seed, floor = scorer
     p, q = stop_below.numerator, stop_below.denominator
     cut = max(-(-p * scale // q), floor + 1)
-    n = size * arity
-    if 1 << n <= EXHAUSTIVE_TUPLE_CAP:
-        best, best_i = value, 0
-        if value >= cut and n:
-            low, places, first, entered, prefixes, codes = _gray_plan(size, arity)
-            for h in range(1 << n - low):
-                if h:
-                    prefix = prefixes[(h & -h).bit_length() - 1]
-                    if prefix:
-                        walk(prefix)
-                    scores, lows = walk(entered), codes[h & 1]
-                else:
-                    scores, lows = walk(first), codes[0][1:]
-                least = min(scores)
-                if least < cut:
-                    c, best = min((c, s) for s, c in zip(scores, lows) if s < cut)
-                    best_i = h << low | c
-                    undo = lows[-1] ^ c
-                    walk([places[b] for b in range(low) if undo >> b & 1])
-                    break
-                if least < best:
-                    best, c = min(zip(scores, lows))
-                    best_i = h << low | c
+    if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
+        scores = scan()
+        least = min(scores)
+        if least < cut:
+            best_i = next(compress(count(), map(cut.__gt__, scores)))
+        else:
+            best_i = scores.index(least)
         members = tuple(
             tuple(
                 x for x in range(size)
@@ -312,21 +358,22 @@ def _search_best(size: int, arity: int, scorer, stop_below):
             )
             for coord in range(arity)
         )
-        return Fraction(best, scale), members
+        return Fraction(scores[best_i], scale), members
     current = [set(e) for e in seed]
-    toggles = [coord * size + x for coord, event in enumerate(seed) for x in event]
-    if toggles:
-        value = walk(toggles)[-1]
-    for _ in range(GREEDY_ROUNDS):
-        if value <= floor:
-            break
-        scores = list(map(peek, range(n)))
-        best = min(scores)
-        if best >= value:
-            break
-        move = scores.index(best)
-        [value] = walk((move,))
-        current[move // size] ^= {move % size}
+    value, descend = climb()
+    if value > floor:
+        neighbours, move = descend()
+        for _ in range(GREEDY_ROUNDS):
+            scores = neighbours()
+            best = min(scores)
+            if best >= value:
+                break
+            b = scores.index(best)
+            move(b)
+            value = best
+            current[b // size] ^= {b % size}
+            if value <= floor:
+                break
     return Fraction(value, scale), tuple(tuple(sorted(e)) for e in current)
 
 
@@ -362,9 +409,8 @@ def _c2_prepare(
     parameter.  spans is _mass_spans(tuples).  Returns the per-depth
     prepare(refined, projection), which gives the scorer of _search_best.
 
-    The scorer holds one candidate tuple c and changes it in place.  Every
-    atom's joint sign is packed into one int key: anchor bits first, then
-    the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
+    Every atom's joint sign is packed into one int key: anchor bits first,
+    then the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
     base_arity + i*arity + j of atom y is set iff y lies in g_i(c_j), g_0
     the identity.  The target law's keys and masses in units of 1/D0, D0
     the base algebra's denominator, and the base atoms' anchor keys are
@@ -372,30 +418,41 @@ def _c2_prepare(
     reads each refined atom's anchor key through the projection.  Masses
     are integer units of 1/D, D the lcm of the refined atoms' denominators;
     the target masses are sums of whole refined atoms, so D0 divides D.
-    The scorer keeps every atom's key, the residual diff[key] = target
-    minus counted mass under key, and the total of their absolute values.
-    The residuals are a list indexed by key when there are at most
-    _DENSE_KEY_BITS key bits, and a defaultdict(int) above that, read and
-    written by the same code.
-    Toggling atom x of c_j moves each of the k + 1 atoms g_i(x), all of
-    weight w = weight(x), from its key to the key with one bit flipped: the
-    key it leaves gains w, which changes the total by w, -w or 2d + w as its
-    residual d is >= 0, <= -w or in between, and the key it enters loses w,
-    the mirror image.  So a toggle costs O(k).  Two generators may send x to
-    the same y; the second move then starts from the key the first one
-    left.  peek applies a toggle, keeps its score and undoes the moves in
-    reverse order.  A score s is the value s/(2D) that c2_distance would
-    return.
+    Toggling atom x of c_j moves each atom g_i(x), all of weight w =
+    weight(x), to the key with bit (i, j) flipped; when two generators send
+    x to the same y, y's flips merge into one XOR.  Distinct toggles flip
+    disjoint bits of one atom's key.
+
+    The target law T and a candidate's law M both have total mass D, so
+    c2_distance is sum |T - M| / (2D) = (D - sum min(M, T)) / D, and only
+    the target's keys enter the sum: a score s is s/D.  Many candidates are
+    scored at once, one field of F = 8*fb bits of a Python int each (fb
+    from _field_bytes, so D < B = 2**(F - 1)): M[key] is a packed int for
+    each target key, and _shared takes every field's min with a few
+    whole-int operations per key.
+
+    scan scores all 2**n candidates, n = size*arity, one field each in
+    index order.  Atom y's key is its empty-tuple key XOR the flips of the
+    candidate bits that move it, at most (k + 1)*arity of them, so y
+    reaches a target key under exactly one setting of those bits, or none:
+    w*ONE masked by each bit's set or clear fields (_candidate_masks) adds
+    at that key.
+
+    climb scores the seed, and the descent it starts, built only when the
+    seed is above the floor, scores the n toggles of the current tuple, one
+    field each.  Atom y adds w*(ONE - L_y) at its key, L_y the fields of
+    the toggles that move y, and w*E_b at key ^ flip_b for each such toggle
+    b, E_b the one of field b, wherever these are target keys.  M is kept
+    between rounds: a move re-adds only the atoms it moves, at most k + 1.
 
     The floor coarsens both laws to one key bit: its candidate side g_i(c_j)
     weighs mu(c_j)*D = m, a multiple of g = gcd of the atom weights in
     [0, D], and its target side weighs T_ij = D*mu(b_ij), so every score is
-    at least 2*|T_ij - m| for each i.  The floor is 2*max_j min_m max_i
-    |T_ij - m|; the inner max is convex in m, so only the two multiples of
-    g nearest (min_i T_ij + max_i T_ij)/2 need checking."""
+    at least |T_ij - m| for each i.  The floor is max_j min_m max_i |T_ij -
+    m|; the inner max is convex in m, so only the two multiples of g nearest
+    (min_i T_ij + max_i T_ij)/2 need checking."""
     base_arity = a.arity
     arity = tuples[0].arity
-    key_bits = base_arity + len(tuples) * arity
 
     def pack(signs: Sequence[int]) -> int:
         return sum(bit << i for i, bit in enumerate(signs))
@@ -415,67 +472,108 @@ def _c2_prepare(
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
         denom, weights, size = alg.den, alg.units, alg.size
-        keys = [anchor_keys[p] for p in projection]
-        diff = defaultdict(int)
+        n = size * arity
         scale = denom // base_den
-        for key, u in cells:
-            diff[key] = u * scale
-        for key, w in zip(keys, weights):
-            diff[key] -= w
-        total = sum(map(abs, diff.values()))
-        if key_bits <= _DENSE_KEY_BITS:
-            dense = [0] * (1 << key_bits)
-            for key, d in diff.items():
-                dense[key] = d
-            diff = dense
+        target = {key: u * scale for key, u in cells}
         images = [range(size)] + list(refined.gens)
-        # moves[b]: the weight of toggle b and the (atom, key bit) pairs it
-        # flips; the generators preserve mass, so every such atom weighs w
-        moves = [
-            (weights[x], [(g[x], bit) for g, bit in zip(images, bits[j])])
-            for j in range(arity)
-            for x in range(size)
-        ]
+        fb = _field_bytes(denom)
+        width = 8 * fb
+        shift = width - 1
+        b0_lift = lift_tuple(tuples[0], alg, projection)
+        seed = tuple(e.members for e in b0_lift.events)
 
-        def walk(indices) -> list[int]:
-            nonlocal total
-            t = total
-            scores = []
-            for b in indices:
-                w, flips = moves[b]
-                for y, bit in flips:
+        def offsets(one: int) -> tuple[dict[int, int], int]:
+            high = one << shift
+            return {key: high - t * one for key, t in target.items()}, high
+
+        def scan() -> list[int]:
+            one, masks = _candidate_masks(n, fb)
+            # controls[y]: candidate bit -> the key bits it flips on atom y
+            controls: list[dict[int, int]] = [{} for _ in range(size)]
+            for j in range(arity):
+                for x in range(size):
+                    place = (arity - 1 - j) * size + x
+                    for g, bit in zip(images, bits[j]):
+                        moving = controls[g[x]]
+                        moving[place] = moving.get(place, 0) ^ bit
+            packed = dict.fromkeys(target, 0)
+            for p, w, moving in zip(projection, weights, controls):
+                start = anchor_keys[p]
+                fixed = ~sum(moving.values())
+                weighted = w * one
+                for key in packed:
+                    rest = key ^ start
+                    if rest & fixed:
+                        continue
+                    part = weighted
+                    for place, flip in moving.items():
+                        hit = rest & flip
+                        if hit == flip:
+                            part &= masks[place][0]
+                        elif hit:
+                            break
+                        else:
+                            part &= masks[place][1]
+                    else:
+                        packed[key] += part
+            shared = _shared(packed, *offsets(one), shift)
+            return _fields(denom * one - shared, 1 << n, fb)
+
+        def climb():
+            keys = [anchor_keys[p] for p in projection]
+            for j, event in enumerate(seed):
+                for x in event:
+                    for g, bit in zip(images, bits[j]):
+                        keys[g[x]] ^= bit
+            masses = dict.fromkeys(target, 0)
+            for key, w in zip(keys, weights):
+                if key in masses:
+                    masses[key] += w
+            value = denom - sum(min(m, target[key]) for key, m in masses.items())
+            return value, lambda: descend(keys)
+
+        def descend(keys: list[int]):
+            one = _ones(n, fb)
+            # moves[b]: the key bits toggle b = j*size + x flips on each
+            # atom it moves; spread[y]: (flip, packed weight) pairs, the key
+            # of atom y XOR flip gaining the weight, flip 0 its key itself
+            moves: list[dict[int, int]] = []
+            stay = [w * one for w in weights]
+            spread: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+            for j in range(arity):
+                for x in range(size):
+                    flips: dict[int, int] = {}
+                    for g, bit in zip(images, bits[j]):
+                        flips[g[x]] = flips.get(g[x], 0) ^ bit
+                    e = weights[x] << len(moves) * width
+                    for y, flip in flips.items():
+                        stay[y] -= e
+                        spread[y].append((flip, e))
+                    moves.append(flips)
+            for moved, w in zip(spread, stay):
+                moved.append((0, w))
+            packed = dict.fromkeys(target, 0)
+            for key, pairs in zip(keys, spread):
+                for flip, e in pairs:
+                    if key ^ flip in packed:
+                        packed[key ^ flip] += e
+            table, high = offsets(one)
+            full = denom * one
+
+            def neighbours() -> list[int]:
+                return _fields(full - _shared(packed, table, high, shift), n, fb)
+
+            def move(b: int) -> None:
+                for y, flip in moves[b].items():
                     old = keys[y]
-                    new = keys[y] = old ^ bit
-                    d = diff[old]
-                    diff[old] = d + w
-                    e = diff[new]
-                    diff[new] = e - w
-                    t += (w if d >= 0 else -w if d <= -w else 2 * d + w) + (
-                        w if e <= 0 else -w if e >= w else w - 2 * e
-                    )
-                scores.append(t)
-            total = t
-            return scores
+                    new = keys[y] = old ^ flip
+                    for f, e in spread[y]:
+                        if old ^ f in packed:
+                            packed[old ^ f] -= e
+                        if new ^ f in packed:
+                            packed[new ^ f] += e
 
-        def peek(b: int) -> int:
-            w, flips = moves[b]
-            t = total
-            for y, bit in flips:
-                old = keys[y]
-                new = keys[y] = old ^ bit
-                d = diff[old]
-                diff[old] = d + w
-                e = diff[new]
-                diff[new] = e - w
-                t += (w if d >= 0 else -w if d <= -w else 2 * d + w) + (
-                    w if e <= 0 else -w if e >= w else w - 2 * e
-                )
-            for y, bit in reversed(flips):
-                new = keys[y]
-                old = keys[y] = new ^ bit
-                diff[old] -= w
-                diff[new] += w
-            return t
+            return neighbours, move
 
         g = gcd(*weights)
         floor = 0
@@ -484,9 +582,7 @@ def _c2_prepare(
             hi = hi.numerator * (denom // hi.denominator)
             m = (lo + hi) // (2 * g) * g
             floor = max(floor, min(max(hi - x, x - lo) for x in (m, m + g)))
-        b0_lift = lift_tuple(tuples[0], alg, projection)
-        seed = tuple(e.members for e in b0_lift.events)
-        return walk, peek, total, 2 * denom, seed, 2 * floor
+        return scan, climb, denom, seed, floor
 
     return prepare
 
@@ -675,7 +771,8 @@ def _ec_prepare(
 
     The scorer keeps the member sets of cs and of every w_l(cs), and each
     toggle recomputes the whole pattern with _triple_units: walk toggles in
-    turn, and peek toggles and toggles back.  Masses and target values are
+    turn, and peek toggles and toggles back; _toggle_scorer makes them a
+    scan, one Gray-code walk, and a descent.  Masses and target values are
     integer units of 1/D, D the lcm of the refined atoms' denominator and
     target_den, so a score s is the Fraction s/D.  The floor is 0."""
 
@@ -711,7 +808,7 @@ def _ec_prepare(
             return value
 
         seed = tuple(e.members for e in lift_tuple(pulled, alg, projection).events)
-        return walk, peek, score(), denom, seed, 0
+        return _toggle_scorer(size, pulled.arity, walk, peek, score(), denom, seed, 0)
 
     return prepare
 

@@ -794,7 +794,9 @@ def approx_conjugacy_search(
     """Search for a near-conjugacy between two actions.
 
     Both actions are refined once to the common unit 1/L, L = lcm(D1, D2),
-    and depth m = 1..max_refine searches the m-fold equal splits of both
+    an action whose atoms all weigh 1/L already standing for its own
+    refinement with the identity projection, and depth m = 1..max_refine
+    searches the m-fold equal splits of both
     (action.extensions, which checks max_refine and the summed atoms): the
     unit refinements to 1/(L*m), whose projections are the base projection
     composed with the depth's.  At depth 1 a complete search first looks
@@ -817,9 +819,9 @@ def approx_conjugacy_search(
     so far, this one included, are checked against MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
-    unit = Fraction(1, lcm(act1.algebra.den, act2.algebra.den))
-    base1, base_proj1 = refine_action_to_unit(act1, unit)
-    base2, base_proj2 = refine_action_to_unit(act2, unit)
+    den = lcm(act1.algebra.den, act2.algebra.den)
+    base1, base_proj1 = _at_unit(act1, den)
+    base2, base_proj2 = _at_unit(act2, den)
     depths = zip(extensions(base1, max_refine), extensions(base2, max_refine))
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
@@ -841,6 +843,16 @@ def approx_conjugacy_search(
         if best.eps == 0:
             return best
     return best
+
+
+def _at_unit(act: FkAction, den: int) -> tuple[FkAction, tuple[int, ...]]:
+    """act refined to atoms of mass 1/den, with its projection: act itself
+    and the identity when its atoms already weigh 1/den, that is when it
+    has den atoms and denominator den (its units are then all 1)."""
+    alg = act.algebra
+    if alg.size == alg.den == den:
+        return act, tuple(range(den))
+    return refine_action_to_unit(act, Fraction(1, den))
 
 
 def _exact_assign(r1: FkAction, r2: FkAction) -> Optional[tuple[int, ...]]:

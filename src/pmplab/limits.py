@@ -27,7 +27,13 @@ Search bounds.  These end a search instead of refusing it.
 
 - EXHAUSTIVE_TUPLE_CAP: an audit depth with at most this many candidate
   tuples is scanned whole, a larger one by greedy descent
-  (search_C2_witness, axiom_residual, ec_in_extension_check).
+  (search_C2_witness, axiom_residual, ec_in_extension_check).  A whole
+  second-condition scan of 2**n candidates holds ints of 2**n fields of fb
+  bytes each, fb the least power of two with the depth's denominator below
+  2**(8*fb - 1): one per target key, one per candidate bit and its
+  complement (cached per (n, fb)), and a few more while it runs, so 4 KB
+  each at the cap with a denominator below 128, and 64 KB each at 2**16
+  candidates.
 - GREEDY_ROUNDS bounds the rounds of one greedy descent.
 """
 from __future__ import annotations

@@ -41,6 +41,7 @@ from pmplab.audit import (
     _mass_spans,
     _refine_search,
     _search_best,
+    _toggle_scorer,
     axiom_residual,
     c2_distance,
     check_C1,
@@ -668,17 +669,22 @@ def toggles_of(members, size):
     return [coord * size + x for coord, event in enumerate(members) for x in event]
 
 
-def score_of(scorer, members, size):
-    """Walk members into an all-empty scorer, read the score, walk them back
-    out and check that the start score returns."""
-    walk, _peek, start, scale, _seed, _floor = scorer
-    toggles = toggles_of(members, size)
-    value = back = start
-    if toggles:
-        value = walk(toggles)[-1]
-        back = walk(toggles)[-1]
-    assert back == start
-    return Fraction(value, scale)
+def index_of(members, size, arity):
+    """The candidate index of a member tuple: coordinate 0 most significant,
+    atom x at bit x of its coordinate."""
+    return sum(
+        1 << ((arity - 1 - coord) * size + x)
+        for coord, event in enumerate(members)
+        for x in event
+    )
+
+
+def toggled(members, b, size):
+    """members with toggle b = coord * size + atom applied."""
+    coord, atom = divmod(b, size)
+    out = [set(e) for e in members]
+    out[coord] ^= {atom}
+    return tuple(tuple(sorted(e)) for e in out)
 
 
 @st.composite
@@ -733,14 +739,32 @@ def _mixed_c2_instances(draw):
 @given(_mixed_c2_instances())
 @settings(max_examples=150, deadline=None)
 def test_c2_scorer_matches_fraction_oracle(instance):
+    """The packed neighbours of the seed and of each drawn candidate, reached
+    by moves, and the packed scan where the depth is small enough to scan,
+    give what c2_distance gives."""
     act, a, bs, depth, candidates = instance
     refined, projection = product_action(act, uniform_algebra(depth))
-    scorer = c2_prepare(a, bs)(refined, projection)
+    size, arity = refined.algebra.size, bs[0].arity
+    scan, climb, scale, seed, _floor = c2_prepare(a, bs)(refined, projection)
     oracle, oracle_seed = oracle_c2_prepare(a, bs)(refined, projection)
-    seed = scorer[4]
     assert seed == oracle_seed
-    for members in [seed] + [tuple(tuple(sorted(e)) for e in c) for c in candidates]:
-        assert score_of(scorer, members, refined.algebra.size) == oracle(members)
+    value, descend = climb()
+    neighbours, move = descend()
+    assert F(value, scale) == oracle(seed)
+    current = seed
+    wanted = [tuple(tuple(sorted(e)) for e in c) for c in candidates]
+    for members in wanted:
+        for b in toggles_of(members, size) + toggles_of(current, size):
+            move(b)
+            current = toggled(current, b, size)
+        assert current == members
+        assert [F(v, scale) for v in neighbours()] == [
+            oracle(toggled(current, b, size)) for b in range(size * arity)
+        ]
+    if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
+        scores = scan()
+        for members in [seed] + wanted:
+            assert F(scores[index_of(members, size, arity)], scale) == oracle(members)
 
 
 def _exhaustive_instance():
@@ -806,19 +830,19 @@ def _search_instances(draw, greedy):
     return act, arity, max_refine, stop, stop_at
 
 
-def _class_action(draw, n):
-    """An action on n atoms in classes of equal mass that the generators
-    shuffle."""
+def _class_action(draw, n, max_gens=2, weights=st.integers(1, 9)):
+    """An action on n atoms in classes of equal mass, each drawn from
+    weights, that 1..max_gens generators shuffle."""
     sizes = []
     while sum(sizes) < n:
         sizes.append(draw(st.integers(1, min(3, n - sum(sizes)))))
-    weights = [draw(st.integers(1, 9)) for _ in sizes]
+    weights = [draw(weights) for _ in sizes]
     total = sum(size * weight for size, weight in zip(sizes, weights))
     alg = validate_algebra(
         [F(w, total) for size, w in zip(sizes, weights) for _ in range(size)]
     )
     gens = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, max_gens))):
         perm, start = [], 0
         for size in sizes:
             perm.extend(draw(st.permutations(range(start, start + size))))
@@ -939,7 +963,7 @@ def test_ec_seed_is_the_pullback_oracle_at_every_depth(data):
     prepare = real(anchors, pulled, words, *ec_target(big, target))
     for depth in (1, 2, 3):
         refined, projection = product_action(small, uniform_algebra(depth))
-        assert prepare(refined, projection)[4] == _pullback_seed(bs, blocks, projection)
+        assert prepare(refined, projection)[3] == _pullback_seed(bs, blocks, projection)
 
 
 def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
@@ -964,14 +988,16 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
         oracle, seed = oracle_ec_prepare(anchors, bs, words, target, blocks)(
             refined, projection
         )
-        assert scorer[4] == seed
-        for members in _tuple_candidates(refined.algebra.size, 1):
-            assert score_of(scorer, members, refined.algebra.size) == oracle(members)
+        scan, _climb, scale, scorer_seed, _floor = scorer
+        assert scorer_seed == seed
+        scores = [F(s, scale) for s in scan()]
+        assert scores == [oracle(m) for m in _tuple_candidates(refined.algebra.size, 1)]
 
 
-def flip_scorer(flip, size, start, scale, seed, floor):
-    """A scorer from flip(coord, atom): walk flips each toggle in turn, and
-    peek flips and flips back."""
+def flip_scorer(flip, size, arity, start, scale, seed, floor):
+    """The scorer of _search_best from flip(coord, atom), through
+    _toggle_scorer: walk flips each toggle in turn, and peek flips and flips
+    back."""
 
     def walk(indices):
         return [flip(*divmod(b, size)) for b in indices]
@@ -981,13 +1007,13 @@ def flip_scorer(flip, size, start, scale, seed, floor):
         flip(*divmod(b, size))
         return value
 
-    return walk, peek, start, scale, seed, floor
+    return _toggle_scorer(size, arity, walk, peek, start, scale, seed, floor)
 
 
 def test_counter_walk_visits_candidates_in_lexicographic_order():
-    """A score that falls along the lexicographic order makes the scan stop
-    at candidate m exactly when the stop is just above its score, and only
-    if candidates 0..m-1 were scored before it."""
+    """A score that falls along the lexicographic order makes the scan
+    return candidate m exactly when the stop is just above its score, and a
+    zero at candidate m is returned whatever the stop."""
     for size, arity in [(2, 1), (2, 2), (3, 2), (1, 3), (4, 0)]:
         order = list(_tuple_candidates(size, arity))
         rank = {members: i for i, members in enumerate(order)}
@@ -999,7 +1025,7 @@ def test_counter_walk_visits_candidates_in_lexicographic_order():
                 return -1 - rank[tuple(tuple(sorted(e)) for e in state)]
 
             # scores run down to -len(order), which is their floor
-            scorer = flip_scorer(flip, size, -1, 1, ((),) * arity, -len(order))
+            scorer = flip_scorer(flip, size, arity, -1, 1, ((),) * arity, -len(order))
             assert _search_best(size, arity, scorer, F(-m)) == (-1 - m, members)
 
             # a zero at candidate m ends the scan there, whatever the stop
@@ -1009,9 +1035,8 @@ def test_counter_walk_visits_candidates_in_lexicographic_order():
 
             state[:] = [set() for _ in range(arity)]
             start = 0 if m == 0 else 1
-            scorer = flip_scorer(flip_zero, size, start, 1, ((),) * arity, 0)
+            scorer = flip_scorer(flip_zero, size, arity, start, 1, ((),) * arity, 0)
             assert _search_best(size, arity, scorer, F(0)) == (0, members)
-            assert tuple(tuple(sorted(e)) for e in state) == members
 
 
 def full_scan_parameters(alg):
@@ -1074,7 +1099,7 @@ def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Gray-code block scan against the binary-counter scan
+# the Gray-code walk of a toggling scorer against the binary-counter scan
 
 
 def members_of(index, size, arity):
@@ -1086,16 +1111,17 @@ def members_of(index, size, arity):
     )
 
 
-def oracle_counter_scan(size, arity, scorer, stop_below):
-    """The exhaustive scan in lexicographic order, stepped as a binary
-    counter: candidate i follows i - 1 by flipping the bits of (i - 1) ^ i,
-    and the scan stops at the first strict new best that is below
-    stop_below or zero."""
-    walk, _peek, value, scale, _seed, _floor = scorer
+def oracle_counter_scan(size, arity, walk, start, scale, stop_below):
+    """The exhaustive scan in lexicographic order over a scorer that holds
+    the all-empty tuple, scoring start, and toggles it in place, stepped as
+    a binary counter: candidate i follows i - 1 by flipping the bits of
+    (i - 1) ^ i, and the scan stops at the first strict new best that is
+    below stop_below or zero."""
     p, q = stop_below.numerator, stop_below.denominator
     limit = p * scale
     assert 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP
-    best, best_i = value, 0
+    value = best = start
+    best_i = 0
     if value * q >= limit and value != 0:
         places = [(arity - 1 - b // size) * size + b % size for b in range(size * arity)]
         for i in range(1, 1 << size * arity):
@@ -1109,14 +1135,17 @@ def oracle_counter_scan(size, arity, scorer, stop_below):
 
 
 class TableScorer:
-    """A scorer over a table of scores indexed by candidate: it holds the
-    index of its current candidate and counts its scored steps, one per
-    toggle walked and one per peek."""
+    """A toggling scorer over a table of scores indexed by candidate: it
+    holds the index of its current candidate and counts its scored steps,
+    one per toggle walked and one per peek.  scorer is its _search_best
+    form."""
 
     def __init__(self, size, arity, table, scale=1, floor=0):
         self.size, self.arity, self.table = size, arity, table
         self.index = self.flips = 0
-        self.scorer = (self.walk, self.peek, table[0], scale, ((),) * arity, floor)
+        self.scorer = _toggle_scorer(
+            size, arity, self.walk, self.peek, table[0], scale, ((),) * arity, floor
+        )
 
     def bit(self, b):
         coord, atom = divmod(b, self.size)
@@ -1137,18 +1166,14 @@ class TableScorer:
 
 def compare_scans(size, arity, table, stop, scale=1, floor=0):
     """Both scans on one table give the same (value, members), the Gray-code
-    scan told the table's floor and the counter scan not; after a hit both
-    scorers hold the returned candidate.  Returns the result, whether it is
-    a hit, and the flips of both scans."""
+    scan told the table's floor and the counter scan not.  Returns the
+    result, whether it is a hit, and the flips of both scans."""
     fast = TableScorer(size, arity, table, scale, floor)
     slow = TableScorer(size, arity, table, scale)
     result = _search_best(size, arity, fast.scorer, stop)
-    assert result == oracle_counter_scan(size, arity, slow.scorer, stop)
+    assert result == oracle_counter_scan(size, arity, slow.walk, table[0], scale, stop)
     value, members = result
     hit = value < stop or value == 0
-    if hit:
-        assert members_of(fast.index, size, arity) == members
-        assert fast.index == slow.index
     return result, hit, fast.flips, slow.flips
 
 
@@ -1182,21 +1207,23 @@ def test_gray_scan_matches_counter_scan_on_score_tables(instance):
 
 
 def test_gray_scan_edge_cases():
-    size, arity = 4, 2  # 256 candidates, 4 blocks of 64
+    """The rule of _search_best on a 256-candidate table, each scan one
+    whole Gray-code walk of 255 flips."""
+    size, arity = 4, 2
     count = 1 << size * arity
 
     # no hit: the least score, its first candidate among ties
     table = [5] * count
     table[70] = table[40] = table[200] = 2
-    (value, members), hit, _, _ = compare_scans(size, arity, table, F(1))
-    assert (value, members, hit) == (2, members_of(40, size, arity), False)
+    (value, members), hit, flips, _ = compare_scans(size, arity, table, F(1))
+    assert (value, members, hit, flips) == (2, members_of(40, size, arity), False, count - 1)
 
-    # a stop at candidate 0, by a zero and by the threshold
+    # a hit at candidate 0, by a zero and by the threshold
     for first, stop in [(0, F(0)), (1, F(2))]:
         table = [7] * count
         table[0] = first
         (value, members), hit, flips, _ = compare_scans(size, arity, table, stop)
-        assert (value, members, hit, flips) == (first, ((), ()), True, 0)
+        assert (value, members, hit, flips) == (first, ((), ()), True, count - 1)
 
     # zeros: the first zero wins over an earlier score below the stop
     table = [9] * count
@@ -1209,41 +1236,26 @@ def test_gray_scan_edge_cases():
     table[100], table[90] = 3, 4
     assert compare_scans(size, arity, table, F(5))[0] == (4, members_of(90, size, arity))
 
-    # two hits in one block, the one scanned later at the lower index: block
-    # 0 runs 0, 1, 3, 2, ..., 32; block 1 starts at 96, keeping the low bits
-    # block 0 ended on, and ends at 64
+    # two hits, the one the Gray-code walk reaches later at the lower index:
+    # the walk runs 0, 1, 3, 2, ..., so 3 comes before 2, and 96 before 64
     for early, late in [(3, 2), (64 + 32, 64)]:
         table = [9] * count
         table[early], table[late] = 1, 4
         (value, members), hit, flips, _ = compare_scans(size, arity, table, F(5))
-        assert (value, members) == (4, members_of(late, size, arity))
-        assert flips <= (late // 64 + 1) * 64 + 6
+        assert (value, members, flips) == (4, members_of(late, size, arity), count - 1)
 
 
 def test_full_gray_scan_flips_once_per_candidate():
-    """A full 4096-candidate scan, on a table and on the C2 and extension
-    scorers, makes at most N + 2N/64 flips; the binary counter makes about
-    2N."""
+    """A full 4096-candidate scan of a toggling scorer, on a table and on
+    the extension scorer, makes N - 1 flips; the binary counter makes about
+    2N.  The packed C2 scan of the same size gives what the counter scan
+    over the walk/peek scorer gives."""
     count = EXHAUSTIVE_TUPLE_CAP
-    bound = count + 2 * count // 64
     rng = random.Random(5)
     table = [rng.randint(1, 50) for _ in range(count)]
     _result, hit, flips, counter_flips = compare_scans(12, 1, table, F(0))
     assert not hit
-    assert count - 1 <= flips <= bound < counter_flips
-
-    def counted(scorer, tally):
-        walk, peek, start, scale, seed, floor = scorer
-
-        def counting_walk(indices):
-            tally.extend(indices)
-            return walk(indices)
-
-        def counting_peek(b):
-            tally.append(b)
-            return peek(b)
-
-        return counting_walk, counting_peek, start, scale, seed, floor
+    assert flips == count - 1 < counter_flips
 
     # the C2 instance of test_exhaustive_scan_builds_one_fraction_per_depth
     act = quotient_action(cyclic_group(12, [1]))
@@ -1251,15 +1263,14 @@ def test_full_gray_scan_flips_once_per_candidate():
     a = EventTuple.of_members(alg, [range(6)])
     bs = full_scan_parameters(alg)
     refined, projection = product_action(act, uniform_algebra(1))
-    c2_flips = []
-    fast = _search_best(12, 1, counted(c2_prepare(a, bs)(refined, projection), c2_flips), F(0))
-    oracle = oracle_counter_scan(12, 1, c2_prepare(a, bs)(refined, projection), F(0))
-    assert fast == oracle and fast[0] > 0
-    assert count - 1 <= len(c2_flips) <= bound
+    fast = _search_best(12, 1, c2_prepare(a, bs)(refined, projection), F(0))
+    walk, _peek, start, scale = oracle_walk_peek_c2_prepare(a, bs)(refined, projection)
+    assert fast == oracle_counter_scan(12, 1, walk, start, scale, F(0))
+    assert fast[0] > 0
 
     # pairs of events on Z/6 against a target whose first event is a third
-    # of an anchor atom: every discrepancy is at least 1/18, so the scan runs
-    # to the end
+    # of an anchor atom: every discrepancy is at least 1/18, so no candidate
+    # is a hit; each flip recomputes the pattern once
     small = quotient_action(cyclic_group(6, [1]))
     big = product_action(small, validate_algebra([F(1, 3), F(2, 3)]))[0]
     embed = PartialIsomorphism.of(
@@ -1274,19 +1285,29 @@ def test_full_gray_scan_flips_once_per_candidate():
         anchors, pulled_back(small.algebra, target_tuple, blocks), words, *ec_target(big, target)
     )
     refined, projection = product_action(small, uniform_algebra(1))
-    ec_flips = []
-    fast = _search_best(6, 2, counted(prepare(refined, projection), ec_flips), F(0))
-    assert fast == oracle_counter_scan(6, 2, prepare(refined, projection), F(0))
+    patterns = []
+    real = audit._triple_units
+
+    def counting(*args):
+        patterns.append(args)
+        return real(*args)
+
+    with mock.patch.object(audit, "_triple_units", counting):
+        fast = _search_best(6, 2, prepare(refined, projection), F(0))
     assert fast[0] > 0
-    assert count - 1 <= len(ec_flips) <= bound
+    # one pattern for the all-empty tuple, then one per flip
+    assert len(patterns) == count
 
 
 # ---------------------------------------------------------------------------
-# the block walk, peek and dense residuals against the flip-and-abs scorer
+# the packed C2 scorer against the toggling scorers it replaced
 #
-# The oracle is the second-condition scorer as it was before toggles were
-# walked in blocks and peeked: flip(coord, atom) changes the tuple in place,
-# keeps the residuals in a dict and updates the total with abs.
+# Two oracles, each the second-condition scorer as it once was, in units of
+# 1/(2D).  The first, flip(coord, atom), changes the tuple in place, keeps
+# the residuals in a dict and updates the total with abs.  The second, the
+# walk/peek scorer, is checked against it: walk applies toggles in order and
+# returns each new score, peek scores one toggle and changes nothing, and a
+# toggle updates only the k + 1 atoms it moves.
 
 
 def oracle_flip_c2_prepare(a, tuples):
@@ -1334,11 +1355,87 @@ def oracle_flip_c2_prepare(a, tuples):
     return prepare
 
 
-def oracle_flip_descent(size, arity, flip, scorer):
-    """The greedy descent as it was, with the new scorer's start, scale,
-    seed and floor: each toggle is scored by flipping it and flipping it
-    back, and the first strict best is flipped in."""
-    _walk, _peek, value, scale, seed, floor = scorer
+def oracle_walk_peek_c2_prepare(a, tuples):
+    """prepare(refined, projection) -> (walk, peek, start, scale): the
+    walk/peek scorer, holding the all-empty tuple at first.  Residuals
+    target - count are kept per packed key; toggling atom x of c_j moves
+    each of the k + 1 atoms g_i(x), all of weight w, from its key to the key
+    with one bit flipped: the key it leaves gains w, which changes the total
+    by w, -w or 2d + w as its residual d is >= 0, <= -w or in between, and
+    the key it enters loses w, the mirror image.  Two generators may send x
+    to the same y; the second move then starts from the key the first one
+    left.  peek undoes the moves in reverse order.  scale is 2D."""
+    base_arity = a.arity
+    arity = tuples[0].arity
+
+    def pack(signs):
+        return sum(bit << i for i, bit in enumerate(signs))
+
+    law = joint_distribution(a, tuples[0].concat(*tuples[1:]))
+    bits = [
+        [1 << (base_arity + i * arity + j) for i in range(len(tuples))]
+        for j in range(arity)
+    ]
+
+    def prepare(refined, projection):
+        alg = refined.algebra
+        denom, weights, size = alg.den, alg.units, alg.size
+        keys = [pack(signs) for signs in _sign_map(lift_tuple(a, alg, projection))]
+        diff = defaultdict(int)
+        for (r, s), m in law.mass.items():
+            diff[pack(r) | pack(s) << base_arity] = m.numerator * (denom // m.denominator)
+        for key, w in zip(keys, weights):
+            diff[key] -= w
+        total = sum(map(abs, diff.values()))
+        images = [range(size)] + list(refined.gens)
+        moves = [
+            (weights[x], [(g[x], bit) for g, bit in zip(images, bits[j])])
+            for j in range(arity)
+            for x in range(size)
+        ]
+
+        def apply(b, t):
+            w, flips = moves[b]
+            for y, bit in flips:
+                old = keys[y]
+                new = keys[y] = old ^ bit
+                d = diff[old]
+                diff[old] = d + w
+                e = diff[new]
+                diff[new] = e - w
+                t += (w if d >= 0 else -w if d <= -w else 2 * d + w) + (
+                    w if e <= 0 else -w if e >= w else w - 2 * e
+                )
+            return t
+
+        def walk(indices):
+            nonlocal total
+            scores = []
+            for b in indices:
+                total = apply(b, total)
+                scores.append(total)
+            return scores
+
+        def peek(b):
+            t = apply(b, total)
+            w, flips = moves[b]
+            for y, bit in reversed(flips):
+                new = keys[y]
+                old = keys[y] = new ^ bit
+                diff[old] -= w
+                diff[new] += w
+            return t
+
+        return walk, peek, total, 2 * denom
+
+    return prepare
+
+
+def oracle_flip_descent(size, arity, flip, value, scale, seed, floor):
+    """The greedy descent as it was, from the flip scorer at the all-empty
+    tuple, scoring value, in units of 1/scale: each toggle is scored by
+    flipping it and flipping it back, and the first strict best is flipped
+    in."""
     current = [set(e) for e in seed]
     for coord, event in enumerate(current):
         for x in event:
@@ -1411,13 +1508,14 @@ def _toggle_scripts(draw):
 @given(_toggle_scripts())
 @settings(max_examples=150, deadline=None)
 def test_c2_walk_and_peek_match_the_flip_oracle(instance):
-    """walk returns the oracle's scores one by one, peek returns what a flip
-    would, at every step and for every toggle, and the walks after a peek
-    score as if it never happened."""
+    """The walk/peek oracle of the packed scorer: walk returns the flip
+    oracle's scores one by one, peek returns what a flip would, at every
+    step and for every toggle, and the walks after a peek score as if it
+    never happened."""
     act, a, bs, depth, script = instance
     refined, projection = product_action(act, uniform_algebra(depth))
     size = refined.algebra.size
-    walk, peek, start, *_ = c2_prepare(a, bs)(refined, projection)
+    walk, peek, start, _scale = oracle_walk_peek_c2_prepare(a, bs)(refined, projection)
     flip, oracle_start = oracle_flip_c2_prepare(a, bs)(refined, projection)
     assert start == oracle_start
     every = list(range(size * bs[0].arity))
@@ -1450,49 +1548,112 @@ def test_descent_matches_the_flip_and_flip_back_oracle(instance):
     size, arity = refined.algebra.size, bs[0].arity
     assert 1 << size * arity > EXHAUSTIVE_TUPLE_CAP
     scorer = c2_prepare(a, bs)(refined, projection)
-    flip, _start = oracle_flip_c2_prepare(a, bs)(refined, projection)
-    expected = oracle_flip_descent(size, arity, flip, scorer)
+    _scan, _climb, scale, seed, floor = scorer
+    flip, start = oracle_flip_c2_prepare(a, bs)(refined, projection)
+    expected = oracle_flip_descent(size, arity, flip, start, 2 * scale, seed, 2 * floor)
     assert _search_best(size, arity, scorer, F(0)) == expected
 
 
-def residuals_of(walk):
-    """The residual table a C2 scorer's walk closes over."""
-    return walk.__closure__[walk.__code__.co_freevars.index("diff")].cell_contents
+def assert_packed_matches_oracle(act, a, bs, depth, moves, scan_whole=True):
+    """At one depth, the packed scan gives twice the scores of a Gray-code
+    walk of the walk/peek oracle (scan_whole), and the packed descent gives
+    twice its scores at the seed and, by peek, at every toggle, before and
+    after each of the moves; c2_distance gives the seed's value."""
+    refined, projection = product_action(act, uniform_algebra(depth))
+    size, arity = refined.algebra.size, bs[0].arity
+    n = size * arity
+    scan, climb, scale, seed, _floor = c2_prepare(a, bs)(refined, projection)
+    oracle = oracle_walk_peek_c2_prepare(a, bs)
+    if scan_whole:
+        walk, peek, start, oracle_scale = oracle(refined, projection)
+        assert oracle_scale == 2 * scale
+        gray = _toggle_scorer(size, arity, walk, peek, start, oracle_scale, (), 0)[0]
+        assert [2 * s for s in scan()] == gray()
+    walk, peek, start, _oracle_scale = oracle(refined, projection)
+    toggles = toggles_of(seed, size)
+    value, descend = climb()
+    neighbours, move = descend()
+    assert 2 * value == (walk(toggles)[-1] if toggles else start)
+    for b in list(moves) + [None]:
+        assert [2 * v for v in neighbours()] == list(map(peek, range(n)))
+        if b is not None:
+            move(b)
+            walk([b])
+    evaluate, _seed = oracle_c2_prepare(a, bs)(refined, projection)
+    assert F(value, scale) == evaluate(seed)
 
 
-@pytest.mark.parametrize("base_arity", [0, 1], ids=["list-at-bound", "dict-above-bound"])
-def test_c2_residuals_at_and_just_above_the_dense_key_bound(base_arity, monkeypatch):
+# classes of equal-mass atoms weigh 1-9 units, or past 2**13, 2**30 or 2**62
+# units, so that fields of 1, 2, 4, 8 and 16 bytes are all drawn
+_WEIGHTS = (
+    st.integers(1, 9)
+    | st.integers(2**13, 2**14)
+    | st.integers(2**30, 2**31)
+    | st.integers(2**62, 2**64)
+)
+
+
+@st.composite
+def _packed_instances(draw):
+    """Atoms of unequal masses that k = 1..3 generators shuffle (see
+    _class_action), an anchor of arity 0-2, parameters of arity 0-3 pushed
+    from b0 or drawn freely, a depth with at most 2**10 candidates, and a
+    few moves."""
+    arity = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 10 // arity if arity else 4))
+    act = _class_action(draw, n, max_gens=3, weights=_WEIGHTS)
+    a, bs = _toggle_parameters(draw, act, arity)
+    depth = draw(st.integers(1, max(1, 10 // (n * arity)) if arity else 3))
+    size = n * depth * arity
+    moves = draw(st.lists(st.integers(0, size - 1), max_size=4)) if size else []
+    return act, a, bs, depth, moves
+
+
+@given(_packed_instances())
+@settings(max_examples=60, deadline=None)
+def test_packed_c2_scan_and_neighbours_match_the_walk_peek_oracle(instance):
+    assert_packed_matches_oracle(*instance)
+
+
+def test_packed_c2_where_two_generators_agree_at_an_atom():
+    """Z/4 with shifts {1, 5}: both generators send every atom to the same
+    one, so each toggle's two flips on that atom merge into one XOR."""
+    act = quotient_action(cyclic_group(4, [1, 5]))
+    assert act.gens[0] == act.gens[1]
+    rng = random.Random(31)
+    a = random_tuple(rng, act.algebra, 1)
+    bs = [random_tuple(rng, act.algebra, 2) for _ in range(3)]
+    for depth in (1, 2):
+        moves = [rng.randrange(8 * depth) for _ in range(6)]
+        assert_packed_matches_oracle(act, a, bs, depth, moves, scan_whole=depth == 1)
+
+
+def test_packed_c2_past_a_denominator_of_2_63():
+    """Masses with a denominator past 2**64: fields of 16 bytes, read by
+    int.from_bytes, over a whole 4096-candidate scan at depth 2."""
+    den = 2**64 + 1
+    x = 2**62 + 3
+    alg = validate_algebra([F(x, den), F(x, den), F(den - 2 * x, den)])
+    act = validate_action(alg, [(1, 0, 2), (0, 1, 2)])
+    assert alg.den == den and audit._field_bytes(den) == 16
+    rng = random.Random(63)
+    a = random_tuple(rng, alg, 1)
+    bs = [random_tuple(rng, alg, 2) for _ in range(3)]
+    assert_packed_matches_oracle(act, a, bs, 2, [rng.randrange(12) for _ in range(6)])
+
+
+@pytest.mark.parametrize("base_arity", [0, 1], ids=["16-key-bits", "17-key-bits"])
+def test_c2_packed_scorer_on_wide_keys(base_arity):
     """Z/4 with shifts {1, 5, 3} (two generators agree) and parameters of
-    arity 4 pack 16 key bits, plus one per anchor event: at the bound the
-    residuals are a list, one bit above it a defaultdict, and both give the
-    oracle's scores; moving the bound switches the kind and keeps them."""
+    arity 4 pack 16 key bits, plus one per anchor event, and 16 candidate
+    bits, past the exhaustive cap: the descent's neighbours and moves give
+    the oracle's scores along 64 random moves."""
     act = quotient_action(cyclic_group(4, [1, 5, 3]))
     rng = random.Random(18)
     a = random_tuple(rng, act.algebra, base_arity)
     bs = [random_tuple(rng, act.algebra, 4) for _ in range(4)]
-    key_bits = base_arity + 4 * 4
-    assert key_bits == audit._DENSE_KEY_BITS + base_arity
-    refined, projection = product_action(act, uniform_algebra(1))
-    steps = [rng.randrange(16) for _ in range(64)]
-
-    def scores():
-        walk, peek, start, *_ = c2_prepare(a, bs)(refined, projection)
-        out = [start]
-        for b in steps:
-            out.append(peek(b))
-            out.extend(walk([b]))
-        return type(residuals_of(walk)), out
-
-    kind, fast = scores()
-    assert kind is (defaultdict if base_arity else list)
-    flip, start = oracle_flip_c2_prepare(a, bs)(refined, projection)
-    expected = [start]
-    for b in steps:
-        expected += [oracle_peek(flip, 4, b), oracle_toggle(flip, 4, b)]
-    assert fast == expected
-    monkeypatch.setattr(audit, "_DENSE_KEY_BITS", key_bits - 1 + 2 * base_arity)
-    other_kind, other = scores()
-    assert other_kind is not kind and other == fast
+    moves = [rng.randrange(16) for _ in range(64)]
+    assert_packed_matches_oracle(act, a, bs, 1, moves, scan_whole=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1533,39 +1694,31 @@ def test_c2_floors_against_brute_force(instance, stop):
     act, a, bs, depth = instance
     refined, projection = product_action(act, uniform_algebra(depth))
     prepare = c2_prepare(a, bs)
-    _walk, _peek, _start, scale, _seed, floor = prepare(refined, projection)
+    _scan, _climb, scale, _seed, floor = prepare(refined, projection)
     least = brute_force_minimum(act, a, bs, depth)
     assert 0 <= extension_floor(bs) <= F(floor, scale) <= least
     size, arity = refined.algebra.size, bs[0].arity
     fast = _search_best(size, arity, prepare(refined, projection), stop)
-    assert fast == oracle_counter_scan(size, arity, prepare(refined, projection), stop)
+    walk, _peek, start, oracle_scale = oracle_walk_peek_c2_prepare(a, bs)(refined, projection)
+    assert fast == oracle_counter_scan(size, arity, walk, start, oracle_scale, stop)
 
 
 def test_scan_stops_at_the_first_candidate_at_the_floor():
     """On Z/12, b1 weighs twice b0, so no candidate c and its push g(c)
-    match them: the floor is 2 units of 1/24, and candidate {0} reaches it
-    in the first Gray-code block, where the scan stops."""
+    match them: the floor is 1 unit of 1/12, candidate {0} is the first to
+    reach it, and the scan returns it, as the counter scan that stops there
+    does."""
     act = quotient_action(cyclic_group(12, [1]))
     alg = act.algebra
     a = EventTuple.of_members(alg, [range(6)])
     bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[5, 6]])]
     refined, projection = product_action(act, uniform_algebra(1))
     scorer = c2_prepare(a, bs)(refined, projection)
-    assert (scorer[3], scorer[5]) == (24, 2)
-    flips = []
-
-    def counting_walk(indices):
-        flips.extend(indices)
-        return scorer[0](indices)
-
-    def counting_peek(b):
-        flips.append(b)
-        return scorer[1](b)
-
-    fast = _search_best(12, 1, (counting_walk, counting_peek) + scorer[2:], F(0))
+    assert (scorer[2], scorer[4]) == (12, 1)
+    fast = _search_best(12, 1, scorer, F(0))
     assert fast == (F(1, 12), ((0,),))
-    assert fast == oracle_counter_scan(12, 1, c2_prepare(a, bs)(refined, projection), F(0))
-    assert len(flips) <= 64 + 1
+    walk, _peek, start, scale = oracle_walk_peek_c2_prepare(a, bs)(refined, projection)
+    assert fast == oracle_counter_scan(12, 1, walk, start, scale, F(0))
 
 
 @given(_floor_instances())
@@ -1577,7 +1730,7 @@ def test_residual_stop_is_above_every_floor(instance):
     report = check_C1(act, a, bs, F(1))
     worst = max(report.xi + report.psi)
     refined, projection = product_action(act, uniform_algebra(depth))
-    _walk, _peek, _start, scale, _seed, floor = c2_prepare(a, bs)(refined, projection)
+    _scan, _climb, scale, _seed, floor = c2_prepare(a, bs)(refined, projection)
     assert extension_floor(bs) <= F(floor, scale) <= worst
 
 

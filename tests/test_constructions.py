@@ -1185,9 +1185,10 @@ def test_exact_conjugacy_exists_at_every_depth_or_at_none(pair):
 
 
 def test_conjugacy_search_refines_each_action_once(monkeypatch):
-    """However many depths run, each action is refined to the unit once and
-    every depth comes from extensions; the exact phase runs once, at depth
-    1; a search that stops at depth 1 builds no product."""
+    """However many depths run, each action is refined to the unit at most
+    once, and not at all when its atoms already weigh the unit; every depth
+    comes from extensions; the exact phase runs once, at depth 1; a search
+    that stops at depth 1 builds no product."""
     refined, searched, products = [], [], []
 
     def counting_refine(act, unit):
@@ -1212,14 +1213,20 @@ def test_conjugacy_search_refines_each_action_once(monkeypatch):
         del refined[:], searched[:], products[:]
         cert = approx_conjugacy_search(four_cycle, double_swap, max_refine)
         assert cert.eps == F(1, 2)
-        assert refined == [F(1, 4)] * 2
+        assert refined == []
         assert searched == [4]
         assert products == [m for m in range(2, max_refine + 1) for _ in range(2)]
     # a relabeled copy conjugates exactly at depth 1
     del refined[:], searched[:], products[:]
     relabeled = relabeled_action(four_cycle, (2, 0, 3, 1))
     assert approx_conjugacy_search(four_cycle, relabeled, max_refine=4).eps == 0
-    assert (refined, searched, products) == ([F(1, 4)] * 2, [4], [])
+    assert (refined, searched, products) == ([], [4], [])
+    # two atoms of mass 1/2 are refined to the unit 1/4, once
+    del refined[:], searched[:], products[:]
+    swap = validate_action(uniform_algebra(2), [(1, 0)])
+    cert = approx_conjugacy_search(swap, double_swap, max_refine=3)
+    assert cert.eps == 0
+    assert (refined, searched, products) == ([F(1, 4)], [4], [])
 
 
 # The beam's answers to the cycle-type mismatches, as recorded when the exact
