@@ -336,9 +336,7 @@ def perturb_small(act: FkAction, fixed: AtomPartition, delta: Fraction) -> Pertu
         while m >= delta:
             m = m / 2
         moved.append(m)
-    unit_den = lcm(
-        act.algebra.denominator_lcm(), *(m.denominator for m in moved)
-    )
+    unit_den = lcm(act.algebra.den, *(m.denominator for m in moved))
     unit = Fraction(1, unit_den)
     refined_act, projection = refine_action_to_unit(act, unit)
     runs = _runs(projection)

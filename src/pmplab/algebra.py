@@ -74,6 +74,8 @@ class MeasuredAlgebra(Record):
         return Fraction(sum([units[i] for i in members]), self.den)
 
     def denominator_lcm(self) -> int:
+        """den under its old name; the package reads .den.  Kept while
+        perfbench/checks.py still calls it."""
         return self.den
 
 

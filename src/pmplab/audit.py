@@ -22,23 +22,23 @@ refute a witness.
 One search routine serves every audit, over the depths of
 action.extensions: the action itself, then its m-fold equal splits, each
 built only when the search gets there.  Each audit gives it a scorer with
-two entry points, and a search calls only the one it needs: scan returns
-the score of every candidate in index order, and climb starts the descent,
-which reads the scores of every toggle of its current tuple and moves by
-one.  A toggle, one atom of one coordinate, is one flat index coord * size
-+ atom.  Scores are integers, in units of one common denominator per
-depth.  The second-condition scorer scores many candidates at once: both
-joint laws have total mass D, so a candidate's distance is (D - sum of
-min(M, T)) / D, the sum over the target law T's keys only, M the
-candidate's law; each candidate is one fixed-width field of a Python int, whose minima come from
+two entry points, and a search calls only the one it needs: scan(cut)
+returns the scores of the candidates in index order, up to the first one
+below cut or all of them, and climb starts the descent, which reads the
+scores of every toggle of its current tuple and moves by one.  A toggle,
+one atom of one coordinate, is one flat index coord * size + atom.  Scores
+are integers, in units of one common denominator per depth.  The
+second-condition scorer scores many candidates at once: both joint laws
+have total mass D, so a candidate's distance is (D - sum of min(M, T)) /
+D, the sum over the target law T's keys only, M the candidate's law; each
+candidate is one fixed-width field of a Python int, whose minima come from
 a few whole-int operations per key.  A scan packs all 2**n candidates, a
 descent round the n toggles, and a move re-adds only the k + 1 atoms it
-moves.  The
-extension scorer holds one candidate tuple and recomputes its small pattern
-with the kernel that gives its target at each toggle: its scan is one
-reflected Gray-code walk, one toggle per candidate.  Each depth turns its
-best score into one Fraction, equal to what c2_distance (or the triple
-pattern in masses) would give.
+moves.  The extension scorer holds one candidate tuple and recomputes its
+small pattern with the kernel that gives its target: its scan steps the
+tuple as a binary counter and scores each candidate once, stopping at its
+first hit.  Each depth turns its best score into one Fraction, equal to
+what c2_distance (or the triple pattern in masses) would give.
 """
 from __future__ import annotations
 
@@ -276,38 +276,6 @@ def _shared(law: dict, offsets: dict, high: int, shift: int) -> int:
     return acc
 
 
-def _toggle_scorer(size: int, arity: int, walk, peek, start: int, scale, seed, floor):
-    """The scorer of _search_best from one that holds a candidate tuple and
-    toggles it in place: walk(indices) applies toggles b = coord*size + atom
-    in order and returns each new score, peek(b) returns the score toggle b
-    would give and changes nothing, and start is the score of the all-empty
-    tuple the scorer holds at first.
-
-    scan walks every candidate once, in reflected Gray-code order from
-    candidate 0 (step t flips candidate bit ctz(t), and reaches candidate
-    t ^ t >> 1), and returns the scores in index order.  climb walks the
-    seed in, and the descent's neighbours peeks at every toggle."""
-    n = size * arity
-
-    def scan() -> list[int]:
-        places = [(arity - 1 - b // size) * size + b % size for b in range(n)]
-        walked = walk([places[(t & -t).bit_length() - 1] for t in range(1, 1 << n)])
-        scores = [start] * (1 << n)
-        for t, s in enumerate(walked, 1):
-            scores[t ^ t >> 1] = s
-        return scores
-
-    def climb():
-        toggles = [coord * size + x for coord, event in enumerate(seed) for x in event]
-        value = walk(toggles)[-1] if toggles else start
-        return value, descend
-
-    def descend():
-        return lambda: list(map(peek, range(n))), lambda b: walk((b,))
-
-    return scan, climb, scale, seed, floor
-
-
 def _search_best(size: int, arity: int, scorer, stop_below):
     """Best candidate tuple by exhaustion or greedy descent.
 
@@ -315,20 +283,21 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     whose scores are integers: a score s stands for s/scale, and no score
     is below floor >= 0.  Candidate i is the concatenated masks, coordinate
     0 most significant and atom x at bit x of its coordinate; toggle b =
-    coord*size + atom flips one atom of one coordinate.  scan() returns the
-    score of every candidate in index order.  climb() starts the greedy
-    descent at seed and returns (value, descend): value is the seed's
-    score, and descend(), called only when value is above the floor,
-    returns (neighbours, move), neighbours() the list of the scores each
-    toggle of the current tuple would give and move(b) applying toggle b.
-    Each search calls only what it needs.  Returns the best value, the one Fraction
-    built, and its member tuple.
+    coord*size + atom flips one atom of one coordinate.  scan(cut) returns
+    the scores of candidates 0, 1, ... in index order through the first one
+    below cut, or every score when none is; it may go on past that first
+    one.  climb() starts the greedy descent at seed and returns (value,
+    descend): value is the seed's score, and descend(), called only when
+    value is above the floor, returns (neighbours, move), neighbours() the
+    list of the scores each toggle of the current tuple would give and
+    move(b) applying toggle b.  Each search calls only what it needs.
+    Returns the best value, the one Fraction built, and its member tuple.
 
     Exhaustion applies when the total number of candidate tuples is at most
     EXHAUSTIVE_TUPLE_CAP.  A hit is a score strictly below stop_below, or
     zero; it is below every score that is not a hit.  The result is the hit
-    of least index, or with no hit the least (score, index): what a scan in
-    lexicographic order returns that stops at its first hit.  A score equal
+    of least index, or with no hit the least (score, index): what one scan
+    in index order returns that stops at its first hit.  A score equal
     to the floor counts as a hit as well, which changes no result: with a
     floor at or above the stop and above zero there is no true hit, and the
     first candidate at the floor is the least (score, index); with a lower
@@ -345,7 +314,7 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     p, q = stop_below.numerator, stop_below.denominator
     cut = max(-(-p * scale // q), floor + 1)
     if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
-        scores = scan()
+        scores = scan(cut)
         least = min(scores)
         if least < cut:
             best_i = next(compress(count(), map(cut.__gt__, scores)))
@@ -421,7 +390,9 @@ def _c2_prepare(
     Toggling atom x of c_j moves each atom g_i(x), all of weight w =
     weight(x), to the key with bit (i, j) flipped; when two generators send
     x to the same y, y's flips merge into one XOR.  Distinct toggles flip
-    disjoint bits of one atom's key.
+    disjoint bits of one atom's key.  Each depth builds this once, as the
+    table moves[b] of the atoms toggle b moves and the bits it flips on
+    each, and the scan, climb and the descent all read it.
 
     The target law T and a candidate's law M both have total mass D, so
     c2_distance is sum |T - M| / (2D) = (D - sum min(M, T)) / D, and only
@@ -432,11 +403,11 @@ def _c2_prepare(
     whole-int operations per key.
 
     scan scores all 2**n candidates, n = size*arity, one field each in
-    index order.  Atom y's key is its empty-tuple key XOR the flips of the
-    candidate bits that move it, at most (k + 1)*arity of them, so y
-    reaches a target key under exactly one setting of those bits, or none:
-    w*ONE masked by each bit's set or clear fields (_candidate_masks) adds
-    at that key.
+    index order, whatever its cut.  Atom y's key is its empty-tuple key XOR
+    the flips of the candidate bits that move it, at most (k + 1)*arity of
+    them, so y reaches a target key under exactly one setting of those
+    bits, or none: w*ONE masked by each bit's set or clear fields
+    (_candidate_masks) adds at that key.
 
     climb scores the seed, and the descent it starts, built only when the
     seed is above the floor, scores the n toggles of the current tuple, one
@@ -481,21 +452,27 @@ def _c2_prepare(
         shift = width - 1
         b0_lift = lift_tuple(tuples[0], alg, projection)
         seed = tuple(e.members for e in b0_lift.events)
+        # moves[b]: atom -> the key bits toggle b = j*size + x flips on it
+        moves: list[dict[int, int]] = []
+        for j in range(arity):
+            for x in range(size):
+                flips: dict[int, int] = {}
+                for g, bit in zip(images, bits[j]):
+                    flips[g[x]] = flips.get(g[x], 0) ^ bit
+                moves.append(flips)
 
         def offsets(one: int) -> tuple[dict[int, int], int]:
             high = one << shift
             return {key: high - t * one for key, t in target.items()}, high
 
-        def scan() -> list[int]:
+        def scan(_cut: int) -> list[int]:
             one, masks = _candidate_masks(n, fb)
             # controls[y]: candidate bit -> the key bits it flips on atom y
             controls: list[dict[int, int]] = [{} for _ in range(size)]
-            for j in range(arity):
-                for x in range(size):
-                    place = (arity - 1 - j) * size + x
-                    for g, bit in zip(images, bits[j]):
-                        moving = controls[g[x]]
-                        moving[place] = moving.get(place, 0) ^ bit
+            for b, flips in enumerate(moves):
+                place = (arity - 1 - b // size) * size + b % size
+                for y, flip in flips.items():
+                    controls[y][place] = flip
             packed = dict.fromkeys(target, 0)
             for p, w, moving in zip(projection, weights, controls):
                 start = anchor_keys[p]
@@ -523,8 +500,8 @@ def _c2_prepare(
             keys = [anchor_keys[p] for p in projection]
             for j, event in enumerate(seed):
                 for x in event:
-                    for g, bit in zip(images, bits[j]):
-                        keys[g[x]] ^= bit
+                    for y, flip in moves[j * size + x].items():
+                        keys[y] ^= flip
             masses = dict.fromkeys(target, 0)
             for key, w in zip(keys, weights):
                 if key in masses:
@@ -534,22 +511,15 @@ def _c2_prepare(
 
         def descend(keys: list[int]):
             one = _ones(n, fb)
-            # moves[b]: the key bits toggle b = j*size + x flips on each
-            # atom it moves; spread[y]: (flip, packed weight) pairs, the key
-            # of atom y XOR flip gaining the weight, flip 0 its key itself
-            moves: list[dict[int, int]] = []
+            # spread[y]: (flip, packed weight) pairs, the key of atom y XOR
+            # flip gaining the weight, flip 0 its key itself
             stay = [w * one for w in weights]
             spread: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-            for j in range(arity):
-                for x in range(size):
-                    flips: dict[int, int] = {}
-                    for g, bit in zip(images, bits[j]):
-                        flips[g[x]] = flips.get(g[x], 0) ^ bit
-                    e = weights[x] << len(moves) * width
-                    for y, flip in flips.items():
-                        stay[y] -= e
-                        spread[y].append((flip, e))
-                    moves.append(flips)
+            for b, flips in enumerate(moves):
+                e = weights[b % size] << b * width
+                for y, flip in flips.items():
+                    stay[y] -= e
+                    spread[y].append((flip, e))
             for moved, w in zip(spread, stay):
                 moved.append((0, w))
             packed = dict.fromkeys(target, 0)
@@ -769,10 +739,13 @@ def _ec_prepare(
     the small system, lifted to the depth.  target is the pattern of
     ec_in_extension_check, in units of 1/target_den.
 
-    The scorer keeps the member sets of cs and of every w_l(cs), and each
-    toggle recomputes the whole pattern with _triple_units: walk toggles in
-    turn, and peek toggles and toggles back; _toggle_scorer makes them a
-    scan, one Gray-code walk, and a descent.  Masses and target values are
+    The scorer keeps the member sets of cs and of every w_l(cs), which
+    toggle(b) updates without scoring, and score() recomputes the whole
+    pattern with _triple_units.  scan steps the empty tuple through the
+    candidates as a binary counter (candidate i follows i - 1 by toggling
+    its candidate bits 0..ctz(i)), scores each once, and stops at its first
+    hit.  climb toggles the seed in and scores it, and a neighbour is a
+    toggle, a score and the toggle back.  Masses and target values are
     integer units of 1/D, D the lcm of the refined atoms' denominator and
     target_den, so a score s is the Fraction s/D.  The floor is 0."""
 
@@ -784,31 +757,49 @@ def _ec_prepare(
         goal = [t * (denom // target_den) for t in target]
         a_sets = [set(e.members) for e in lift_tuple(anchors, alg, projection).events]
         perms = [_word_perm(refined, w) for w in words]
-        members: list[set[int]] = [set() for _ in range(pulled.arity)]
-        moved = [[set() for _ in range(pulled.arity)] for _ in perms]
-        size = alg.size
+        size, arity = alg.size, pulled.arity
+        n = size * arity
+        members: list[set[int]] = [set() for _ in range(arity)]
+        moved = [[set() for _ in range(arity)] for _ in perms]
+
+        def toggle(b: int) -> None:
+            coord, atom = divmod(b, size)
+            members[coord] ^= {atom}
+            for perm, row in zip(perms, moved):
+                row[coord] ^= {perm[atom]}
 
         def score() -> int:
             pattern = _triple_units(weights, a_sets, members, moved)
             return max(map(abs, map(sub, pattern, goal)), default=0)
 
-        def flip(b: int) -> int:
-            coord, atom = divmod(b, size)
-            members[coord] ^= {atom}
-            for perm, row in zip(perms, moved):
-                row[coord] ^= {perm[atom]}
-            return score()
+        def scan(cut: int) -> list[int]:
+            # toggles[p]: the toggle of candidate bit p
+            toggles = [(arity - 1 - p // size) * size + p % size for p in range(n)]
+            scores = []
+            for i in range(1 << n):
+                for p in range((i & -i).bit_length()):
+                    toggle(toggles[p])
+                scores.append(score())
+                if scores[-1] < cut:
+                    break
+            return scores
 
-        def walk(indices) -> list[int]:
-            return [flip(b) for b in indices]
+        def climb():
+            for coord, event in enumerate(seed):
+                for x in event:
+                    toggle(coord * size + x)
+            return score(), lambda: (neighbours, toggle)
 
-        def peek(b: int) -> int:
-            value = flip(b)
-            flip(b)
-            return value
+        def neighbours() -> list[int]:
+            scores = []
+            for b in range(n):
+                toggle(b)
+                scores.append(score())
+                toggle(b)
+            return scores
 
         seed = tuple(e.members for e in lift_tuple(pulled, alg, projection).events)
-        return _toggle_scorer(size, pulled.arity, walk, peek, score(), denom, seed, 0)
+        return scan, climb, denom, seed, 0
 
     return prepare
 

@@ -78,8 +78,9 @@ class PartialIsomorphism(Record):
     covering the source acts as an embedding.
 
     Construct through .of.  The library's builders (eppa_extend,
-    embed_into_profinite_tensor) build instances directly, from blocks that
-    are disjoint and of equal mass by construction.
+    embed_into_profinite_tensor, and extend_partial_step once its new source
+    block is checked) build instances directly, from blocks that are
+    disjoint and of equal mass by construction.
     """
 
     source: MeasuredAlgebra
@@ -287,7 +288,14 @@ def extend_partial_step(
     A matching automorphism h carrying g(b) onto c exactly is built on a
     refinement, and the new target is h(g(newsource)).  The extended
     correspondence has exactly equal cell masses and the same defect, so the
-    strict bound is preserved."""
+    strict bound is preserved.
+
+    Only the new source block is checked: it must be disjoint from p's
+    source blocks, else NotMassPreserving.  The rest holds by construction.
+    The lifted old targets are the matching's b_lifted, h(lift(g(b))) block
+    by block, so h(lift(g(newsource))) is disjoint from them when newsource
+    is disjoint from every b, g and h being bijections.  Each block keeps
+    its mass, since g and h preserve mass and lifting keeps it."""
     if p.source.id != alg.id or p.target.id != alg.id:
         raise AlgebraMismatch("partial correspondence must live on the ambient algebra")
     if newsource.algebra.id != alg.id:
@@ -302,13 +310,17 @@ def extend_partial_step(
     g_new = apply_perm_event(g, newsource)
     g_new_lifted = lift_event(g_new, matching.refined, matching.projection)
     new_target = apply_perm_event(matching.perm, g_new_lifted)
+    new = frozenset(newsource.members)
+    if any(new & src for src, _tgt in p.pairs):
+        raise NotMassPreserving("blocks of a partial isomorphism overlap")
     # the lifted c is the matching's b_lifted: block by block, in pair order
-    pairs = [
-        (tuple(src), lifted.members)
+    pairs = tuple(
+        (src, frozenset(lifted.members))
         for (src, _tgt), lifted in zip(p.pairs, matching.b_lifted.events)
-    ]
-    pairs.append((tuple(newsource.members), tuple(new_target.members)))
-    extended = PartialIsomorphism.of(alg, matching.refined, pairs)
+    )
+    extended = PartialIsomorphism(
+        alg, matching.refined, pairs + ((new, frozenset(new_target.members)),)
+    )
     return PartialExtension(extended, matching.refined, matching.projection, defect)
 
 
@@ -546,7 +558,7 @@ def eppa_extend(
     for p in partials:
         if p.source.id != alg.id or p.target.id != alg.id:
             raise AlgebraMismatch("partials must map the given algebra to itself")
-    n_units = alg.denominator_lcm()
+    n_units = alg.den
     big, projection = refine_to_unit(alg, Fraction(1, n_units))
     runs = _runs(projection)
 

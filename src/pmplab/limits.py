@@ -26,8 +26,9 @@ which the command line reports with exit 2.
 Search bounds.  These end a search instead of refusing it.
 
 - EXHAUSTIVE_TUPLE_CAP: an audit depth with at most this many candidate
-  tuples is scanned whole, a larger one by greedy descent
-  (search_C2_witness, axiom_residual, ec_in_extension_check).  A whole
+  tuples is scanned in index order, the extension check stopping at its
+  first hit, a larger one searched by greedy descent (search_C2_witness,
+  axiom_residual, ec_in_extension_check).  A whole
   second-condition scan of 2**n candidates holds ints of 2**n fields of fb
   bytes each, fb the least power of two with the depth's denominator below
   2**(8*fb - 1): one per target key, one per candidate bit and its

@@ -172,7 +172,7 @@ def test_criterion_05_type_distance_tv_vs_oracle():
         validate_algebra([F(1, 12), F(5, 12), F(1, 2)]),
     ]
     for alg in small_algebras:
-        grid = alg.denominator_lcm()
+        grid = alg.den
         n = alg.size
         events = [tuple(m) for r in range(n + 1)
                   for m in _subsets(range(n), r)]
@@ -194,7 +194,7 @@ def test_criterion_05_type_distance_tv_vs_oracle():
         arity = rng.randint(1, 2)
         b = random_tuple(rng, alg, arity=arity)
         c = random_tuple(rng, alg, arity=arity)
-        check(base, b, c, alg.denominator_lcm())
+        check(base, b, c, alg.den)
     assert checked >= 500
     assert skipped <= checked // 10
     budget.check()

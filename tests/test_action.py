@@ -275,7 +275,7 @@ def test_equal_refine_and_tensor_examples():
 def brute_force_uniform_distance(alg, g, h) -> Fraction:
     """Oracle: sup of mu(g e triangle h e) over all events, by integer-mass
     dynamic programming over bitmasks."""
-    den = alg.denominator_lcm()
+    den = alg.den
     units = [int(m * den) for m in alg.atoms]
     n = alg.size
     size = 1 << n

@@ -41,7 +41,6 @@ from pmplab.audit import (
     _mass_spans,
     _refine_search,
     _search_best,
-    _toggle_scorer,
     axiom_residual,
     c2_distance,
     check_C1,
@@ -762,7 +761,7 @@ def test_c2_scorer_matches_fraction_oracle(instance):
             oracle(toggled(current, b, size)) for b in range(size * arity)
         ]
     if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
-        scores = scan()
+        scores = scan(0)
         for members in [seed] + wanted:
             assert F(scores[index_of(members, size, arity)], scale) == oracle(members)
 
@@ -990,52 +989,29 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
         )
         scan, _climb, scale, scorer_seed, _floor = scorer
         assert scorer_seed == seed
-        scores = [F(s, scale) for s in scan()]
+        # no score is below 0, so the scan scores every candidate
+        scores = [F(s, scale) for s in scan(0)]
         assert scores == [oracle(m) for m in _tuple_candidates(refined.algebra.size, 1)]
-
-
-def flip_scorer(flip, size, arity, start, scale, seed, floor):
-    """The scorer of _search_best from flip(coord, atom), through
-    _toggle_scorer: walk flips each toggle in turn, and peek flips and flips
-    back."""
-
-    def walk(indices):
-        return [flip(*divmod(b, size)) for b in indices]
-
-    def peek(b):
-        value = flip(*divmod(b, size))
-        flip(*divmod(b, size))
-        return value
-
-    return _toggle_scorer(size, arity, walk, peek, start, scale, seed, floor)
 
 
 def test_counter_walk_visits_candidates_in_lexicographic_order():
     """A score that falls along the lexicographic order makes the scan
     return candidate m exactly when the stop is just above its score, and a
-    zero at candidate m is returned whatever the stop."""
+    zero at candidate m is returned whatever the stop: candidate index
+    order is the lexicographic order of the member tuples."""
     for size, arity in [(2, 1), (2, 2), (3, 2), (1, 3), (4, 0)]:
         order = list(_tuple_candidates(size, arity))
         rank = {members: i for i, members in enumerate(order)}
+        ranks = [rank[members_of(i, size, arity)] for i in range(len(order))]
         for m, members in enumerate(order):
-            state = [set() for _ in range(arity)]
-
-            def flip(coord, atom, state=state):
-                state[coord] ^= {atom}
-                return -1 - rank[tuple(tuple(sorted(e)) for e in state)]
-
             # scores run down to -len(order), which is their floor
-            scorer = flip_scorer(flip, size, arity, -1, 1, ((),) * arity, -len(order))
+            table = [-1 - r for r in ranks]
+            scorer = TableScorer(size, arity, table, floor=-len(order)).scorer
             assert _search_best(size, arity, scorer, F(-m)) == (-1 - m, members)
 
             # a zero at candidate m ends the scan there, whatever the stop
-            def flip_zero(coord, atom, state=state):
-                state[coord] ^= {atom}
-                return 0 if tuple(tuple(sorted(e)) for e in state) == members else 1
-
-            state[:] = [set() for _ in range(arity)]
-            start = 0 if m == 0 else 1
-            scorer = flip_scorer(flip_zero, size, arity, start, 1, ((),) * arity, 0)
+            table = [0 if r == m else 1 for r in ranks]
+            scorer = TableScorer(size, arity, table).scorer
             assert _search_best(size, arity, scorer, F(0)) == (0, members)
 
 
@@ -1078,7 +1054,7 @@ def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
             built.append(args)
             return super().__new__(cls, *args, **kwargs)
 
-    # the EC instance of test_full_gray_scan_flips_once_per_candidate:
+    # the EC instance of test_ec_scan_scores_each_candidate_once_up_to_its_first_hit:
     # every discrepancy is at least 1/18, so no depth stops the search
     small = quotient_action(cyclic_group(6, [1]))
     big = product_action(small, validate_algebra([F(1, 3), F(2, 3)]))[0]
@@ -1099,7 +1075,7 @@ def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Gray-code walk of a toggling scorer against the binary-counter scan
+# the scan rule of _search_best against the binary-counter scan
 
 
 def members_of(index, size, arity):
@@ -1134,47 +1110,56 @@ def oracle_counter_scan(size, arity, walk, start, scale, stop_below):
     return Fraction(best, scale), members_of(best_i, size, arity)
 
 
+def counter_scores(size, arity, walk, start):
+    """The score of every candidate in index order, from a scorer that holds
+    the all-empty tuple, scoring start, stepped by walk as a binary
+    counter."""
+    places = [(arity - 1 - b // size) * size + b % size for b in range(size * arity)]
+    scores = [start]
+    for i in range(1, 1 << size * arity):
+        for b in range((i & -i).bit_length()):
+            [value] = walk([places[b]])
+        scores.append(value)
+    return scores
+
+
 class TableScorer:
-    """A toggling scorer over a table of scores indexed by candidate: it
-    holds the index of its current candidate and counts its scored steps,
-    one per toggle walked and one per peek.  scorer is its _search_best
-    form."""
+    """A scorer over a table of scores indexed by candidate.  scorer is its
+    _search_best form, whose scan(cut) returns the table through its first
+    score below cut, as the extension scan does, or with whole the whole
+    table, as the packed scan does.  walk toggles a held candidate index for
+    oracle_counter_scan, starting at candidate 0."""
 
-    def __init__(self, size, arity, table, scale=1, floor=0):
-        self.size, self.arity, self.table = size, arity, table
-        self.index = self.flips = 0
-        self.scorer = _toggle_scorer(
-            size, arity, self.walk, self.peek, table[0], scale, ((),) * arity, floor
-        )
+    def __init__(self, size, arity, table, scale=1, floor=0, whole=False):
+        self.size, self.arity, self.table, self.whole = size, arity, table, whole
+        self.index = 0
+        self.scorer = (self.scan, None, scale, ((),) * arity, floor)
 
-    def bit(self, b):
-        coord, atom = divmod(b, self.size)
-        return 1 << ((self.arity - 1 - coord) * self.size + atom)
+    def scan(self, cut):
+        hits = [i for i, s in enumerate(self.table) if s < cut]
+        return self.table if self.whole or not hits else self.table[: hits[0] + 1]
 
     def walk(self, indices):
         scores = []
         for b in indices:
-            self.index ^= self.bit(b)
-            self.flips += 1
+            coord, atom = divmod(b, self.size)
+            self.index ^= 1 << ((self.arity - 1 - coord) * self.size + atom)
             scores.append(self.table[self.index])
         return scores
 
-    def peek(self, b):
-        self.flips += 1
-        return self.table[self.index ^ self.bit(b)]
-
 
 def compare_scans(size, arity, table, stop, scale=1, floor=0):
-    """Both scans on one table give the same (value, members), the Gray-code
-    scan told the table's floor and the counter scan not.  Returns the
-    result, whether it is a hit, and the flips of both scans."""
-    fast = TableScorer(size, arity, table, scale, floor)
-    slow = TableScorer(size, arity, table, scale)
-    result = _search_best(size, arity, fast.scorer, stop)
-    assert result == oracle_counter_scan(size, arity, slow.walk, table[0], scale, stop)
-    value, members = result
-    hit = value < stop or value == 0
-    return result, hit, fast.flips, slow.flips
+    """The scan rule on one table gives the counter scan's (value, members),
+    the scan told the table's floor and the counter scan not, whether the
+    scan stops at its first hit or returns every score.  Returns the result
+    and whether it is a hit."""
+    result = _search_best(size, arity, TableScorer(size, arity, table, scale, floor).scorer, stop)
+    whole = TableScorer(size, arity, table, scale, floor, whole=True).scorer
+    assert _search_best(size, arity, whole, stop) == result
+    walk = TableScorer(size, arity, table).walk
+    assert result == oracle_counter_scan(size, arity, walk, table[0], scale, stop)
+    value, _members = result
+    return result, value < stop or value == 0
 
 
 @st.composite
@@ -1202,28 +1187,27 @@ def _score_tables(draw):
 
 @given(_score_tables())
 @settings(max_examples=300, deadline=None)
-def test_gray_scan_matches_counter_scan_on_score_tables(instance):
+def test_scan_matches_counter_scan_on_score_tables(instance):
     compare_scans(*instance)
 
 
-def test_gray_scan_edge_cases():
-    """The rule of _search_best on a 256-candidate table, each scan one
-    whole Gray-code walk of 255 flips."""
+def test_scan_edge_cases():
+    """The rule of _search_best on a 256-candidate table."""
     size, arity = 4, 2
     count = 1 << size * arity
 
     # no hit: the least score, its first candidate among ties
     table = [5] * count
     table[70] = table[40] = table[200] = 2
-    (value, members), hit, flips, _ = compare_scans(size, arity, table, F(1))
-    assert (value, members, hit, flips) == (2, members_of(40, size, arity), False, count - 1)
+    (value, members), hit = compare_scans(size, arity, table, F(1))
+    assert (value, members, hit) == (2, members_of(40, size, arity), False)
 
     # a hit at candidate 0, by a zero and by the threshold
     for first, stop in [(0, F(0)), (1, F(2))]:
         table = [7] * count
         table[0] = first
-        (value, members), hit, flips, _ = compare_scans(size, arity, table, stop)
-        assert (value, members, hit, flips) == (first, ((), ()), True, count - 1)
+        (value, members), hit = compare_scans(size, arity, table, stop)
+        assert (value, members, hit) == (first, ((), ()), True)
 
     # zeros: the first zero wins over an earlier score below the stop
     table = [9] * count
@@ -1236,26 +1220,20 @@ def test_gray_scan_edge_cases():
     table[100], table[90] = 3, 4
     assert compare_scans(size, arity, table, F(5))[0] == (4, members_of(90, size, arity))
 
-    # two hits, the one the Gray-code walk reaches later at the lower index:
-    # the walk runs 0, 1, 3, 2, ..., so 3 comes before 2, and 96 before 64
+    # two hits, the lower index winning with the higher score
     for early, late in [(3, 2), (64 + 32, 64)]:
         table = [9] * count
         table[early], table[late] = 1, 4
-        (value, members), hit, flips, _ = compare_scans(size, arity, table, F(5))
-        assert (value, members, flips) == (4, members_of(late, size, arity), count - 1)
+        (value, members), _hit = compare_scans(size, arity, table, F(5))
+        assert (value, members) == (4, members_of(late, size, arity))
 
 
-def test_full_gray_scan_flips_once_per_candidate():
-    """A full 4096-candidate scan of a toggling scorer, on a table and on
-    the extension scorer, makes N - 1 flips; the binary counter makes about
-    2N.  The packed C2 scan of the same size gives what the counter scan
-    over the walk/peek scorer gives."""
+def test_ec_scan_scores_each_candidate_once_up_to_its_first_hit():
+    """The extension scan computes one pattern per candidate: N at a depth
+    with no hit, and h + 1 when candidate h is the first hit, returning the
+    full scan's first h + 1 scores.  The packed C2 scan of the same size
+    gives what the counter scan over the walk/peek scorer gives."""
     count = EXHAUSTIVE_TUPLE_CAP
-    rng = random.Random(5)
-    table = [rng.randint(1, 50) for _ in range(count)]
-    _result, hit, flips, counter_flips = compare_scans(12, 1, table, F(0))
-    assert not hit
-    assert flips == count - 1 < counter_flips
 
     # the C2 instance of test_exhaustive_scan_builds_one_fraction_per_depth
     act = quotient_action(cyclic_group(12, [1]))
@@ -1270,7 +1248,7 @@ def test_full_gray_scan_flips_once_per_candidate():
 
     # pairs of events on Z/6 against a target whose first event is a third
     # of an anchor atom: every discrepancy is at least 1/18, so no candidate
-    # is a hit; each flip recomputes the pattern once
+    # is a hit at the stop 0
     small = quotient_action(cyclic_group(6, [1]))
     big = product_action(small, validate_algebra([F(1, 3), F(2, 3)]))[0]
     embed = PartialIsomorphism.of(
@@ -1294,9 +1272,16 @@ def test_full_gray_scan_flips_once_per_candidate():
 
     with mock.patch.object(audit, "_triple_units", counting):
         fast = _search_best(6, 2, prepare(refined, projection), F(0))
-    assert fast[0] > 0
-    # one pattern for the all-empty tuple, then one per flip
-    assert len(patterns) == count
+        assert fast[0] > 0 and len(patterns) == count
+        scores = prepare(refined, projection)[0](0)
+        assert len(scores) == count
+        # cuts just above the first score, the least score, and two between
+        levels = sorted(set(scores))
+        for cut in {scores[0] + 1, levels[0] + 1, levels[1] + 1, levels[len(levels) // 2] + 1}:
+            h = next(i for i, v in enumerate(scores) if v < cut)
+            patterns.clear()
+            assert prepare(refined, projection)[0](cut) == scores[: h + 1]
+            assert len(patterns) == h + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1555,7 +1540,7 @@ def test_descent_matches_the_flip_and_flip_back_oracle(instance):
 
 
 def assert_packed_matches_oracle(act, a, bs, depth, moves, scan_whole=True):
-    """At one depth, the packed scan gives twice the scores of a Gray-code
+    """At one depth, the packed scan gives twice the scores of a counter
     walk of the walk/peek oracle (scan_whole), and the packed descent gives
     twice its scores at the seed and, by peek, at every toggle, before and
     after each of the moves; c2_distance gives the seed's value."""
@@ -1565,10 +1550,9 @@ def assert_packed_matches_oracle(act, a, bs, depth, moves, scan_whole=True):
     scan, climb, scale, seed, _floor = c2_prepare(a, bs)(refined, projection)
     oracle = oracle_walk_peek_c2_prepare(a, bs)
     if scan_whole:
-        walk, peek, start, oracle_scale = oracle(refined, projection)
+        walk, _peek, start, oracle_scale = oracle(refined, projection)
         assert oracle_scale == 2 * scale
-        gray = _toggle_scorer(size, arity, walk, peek, start, oracle_scale, (), 0)[0]
-        assert [2 * s for s in scan()] == gray()
+        assert [2 * s for s in scan(0)] == counter_scores(size, arity, walk, start)
     walk, peek, start, _oracle_scale = oracle(refined, projection)
     toggles = toggles_of(seed, size)
     value, descend = climb()

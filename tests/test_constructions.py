@@ -269,6 +269,62 @@ def test_extend_partial_step_preserves_types():
         assert src_masses == tgt_masses
 
 
+def test_extend_partial_step_refuses_a_new_block_that_overlaps():
+    """The one check extend_partial_step makes: its new source block must be
+    disjoint from the paired ones, else the message of .of; the bound is
+    checked first."""
+    alg = uniform_algebra(4)
+    p = PartialIsomorphism.of(alg, alg, [([0, 1], [2, 3])])
+    ident = tuple(range(4))
+    with pytest.raises(NotMassPreserving, match="blocks of a partial isomorphism overlap"):
+        extend_partial_step(alg, ident, p, Event.of(alg, [1, 2]), F(2))
+    with pytest.raises(BoundViolated):
+        extend_partial_step(alg, ident, p, Event.of(alg, [1, 2]), F(1, 2))
+    ext = extend_partial_step(alg, ident, p, Event.of(alg, [2, 3]), F(2))
+    assert ext.partial.pairs[-1] == (frozenset({2, 3}), frozenset({0, 1}))
+
+
+def random_block_partial(rng, alg):
+    """A partial correspondence of the algebra with itself whose blocks are
+    disjoint sets of up to three atoms, each paired with its image under a
+    mass-preserving permutation."""
+    atoms = list(range(alg.size))
+    rng.shuffle(atoms)
+    h = random_mass_preserving_perm(rng, alg)
+    pairs = []
+    while atoms and rng.random() < 0.7:
+        block = [atoms.pop() for _ in range(min(len(atoms), rng.randint(1, 3)))]
+        pairs.append((block, [h[x] for x in block]))
+    return PartialIsomorphism.of(alg, alg, pairs)
+
+
+def test_extend_partial_step_result_passes_the_outside_check():
+    """extend_partial_step builds its result without .of: on random steps,
+    .of over the result gives the result back, and a refused new block is
+    one that overlaps a paired source block, which .of refuses too."""
+    rng = random.Random(2231)
+    built = refused = 0
+    for _ in range(80):
+        alg = random_algebra(rng, max_atoms=6, max_den=12)
+        g = random_mass_preserving_perm(rng, alg)
+        p = random_block_partial(rng, alg)
+        newsource = Event.of(alg, rng.sample(range(alg.size), rng.randint(0, min(2, alg.size))))
+        try:
+            ext = extend_partial_step(alg, g, p, newsource, F(2))
+        except NotMassPreserving:
+            with pytest.raises(NotMassPreserving, match="overlap"):
+                PartialIsomorphism.of(alg, alg, p.pairs + ((newsource.members, ()),))
+            refused += 1
+            continue
+        result = ext.partial
+        assert PartialIsomorphism.of(result.source, result.target, result.pairs) == result
+        assert [src for src, _ in result.pairs] == [src for src, _ in p.pairs] + [
+            frozenset(newsource.members)
+        ]
+        built += 1
+    assert built > 20 and refused > 10
+
+
 # ---------------------------------------------------------------- groups
 
 
@@ -568,7 +624,7 @@ def oracle_eppa(alg, partials):
     """eppa_extend's completion as it was: an assignment dict and a set of
     used targets per partial; the overalgebra's atoms, the generators and
     the embedding's pairs."""
-    n_units = alg.denominator_lcm()
+    n_units = alg.den
     big, projection = refine_to_unit(alg, Fraction(1, n_units))
     runs = _runs(projection)
 

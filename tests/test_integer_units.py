@@ -414,7 +414,7 @@ def test_validate_algebra_matches_the_fraction_oracle(masses):
     assert alg.atoms == expected
     assert all(type(m) is Fraction for m in alg.atoms)
     den = lcm(*(m.denominator for m in expected))
-    assert alg.denominator_lcm() == den
+    assert alg.den == den
     assert [Fraction(u, den) for u in alg.units] == list(expected)
 
 

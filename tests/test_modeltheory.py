@@ -130,7 +130,7 @@ def test_type_distance_tv_matches_oracle_on_small_instances():
         arity = rng.randint(1, 2)
         b = random_tuple(rng, alg, arity=arity)
         c = random_tuple(rng, alg, arity=arity)
-        grid = alg.denominator_lcm()
+        grid = alg.den
         try:
             got = oracle_type_distance(base, b, c, grid=grid)
         except InstanceTooLarge:
@@ -149,7 +149,7 @@ def test_type_distance_max_bounded_by_oracle():
         c = random_tuple(rng, alg, arity=2)
         try:
             upper = oracle_type_distance(
-                base, b, c, grid=alg.denominator_lcm(), metric="max"
+                base, b, c, grid=alg.den, metric="max"
             )
         except InstanceTooLarge:
             continue

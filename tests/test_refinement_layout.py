@@ -97,7 +97,7 @@ def test_every_refinement_has_the_run_layout(seed):
     act = random_action(rng)
     alg = act.algebra
     m = rng.randint(1, 3)
-    unit = F(1, alg.denominator_lcm() * rng.randint(1, 2))
+    unit = F(1, alg.den * rng.randint(1, 2))
 
     assert_run_layout(alg, *refine_to_unit(alg, unit))
 
