@@ -371,14 +371,18 @@ class AtomPartition(Record):
     @staticmethod
     def of(algebra: MeasuredAlgebra, blocks: Iterable[Iterable[int]]) -> AtomPartition:
         bs = [frozenset(b) for b in blocks]
+        size = algebra.size
         seen: set[int] = set()
         for b in bs:
             if not b:
                 raise PartMassMismatch("partition blocks must be nonempty")
+            if min(b) < 0 or max(b) >= size:
+                i = min(i for i in b if not 0 <= i < size)
+                raise PartMassMismatch(f"atom index {i} out of range for algebra of size {size}")
             if b & seen:
                 raise PartMassMismatch("partition blocks overlap")
             seen |= b
-        if seen != set(range(algebra.size)):
+        if len(seen) != size:
             raise PartMassMismatch("partition blocks must cover all atoms")
         return AtomPartition(algebra, tuple(sorted(bs, key=min)))
 

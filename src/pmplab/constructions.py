@@ -591,7 +591,8 @@ def eppa_extend(
 
 class Ergodization(Record):
     """A transitive action obtained by composing generators with atom swaps,
-    together with the number of swaps applied."""
+    together with the number of swaps applied: the orbit count of the input
+    action minus one."""
 
     action: FkAction
     modifications: int
@@ -607,13 +608,23 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     """Make an equal-atom action transitive without disturbing a subalgebra.
 
     fixed is a partition whose blocks every generator must map onto blocks,
-    with no nontrivial union of blocks invariant under all generators.  While
-    the action has several orbit components, the first component is merged
-    into another by one involution: scan generators and component atoms in
-    increasing order for an image block that leaves the component, and swap
-    the image atom with the lowest-index atom outside.  Each swap happens
-    inside one image block, so the induced maps on the blocks never change;
-    at most (number of components - 1) swaps are applied."""
+    with no nontrivial union of blocks invariant under all generators.  The
+    orbits are computed once.  merged starts as the orbit of atom 0, and
+    each swap merges one more orbit into it: scan generators, and the atoms
+    x of merged in increasing order, for an image block that leaves merged,
+    and swap the image u = p[x] with v, the least atom of that block outside
+    merged.  Each swap happens inside one image block, so the induced maps
+    on the blocks never change.  It joins the p-cycle through u, in merged,
+    with the p-cycle through v, in the orbit D of v, so merged and D become
+    one orbit and every other orbit is unchanged: D is an orbit of the input
+    action, and exactly (number of orbits - 1) swaps are applied.
+
+    With k >= 1 a swap always exists (k = 0 on two or more atoms is refused
+    first).  If none is found, every generator maps the union U of the
+    blocks that meet merged into merged, and merged lies in U.  A generator
+    is a bijection, so it maps U onto merged, and then merged = U and U is
+    an invariant union of blocks.  The swaps never change the block maps, so
+    the precondition makes U the whole algebra, and merged is everything."""
     alg = act.algebra
     if fixed.algebra.id != alg.id:
         raise AlgebraMismatch("fixed partition does not live on the action's algebra")
@@ -622,14 +633,14 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     block_index = fixed.block_index()
     block_perms: list[list[int]] = []
     for p in act.gens:
-        bp = [-1] * len(fixed.blocks)
-        for bi, block in enumerate(fixed.blocks):
-            image = frozenset(p[x] for x in block)
-            if image not in fixed.blocks:
+        bp = []
+        for block in fixed.blocks:
+            bi = block_index[p[min(block)]]
+            if frozenset(p[x] for x in block) != fixed.blocks[bi]:
                 raise PartitionNotPreserved(
                     f"generator image of block {sorted(block)} is not a block"
                 )
-            bp[bi] = fixed.blocks.index(image)
+            bp.append(bi)
         block_perms.append(bp)
 
     # The inverse of a block permutation is one of its powers, so the
@@ -647,54 +658,28 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
             "ergodization needs at least one generator: with k = 0 each of the "
             f"{alg.size} atoms is its own orbit"
         )
+    orbits = invariant_components(act).blocks
+    orbit_of = {x: orbit for orbit in orbits for x in orbit}
+    merged = set(orbits[0])
     gens = [list(p) for p in act.gens]
-    modifications = 0
-    while True:
-        current = FkAction(alg, tuple([tuple(p) for p in gens]))
-        orbits = invariant_components(current).blocks
-        if len(orbits) == 1:
-            return Ergodization(current, modifications)
-        first = orbits[0]
-        swap = _find_merge_swap(gens, block_perms, fixed, block_index, first)
+    for _ in range(len(orbits) - 1):
+        swap = next(
+            (
+                (p, x, min(outside))
+                for p, bp in zip(gens, block_perms)
+                for x in sorted(merged)
+                for outside in [fixed.blocks[bp[block_index[x]]] - merged]
+                if outside
+            ),
+            None,
+        )
         if swap is None:
             raise LPInternal("no merging swap found despite precondition")
-        gi, u, v = swap
-        p = gens[gi]
-        pu = p.index(u)
+        p, x, v = swap
         pv = p.index(v)
-        p[pu], p[pv] = v, u
-        modifications += 1
-
-
-def _find_merge_swap(
-    gens: list[list[int]],
-    block_perms: list[list[int]],
-    fixed: AtomPartition,
-    block_index: dict[int, int],
-    first: frozenset[int],
-) -> Optional[tuple[int, int, int]]:
-    """Find (generator, image atom, outside atom) merging the first component.
-
-    The image atom is where the generator sends the scanned component atom;
-    the outside atom is the lowest atom of the same image block not in the
-    component.  Swapping the two inside the generator keeps the induced block
-    maps intact, so the image block of x's block is read from block_perms,
-    the block maps ergodize built before any swap.
-
-    With k >= 1 a swap always exists (ergodize refuses k = 0 on two or more
-    atoms before it gets here).  If none is found, every generator
-    maps the union U of the blocks that meet the first orbit C into C, and
-    C lies in U.  A generator is a bijection, so it maps U onto C, and then
-    C = U and U is an invariant union of blocks.  The swaps never change
-    the block maps, so the precondition makes U the whole algebra, and C,
-    the first orbit, is everything: the action was already transitive."""
-    for gi, (p, bp) in enumerate(zip(gens, block_perms)):
-        for x in sorted(first):
-            image_block = fixed.blocks[bp[block_index[x]]]
-            outside = sorted(y for y in image_block if y not in first)
-            if outside:
-                return gi, p[x], outside[0]
-    return None
+        p[x], p[pv] = v, p[x]
+        merged |= orbit_of[v]
+    return Ergodization(FkAction(alg, tuple(map(tuple, gens))), len(orbits) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,8 @@ def test_atom_partition_validation():
         AtomPartition.of(alg, [[0, 1], [2]])
     with pytest.raises(PartMassMismatch):
         AtomPartition.of(alg, [[0, 1], [1, 2, 3]])
+    with pytest.raises(PartMassMismatch, match="^atom index 4 out of range for algebra of size 4$"):
+        AtomPartition.of(alg, [[0, 1], [2, 3, 4]])
 
 
 def test_dist_partition_counts_disagreeing_atom_mass():

@@ -112,6 +112,17 @@ def test_ergodize_reports_element_in_error(capsys):
     assert doc["error"]["element"] == [0, 1]
 
 
+@pytest.mark.parametrize("fixed, atom", [("[[0,1,5]]", 5), ("[[0,1],[-1]]", -1)])
+def test_ergodize_names_out_of_range_block_atom(capsys, fixed, atom):
+    # the blocks cover every atom, so "must cover all atoms" would mislead
+    code, out = run(capsys, "ergodize", Z2_ACTION, fixed)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "PartMassMismatch",
+        "message": f"atom index {atom} out of range for algebra of size 2",
+    }
+
+
 def test_dist_and_typedist_metrics(capsys):
     code, out = run(capsys, "dist", '{"atoms":["1/2","1/2"]}', "[[0]]", "[[1]]")
     assert code == 0

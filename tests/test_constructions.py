@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -69,11 +70,13 @@ from pmplab.errors import (
     BoundViolated,
     InstanceTooLarge,
     InvalidGroupTable,
+    LPInternal,
     NotBijective,
     NotGenerating,
     NotMassPreserving,
     NotMeasurePreserving,
     NotTransitive,
+    PartitionNotPreserved,
     PreconditionInvariantElement,
     TypeMismatch,
     UnequalAtoms,
@@ -90,6 +93,7 @@ from conftest import (
     cycle_mismatch_pair,
     marked_group_isomorphism,
     oracle_validate_marked_group,
+    outcome,
     random_algebra,
     random_permutation,
     random_equal_atom_action,
@@ -785,9 +789,168 @@ def test_ergodize_random_properties():
         comps = len(invariant_components(act).blocks)
         erg = ergodize(act, fixed)
         assert len(invariant_components(erg.action).blocks) == 1
-        assert erg.modifications <= comps - 1
+        assert erg.modifications == comps - 1
         for gi in range(act.k):
             assert _block_map(act, fixed, gi) == _block_map(erg.action, fixed, gi)
+
+
+def oracle_ergodize(act, fixed):
+    """ergodize as it was before it computed its orbits once: after every
+    swap it rebuilds the action, recounts every orbit, and rescans the first
+    one for the next swap."""
+    alg = act.algebra
+    if fixed.algebra.id != alg.id:
+        raise AlgebraMismatch("fixed partition does not live on the action's algebra")
+    if not constructions._equal_atoms(alg):
+        raise UnequalAtoms("ergodization requires all atoms of equal mass")
+    block_index = fixed.block_index()
+    block_perms = []
+    for p in act.gens:
+        bp = [-1] * len(fixed.blocks)
+        for bi, block in enumerate(fixed.blocks):
+            image = frozenset(p[x] for x in block)
+            if image not in fixed.blocks:
+                raise PartitionNotPreserved(
+                    f"generator image of block {sorted(block)} is not a block"
+                )
+            bp[bi] = fixed.blocks.index(image)
+        block_perms.append(bp)
+    reached, _ = _breadth_first(0, block_perms, lambda b, bp: bp[b])
+    if len(reached) != len(fixed.blocks):
+        element = tuple(sorted(x for bi in reached for x in fixed.blocks[bi]))
+        raise PreconditionInvariantElement(
+            "a nontrivial union of fixed blocks is invariant under all generators",
+            element,
+        )
+    if not act.gens and alg.size > 1:
+        raise ValidationError(
+            "ergodization needs at least one generator: with k = 0 each of the "
+            f"{alg.size} atoms is its own orbit"
+        )
+    gens = [list(p) for p in act.gens]
+    modifications = 0
+    while True:
+        current = FkAction(alg, tuple([tuple(p) for p in gens]))
+        orbits = invariant_components(current).blocks
+        if len(orbits) == 1:
+            return constructions.Ergodization(current, modifications)
+        first = orbits[0]
+        swap = None
+        for gi, (p, bp) in enumerate(zip(gens, block_perms)):
+            for x in sorted(first):
+                image_block = fixed.blocks[bp[block_index[x]]]
+                outside = sorted(y for y in image_block if y not in first)
+                if outside:
+                    swap = gi, p[x], outside[0]
+                    break
+            if swap is not None:
+                break
+        if swap is None:
+            raise LPInternal("no merging swap found despite precondition")
+        gi, u, v = swap
+        p = gens[gi]
+        pu = p.index(u)
+        pv = p.index(v)
+        p[pu], p[pv] = v, u
+        modifications += 1
+
+
+def random_ergodize_instance(rng):
+    """An action on 1-12 blocks of 1-6 atoms with k = 1-3 and its block
+    partition.  Most generators map blocks onto blocks of their size, so the
+    blocks reached from block 0 may be all of them or an invariant union.
+    Half the generators keep each atom's place in its block, which leaves
+    many orbits to merge.  Some blocks have unequal sizes, atom labels may
+    be scrambled, and some generators get one stray transposition that may
+    break the block map."""
+    count = rng.randint(1, 12)
+    if rng.random() < 0.8:
+        sizes = [rng.randint(1, 6)] * count
+    else:
+        sizes = [rng.randint(1, 6) for _ in range(count)]
+    n = sum(sizes)
+    starts = [sum(sizes[:b]) for b in range(count)]
+    blocks = [list(range(s, s + size)) for s, size in zip(starts, sizes)]
+    classes = {}
+    for b, size in enumerate(sizes):
+        classes.setdefault(size, []).append(b)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        block_perm = list(range(count))
+        for members in classes.values():
+            images = members[:]
+            if rng.random() < 0.5:
+                rng.shuffle(images)
+            else:  # one cycle through the class: its blocks are one union
+                images = images[1:] + images[:1]
+            for b, c in zip(members, images):
+                block_perm[b] = c
+        aligned = rng.random() < 0.5  # the i-th atom of a block to the i-th of its image
+        perm = [0] * n
+        for b, block in enumerate(blocks):
+            image = blocks[block_perm[b]][:]
+            if not aligned:
+                rng.shuffle(image)
+            for x, y in zip(block, image):
+                perm[x] = y
+        if n > 1 and rng.random() < 0.1:
+            i, j = rng.sample(range(n), 2)
+            perm[i], perm[j] = perm[j], perm[i]
+        gens.append(perm)
+    if rng.random() < 0.5:
+        label = random_permutation(rng, n)
+        blocks = [[label[x] for x in block] for block in blocks]
+        gens = [perm_compose(perm_compose(label, p), perm_inverse(label)) for p in gens]
+    alg = uniform_algebra(n)
+    return validate_action(alg, gens), AtomPartition.of(alg, blocks)
+
+
+def naming_element(fn):
+    """fn, with the element of a PreconditionInvariantElement in its message,
+    so that outcome() compares it too."""
+
+    def run(act, fixed):
+        try:
+            return fn(act, fixed)
+        except PreconditionInvariantElement as exc:
+            raise PreconditionInvariantElement(f"{exc} {exc.element}", exc.element) from exc
+
+    return run
+
+
+def test_ergodize_matches_oracle_on_random_instances():
+    rng = random.Random(3301)
+    kinds = Counter()
+    for _ in range(2000):
+        act, fixed = random_ergodize_instance(rng)
+        got = outcome(naming_element(ergodize), act, fixed)
+        assert got == outcome(naming_element(oracle_ergodize), act, fixed)
+        kinds[got[0]] += 1
+    assert set(kinds) == {"value", PreconditionInvariantElement, PartitionNotPreserved}
+
+
+def test_ergodize_counts_orbits_once(monkeypatch):
+    calls = []
+
+    def counted(act):
+        calls.append(act)
+        return invariant_components(act)
+
+    monkeypatch.setattr(constructions, "invariant_components", counted)
+    alg4 = uniform_algebra(4)
+    act = validate_action(alg4, [(0, 1, 2, 3)])
+    erg = ergodize(act, AtomPartition.trivial(alg4))
+    assert erg.modifications == 3
+    assert calls == [act]
+
+
+def test_ergodize_names_first_block_whose_image_is_not_a_block():
+    # {0} maps into the block {1, 2} without being it; checking only that
+    # each image lands in one block would name [1, 2] instead
+    alg3 = uniform_algebra(3)
+    act = validate_action(alg3, [(1, 0, 2)])
+    with pytest.raises(PartitionNotPreserved, match=r"^generator image of block \[0\] is not a block$"):
+        ergodize(act, AtomPartition.of(alg3, [[0], [1, 2]]))
 
 
 # ---------------------------------------------------------------- embeddings
