@@ -8,10 +8,10 @@ quotient permutation.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     ZERO,
@@ -145,7 +145,7 @@ def apply_gen_tuple(act: FkAction, i: int, t: EventTuple) -> EventTuple:
     return EventTuple(t.algebra, tuple(apply_perm_event(p, e) for e in t.events))
 
 
-def _breadth_first(start, gens, step, limit: Optional[int] = None):
+def _breadth_first(start, gens, step, limit: int | None = None):
     """Closure of start under x -> step(x, g) for every g in gens.
 
     Returns the elements in breadth-first discovery order, scanning gens in

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AlgebraMismatch,

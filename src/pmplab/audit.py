@@ -43,12 +43,12 @@ what c2_distance (or the triple pattern in masses) would give.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm
 from operator import sub
-from typing import Sequence
 
 from .algebra import (
     ZERO,

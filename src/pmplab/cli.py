@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any
 
 from . import jsonio
 from .action import product_action, uniform_distance, uniform_distance_tuples
@@ -53,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _load(arg: str) -> Any:
+def _load(arg: str) -> object:
     """Interpret a CLI object argument.
 
     Inline JSON when it starts with a brace or bracket, a builtin group
@@ -323,75 +322,99 @@ def _cmd_audit_ec(args) -> dict:
 # parser assembly and dispatch
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="pmplab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    bs = ("bs", {"nargs": "+"})
-    depth = ("--max-refine", {"type": int, "default": 1, "dest": "max_refine"})
-    metric = ("--metric", {"choices": TYPE_METRICS, "default": "tv"})
+# Every subcommand: name -> (handler, arguments, help).  An argument is a
+# name or (name, options); every subcommand also takes --out.
+_BS = ("bs", {"nargs": "+"})
+_DEPTH = ("--max-refine", {"type": int, "default": 1, "dest": "max_refine"})
+_METRIC = ("--metric", {"choices": TYPE_METRICS, "default": "tv"})
+_COMMANDS = {
+    "gen-quotient": (_cmd_gen_quotient, ("group",),
+                     "quotient action of a marked group"),
+    "joint-quotient": (_cmd_joint_quotient, ("group1", "group2"),
+                       "subgroup of a product generated by paired generators"),
+    "tensor": (_cmd_tensor, ("action", "factor"),
+               "tensor an action with a trivial factor"),
+    "refine": (_cmd_refine, ("action", ("parts", {"type": int})),
+               "split every atom into equal parts"),
+    "dist": (_cmd_dist, ("algebra", "a", "b"),
+             "max and partition distances between tuples"),
+    "typedist": (_cmd_typedist, ("algebra", "base", "b", "c", _METRIC),
+                 "type distance over a base tuple"),
+    "indep": (_cmd_indep, ("algebra", "base", "b", "c"),
+              "conditional independence deficiency"),
+    "delta": (_cmd_delta, ("algebra", "g", "h"),
+              "uniform distance between automorphisms"),
+    "match": (_cmd_match, ("algebra", "a", "b"),
+              "automorphism carrying one tuple onto an equidistributed one"),
+    "eppa": (_cmd_eppa, ("algebra", ("partials", {"nargs": "+"})),
+             "extend partial automorphisms over an equal-atom algebra"),
+    "ergodize": (_cmd_ergodize, ("action", "fixed"),
+                 "make an action transitive fixing a block partition"),
+    "embed": (_cmd_embed, ("action", ("--mode", {"choices": ("transitive", "profinite"),
+                                                 "default": "profinite"})),
+              "embed into a quotient (or quotient tensor trivial) action"),
+    "conjsearch": (_cmd_conjsearch, ("action1", "action2", _DEPTH,
+                                     ("--beam", {"type": int, "default": 16})),
+                   "search for a near-conjugacy with an exact certificate"),
+    "audit-c1": (_cmd_audit_c1, ("action", "a", "eps", _BS, _METRIC),
+                 "first closure condition quantities"),
+    "audit-c2": (_cmd_audit_c2, ("action", "a", "eps", _BS, _DEPTH),
+                 "witness search for the second closure condition"),
+    "audit-residual": (_cmd_audit_residual, ("action", "a", _BS, _DEPTH),
+                       "certified upper bound for the closure axiom residual"),
+    "audit-ec": (_cmd_audit_ec, ("small", "big", "embed", "a", "bs", "words", "eps", _DEPTH),
+                 "imitate an extension tuple inside the small system"),
+}
 
-    def add(name, handler, *arguments, **kwargs):
-        """A subcommand with its arguments, each a name or (name, options),
-        and --out."""
-        p = sub.add_parser(name, **kwargs)
-        for arg in arguments:
-            if isinstance(arg, tuple):
-                p.add_argument(arg[0], **arg[1])
-            else:
-                p.add_argument(arg)
-        p.add_argument("--out", default=None, help="also write the document here")
-        p.set_defaults(handler=handler)
 
-    add("gen-quotient", _cmd_gen_quotient, "group",
-        help="quotient action of a marked group")
-    add("joint-quotient", _cmd_joint_quotient, "group1", "group2",
-        help="subgroup of a product generated by paired generators")
-    add("tensor", _cmd_tensor, "action", "factor",
-        help="tensor an action with a trivial factor")
-    add("refine", _cmd_refine, "action",
-        ("parts", {"type": int}),
-        help="split every atom into equal parts")
-    add("dist", _cmd_dist, "algebra", "a", "b",
-        help="max and partition distances between tuples")
-    add("typedist", _cmd_typedist, "algebra", "base", "b", "c", metric,
-        help="type distance over a base tuple")
-    add("indep", _cmd_indep, "algebra", "base", "b", "c",
-        help="conditional independence deficiency")
-    add("delta", _cmd_delta, "algebra", "g", "h",
-        help="uniform distance between automorphisms")
-    add("match", _cmd_match, "algebra", "a", "b",
-        help="automorphism carrying one tuple onto an equidistributed one")
-    add("eppa", _cmd_eppa, "algebra",
-        ("partials", {"nargs": "+"}),
-        help="extend partial automorphisms over an equal-atom algebra")
-    add("ergodize", _cmd_ergodize, "action", "fixed",
-        help="make an action transitive fixing a block partition")
-    add("embed", _cmd_embed, "action",
-        ("--mode", {"choices": ("transitive", "profinite"), "default": "profinite"}),
-        help="embed into a quotient (or quotient tensor trivial) action")
-    add("conjsearch", _cmd_conjsearch, "action1", "action2", depth,
-        ("--beam", {"type": int, "default": 16}),
-        help="search for a near-conjugacy with an exact certificate")
-    add("audit-c1", _cmd_audit_c1, "action", "a", "eps", bs, metric,
-        help="first closure condition quantities")
-    add("audit-c2", _cmd_audit_c2, "action", "a", "eps", bs, depth,
-        help="witness search for the second closure condition")
-    add("audit-residual", _cmd_audit_residual, "action", "a", bs, depth,
-        help="certified upper bound for the closure axiom residual")
-    add("audit-ec", _cmd_audit_ec, "small", "big", "embed", "a", "bs",
-        "words", "eps", depth,
-        help="imitate an extension tuple inside the small system")
+def _add_arguments(parser: _Parser, name: str) -> _Parser:
+    """Give parser the arguments of subcommand name, --out and its handler."""
+    handler, arguments, _help = _COMMANDS[name]
+    for arg in arguments:
+        if isinstance(arg, tuple):
+            parser.add_argument(arg[0], **arg[1])
+        else:
+            parser.add_argument(arg)
+    parser.add_argument("--out", default=None, help="also write the document here")
+    parser.set_defaults(handler=handler)
     return parser
 
 
-# One parser per process: parsing reads it and never changes it.
-_parser = functools.lru_cache(maxsize=1)(build_parser)
+def build_parser() -> _Parser:
+    """The root parser, with every subcommand as a subparser.
+
+    Dispatch builds it only to answer -h, an empty argv or an unknown
+    command; a known command is parsed by its own parser."""
+    parser = _Parser(prog="pmplab", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (_handler, _arguments, help_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_), name)
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> _Parser:
+    """The parser of one subcommand, built on its first request and kept:
+    parsing reads it and never changes it.  Its prog, arguments and help are
+    those of the root's subparser of the same name."""
+    return _add_arguments(_Parser(prog=f"pmplab {name}"), name)
 
 
 def cli_dispatch(argv) -> int:
-    parser = _parser()
+    """Answer one request: argv is a subcommand name and its arguments.
+
+    A known subcommand is parsed by its own parser alone, so a request
+    builds one parser in a process, and none once that one is kept.  A usage
+    error prints that parser's usage line.  Anything else goes to the root
+    parser, which prints the help or the usage error listing every
+    subcommand."""
+    argv = list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser, argv = _command_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else 0
@@ -404,7 +427,7 @@ def cli_dispatch(argv) -> int:
         sys.stdout.write(document)
         return 0
     except PmplabError as exc:
-        error: dict[str, Any] = {
+        error: dict[str, object] = {
             "type": type(exc).__name__,
             "message": str(exc),
         }

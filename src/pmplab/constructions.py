@@ -8,10 +8,10 @@ with the metrics from the algebra and action modules.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Optional, Sequence
 
 from .algebra import (
     ZERO,
@@ -564,7 +564,7 @@ def eppa_extend(
 
     gens: list[Perm] = []
     for p in partials:
-        image: list[Optional[int]] = [None] * n_units
+        image: list[int | None] = [None] * n_units
         used = [False] * n_units
         for src, tgt in p.pairs:
             src_units = [u for atom in sorted(src) for u in runs[atom]]
@@ -694,7 +694,7 @@ class QuotientEmbedding(Record):
     elements: tuple[Perm, ...]
     target: FkAction
     sigma: PartialIsomorphism
-    base_factor: Optional[MeasuredAlgebra] = None
+    base_factor: MeasuredAlgebra | None = None
 
 
 def embed_transitive_into_quotient(act: FkAction) -> QuotientEmbedding:
@@ -823,7 +823,7 @@ def approx_conjugacy_search(
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
     beam_steps = 0
-    best: Optional[ConjugacyCertificate] = None
+    best: ConjugacyCertificate | None = None
     for depth, ((r1, proj1), (r2, proj2)) in enumerate(depths, 1):
         n = r1.algebra.size
         mapping = _exact_assign(r1, r2) if depth == 1 else None
@@ -852,7 +852,7 @@ def _at_unit(act: FkAction, den: int) -> tuple[FkAction, tuple[int, ...]]:
     return refine_action_to_unit(act, Fraction(1, den))
 
 
-def _exact_assign(r1: FkAction, r2: FkAction) -> Optional[tuple[int, ...]]:
+def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
     """Exact conjugacy of r1 onto r2, placed one orbit of r1 at a time.
 
     Orbits are taken by least atom and walked as in _orbit_walks.  A walk's

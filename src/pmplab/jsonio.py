@@ -16,7 +16,6 @@ import decimal
 import json
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Any
 
 from .algebra import (
     AtomPartition,
@@ -82,7 +81,7 @@ def algebra_to_json(alg: MeasuredAlgebra) -> dict:
     return {"atoms": [text[u] for u in units]}
 
 
-def algebra_from_json(obj: Any) -> MeasuredAlgebra:
+def algebra_from_json(obj: object) -> MeasuredAlgebra:
     """A list of strs is parsed once per distinct string, in order of first
     appearance, so the first bad entry raises; other lists entry by entry."""
     if not isinstance(obj, Mapping) or not _is_list(obj.get("atoms")):
@@ -98,14 +97,14 @@ def event_to_json(e: Event) -> dict:
     return {"members": list(e.members)}
 
 
-def event_from_json(alg: MeasuredAlgebra, obj: Any) -> Event:
+def event_from_json(alg: MeasuredAlgebra, obj: object) -> Event:
     members = _unwrap_list(obj, "members", "event")
     if not _all_ints(members):
         raise ValidationError("event members must be integers")
     return Event.of(alg, members)
 
 
-def _is_int(value: Any) -> bool:
+def _is_int(value: object) -> bool:
     """An int and not a bool: JSON `true` must not pass for 1."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -116,11 +115,11 @@ def _all_ints(values: Sequence) -> bool:
     return set(map(type, values)) == {int} or all(_is_int(v) for v in values)
 
 
-def _is_list(value: Any) -> bool:
+def _is_list(value: object) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
-def _unwrap_list(obj: Any, key: str, what: str) -> Sequence:
+def _unwrap_list(obj: object, key: str, what: str) -> Sequence:
     """obj[key] when obj is a mapping, else obj itself; either way a list."""
     value = obj.get(key) if isinstance(obj, Mapping) else obj
     if not _is_list(value):
@@ -128,7 +127,7 @@ def _unwrap_list(obj: Any, key: str, what: str) -> Sequence:
     return value
 
 
-def _int_list(value: Any, what: str) -> Sequence[int]:
+def _int_list(value: object, what: str) -> Sequence[int]:
     if not _is_list(value) or not _all_ints(value):
         raise ValidationError(f"{what} must be a list of integers")
     return value
@@ -138,12 +137,12 @@ def tuple_to_json(t: EventTuple) -> dict:
     return {"events": [event_to_json(e) for e in t.events]}
 
 
-def tuple_from_json(alg: MeasuredAlgebra, obj: Any) -> EventTuple:
+def tuple_from_json(alg: MeasuredAlgebra, obj: object) -> EventTuple:
     events = _unwrap_list(obj, "events", "tuple")
     return EventTuple.of(alg, [event_from_json(alg, e) for e in events])
 
 
-def partition_from_json(alg: MeasuredAlgebra, obj: Any) -> AtomPartition:
+def partition_from_json(alg: MeasuredAlgebra, obj: object) -> AtomPartition:
     blocks = _unwrap_list(obj, "blocks", "partition")
     return AtomPartition.of(alg, [_int_list(b, "a partition block") for b in blocks])
 
@@ -160,7 +159,7 @@ def action_to_json(act: FkAction) -> dict:
     }
 
 
-def action_from_json(obj: Any) -> FkAction:
+def action_from_json(obj: object) -> FkAction:
     if not isinstance(obj, Mapping) or not {"algebra", "gens"} <= set(obj):
         raise ValidationError(
             'action JSON must be {"algebra": ..., "k": ..., "gens": [...]}'
@@ -176,7 +175,7 @@ def action_from_json(obj: Any) -> FkAction:
     return act
 
 
-def word_from_json(obj: Any) -> Word:
+def word_from_json(obj: object) -> Word:
     if not _is_list(obj):
         raise ValidationError("word JSON must be a list of signed integers")
     if not _all_ints(obj):
@@ -227,7 +226,7 @@ def _parse_builtin_group(text: str) -> MarkedGroup:
     raise ValidationError(f"unknown builtin group kind {kind!r}")
 
 
-def group_from_json(obj: Any) -> MarkedGroup:
+def group_from_json(obj: object) -> MarkedGroup:
     """Parse a group from a builtin string, a table object
     {"mul": [[...]], "gens": [...]} or a column object, group_to_json's
     {"order": n, "identity": e, "right": [[...], ...]}."""
@@ -256,7 +255,7 @@ def group_from_json(obj: Any) -> MarkedGroup:
     )
 
 
-def _group_from_columns(order: Any, identity: Any, raw: Any) -> MarkedGroup:
+def _group_from_columns(order: object, identity: object, raw: object) -> MarkedGroup:
     """The group whose right Cayley graph the columns are: the size cap as
     soon as the order is an integer, before any column is copied, then the
     shape, every column a permutation of the elements, and then
@@ -288,7 +287,7 @@ def partial_to_json(p: PartialIsomorphism) -> dict:
 
 
 def partial_from_json(
-    source: MeasuredAlgebra, target: MeasuredAlgebra, obj: Any
+    source: MeasuredAlgebra, target: MeasuredAlgebra, obj: object
 ) -> PartialIsomorphism:
     raw = _unwrap_list(obj, "pairs", "partial")
     pairs = []
@@ -315,7 +314,7 @@ def partial_from_json(
 _quote = json.encoder.encode_basestring_ascii
 
 
-def render_document(obj: Any) -> str:
+def render_document(obj: object) -> str:
     """The one canonical JSON serialization: sorted keys, two-space indent,
     trailing newline.  Byte-identical output for equal objects.
 
@@ -333,7 +332,7 @@ def render_document(obj: Any) -> str:
     return "".join(out)
 
 
-def _render(obj: Any, newline: str, out: list[str]) -> None:
+def _render(obj: object, newline: str, out: list[str]) -> None:
     """Append obj to out; newline is a line break and the current indent."""
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -384,7 +383,7 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _joined(values: Sequence, write: Callable[[Any], str], newline: str) -> str:
+def _joined(values: Sequence, write: Callable[[object], str], newline: str) -> str:
     """A non-empty list of plain ints or strs, one item per line, in one
     join.  The loop that holds a plain-int list (a block, a permutation, a
     table row) calls this directly, so such a list costs no _render call."""

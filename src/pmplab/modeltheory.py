@@ -26,10 +26,10 @@ is the total-variation distance, the summed residual mass.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Mapping
 
 from .algebra import (
     ZERO,
@@ -118,24 +118,45 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
 
     Some optimal coupling keeps min(p(s), q(s)) on the diagonal of every
     cell (see the module docstring), so the program couples only the
-    residual laws, with integer rows in units of 1/D and one variable per
-    residual pair.  No program is solved when the laws agree in every cell
-    (the distance is 0) or at arity 1, where the distance equals the
-    total-variation distance, the summed residual mass.
+    residual laws, with integer rows in units of 1/D.  A cell whose residual
+    has one sign on either side has one coupling: its mismatch mass in each
+    coordinate is a constant, which moves to the right-hand side.  Every
+    other cell gets one variable per residual pair and its margin rows less
+    one, which its equal totals make redundant.  No program is solved when
+    every cell is forced: the distance is then the largest forced mismatch,
+    0 when the laws agree in every cell.  At arity 1 every cell is forced,
+    since the two sides of a cell have disjoint supports among two signs,
+    and the distance is the total-variation distance, the summed residual
+    mass.
     """
     _check_triple(base, b, c)
-    cells = _residual_laws(base, b, c)
     den = base.algebra.den
     n = b.arity
-    if n == 1 or not cells:
-        return _residual_mass(cells, den)  # 0 when no cell is left
+    forced = [0] * n
+    free = []
+    for p, q in _residual_laws(base, b, c):
+        if len(p) == 1:
+            [s] = p
+            moves = [(s, t, mass) for t, mass in q.items()]
+        elif len(q) == 1:
+            [t] = q
+            moves = [(s, t, mass) for s, mass in p.items()]
+        else:
+            free.append((p, q))
+            continue
+        for s, t, mass in moves:
+            for i in range(n):
+                if s[i] != t[i]:
+                    forced[i] += mass
+    if not free:
+        return Fraction(max(forced, default=0), den)
 
-    z = sum([len(p) * len(q) for p, q in cells])
+    z = sum([len(p) * len(q) for p, q in free])
     width = z + 1 + n
     rows: list[list[int]] = []
     rhs: list[int] = []
     pairs: list[tuple[Sign, Sign]] = []
-    for p, q in cells:
+    for p, q in free:
         start, step = len(pairs), len(q)
         stop = start + len(p) * step
         for i, mass in enumerate(p.values()):
@@ -143,7 +164,7 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
             row[start + i * step : start + (i + 1) * step] = [1] * step
             rows.append(row)
             rhs.append(mass)
-        for j, mass in enumerate(q.values()):
+        for j, mass in enumerate(list(q.values())[:-1]):
             row = [0] * width
             row[start + j : stop : step] = [1] * len(p)
             rows.append(row)
@@ -154,7 +175,7 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
         row[z] = -1
         row[z + 1 + i] = 1
         rows.append(row)
-        rhs.append(0)
+        rhs.append(-forced[i])
 
     objective = [0] * width
     objective[z] = 1

@@ -4,10 +4,14 @@ A subclass's own annotated names are its fields, in order, and a class
 attribute of the same name is that field's default; a record with fields
 cannot be extended.  Each subclass gets an __init__ of the shape a frozen
 dataclass writes: one object.__setattr__ per field, positional or keyword
-arguments, the same signature.  It is compiled once per class, when the
-class is created, because a generic loop over the fields costs more per
-instance; the other methods are shared.  Equality compares field tuples
-within one class, the hash is the hash of the field tuple, the repr reads
+arguments, the same signature; one per class, because a generic loop over
+the fields costs more per instance.  Nothing is compiled for it: the
+template below with the record's number of fields (0 to 7) is copied with
+its argument names and field-name strings renamed (types.CodeType.replace),
+so the bytecode is the one a generated source would compile to, and costs
+the same per instance as it does; a class with more fields is refused.  The
+other methods are shared.  Equality compares field tuples within one class,
+the hash is the hash of the field tuple, the repr reads
 Name(field=value, ...), and fields can be neither assigned nor deleted.
 Records pickle and copy as plain objects do.
 
@@ -15,6 +19,67 @@ Records exist so that importing pmplab need not load dataclasses, whose
 decorator costs about ten times as much per class.
 """
 from __future__ import annotations
+
+from types import FunctionType
+
+_set = object.__setattr__
+
+
+# The __init__ templates, one per field count: the fields are a, b, c, ...
+def _init0(self):
+    pass
+
+
+def _init1(self, a):
+    _set(self, "a", a)
+
+
+def _init2(self, a, b):
+    _set(self, "a", a)
+    _set(self, "b", b)
+
+
+def _init3(self, a, b, c):
+    _set(self, "a", a)
+    _set(self, "b", b)
+    _set(self, "c", c)
+
+
+def _init4(self, a, b, c, d):
+    _set(self, "a", a)
+    _set(self, "b", b)
+    _set(self, "c", c)
+    _set(self, "d", d)
+
+
+def _init5(self, a, b, c, d, e):
+    _set(self, "a", a)
+    _set(self, "b", b)
+    _set(self, "c", c)
+    _set(self, "d", d)
+    _set(self, "e", e)
+
+
+def _init6(self, a, b, c, d, e, f):
+    _set(self, "a", a)
+    _set(self, "b", b)
+    _set(self, "c", c)
+    _set(self, "d", d)
+    _set(self, "e", e)
+    _set(self, "f", f)
+
+
+def _init7(self, a, b, c, d, e, f, g):
+    _set(self, "a", a)
+    _set(self, "b", b)
+    _set(self, "c", c)
+    _set(self, "d", d)
+    _set(self, "e", e)
+    _set(self, "f", f)
+    _set(self, "g", g)
+
+
+_TEMPLATES = (_init0, _init1, _init2, _init3, _init4, _init5, _init6, _init7)
 
 
 class Record:
@@ -33,13 +98,19 @@ class Record:
                 defaults.append(cls.__dict__[name])
             elif defaults:
                 raise TypeError(f"non-default argument {name!r} follows default argument")
-        lines = [f"def __init__(self, {', '.join(fields)}):"]
-        lines += [f"    _set(self, {name!r}, {name})" for name in fields] or ["    pass"]
-        namespace = {"_set": object.__setattr__}
-        exec("\n".join(lines), namespace)
-        init = namespace["__init__"]
-        if defaults:
-            init.__defaults__ = tuple(defaults)
+        if len(fields) >= len(_TEMPLATES):
+            raise TypeError(
+                f"{cls.__qualname__} has {len(fields)} fields, "
+                f"more than a record's {len(_TEMPLATES) - 1}"
+            )
+        template = _TEMPLATES[len(fields)].__code__
+        rename = dict(zip(template.co_varnames[1:], fields))
+        code = template.replace(
+            co_name="__init__",
+            co_varnames=("self", *fields),
+            co_consts=tuple([rename.get(const, const) for const in template.co_consts]),
+        )
+        init = FunctionType(code, {"_set": _set}, None, tuple(defaults) or None)
         init.__annotations__ = {**annotations, "return": None}
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init

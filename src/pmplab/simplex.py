@@ -16,9 +16,9 @@ tiny (tens of columns), so no effort is spent on sparsity.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .errors import LPInternal
 from .record import Record

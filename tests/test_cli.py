@@ -63,14 +63,78 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert cli_dispatch([]) == 64
 
 
-def test_parser_is_reused_across_requests(capsys):
-    embed = ("embed", Z2_ACTION)
-    first = run(capsys, *embed)
-    assert first[0] == 0
-    assert run(capsys, "embed", Z2_ACTION, "--mode", "sideways") == (64, "")
-    transitive = run(capsys, *embed, "--mode", "transitive")
-    assert transitive[0] == 0 and "base_factor" not in json.loads(transitive[1])
-    assert run(capsys, *embed) == first
+def test_parser_is_reused_across_requests(capsys, monkeypatch):
+    """In a fresh cache a known command builds exactly one parser, its own,
+    and every later request of that command reuses it."""
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli._command_parser.cache_clear()
+    try:
+        embed = ("embed", Z2_ACTION)
+        first = run(capsys, *embed)
+        assert first[0] == 0
+        assert built == ["pmplab embed"]
+        assert run(capsys, "embed", Z2_ACTION, "--mode", "sideways") == (64, "")
+        transitive = run(capsys, *embed, "--mode", "transitive")
+        assert transitive[0] == 0 and "base_factor" not in json.loads(transitive[1])
+        assert run(capsys, *embed) == first
+        assert built == ["pmplab embed"]
+        assert run(capsys, "delta", HALVES, "[1,0]", "[1,0]")[0] == 0
+        assert built == ["pmplab embed", "pmplab delta"]
+    finally:
+        cli._command_parser.cache_clear()
+
+
+def _stdio(capsys, fn):
+    """fn's exit code (its return value or its SystemExit code), stdout and
+    stderr."""
+    try:
+        code = fn()
+    except SystemExit as exc:
+        code = exc.code or 0
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["-h"], 0), ([], 64), (["frobnicate"], 64)])
+def test_root_parser_lists_every_command(capsys, argv, exit_code):
+    """-h, an empty argv and an unknown command reach the root parser, whose
+    help or usage names all 17 commands."""
+    code, out, err = _stdio(capsys, lambda: cli_dispatch(argv))
+    assert code == exit_code
+    listing = "{" + ",".join(cli._COMMANDS) + "}"
+    assert len(cli._COMMANDS) == 17
+    assert listing in (out if code == 0 else err)
+    assert (out == "") == (code != 0)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_help_is_the_root_subparsers(capsys, name):
+    """A command's own parser prints the help, byte for byte, that the root
+    parser's subparser of that name prints."""
+    expected = _stdio(capsys, lambda: cli.build_parser().parse_args([name, "-h"]))
+    assert expected[0] == 0 and expected[1].startswith(f"usage: pmplab {name} ")
+    assert _stdio(capsys, lambda: cli_dispatch([name, "-h"])) == expected
+
+
+def test_usage_error_in_a_command_prints_its_own_usage(capsys):
+    """An unknown flag after a known command is a usage error of that
+    command: exit 64, empty stdout, and the command's usage line, where the
+    root parser printed its own."""
+    code, out, err = _stdio(
+        capsys, lambda: cli_dispatch(["dist", HALVES, "[[0]]", "[[1]]", "--seed", "3"])
+    )
+    assert (code, out) == (64, "")
+    assert err == (
+        "usage: pmplab dist [-h] [--out OUT] algebra a b\n"
+        "pmplab dist: error: unrecognized arguments: --seed 3\n"
+    )
 
 
 def test_group_past_the_order_cap_is_refused(capsys):
@@ -763,8 +827,13 @@ class RecordingArgs:
             raise AttributeError(name) from None
 
 
+def parse(argv):
+    """The namespace that dispatch hands argv's handler."""
+    return cli._command_parser(argv[0]).parse_args(argv[1:])
+
+
 def test_recording_args_notes_reads():
-    args = RecordingArgs(cli._parser().parse_args(["dist", "x", "y", "z"]))
+    args = RecordingArgs(parse(["dist", "x", "y", "z"]))
     assert (args.algebra, args.b) == ("x", "z")
     assert args.read == {"algebra", "b"}
     with pytest.raises(AttributeError):
@@ -773,15 +842,15 @@ def test_recording_args_notes_reads():
 
 @pytest.mark.parametrize("request_", VALID_REQUESTS, ids=lambda r: r[0])
 def test_handler_reads_every_flag_its_subcommand_defines(request_):
-    namespace = cli._parser().parse_args(_argv(request_))
+    namespace = parse(_argv(request_))
     args = RecordingArgs(namespace)
     namespace.handler(args)
-    defined = set(vars(namespace)) - {"out", "handler", "command"}
+    defined = set(vars(namespace)) - {"out", "handler"}
     assert defined - args.read == set()
 
 
 def test_valid_requests_cover_every_subcommand():
-    handlers = {cli._parser().parse_args(_argv(r)).handler for r in VALID_REQUESTS}
+    handlers = {parse(_argv(r)).handler for r in VALID_REQUESTS}
     assert {h.__name__ for h in handlers} == {
         name for name in vars(cli) if name.startswith("_cmd_")
     }

@@ -253,14 +253,14 @@ def oracle_independence_deficiency(base: EventTuple, b: EventTuple, c: EventTupl
 
 
 @st.composite
-def mixed_masses(draw, max_atoms: int = 64) -> list[Fraction]:
-    """1..max_atoms masses summing to one, with mixed denominators; drawn
-    from a small pool, so equal masses recur."""
+def mixed_masses(draw, max_atoms: int = 64, min_atoms: int = 1) -> list[Fraction]:
+    """min_atoms..max_atoms masses summing to one, with mixed denominators;
+    drawn from a small pool, so equal masses recur."""
     pool = draw(st.lists(
         st.fractions(min_value=F(1, 64), max_value=4, max_denominator=64),
         min_size=1, max_size=6,
     ))
-    weights = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_atoms))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=min_atoms, max_size=max_atoms))
     total = sum(weights, ZERO)
     return [w / total for w in weights]
 
@@ -681,17 +681,17 @@ def test_joint_tv_distance_across_algebras_matches_the_fraction_oracle(one, othe
         assert got == (ArityMismatch, "joint distributions have different shapes")
 
 
-def residual_pairs(base: EventTuple, b: EventTuple, c: EventTuple) -> int:
-    """Per base cell, the signs where b's law exceeds c's times those where
-    c's exceeds b's, summed."""
+def residual_sides(base: EventTuple, b: EventTuple, c: EventTuple) -> list[tuple[int, int]]:
+    """Per base cell, the number of signs where b's law exceeds c's and the
+    number where c's exceeds b's."""
     jb, jc = joint_distribution(base, b), joint_distribution(base, c)
-    pairs = 0
+    sides = []
     for r in jb.base_marginal():
         keys = set(fiber_support(jb, r)) | set(fiber_support(jc, r))
         more = sum(1 for s in keys if jb.mass_of(r, s) > jc.mass_of(r, s))
         less = sum(1 for s in keys if jb.mass_of(r, s) < jc.mass_of(r, s))
-        pairs += more * less
-    return pairs
+        sides.append((more, less))
+    return sides
 
 
 def simplex_calls(base: EventTuple, b: EventTuple, c: EventTuple):
@@ -711,18 +711,68 @@ def simplex_calls(base: EventTuple, b: EventTuple, c: EventTuple):
 @settings(max_examples=200, deadline=None)
 def test_the_simplex_sees_only_residual_pairs(instance):
     """No program at arity 0 or 1, nor when the laws agree in every base
-    cell; otherwise one integer program with one variable per residual pair
-    besides the maximum and the n slacks."""
+    cell, nor when every cell's residual has one sign on a side, which
+    forces its coupling; otherwise one integer program with one variable per
+    residual pair of the other cells besides the maximum and the n slacks,
+    and the margin rows of those cells less one each besides the n mismatch
+    rows."""
     base, b, c = instance
     value, calls = simplex_calls(base, b, c)
-    pairs = residual_pairs(base, b, c)
-    if b.arity <= 1 or pairs == 0:
+    sides = residual_sides(base, b, c)
+    free = [(more, less) for more, less in sides if more > 1 and less > 1]
+    if b.arity <= 1 or not any(more * less for more, less in sides):
         assert calls == []
         assert value == oracle_type_distance_tv(base, b, c)
+    elif not free:
+        assert calls == []
+        assert value == oracle_type_distance_max(base, b, c)
     else:
         [(objective, rows, rhs)] = calls
-        assert len(objective) == pairs + 1 + b.arity
+        assert len(objective) == sum(more * less for more, less in free) + 1 + b.arity
+        assert len(rows) == sum(more + less - 1 for more, less in free) + b.arity
         assert all(type(v) is int for v in [*objective, *rhs, *(v for row in rows for v in row)])
+
+
+@st.composite
+def forced_instances(draw):
+    """An algebra of 12-40 atoms, a base tuple of arity 1-2 and fresh fiber
+    tuples b and c of arity 2-3, with c then made constant on some or on
+    every base cell: there c's residual has at most one sign, so the cell's
+    coupling is forced, while the other cells may keep a program."""
+    alg = validate_algebra(draw(mixed_masses(max_atoms=40, min_atoms=12)))
+
+    def events(arity):
+        """Each atom in each event by a fair draw, so that cells hold many signs."""
+        flags = st.lists(st.booleans(), min_size=alg.size, max_size=alg.size)
+        return EventTuple.of_members(
+            alg, [[x for x, inside in enumerate(draw(flags)) if inside] for _ in range(arity)]
+        )
+
+    base = events(draw(st.sampled_from([1, 2])))
+    arity = draw(st.sampled_from([2, 3]))
+    b, c = events(arity), events(arity)
+    signs = _sign_map(c)
+    cells: dict = {}
+    for x, r in enumerate(_sign_map(base)):
+        cells.setdefault(r, []).append(x)
+    every = draw(st.booleans())
+    for atoms in cells.values():
+        if every or draw(st.booleans()):
+            sign = signs[draw(st.sampled_from(atoms))]
+            for x in atoms:
+                signs[x] = sign
+    members_c = [[x for x, sign in enumerate(signs) if sign[i]] for i in range(arity)]
+    return base, b, EventTuple.of_members(alg, members_c)
+
+
+@given(forced_instances())
+@settings(max_examples=200, deadline=None)
+def test_forced_cells_keep_the_value_of_the_whole_program(instance):
+    """Moving the forced cells to the right-hand side keeps the value of the
+    program over every cell."""
+    base, b, c = instance
+    value = type_distance_max(base, b, c)
+    assert value == oracle_type_distance_max(base, b, c) and type(value) is Fraction
 
 
 def test_agreeing_laws_and_arity_one_solve_no_program():

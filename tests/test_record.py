@@ -145,6 +145,39 @@ def test_record_class_rules():
     assert Empty() == Empty() and repr(Empty()) == "test_record_class_rules.<locals>.Empty()"
 
 
+def compiled_init(fields: tuple[str, ...]):
+    """The __init__ that compiling a generated source gives: the oracle of
+    the template copies."""
+    lines = [f"def __init__(self, {', '.join(fields)}):"]
+    lines += [f"    _set(self, {name!r}, {name})" for name in fields] or ["    pass"]
+    namespace = {"_set": object.__setattr__}
+    exec("\n".join(lines), namespace)
+    return namespace["__init__"]
+
+
+def test_no_record_init_is_compiled_from_a_string():
+    """Every __init__ is a renamed copy of a template written in record.py,
+    with globals that hold only _set, and runs the bytecode that compiling
+    its generated source gives, so it costs the same per instance."""
+    for cls in RECORDS:
+        code = cls.__init__.__code__
+        assert code.co_filename == pmplab.record.__file__
+        assert cls.__init__.__globals__ == {"_set": object.__setattr__}
+        oracle_code = compiled_init(cls.__match_args__).__code__
+        for attribute in ("co_code", "co_consts", "co_names", "co_varnames", "co_name",
+                          "co_argcount", "co_flags", "co_stacksize"):
+            assert getattr(code, attribute) == getattr(oracle_code, attribute), attribute
+
+
+def test_a_record_past_the_templates_is_refused():
+    most = len(pmplab.record._TEMPLATES) - 1
+    assert most == max(len(cls.__match_args__) for cls in RECORDS) == 7
+    widest = type("Widest", (Record,), {"__annotations__": {f"f{i}": int for i in range(most)}})
+    assert widest(*range(most)) == widest(*range(most))
+    with pytest.raises(TypeError, match="Wider has 8 fields, more than a record's 7"):
+        type("Wider", (Record,), {"__annotations__": {f"f{i}": int for i in range(most + 1)}})
+
+
 def test_an_algebra_record_is_its_id_den_and_units(monkeypatch):
     """An algebra's fields are its id, common denominator and integer units:
     its repr, ==, hash, pickle and copies are those of (id, den, units), its
