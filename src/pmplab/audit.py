@@ -24,20 +24,21 @@ action.extensions: the action itself, then its m-fold equal splits, each
 built only when the search gets there.  Each audit gives it a scorer with
 two entry points, and a search calls only the one it needs: scan(cut)
 returns the scores of the candidates in index order, up to the first one
-below cut or all of them, and climb starts the descent, which reads the
-scores of every toggle of its current tuple and moves by one.  A toggle,
-one atom of one coordinate, is one flat index coord * size + atom.  Scores
-are integers, in units of one common denominator per depth.  The
-second-condition scorer scores many candidates at once: both joint laws
-have total mass D, so a candidate's distance is (D - sum of min(M, T)) /
-D, the sum over the target law T's keys only, M the candidate's law; each
-candidate is one fixed-width field of a Python int, whose minima come from
-a few whole-int operations per key.  A scan packs all 2**n candidates, a
-descent round the n toggles, and a move re-adds only the k + 1 atoms it
-moves.  The extension scorer holds one candidate tuple and recomputes its
-small pattern with the kernel that gives its target: its scan steps the
-tuple as a binary counter and scores each candidate once, stopping at its
-first hit.  Each depth turns its best score into one Fraction, equal to
+below cut or all of them, and descend starts the descent at the seed:
+each read scores every toggle of the current tuple and, last, the tuple
+itself, and a move toggles one.  A toggle, one atom of one coordinate, is
+one flat index coord * size + atom.  Scores are integers, in units of one
+common denominator per depth.  The second-condition scorer scores many
+candidates at once: both joint laws have total mass D, so a candidate's
+distance is (D - sum of min(M, T)) / D, the sum over the target law T's
+keys only, M the candidate's law; each candidate is one fixed-width field
+of a Python int, whose minima come from a few whole-int operations per
+key.  A scan packs all 2**n candidates, a descent read the n toggles and
+the tuple, and a move re-adds only the k + 1 atoms it moves.  The
+extension scorer holds one candidate tuple and recomputes its small
+pattern with the kernel that gives its target: its scan steps the tuple as
+a binary counter and scores each candidate once, stopping at its first
+hit.  Each depth turns its best score into one Fraction, equal to
 what c2_distance (or the triple pattern in masses) would give.
 """
 from __future__ import annotations
@@ -276,21 +277,25 @@ def _shared(law: dict, offsets: dict, high: int, shift: int) -> int:
     return acc
 
 
+def _candidate_bits(size: int, arity: int) -> list[int]:
+    """The candidate bit of each toggle, which is also the toggle of that bit."""
+    return [(arity - 1 - b // size) * size + b % size for b in range(size * arity)]
+
+
 def _search_best(size: int, arity: int, scorer, stop_below):
     """Best candidate tuple by exhaustion or greedy descent.
 
-    scorer is (scan, climb, scale, seed, floor) from a prepare function,
+    scorer is (scan, descend, scale, seed, floor) from a prepare function,
     whose scores are integers: a score s stands for s/scale, and no score
     is below floor >= 0.  Candidate i is the concatenated masks, coordinate
     0 most significant and atom x at bit x of its coordinate; toggle b =
-    coord*size + atom flips one atom of one coordinate.  scan(cut) returns
-    the scores of candidates 0, 1, ... in index order through the first one
-    below cut, or every score when none is; it may go on past that first
-    one.  climb() starts the greedy descent at seed and returns (value,
-    descend): value is the seed's score, and descend(), called only when
-    value is above the floor, returns (neighbours, move), neighbours() the
-    list of the scores each toggle of the current tuple would give and
-    move(b) applying toggle b.  Each search calls only what it needs.
+    coord*size + atom flips one atom of one coordinate (_candidate_bits maps
+    one to the other).  scan(cut) returns the scores of candidates 0, 1,
+    ... in index order through the first one below cut, or every score when
+    none is; it may go on past that first one.  descend() starts the greedy
+    descent at seed and returns (neighbours, move): neighbours() the size *
+    arity scores of the toggles of the current tuple, then its own score,
+    and move(b) applying toggle b.  Each search calls only what it needs.
     Returns the best value, the one Fraction built, and its member tuple.
 
     Exhaustion applies when the total number of candidate tuples is at most
@@ -304,13 +309,14 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     floor such a candidate is a true hit anyway.
 
     Otherwise steepest descent from the seed toggles one atom of one
-    coordinate at a time, scanned lexicographically: each round takes the
-    first toggle of least score if it is strictly better, for at most
+    coordinate at a time, scanned lexicographically: each round reads the
+    neighbours once, the first read scoring the seed, and takes the first
+    toggle of least score if it is strictly better, for at most
     GREEDY_ROUNDS rounds, and a descent at the floor stops, since no toggle
     can improve on it.  Scores are compared as integers: v < stop_below =
     p/q is v*q < p*scale, that is v < ceil(p*scale/q), and a hit is v < cut
     = max(ceil(p*scale/q), floor + 1), so a zero score is always a hit."""
-    scan, climb, scale, seed, floor = scorer
+    scan, descend, scale, seed, floor = scorer
     p, q = stop_below.numerator, stop_below.denominator
     cut = max(-(-p * scale // q), floor + 1)
     if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
@@ -320,29 +326,27 @@ def _search_best(size: int, arity: int, scorer, stop_below):
             best_i = next(compress(count(), map(cut.__gt__, scores)))
         else:
             best_i = scores.index(least)
+        chosen = [best_i >> p & 1 for p in _candidate_bits(size, arity)]
         members = tuple(
-            tuple(
-                x for x in range(size)
-                if best_i >> ((arity - 1 - coord) * size + x) & 1
-            )
-            for coord in range(arity)
+            tuple(compress(range(size), chosen[j * size : (j + 1) * size]))
+            for j in range(arity)
         )
         return Fraction(scores[best_i], scale), members
     current = [set(e) for e in seed]
-    value, descend = climb()
-    if value > floor:
-        neighbours, move = descend()
-        for _ in range(GREEDY_ROUNDS):
-            scores = neighbours()
-            best = min(scores)
-            if best >= value:
-                break
-            b = scores.index(best)
-            move(b)
-            value = best
-            current[b // size] ^= {b % size}
-            if value <= floor:
-                break
+    neighbours, move = descend()
+    scores = neighbours()
+    value = scores[-1]
+    for left in reversed(range(GREEDY_ROUNDS)):
+        best = min(scores)
+        if best >= value:
+            break
+        b = scores.index(best)
+        move(b)
+        value = best
+        current[b // size] ^= {b % size}
+        if not left or value <= floor:
+            break
+        scores = neighbours()
     return Fraction(value, scale), tuple(tuple(sorted(e)) for e in current)
 
 
@@ -392,7 +396,7 @@ def _c2_prepare(
     x to the same y, y's flips merge into one XOR.  Distinct toggles flip
     disjoint bits of one atom's key.  Each depth builds this once, as the
     table moves[b] of the atoms toggle b moves and the bits it flips on
-    each, and the scan, climb and the descent all read it.
+    each, and the scan and the descent both read it.
 
     The target law T and a candidate's law M both have total mass D, so
     c2_distance is sum |T - M| / (2D) = (D - sum min(M, T)) / D, and only
@@ -409,12 +413,13 @@ def _c2_prepare(
     bits, or none: w*ONE masked by each bit's set or clear fields
     (_candidate_masks) adds at that key.
 
-    climb scores the seed, and the descent it starts, built only when the
-    seed is above the floor, scores the n toggles of the current tuple, one
-    field each.  Atom y adds w*(ONE - L_y) at its key, L_y the fields of
-    the toggles that move y, and w*E_b at key ^ flip_b for each such toggle
-    b, E_b the one of field b, wherever these are target keys.  M is kept
-    between rounds: a move re-adds only the atoms it moves, at most k + 1.
+    The descent starts at the seed and scores n + 1 fields: field b < n the
+    toggle b of the current tuple, and field n, which no toggle moves, the
+    current tuple itself.  Atom y adds w*(ONE - L_y) at its key, L_y the
+    fields of the toggles that move y, and w*E_b at key ^ flip_b for each
+    such toggle b, E_b the one of field b, wherever these are target keys.
+    M is kept between rounds: a move re-adds only the atoms it moves, at
+    most k + 1, and so carries field n to the tuple it moves to.
 
     The floor coarsens both laws to one key bit: its candidate side g_i(c_j)
     weighs mu(c_j)*D = m, a multiple of g = gcd of the atom weights in
@@ -469,8 +474,7 @@ def _c2_prepare(
             one, masks = _candidate_masks(n, fb)
             # controls[y]: candidate bit -> the key bits it flips on atom y
             controls: list[dict[int, int]] = [{} for _ in range(size)]
-            for b, flips in enumerate(moves):
-                place = (arity - 1 - b // size) * size + b % size
+            for place, flips in zip(_candidate_bits(size, arity), moves):
                 for y, flip in flips.items():
                     controls[y][place] = flip
             packed = dict.fromkeys(target, 0)
@@ -496,21 +500,13 @@ def _c2_prepare(
             shared = _shared(packed, *offsets(one), shift)
             return _fields(denom * one - shared, 1 << n, fb)
 
-        def climb():
+        def descend():
             keys = [anchor_keys[p] for p in projection]
             for j, event in enumerate(seed):
                 for x in event:
                     for y, flip in moves[j * size + x].items():
                         keys[y] ^= flip
-            masses = dict.fromkeys(target, 0)
-            for key, w in zip(keys, weights):
-                if key in masses:
-                    masses[key] += w
-            value = denom - sum(min(m, target[key]) for key, m in masses.items())
-            return value, lambda: descend(keys)
-
-        def descend(keys: list[int]):
-            one = _ones(n, fb)
+            one = _ones(n + 1, fb)
             # spread[y]: (flip, packed weight) pairs, the key of atom y XOR
             # flip gaining the weight, flip 0 its key itself
             stay = [w * one for w in weights]
@@ -531,7 +527,7 @@ def _c2_prepare(
             full = denom * one
 
             def neighbours() -> list[int]:
-                return _fields(full - _shared(packed, table, high, shift), n, fb)
+                return _fields(full - _shared(packed, table, high, shift), n + 1, fb)
 
             def move(b: int) -> None:
                 for y, flip in moves[b].items():
@@ -552,7 +548,7 @@ def _c2_prepare(
             hi = hi.numerator * (denom // hi.denominator)
             m = (lo + hi) // (2 * g) * g
             floor = max(floor, min(max(hi - x, x - lo) for x in (m, m + g)))
-        return scan, climb, denom, seed, floor
+        return scan, descend, denom, seed, floor
 
     return prepare
 
@@ -744,10 +740,11 @@ def _ec_prepare(
     pattern with _triple_units.  scan steps the empty tuple through the
     candidates as a binary counter (candidate i follows i - 1 by toggling
     its candidate bits 0..ctz(i)), scores each once, and stops at its first
-    hit.  climb toggles the seed in and scores it, and a neighbour is a
-    toggle, a score and the toggle back.  Masses and target values are
-    integer units of 1/D, D the lcm of the refined atoms' denominator and
-    target_den, so a score s is the Fraction s/D.  The floor is 0."""
+    hit.  descend toggles the seed in, and a read is a toggle, a score and
+    the toggle back for each toggle, then a score of the tuple itself.
+    Masses and target values are integer units of 1/D, D the lcm of the
+    refined atoms' denominator and target_den, so a score s is the Fraction
+    s/D.  The floor is 0."""
 
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
@@ -774,7 +771,7 @@ def _ec_prepare(
 
         def scan(cut: int) -> list[int]:
             # toggles[p]: the toggle of candidate bit p
-            toggles = [(arity - 1 - p // size) * size + p % size for p in range(n)]
+            toggles = _candidate_bits(size, arity)
             scores = []
             for i in range(1 << n):
                 for p in range((i & -i).bit_length()):
@@ -784,11 +781,11 @@ def _ec_prepare(
                     break
             return scores
 
-        def climb():
+        def descend():
             for coord, event in enumerate(seed):
                 for x in event:
                     toggle(coord * size + x)
-            return score(), lambda: (neighbours, toggle)
+            return neighbours, toggle
 
         def neighbours() -> list[int]:
             scores = []
@@ -796,10 +793,11 @@ def _ec_prepare(
                 toggle(b)
                 scores.append(score())
                 toggle(b)
+            scores.append(score())
             return scores
 
         seed = tuple(e.members for e in lift_tuple(pulled, alg, projection).events)
-        return scan, climb, denom, seed, 0
+        return scan, descend, denom, seed, 0
 
     return prepare
 

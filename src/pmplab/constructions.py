@@ -706,9 +706,10 @@ def embed_transitive_into_quotient(act: FkAction) -> QuotientEmbedding:
     and the factor is left out of the result."""
     if not _equal_atoms(act.algebra):
         raise UnequalAtoms("embedding requires all atoms of equal mass")
-    if len(invariant_components(act).blocks) != 1:
+    orbits = invariant_components(act).blocks
+    if len(orbits) != 1:
         raise NotTransitive("action is not transitive on atoms")
-    emb = embed_into_profinite_tensor(act)
+    emb = _embed_orbits(act, orbits)
     return QuotientEmbedding(emb.group, emb.elements, emb.target, emb.sigma)
 
 
@@ -720,10 +721,15 @@ def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
     len(orbits) + o, over group elements gamma sending the orbit's lowest
     atom to c; the mass of that set is exactly the atom mass, and left
     multiplication on the first coordinate intertwines the actions."""
-    alg = act.algebra
-    if not _equal_atoms(alg):
+    if not _equal_atoms(act.algebra):
         raise UnequalAtoms("embedding requires all atoms of equal mass")
-    orbits = invariant_components(act).blocks
+    return _embed_orbits(act, invariant_components(act).blocks)
+
+
+def _embed_orbits(act: FkAction, orbits: tuple[frozenset[int], ...]) -> QuotientEmbedding:
+    """embed_into_profinite_tensor of an equal-atom action, given its
+    orbits."""
+    alg = act.algebra
     base_factor = validate_algebra([alg.mass_of(o) for o in orbits])
     group, elements = _generated_group(perm_identity(alg.size), act.gens, perm_compose)
     target = product_action(quotient_action(group), base_factor)[0]

@@ -740,15 +740,17 @@ def _mixed_c2_instances(draw):
 def test_c2_scorer_matches_fraction_oracle(instance):
     """The packed neighbours of the seed and of each drawn candidate, reached
     by moves, and the packed scan where the depth is small enough to scan,
-    give what c2_distance gives."""
+    give what c2_distance gives.  The last field of a read is the current
+    tuple's own score: the seed's at the first read, and after every move
+    the tuple it moved to."""
     act, a, bs, depth, candidates = instance
     refined, projection = product_action(act, uniform_algebra(depth))
     size, arity = refined.algebra.size, bs[0].arity
-    scan, climb, scale, seed, _floor = c2_prepare(a, bs)(refined, projection)
+    scan, descend, scale, seed, _floor = c2_prepare(a, bs)(refined, projection)
     oracle, oracle_seed = oracle_c2_prepare(a, bs)(refined, projection)
     assert seed == oracle_seed
-    value, descend = climb()
     neighbours, move = descend()
+    value = neighbours()[-1]
     assert F(value, scale) == oracle(seed)
     current = seed
     wanted = [tuple(tuple(sorted(e)) for e in c) for c in candidates]
@@ -756,10 +758,11 @@ def test_c2_scorer_matches_fraction_oracle(instance):
         for b in toggles_of(members, size) + toggles_of(current, size):
             move(b)
             current = toggled(current, b, size)
+            assert F(neighbours()[-1], scale) == oracle(current)
         assert current == members
         assert [F(v, scale) for v in neighbours()] == [
             oracle(toggled(current, b, size)) for b in range(size * arity)
-        ]
+        ] + [oracle(current)]
     if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
         scores = scan(0)
         for members in [seed] + wanted:
@@ -987,7 +990,7 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
         oracle, seed = oracle_ec_prepare(anchors, bs, words, target, blocks)(
             refined, projection
         )
-        scan, _climb, scale, scorer_seed, _floor = scorer
+        scan, _descend, scale, scorer_seed, _floor = scorer
         assert scorer_seed == seed
         # no score is below 0, so the scan scores every candidate
         scores = [F(s, scale) for s in scan(0)]
@@ -1533,37 +1536,167 @@ def test_descent_matches_the_flip_and_flip_back_oracle(instance):
     size, arity = refined.algebra.size, bs[0].arity
     assert 1 << size * arity > EXHAUSTIVE_TUPLE_CAP
     scorer = c2_prepare(a, bs)(refined, projection)
-    _scan, _climb, scale, seed, floor = scorer
+    _scan, _descend, scale, seed, floor = scorer
     flip, start = oracle_flip_c2_prepare(a, bs)(refined, projection)
     expected = oracle_flip_descent(size, arity, flip, start, 2 * scale, seed, 2 * floor)
     assert _search_best(size, arity, scorer, F(0)) == expected
 
 
+class StubDescent:
+    """A greedy scorer on one coordinate of size atoms: a tuple scores base
+    plus the number of toggles that separate it from goal.  Each round's
+    first toggle of least score adds or drops the least atom of the
+    difference.  log records each read and each move."""
+
+    def __init__(self, size, goal, base, floor, seed=()):
+        self.size, self.goal, self.base = size, set(goal), base
+        self.current = set(seed)
+        self.log = []
+        self.scorer = (None, self.descend, 1, (tuple(seed),), floor)
+
+    def score(self, members):
+        return self.base + len(members ^ self.goal)
+
+    def descend(self):
+        return self.neighbours, self.move
+
+    def neighbours(self):
+        self.log.append("read")
+        toggles = [self.score(self.current ^ {b}) for b in range(self.size)]
+        return toggles + [self.score(self.current)]
+
+    def move(self, b):
+        self.log.append(b)
+        self.current ^= {b}
+
+
+def test_descent_reads_once_per_round_it_starts():
+    """The first read scores the seed; a round that finds no better toggle
+    ends the descent after its read, and no read follows a move to the
+    floor or the last of GREEDY_ROUNDS moves."""
+    size = 20
+    assert 1 << size > EXHAUSTIVE_TUPLE_CAP
+
+    # no move reaches the floor: the last read finds no better toggle
+    stub = StubDescent(size, goal={3, 5, 8}, base=2, floor=0)
+    assert _search_best(size, 1, stub.scorer, F(0)) == (2, ((3, 5, 8),))
+    assert stub.log == ["read", 3, "read", 5, "read", 8, "read"]
+
+    # the move that reaches the floor is the last event
+    stub = StubDescent(size, goal={3, 5, 8}, base=2, floor=2, seed=(5, 9))
+    assert _search_best(size, 1, stub.scorer, F(0)) == (2, ((3, 5, 8),))
+    assert stub.log == ["read", 3, "read", 8, "read", 9]
+
+    # a seed at the floor, and one above it that no toggle improves: one
+    # read each, and no move
+    for base, floor in [(1, 1), (3, 0)]:
+        stub = StubDescent(size, goal={4}, base=base, floor=floor, seed=(4,))
+        assert _search_best(size, 1, stub.scorer, F(0)) == (base, ((4,),))
+        assert stub.log == ["read"]
+
+    # a seed whose first toggle scores below it
+    stub = StubDescent(size, goal={0}, base=1, floor=0)
+    assert _search_best(size, 1, stub.scorer, F(0)) == (1, ((0,),))
+    assert stub.log == ["read", 0, "read"]
+
+    # GREEDY_ROUNDS moves, each after one read, and none after the last
+    size = GREEDY_ROUNDS + 6
+    stub = StubDescent(size, goal=range(size), base=0, floor=0)
+    assert _search_best(size, 1, stub.scorer, F(0)) == (6, (tuple(range(GREEDY_ROUNDS)),))
+    assert stub.log == [event for b in range(GREEDY_ROUNDS) for event in ("read", b)]
+
+
+def logged_reads(scorer):
+    """scorer with a log of its descent's reads and moves."""
+    scan, descend, scale, seed, floor = scorer
+    log = []
+
+    def logged():
+        neighbours, move = descend()
+
+        def read():
+            log.append("read")
+            return neighbours()
+
+        def logged_move(b):
+            log.append(b)
+            move(b)
+
+        return read, logged_move
+
+    return (scan, logged, scale, seed, floor), log
+
+
+def test_c2_seed_at_its_floor_is_read_once():
+    """On Z/13, b1 = {0, 1} weighs twice b0 = {0}: the floor is 1 unit of
+    1/13, and the seed b0 is at it, so the descent reads once and stops."""
+    act = quotient_action(cyclic_group(13, [1]))
+    alg = act.algebra
+    a = EventTuple.of_members(alg, [])
+    bs = [EventTuple.of_members(alg, [[0]]), EventTuple.of_members(alg, [[0, 1]])]
+    refined, projection = product_action(act, uniform_algebra(1))
+    scorer, log = logged_reads(c2_prepare(a, bs)(refined, projection))
+    assert 1 << 13 > EXHAUSTIVE_TUPLE_CAP
+    assert (scorer[2], scorer[3], scorer[4]) == (13, ((0,),), 1)
+    assert _search_best(13, 1, scorer, F(0)) == (F(1, 13), ((0,),))
+    assert log == ["read"]
+
+
+def test_ec_seed_at_its_floor_is_read_once():
+    """Under the identity embedding the target pulls back to itself, whose
+    discrepancy is 0, the extension floor: the descent reads once and
+    stops."""
+    small = quotient_action(cyclic_group(7, [1]))
+    alg = small.algebra
+    embed = PartialIsomorphism.of(alg, alg, [([x], [x]) for x in range(7)])
+    blocks = _check_embedding(small, small, embed)
+    anchors = EventTuple.of_members(alg, [[0, 1, 2]])
+    bs = EventTuple.of_members(alg, [[0, 3], [1, 2, 5]])
+    words = [Word.of([]), Word.of([1])]
+    target = _triple_pattern(alg, small, embed.map_tuple(anchors), bs, words)
+    pulled = pulled_back(alg, bs, blocks)
+    assert pulled == bs
+    refined, projection = product_action(small, uniform_algebra(1))
+    prepare = _ec_prepare(anchors, pulled, words, *ec_target(small, target))
+    scorer, log = logged_reads(prepare(refined, projection))
+    assert 1 << 14 > EXHAUSTIVE_TUPLE_CAP
+    assert _search_best(7, 2, scorer, F(0)) == (0, ((0, 3), (1, 2, 5)))
+    assert log == ["read"]
+
+
 def assert_packed_matches_oracle(act, a, bs, depth, moves, scan_whole=True):
     """At one depth, the packed scan gives twice the scores of a counter
-    walk of the walk/peek oracle (scan_whole), and the packed descent gives
-    twice its scores at the seed and, by peek, at every toggle, before and
-    after each of the moves; c2_distance gives the seed's value."""
+    walk of the walk/peek oracle (scan_whole), and each read of the packed
+    descent gives twice its scores, by peek, at every toggle, and in its
+    last field twice the walk's score of the current tuple, at the seed and
+    after each of the moves; c2_distance gives the seed's value and the
+    last field after every move."""
     refined, projection = product_action(act, uniform_algebra(depth))
     size, arity = refined.algebra.size, bs[0].arity
     n = size * arity
-    scan, climb, scale, seed, _floor = c2_prepare(a, bs)(refined, projection)
+    scan, descend, scale, seed, _floor = c2_prepare(a, bs)(refined, projection)
     oracle = oracle_walk_peek_c2_prepare(a, bs)
     if scan_whole:
         walk, _peek, start, oracle_scale = oracle(refined, projection)
         assert oracle_scale == 2 * scale
         assert [2 * s for s in scan(0)] == counter_scores(size, arity, walk, start)
     walk, peek, start, _oracle_scale = oracle(refined, projection)
+    evaluate, _seed = oracle_c2_prepare(a, bs)(refined, projection)
     toggles = toggles_of(seed, size)
-    value, descend = climb()
     neighbours, move = descend()
-    assert 2 * value == (walk(toggles)[-1] if toggles else start)
+    scores = neighbours()
+    value = scores[-1]
+    own = walk(toggles)[-1] if toggles else start
+    current = seed
     for b in list(moves) + [None]:
-        assert [2 * v for v in neighbours()] == list(map(peek, range(n)))
+        assert [2 * v for v in scores[:-1]] == list(map(peek, range(n)))
+        assert 2 * scores[-1] == own
+        assert F(scores[-1], scale) == evaluate(current)
         if b is not None:
             move(b)
-            walk([b])
-    evaluate, _seed = oracle_c2_prepare(a, bs)(refined, projection)
+            [own] = walk([b])
+            current = toggled(current, b, size)
+            scores = neighbours()
     assert F(value, scale) == evaluate(seed)
 
 
@@ -1678,7 +1811,7 @@ def test_c2_floors_against_brute_force(instance, stop):
     act, a, bs, depth = instance
     refined, projection = product_action(act, uniform_algebra(depth))
     prepare = c2_prepare(a, bs)
-    _scan, _climb, scale, _seed, floor = prepare(refined, projection)
+    _scan, _descend, scale, _seed, floor = prepare(refined, projection)
     least = brute_force_minimum(act, a, bs, depth)
     assert 0 <= extension_floor(bs) <= F(floor, scale) <= least
     size, arity = refined.algebra.size, bs[0].arity
@@ -1714,7 +1847,7 @@ def test_residual_stop_is_above_every_floor(instance):
     report = check_C1(act, a, bs, F(1))
     worst = max(report.xi + report.psi)
     refined, projection = product_action(act, uniform_algebra(depth))
-    _scan, _climb, scale, _seed, floor = c2_prepare(a, bs)(refined, projection)
+    _scan, _descend, scale, _seed, floor = c2_prepare(a, bs)(refined, projection)
     assert extension_floor(bs) <= F(floor, scale) <= worst
 
 

@@ -975,12 +975,41 @@ def test_embed_transitive_into_quotient_properties():
 
 
 def test_embed_transitive_rejects_bad_input():
+    """UnequalAtoms before NotTransitive, and NotTransitive before the group
+    build: S_7 on seven of eight atoms generates 5040 elements."""
     alg = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
     with pytest.raises(UnequalAtoms):
         embed_transitive_into_quotient(validate_action(alg, [(0, 2, 1)]))
+    with pytest.raises(UnequalAtoms):
+        embed_into_profinite_tensor(validate_action(alg, [(0, 2, 1)]))
     alg4 = uniform_algebra(4)
     with pytest.raises(NotTransitive):
         embed_transitive_into_quotient(validate_action(alg4, [(1, 0, 3, 2)]))
+    s7_beside = validate_action(
+        uniform_algebra(8), [(1, 2, 3, 4, 5, 6, 0, 7), (1, 0, 2, 3, 4, 5, 6, 7)]
+    )
+    with pytest.raises(NotTransitive):
+        embed_transitive_into_quotient(s7_beside)
+    with pytest.raises(InstanceTooLarge, match="group has more than"):
+        embed_into_profinite_tensor(s7_beside)
+
+
+def test_embed_finds_the_orbits_once(monkeypatch):
+    """Each embed computes the orbits once; the transitive one hands them
+    to the shared build instead of computing them again."""
+    calls = []
+
+    def counted(act):
+        calls.append(act)
+        return invariant_components(act)
+
+    monkeypatch.setattr(constructions, "invariant_components", counted)
+    act = validate_action(uniform_algebra(4), [(1, 2, 3, 0)])
+    embed_transitive_into_quotient(act)
+    assert calls == [act]
+    split = validate_action(uniform_algebra(4), [(1, 0, 3, 2)])
+    embed_into_profinite_tensor(split)
+    assert calls == [act, split]
 
 
 def test_embed_profinite_tensor_properties():
