@@ -26,13 +26,10 @@ from .algebra import (
 )
 from .action import (
     FkAction,
-    Perturbation,
     Word,
     apply_gen_tuple,
-    apply_word,
     generated_subalgebra,
     invariant_components,
-    perturb_small,
     product_action,
     refine_action_to_unit,
     uniform_distance,
@@ -58,7 +55,6 @@ from .constructions import (
     JointQuotient,
     MarkedGroup,
     Matching,
-    PartialExtension,
     PartialIsomorphism,
     QuotientEmbedding,
     approx_conjugacy_search,
@@ -67,7 +63,6 @@ from .constructions import (
     embed_transitive_into_quotient,
     eppa_extend,
     ergodize,
-    extend_partial_step,
     joint_quotient,
     match_partitions,
     permutation_marked_group,

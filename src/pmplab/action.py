@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .algebra import (
     ZERO,
@@ -29,7 +28,6 @@ from .errors import (
     AlgebraMismatch,
     ArityMismatch,
     LetterOutOfRange,
-    NonpositiveDelta,
     NotBijective,
     NotMeasurePreserving,
     ValidationError,
@@ -130,13 +128,6 @@ def _word_perm(act: FkAction, w: Word) -> Perm:
     for letter in reversed(w.letters):
         perm = perm_compose(letter_perm(act, letter), perm)
     return perm
-
-
-def apply_word(act: FkAction, w: Word, e: Event) -> Event:
-    """Apply the word to an event, rightmost letter first."""
-    if e.algebra.id != act.algebra.id:
-        raise AlgebraMismatch("event does not live on the action's algebra")
-    return apply_perm_event(_word_perm(act, w), e)
 
 
 def apply_gen_tuple(act: FkAction, i: int, t: EventTuple) -> EventTuple:
@@ -302,48 +293,3 @@ def uniform_distance_tuples(
             best = d
     return best
 
-
-class Perturbation(Record):
-    """A small automorphism of a refined algebra, fixing given blocks setwise.
-
-    action is the input action extended to the refinement; s swaps, within
-    every fixed block, two fresh sub-events of the recorded moved mass.
-    """
-
-    action: FkAction
-    projection: tuple[int, ...]
-    s: Perm
-    moved: tuple[Fraction, ...]
-
-
-def perturb_small(act: FkAction, fixed: AtomPartition, delta: Fraction) -> Perturbation:
-    """Build a nontrivial automorphism moving less than delta in every block.
-
-    For each block the moved mass is the largest blockmass / 2^j (j >= 1)
-    strictly below delta.  The whole algebra is refined to a uniform unit so
-    the generators extend part-for-part, and s swaps the first two runs of
-    that mass inside each block; s is an involution, fixes every block
-    setwise and is the identity nowhere on any block.
-    """
-    if fixed.algebra.id != act.algebra.id:
-        raise AlgebraMismatch("fixed partition does not live on the action's algebra")
-    if delta <= 0:
-        raise NonpositiveDelta(f"delta must be positive, got {delta}")
-    moved: list[Fraction] = []
-    for i in range(len(fixed.blocks)):
-        mass = fixed.block_mass(i)
-        m = mass / 2
-        while m >= delta:
-            m = m / 2
-        moved.append(m)
-    unit_den = lcm(act.algebra.den, *(m.denominator for m in moved))
-    unit = Fraction(1, unit_den)
-    refined_act, projection = refine_action_to_unit(act, unit)
-    runs = _runs(projection)
-    s = list(range(refined_act.algebra.size))
-    for i, block in enumerate(fixed.blocks):
-        units = [j for atom in sorted(block) for j in runs[atom]]
-        t = int(moved[i] / unit)
-        for a, b in zip(units[:t], units[t : 2 * t]):
-            s[a], s[b] = s[b], s[a]
-    return Perturbation(refined_act, projection, tuple(s), tuple(moved))

@@ -125,19 +125,6 @@ class Event(Record):
     def mass(self) -> Fraction:
         return self.algebra.mass_of(self.members)
 
-    def complement(self) -> Event:
-        inside = set(self.members)
-        return Event(self.algebra, tuple(i for i in range(self.algebra.size) if i not in inside))
-
-    def intersect(self, other: Event) -> Event:
-        _same_algebra(self.algebra, other.algebra, "events")
-        inside = set(other.members)
-        return Event(self.algebra, tuple(i for i in self.members if i in inside))
-
-    def union(self, other: Event) -> Event:
-        _same_algebra(self.algebra, other.algebra, "events")
-        return Event(self.algebra, tuple(sorted(set(self.members) | set(other.members))))
-
     def symmetric_difference(self, other: Event) -> Event:
         _same_algebra(self.algebra, other.algebra, "events")
         return Event(self.algebra, tuple(sorted(set(self.members) ^ set(other.members))))
@@ -386,16 +373,9 @@ class AtomPartition(Record):
             raise PartMassMismatch("partition blocks must cover all atoms")
         return AtomPartition(algebra, tuple(sorted(bs, key=min)))
 
-    @staticmethod
-    def trivial(algebra: MeasuredAlgebra) -> AtomPartition:
-        return AtomPartition(algebra, (frozenset(range(algebra.size)),))
-
     def block_index(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for i, b in enumerate(self.blocks):
             for atom in b:
                 out[atom] = i
         return out
-
-    def block_mass(self, i: int) -> Fraction:
-        return self.algebra.mass_of(self.blocks[i])

@@ -24,8 +24,6 @@ from .algebra import (
     _sign_map,
     _split,
     _unit_law,
-    dist_partition,
-    lift_event,
     lift_tuple,
     refine_to_unit,
     uniform_algebra,
@@ -49,7 +47,6 @@ from .action import (
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
-    BoundViolated,
     InvalidGroupTable,
     LPInternal,
     NotBijective,
@@ -77,10 +74,9 @@ class PartialIsomorphism(Record):
     equal mass.  A total correspondence whose source blocks are singletons
     covering the source acts as an embedding.
 
-    Construct through .of.  The library's builders (eppa_extend,
-    embed_into_profinite_tensor, and extend_partial_step once its new source
-    block is checked) build instances directly, from blocks that are
-    disjoint and of equal mass by construction.
+    Construct through .of.  The library's builders (eppa_extend and
+    embed_into_profinite_tensor) build instances directly, from blocks that
+    are disjoint and of equal mass by construction.
     """
 
     source: MeasuredAlgebra
@@ -116,18 +112,6 @@ class PartialIsomorphism(Record):
                 )
             out.append((fs, ft))
         return PartialIsomorphism(source, target, tuple(out))
-
-    def source_events(self) -> EventTuple:
-        return EventTuple(
-            self.source,
-            tuple(Event(self.source, tuple(sorted(s))) for s, _ in self.pairs),
-        )
-
-    def target_events(self) -> EventTuple:
-        return EventTuple(
-            self.target,
-            tuple(Event(self.target, tuple(sorted(t))) for _, t in self.pairs),
-        )
 
     def atom_blocks(self) -> dict[int, frozenset[int]]:
         """Source-atom to target-block map; requires singleton source blocks."""
@@ -262,66 +246,6 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
         if apply_perm_event(g, ea).members != eb.members:
             raise LPInternal("matching permutation does not carry a onto b")
     return Matching(refined, projection, g, dp, a_lifted, b_lifted)
-
-
-class PartialExtension(Record):
-    """Result of one extension step: the grown correspondence, the target
-    refinement it lives on, and the (unchanged) partition-metric defect."""
-
-    partial: PartialIsomorphism
-    refined: MeasuredAlgebra
-    projection: tuple[int, ...]
-    defect: Fraction
-
-
-def extend_partial_step(
-    alg: MeasuredAlgebra,
-    g: Perm,
-    p: PartialIsomorphism,
-    newsource: Event,
-    bound: Fraction,
-) -> PartialExtension:
-    """Extend a partial correspondence by one source block.
-
-    p maps source blocks b to target blocks c inside the one ambient algebra
-    alg; g is an ambient automorphism with dist_partition(g(b), c) < bound.
-    A matching automorphism h carrying g(b) onto c exactly is built on a
-    refinement, and the new target is h(g(newsource)).  The extended
-    correspondence has exactly equal cell masses and the same defect, so the
-    strict bound is preserved.
-
-    Only the new source block is checked: it must be disjoint from p's
-    source blocks, else NotMassPreserving.  The rest holds by construction.
-    The lifted old targets are the matching's b_lifted, h(lift(g(b))) block
-    by block, so h(lift(g(newsource))) is disjoint from them when newsource
-    is disjoint from every b, g and h being bijections.  Each block keeps
-    its mass, since g and h preserve mass and lifting keeps it."""
-    if p.source.id != alg.id or p.target.id != alg.id:
-        raise AlgebraMismatch("partial correspondence must live on the ambient algebra")
-    if newsource.algebra.id != alg.id:
-        raise AlgebraMismatch("new source block must live on the ambient algebra")
-    b = p.source_events()
-    c = p.target_events()
-    gb = EventTuple(alg, tuple(apply_perm_event(g, e) for e in b.events))
-    defect = dist_partition(gb, c)
-    if defect >= bound:
-        raise BoundViolated(f"current defect {defect} is not below the bound {bound}")
-    matching = match_partitions(gb, c)
-    g_new = apply_perm_event(g, newsource)
-    g_new_lifted = lift_event(g_new, matching.refined, matching.projection)
-    new_target = apply_perm_event(matching.perm, g_new_lifted)
-    new = frozenset(newsource.members)
-    if any(new & src for src, _tgt in p.pairs):
-        raise NotMassPreserving("blocks of a partial isomorphism overlap")
-    # the lifted c is the matching's b_lifted: block by block, in pair order
-    pairs = tuple(
-        (src, frozenset(lifted.members))
-        for (src, _tgt), lifted in zip(p.pairs, matching.b_lifted.events)
-    )
-    extended = PartialIsomorphism(
-        alg, matching.refined, pairs + ((new, frozenset(new_target.members)),)
-    )
-    return PartialExtension(extended, matching.refined, matching.projection, defect)
 
 
 # ---------------------------------------------------------------------------

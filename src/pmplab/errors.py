@@ -51,10 +51,6 @@ class LetterOutOfRange(ValidationError):
     """A word letter does not name a generator of the action."""
 
 
-class NonpositiveDelta(ValidationError):
-    """A perturbation bound must be strictly positive."""
-
-
 # -- model theory -----------------------------------------------------------
 
 class NonpositiveEps(ValidationError):
@@ -76,10 +72,6 @@ class LPInternal(PmplabError):
 
 class TypeMismatch(ValidationError):
     """Tuples are not equidistributed where equal cell masses are required."""
-
-
-class BoundViolated(ValidationError):
-    """A partial correspondence already violates its distance bound."""
 
 
 class NotMassPreserving(ValidationError):

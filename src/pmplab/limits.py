@@ -6,11 +6,10 @@ which the command line reports with exit 2.
 
 - MAX_REFINED_ATOMS bounds the atoms of one refinement or product
   (_check_refined_size).  algebra._split checks it for refine_to_unit and
-  match_partitions, and through them refine_action_to_unit,
-  perturb_small, eppa_extend, extend_partial_step and the conjugacy
-  search.  product_algebra and uniform_algebra check it for every
-  extension by product_action: the search depths past 1, refine, tensor
-  and embed_into_profinite_tensor.
+  match_partitions, and through them refine_action_to_unit, eppa_extend
+  and the conjugacy search.  product_algebra and uniform_algebra check it
+  for every extension by product_action: the search depths past 1,
+  refine, tensor and embed_into_profinite_tensor.
   It also bounds the atoms summed over refinement depths 1..max_refine
   (_check_summed_refinement), checked only by action.extensions, which
   every search deepens through: search_C2_witness, axiom_residual,

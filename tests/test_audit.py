@@ -26,7 +26,6 @@ from pmplab.action import (
     FkAction,
     Word,
     apply_gen_tuple,
-    apply_word,
     extensions,
     product_action,
     validate_action,
@@ -63,6 +62,7 @@ from pmplab.limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, MAX_REFINED_ATOMS
 from pmplab.modeltheory import joint_tv_distance
 
 from conftest import random_tuple, uniform_algebra
+from test_action import oracle_apply_word
 
 F = Fraction
 
@@ -564,7 +564,7 @@ def _triple_pattern(
 ) -> dict[tuple[int, int, int, int], Fraction]:
     """All triple intersection masses mu(a_i & c_j & w_l(c_k))."""
     moved = [
-        [apply_word(act, w, e) for e in fibers.events] for w in words
+        [oracle_apply_word(act, w, e) for e in fibers.events] for w in words
     ]
     out: dict[tuple[int, int, int, int], Fraction] = {}
     for i, a_e in enumerate(anchors.events):

@@ -35,7 +35,6 @@ from pmplab.action import (
     invariant_components,
     perm_compose,
     perm_inverse,
-    perturb_small,
     product_action,
     refine_action_to_unit,
     uniform_distance,
@@ -56,7 +55,6 @@ from pmplab.constructions import (
     embed_transitive_into_quotient,
     eppa_extend,
     ergodize,
-    extend_partial_step,
     joint_quotient,
     match_partitions,
     permutation_marked_group,
@@ -67,7 +65,6 @@ from pmplab.constructions import (
 from pmplab.errors import (
     AlgebraMismatch,
     ArityMismatch,
-    BoundViolated,
     InstanceTooLarge,
     InvalidGroupTable,
     LPInternal,
@@ -229,104 +226,6 @@ def test_match_partitions_postconditions_random():
             left = EventTuple(m.refined, m.a_lifted.events + c.events)
             right = EventTuple(m.refined, m.b_lifted.events + gc.events)
             assert dist_partition(left, right) == m.dp
-
-
-def test_extend_partial_step_example():
-    alg = uniform_algebra(4)
-    p = PartialIsomorphism.of(alg, alg, [([0], [1])])
-    ext = extend_partial_step(alg, tuple(range(4)), p, Event.of(alg, [2]), F(3, 4))
-    assert ext.defect == F(1, 2)
-    assert ext.partial.pairs == (
-        (frozenset({0}), frozenset({1})),
-        (frozenset({2}), frozenset({2})),
-    )
-    with pytest.raises(BoundViolated):
-        extend_partial_step(alg, tuple(range(4)), p, Event.of(alg, [2]), F(1, 2))
-
-
-def test_extend_partial_step_preserves_types():
-    rng = random.Random(223)
-    for _ in range(20):
-        alg = random_algebra(rng, max_atoms=5, max_den=12, min_atoms=3)
-        g = random_mass_preserving_perm(rng, alg)
-        p = random_partial_automorphism(rng, alg)
-        used = {x for src, _ in p.pairs for x in src}
-        free = [x for x in range(alg.size) if x not in used]
-        if not free:
-            continue
-        newsource = Event.of(alg, [free[0]])
-        defect = dist_partition(
-            EventTuple.of_members(
-                alg, [sorted(g[x] for x in src) for src, _ in p.pairs]
-            ),
-            p.target_events(),
-        )
-        ext = extend_partial_step(alg, g, p, newsource, defect + 1)
-        assert ext.defect == defect
-        assert len(ext.partial.pairs) == len(p.pairs) + 1
-        src_masses = sorted(
-            ext.partial.source.mass_of(s) for s, _ in ext.partial.pairs
-        )
-        tgt_masses = sorted(
-            ext.partial.target.mass_of(t) for _, t in ext.partial.pairs
-        )
-        assert src_masses == tgt_masses
-
-
-def test_extend_partial_step_refuses_a_new_block_that_overlaps():
-    """The one check extend_partial_step makes: its new source block must be
-    disjoint from the paired ones, else the message of .of; the bound is
-    checked first."""
-    alg = uniform_algebra(4)
-    p = PartialIsomorphism.of(alg, alg, [([0, 1], [2, 3])])
-    ident = tuple(range(4))
-    with pytest.raises(NotMassPreserving, match="blocks of a partial isomorphism overlap"):
-        extend_partial_step(alg, ident, p, Event.of(alg, [1, 2]), F(2))
-    with pytest.raises(BoundViolated):
-        extend_partial_step(alg, ident, p, Event.of(alg, [1, 2]), F(1, 2))
-    ext = extend_partial_step(alg, ident, p, Event.of(alg, [2, 3]), F(2))
-    assert ext.partial.pairs[-1] == (frozenset({2, 3}), frozenset({0, 1}))
-
-
-def random_block_partial(rng, alg):
-    """A partial correspondence of the algebra with itself whose blocks are
-    disjoint sets of up to three atoms, each paired with its image under a
-    mass-preserving permutation."""
-    atoms = list(range(alg.size))
-    rng.shuffle(atoms)
-    h = random_mass_preserving_perm(rng, alg)
-    pairs = []
-    while atoms and rng.random() < 0.7:
-        block = [atoms.pop() for _ in range(min(len(atoms), rng.randint(1, 3)))]
-        pairs.append((block, [h[x] for x in block]))
-    return PartialIsomorphism.of(alg, alg, pairs)
-
-
-def test_extend_partial_step_result_passes_the_outside_check():
-    """extend_partial_step builds its result without .of: on random steps,
-    .of over the result gives the result back, and a refused new block is
-    one that overlaps a paired source block, which .of refuses too."""
-    rng = random.Random(2231)
-    built = refused = 0
-    for _ in range(80):
-        alg = random_algebra(rng, max_atoms=6, max_den=12)
-        g = random_mass_preserving_perm(rng, alg)
-        p = random_block_partial(rng, alg)
-        newsource = Event.of(alg, rng.sample(range(alg.size), rng.randint(0, min(2, alg.size))))
-        try:
-            ext = extend_partial_step(alg, g, p, newsource, F(2))
-        except NotMassPreserving:
-            with pytest.raises(NotMassPreserving, match="overlap"):
-                PartialIsomorphism.of(alg, alg, p.pairs + ((newsource.members, ()),))
-            refused += 1
-            continue
-        result = ext.partial
-        assert PartialIsomorphism.of(result.source, result.target, result.pairs) == result
-        assert [src for src, _ in result.pairs] == [src for src, _ in p.pairs] + [
-            frozenset(newsource.members)
-        ]
-        built += 1
-    assert built > 20 and refused > 10
 
 
 # ---------------------------------------------------------------- groups
@@ -723,7 +622,7 @@ def test_eppa_rejects_foreign_partials():
 def test_ergodize_example():
     alg4 = uniform_algebra(4)
     act = validate_action(alg4, [(1, 0, 3, 2), (0, 1, 2, 3)])
-    erg = ergodize(act, AtomPartition.trivial(alg4))
+    erg = ergodize(act, AtomPartition.of(alg4, [range(alg4.size)]))
     assert erg.action.gens == ((2, 0, 3, 1), (0, 1, 2, 3))
     assert erg.modifications == 1
     assert len(invariant_components(erg.action).blocks) == 1
@@ -732,7 +631,7 @@ def test_ergodize_example():
 def test_ergodize_already_ergodic_is_unchanged():
     alg4 = uniform_algebra(4)
     act = validate_action(alg4, [(1, 2, 3, 0)])
-    erg = ergodize(act, AtomPartition.trivial(alg4))
+    erg = ergodize(act, AtomPartition.of(alg4, [range(alg4.size)]))
     assert erg.action.gens == act.gens
     assert erg.modifications == 0
 
@@ -750,7 +649,7 @@ def test_ergodize_rejects_unequal_atoms():
     alg = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
     act = validate_action(alg, [(0, 2, 1)])
     with pytest.raises(UnequalAtoms):
-        ergodize(act, AtomPartition.trivial(alg))
+        ergodize(act, AtomPartition.of(alg, [range(alg.size)]))
 
 
 def _block_map(act, fixed, gen_index):
@@ -939,7 +838,7 @@ def test_ergodize_counts_orbits_once(monkeypatch):
     monkeypatch.setattr(constructions, "invariant_components", counted)
     alg4 = uniform_algebra(4)
     act = validate_action(alg4, [(0, 1, 2, 3)])
-    erg = ergodize(act, AtomPartition.trivial(alg4))
+    erg = ergodize(act, AtomPartition.of(alg4, [range(alg4.size)]))
     assert erg.modifications == 3
     assert calls == [act]
 
@@ -1937,7 +1836,6 @@ def test_every_action_the_library_builds_passes_the_outside_check(rng):
     built = [
         product_action(act, random_algebra(rng, max_atoms=3, max_den=6))[0],
         refine_action_to_unit(act, F(1, alg.den * rng.randint(1, 3)))[0],
-        perturb_small(act, invariant_components(act), F(1, rng.randint(2, 6))).action,
         eppa_extend(alg, [random_partial_automorphism(rng, alg) for _ in range(k)]).action,
     ]
     n = rng.randint(1, 12)
@@ -1948,7 +1846,7 @@ def test_every_action_the_library_builds_passes_the_outside_check(rng):
     equal = random_equal_atom_action(rng, m, k1)
     built += [
         quotient_action(permutation_marked_group(equal.gens)[0]),
-        ergodize(equal, AtomPartition.trivial(equal.algebra)).action,
+        ergodize(equal, AtomPartition.of(equal.algebra, [range(equal.algebra.size)])).action,
         embed_into_profinite_tensor(equal).target,
         embed_transitive_into_quotient(random_transitive_small_action(rng, m, k1)).target,
     ]

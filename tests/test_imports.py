@@ -134,15 +134,8 @@ def test_every_private_name_is_used_in_the_package():
 # only tests need belongs in tests/, not here.
 LIBRARY_ONLY = {
     "action.generated_subalgebra": "paper construction: the least invariant subalgebra holding some events",
-    "action.perturb_small": "paper construction: an automorphism moving less than delta per block",
-    "constructions.extend_partial_step": "paper construction: extend a partial correspondence by one block",
     "audit.c2_distance": "the public way to recompute the distance of a C2 witness",
     "constructions.verify_conjugacy": "the public way to recompute the defect of a conjugacy certificate",
-    "action.apply_word": "the action of a word on one event",
-    "algebra.Event.complement": "Boolean operation of the measure algebra",
-    "algebra.Event.union": "Boolean operation of the measure algebra",
-    "algebra.Event.intersect": "Boolean operation of the measure algebra",
-    "algebra.AtomPartition.trivial": "the one-block partition, bottom of the partition lattice",
     "modeltheory.relatively_independent_joining": "paper construction: the joining that independence_deficiency measures against",
     "modeltheory.triple_law": "the actual joint law that independence_deficiency compares with the joining",
     "algebra.JointDistribution.base_marginal": "the base-cell masses of a joint law",
@@ -308,8 +301,7 @@ def correspondences_checked_past_the_boundary(sources: dict[str, str]) -> list[s
     jsonio.partial_from_json, as module:line: the top-level definition
     holding the call.  A correspondence from outside is checked where it
     enters; the library's builders make theirs from blocks that are already
-    disjoint and of equal mass, and extend_partial_step checks only that
-    the block its caller adds is disjoint from the paired ones."""
+    disjoint and of equal mass."""
     found: list[str] = []
     for module, source in sources.items():
         for top in ast.parse(source).body:

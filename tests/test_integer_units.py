@@ -19,14 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmplab import modeltheory
-from pmplab.action import (
-    check_permutation,
-    invariant_components,
-    perturb_small,
-    validate_action,
-)
+from pmplab.action import check_permutation
 from pmplab.algebra import (
-    AtomPartition,
     EventTuple,
     MeasuredAlgebra,
     _cell_law,
@@ -568,10 +562,9 @@ def preserving_permutation(data, alg: MeasuredAlgebra) -> list[int]:
 @given(mixed_masses(max_atoms=12), mixed_masses(max_atoms=6), st.data())
 @settings(max_examples=200, deadline=None)
 def test_every_constructor_gives_the_units_its_atoms_give(m1, m2, data):
-    """Refinements, products, the matching's refinement, the eppa
-    overalgebra and the perturbation's refinement build their units from
-    their parents' integers; each equals what validate_algebra gives their
-    atoms."""
+    """Refinements, products, the matching's refinement and the eppa
+    overalgebra build their units from their parents' integers; each equals
+    what validate_algebra gives their atoms."""
     alg = validate_algebra(m1)
     factor = validate_algebra(m2)
     m = data.draw(st.integers(1, 4))
@@ -590,17 +583,10 @@ def test_every_constructor_gives_the_units_its_atoms_give(m1, m2, data):
     a = EventTuple.of_members(alg, data.draw(st.lists(members, min_size=1, max_size=3)))
     b = EventTuple.of_members(alg, [[p[x] for x in e.members] for e in a.events])
     partial = PartialIsomorphism.of(alg, alg, [([x], [y]) for x, y in enumerate(p)])
-    act = validate_action(alg, [p])
-    fixed = data.draw(st.sampled_from([
-        AtomPartition.trivial(alg),
-        invariant_components(act),
-    ]))
-    delta = data.draw(st.fractions(min_value=F(1, 16), max_value=1).filter(bool))
     refusable = [
         lambda: refine_to_unit(alg, F(1, alg.den * data.draw(st.integers(1, 3))))[0],
         lambda: match_partitions(a, b).refined,
         lambda: eppa_extend(alg, [partial]).algebra,
-        lambda: perturb_small(act, fixed, delta).action.algebra,
     ]
     for build in refusable:
         try:

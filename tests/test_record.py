@@ -60,7 +60,7 @@ def test_every_class_with_fields_is_a_record():
         and "__annotations__" in value.__dict__
     ]
     assert sorted(with_fields, key=lambda cls: cls.__qualname__) == RECORDS
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 23
     assert all(cls.__match_args__ for cls in RECORDS)
 
 

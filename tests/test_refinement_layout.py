@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmplab.algebra import (
-    AtomPartition,
     EventTuple,
     MeasuredAlgebra,
     _runs,
@@ -27,7 +26,6 @@ from pmplab.algebra import (
 from pmplab.action import (
     FkAction,
     _lift_action,
-    perturb_small,
     product_action,
     refine_action_to_unit,
     validate_action,
@@ -82,14 +80,6 @@ def random_action(rng: random.Random) -> FkAction:
     return validate_action(alg, gens)
 
 
-def random_partition(rng: random.Random, alg: MeasuredAlgebra) -> AtomPartition:
-    atoms = list(range(alg.size))
-    rng.shuffle(atoms)
-    cuts = sorted(rng.sample(range(1, alg.size), rng.randint(0, alg.size - 1)))
-    bounds = [0] + cuts + [alg.size]
-    return AtomPartition.of(alg, [atoms[i:j] for i, j in zip(bounds, bounds[1:])])
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_every_refinement_has_the_run_layout(seed):
@@ -130,11 +120,6 @@ def test_every_refinement_has_the_run_layout(seed):
     parts = parts_of(alg, projection)
     for (x,), (y,) in partial.pairs:
         assert [eppa.action.gens[0][u] for u in parts[x]] == parts[y]
-
-    delta = F(1, rng.randint(2, 8))
-    perturbation = perturb_small(act, random_partition(rng, alg), delta)
-    assert_run_layout(alg, perturbation.action.algebra, perturbation.projection)
-    assert_part_for_part(act, perturbation.action, perturbation.projection)
 
 
 def oracle_runs(projection) -> list[range]:
