@@ -67,7 +67,6 @@ from .constructions import (
     match_partitions,
     permutation_marked_group,
     quotient_action,
-    validate_marked_group,
     verify_conjugacy,
 )
 from .errors import PmplabError, ValidationError

@@ -189,9 +189,6 @@ class JointDistribution(Record):
     fiber_arity: int
     mass: Mapping[tuple[Sign, Sign], Fraction]
 
-    def mass_of(self, base_sign: Sign, fiber_sign: Sign) -> Fraction:
-        return self.mass.get((base_sign, fiber_sign), ZERO)
-
     def base_marginal(self) -> dict[Sign, Fraction]:
         out: dict[Sign, Fraction] = {}
         for (r, _s), m in self.mass.items():

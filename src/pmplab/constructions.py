@@ -173,16 +173,15 @@ class Matching(Record):
     """An automorphism realizing the partition-metric bound between two
     equidistributed tuples.
 
-    perm acts on refined, maps the lifted a to the lifted b event by event,
-    moves only atoms where the two sign maps disagree, and satisfies
+    perm acts on refined, maps the lifted a to the lifted b event by event
+    (a lifts as lift_tuple(a, refined, projection)), moves only atoms where
+    the two sign maps disagree, and satisfies
     uniform_distance(perm, id) <= dp = dist_partition(a, b)."""
 
     refined: MeasuredAlgebra
     projection: tuple[int, ...]
     perm: Perm
     dp: Fraction
-    a_lifted: EventTuple
-    b_lifted: EventTuple
 
 
 def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
@@ -245,7 +244,7 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     for ea, eb in zip(a_lifted.events, b_lifted.events):
         if apply_perm_event(g, ea).members != eb.members:
             raise LPInternal("matching permutation does not carry a onto b")
-    return Matching(refined, projection, g, dp, a_lifted, b_lifted)
+    return Matching(refined, projection, g, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +262,33 @@ class MarkedGroup(Record):
 
     @staticmethod
     def of(order: int, identity: int, right: Sequence[Sequence[int]]) -> MarkedGroup:
-        """The group whose right Cayley graph the columns are, each a list of
-        order elements (the readers check that shape), checked in O(k^2 order).
+        """The group whose right Cayley graph the columns are, checked in
+        O(k^2 order) with no reader in front: every column must be a
+        permutation of the order elements and the identity one of them, else
+        InvalidGroupTable.
 
-        rows(gen_images) raises NotGenerating if its walk misses an element.
-        Then every column must be a permutation, and each left translation
-        L_a, a marked, must commute with every column r_b; else
-        InvalidGroupTable.  This is enough.  Let G be the group the columns
-        generate.  Commuting gives L_a L_b(e) = r_b r_a(e), so products of
-        the L_a reach every element from e.  An element of G fixing e then
-        fixes every c(e) with c commuting with G: G is regular.  So the
-        columns are right multiplication in G carried to the elements
-        (x * y = g(x) where g(e) = y), and rows gives its true table."""
+        rows(gen_images) then raises NotGenerating if its walk misses an
+        element, and each left translation L_a, a marked, must commute with
+        every column r_b; else InvalidGroupTable.  This is enough.  Let G be
+        the group the columns generate.  Commuting gives L_a L_b(e) =
+        r_b r_a(e), so products of the L_a reach every element from e.  An
+        element of G fixing e then fixes every c(e) with c commuting with G:
+        G is regular.  So the columns are right multiplication in G carried
+        to the elements (x * y = g(x) where g(e) = y), and rows gives its
+        true table."""
         group = MarkedGroup(order, identity, tuple(map(tuple, right)))
+        elements = list(range(order))
+        if any(sorted(column) != elements for column in group.right):
+            raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")
         if not 0 <= identity < order:
             raise InvalidGroupTable(f"identity {identity} is not one of the {order} elements")
         lefts = group.rows(group.gen_images)
-        for column in group.right:
-            if len(set(column)) != order or any(
-                list(map(left.__getitem__, column)) != list(map(column.__getitem__, left))
-                for left in lefts
-            ):
-                raise InvalidGroupTable("multiplication is not associative")
+        if any(
+            list(map(left.__getitem__, column)) != list(map(column.__getitem__, left))
+            for column in group.right
+            for left in lefts
+        ):
+            raise InvalidGroupTable("multiplication is not associative")
         return group
 
     @property
@@ -317,41 +321,6 @@ class MarkedGroup(Record):
                 f"marked generators reach only {len(walk)} of {self.order} elements"
             )
         return tuple(zip(*columns))
-
-
-def validate_marked_group(
-    mul: Sequence[Sequence[int]], gen_images: Sequence[int]
-) -> MarkedGroup:
-    """Full check of a table from outside: shape, identity, inverses and the
-    generator range here, then generation and the group law on the
-    generator columns (MarkedGroup.of), whose table must be this one."""
-    order = len(mul)
-    if order == 0:
-        raise InvalidGroupTable("empty multiplication table")
-    table = tuple(tuple(row) for row in mul)
-    for row in table:
-        if len(row) != order or any(not 0 <= v < order for v in row):
-            raise InvalidGroupTable("multiplication table is not square over the elements")
-    identity = None
-    for e in range(order):
-        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
-            identity = e
-            break
-    if identity is None:
-        raise InvalidGroupTable("no identity element")
-    for x in range(order):
-        if not any(
-            table[x][y] == identity and table[y][x] == identity for y in range(order)
-        ):
-            raise InvalidGroupTable(f"element {x} has no inverse")
-    gens = tuple(gen_images)
-    for g in gens:
-        if not 0 <= g < order:
-            raise InvalidGroupTable(f"generator image {g} out of range")
-    group = MarkedGroup.of(order, identity, [[row[g] for row in table] for g in gens])
-    if group.rows(range(order)) != table:
-        raise InvalidGroupTable("multiplication is not associative")
-    return group
 
 
 def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:

@@ -30,7 +30,6 @@ from .constructions import (
     PartialIsomorphism,
     cyclic_group,
     permutation_marked_group,
-    validate_marked_group,
 )
 from .errors import (
     InvalidGroupTable,
@@ -237,10 +236,7 @@ def group_from_json(obj: object) -> MarkedGroup:
             kind = type(exc) if isinstance(exc, PmplabError) else ValidationError
             raise kind(f"bad builtin group {obj!r}: {exc}") from exc
     if isinstance(obj, Mapping) and {"mul", "gens"} <= set(obj):
-        if not _is_list(obj["mul"]):
-            raise ValidationError("mul must be a list of rows")
-        mul = [_int_list(row, "a table row") for row in obj["mul"]]
-        group = validate_marked_group(mul, _int_list(obj["gens"], "gens"))
+        group = _group_from_table(obj["mul"], _int_list(obj["gens"], "gens"))
         declared = obj.get("order", group.order)
         if not (_is_int(declared) and declared == group.order):
             raise ValidationError(
@@ -255,20 +251,47 @@ def group_from_json(obj: object) -> MarkedGroup:
     )
 
 
+def _group_from_table(mul: object, gens: Sequence[int]) -> MarkedGroup:
+    """The group whose table mul is, read through its generator columns: the
+    size cap as soon as the rows are counted, before any row is read, then
+    the shape, the identity as the row that is the elements in order, the
+    marked elements, MarkedGroup.of on their columns, and the table that
+    group's rows rebuild, which must be mul.  of proves that the columns are
+    a group's right Cayley graph and rows gives that group's table, so
+    equality makes mul a group table, two-sided identity and inverses
+    included."""
+    if not _is_list(mul):
+        raise ValidationError("mul must be a list of rows")
+    order = len(mul)
+    if order == 0:
+        raise InvalidGroupTable("empty multiplication table")
+    _check_group_order(order)
+    table = tuple(tuple(_int_list(row, "a table row")) for row in mul)
+    for row in table:
+        if len(row) != order or min(row) < 0 or max(row) >= order:
+            raise InvalidGroupTable("multiplication table is not square over the elements")
+    elements = tuple(range(order))
+    if elements not in table:
+        raise InvalidGroupTable("no identity element")
+    for g in gens:
+        if not 0 <= g < order:
+            raise InvalidGroupTable(f"generator image {g} out of range")
+    group = MarkedGroup.of(order, table.index(elements), [[row[g] for row in table] for g in gens])
+    if group.rows(elements) != table:
+        raise InvalidGroupTable("multiplication is not associative")
+    return group
+
+
 def _group_from_columns(order: object, identity: object, raw: object) -> MarkedGroup:
     """The group whose right Cayley graph the columns are: the size cap as
     soon as the order is an integer, before any column is copied, then the
-    shape, every column a permutation of the elements, and then
-    MarkedGroup.of, which checks that they are a group's."""
+    JSON types, and then MarkedGroup.of, which checks the columns."""
     if not _is_int(order):
         raise ValidationError("order must be an integer")
     _check_group_order(order)
     if not _is_list(raw):
         raise ValidationError("right must be a list of columns")
-    right = tuple(tuple(_int_list(column, "a column")) for column in raw)
-    for column in right:
-        if len(column) != order or sorted(column) != list(range(order)):
-            raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")
+    right = [_int_list(column, "a column") for column in raw]
     if not _is_int(identity):
         raise ValidationError("identity must be an integer")
     return MarkedGroup.of(order, identity, right)

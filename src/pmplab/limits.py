@@ -16,8 +16,9 @@ which the command line reports with exit 2.
   ec_in_extension_check and approx_conjugacy_search.
 - MAX_GROUP_ORDER bounds the elements of a group the library enumerates:
   cyclic_group, permutation_marked_group and joint_quotient, and of a
-  group read as generator columns (jsonio.group_from_json), checked as
-  soon as its order is read.  All of them raise through _check_group_order.
+  group read as generator columns or as a table (jsonio.group_from_json),
+  checked as soon as its order or its number of rows is read.  All of them
+  raise through _check_group_order.
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
   beam_width * n^2 for n refined atoms, summed over the depths that run it
   (_check_beam_steps, before each beam).
@@ -48,7 +49,8 @@ MAX_REFINED_ATOMS = 1 << 16
 
 # Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).
 # A group holds k * order entries, and so do an embed document and the check
-# of a group read as columns; joint-quotient writes the order^2 table.
+# of a group read as columns; joint-quotient writes the order^2 table, and a
+# table read from outside is checked in order^2 steps.
 MAX_GROUP_ORDER = 1024
 
 # The largest beam in the benchmark takes 16 * 64^2 = 65536 steps.

@@ -215,9 +215,6 @@ class TripleDistribution(Record):
     fiber_arity: int
     mass: Mapping[tuple[Sign, Sign, Sign], Fraction]
 
-    def mass_of(self, r: Sign, t: Sign, s: Sign) -> Fraction:
-        return self.mass.get((r, t, s), ZERO)
-
 
 def triple_law(base: EventTuple, mid: EventTuple, fiber: EventTuple) -> TripleDistribution:
     """Actual joint law of three tuples, computed atom by atom."""

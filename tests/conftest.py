@@ -7,7 +7,8 @@ lcms small and exact arithmetic fast.  The oracles (oracle_type_distance,
 marked_group_isomorphism, oracle_validate_marked_group) are slow, obviously
 correct reference code that the library never calls; an oracle that only one
 test module uses lives in that module instead.  outcome turns a call into its value or its exception
-type and message, for comparing a kernel with its oracle."""
+type and message, for comparing a kernel with its oracle, and
+group_from_table reads a table document as the library reads one."""
 from __future__ import annotations
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
+from pmplab import limits
 from pmplab.algebra import (
     ZERO,
     Event,
@@ -31,6 +33,7 @@ from pmplab.algebra import (
 from pmplab.action import FkAction, _breadth_first, validate_action
 from pmplab.constructions import MarkedGroup, PartialIsomorphism
 from pmplab.errors import InstanceTooLarge, InvalidGroupTable, LPInternal, NotGenerating
+from pmplab.jsonio import group_from_json
 from pmplab.modeltheory import _check_triple
 
 
@@ -232,8 +235,8 @@ def oracle_type_distance(
     for r in cells:
         ss = fiber_support(jb, r)
         ts = fiber_support(jc, r)
-        row_units = [int(jb.mass_of(r, s) / step) for s in ss]
-        col_units = [int(jc.mass_of(r, t) / step) for t in ts]
+        row_units = [int(jb.mass.get((r, s), ZERO) / step) for s in ss]
+        col_units = [int(jc.mass.get((r, t), ZERO) / step) for t in ts]
         tables = list(_tables(row_units, col_units))
         per_cell.append([(ss, ts, table) for table in tables])
 
@@ -354,33 +357,43 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def group_from_table(mul, gen_images):
+    """The group a table document reads to: a table from outside is
+    checked where it comes in, by jsonio."""
+    return group_from_json({"mul": mul, "gens": gen_images})
+
+
 def oracle_validate_marked_group(mul, gen_images):
-    """The obviously correct check: every test of validate_marked_group in
-    the same order, with associativity tested on all triples, O(order^3).
-    Returns the checked table, the identity and the marked elements."""
+    """The obviously correct check of a table document, in the reader's
+    order: the size cap, the shape, the row that is the elements in order as
+    the identity, the marked elements in range, their columns permutations,
+    generation, then associativity on all triples, O(order^3).  A two-sided
+    identity and inverses follow from these, so they are asserted, not
+    raised.  Returns the checked table, the identity and the marked
+    elements."""
     order = len(mul)
     if order == 0:
         raise InvalidGroupTable("empty multiplication table")
+    if order > limits.MAX_GROUP_ORDER:
+        raise InstanceTooLarge(f"group has more than {limits.MAX_GROUP_ORDER} elements")
     table = tuple(tuple(row) for row in mul)
     for row in table:
         if len(row) != order or any(not 0 <= v < order for v in row):
             raise InvalidGroupTable("multiplication table is not square over the elements")
     identity = None
     for e in range(order):
-        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
+        if all(table[e][x] == x for x in range(order)):
             identity = e
             break
     if identity is None:
         raise InvalidGroupTable("no identity element")
-    for x in range(order):
-        if not any(
-            table[x][y] == identity and table[y][x] == identity for y in range(order)
-        ):
-            raise InvalidGroupTable(f"element {x} has no inverse")
     gens = tuple(gen_images)
     for g in gens:
         if not 0 <= g < order:
             raise InvalidGroupTable(f"generator image {g} out of range")
+    for g in gens:
+        if sorted(table[x][g] for x in range(order)) != list(range(order)):
+            raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")
     reached = {identity}
     frontier = [identity]
     while frontier:
@@ -399,4 +412,9 @@ def oracle_validate_marked_group(mul, gen_images):
             for z in range(order):
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     raise InvalidGroupTable("multiplication is not associative")
+    for x in range(order):
+        assert table[x][identity] == x, "a left identity of a group table is two-sided"
+        assert any(
+            table[x][y] == identity and table[y][x] == identity for y in range(order)
+        ), "every element of a group table has an inverse"
     return table, identity, gens

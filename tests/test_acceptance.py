@@ -119,11 +119,12 @@ def test_criterion_03_matching_preserves_partition_distance():
             alg, [sorted(perm[x] for x in e.members) for e in a.events]
         )
         m = match_partitions(a, b)
+        a_lifted, b_lifted = (lift_tuple(t, m.refined, m.projection) for t in (a, b))
         mapped = EventTuple.of_members(
             m.refined,
-            [sorted(m.perm[x] for x in e.members) for e in m.a_lifted.events],
+            [sorted(m.perm[x] for x in e.members) for e in a_lifted.events],
         )
-        assert mapped == m.b_lifted
+        assert mapped == b_lifted
         identity = tuple(range(len(m.refined.atoms)))
         assert uniform_distance(m.refined, m.perm, identity) <= m.dp
         assert m.dp == dist_partition(a, b)
@@ -132,8 +133,8 @@ def test_criterion_03_matching_preserves_partition_distance():
             gc = EventTuple.of_members(
                 m.refined, [sorted(m.perm[x] for x in e.members) for e in c.events]
             )
-            left = EventTuple(m.refined, m.a_lifted.events + c.events)
-            right = EventTuple(m.refined, m.b_lifted.events + gc.events)
+            left = EventTuple(m.refined, a_lifted.events + c.events)
+            right = EventTuple(m.refined, b_lifted.events + gc.events)
             assert dist_partition(left, right) == m.dp
     budget.check()
 

@@ -21,6 +21,7 @@ from pmplab.algebra import (
     EventTuple,
     _runs,
     dist_partition,
+    lift_tuple,
     refine_to_unit,
     validate_algebra,
 )
@@ -59,7 +60,6 @@ from pmplab.constructions import (
     match_partitions,
     permutation_marked_group,
     quotient_action,
-    validate_marked_group,
     verify_conjugacy,
 )
 from pmplab.errors import (
@@ -88,6 +88,7 @@ from pmplab.limits import (
 
 from conftest import (
     cycle_mismatch_pair,
+    group_from_table,
     marked_group_isomorphism,
     oracle_validate_marked_group,
     outcome,
@@ -190,7 +191,8 @@ def test_match_partitions_wide_tuples_on_few_atoms():
     b = EventTuple.of(alg, [apply_perm_event(swap, e) for e in a.events])
     m = match_partitions(a, b)
     assert m.dp == dist_partition(a, b)
-    for ea, eb in zip(m.a_lifted.events, m.b_lifted.events):
+    a_lifted, b_lifted = (lift_tuple(t, m.refined, m.projection) for t in (a, b))
+    for ea, eb in zip(a_lifted.events, b_lifted.events):
         assert apply_perm_event(m.perm, ea).members == eb.members
     assert uniform_distance(m.refined, m.perm, tuple(range(m.refined.size))) <= m.dp
     lopsided = EventTuple.of(alg, a.events[:-1] + (Event.of(alg, [0, 2]),))
@@ -210,11 +212,12 @@ def test_match_partitions_postconditions_random():
             alg, [sorted(perm[x] for x in e.members) for e in a.events]
         )
         m = match_partitions(a, b)
+        a_lifted, b_lifted = (lift_tuple(t, m.refined, m.projection) for t in (a, b))
         mapped = EventTuple.of_members(
             m.refined,
-            [sorted(m.perm[x] for x in e.members) for e in m.a_lifted.events],
+            [sorted(m.perm[x] for x in e.members) for e in a_lifted.events],
         )
-        assert mapped == m.b_lifted
+        assert mapped == b_lifted
         assert uniform_distance(
             m.refined, m.perm, tuple(range(len(m.refined.atoms)))
         ) <= m.dp
@@ -223,8 +226,8 @@ def test_match_partitions_postconditions_random():
             gc = EventTuple.of_members(
                 m.refined, [sorted(m.perm[x] for x in e.members) for e in c.events]
             )
-            left = EventTuple(m.refined, m.a_lifted.events + c.events)
-            right = EventTuple(m.refined, m.b_lifted.events + gc.events)
+            left = EventTuple(m.refined, a_lifted.events + c.events)
+            right = EventTuple(m.refined, b_lifted.events + gc.events)
             assert dist_partition(left, right) == m.dp
 
 
@@ -233,32 +236,51 @@ def test_match_partitions_postconditions_random():
 
 def klein_group() -> MarkedGroup:
     mul = [[i ^ j for j in range(4)] for i in range(4)]
-    return validate_marked_group(mul, [1, 2])
+    return group_from_table(mul, [1, 2])
 
 
 def test_validate_marked_group_errors():
-    with pytest.raises(InvalidGroupTable):
-        validate_marked_group([[0, 1]], [1])
-    with pytest.raises(InvalidGroupTable):
-        validate_marked_group([[0, 1], [1, 1]], [1])
+    """A table document is refused at its first failing check, in the
+    reader's order.  A row that is the elements in order but no right
+    identity, and a marked column that is no permutation, are refused by the
+    checks of the generator columns."""
     bad_assoc = [
         [0, 1, 2],
         [1, 2, 0],
         [2, 1, 0],
     ]
-    with pytest.raises(InvalidGroupTable):
-        validate_marked_group(bad_assoc, [1])
+    square = "multiplication table is not square over the elements"
+    column = "a column is not a permutation of the {} elements"
+    for mul, gens, kind, text in [
+        ([], [], InvalidGroupTable, "empty multiplication table"),
+        ([[0, 1]], [1], InvalidGroupTable, square),
+        ([[0, 2], [1, 0]], [1], InvalidGroupTable, square),
+        ([[1, 0], [0, 1]], [5], InvalidGroupTable, "generator image 5 out of range"),
+        ([[1, 0], [1, 0]], [1], InvalidGroupTable, "no identity element"),
+        ([[0, 1], [1, 1]], [1], InvalidGroupTable, column.format(2)),
+        (bad_assoc, [1], InvalidGroupTable, column.format(3)),
+        ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], [1], NotGenerating,
+         "marked generators reach only 2 of 3 elements"),
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], [1, 2], InvalidGroupTable,
+         "multiplication is not associative"),
+    ]:
+        assert outcome(group_from_table, mul, gens) == (kind, text)
+        assert outcome(oracle_validate_marked_group, mul, gens) == (kind, text)
     with pytest.raises(NotGenerating):
         cyclic_group(4, [2])
 
 
 def test_marked_group_of_checks_the_columns_alone():
-    """MarkedGroup.of on columns of in-range entries: a column that reaches
-    every element and commutes with its left translation but is not a
-    permutation, S_4 acting on 4 points, a set that misses an element and an
-    identity out of range are refused; a group's columns are its group."""
+    """MarkedGroup.of with no reader in front: a short column, an entry out
+    of range, a column that reaches every element and commutes with its left
+    translation but is not a permutation, S_4 acting on 4 points, a set that
+    misses an element and an identity out of range are refused, the columns
+    before the identity; a group's columns are its group."""
+    for order, right in [(3, [[1, 2]]), (2, [[1, 2]]), (2, [[1, 1]]), (2, [[1, -1]])]:
+        text = f"^a column is not a permutation of the {order} elements$"
+        with pytest.raises(InvalidGroupTable, match=text):
+            MarkedGroup.of(order, 5, right)
     for right, kind in [
-        ([[1, 1]], InvalidGroupTable),
         ([[1, 2, 3, 0], [1, 0, 2, 3]], InvalidGroupTable),
         ([[1, 0, 3, 2]], NotGenerating),
     ]:
@@ -268,7 +290,7 @@ def test_marked_group_of_checks_the_columns_alone():
         MarkedGroup.of(2, 2, [[1, 0]])
     s4, _ = permutation_marked_group([(1, 2, 3, 0), (1, 0, 2, 3)])
     assert MarkedGroup.of(24, 0, [list(column) for column in s4.right]) == s4
-    assert MarkedGroup.of(1, 0, []) == validate_marked_group([[0]], [])
+    assert MarkedGroup.of(1, 0, []) == group_from_table([[0]], [])
 
 
 def table_of(group: MarkedGroup):
@@ -278,7 +300,7 @@ def table_of(group: MarkedGroup):
 
 
 def validated_table(mul, gen_images):
-    return table_of(validate_marked_group(mul, gen_images))
+    return table_of(group_from_table(mul, gen_images))
 
 
 def _outcome(build, *args):
@@ -349,7 +371,7 @@ BENCHMARK_PERMUTATION_GROUPS = (
 def _check_permutation_group(perms):
     group, elements = permutation_marked_group(perms)
     table = group.rows(range(group.order))
-    assert validate_marked_group(table, group.gen_images) == group
+    assert group_from_table(table, group.gen_images) == group
     assert elements[0] == tuple(range(len(perms[0])))
     assert len(set(elements)) == group.order
     for i in range(group.order):
@@ -363,7 +385,7 @@ def test_builders_are_groups_by_construction():
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         for images in ([1], [n - 1], [0], [0, 1], [2, 3], [n // 2, 1], [6, 10, 15]):
             assert _outcome(cyclic_group, n, images) == _outcome(
-                validate_marked_group, table, [i % n for i in images]
+                group_from_table, table, [i % n for i in images]
             )
     for perms in BENCHMARK_PERMUTATION_GROUPS:
         _check_permutation_group(perms)
@@ -379,7 +401,7 @@ def test_builders_are_groups_by_construction():
         for g2 in small:
             jq = joint_quotient(g1, g2)
             table = jq.group.rows(range(jq.group.order))
-            assert validate_marked_group(table, jq.group.gen_images) == jq.group
+            assert group_from_table(table, jq.group.gen_images) == jq.group
             assert (jq.proj1[0], jq.proj2[0]) == (g1.identity, g2.identity)
 
 
@@ -426,7 +448,7 @@ def test_marked_group_isomorphism():
 
 def test_klein_vs_cyclic_four_not_isomorphic():
     k4 = klein_group()
-    z4 = validate_marked_group(
+    z4 = group_from_table(
         [[(i + j) % 4 for j in range(4)] for i in range(4)], [1, 2]
     )
     assert marked_group_isomorphism(k4, z4) is None
@@ -437,7 +459,7 @@ def test_quotient_action_examples():
     assert act.algebra.atoms == (F(1, 2), F(1, 2))
     assert act.gens == ((1, 0), (1, 0))
 
-    triv = quotient_action(validate_marked_group([[0]], []))
+    triv = quotient_action(group_from_table([[0]], []))
     assert triv.algebra.atoms == (F(1),)
     assert triv.gens == ()
 
@@ -457,7 +479,7 @@ def test_joint_quotient_examples():
     diag = joint_quotient(g, g)
     assert marked_group_isomorphism(diag.group, g) is not None
 
-    with_trivial = joint_quotient(g, validate_marked_group([[0]], [0]))
+    with_trivial = joint_quotient(g, group_from_table([[0]], [0]))
     assert marked_group_isomorphism(with_trivial.group, g) is not None
 
 
@@ -1505,7 +1527,7 @@ def test_cyclic_tables_and_quotient_generators_match_the_entrywise_oracle():
         joint_quotient(cyclic_group(6, [1, 4]), perm[4]).group,  # Z/6 with S_5
         joint_quotient(perm[3], cyclic[3]).group,  # S_4 with Z/36
     ]
-    for group in (*cyclic, *perm, *joint, validate_marked_group([[0]], [])):
+    for group in (*cyclic, *perm, *joint, group_from_table([[0]], [])):
         act = quotient_action(group)
         table = group.rows(range(group.order))
         assert act == validate_action(act.algebra, oracle_quotient_gens(table, group.gen_images))
@@ -1543,7 +1565,7 @@ def relabeled_group_tables(draw):
 @given(relabeled_group_tables())
 def test_rows_rebuild_a_table_whose_identity_is_not_element_0(case):
     mul, marked, identity, zs = case
-    group = validate_marked_group(mul, marked)
+    group = group_from_table(mul, marked)
     assert group.identity == identity != 0
     assert group.rows(range(group.order)) == tuple(tuple(row) for row in mul)
     assert group.rows(zs) == tuple(tuple(mul[z]) for z in zs)

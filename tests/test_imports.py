@@ -7,7 +7,8 @@ private attribute through anything but self or cls.  Importing the command line
 stays light: no module of the package imports dataclasses, and the import
 loads neither dataclasses nor inspect.  The package exports no submodule.
 Only algebra.py builds algebras, only jsonio.action_from_json checks an
-action, and only jsonio.partial_from_json checks a correspondence.
+action, only jsonio.partial_from_json checks a correspondence, and only
+jsonio's two group readers check a group.
 
 The package's __init__ is exempt: its imports are the public re-exports,
 and a re-export alone does not count as a use."""
@@ -283,37 +284,46 @@ def test_only_the_json_reader_checks_an_action():
     assert actions_checked_past_the_boundary(sources) == []
 
 
-CORRESPONDENCE_CHECKS = {("jsonio.py", "partial_from_json")}
-
-
-def _checked_correspondence(node: ast.AST) -> bool:
-    """Whether node calls PartialIsomorphism.of or Isomorphism.of, bare or
+def _calls_of(node: ast.AST, classes: tuple[str, ...]) -> bool:
+    """Whether node calls C.of for a class C named in classes, bare or
     through a module."""
     if _called_name(node) != "of" or not isinstance(node.func, ast.Attribute):
         return False
     owner = node.func.value
     name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
-    return name in ("PartialIsomorphism", "Isomorphism")
+    return name in classes
 
 
-def correspondences_checked_past_the_boundary(sources: dict[str, str]) -> list[str]:
-    """Calls of PartialIsomorphism.of or Isomorphism.of anywhere but in
-    jsonio.partial_from_json, as module:line: the top-level definition
-    holding the call.  A correspondence from outside is checked where it
-    enters; the library's builders make theirs from blocks that are already
-    disjoint and of equal mass."""
+def checked_past_the_boundary(
+    sources: dict[str, str], classes: tuple[str, ...], holders: set[tuple[str, str]]
+) -> list[str]:
+    """Calls of C.of, C one of classes, anywhere but in the holders, the
+    (module, top-level definition) pairs where such an object comes in from
+    outside, as module:line: the top-level definition holding the call.  An
+    object from outside is checked where it enters; the library's builders
+    make theirs from parts that are already checked."""
     found: list[str] = []
     for module, source in sources.items():
         for top in ast.parse(source).body:
             holder = getattr(top, "name", "<module>")
-            if (module, holder) in CORRESPONDENCE_CHECKS:
+            if (module, holder) in holders:
                 continue
             found += [
                 f"{module}:{node.lineno}: {holder}"
                 for node in ast.walk(top)
-                if _checked_correspondence(node)
+                if _calls_of(node, classes)
             ]
     return sorted(found)
+
+
+# The classes whose .of checks an object from outside, and the only
+# (module, top-level definition) pairs that may call it.  The blocks the
+# library builds are already disjoint and of equal mass, and the groups it
+# builds are generated by permutations or walks.
+CORRESPONDENCE_RULE = (("PartialIsomorphism", "Isomorphism"), {("jsonio.py", "partial_from_json")})
+GROUP_RULE = (
+    ("MarkedGroup",), {("jsonio.py", "_group_from_table"), ("jsonio.py", "_group_from_columns")}
+)
 
 
 def test_detects_a_correspondence_checked_past_the_boundary():
@@ -338,7 +348,7 @@ def test_detects_a_correspondence_checked_past_the_boundary():
             "x = constructions.PartialIsomorphism.of(None, None, [])\n"
         ),
     }
-    assert correspondences_checked_past_the_boundary(sources) == [
+    assert checked_past_the_boundary(sources, *CORRESPONDENCE_RULE) == [
         "b.py:4: C", "b.py:5: <module>", "constructions.py:2: extend_partial_step",
         "constructions.py:4: eppa_extend", "constructions.py:6: approx_conjugacy_search",
         "jsonio.py:5: other",
@@ -347,7 +357,36 @@ def test_detects_a_correspondence_checked_past_the_boundary():
 
 def test_only_the_json_reader_checks_a_correspondence():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
-    assert correspondences_checked_past_the_boundary(sources) == []
+    assert checked_past_the_boundary(sources, *CORRESPONDENCE_RULE) == []
+
+
+def test_detects_a_group_checked_past_the_boundary():
+    sources = {
+        "jsonio.py": (
+            "from .constructions import MarkedGroup\n"
+            "def _group_from_table(mul, gens):\n    return MarkedGroup.of(len(mul), 0, [])\n"
+            "def _group_from_columns(order, identity, right):\n"
+            "    return MarkedGroup.of(order, identity, right)\n"
+            "def group_from_json(obj):\n    return MarkedGroup.of(1, 0, [])\n"
+        ),
+        "constructions.py": (
+            "def cyclic_group(n, images):\n"
+            "    return MarkedGroup.of(n, 0, []), MarkedGroup(n, 0, ())\n"
+            "def eppa_extend(alg):\n    return PartialIsomorphism.of(alg, alg, [])\n"
+        ),
+        "b.py": (
+            "from . import constructions\n"
+            "x = constructions.MarkedGroup.of(1, 0, [])\n"
+        ),
+    }
+    assert checked_past_the_boundary(sources, *GROUP_RULE) == [
+        "b.py:2: <module>", "constructions.py:2: cyclic_group", "jsonio.py:7: group_from_json",
+    ]
+
+
+def test_only_the_json_readers_check_a_group():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert checked_past_the_boundary(sources, *GROUP_RULE) == []
 
 
 def private_reads(source: str) -> list[str]:

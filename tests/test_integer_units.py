@@ -206,13 +206,13 @@ def oracle_type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> 
             for t in fiber_support(jc, r):
                 row[var_index[(r, s, t)]] = F(1)
             rows.append(row)
-            rhs.append(jb.mass_of(r, s))
+            rhs.append(jb.mass.get((r, s), ZERO))
         for t in fiber_support(jc, r):
             row = [ZERO] * width
             for s in fiber_support(jb, r):
                 row[var_index[(r, s, t)]] = F(1)
             rows.append(row)
-            rhs.append(jc.mass_of(r, t))
+            rhs.append(jc.mass.get((r, t), ZERO))
     for i in range(n):
         row = [ZERO] * width
         for (r, s, t), j in var_index.items():
@@ -234,7 +234,7 @@ def oracle_joining(base: EventTuple, b: EventTuple, c: EventTuple) -> TripleDist
     mass = {}
     for (r, s), mb in jb.mass.items():
         for t in fiber_support(jc, r):
-            mass[(r, t, s)] = mb * jc.mass_of(r, t) / base_masses[r]
+            mass[(r, t, s)] = mb * jc.mass.get((r, t), ZERO) / base_masses[r]
     return TripleDistribution(base.arity, c.arity, b.arity, mass)
 
 
@@ -674,8 +674,8 @@ def residual_sides(base: EventTuple, b: EventTuple, c: EventTuple) -> list[tuple
     sides = []
     for r in jb.base_marginal():
         keys = set(fiber_support(jb, r)) | set(fiber_support(jc, r))
-        more = sum(1 for s in keys if jb.mass_of(r, s) > jc.mass_of(r, s))
-        less = sum(1 for s in keys if jb.mass_of(r, s) < jc.mass_of(r, s))
+        more = sum(1 for s in keys if jb.mass.get((r, s), ZERO) > jc.mass.get((r, s), ZERO))
+        less = sum(1 for s in keys if jb.mass.get((r, s), ZERO) < jc.mass.get((r, s), ZERO))
         sides.append((more, less))
     return sides
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmplab import jsonio
+from pmplab import jsonio, limits
 from pmplab.algebra import (
     AtomPartition,
     Event,
@@ -28,9 +28,8 @@ from pmplab.constructions import (
     PartialIsomorphism,
     cyclic_group,
     permutation_marked_group,
-    validate_marked_group,
 )
-from pmplab.errors import InvalidGroupTable, NotGenerating, ValidationError
+from pmplab.errors import InstanceTooLarge, InvalidGroupTable, NotGenerating, ValidationError
 from pmplab.jsonio import (
     action_from_json,
     action_to_json,
@@ -52,7 +51,7 @@ from pmplab.jsonio import (
     word_from_json,
 )
 
-from conftest import oracle_validate_marked_group, outcome
+from conftest import group_from_table, oracle_validate_marked_group, outcome
 
 F = Fraction
 
@@ -263,6 +262,29 @@ def test_group_round_trip_and_builtins():
         group_from_json(bad_order)
 
 
+def cyclic_table(order):
+    return [[(x + y) % order for y in range(order)] for x in range(order)]
+
+
+def test_a_table_past_the_order_cap_is_refused_before_any_row_is_read():
+    """The rows are counted before any is read: past MAX_GROUP_ORDER rows,
+    rows that are not even lists are refused for their number alone."""
+    with pytest.raises(InstanceTooLarge):
+        group_from_json({"mul": [None] * (limits.MAX_GROUP_ORDER + 1), "gens": [1]})
+
+
+def test_a_table_is_read_up_to_the_order_cap(monkeypatch):
+    """With the cap lowered to n, the table of Z/n is read and the table of
+    Z/(n + 1) refused, by the reader and the oracle alike."""
+    n = 6
+    monkeypatch.setattr(limits, "MAX_GROUP_ORDER", n)
+    assert group_from_table(cyclic_table(n), [1]) == cyclic_group(n, [1])
+    assert oracle_validate_marked_group(cyclic_table(n), [1])[1:] == (0, (1,))
+    refused = (InstanceTooLarge, f"group has more than {n} elements")
+    assert outcome(group_from_table, cyclic_table(n + 1), [1]) == refused
+    assert outcome(oracle_validate_marked_group, cyclic_table(n + 1), [1]) == refused
+
+
 # ------------------------------------------------- groups as generator columns
 
 
@@ -283,7 +305,7 @@ def relabeled_group(group: MarkedGroup, pi) -> MarkedGroup:
     for a, row in enumerate(table):
         for b, ab in enumerate(row):
             mul[pi[a]][pi[b]] = pi[ab]
-    return validate_marked_group(mul, [pi[g] for g in group.gen_images])
+    return group_from_table(mul, [pi[g] for g in group.gen_images])
 
 
 def assert_columns_round_trip(group: MarkedGroup) -> None:
