@@ -14,10 +14,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import jsonio
-from .action import product_action, uniform_distance, uniform_distance_tuples
+from .action import product_action, uniform_distance_tuples
 from .algebra import dist_max, dist_partition, uniform_algebra
 from .audit import (
     axiom_residual,
@@ -36,7 +35,7 @@ from .constructions import (
     quotient_action,
 )
 from .errors import ArityMismatch, PmplabError, ValidationError
-from .jsonio import _int_list
+from .jsonio import _int_list, decimal_rendering, format_rational
 from .modeltheory import TYPE_METRICS, independence_deficiency, type_distance
 
 USAGE_EXIT = 64
@@ -60,30 +59,21 @@ def _load(arg: str) -> object:
     file."""
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
-        try:
-            return json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad inline JSON: {exc}") from exc
-    if s.split(":", 1)[0] in ("cyclic", "sym"):
+        text, prefix = s, "bad inline JSON"
+    elif s.split(":", 1)[0] in ("cyclic", "sym"):
         return s
-    if os.path.exists(s):
+    elif os.path.exists(s):
         with open(s, "r", encoding="utf-8") as fh:
             text = fh.read()
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad JSON in file {s}: {exc}") from exc
-    raise ValidationError(
-        f"cannot interpret {arg!r}: not inline JSON, a builtin group, or a readable file"
-    )
-
-
-def _fr(value: Fraction) -> str:
-    return jsonio.format_rational(value)
-
-
-def _dec(value: Fraction) -> str:
-    return jsonio.decimal_rendering(value)
+        prefix = f"bad JSON in file {s}"
+    else:
+        raise ValidationError(
+            f"cannot interpret {arg!r}: not inline JSON, a builtin group, or a readable file"
+        )
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{prefix}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -131,36 +121,35 @@ def _cmd_refine(args) -> dict:
     }
 
 
-def _cmd_dist(args) -> dict:
+def _tuple_inputs(args, *names) -> list:
+    """The event tuples named, in order, each read over the algebra argument."""
     alg = jsonio.algebra_from_json(_load(args.algebra))
-    a = jsonio.tuple_from_json(alg, _load(args.a))
-    b = jsonio.tuple_from_json(alg, _load(args.b))
+    return [jsonio.tuple_from_json(alg, _load(getattr(args, name))) for name in names]
+
+
+def _cmd_dist(args) -> dict:
+    a, b = _tuple_inputs(args, "a", "b")
     return {
-        "dist_max": _fr(dist_max(a, b)),
-        "dist_partition": _fr(dist_partition(a, b)),
+        "dist_max": format_rational(dist_max(a, b)),
+        "dist_partition": format_rational(dist_partition(a, b)),
     }
 
 
 def _cmd_typedist(args) -> dict:
-    alg = jsonio.algebra_from_json(_load(args.algebra))
-    base = jsonio.tuple_from_json(alg, _load(args.base))
-    b = jsonio.tuple_from_json(alg, _load(args.b))
-    c = jsonio.tuple_from_json(alg, _load(args.c))
+    base, b, c = _tuple_inputs(args, "base", "b", "c")
     value = type_distance(args.metric)(base, b, c)
-    return {"metric": args.metric, "distance": _fr(value), "distance_decimal": _dec(value)}
+    return {"metric": args.metric, "distance": format_rational(value),
+            "distance_decimal": decimal_rendering(value)}
 
 
 def _cmd_indep(args) -> dict:
-    alg = jsonio.algebra_from_json(_load(args.algebra))
-    base = jsonio.tuple_from_json(alg, _load(args.base))
-    b = jsonio.tuple_from_json(alg, _load(args.b))
-    c = jsonio.tuple_from_json(alg, _load(args.c))
+    base, b, c = _tuple_inputs(args, "base", "b", "c")
     value = independence_deficiency(base, b, c)
-    return {"deficiency": _fr(value), "deficiency_decimal": _dec(value)}
+    return {"deficiency": format_rational(value), "deficiency_decimal": decimal_rendering(value)}
 
 
 def _parse_perm_arg(obj) -> tuple:
-    """An integer list; uniform_distance checks that it is a permutation."""
+    """An integer list; uniform_distance_tuples checks that it is a permutation."""
     return tuple(_int_list(obj, "permutation argument"))
 
 
@@ -176,24 +165,21 @@ def _cmd_delta(args) -> dict:
     if _is_perm_list(g):
         if not _is_perm_list(h) or len(g) != len(h):
             raise ArityMismatch("both sides must be equal-length lists of permutations")
-        gs = [_parse_perm_arg(p) for p in g]
-        hs = [_parse_perm_arg(p) for p in h]
-        value = uniform_distance_tuples(alg, gs, hs)
     else:
-        value = uniform_distance(alg, _parse_perm_arg(g), _parse_perm_arg(h))
-    return {"delta": _fr(value)}
+        g, h = [g], [h]
+    gs = [_parse_perm_arg(p) for p in g]
+    hs = [_parse_perm_arg(p) for p in h]
+    return {"delta": format_rational(uniform_distance_tuples(alg, gs, hs))}
 
 
 def _cmd_match(args) -> dict:
-    alg = jsonio.algebra_from_json(_load(args.algebra))
-    a = jsonio.tuple_from_json(alg, _load(args.a))
-    b = jsonio.tuple_from_json(alg, _load(args.b))
+    a, b = _tuple_inputs(args, "a", "b")
     m = match_partitions(a, b)
     return {
         "refined": jsonio.algebra_to_json(m.refined),
         "projection": list(m.projection),
         "perm": list(m.perm),
-        "dist_partition": _fr(m.dp),
+        "dist_partition": format_rational(m.dp),
     }
 
 
@@ -244,8 +230,8 @@ def _cmd_conjsearch(args) -> dict:
         a1, a2, max_refine=args.max_refine, beam_width=args.beam
     )
     return {
-        "eps": _fr(cert.eps),
-        "eps_decimal": _dec(cert.eps),
+        "eps": format_rational(cert.eps),
+        "eps_decimal": decimal_rendering(cert.eps),
         "mapping": list(cert.iso.mapping),
         "refined_atoms": cert.act1_refined.algebra.size,
         "exhausted": cert.exhausted,
@@ -264,11 +250,11 @@ def _cmd_audit_c1(args) -> dict:
     eps = jsonio.parse_rational(args.eps)
     report = check_C1(act, a, bs, eps, metric=args.metric)
     return {
-        "xi": [_fr(x) for x in report.xi],
-        "xi_decimal": [_dec(x) for x in report.xi],
-        "psi": [_fr(p) for p in report.psi],
-        "psi_decimal": [_dec(p) for p in report.psi],
-        "eps": _fr(report.eps),
+        "xi": [format_rational(x) for x in report.xi],
+        "xi_decimal": [decimal_rendering(x) for x in report.xi],
+        "psi": [format_rational(p) for p in report.psi],
+        "psi_decimal": [decimal_rendering(p) for p in report.psi],
+        "eps": format_rational(report.eps),
         "metric": args.metric,
         "satisfied": report.satisfied,
     }
@@ -282,8 +268,8 @@ def _cmd_audit_c2(args) -> dict:
     return {
         "found": res.found,
         "c": jsonio.tuple_to_json(w.c),
-        "distance": _fr(w.distance),
-        "distance_decimal": _dec(w.distance),
+        "distance": format_rational(w.distance),
+        "distance_decimal": decimal_rendering(w.distance),
         "refinement_depth": w.refinement_depth,
     }
 
@@ -291,7 +277,7 @@ def _cmd_audit_c2(args) -> dict:
 def _cmd_audit_residual(args) -> dict:
     act, a, bs = _audit_inputs(args)
     value = axiom_residual(act, a, bs, max_refine=args.max_refine)
-    return {"residual": _fr(value), "residual_decimal": _dec(value)}
+    return {"residual": format_rational(value), "residual_decimal": decimal_rendering(value)}
 
 
 def _cmd_audit_ec(args) -> dict:
@@ -312,8 +298,8 @@ def _cmd_audit_ec(args) -> dict:
     return {
         "found": res.found,
         "cs": jsonio.tuple_to_json(w.cs),
-        "discrepancy": _fr(w.discrepancy),
-        "discrepancy_decimal": _dec(w.discrepancy),
+        "discrepancy": format_rational(w.discrepancy),
+        "discrepancy_decimal": decimal_rendering(w.discrepancy),
         "refinement_depth": w.refinement_depth,
     }
 
@@ -426,22 +412,12 @@ def cli_dispatch(argv) -> int:
                 fh.write(document)
         sys.stdout.write(document)
         return 0
-    except PmplabError as exc:
-        error: dict[str, object] = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
+    except (PmplabError, ValueError, OSError) as exc:
+        error: dict[str, object] = {"type": type(exc).__name__, "message": str(exc)}
         element = getattr(exc, "element", None)
         if element is not None:
             error["element"] = list(element)
         sys.stdout.write(jsonio.render_document({"error": error}))
-        return VALIDATION_EXIT
-    except (ValueError, OSError) as exc:
-        sys.stdout.write(
-            jsonio.render_document(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            )
-        )
         return VALIDATION_EXIT
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -59,7 +60,13 @@ from .errors import (
     UnequalAtoms,
     ValidationError,
 )
-from .limits import MAX_GROUP_ORDER, _check_beam_steps, _check_group_order
+from .limits import (
+    MAX_GROUP_ORDER,
+    _check_beam_steps,
+    _check_exact_steps,
+    _check_group_entries,
+    _check_group_order,
+)
 from .record import Record
 
 # ---------------------------------------------------------------------------
@@ -369,7 +376,7 @@ def permutation_marked_group(
     the right by the generators in order; the element list is returned
     alongside the abstract marked group, and indices follow discovery order
     with the identity first.  Raises InstanceTooLarge beyond MAX_GROUP_ORDER
-    elements."""
+    elements or MAX_GROUP_ENTRIES built entries."""
     if not perms:
         raise InvalidGroupTable("need at least one generator permutation")
     degree = len(perms[0])
@@ -379,7 +386,19 @@ def permutation_marked_group(
         if len(q) != degree or sorted(q) != list(range(degree)):
             raise NotBijective("generator is not a permutation")
         gens.append(q)
-    return _generated_group(perm_identity(degree), gens, perm_compose)
+    return _permutation_group(degree, gens)
+
+
+def _permutation_group(degree: int, gens: Sequence[Perm]) -> tuple[MarkedGroup, tuple]:
+    """_generated_group of permutations of degree points, each composition
+    counted as degree entries against MAX_GROUP_ENTRIES before it is built."""
+    built = count(degree, degree)
+
+    def compose(f: Perm, g: Perm) -> Perm:
+        _check_group_entries(next(built))
+        return perm_compose(f, g)
+
+    return _generated_group(perm_identity(degree), gens, compose)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +606,7 @@ class QuotientEmbedding(Record):
     elements: tuple[Perm, ...]
     target: FkAction
     sigma: PartialIsomorphism
-    base_factor: MeasuredAlgebra | None = None
+    base_factor: MeasuredAlgebra | None
 
 
 def embed_transitive_into_quotient(act: FkAction) -> QuotientEmbedding:
@@ -603,7 +622,7 @@ def embed_transitive_into_quotient(act: FkAction) -> QuotientEmbedding:
     if len(orbits) != 1:
         raise NotTransitive("action is not transitive on atoms")
     emb = _embed_orbits(act, orbits)
-    return QuotientEmbedding(emb.group, emb.elements, emb.target, emb.sigma)
+    return QuotientEmbedding(emb.group, emb.elements, emb.target, emb.sigma, None)
 
 
 def embed_into_profinite_tensor(act: FkAction) -> QuotientEmbedding:
@@ -624,7 +643,7 @@ def _embed_orbits(act: FkAction, orbits: tuple[frozenset[int], ...]) -> Quotient
     orbits."""
     alg = act.algebra
     base_factor = validate_algebra([alg.mass_of(o) for o in orbits])
-    group, elements = _generated_group(perm_identity(alg.size), act.gens, perm_compose)
+    group, elements = _permutation_group(alg.size, act.gens)
     target = product_action(quotient_action(group), base_factor)[0]
     width = len(orbits)
     images: list[list[int]] = [[] for _ in range(alg.size)]
@@ -760,9 +779,11 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
     x -> g(x) is checked, fixed points included, which checks the inverse
     edges too.  An exact conjugacy maps each orbit onto an isomorphic orbit,
     and isomorphic orbits are interchangeable, so a placed orbit is never
-    revisited: the search takes O(n^2 k) steps, is complete, and returns
-    None only when no exact conjugacy exists."""
+    revisited: the search takes O(n^2 max(k, 1)) steps, checked against
+    MAX_EXACT_STEPS before the first, is complete, and returns None only
+    when no exact conjugacy exists."""
     n = r1.algebra.size
+    _check_exact_steps(max(r1.k, 1) * n * n)
     mapping = [-1] * n
     used = [False] * n
     perms = list(zip(r1.gens, r2.gens))

@@ -19,6 +19,11 @@ which the command line reports with exit 2.
   group read as generator columns or as a table (jsonio.group_from_json),
   checked as soon as its order or its number of rows is read.  All of them
   raise through _check_group_order.
+- MAX_GROUP_ENTRIES bounds the entries of the permutations that
+  permutation_marked_group and the embeddings build while they enumerate a
+  group, degree entries per composition (_check_group_entries, before each).
+- MAX_EXACT_STEPS bounds approx_conjugacy_search's exact phase,
+  max(k, 1) * n^2 steps over n atoms at depth 1 (_check_exact_steps).
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
   beam_width * n^2 for n refined atoms, summed over the depths that run it
   (_check_beam_steps, before each beam).
@@ -53,7 +58,13 @@ MAX_REFINED_ATOMS = 1 << 16
 # table read from outside is checked in order^2 steps.
 MAX_GROUP_ORDER = 1024
 
-# The largest beam in the benchmark takes 16 * 64^2 = 65536 steps.
+# Z/1024 rotating 2048 points builds 2^21 entries, on 1087 atoms (the largest
+# embedding the tests build) about 1.1M.
+MAX_GROUP_ENTRIES = 1 << 21
+
+# The largest exact phase in the benchmark takes 2 * 64^2 = 8192 steps, its
+# largest beam 16 * 64^2 = 65536.
+MAX_EXACT_STEPS = 1 << 22
 MAX_BEAM_STEPS = 1 << 22
 
 EXHAUSTIVE_TUPLE_CAP = 4096
@@ -76,6 +87,12 @@ def _check_group_order(order: int) -> None:
         raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
 
 
+def _check_group_entries(entries: int) -> None:
+    """Raise InstanceTooLarge when a group walk's entries pass MAX_GROUP_ENTRIES."""
+    if entries > MAX_GROUP_ENTRIES:
+        raise InstanceTooLarge(f"group enumeration builds more than {MAX_GROUP_ENTRIES} entries")
+
+
 def _check_summed_refinement(size: int, depths: int) -> None:
     """Raise InstanceTooLarge when refining size atoms at every depth
     1..depths, size*depths*(depths+1)/2 atoms in all, would pass
@@ -94,4 +111,12 @@ def _check_beam_steps(steps: int) -> None:
     if steps > MAX_BEAM_STEPS:
         raise InstanceTooLarge(
             f"beam searches summing to {steps} steps exceed the cap {MAX_BEAM_STEPS} steps"
+        )
+
+
+def _check_exact_steps(steps: int) -> None:
+    """Raise InstanceTooLarge when an exact conjugacy phase's steps pass MAX_EXACT_STEPS."""
+    if steps > MAX_EXACT_STEPS:
+        raise InstanceTooLarge(
+            f"an exact conjugacy phase of {steps} steps exceeds the cap {MAX_EXACT_STEPS} steps"
         )

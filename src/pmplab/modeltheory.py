@@ -90,13 +90,6 @@ def _residual_laws(
     return laws
 
 
-def _residual_mass(
-    laws: list[tuple[dict[Sign, int], dict[Sign, int]]], den: int
-) -> Fraction:
-    """The summed residual mass of b: the total-variation distance."""
-    return Fraction(sum([sum(p.values()) for p, _q in laws]), den)
-
-
 def type_distance_tv(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:
     """Total-variation distance between the types of b and c over base.
 
@@ -105,7 +98,8 @@ def type_distance_tv(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction
     the type of b over the base: the summed residual mass of b.
     """
     _check_triple(base, b, c)
-    return _residual_mass(_residual_laws(base, b, c), base.algebra.den)
+    laws = _residual_laws(base, b, c)
+    return Fraction(sum([sum(p.values()) for p, _q in laws]), base.algebra.den)
 
 
 def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fraction:

@@ -1,8 +1,8 @@
 """Frozen records: the one base class of pmplab's value objects.
 
-A subclass's own annotated names are its fields, in order, and a class
-attribute of the same name is that field's default; a record with fields
-cannot be extended.  Each subclass gets an __init__ of the shape a frozen
+A subclass's own annotated names are its fields, in order, each one a
+required argument without a default; a record with fields cannot be
+extended.  Each subclass gets an __init__ of the shape a frozen
 dataclass writes: one object.__setattr__ per field, positional or keyword
 arguments, the same signature; one per class, because a generic loop over
 the fields costs more per instance.  Nothing is compiled for it: the
@@ -92,12 +92,6 @@ class Record:
             raise TypeError(f"{cls.__qualname__} extends a record that has fields")
         annotations = cls.__dict__.get("__annotations__", {})
         fields = tuple(annotations)
-        defaults = []
-        for name in fields:
-            if name in cls.__dict__:
-                defaults.append(cls.__dict__[name])
-            elif defaults:
-                raise TypeError(f"non-default argument {name!r} follows default argument")
         if len(fields) >= len(_TEMPLATES):
             raise TypeError(
                 f"{cls.__qualname__} has {len(fields)} fields, "
@@ -110,7 +104,7 @@ class Record:
             co_varnames=("self", *fields),
             co_consts=tuple([rename.get(const, const) for const in template.co_consts]),
         )
-        init = FunctionType(code, {"_set": _set}, None, tuple(defaults) or None)
+        init = FunctionType(code, {"_set": _set})
         init.__annotations__ = {**annotations, "return": None}
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -462,6 +463,30 @@ def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "InstanceTooLarge"
     assert "beam" in error["message"]
+
+
+def test_quadratic_conjsearch_and_wide_group_walks_are_refused_within_a_second(capsys):
+    """A 60,000-atom cycle against a cycle beside a fixed point would spend
+    minutes in the quadratic exact phase, and a 32,000-atom cycle would
+    build 1025 permutations of 32,000 entries before the order cap refused
+    its group; both are refused first, in well under a second."""
+    def cycle_beside(length: int, points: int) -> str:
+        gen = [(x + 1) % length for x in range(length)] + list(range(length, points))
+        return json.dumps({"algebra": {"atoms": [f"1/{points}"] * points}, "gens": [gen]})
+
+    for argv, message in (
+        (["conjsearch", cycle_beside(60000, 60000), cycle_beside(59999, 60000)],
+         "an exact conjugacy phase of 3600000000 steps exceeds the cap 4194304 steps"),
+        (["embed", cycle_beside(32000, 32000), "--mode", "transitive"],
+         "group enumeration builds more than 2097152 entries"),
+        (["embed", cycle_beside(32000, 32000)],
+         "group enumeration builds more than 2097152 entries"),
+    ):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(out) == {"error": {"message": message, "type": "InstanceTooLarge"}}
 
 
 def test_conjsearch_without_a_beam_is_a_validation_error(capsys):

@@ -26,7 +26,7 @@ from pmplab.algebra import (
     validate_algebra,
 )
 from pmplab import action as action_module
-from pmplab import constructions
+from pmplab import constructions, limits
 from pmplab.action import (
     FkAction,
     _breadth_first,
@@ -81,9 +81,12 @@ from pmplab.errors import (
 )
 from pmplab.limits import (
     MAX_BEAM_STEPS,
+    MAX_EXACT_STEPS,
+    MAX_GROUP_ENTRIES,
     MAX_GROUP_ORDER,
     MAX_REFINED_ATOMS,
     _check_beam_steps,
+    _check_exact_steps,
 )
 
 from conftest import (
@@ -422,6 +425,25 @@ def test_group_order_cap():
     assert len(calls) == MAX_GROUP_ORDER
     with pytest.raises(InstanceTooLarge):
         permutation_marked_group([(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+
+
+def test_group_enumeration_is_capped_by_the_entries_it_builds():
+    """Each composition of permutations of d points builds d entries: Z/1024
+    rotating 2048 points takes 1024 compositions, exactly the cap, and on
+    2049 points its last composition is refused, though 1024 elements are
+    within the order cap."""
+    assert 1024 * 2048 == MAX_GROUP_ENTRIES
+
+    def rotation_beside(points: int) -> list[int]:
+        return [(x + 1) % 1024 for x in range(1024)] + list(range(1024, points))
+
+    group, elements = permutation_marked_group([rotation_beside(2048)])
+    assert group.order == len(elements) == 1024
+    with pytest.raises(InstanceTooLarge, match=f"more than {MAX_GROUP_ENTRIES} entries"):
+        permutation_marked_group([rotation_beside(2049)])
+    with pytest.raises(InstanceTooLarge, match=f"more than {MAX_GROUP_ENTRIES} entries"):
+        act = validate_action(uniform_algebra(2049), [rotation_beside(2049)])
+        embed_into_profinite_tensor(act)
 
 
 def test_cyclic_and_permutation_groups():
@@ -1827,6 +1849,28 @@ def test_conjugacy_beams_are_capped_by_their_summed_steps():
         return sum(16 * (2 * d) ** 2 for d in range(1, depths + 1))
 
     assert summed(57) <= MAX_BEAM_STEPS < summed(58)
+
+
+def test_the_exact_conjugacy_phase_is_capped_by_its_steps(monkeypatch):
+    """The exact phase takes max(k, 1) * n^2 steps over n atoms, checked
+    before it runs: 16 for a 4-cycle and for 4 atoms with no generator, 32
+    for two generators."""
+    _check_exact_steps(MAX_EXACT_STEPS)
+    with pytest.raises(InstanceTooLarge):
+        _check_exact_steps(MAX_EXACT_STEPS + 1)
+    alg = uniform_algebra(4)
+    cycle = validate_action(alg, [(1, 2, 3, 0)])
+    free = validate_action(alg, [])
+    pair = validate_action(alg, [(1, 2, 3, 0), (1, 0, 3, 2)])
+    monkeypatch.setattr(limits, "MAX_EXACT_STEPS", 16)
+    for act in (cycle, free):
+        assert approx_conjugacy_search(act, act).eps == 0
+    with pytest.raises(InstanceTooLarge, match="of 32 steps exceeds the cap 16 steps"):
+        approx_conjugacy_search(pair, pair)
+    monkeypatch.setattr(limits, "MAX_EXACT_STEPS", 15)
+    for act in (cycle, free):
+        with pytest.raises(InstanceTooLarge, match="of 16 steps exceeds the cap 15 steps"):
+            approx_conjugacy_search(act, act)
 
 
 def test_conjugacy_search_without_a_beam_or_a_depth_is_a_validation_error():
