@@ -35,7 +35,7 @@ from .constructions import (
     quotient_action,
 )
 from .errors import ArityMismatch, PmplabError, ValidationError
-from .jsonio import _int_list, decimal_rendering, format_rational
+from .jsonio import _BUILTIN_GROUP_KINDS, _int_list, decimal_rendering, format_rational
 from .modeltheory import TYPE_METRICS, independence_deficiency, type_distance
 
 USAGE_EXIT = 64
@@ -60,7 +60,7 @@ def _load(arg: str) -> object:
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
         text, prefix = s, "bad inline JSON"
-    elif s.split(":", 1)[0] in ("cyclic", "sym"):
+    elif s.split(":", 1)[0] in _BUILTIN_GROUP_KINDS:
         return s
     elif os.path.exists(s):
         with open(s, "r", encoding="utf-8") as fh:

@@ -24,8 +24,6 @@ from .algebra import (
     _runs,
     _sign_map,
     _split,
-    _unit_law,
-    lift_tuple,
     refine_to_unit,
     uniform_algebra,
     validate_algebra,
@@ -35,7 +33,6 @@ from .action import (
     Perm,
     _breadth_first,
     _cycle_distance,
-    apply_perm_event,
     extensions,
     invariant_components,
     perm_compose,
@@ -49,7 +46,6 @@ from .errors import (
     AlgebraMismatch,
     ArityMismatch,
     InvalidGroupTable,
-    LPInternal,
     NotBijective,
     NotGenerating,
     NotMassPreserving,
@@ -181,9 +177,10 @@ class Matching(Record):
     equidistributed tuples.
 
     perm acts on refined, maps the lifted a to the lifted b event by event
-    (a lifts as lift_tuple(a, refined, projection)), moves only atoms where
-    the two sign maps disagree, and satisfies
-    uniform_distance(perm, id) <= dp = dist_partition(a, b)."""
+    (a lifts as lift_tuple(a, refined, projection)), moves only fragments
+    of atoms where the two sign maps disagree, and satisfies
+    uniform_distance(perm, id) <= dp = dist_partition(a, b).  These hold by
+    construction and are not re-checked when a Matching is built."""
 
     refined: MeasuredAlgebra
     projection: tuple[int, ...]
@@ -194,15 +191,18 @@ class Matching(Record):
 def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     """Build an automorphism g of a refinement with g(a) = b eventwise.
 
-    Requires a and b equidistributed (equal cell-mass vectors).  Every atom
-    on which the sign maps of a and b disagree is split into equal-mass
-    rational fragments of one global unit; within each sign vector s the
-    fragments leaving cell s under a are paired lexicographically with those
-    entering cell s under b, and all other atoms stay fixed.  The pairing
-    moves exactly the disagreement mass, so the uniform distance of g from
-    the identity is at most dist_partition(a, b).  Raises InstanceTooLarge,
-    before splitting anything, when the refinement would pass
-    MAX_REFINED_ATOMS atoms."""
+    Requires a and b equidistributed, else TypeMismatch.  An atom where the
+    sign maps of a and b disagree moves: it leaves its cell under a and
+    enters its cell under b.  The atoms that stay weigh the same in every
+    cell under both tuples, so the check compares, per sign vector and in
+    integer units, only the units the moving atoms take out and bring in.
+    Each moving atom is split into equal-mass rational fragments of one
+    global unit; within each sign vector s the fragments leaving cell s are
+    paired lexicographically with those entering it (equal units, so equal
+    counts), and all other atoms stay fixed.  The pairing moves exactly the
+    disagreement mass, so the uniform distance of g from the identity is at
+    most dist_partition(a, b).  Raises InstanceTooLarge, before splitting
+    anything, when the refinement would pass MAX_REFINED_ATOMS atoms."""
     if a.algebra.id != b.algebra.id:
         raise AlgebraMismatch("tuples live on different algebras")
     if a.arity != b.arity:
@@ -210,15 +210,14 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     alg = a.algebra
     sa = _sign_map(a)
     sb = _sign_map(b)
-    # Only the cells that occur: every atom has positive mass, so an empty
-    # cell has mass 0 under both tuples and never needs comparing.  Masses
-    # are in the algebra's integer units.
-    cells = _unit_law(a)
-    if cells != _unit_law(b):
-        raise TypeMismatch("tuples are not equidistributed: cell masses differ")
-
     units, den = alg.units, alg.den
     moving = [x for x in range(alg.size) if sa[x] != sb[x]]
+    balance: dict[Sign, int] = {}  # units gained under b less units lost under a
+    for x in moving:
+        balance[sa[x]] = balance.get(sa[x], 0) - units[x]
+        balance[sb[x]] = balance.get(sb[x], 0) + units[x]
+    if any(balance.values()):
+        raise TypeMismatch("tuples are not equidistributed: cell masses differ")
     dp = Fraction(sum([units[x] for x in moving]), den)
 
     # The fragments weigh 1/L, L the lcm of the moving masses' denominators,
@@ -237,21 +236,10 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
         leaving.setdefault(sa[x], []).extend(fragments[x])
         entering.setdefault(sb[x], []).extend(fragments[x])
     perm = list(range(refined.size))
-    for (s,) in sorted(cells):
-        sources = leaving.get(s, [])
-        targets = entering.get(s, [])
-        if len(sources) != len(targets):
-            raise LPInternal("fragment counts disagree within a sign vector")
-        for src, tgt in zip(sources, targets):
+    for s, sources in leaving.items():
+        for src, tgt in zip(sources, entering[s]):
             perm[src] = tgt
-
-    a_lifted = lift_tuple(a, refined, projection)
-    b_lifted = lift_tuple(b, refined, projection)
-    g = tuple(perm)
-    for ea, eb in zip(a_lifted.events, b_lifted.events):
-        if apply_perm_event(g, ea).members != eb.members:
-            raise LPInternal("matching permutation does not carry a onto b")
-    return Matching(refined, projection, g, dp)
+    return Matching(refined, projection, tuple(perm), dp)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +519,17 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     one orbit and every other orbit is unchanged: D is an orbit of the input
     action, and exactly (number of orbits - 1) swaps are applied.
 
-    With k >= 1 a swap always exists (k = 0 on two or more atoms is refused
-    first).  If none is found, every generator maps the union U of the
-    blocks that meet merged into merged, and merged lies in U.  A generator
-    is a bijection, so it maps U onto merged, and then merged = U and U is
-    an invariant union of blocks.  The swaps never change the block maps, so
-    the precondition makes U the whole algebra, and merged is everything."""
+    The precondition is checked by the swap search alone.  With k = 0 no
+    swap exists: U, the union of the blocks that meet merged, is block 0,
+    named by PreconditionInvariantElement beside other blocks and refused
+    with ValidationError when it is the whole algebra of two or more atoms.
+    With k >= 1, if no swap is found, every generator maps U into merged,
+    which lies in U; a bijection, it maps U onto merged.  So merged = U is
+    an invariant union of blocks (the swaps never change the block maps),
+    and not everything, since an orbit is unmerged.  It is the union R of
+    the blocks reached from block 0: U holds block 0, and merged starts in
+    the invariant R, each swap adding an orbit that meets a block image of
+    R.  So a swap is found exactly when the precondition holds."""
     alg = act.algebra
     if fixed.algebra.id != alg.id:
         raise AlgebraMismatch("fixed partition does not live on the action's algebra")
@@ -555,21 +548,6 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
             bp.append(bi)
         block_perms.append(bp)
 
-    # The inverse of a block permutation is one of its powers, so the
-    # forward maps alone reach every block connected to block 0.
-    reached, _ = _breadth_first(0, block_perms, lambda b, bp: bp[b])
-    if len(reached) != len(fixed.blocks):
-        element = tuple(sorted(x for bi in reached for x in fixed.blocks[bi]))
-        raise PreconditionInvariantElement(
-            "a nontrivial union of fixed blocks is invariant under all generators",
-            element,
-        )
-
-    if not act.gens and alg.size > 1:
-        raise ValidationError(
-            "ergodization needs at least one generator: with k = 0 each of the "
-            f"{alg.size} atoms is its own orbit"
-        )
     orbits = invariant_components(act).blocks
     orbit_of = {x: orbit for orbit in orbits for x in orbit}
     merged = set(orbits[0])
@@ -586,7 +564,17 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
             None,
         )
         if swap is None:
-            raise LPInternal("no merging swap found despite precondition")
+            blocks = {block_index[x] for x in merged}
+            union = sorted(y for bi in blocks for y in fixed.blocks[bi])
+            if len(union) == alg.size:
+                raise ValidationError(
+                    "ergodization needs at least one generator: with k = 0 each of the "
+                    f"{alg.size} atoms is its own orbit"
+                )
+            raise PreconditionInvariantElement(
+                "a nontrivial union of fixed blocks is invariant under all generators",
+                tuple(union),
+            )
         p, x, v = swap
         pv = p.index(v)
         p[x], p[pv] = v, p[x]

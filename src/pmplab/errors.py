@@ -58,10 +58,9 @@ class NonpositiveEps(ValidationError):
 
 
 class InstanceTooLarge(ValidationError):
-    """An instance is beyond a size cap of the limits module: a group
-    enumeration past MAX_GROUP_ORDER elements, a refinement or product past
-    MAX_REFINED_ATOMS atoms or conjugacy beams past MAX_BEAM_STEPS steps.
-    The brute-force oracles in tests/ raise it past their own bounds."""
+    """An instance is beyond a size cap of the limits module, whose
+    docstring lists every cap and the entry points that check it.  The
+    brute-force oracles in tests/ raise it past their own bounds."""
 
 
 class LPInternal(PmplabError):

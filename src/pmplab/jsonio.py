@@ -197,6 +197,10 @@ def group_to_json(group: MarkedGroup) -> dict:
     }
 
 
+# The kinds of builtin group string, "kind:n:generators".
+_BUILTIN_GROUP_KINDS = ("cyclic", "sym")
+
+
 def _parse_builtin_group(text: str) -> MarkedGroup:
     parts = text.split(":")
     kind = parts[0]

@@ -1,7 +1,8 @@
 """Frozen records: the one base class of pmplab's value objects.
 
 A subclass's own annotated names are its fields, in order, each one a
-required argument without a default; a record with fields cannot be
+required argument without a default; a class body that binds a field's
+name (x: int = 0) is refused, and a record with fields cannot be
 extended.  Each subclass gets an __init__ of the shape a frozen
 dataclass writes: one object.__setattr__ per field, positional or keyword
 arguments, the same signature; one per class, because a generic loop over
@@ -92,6 +93,9 @@ class Record:
             raise TypeError(f"{cls.__qualname__} extends a record that has fields")
         annotations = cls.__dict__.get("__annotations__", {})
         fields = tuple(annotations)
+        bound = [name for name in fields if name in cls.__dict__]
+        if bound:
+            raise TypeError(f"{cls.__qualname__} binds field {bound[0]!r}: a field has no default")
         if len(fields) >= len(_TEMPLATES):
             raise TypeError(
                 f"{cls.__qualname__} has {len(fields)} fields, "

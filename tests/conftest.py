@@ -11,11 +11,12 @@ type and message, for comparing a kernel with its oracle, and
 group_from_table reads a table document as the library reads one."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from pmplab import limits
 from pmplab.algebra import (
@@ -184,6 +185,86 @@ def cycle_mismatch_pair(rng: random.Random, n: int) -> tuple[FkAction, FkAction]
     return (
         validate_action(alg, [tuple(p)]),
         relabeled_action(validate_action(alg, [tuple(q)]), random_permutation(rng, n)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the census of transitive F_k-sets
+
+
+Table = tuple[tuple[int, ...], ...]
+
+
+def transitive_tables(k: int, n: int) -> list[Table]:
+    """Every standard coset table of a subgroup of index n in F_k, listed by
+    low-index backtracking (C. C. Sims, Computation with finitely presented
+    groups, 1994): table[i][x] is the image of point x under generator i.
+
+    A table is standard when the walk from point 0 along the generators
+    alone, scanning each point's generators in order, meets the points in
+    the order 0, 1, ..., n - 1.  Each transitive F_k-set with a marked point
+    has exactly one standard labelling, and the marked point's stabilizer is
+    a subgroup of index n, so there are as many tables as such subgroups.
+    The entries are filled in that scan order: entry (x, i) is an unused
+    image of generator i among the points met so far, or the next new
+    point, and a scan that reaches a point not yet met has lost
+    transitivity."""
+    tables: list[Table] = []
+    gens = [[-1] * n for _ in range(k)]
+    used = [[False] * n for _ in range(k)]
+
+    def fill(entry: int, met: int) -> None:
+        if entry == n * k:
+            if met == n:
+                tables.append(tuple(map(tuple, gens)))
+            return
+        x, i = divmod(entry, k)
+        if x >= met:
+            return
+        for y in range(min(met + 1, n)):
+            if not used[i][y]:
+                gens[i][x], used[i][y] = y, True
+                fill(entry + 1, max(met, y + 1))
+                used[i][y] = False
+
+    fill(0, 1)
+    return tables
+
+
+def standard_table(table: Table, root: int) -> Table:
+    """table relabelled so that it is standard from root."""
+    walk, label = _breadth_first(root, table, lambda x, g: g[x])
+    return tuple(tuple(label[g[x]] for x in walk) for g in table)
+
+
+class CensusClass(NamedTuple):
+    """One isomorphism class of transitive F_k-sets: its least standard
+    table over all roots, its standard tables (one per subgroup, so
+    n / |Aut| of them) and the order of its automorphism group."""
+
+    code: Table
+    tables: tuple[Table, ...]
+    automorphisms: int
+
+
+@functools.cache
+def transitive_census(k: int, n: int) -> tuple[CensusClass, ...]:
+    """The transitive F_k-sets of degree n up to isomorphism, by code.
+
+    A transitive set's automorphism is fixed by the image r of point 0, and
+    one exists exactly when the table standard from r is the table standard
+    from 0; so the roots of one table give its class's code (their least
+    table), its other standard tables and |Aut|."""
+    classes: dict[Table, list[Table]] = {}
+    automorphisms: dict[Table, int] = {}
+    for table in transitive_tables(k, n):
+        relabelled = [standard_table(table, root) for root in range(n)]
+        code = min(relabelled)
+        classes.setdefault(code, []).append(table)
+        automorphisms[code] = relabelled.count(table)
+    return tuple(
+        CensusClass(code, tuple(tables), automorphisms[code])
+        for code, tables in sorted(classes.items())
     )
 
 

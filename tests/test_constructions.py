@@ -20,6 +20,8 @@ from pmplab.algebra import (
     Event,
     EventTuple,
     _runs,
+    _sign_map,
+    _unit_law,
     dist_partition,
     lift_tuple,
     refine_to_unit,
@@ -104,6 +106,7 @@ from conftest import (
     random_transitive_small_action,
     random_tuple,
     relabeled_action,
+    transitive_census,
     uniform_algebra,
 )
 from test_action import oracle_components
@@ -232,6 +235,62 @@ def test_match_partitions_postconditions_random():
             left = EventTuple(m.refined, a_lifted.events + c.events)
             right = EventTuple(m.refined, b_lifted.events + gc.events)
             assert dist_partition(left, right) == m.dp
+
+
+def random_match_pair(rng):
+    """Two tuples of one arity, 0-4, on an algebra of mixed masses.  A third
+    of the pairs relabel a along a mass-preserving permutation.  A third
+    redraw every atom's sign vector among a's until the cell masses agree,
+    which often trades one atom for several of other masses.  The rest draw
+    b freely, so a sign vector often occurs on one side only.  The two
+    tuples trade places half the time."""
+    alg = random_algebra(rng, max_atoms=6, max_den=12)
+    arity = rng.randint(0, 4)
+    a = random_tuple(rng, alg, arity=arity)
+    kind = rng.randrange(3)
+    if kind == 0:
+        perm = random_mass_preserving_perm(rng, alg)
+        b = EventTuple.of_members(alg, [sorted(perm[x] for x in e.members) for e in a.events])
+    elif kind == 1:
+        signs, law = _sign_map(a), _unit_law(a)
+        for _ in range(50):
+            drawn = [rng.choice(signs) for _ in signs]
+            columns = [[x for x, s in enumerate(drawn) if s[i]] for i in range(arity)]
+            b = EventTuple.of_members(alg, columns)
+            if _unit_law(b) == law:
+                break
+    else:
+        b = random_tuple(rng, alg, arity=arity)
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_match_partitions_against_the_checks_it_dropped():
+    """match_partitions compares cell masses over the moving atoms only and
+    never lifts the tuples; the whole-algebra laws and the lifted tuples
+    it checked before are the oracle."""
+    rng = random.Random(4117)
+    seen = Counter()
+    for _ in range(1500):
+        a, b = random_match_pair(rng)
+        law_a, law_b = _unit_law(a), _unit_law(b)
+        if law_a != law_b:
+            with pytest.raises(TypeMismatch, match="^tuples are not equidistributed: cell masses differ$"):
+                match_partitions(a, b)
+            seen["a only"] += bool(law_a.keys() - law_b.keys())
+            seen["b only"] += bool(law_b.keys() - law_a.keys())
+            seen["same cells"] += law_a.keys() == law_b.keys()
+            continue
+        m = match_partitions(a, b)
+        a_lifted, b_lifted = (lift_tuple(t, m.refined, m.projection) for t in (a, b))
+        for ea, eb in zip(a_lifted.events, b_lifted.events):
+            assert apply_perm_event(m.perm, ea).members == eb.members
+        sa, sb = _sign_map(a), _sign_map(b)
+        assert all(sa[x] != sb[x] for f, x in enumerate(m.projection) if m.perm[f] != f)
+        assert m.dp == dist_partition(a, b)
+        assert uniform_distance(m.refined, m.perm, tuple(range(m.refined.size))) <= m.dp
+        seen["arity 0" if not a.arity else "moved" if m.dp else "fixed"] += 1
+        seen["split"] += m.refined.size > a.algebra.size
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------- groups
@@ -872,6 +931,64 @@ def test_ergodize_matches_oracle_on_random_instances():
     assert set(kinds) == {"value", PreconditionInvariantElement, PartitionNotPreserved}
 
 
+def test_ergodize_without_generators():
+    """With k = 0 every atom is its own orbit and no swap can join two: one
+    fixed block on two or more atoms is refused, and with two or more
+    blocks, block 0 is an invariant union."""
+    alg4 = uniform_algebra(4)
+    bare = validate_action(alg4, [])
+    with pytest.raises(ValidationError) as info:
+        ergodize(bare, AtomPartition.of(alg4, [range(4)]))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == (
+        "ergodization needs at least one generator: with k = 0 each of the 4 atoms is its own orbit"
+    )
+    for blocks, element in [
+        ([[0, 1], [2, 3]], (0, 1)),
+        ([[3], [0, 2], [1]], (0, 2)),
+        ([[0], [1], [2], [3]], (0,)),
+    ]:
+        with pytest.raises(PreconditionInvariantElement) as info:
+            ergodize(bare, AtomPartition.of(alg4, blocks))
+        assert info.value.element == element
+    one = uniform_algebra(1)
+    erg = ergodize(validate_action(one, []), AtomPartition.of(one, [[0]]))
+    assert erg.action.gens == () and erg.modifications == 0
+
+    rng = random.Random(4103)
+    kinds = Counter()
+    for _ in range(400):
+        act, fixed = random_ergodize_instance(rng)
+        bare = validate_action(act.algebra, [])
+        got = outcome(naming_element(ergodize), bare, fixed)
+        assert got == outcome(naming_element(oracle_ergodize), bare, fixed)
+        kinds[got[0]] += 1
+    assert set(kinds) == {"value", ValidationError, PreconditionInvariantElement}
+
+
+def test_ergodize_joins_two_census_classes_as_the_oracle_does():
+    """Two transitive F_2-sets of degree at most 4 side by side: one swap
+    joins them under the trivial partition, and with the two orbits as
+    the blocks the first orbit is an invariant union."""
+    codes = [c.code for n in range(1, 5) for c in transitive_census(2, n)]
+    for x, y in product(codes, repeat=2):
+        n1, n = len(x[0]), len(x[0]) + len(y[0])
+        alg = uniform_algebra(n)
+        act = validate_action(alg, [gx + tuple(n1 + v for v in gy) for gx, gy in zip(x, y)])
+        whole = AtomPartition.of(alg, [range(n)])
+        joined = outcome(naming_element(ergodize), act, whole)
+        assert joined == outcome(naming_element(oracle_ergodize), act, whole)
+        assert joined[1].modifications == 1
+        assert len(invariant_components(joined[1].action).blocks) == 1
+        halves = AtomPartition.of(alg, [range(n1), range(n1, n)])
+        split = outcome(naming_element(ergodize), act, halves)
+        assert split == outcome(naming_element(oracle_ergodize), act, halves)
+        assert split == (
+            PreconditionInvariantElement,
+            f"a nontrivial union of fixed blocks is invariant under all generators {tuple(range(n1))}",
+        )
+
+
 def test_ergodize_counts_orbits_once(monkeypatch):
     calls = []
 
@@ -1219,6 +1336,24 @@ def test_exact_assign_matches_the_depth_first_oracle(pair):
     mapping = _exact_assign(r1, r2)
     assert mapping == oracle_exact_assign(r1, r2)
     assert mapping is None or conjugates_exactly(r1, r2, mapping)
+
+
+def test_exact_phase_finds_a_mapping_exactly_within_a_census_class():
+    """Every standard table of a class, relabelled at random, conjugates
+    exactly onto the class's code, and the codes of two classes of one
+    degree never do: over the transitive F_2-sets of degree at most 5."""
+    rng = random.Random(4109)
+    for n in range(1, 6):
+        alg = uniform_algebra(n)
+        classes = transitive_census(2, n)
+        codes = [validate_action(alg, c.code) for c in classes]
+        for code, c in zip(codes, classes):
+            for table in c.tables:
+                relabelled = relabeled_action(validate_action(alg, table), random_permutation(rng, n))
+                mapping = _exact_assign(code, relabelled)
+                assert mapping is not None and conjugates_exactly(code, relabelled, mapping)
+        for (i, r1), (j, r2) in product(enumerate(codes), repeat=2):
+            assert (_exact_assign(r1, r2) is None) == (i != j)
 
 
 def test_exact_phase_checks_generator_fixed_points():

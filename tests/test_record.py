@@ -200,3 +200,20 @@ def test_an_algebra_record_is_its_id_den_and_units(monkeypatch):
             dist_partition(t, t)
             check_permutation(target, range(target.size))
     assert len(calls) == 1
+
+
+def test_a_field_bound_in_the_class_body_is_refused():
+    """x: int = 0 would give a required x and a class attribute that every
+    instance shadows; a method or property of a field's name likewise."""
+    with pytest.raises(TypeError, match=r"^Origin binds field 'y': a field has no default$"):
+        type("Origin", (Record,), {"__annotations__": {"x": int, "y": int}, "y": 0})
+    with pytest.raises(TypeError, match="binds field 'x'"):
+        class Shadowed(Record):
+            x: int
+
+            @property
+            def x(self):
+                return 0
+
+    unbound = type("Origin", (Record,), {"__annotations__": {"x": int}, "z": 0})
+    assert unbound(1).x == 1 and unbound.z == 0
