@@ -72,7 +72,7 @@ def _load(arg: str) -> object:
         )
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{prefix}: {exc}") from exc
 
 

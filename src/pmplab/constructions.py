@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
 from operator import itemgetter
@@ -510,60 +511,69 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     fixed is a partition whose blocks every generator must map onto blocks,
     with no nontrivial union of blocks invariant under all generators.  The
     orbits are computed once.  merged starts as the orbit of atom 0, and
-    each swap merges one more orbit into it: scan generators, and the atoms
-    x of merged in increasing order, for an image block that leaves merged,
-    and swap the image u = p[x] with v, the least atom of that block outside
-    merged.  Each swap happens inside one image block, so the induced maps
-    on the blocks never change.  It joins the p-cycle through u, in merged,
-    with the p-cycle through v, in the orbit D of v, so merged and D become
-    one orbit and every other orbit is unchanged: D is an orbit of the input
+    each swap merges one more orbit into it: x is the least atom of merged
+    whose block B is not inside merged, and the first generator p swaps its
+    image u = p[x] with v, the least atom of the block p(B) outside merged.
+    Each swap happens inside one image block, so the induced maps on the
+    blocks never change.  It joins the p-cycle through u, in merged, with
+    the p-cycle through v, in the orbit D of v, so merged and D become one
+    orbit and every other orbit is unchanged: D is an orbit of the input
     action, and exactly (number of orbits - 1) swaps are applied.
+
+    One generator is enough.  Every generator q maps merged onto itself,
+    so q(B) meets merged in q(B & merged), as many atoms as B does: q(B)
+    leaves merged exactly when B does, whatever q is.  So the first
+    generator finds a swap at the least x that any generator finds one at,
+    and the others are never changed.  The atoms of merged wait in a heap,
+    and an atom whose block is inside merged is dropped for good, since
+    merged only grows; each block keeps its atoms outside merged, the least
+    last, and drops merged ones as it is read.  p's inverse, taken once,
+    finds v's preimage: a swap changes the preimages of u and v alone, and
+    both are merged from then on, where no preimage is looked up.  So the
+    swaps take O(n log n) steps on n atoms.
 
     The precondition is checked by the swap search alone.  With k = 0 no
     swap exists: U, the union of the blocks that meet merged, is block 0,
     named by PreconditionInvariantElement beside other blocks and refused
     with ValidationError when it is the whole algebra of two or more atoms.
-    With k >= 1, if no swap is found, every generator maps U into merged,
-    which lies in U; a bijection, it maps U onto merged.  So merged = U is
-    an invariant union of blocks (the swaps never change the block maps),
-    and not everything, since an orbit is unmerged.  It is the union R of
-    the blocks reached from block 0: U holds block 0, and merged starts in
-    the invariant R, each swap adding an orbit that meets a block image of
-    R.  So a swap is found exactly when the precondition holds."""
+    With k >= 1, if no swap is found, every block that meets merged lies
+    in it, so merged = U is a union of blocks, invariant under every
+    generator, and not everything, since an orbit is unmerged.  It is the
+    union R of the blocks reached from block 0: U holds block 0, and merged
+    starts in the invariant R, each swap adding an orbit that meets a block
+    image of R.  So a swap is found exactly when the precondition holds."""
     alg = act.algebra
     if fixed.algebra.id != alg.id:
         raise AlgebraMismatch("fixed partition does not live on the action's algebra")
     if not _equal_atoms(alg):
         raise UnequalAtoms("ergodization requires all atoms of equal mass")
     block_index = fixed.block_index()
-    block_perms: list[list[int]] = []
     for p in act.gens:
-        bp = []
         for block in fixed.blocks:
-            bi = block_index[p[min(block)]]
-            if frozenset(p[x] for x in block) != fixed.blocks[bi]:
+            if frozenset(p[x] for x in block) != fixed.blocks[block_index[p[min(block)]]]:
                 raise PartitionNotPreserved(
                     f"generator image of block {sorted(block)} is not a block"
                 )
-            bp.append(bi)
-        block_perms.append(bp)
 
     orbits = invariant_components(act).blocks
     orbit_of = {x: orbit for orbit in orbits for x in orbit}
     merged = set(orbits[0])
     gens = [list(p) for p in act.gens]
+    p = gens[0] if gens else []
+    inverse = sorted(range(len(p)), key=p.__getitem__)
+    heap = sorted(merged)  # atoms of merged whose block may not be inside it
+    unmerged = [sorted(block, reverse=True) for block in fixed.blocks]
+
+    def outside(block: int) -> list[int]:  # its atoms outside merged, least last
+        atoms = unmerged[block]
+        while atoms and atoms[-1] in merged:
+            atoms.pop()
+        return atoms
+
     for _ in range(len(orbits) - 1):
-        swap = next(
-            (
-                (p, x, min(outside))
-                for p, bp in zip(gens, block_perms)
-                for x in sorted(merged)
-                for outside in [fixed.blocks[bp[block_index[x]]] - merged]
-                if outside
-            ),
-            None,
-        )
-        if swap is None:
+        while heap and not outside(block_index[heap[0]]):
+            heappop(heap)
+        if not (gens and heap):
             blocks = {block_index[x] for x in merged}
             union = sorted(y for bi in blocks for y in fixed.blocks[bi])
             if len(union) == alg.size:
@@ -575,10 +585,12 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
                 "a nontrivial union of fixed blocks is invariant under all generators",
                 tuple(union),
             )
-        p, x, v = swap
-        pv = p.index(v)
-        p[x], p[pv] = v, p[x]
-        merged |= orbit_of[v]
+        x = heap[0]
+        v = outside(block_index[p[x]])[-1]
+        p[x], p[inverse[v]] = v, p[x]
+        for y in orbit_of[v]:
+            merged.add(y)
+            heappush(heap, y)
     return Ergodization(FkAction(alg, tuple(map(tuple, gens))), len(orbits) - 1)
 
 
@@ -769,7 +781,14 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
     and isomorphic orbits are interchangeable, so a placed orbit is never
     revisited: the search takes O(n^2 max(k, 1)) steps, checked against
     MAX_EXACT_STEPS before the first, is complete, and returns None only
-    when no exact conjugacy exists."""
+    when no exact conjugacy exists.
+
+    A root's scan starts at the cursor low, below which every target is
+    used.  A placed orbit's targets are never freed, and a failed walk frees
+    only the targets it took, all at or above low, so the scan tries the
+    same targets in the same order as one from 0; low moves up after each
+    placed orbit.  When every root's first free target fits, as with no
+    generators, the search takes O(n max(k, 1)) steps."""
     n = r1.algebra.size
     _check_exact_steps(max(r1.k, 1) * n * n)
     mapping = [-1] * n
@@ -792,11 +811,13 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
                     return False
         return True
 
+    low = 0  # every target below low is used
     for root in range(n):
-        if mapping[root] < 0 and not any(
-            place(root, t) for t in range(n) if not used[t]
-        ):
-            return None
+        if mapping[root] < 0:
+            if not any(place(root, t) for t in range(low, n) if not used[t]):
+                return None
+            while low < n and used[low]:
+                low += 1
     return tuple(mapping)
 
 

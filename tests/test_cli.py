@@ -714,6 +714,21 @@ def test_input_from_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_deeply_nested_json_is_a_validation_error(capsys, tmp_path, opener):
+    """JSON nested past the decoder's recursion limit is refused as bad
+    JSON, inline and from a file, not escaped as RecursionError."""
+    text = opener * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    for arg, prefix in [(text, "bad inline JSON: "), (str(path), f"bad JSON in file {path}: ")]:
+        code, out = run(capsys, "dist", arg, "[[0]]", "[[1]]")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith(prefix)
+
+
 def test_flag_validation(capsys):
     # a flag exists only on the subcommands that read it
     for argv in (

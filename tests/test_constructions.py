@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import time
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -1011,6 +1012,118 @@ def test_ergodize_names_first_block_whose_image_is_not_a_block():
     act = validate_action(alg3, [(1, 0, 2)])
     with pytest.raises(PartitionNotPreserved, match=r"^generator image of block \[0\] is not a block$"):
         ergodize(act, AtomPartition.of(alg3, [[0], [1, 2]]))
+
+
+def oracle_every_generator_ergodize(act, fixed):
+    """ergodize as it was before it searched one generator: each swap scans
+    every generator, and for each the atoms of merged from the least, in a
+    table of the block images, and finds its partner with p.index."""
+    alg = act.algebra
+    if fixed.algebra.id != alg.id:
+        raise AlgebraMismatch("fixed partition does not live on the action's algebra")
+    if not constructions._equal_atoms(alg):
+        raise UnequalAtoms("ergodization requires all atoms of equal mass")
+    block_index = fixed.block_index()
+    block_perms = []
+    for p in act.gens:
+        bp = []
+        for block in fixed.blocks:
+            bi = block_index[p[min(block)]]
+            if frozenset(p[x] for x in block) != fixed.blocks[bi]:
+                raise PartitionNotPreserved(
+                    f"generator image of block {sorted(block)} is not a block"
+                )
+            bp.append(bi)
+        block_perms.append(bp)
+    orbits = invariant_components(act).blocks
+    orbit_of = {x: orbit for orbit in orbits for x in orbit}
+    merged = set(orbits[0])
+    gens = [list(p) for p in act.gens]
+    for _ in range(len(orbits) - 1):
+        swap = next(
+            (
+                (p, x, min(outside))
+                for p, bp in zip(gens, block_perms)
+                for x in sorted(merged)
+                for outside in [fixed.blocks[bp[block_index[x]]] - merged]
+                if outside
+            ),
+            None,
+        )
+        if swap is None:
+            blocks = {block_index[x] for x in merged}
+            union = sorted(y for bi in blocks for y in fixed.blocks[bi])
+            if len(union) == alg.size:
+                raise ValidationError(
+                    "ergodization needs at least one generator: with k = 0 each of the "
+                    f"{alg.size} atoms is its own orbit"
+                )
+            raise PreconditionInvariantElement(
+                "a nontrivial union of fixed blocks is invariant under all generators",
+                tuple(union),
+            )
+        p, x, v = swap
+        pv = p.index(v)
+        p[x], p[pv] = v, p[x]
+        merged |= orbit_of[v]
+    return constructions.Ergodization(FkAction(alg, tuple(map(tuple, gens))), len(orbits) - 1)
+
+
+def assert_ergodizes_as_every_generator_search(act, fixed):
+    """ergodize gives the oracle's value or error, and neither changes a
+    generator after the first."""
+    got = outcome(naming_element(ergodize), act, fixed)
+    assert got == outcome(naming_element(oracle_every_generator_ergodize), act, fixed)
+    if got[0] == "value":
+        assert got[1].action.gens[1:] == act.gens[1:]
+    return got[0]
+
+
+def test_ergodize_swaps_as_the_every_generator_search_does():
+    """Every generator maps merged onto itself, so an image block leaves
+    merged exactly when its block does, under any generator: the first
+    generator finds each swap the search over all of them finds."""
+    rng = random.Random(4201)
+    kinds = Counter()
+    for _ in range(1500):
+        act, fixed = random_ergodize_instance(rng)
+        kinds[assert_ergodizes_as_every_generator_search(act, fixed)] += 1
+        bare = validate_action(act.algebra, [])
+        kinds[assert_ergodizes_as_every_generator_search(bare, fixed)] += 1
+    assert set(kinds) == {
+        "value",
+        ValidationError,
+        PreconditionInvariantElement,
+        PartitionNotPreserved,
+    }
+    codes = [c.code for n in range(1, 5) for c in transitive_census(2, n)]
+    for x, y in product(codes, repeat=2):
+        n1, n = len(x[0]), len(x[0]) + len(y[0])
+        alg = uniform_algebra(n)
+        act = validate_action(alg, [gx + tuple(n1 + v for v in gy) for gx, gy in zip(x, y)])
+        for blocks in ([range(n)], [range(n1), range(n1, n)]):
+            assert_ergodizes_as_every_generator_search(act, AtomPartition.of(alg, blocks))
+
+
+def test_ergodize_merges_many_orbits_in_near_linear_time():
+    """Two identity generators on 2^16 atoms: 65,535 swaps join the fixed
+    points under the trivial partition, and under two-atom blocks the first
+    block is an invariant union.  A search that rescans merged for each
+    swap is quadratic in the atoms and would take minutes here."""
+    n = 2**16
+    alg = uniform_algebra(n)
+    identity = tuple(range(n))
+    act = FkAction(alg, (identity, identity))
+    start = time.monotonic()
+    erg = ergodize(act, AtomPartition.of(alg, [range(n)]))
+    assert erg.modifications == n - 1
+    assert erg.action.gens[1] == identity
+    assert len(invariant_components(erg.action).blocks) == 1
+    with pytest.raises(PreconditionInvariantElement) as info:
+        ergodize(act, AtomPartition.of(alg, [range(i, i + 2) for i in range(0, n, 2)]))
+    assert info.value.element == (0, 1)
+    elapsed = time.monotonic() - start
+    assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
 
 
 # ---------------------------------------------------------------- embeddings
