@@ -59,11 +59,8 @@ def check_permutation(alg: MeasuredAlgebra, p: Sequence[int]) -> Perm:
     n = alg.size
     if len(p) != n:
         raise NotBijective(f"permutation length {len(p)} != atom count {n}")
-    seen = [False] * n
-    for y in p:
-        if not 0 <= y < n or seen[y]:
-            raise NotBijective("generator table is not a permutation")
-        seen[y] = True
+    if min(p) < 0 or max(p) >= n or len(set(p)) != n:
+        raise NotBijective("generator table is not a permutation")
     units = alg.units
     if tuple([units[y] for y in p]) != units:
         x, y = next((x, y) for x, y in enumerate(p) if units[x] != units[y])
@@ -210,7 +207,8 @@ def product_action(act: FkAction, fiber: MeasuredAlgebra) -> tuple[FkAction, tup
     uniform_algebra(m) it splits every atom into m equal parts.  Raises
     InstanceTooLarge beyond MAX_REFINED_ATOMS atoms."""
     prod = product_algebra(act.algebra, fiber)
-    projection = tuple([u // fiber.size for u in range(prod.size)])
+    m = fiber.size
+    projection = tuple([u // m for u in range(prod.size)])
     return _lift_action(act, prod, projection), projection
 
 

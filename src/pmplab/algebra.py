@@ -85,16 +85,23 @@ def validate_algebra(masses: Sequence[Fraction]) -> MeasuredAlgebra:
     Raises ZeroAtom for empty input or a nonpositive mass, MassNotOne when
     the total differs from one.
     """
-    atoms = tuple([m if type(m) is Fraction else Fraction(m) for m in masses])
-    if not atoms:
+    atoms = [m if type(m) is Fraction else Fraction(m) for m in masses]
+    return validate_keyed_algebra(dict(enumerate(atoms)), range(len(atoms)))
+
+
+def validate_keyed_algebra(masses: Mapping, keys: Sequence) -> MeasuredAlgebra:
+    """validate_algebra of [masses[key] for key in keys], with its checks and
+    messages: atom x weighs the Fraction masses[keys[x]].  Each mass is
+    brought to units once, however many atoms share its key; masses holds
+    no key that keys lacks."""
+    if not keys:
         raise ZeroAtom("an algebra needs at least one atom")
-    numerators = [m.numerator for m in atoms]
-    if min(numerators) <= 0:
-        i = next(i for i, num in enumerate(numerators) if num <= 0)
-        raise ZeroAtom(f"atom {i} has nonpositive mass {atoms[i]}")
-    denominators = [m.denominator for m in atoms]
-    den = lcm(*denominators)
-    units = tuple([num * (den // d) for num, d in zip(numerators, denominators)])
+    if min([m.numerator for m in masses.values()]) <= 0:
+        i = next(i for i, key in enumerate(keys) if masses[key].numerator <= 0)
+        raise ZeroAtom(f"atom {i} has nonpositive mass {masses[keys[i]]}")
+    den = lcm(*[m.denominator for m in masses.values()])
+    unit = {key: m.numerator * (den // m.denominator) for key, m in masses.items()}
+    units = tuple(map(unit.__getitem__, keys))
     total = sum(units)
     if total != den:
         raise MassNotOne(f"atom masses sum to {Fraction(total, den)}, expected 1")

@@ -6,14 +6,19 @@ stdout: sorted keys, two-space indent, rationals as "num/den" strings.
 Identical inputs produce byte-identical output.  Exit codes: 0 success,
 2 domain validation failure (with a machine-readable error object on
 stdout), 64 usage error.
+
+A known subcommand's argv is read from the command table itself: its
+positionals first, then exact `--name value` pairs.  Any other form, and
+every help or usage error, goes to argparse, which answers it; argparse is
+imported only when a parser is built.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import jsonio
 from .action import product_action, uniform_distance_tuples
@@ -40,15 +45,6 @@ from .modeltheory import TYPE_METRICS, independence_deficiency, type_distance
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code fixed at 64."""
-
-    def error(self, message: str):  # noqa: D401 - argparse hook
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
 
 
 def _load(arg: str) -> object:
@@ -353,7 +349,107 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser: _Parser, name: str) -> _Parser:
+# What the reader takes from an argument's options; a command with any other
+# option is left to argparse.
+_READ_OPTIONS = frozenset({"type", "choices", "default", "dest", "nargs"})
+
+
+@functools.lru_cache(maxsize=None)
+def _argument_table(name: str):
+    """Subcommand name's arguments as _read_argv reads them: its positionals
+    [(dest, options)], its flags {option string: (dest, options)}, --out
+    among them, and the value of every dest argparse sets but argv does not,
+    handler included.  None when an argument has a form the reader does not
+    take: an option outside _READ_OPTIONS, a flag with nargs, or a
+    positional with nargs other than a last "+"."""
+    handler, arguments, _help = _COMMANDS[name]
+    positionals, flags = [], {"--out": ("out", {})}
+    defaults = {"out": None, "handler": handler}
+    for arg in arguments:
+        flag, options = arg if isinstance(arg, tuple) else (arg, {})
+        if not options.keys() <= _READ_OPTIONS:
+            return None
+        if flag.startswith("-"):
+            if "nargs" in options:
+                return None
+            dest = options.get("dest", flag.lstrip("-").replace("-", "_"))
+            flags[flag] = (dest, options)
+            defaults[dest] = options.get("default")
+        else:
+            positionals.append((flag, options))
+    nargs = [options.get("nargs") for _dest, options in positionals]
+    if nargs[-1:] not in ([None], ["+"]) or any(nargs[:-1]):
+        return None
+    return positionals, flags, defaults
+
+
+def _convert(options: dict, token: str):
+    """token read as argparse reads it for an argument with these options:
+    through its type, then checked against its choices.  Raises ValueError
+    or TypeError where argparse reports a usage error."""
+    value = options["type"](token) if "type" in options else token
+    if "choices" in options and value not in options["choices"]:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _read_argv(name: str, argv: list):
+    """The namespace argparse gives argv, the arguments of subcommand name,
+    read from the command table; None where the reader declines argv and
+    leaves it to argparse.
+
+    It takes the positionals first, then exact `--name value` pairs, each
+    value through its argument's type and choices; a last nargs="+"
+    positional takes every positional left.  It declines any other form: a
+    token starting with "-" where a positional or a value stands (-h, --
+    and -1 among them), --opt=value, an abbreviated or unknown option, an
+    option before a positional, a wrong count and a failed conversion."""
+    table = _argument_table(name)
+    if table is None:
+        return None
+    positionals, flags, defaults = table
+    heads = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    pairs = argv[heads:]
+    if len(pairs) % 2:
+        return None
+    values = dict(defaults)
+    *fixed, (last, options) = positionals
+    try:
+        for flag, token in zip(pairs[::2], pairs[1::2]):
+            if flag not in flags or token.startswith("-"):
+                return None
+            dest, flag_options = flags[flag]
+            values[dest] = _convert(flag_options, token)
+        if options.get("nargs") == "+" and heads > len(fixed):
+            values[last] = [_convert(options, token) for token in argv[len(fixed):heads]]
+        elif heads == len(positionals):
+            values[last] = _convert(options, argv[heads - 1])
+        else:
+            return None
+        for (dest, fixed_options), token in zip(fixed, argv):
+            values[dest] = _convert(fixed_options, token)
+    except (TypeError, ValueError):
+        return None
+    return SimpleNamespace(**values)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser_class() -> type:
+    """argparse's parser with the usage-error exit code fixed at 64.
+    argparse, and with it gettext, is imported here, when a process builds
+    its first parser."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # noqa: D401 - argparse hook
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(USAGE_EXIT)
+
+    return _Parser
+
+
+def _add_arguments(parser, name: str):
     """Give parser the arguments of subcommand name, --out and its handler."""
     handler, arguments, _help = _COMMANDS[name]
     for arg in arguments:
@@ -366,44 +462,47 @@ def _add_arguments(parser: _Parser, name: str) -> _Parser:
     return parser
 
 
-def build_parser() -> _Parser:
+def build_parser():
     """The root parser, with every subcommand as a subparser.
 
     Dispatch builds it only to answer -h, an empty argv or an unknown
-    command; a known command is parsed by its own parser."""
-    parser = _Parser(prog="pmplab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    command.  Its description is the first two paragraphs of this module's
+    docstring."""
+    parser_class = _parser_class()
+    parser = parser_class(prog="pmplab", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
     for name, (_handler, _arguments, help_) in _COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=help_), name)
     return parser
 
 
 @functools.lru_cache(maxsize=None)
-def _command_parser(name: str) -> _Parser:
-    """The parser of one subcommand, built on its first request and kept:
-    parsing reads it and never changes it.  Its prog, arguments and help are
-    those of the root's subparser of the same name."""
-    return _add_arguments(_Parser(prog=f"pmplab {name}"), name)
+def _command_parser(name: str):
+    """The parser of one subcommand, built on the first argv of that command
+    the reader declines and kept: parsing reads it and never changes it.
+    Its prog, arguments and help are those of the root's subparser of the
+    same name."""
+    return _add_arguments(_parser_class()(prog=f"pmplab {name}"), name)
 
 
 def cli_dispatch(argv) -> int:
     """Answer one request: argv is a subcommand name and its arguments.
 
-    A known subcommand is parsed by its own parser alone, so a request
-    builds one parser in a process, and none once that one is kept.  A usage
-    error prints that parser's usage line.  Anything else goes to the root
-    parser, which prints the help or the usage error listing every
-    subcommand."""
+    A known subcommand's arguments are read from the command table
+    (_read_argv), which builds no parser.  A form the reader declines goes
+    to that command's own parser, which parses it or prints the command's
+    help or usage error.  Anything else goes to the root parser, which
+    prints the help or the usage error listing every subcommand."""
     argv = list(argv)
-    if argv and argv[0] in _COMMANDS:
-        parser, argv = _command_parser(argv[0]), argv[1:]
-    else:
-        parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code else 0
+    known = bool(argv) and argv[0] in _COMMANDS
+    args = _read_argv(argv[0], argv[1:]) if known else None
+    if args is None:
+        parser = _command_parser(argv[0]) if known else build_parser()
+        try:
+            args = parser.parse_args(argv[1:] if known else argv)
+        except SystemExit as exc:
+            code = exc.code
+            return int(code) if code else 0
     try:
         payload = args.handler(args)
         document = jsonio.render_document(payload)

@@ -61,6 +61,7 @@ from .limits import (
     MAX_GROUP_ORDER,
     _check_beam_steps,
     _check_exact_steps,
+    _check_generator_entries,
     _check_group_entries,
     _check_group_order,
 )
@@ -455,11 +456,12 @@ def eppa_extend(
     leftover units in increasing order, one generator per partial; the
     injection is an image list over the units, None where unassigned, with a
     used flag per target unit.  Raises InstanceTooLarge beyond
-    MAX_REFINED_ATOMS units."""
+    MAX_REFINED_ATOMS units or MAX_GENERATOR_ENTRIES generator entries."""
     for p in partials:
         if p.source.id != alg.id or p.target.id != alg.id:
             raise AlgebraMismatch("partials must map the given algebra to itself")
     n_units = alg.den
+    _check_generator_entries(len(partials) * n_units)
     big, projection = refine_to_unit(alg, Fraction(1, n_units))
     runs = _runs(projection)
 

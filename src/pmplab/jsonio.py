@@ -8,8 +8,9 @@ object.
 
 An algebra's atoms are written from its integer units (atom x weighs
 units[x] / D): one Fraction and one string per distinct unit count, not
-per atom.  Its atoms are read back with one parse per distinct string, so
-an equal-atom algebra costs one parse however many atoms it has."""
+per atom.  Its atoms are read back with one parse and one conversion to
+units per distinct string, so an equal-atom algebra costs one of each
+however many atoms it has."""
 from __future__ import annotations
 
 import decimal
@@ -23,6 +24,7 @@ from .algebra import (
     EventTuple,
     MeasuredAlgebra,
     validate_algebra,
+    validate_keyed_algebra,
 )
 from .action import FkAction, Word, validate_action
 from .constructions import (
@@ -81,14 +83,14 @@ def algebra_to_json(alg: MeasuredAlgebra) -> dict:
 
 
 def algebra_from_json(obj: object) -> MeasuredAlgebra:
-    """A list of strs is parsed once per distinct string, in order of first
-    appearance, so the first bad entry raises; other lists entry by entry."""
+    """A list of strs is parsed and brought to units once per distinct
+    string, parsed in order of first appearance, so the first bad entry
+    raises; other lists are parsed entry by entry."""
     if not isinstance(obj, Mapping) or not _is_list(obj.get("atoms")):
         raise ValidationError('algebra JSON must be {"atoms": [...]}')
     raw = obj["atoms"]
-    if all(type(m) is str for m in raw):
-        parsed = {m: parse_rational(m) for m in dict.fromkeys(raw)}
-        return validate_algebra([parsed[m] for m in raw])
+    if set(map(type, raw)) == {str}:
+        return validate_keyed_algebra({m: parse_rational(m) for m in dict.fromkeys(raw)}, raw)
     return validate_algebra([parse_rational(m) for m in raw])
 
 

@@ -22,6 +22,9 @@ which the command line reports with exit 2.
 - MAX_GROUP_ENTRIES bounds the entries of the permutations that
   permutation_marked_group and the embeddings build while they enumerate a
   group, degree entries per composition (_check_group_entries, before each).
+- MAX_GENERATOR_ENTRIES bounds the entries of the generators eppa_extend
+  builds, one of den entries per partial, len(partials) * den in all
+  (_check_generator_entries, before the overalgebra or any generator).
 - MAX_EXACT_STEPS bounds approx_conjugacy_search's exact phase,
   max(k, 1) * n^2 steps over n atoms at depth 1 (_check_exact_steps).
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
@@ -62,6 +65,11 @@ MAX_GROUP_ORDER = 1024
 # embedding the tests build) about 1.1M.
 MAX_GROUP_ENTRIES = 1 << 21
 
+# eppa_extend builds one generator of den entries per partial: the cap admits
+# two on the largest unit refinement.  The benchmark's eppa requests of seeds
+# 0-6 build at most 1,290 entries.
+MAX_GENERATOR_ENTRIES = 1 << 17
+
 # The largest exact phase in the benchmark takes 2 * 64^2 = 8192 steps, its
 # largest beam 16 * 64^2 = 65536.
 MAX_EXACT_STEPS = 1 << 22
@@ -91,6 +99,15 @@ def _check_group_entries(entries: int) -> None:
     """Raise InstanceTooLarge when a group walk's entries pass MAX_GROUP_ENTRIES."""
     if entries > MAX_GROUP_ENTRIES:
         raise InstanceTooLarge(f"group enumeration builds more than {MAX_GROUP_ENTRIES} entries")
+
+
+def _check_generator_entries(entries: int) -> None:
+    """Raise InstanceTooLarge when generators of this many entries in all
+    would pass MAX_GENERATOR_ENTRIES."""
+    if entries > MAX_GENERATOR_ENTRIES:
+        raise InstanceTooLarge(
+            f"generators of {entries} entries exceed the cap {MAX_GENERATOR_ENTRIES} entries"
+        )
 
 
 def _check_summed_refinement(size: int, depths: int) -> None:

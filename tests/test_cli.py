@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from pmplab.cli import cli_dispatch
 from pmplab.constructions import MarkedGroup, cyclic_group, quotient_action
 from pmplab.jsonio import action_from_json
 from pmplab.limits import MAX_GROUP_ORDER
+
+from test_replay import ROOT, load
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -65,29 +68,39 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_parser_is_reused_across_requests(capsys, monkeypatch):
-    """In a fresh cache a known command builds exactly one parser, its own,
-    and every later request of that command reuses it."""
+    """A valid request is read from the command table and builds no parser.
+    A usage error builds its own command's parser, once in a process, and
+    an argv the reader declines reuses it.  Only -h, an empty argv and an
+    unknown command build the root parser."""
     built = []
 
-    class Counted(cli._Parser):
+    class Counted(cli._parser_class()):
         def __init__(self, **kwargs):
             built.append(kwargs["prog"])
             super().__init__(**kwargs)
 
-    monkeypatch.setattr(cli, "_Parser", Counted)
+    monkeypatch.setattr(cli, "_parser_class", lambda: Counted)
     cli._command_parser.cache_clear()
     try:
         embed = ("embed", Z2_ACTION)
         first = run(capsys, *embed)
         assert first[0] == 0
-        assert built == ["pmplab embed"]
-        assert run(capsys, "embed", Z2_ACTION, "--mode", "sideways") == (64, "")
         transitive = run(capsys, *embed, "--mode", "transitive")
         assert transitive[0] == 0 and "base_factor" not in json.loads(transitive[1])
+        assert run(capsys, "delta", HALVES, "[1,0]", "[1,0]")[0] == 0
+        assert built == []
+        assert run(capsys, "embed", Z2_ACTION, "--mode", "sideways") == (64, "")
+        assert built == ["pmplab embed"]
+        assert run(capsys, "embed", "--mode=transitive", Z2_ACTION) == transitive
+        assert run(capsys, "embed", Z2_ACTION, "--mode", "sideways") == (64, "")
         assert run(capsys, *embed) == first
         assert built == ["pmplab embed"]
-        assert run(capsys, "delta", HALVES, "[1,0]", "[1,0]")[0] == 0
-        assert built == ["pmplab embed", "pmplab delta"]
+        for argv, code in ((["-h"], 0), ([], 64), (["frobnicate"], 64)):
+            built.clear()
+            assert cli_dispatch(argv) == code
+            assert built.count("pmplab") == 1
+            assert "pmplab embed" in built  # the root's own subparser
+        capsys.readouterr()
     finally:
         cli._command_parser.cache_clear()
 
@@ -136,6 +149,119 @@ def test_usage_error_in_a_command_prints_its_own_usage(capsys):
         "usage: pmplab dist [-h] [--out OUT] algebra a b\n"
         "pmplab dist: error: unrecognized arguments: --seed 3\n"
     )
+
+
+# The reader of the command table against argparse, its oracle: whenever the
+# reader takes an argv, its namespace is argparse's; whatever it declines is
+# answered by argparse, as every request was before there was a reader.
+
+
+def _answer(argv, reader=True):
+    """cli_dispatch's exit code, stdout and stderr for argv, with the reader
+    or with argparse alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if not reader:
+            stack.enter_context(mock.patch.object(cli, "_read_argv", lambda name, rest: None))
+        code = cli_dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argparse_vars(argv):
+    """vars() of the namespace argparse gives argv, or None for a usage error
+    or help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._command_parser(argv[0]).parse_args(argv[1:]))
+        except SystemExit:
+            return None
+
+
+def _check_against_argparse(argv):
+    """The reader's namespace is argparse's, and dispatch answers argv as
+    argparse alone answers it.  Returns whether the reader took argv."""
+    read = cli._read_argv(argv[0], argv[1:])
+    if read is not None:
+        assert vars(read) == _argparse_vars(argv)
+    assert _answer(argv) == _answer(argv, reader=False)
+    return read is not None
+
+
+# Tokens no handler can load, so that every answer is quick and no --out file
+# is written: none is JSON, a builtin group or a file.
+_PLAIN = ["x", "0", "1", "2", "1/2", "max", "tv", "transitive", "profinite", "sideways",
+          "", "a b", "x=1"]
+_DASHED = ["-", "--", "-1", "-h", "--help", "--out", "--max", "--mode=transitive",
+           "--max-refine=2", "--seed", "--beam", "--metric", "--mode", "--max-refine", "-x"]
+
+
+@st.composite
+def _command_argvs(draw):
+    """A command, about its count of positionals, a few option pairs, and
+    sometimes a stray token anywhere."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    positionals, flags, _defaults = cli._argument_table(name)
+    n = len(positionals) + draw(st.sampled_from([0, 0, 0, -1, 1, 2]))
+    argv = draw(st.lists(st.sampled_from(_PLAIN), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.sampled_from([*flags, *flags, "--max", "--seed"]),
+                                    st.sampled_from(_PLAIN * 3 + _DASHED)), max_size=3))
+    argv += [token for pair in pairs for token in pair]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_PLAIN + _DASHED)))
+    return [name, *argv]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_command_argvs())
+def test_reader_agrees_with_argparse(argv):
+    _check_against_argparse(argv)
+
+
+def test_every_command_has_a_table_the_reader_takes():
+    assert all(cli._argument_table(name) is not None for name in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["dist", "x", "y", "z"], True),
+    (["dist", "x", "y", "z", "--out", ""], True),
+    (["audit-c1", "x", "y", "1/2", "b1", "b2", "--metric", "max"], True),
+    (["conjsearch", "x", "y", "--beam", "3", "--beam", "4"], True),  # repeated: the last wins
+    (["eppa", "x", "p", "q", "r"], True),
+    (["refine", "x", "3"], True),
+    (["dist", "-h"], False),
+    (["dist", "x", "y", "z", "--help"], False),
+    (["embed", "x", "--mode=transitive"], False),
+    (["conjsearch", "x", "y", "--max", "2"], False),  # an abbreviation
+    (["conjsearch", "x", "y", "--max-refine", "-1"], False),
+    (["embed", "--mode", "transitive", "x"], False),  # an option before a positional
+    (["dist", "x", "--out", "f", "y", "z"], False),
+    (["dist", "x", "y", "--", "z"], False),
+    (["refine", "x", "-1"], False),
+    (["refine", "x", "two"], False),  # a failed conversion
+    (["dist", "x", "y", "z", "--out"], False),  # a missing value
+    (["embed", "x", "--mode", "sideways"], False),  # a bad choice
+    (["dist", "x", "y"], False),
+    (["dist", "x", "y", "z", "w"], False),
+    (["eppa", "x"], False),
+    (["conjsearch", "x", "y", "--beam", "3", "--beam", "four"], False),
+])
+def test_reader_edge_forms(argv, read):
+    assert _check_against_argparse(argv) == read
+
+
+def test_every_benchmark_request_is_read_without_a_parser(monkeypatch, tmp_path):
+    """Seeds 0-2 of every workload: the reader takes each request's argv,
+    and its namespace is argparse's."""
+    workloads = load(monkeypatch, "workloads", ROOT / "perfbench" / "workloads.py")
+    for workload in workloads.WORKLOADS:
+        for seed in range(3):
+            requests, _texts = workloads.generate(workload, seed, tmp_path / workload)
+            for req in requests:
+                read = cli._read_argv(req.argv[0], req.argv[1:])
+                assert read is not None, req.argv[:1]
+                assert vars(read) == _argparse_vars(req.argv), req.rid
 
 
 def test_group_past_the_order_cap_is_refused(capsys):

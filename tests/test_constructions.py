@@ -85,6 +85,7 @@ from pmplab.errors import (
 from pmplab.limits import (
     MAX_BEAM_STEPS,
     MAX_EXACT_STEPS,
+    MAX_GENERATOR_ENTRIES,
     MAX_GROUP_ENTRIES,
     MAX_GROUP_ORDER,
     MAX_REFINED_ATOMS,
@@ -2054,6 +2055,24 @@ def test_eppa_and_conjugacy_refinement_caps():
     assert cert.eps == 0 and cert.iso.source.size == 2
     with pytest.raises(InstanceTooLarge):
         approx_conjugacy_search(identity, identity, max_refine=256)
+
+
+def test_eppa_generator_entries_are_capped(monkeypatch):
+    """eppa_extend builds one generator of den entries per partial: two
+    partials on the largest unit refinement reach the cap exactly, and a
+    third is refused before the overalgebra or any generator is built."""
+    assert 2 * MAX_REFINED_ATOMS == MAX_GENERATOR_ENTRIES
+    at_cap = validate_algebra([F(1, MAX_REFINED_ATOMS), F(MAX_REFINED_ATOMS - 1, MAX_REFINED_ATOMS)])
+    empty = PartialIsomorphism.of(at_cap, at_cap, [])
+    ext = eppa_extend(at_cap, [empty, empty])
+    assert len(ext.action.gens) * ext.algebra.size == MAX_GENERATOR_ENTRIES
+
+    def unbuilt(*args):
+        raise AssertionError("the overalgebra was built")
+
+    monkeypatch.setattr(constructions, "refine_to_unit", unbuilt)
+    with pytest.raises(InstanceTooLarge, match=f"{MAX_GENERATOR_ENTRIES + MAX_REFINED_ATOMS} entries"):
+        eppa_extend(at_cap, [empty] * 3)
 
 
 def test_profinite_tensor_embedding_is_capped():

@@ -4,8 +4,9 @@ outside its own definition, and every public function, class, constant or method
 code unless it is listed in LIBRARY_ONLY.  No isinstance or issubclass
 call names a class imported from typing, and no package module reads a
 private attribute through anything but self or cls.  Importing the command line
-stays light: no module of the package imports dataclasses, and the import
-loads neither dataclasses nor inspect.  The package exports no submodule.
+stays light: no module of the package imports dataclasses, and neither the
+import nor a valid request loads dataclasses, inspect, argparse, gettext or
+locale.  The package exports no submodule.
 Only algebra.py builds algebras, only jsonio.action_from_json checks an
 action, only jsonio.partial_from_json checks a correspondence, and only
 jsonio's two group readers check a group.
@@ -496,6 +497,19 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
 
 
+# Modules the command line leaves unloaded: argparse, and with it gettext and
+# locale, only for help and usage errors.
+HEAVY_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
+def _package_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # diffed against the modules loaded before the import: site may load
     # some of them on its own
@@ -505,16 +519,31 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "import pmplab.cli\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env(),
+        check=True,
     )
     added = set(json.loads(proc.stdout))
     assert "pmplab.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & HEAVY_MODULES
+
+
+def _imported(*args: str) -> set:
+    """The modules a fresh interpreter run with args imports, read from its
+    -X importtime report."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+        env=_package_env(), check=True,
+    )
+    lines = proc.stderr.splitlines()
+    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+
+
+def test_a_valid_request_never_imports_argparse():
+    argv = ["dist", '{"atoms":["1/2","1/4","1/4"]}', "[[0],[1]]", "[[1],[0,2]]"]
+    added = _imported("-m", "pmplab", *argv) - _imported("-c", "pass")
+    assert "pmplab.cli" in added
+    assert not added & HEAVY_MODULES
 
 
 def test_all_lists_no_submodule():
