@@ -132,10 +132,6 @@ class Event(Record):
     def mass(self) -> Fraction:
         return self.algebra.mass_of(self.members)
 
-    def symmetric_difference(self, other: Event) -> Event:
-        _same_algebra(self.algebra, other.algebra, "events")
-        return Event(self.algebra, tuple(sorted(set(self.members) ^ set(other.members))))
-
 
 class EventTuple(Record):
     """An ordered tuple of events over one algebra."""
@@ -227,16 +223,17 @@ def _cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
 
 
 def dist_max(a: EventTuple, b: EventTuple) -> Fraction:
-    """Max metric: the largest symmetric-difference mass over coordinates."""
+    """Max metric: the largest symmetric-difference mass over coordinates,
+    weighed in units of 1/D."""
     _same_algebra(a.algebra, b.algebra, "tuples")
     if a.arity != b.arity:
         raise ArityMismatch(f"tuples have arities {a.arity} and {b.arity}")
-    best = ZERO
-    for ea, eb in zip(a.events, b.events):
-        d = ea.symmetric_difference(eb).mass
-        if d > best:
-            best = d
-    return best
+    units = a.algebra.units
+    moved = [
+        sum([units[x] for x in set(ea.members) ^ set(eb.members)])
+        for ea, eb in zip(a.events, b.events)
+    ]
+    return Fraction(max(moved, default=0), a.algebra.den)
 
 
 def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:

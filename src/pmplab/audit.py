@@ -708,7 +708,8 @@ def ec_in_extension_check(
     if bs.algebra.id != big.algebra.id:
         raise AlgebraMismatch("target tuple must live in the big system")
     ws = list(words)
-    a_sets = [set(e.members) for e in embed.map_tuple(anchors).events]
+    # the anchors pushed forward: the union of their atoms' image blocks
+    a_sets = [set().union(*[blocks[x] for x in e.members]) for e in anchors.events]
     b_sets = [set(e.members) for e in bs.events]
     moved = [[{p[x] for x in b} for b in b_sets] for p in [_word_perm(big, w) for w in ws]]
     target = _triple_units(big.algebra.units, a_sets, b_sets, moved)

@@ -144,11 +144,6 @@ def _cmd_indep(args) -> dict:
     return {"deficiency": format_rational(value), "deficiency_decimal": decimal_rendering(value)}
 
 
-def _parse_perm_arg(obj) -> tuple:
-    """An integer list; uniform_distance_tuples checks that it is a permutation."""
-    return tuple(_int_list(obj, "permutation argument"))
-
-
 def _is_perm_list(obj) -> bool:
     """A JSON array whose first entry is an array: a list of permutations."""
     return isinstance(obj, list) and bool(obj) and isinstance(obj[0], list)
@@ -163,8 +158,9 @@ def _cmd_delta(args) -> dict:
             raise ArityMismatch("both sides must be equal-length lists of permutations")
     else:
         g, h = [g], [h]
-    gs = [_parse_perm_arg(p) for p in g]
-    hs = [_parse_perm_arg(p) for p in h]
+    # integer lists; uniform_distance_tuples checks each as a permutation
+    gs = [_int_list(p, "permutation argument") for p in g]
+    hs = [_int_list(p, "permutation argument") for p in h]
     return {"delta": format_rational(uniform_distance_tuples(alg, gs, hs))}
 
 
@@ -349,37 +345,26 @@ _COMMANDS = {
 }
 
 
-# What the reader takes from an argument's options; a command with any other
-# option is left to argparse.
-_READ_OPTIONS = frozenset({"type", "choices", "default", "dest", "nargs"})
-
-
 @functools.lru_cache(maxsize=None)
 def _argument_table(name: str):
     """Subcommand name's arguments as _read_argv reads them: its positionals
     [(dest, options)], its flags {option string: (dest, options)}, --out
     among them, and the value of every dest argparse sets but argv does not,
-    handler included.  None when an argument has a form the reader does not
-    take: an option outside _READ_OPTIONS, a flag with nargs, or a
-    positional with nargs other than a last "+"."""
+    handler included.  The reader takes the forms _COMMANDS is written in,
+    which the command-line tests check for every command: the options type,
+    choices, default, dest and nargs, no flag with nargs, and nargs "+" on
+    the last positional alone."""
     handler, arguments, _help = _COMMANDS[name]
     positionals, flags = [], {"--out": ("out", {})}
     defaults = {"out": None, "handler": handler}
     for arg in arguments:
         flag, options = arg if isinstance(arg, tuple) else (arg, {})
-        if not options.keys() <= _READ_OPTIONS:
-            return None
         if flag.startswith("-"):
-            if "nargs" in options:
-                return None
             dest = options.get("dest", flag.lstrip("-").replace("-", "_"))
             flags[flag] = (dest, options)
             defaults[dest] = options.get("default")
         else:
             positionals.append((flag, options))
-    nargs = [options.get("nargs") for _dest, options in positionals]
-    if nargs[-1:] not in ([None], ["+"]) or any(nargs[:-1]):
-        return None
     return positionals, flags, defaults
 
 
@@ -404,10 +389,7 @@ def _read_argv(name: str, argv: list):
     token starting with "-" where a positional or a value stands (-h, --
     and -1 among them), --opt=value, an abbreviated or unknown option, an
     option before a positional, a wrong count and a failed conversion."""
-    table = _argument_table(name)
-    if table is None:
-        return None
-    positionals, flags, defaults = table
+    positionals, flags, defaults = _argument_table(name)
     heads = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
     pairs = argv[heads:]
     if len(pairs) % 2:

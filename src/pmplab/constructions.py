@@ -18,7 +18,6 @@ from operator import itemgetter
 from .algebra import (
     ZERO,
     AtomPartition,
-    Event,
     EventTuple,
     MeasuredAlgebra,
     Sign,
@@ -126,21 +125,6 @@ class PartialIsomorphism(Record):
                 raise NotMassPreserving("source blocks are not singletons")
             out[next(iter(src))] = tgt
         return out
-
-    def map_event(self, e: Event) -> Event:
-        """Image of an event that is a union of source blocks."""
-        members = set(e.members)
-        image: set[int] = set()
-        for src, tgt in self.pairs:
-            if src <= members:
-                image |= tgt
-                members -= src
-        if members:
-            raise AlgebraMismatch("event is not a union of source blocks")
-        return Event(self.target, tuple(sorted(image)))
-
-    def map_tuple(self, t: EventTuple) -> EventTuple:
-        return EventTuple(self.target, tuple(self.map_event(e) for e in t.events))
 
 
 class Isomorphism(Record):

@@ -169,7 +169,7 @@ def action_from_json(obj: object) -> FkAction:
     gens = obj["gens"]
     if not _is_list(gens):
         raise ValidationError("gens must be a list of permutations")
-    act = validate_action(alg, [tuple(_int_list(p, "a permutation")) for p in gens])
+    act = validate_action(alg, [_int_list(p, "a permutation") for p in gens])
     declared = obj.get("k", act.k)
     if not (_is_int(declared) and declared == act.k):
         raise ValidationError(f"declared k={declared} but {act.k} generators given")

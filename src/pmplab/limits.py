@@ -30,6 +30,10 @@ which the command line reports with exit 2.
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
   beam_width * n^2 for n refined atoms, summed over the depths that run it
   (_check_beam_steps, before each beam).
+- MAX_LP_ENTRIES bounds the rows * columns of type_distance_max's linear
+  program, sum(|p| + |q| - 1) + n rows by sum(|p| * |q|) + 1 + n columns
+  over its free residual cells p, q at arity n (_check_lp_entries, before
+  any row is built).
 
 Search bounds.  These end a search instead of refusing it.
 
@@ -74,6 +78,12 @@ MAX_GENERATOR_ENTRIES = 1 << 17
 # largest beam 16 * 64^2 = 65536.
 MAX_EXACT_STEPS = 1 << 22
 MAX_BEAM_STEPS = 1 << 22
+
+# type_distance_max on 128 equal atoms, an all-atom base and fiber tuples of
+# 64-atom events: the cap admits arity 5, 29 x 160 = 4640 entries (0.17 s on
+# one Xeon core), and refuses arity 6, 54 x 607 = 32778 (6.6 s), and 7,
+# 102 x 2311.  The benchmark's largest program, of seeds 0-6, is 11 x 15.
+MAX_LP_ENTRIES = 1 << 13
 
 EXHAUSTIVE_TUPLE_CAP = 4096
 GREEDY_ROUNDS = 64
@@ -136,4 +146,14 @@ def _check_exact_steps(steps: int) -> None:
     if steps > MAX_EXACT_STEPS:
         raise InstanceTooLarge(
             f"an exact conjugacy phase of {steps} steps exceeds the cap {MAX_EXACT_STEPS} steps"
+        )
+
+
+def _check_lp_entries(rows: int, columns: int) -> None:
+    """Raise InstanceTooLarge when a linear program of rows x columns would
+    pass MAX_LP_ENTRIES."""
+    if rows * columns > MAX_LP_ENTRIES:
+        raise InstanceTooLarge(
+            f"a linear program of {rows} x {columns} entries exceeds the cap "
+            f"{MAX_LP_ENTRIES} entries"
         )

@@ -41,6 +41,7 @@ from .algebra import (
     _unit_law,
 )
 from .errors import ArityMismatch, LPInternal, ValidationError
+from .limits import _check_lp_entries
 from .record import Record
 from .simplex import solve_lp
 
@@ -147,6 +148,7 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
 
     z = sum([len(p) * len(q) for p, q in free])
     width = z + 1 + n
+    _check_lp_entries(sum([len(p) + len(q) - 1 for p, q in free]) + n, width)
     rows: list[list[int]] = []
     rhs: list[int] = []
     pairs: list[tuple[Sign, Sign]] = []

@@ -110,18 +110,11 @@ def test_event_validation_and_mass():
         Event.of(alg, [-1])
 
 
-def test_event_boolean_operations():
-    alg = validate_algebra([F(1, 4)] * 4)
-    a = Event.of(alg, [0, 1])
-    b = Event.of(alg, [1, 2])
-    assert a.symmetric_difference(b).members == (0, 2)
-
-
 def test_events_from_different_algebras_do_not_mix():
     a1 = validate_algebra([F(1, 2), F(1, 2)])
     a2 = validate_algebra([F(1, 2), F(1, 2)])
     with pytest.raises(AlgebraMismatch):
-        Event.of(a1, [0]).symmetric_difference(Event.of(a2, [0]))
+        EventTuple.of(a1, [Event.of(a1, [0]), Event.of(a2, [0])])
 
 
 def test_generated_partition_single_event():

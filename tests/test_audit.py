@@ -601,6 +601,15 @@ def _pullback_seed(bs, blocks, projection):
     return tuple(out)
 
 
+def pushed_forward(embed, t):
+    """Tuple t of the small algebra sent through the embedding: each event
+    to the union of the target blocks whose source block it holds."""
+    return EventTuple.of_members(embed.target, [
+        set().union(*[tgt for src, tgt in embed.pairs if src <= set(e.members)])
+        for e in t.events
+    ])
+
+
 def pulled_back(small, bs, blocks):
     """The target tuple pulled back to the small algebra, as _ec_prepare
     takes it: the oracle seed at the identity projection."""
@@ -895,7 +904,7 @@ def _draw_ec_instance(data, small, arity):
     anchors = _draw_tuple(data, small.algebra, data.draw(st.integers(1, 2)))
     if data.draw(st.integers(0, 2)) == 0:
         # an image of the small system: some candidate matches it exactly
-        bs = embed.map_tuple(_draw_tuple(data, small.algebra, arity))
+        bs = pushed_forward(embed, _draw_tuple(data, small.algebra, arity))
     else:
         bs = _draw_tuple(data, big.algebra, arity)
     letters = st.integers(1, small.k).flatmap(lambda g: st.sampled_from([g, -g]))
@@ -912,7 +921,7 @@ def _draw_ec_instance(data, small, arity):
 def test_refine_search_matches_oracle_ec(greedy, data):
     small, arity, max_refine, stop, stop_at = data.draw(_search_instances(greedy))
     big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
-    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    target = _triple_pattern(big.algebra, big, pushed_forward(embed, anchors), bs, words)
     pulled = pulled_back(small.algebra, bs, blocks)
     assert_search_matches_oracle(
         small, arity, max_refine, stop, stop_at,
@@ -930,7 +939,7 @@ def test_ec_check_matches_the_fraction_oracle(data):
     small, arity, max_refine, _stop, _stop_at = data.draw(_search_instances(False))
     big, embed, blocks, anchors, bs, words = _draw_ec_instance(data, small, arity)
     eps = data.draw(st.fractions(F(1, 60), F(1, 4), max_denominator=60))
-    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    target = _triple_pattern(big.algebra, big, pushed_forward(embed, anchors), bs, words)
     for value, members, depth in oracle_refine_search(
         small, arity, max_refine, eps, oracle_ec_prepare(anchors, bs, words, target, blocks)
     ):
@@ -961,7 +970,7 @@ def test_ec_seed_is_the_pullback_oracle_at_every_depth(data):
         ec_in_extension_check(small, big, embed, anchors, bs, words, F(1, 2))
     [pulled] = given_pulled
     assert pulled == pulled_back(small.algebra, bs, blocks)
-    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    target = _triple_pattern(big.algebra, big, pushed_forward(embed, anchors), bs, words)
     prepare = real(anchors, pulled, words, *ec_target(big, target))
     for depth in (1, 2, 3):
         refined, projection = product_action(small, uniform_algebra(depth))
@@ -980,7 +989,7 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
     anchors = EventTuple.of_members(small.algebra, [[0], [0, 1]])
     bs = EventTuple.of_members(big.algebra, [[0, 3, 5]])
     words = [Word.of([1, 2]), Word.of([-2, 1])]
-    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), bs, words)
+    target = _triple_pattern(big.algebra, big, pushed_forward(embed, anchors), bs, words)
     pulled = pulled_back(small.algebra, bs, blocks)
     for depth in (1, 2):
         refined, projection = product_action(small, uniform_algebra(depth))
@@ -1261,7 +1270,7 @@ def test_ec_scan_scores_each_candidate_once_up_to_its_first_hit():
     anchors = EventTuple.of_members(small.algebra, [[0, 1, 2]])
     target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
     words = [Word.of([]), Word.of([1])]
-    target = _triple_pattern(big.algebra, big, embed.map_tuple(anchors), target_tuple, words)
+    target = _triple_pattern(big.algebra, big, pushed_forward(embed, anchors), target_tuple, words)
     prepare = _ec_prepare(
         anchors, pulled_back(small.algebra, target_tuple, blocks), words, *ec_target(big, target)
     )
@@ -1653,7 +1662,7 @@ def test_ec_seed_at_its_floor_is_read_once():
     anchors = EventTuple.of_members(alg, [[0, 1, 2]])
     bs = EventTuple.of_members(alg, [[0, 3], [1, 2, 5]])
     words = [Word.of([]), Word.of([1])]
-    target = _triple_pattern(alg, small, embed.map_tuple(anchors), bs, words)
+    target = _triple_pattern(alg, small, pushed_forward(embed, anchors), bs, words)
     pulled = pulled_back(alg, bs, blocks)
     assert pulled == bs
     refined, projection = product_action(small, uniform_algebra(1))

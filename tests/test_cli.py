@@ -23,6 +23,7 @@ from pmplab.constructions import MarkedGroup, cyclic_group, quotient_action
 from pmplab.jsonio import action_from_json
 from pmplab.limits import MAX_GROUP_ORDER
 
+from test_modeltheory import wide_fibers
 from test_replay import ROOT, load
 
 F = Fraction
@@ -219,8 +220,47 @@ def test_reader_agrees_with_argparse(argv):
     _check_against_argparse(argv)
 
 
+def table_form_errors(commands):
+    """Where a command table leaves the forms the reader takes: an option
+    outside type, choices, default, dest and nargs, a flag with nargs, or
+    nargs on a positional other than a last "+"."""
+    errors = []
+    for name, (_handler, arguments, _help) in commands.items():
+        forms = [arg if isinstance(arg, tuple) else (arg, {}) for arg in arguments]
+        for flag, options in forms:
+            if not options.keys() <= {"type", "choices", "default", "dest", "nargs"}:
+                errors.append(f"{name} {flag}: options {sorted(options)}")
+            if flag.startswith("-") and "nargs" in options:
+                errors.append(f"{name} {flag}: a flag with nargs")
+        positionals = [(flag, options) for flag, options in forms if not flag.startswith("-")]
+        for i, (flag, options) in enumerate(positionals):
+            allowed = (None, "+") if i == len(positionals) - 1 else (None,)
+            if options.get("nargs") not in allowed:
+                errors.append(f"{name} {flag}: nargs {options['nargs']!r}")
+    return errors
+
+
 def test_every_command_has_a_table_the_reader_takes():
-    assert all(cli._argument_table(name) is not None for name in cli._COMMANDS)
+    assert table_form_errors(cli._COMMANDS) == []
+
+
+def test_detects_a_table_form_the_reader_does_not_take():
+    handler = cli._COMMANDS["dist"][0]
+    commands = {
+        "flag": (handler, ("x", ("--all", {"action": "store_true"})), ""),
+        "flag-nargs": (handler, ("x", ("--ids", {"nargs": "+"})), ""),
+        "early": (handler, (("xs", {"nargs": "+"}), "y"), ""),
+        "optional": (handler, ("x", ("y", {"nargs": "?"})), ""),
+        "fine": (handler, ("x", ("ys", {"nargs": "+", "type": int}), ("--n", {"default": 1})), ""),
+    }
+    assert table_form_errors(commands) == [
+        "flag --all: options ['action']",
+        "flag-nargs --ids: a flag with nargs",
+        "early xs: nargs '+'",
+        "optional y: nargs '?'",
+    ]
+    with mock.patch.dict(cli._COMMANDS, {"flag": commands["flag"]}):
+        assert table_form_errors(cli._COMMANDS) != []
 
 
 @pytest.mark.parametrize("argv, read", [
@@ -326,6 +366,18 @@ def test_dist_and_typedist_metrics(capsys):
     doc = json.loads(max_out)
     assert doc["distance"] == "1/2"
     assert doc["metric"] == "max"
+
+
+def test_typedist_max_past_the_program_cap_is_refused(capsys):
+    """Arity 6 of wide_fibers: a 54 x 607 program, refused at once."""
+    base, b, c = wide_fibers(6)
+    tuples = [json.dumps([list(e.members) for e in t.events]) for t in (base, b, c)]
+    started = time.perf_counter()
+    code, out = run(capsys, "typedist", json.dumps({"atoms": ["1/128"] * 128}), *tuples,
+                    "--metric", "max")
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
 
 
 def test_match_example(capsys):

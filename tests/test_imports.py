@@ -142,13 +142,20 @@ LIBRARY_ONLY = {
     "modeltheory.triple_law": "the actual joint law that independence_deficiency compares with the joining",
     "algebra.JointDistribution.base_marginal": "the base-cell masses of a joint law",
     "algebra.MeasuredAlgebra.denominator_lcm": "den under its old name, which perfbench/checks.py still calls",
+    "constructions.Isomorphism.of": "the checked constructor through which perfbench/checks.py rebuilds conjugacy certificates",
 }
+
+
+def _is_static(node: ast.stmt) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
 
 
 def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
     """Public top-level names and public methods of top-level classes, as
     module.name or module.Class.method, that no module reads, imports or
-    takes as an attribute."""
+    takes as an attribute.  A static method counts as used only when it is
+    taken on its own class name, Class.method: every other class has an
+    .of too."""
     defined: list[tuple[str, str]] = []
     referenced: set[str] = set()
     for module, source in sources.items():
@@ -158,11 +165,18 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
             defined.extend((name, f"{stem}.{name}") for name in _bound_names(node))
             if isinstance(node, ast.ClassDef):
                 defined.extend(
-                    (sub.name, f"{stem}.{node.name}.{sub.name}")
+                    (f"{node.name}.{sub.name}" if _is_static(sub) else sub.name,
+                     f"{stem}.{node.name}.{sub.name}")
                     for sub in node.body
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not sub.name.startswith("_")
                 )
         referenced |= _referenced_names(tree)
+        referenced |= {
+            f"{n.value.id}.{n.attr}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        }
     return sorted(
         qualified
         for name, qualified in defined
@@ -184,6 +198,19 @@ def test_detects_an_unreferenced_public_name():
         "b.py": "from a import C\n",
     }
     assert unreferenced_public_names(sources) == ["a.C.gone", "a.dead"]
+
+
+def test_detects_a_static_method_taken_only_on_another_class():
+    sources = {
+        "a.py": (
+            "class A:\n    @staticmethod\n    def of(x):\n        return A()\n"
+            "class B:\n    @staticmethod\n    def of(x):\n        return B()\n"
+            "    @staticmethod\n    def make():\n        return B()\n"
+            "class C:\n    @staticmethod\n    def of(x):\n        return C()\n"
+        ),
+        "b.py": "from a import A, B, C\nA.of(1)\nb = B()\nb.of(1)\nb.make()\nC().of(1)\n",
+    }
+    assert unreferenced_public_names(sources) == ["a.B.make", "a.B.of", "a.C.of"]
 
 
 def test_every_public_name_is_used_in_the_package_or_allowlisted():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from pmplab import limits, modeltheory
 from pmplab.algebra import (
     EventTuple,
     joint_distribution,
@@ -14,6 +15,7 @@ from pmplab.algebra import (
     validate_algebra,
 )
 from pmplab.errors import ArityMismatch, InstanceTooLarge, ValidationError
+from pmplab.limits import MAX_LP_ENTRIES
 from pmplab.modeltheory import (
     TYPE_METRICS,
     independence_deficiency,
@@ -265,3 +267,36 @@ def test_type_distance_invariant_under_mass_preserving_relabeling():
         assert type_distance_max(base, b, c) == type_distance_max(
             relabel(base), relabel(b), relabel(c)
         )
+
+
+def wide_fibers(arity):
+    """128 equal atoms, the all-atom base, and b and c of random 64-atom
+    events: the max-metric program has 29 x 160 entries at arity 5, 54 x
+    607 at arity 6 and 102 x 2311 at arity 7."""
+    rng = random.Random(1)
+    alg = uniform_algebra(128)
+    b = [rng.sample(range(128), 64) for _ in range(arity)]
+    c = [rng.sample(range(128), 64) for _ in range(arity)]
+    return _tuples(alg, range(128)), _tuples(alg, *b), _tuples(alg, *c)
+
+
+def test_max_type_distance_program_is_capped(monkeypatch):
+    """The cap admits arity 5 and refuses arity 6 and 7 before a program is
+    solved; at arity 5 it admits exactly rows * columns entries, not one
+    fewer."""
+    assert 29 * 160 <= MAX_LP_ENTRIES < 54 * 607
+    assert type_distance_max(*wide_fibers(5)) == F(13, 320)
+    monkeypatch.setattr(limits, "MAX_LP_ENTRIES", 29 * 160)
+    assert type_distance_max(*wide_fibers(5)) == F(13, 320)
+
+    def unsolved(*args):
+        raise AssertionError("the program was solved")
+
+    monkeypatch.setattr(modeltheory, "solve_lp", unsolved)
+    monkeypatch.setattr(limits, "MAX_LP_ENTRIES", 29 * 160 - 1)
+    with pytest.raises(InstanceTooLarge, match="29 x 160 entries"):
+        type_distance_max(*wide_fibers(5))
+    monkeypatch.setattr(limits, "MAX_LP_ENTRIES", MAX_LP_ENTRIES)
+    for arity, shape in ((6, "54 x 607"), (7, "102 x 2311")):
+        with pytest.raises(InstanceTooLarge, match=shape):
+            type_distance_max(*wide_fibers(arity))
