@@ -8,7 +8,7 @@ quotient permutation.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 
@@ -36,6 +36,9 @@ from .limits import _check_summed_refinement
 from .record import Record
 
 Perm = tuple[int, ...]
+# A word in the generators and their inverses: letter i in 1..k names
+# generator i and letter -i its inverse; the empty word is the identity.
+Word = tuple[int, ...]
 
 
 def perm_identity(n: int) -> Perm:
@@ -92,20 +95,6 @@ def validate_action(alg: MeasuredAlgebra, gens: Sequence[Sequence[int]]) -> FkAc
     return FkAction(alg, tuple([check_permutation(alg, g) for g in gens]))
 
 
-class Word(Record):
-    """A word in generators (positive letters) and inverses (negative letters).
-
-    Letter i in 1..k names generator i; letter -i names its inverse.  The
-    empty word is the identity.
-    """
-
-    letters: tuple[int, ...]
-
-    @staticmethod
-    def of(letters: Iterable[int]) -> Word:
-        return Word(tuple(letters))
-
-
 def letter_perm(act: FkAction, letter: int) -> Perm:
     if 1 <= letter <= act.k:
         return act.gens[letter - 1]
@@ -122,7 +111,7 @@ def _word_perm(act: FkAction, w: Word) -> Perm:
     """The atom permutation of a word: its letters composed, rightmost
     letter applied first."""
     perm = perm_identity(act.algebra.size)
-    for letter in reversed(w.letters):
+    for letter in reversed(w):
         perm = perm_compose(letter_perm(act, letter), perm)
     return perm
 
@@ -133,43 +122,25 @@ def apply_gen_tuple(act: FkAction, i: int, t: EventTuple) -> EventTuple:
     return EventTuple(t.algebra, tuple(apply_perm_event(p, e) for e in t.events))
 
 
-def _breadth_first(start, gens, step, limit: int | None = None):
-    """Closure of start under x -> step(x, g) for every g in gens.
-
-    Returns the elements in breadth-first discovery order, scanning gens in
-    their given order from each element, and a dict from each element to its
-    position in that list.  With a limit the walk stops as soon as more than
-    limit elements are found, so a list longer than limit is cut short."""
-    found = [start]
-    index = {start: 0}
-    for x in found:  # found grows while it is read: it is the queue
-        for g in gens:
-            y = step(x, g)
-            if y not in index:
-                index[y] = len(found)
-                found.append(y)
-                if limit is not None and len(found) > limit:
-                    return found, index
-    return found, index
-
-
-def _orbit_walks(act: FkAction) -> list[list[int]]:
-    """Every orbit of the atoms, by least atom, in breadth-first order from
-    that atom along the generators alone: an inverse is a power of its generator."""
-    walks: list[list[int]] = []
-    covered: set[int] = set()
-    for root in range(act.algebra.size):
-        if root not in covered:
-            walk, index = _breadth_first(root, act.gens, lambda x, p: p[x])
-            walks.append(walk)
-            covered.update(index)
-    return walks
-
-
 def invariant_components(act: FkAction) -> AtomPartition:
     """The orbits of the atoms under all generators, ordered by least atom;
-    the action is transitive exactly when there is one block."""
-    return AtomPartition(act.algebra, tuple(frozenset(walk) for walk in _orbit_walks(act)))
+    the action is transitive exactly when there is one block.  Each orbit is
+    walked breadth-first from its least atom along the generators alone: an
+    inverse is a power of its generator."""
+    covered = [False] * act.algebra.size
+    orbits = []
+    for root in range(act.algebra.size):
+        if not covered[root]:
+            covered[root] = True
+            orbit = [root]
+            for x in orbit:  # orbit grows while it is read: it is the queue
+                for p in act.gens:
+                    y = p[x]
+                    if not covered[y]:
+                        covered[y] = True
+                        orbit.append(y)
+            orbits.append(frozenset(orbit))
+    return AtomPartition(act.algebra, tuple(orbits))
 
 
 def generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:

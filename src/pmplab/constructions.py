@@ -31,7 +31,6 @@ from .algebra import (
 from .action import (
     FkAction,
     Perm,
-    _breadth_first,
     _cycle_distance,
     extensions,
     invariant_components,
@@ -57,7 +56,6 @@ from .errors import (
     ValidationError,
 )
 from .limits import (
-    MAX_GROUP_ORDER,
     _check_beam_steps,
     _check_exact_steps,
     _check_generator_entries,
@@ -324,21 +322,20 @@ def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, tuple]:
 
     The walk records right[g][x], the index of x * gens[g], for every
     element: order * k compositions, the only ones made, and exactly the
-    right Cayley graph the group keeps."""
-    products = []
-
-    def step(x, g):
-        y = compose(x, g)
-        products.append(y)
-        return y
-
-    elements, index = _breadth_first(identity, gens, step, MAX_GROUP_ORDER)
-    order = len(elements)
-    _check_group_order(order)
-    k = len(gens)
-    # right[g][x]: the walk composed element x with gens[g] at call x*k + g
-    right = tuple(tuple([index[y] for y in products[g::k]]) for g in range(k))
-    return MarkedGroup(order, 0, right), tuple(elements)
+    right Cayley graph the group keeps.  Raises InstanceTooLarge as soon as
+    more than MAX_GROUP_ORDER elements are found."""
+    elements = [identity]
+    index = {identity: 0}
+    right: list[list[int]] = [[] for _ in gens]
+    for x in elements:  # elements grows while it is read: it is the queue
+        for g, column in zip(gens, right):
+            y = compose(x, g)
+            if y not in index:
+                _check_group_order(len(elements) + 1)
+                index[y] = len(elements)
+                elements.append(y)
+            column.append(index[y])
+    return MarkedGroup(len(elements), 0, tuple(map(tuple, right))), tuple(elements)
 
 
 def permutation_marked_group(
@@ -546,7 +543,7 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     merged = set(orbits[0])
     gens = [list(p) for p in act.gens]
     p = gens[0] if gens else []
-    inverse = sorted(range(len(p)), key=p.__getitem__)
+    inverse = perm_inverse(p)
     heap = sorted(merged)  # atoms of merged whose block may not be inside it
     unmerged = [sorted(block, reverse=True) for block in fixed.blocks]
 
@@ -759,8 +756,9 @@ def _at_unit(act: FkAction, den: int) -> tuple[FkAction, tuple[int, ...]]:
 def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
     """Exact conjugacy of r1 onto r2, placed one orbit of r1 at a time.
 
-    Orbits are taken by least atom and walked as in _orbit_walks.  A walk's
-    root tries the unused targets in increasing order; every later atom is
+    Orbits are taken by least atom and walked breadth-first along the
+    generators, as invariant_components walks them.  A walk's root tries the
+    unused targets in increasing order; every later atom is
     forced by the placed atom it is reached from, and every generator edge
     x -> g(x) is checked, fixed points included, which checks the inverse
     edges too.  An exact conjugacy maps each orbit onto an isomorphic orbit,

@@ -181,7 +181,7 @@ def word_from_json(obj: object) -> Word:
         raise ValidationError("word JSON must be a list of signed integers")
     if not _all_ints(obj):
         raise ValidationError("word letters must be integers")
-    return Word.of(obj)
+    return tuple(obj)
 
 
 # ---------------------------------------------------------------------------

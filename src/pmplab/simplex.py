@@ -11,8 +11,9 @@ ratios are compared by cross-multiplication.  Bland's smallest-index rule
 picks the entering and the leaving variable, which rules out cycling.  The
 scale is common so that the phase-1 artificials keep equal weights: every
 reduced cost and ratio then keeps its sign and order, and the pivots, the
-basis and x are those of the same simplex over Fractions.  Instances are
-tiny (tens of columns), so no effort is spent on sparsity.
+basis and x are those of the same simplex over Fractions.  The caller's
+cap MAX_LP_ENTRIES bounds an instance to 2^13 rows * columns (such as
+29 x 160), so no effort is spent on sparsity.
 """
 from __future__ import annotations
 

@@ -6,14 +6,17 @@ seed; algebras are built over one common denominator, which keeps refinement
 lcms small and exact arithmetic fast.  The oracles (oracle_type_distance,
 marked_group_isomorphism, oracle_validate_marked_group) are slow, obviously
 correct reference code that the library never calls; an oracle that only one
-test module uses lives in that module instead.  outcome turns a call into its value or its exception
-type and message, for comparing a kernel with its oracle, and
+test module uses lives in that module instead.  The tests' walks,
+breadth_first and oracle_visit_order, live here together, so that no oracle
+borrows a walk from the library.  outcome turns a call into its value or its
+exception type and message, for comparing a kernel with its oracle, and
 group_from_table reads a table document as the library reads one."""
 from __future__ import annotations
 
 import functools
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -31,7 +34,7 @@ from pmplab.algebra import (
     uniform_algebra,
     validate_algebra,
 )
-from pmplab.action import FkAction, _breadth_first, validate_action
+from pmplab.action import FkAction, validate_action
 from pmplab.constructions import MarkedGroup, PartialIsomorphism
 from pmplab.errors import InstanceTooLarge, InvalidGroupTable, LPInternal, NotGenerating
 from pmplab.jsonio import group_from_json
@@ -56,6 +59,49 @@ def random_algebra(
 def random_event(rng: random.Random, alg: MeasuredAlgebra) -> Event:
     members = [i for i in range(alg.size) if rng.random() < 0.5]
     return Event.of(alg, members)
+
+
+def breadth_first(start, gens, step, limit: Optional[int] = None):
+    """The closure of start under x -> step(x, g) for every g in gens, as a
+    list in the order a queue first meets its elements, scanning gens in
+    order from each, and a dict from each element to its place in the list.
+    With a limit the walk stops as soon as more than limit are found."""
+    found = [start]
+    index = {start: 0}
+    queue = deque(found)
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = step(x, g)
+            if y not in index:
+                index[y] = len(found)
+                found.append(y)
+                queue.append(y)
+                if limit is not None and len(found) > limit:
+                    return found, index
+    return found, index
+
+
+def oracle_visit_order(act: FkAction) -> list[int]:
+    """The exact conjugacy search's atom order: a queue from each unseen
+    root in increasing order, along the generators alone."""
+    n = act.algebra.size
+    order = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        while queue:
+            x = queue.pop(0)
+            order.append(x)
+            for p in act.gens:
+                y = p[x]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return order
 
 
 def random_tuple(
@@ -233,7 +279,7 @@ def transitive_tables(k: int, n: int) -> list[Table]:
 
 def standard_table(table: Table, root: int) -> Table:
     """table relabelled so that it is standard from root."""
-    walk, label = _breadth_first(root, table, lambda x, g: g[x])
+    walk, label = breadth_first(root, table, lambda x, g: g[x])
     return tuple(tuple(label[g[x]] for x in walk) for g in table)
 
 
@@ -413,7 +459,7 @@ def marked_group_isomorphism(g: MarkedGroup, h: MarkedGroup) -> Optional[tuple[i
         return None
     # Walk pairs (x, phi(x)): the pairs reached form the graph of a map
     # exactly when no more than order of them are found.
-    pairs, _ = _breadth_first(
+    pairs, _ = breadth_first(
         (g.identity, h.identity),
         tuple(zip(g.right, h.right)),
         lambda p, c: (c[0][p[0]], c[1][p[1]]),

@@ -52,6 +52,7 @@ from pmplab.constructions import (
     quotient_action,
 )
 from pmplab.errors import (
+    AlgebraMismatch,
     EmbeddingNotEquivariant,
     InstanceTooLarge,
     NonpositiveEps,
@@ -61,7 +62,7 @@ from pmplab.errors import (
 from pmplab.limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, MAX_REFINED_ATOMS
 from pmplab.modeltheory import joint_tv_distance
 
-from conftest import random_tuple, uniform_algebra
+from conftest import outcome, random_tuple, uniform_algebra
 from test_action import oracle_apply_word
 
 F = Fraction
@@ -264,7 +265,7 @@ def test_ec_self_extension_is_exact():
     embed = PartialIsomorphism.of(alg, alg, [([i], [i]) for i in range(3)])
     anchors = EventTuple.of_members(alg, [[0]])
     bs = EventTuple.of_members(alg, [[1, 2]])
-    words = [Word.of([]), Word.of([1])]
+    words = [(), (1,)]
     res = ec_in_extension_check(act, act, embed, anchors, bs, words, F(1, 5))
     assert res.found
     assert res.witness.discrepancy == 0
@@ -282,7 +283,7 @@ def test_ec_tensor_extension_regression():
     )
     anchors = EventTuple.of_members(small.algebra, [[0]])
     bs = EventTuple.of_members(big.algebra, [[0, 2]])
-    words = [Word.of([]), Word.of([1])]
+    words = [(), (1,)]
     shallow = ec_in_extension_check(
         small, big, embed, anchors, bs, words, F(1, 4), max_refine=1
     )
@@ -368,7 +369,7 @@ def test_searches_visit_expected_depths(monkeypatch):
         embed,
         EventTuple.of_members(small.algebra, [[0]]),
         EventTuple.of_members(big.algebra, [[0, 2]]),
-        [Word.of([]), Word.of([1])],
+        [(), (1,)],
         F(1, 4),
         max_refine=2,
     )
@@ -440,7 +441,7 @@ def test_audit_depths_are_capped_by_their_summed_atoms(monkeypatch):
         lambda: axiom_residual(act, a, bs, max_refine=256),
         lambda: ec_in_extension_check(
             act, big, embed, a, EventTuple.of_members(big.algebra, [[0, 2]]),
-            [Word.of([])], F(1, 4), max_refine=256,
+            [()], F(1, 4), max_refine=256,
         ),
     ]
     for audit_call in past:
@@ -454,7 +455,7 @@ def test_ec_rejects_bad_embeddings_and_eps():
     big = product_action(small, validate_algebra([F(1, 2), F(1, 2)]))[0]
     anchors = EventTuple.of_members(small.algebra, [[0]])
     bs = EventTuple.of_members(big.algebra, [[0]])
-    words = [Word.of([])]
+    words = [()]
     skew = PartialIsomorphism.of(
         small.algebra, big.algebra, [([0], [0, 2]), ([1], [1, 3])]
     )
@@ -465,6 +466,34 @@ def test_ec_rejects_bad_embeddings_and_eps():
     )
     with pytest.raises(NonpositiveEps):
         ec_in_extension_check(small, big, good, anchors, bs, words, F(0))
+
+
+def test_audits_refuse_tuples_and_embeddings_on_another_algebra():
+    """Each audit names the input that does not live where it must."""
+    small = quotient_action(cyclic_group(2, [1]))
+    big = product_action(small, validate_algebra([F(1, 2), F(1, 2)]))[0]
+    stranger = uniform_algebra(2)
+    a = EventTuple.of_members(small.algebra, [[0]])
+    b = EventTuple.of_members(small.algebra, [[1]])
+    elsewhere = EventTuple.of_members(stranger, [[0]])
+    bs = EventTuple.of_members(big.algebra, [[0, 2]])
+    words = [(), (1,)]
+    embed = PartialIsomorphism.of(small.algebra, big.algebra, [([0], [0, 1]), ([1], [2, 3])])
+    foreign = PartialIsomorphism.of(stranger, big.algebra, [([0], [0, 1]), ([1], [2, 3])])
+    cases = [
+        (lambda: check_C1(small, elsewhere, [b, b], F(1, 4)),
+         "anchor tuple does not live on the action's algebra"),
+        (lambda: check_C1(small, a, [b, elsewhere], F(1, 4)),
+         "parameter tuple does not live on the action's algebra"),
+        (lambda: ec_in_extension_check(small, big, foreign, a, bs, words, F(1, 4)),
+         "embedding endpoints do not match the two actions"),
+        (lambda: ec_in_extension_check(small, big, embed, elsewhere, bs, words, F(1, 4)),
+         "anchor tuple must live in the small system"),
+        (lambda: ec_in_extension_check(small, big, embed, a, elsewhere, words, F(1, 4)),
+         "target tuple must live in the big system"),
+    ]
+    for call, message in cases:
+        assert outcome(call) == (AlgebraMismatch, message)
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +938,7 @@ def _draw_ec_instance(data, small, arity):
         bs = _draw_tuple(data, big.algebra, arity)
     letters = st.integers(1, small.k).flatmap(lambda g: st.sampled_from([g, -g]))
     words = [
-        Word.of(w)
+        tuple(w)
         for w in data.draw(st.lists(st.lists(letters, max_size=2), min_size=1, max_size=2))
     ]
     return big, embed, blocks, anchors, bs, words
@@ -988,7 +1017,7 @@ def test_ec_scorer_matches_fraction_oracle_on_every_candidate():
     blocks = _check_embedding(small, big, embed)
     anchors = EventTuple.of_members(small.algebra, [[0], [0, 1]])
     bs = EventTuple.of_members(big.algebra, [[0, 3, 5]])
-    words = [Word.of([1, 2]), Word.of([-2, 1])]
+    words = [(1, 2), (-2, 1)]
     target = _triple_pattern(big.algebra, big, pushed_forward(embed, anchors), bs, words)
     pulled = pulled_back(small.algebra, bs, blocks)
     for depth in (1, 2):
@@ -1075,7 +1104,7 @@ def test_ec_check_builds_one_fraction_per_depth(monkeypatch):
     )
     anchors = EventTuple.of_members(small.algebra, [[0, 1, 2]])
     target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
-    words = [Word.of([]), Word.of([1])]
+    words = [(), (1,)]
     depths = record_depths(monkeypatch)
     monkeypatch.setattr(audit, "Fraction", CountingFraction)
     monkeypatch.setattr(algebra, "Fraction", CountingFraction)
@@ -1269,7 +1298,7 @@ def test_ec_scan_scores_each_candidate_once_up_to_its_first_hit():
     blocks = _check_embedding(small, big, embed)
     anchors = EventTuple.of_members(small.algebra, [[0, 1, 2]])
     target_tuple = EventTuple.of_members(big.algebra, [[0], [2, 5, 6]])
-    words = [Word.of([]), Word.of([1])]
+    words = [(), (1,)]
     target = _triple_pattern(big.algebra, big, pushed_forward(embed, anchors), target_tuple, words)
     prepare = _ec_prepare(
         anchors, pulled_back(small.algebra, target_tuple, blocks), words, *ec_target(big, target)
@@ -1661,7 +1690,7 @@ def test_ec_seed_at_its_floor_is_read_once():
     blocks = _check_embedding(small, small, embed)
     anchors = EventTuple.of_members(alg, [[0, 1, 2]])
     bs = EventTuple.of_members(alg, [[0, 3], [1, 2, 5]])
-    words = [Word.of([]), Word.of([1])]
+    words = [(), (1,)]
     target = _triple_pattern(alg, small, pushed_forward(embed, anchors), bs, words)
     pulled = pulled_back(alg, bs, blocks)
     assert pulled == bs

@@ -485,6 +485,47 @@ def test_malformed_permutations_partitions_and_pairs_are_validation_errors(capsy
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+Z4_TWO_GENS = '{"algebra":%s,"gens":[[2,3,0,1],[2,3,0,1]]}' % QUARTERS
+Z2_HALF_IN_Z4 = '{"pairs":[{"source":[0],"target":[0,1]}]}'
+
+
+def _audit_ec(big, embed, words):
+    return ("audit-ec", Z2_ACTION, big, embed, "[[0]]", "[[0,2]]", words, "1/4")
+
+
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (("ergodize", Z2_ACTION, '{"blocks":[[0,1],[]]}'),
+         "PartMassMismatch", "partition blocks must be nonempty"),
+        (_audit_ec(Z4_TWO_GENS, Z2_IN_Z4, "[[1]]"),
+         "ArityMismatch", "actions have 1 and 2 generators"),
+        (_audit_ec(Z4_ACTION, Z2_HALF_IN_Z4, "[[1]]"),
+         "AlgebraMismatch", "embedding must cover every atom of the small system"),
+        (_audit_ec(Z4_ACTION, Z2_IN_Z4, '{"w":1}'),
+         "ValidationError", "words must be a JSON array of words"),
+        (_audit_ec(Z4_ACTION, Z2_IN_Z4, "[1]"),
+         "ValidationError", "word JSON must be a list of signed integers"),
+        (("gen-quotient", "cyclic:0:1"), "InvalidGroupTable",
+         "bad builtin group 'cyclic:0:1': cyclic group order must be >= 1, got 0"),
+        (("gen-quotient", "cyclic:4"), "ValidationError",
+         "bad builtin group 'cyclic:4': cyclic builtin is \"cyclic:n:a1,...,ak\""),
+        (("gen-quotient", "cyclic:4:"), "ValidationError",
+         "bad builtin group 'cyclic:4:': cyclic builtin needs at least one generator"),
+        (("gen-quotient", "sym:3"), "ValidationError",
+         "bad builtin group 'sym:3': sym builtin is \"sym:n:p1;...;pk\""),
+        (("gen-quotient", '{"order":2,"identity":0,"right":5}'),
+         "ValidationError", "right must be a list of columns"),
+        (("joint-quotient", "cyclic:4:1", "cyclic:4:1,3"),
+         "ArityMismatch", "groups mark 1 and 2 generators"),
+    ],
+)
+def test_refused_inputs_name_their_fault(capsys, argv, kind, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": kind}}
+
+
 UNEQUAL_THIRDS = '{"atoms":["1/2","1/4","1/4"]}'
 NOT_INTS = ("ValidationError", "permutation argument must be a list of integers")
 NOT_A_PERMUTATION = ("NotBijective", "generator table is not a permutation")

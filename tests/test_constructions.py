@@ -32,8 +32,6 @@ from pmplab import action as action_module
 from pmplab import constructions, limits
 from pmplab.action import (
     FkAction,
-    _breadth_first,
-    _orbit_walks,
     apply_perm_event,
     extensions,
     invariant_components,
@@ -94,10 +92,12 @@ from pmplab.limits import (
 )
 
 from conftest import (
+    breadth_first,
     cycle_mismatch_pair,
     group_from_table,
     marked_group_isomorphism,
     oracle_validate_marked_group,
+    oracle_visit_order,
     outcome,
     random_algebra,
     random_permutation,
@@ -129,6 +129,22 @@ def test_partial_isomorphism_validation():
         PartialIsomorphism.of(alg, alg, [([0], [1, 2])])
     with pytest.raises(AlgebraMismatch):
         PartialIsomorphism.of(alg, alg, [([7], [1])])
+
+
+def test_constructions_refuse_inputs_on_another_algebra_and_no_generators():
+    alg, stranger = uniform_algebra(2), uniform_algebra(2)
+    act = validate_action(alg, [(1, 0)])
+    cases = [
+        (lambda: match_partitions(EventTuple.of_members(alg, [[0]]),
+                                  EventTuple.of_members(stranger, [[0]])),
+         (AlgebraMismatch, "tuples live on different algebras")),
+        (lambda: ergodize(act, AtomPartition.of(stranger, [[0, 1]])),
+         (AlgebraMismatch, "fixed partition does not live on the action's algebra")),
+        (lambda: permutation_marked_group([]),
+         (InvalidGroupTable, "need at least one generator permutation")),
+    ]
+    for call, expected in cases:
+        assert outcome(call) == expected
 
 
 def test_partial_isomorphism_event_maps():
@@ -818,7 +834,7 @@ def oracle_ergodize(act, fixed):
                 )
             bp[bi] = fixed.blocks.index(image)
         block_perms.append(bp)
-    reached, _ = _breadth_first(0, block_perms, lambda b, bp: bp[b])
+    reached, _ = breadth_first(0, block_perms, lambda b, bp: bp[b])
     if len(reached) != len(fixed.blocks):
         element = tuple(sorted(x for bi in reached for x in fixed.blocks[bi]))
         raise PreconditionInvariantElement(
@@ -1360,12 +1376,12 @@ def test_conjugacy_search_arity_mismatch():
 
 
 def oracle_exact_assign(r1: FkAction, r2: FkAction):
-    """Depth-first search for an exact conjugacy, atom by atom along the
-    orbit walks, targets in increasing order, with no node budget.  A
+    """Depth-first search for an exact conjugacy, atom by atom in
+    oracle_visit_order, targets in increasing order, with no node budget.  A
     candidate is checked with its own atom placed, so a fixed point of a
     generator must land on a fixed point."""
     n = r1.algebra.size
-    order = [x for walk in _orbit_walks(r1) for x in walk]
+    order = oracle_visit_order(r1)
     mapping = [-1] * n
     used = [False] * n
     edges = list(zip(r1.gens, map(perm_inverse, r1.gens), r2.gens, map(perm_inverse, r2.gens)))
@@ -1700,7 +1716,7 @@ def oracle_generated_group(identity, gens, compose):
     """The table as built before the Cayley graph: every product of two
     elements composed and looked up, order^2 compositions.  Returns the
     table, the indices of the marked generators and the elements."""
-    elements, index = _breadth_first(identity, gens, compose, MAX_GROUP_ORDER)
+    elements, index = breadth_first(identity, gens, compose, MAX_GROUP_ORDER)
     if len(elements) > MAX_GROUP_ORDER:
         raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
     mul = tuple(tuple(index[compose(x, y)] for y in elements) for x in elements)

@@ -478,8 +478,7 @@ def test_reading_columns_asks_rows_for_the_marked_generators_only(monkeypatch):
 
 
 def test_word_forms():
-    w = word_from_json([1, -2, 1])
-    assert w.letters == (1, -2, 1)
+    assert word_from_json([1, -2, 1]) == (1, -2, 1)
     with pytest.raises(ValidationError):
         word_from_json(["x"])
 

@@ -55,7 +55,7 @@ def test_every_class_with_fields_is_a_record():
         and "__annotations__" in value.__dict__
     ]
     assert sorted(with_fields, key=lambda cls: cls.__qualname__) == RECORDS
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 22
     assert all(cls.__match_args__ for cls in RECORDS)
     # no field has a default: a class attribute of a field's name would be
     # shadowed by every instance, so none is written
