@@ -39,9 +39,7 @@ from .action import (
 from .audit import (
     C1Report,
     C2SearchResult,
-    C2Witness,
     EcSearchResult,
-    EcWitness,
     axiom_residual,
     check_C1,
     ec_in_extension_check,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 
 from .algebra import (
@@ -95,31 +96,24 @@ def validate_action(alg: MeasuredAlgebra, gens: Sequence[Sequence[int]]) -> FkAc
     return FkAction(alg, tuple([check_permutation(alg, g) for g in gens]))
 
 
-def letter_perm(act: FkAction, letter: int) -> Perm:
-    if 1 <= letter <= act.k:
-        return act.gens[letter - 1]
-    if -act.k <= letter <= -1:
-        return perm_inverse(act.gens[-letter - 1])
-    raise LetterOutOfRange(f"letter {letter} is not in range for k = {act.k}")
-
-
-def apply_perm_event(p: Perm, e: Event) -> Event:
-    return Event(e.algebra, tuple(sorted(p[x] for x in e.members)))
-
-
 def _word_perm(act: FkAction, w: Word) -> Perm:
     """The atom permutation of a word: its letters composed, rightmost
-    letter applied first."""
-    perm = perm_identity(act.algebra.size)
-    for letter in reversed(w):
-        perm = perm_compose(letter_perm(act, letter), perm)
-    return perm
+    letter applied first, each generator inverted at most once.  A
+    one-letter positive word is its generator itself."""
+    bad = [letter for letter in w if not 0 < abs(letter) <= act.k]
+    if bad:
+        raise LetterOutOfRange(f"letter {bad[-1]} is not in range for k = {act.k}")
+    inverses = {i: perm_inverse(act.gens[-i - 1]) for i in set(w) if i < 0}
+    perms = [act.gens[i - 1] if i > 0 else inverses[i] for i in w]
+    return reduce(perm_compose, perms) if perms else perm_identity(act.algebra.size)
 
 
 def apply_gen_tuple(act: FkAction, i: int, t: EventTuple) -> EventTuple:
     """Apply generator i (1-based) to every event of a tuple."""
-    p = letter_perm(act, i)
-    return EventTuple(t.algebra, tuple(apply_perm_event(p, e) for e in t.events))
+    p = _word_perm(act, (i,))
+    return EventTuple(t.algebra, tuple(
+        Event(e.algebra, tuple(sorted(p[x] for x in e.members))) for e in t.events
+    ))
 
 
 def invariant_components(act: FkAction) -> AtomPartition:

@@ -174,22 +174,15 @@ def check_C1(
 # second closure condition: witness search
 
 
-class C2Witness(Record):
-    """A candidate tuple at one search depth (action.extensions): c lives on
-    the action itself at depth 1, on its m-fold equal split at depth m.
-
-    distance is the total-variation gap between the joint law of the anchor
-    with the parameters and the joint law of the lifted anchor with the
-    candidate and its pushes, recomputed exactly from c."""
-
-    c: EventTuple
-    distance: Fraction
-    refinement_depth: int
-
-
 class C2SearchResult(Record):
-    """Search outcome: found marks distance < 2*eps, and the best witness
+    """Search outcome: found marks distance < 2*eps, and the best candidate
     seen is always reported, an upper bound on the least distance.
+
+    c lives at its search depth (action.extensions): on the action itself
+    at depth 1, on its m-fold equal split at depth m.  distance is the
+    total-variation gap between the joint law of the anchor with the
+    parameters and the joint law of the lifted anchor with c and its
+    pushes, recomputed exactly from c.
 
     lower_bound is a floor on the distance of every candidate in every
     measure-preserving extension, not only in the refinements searched:
@@ -198,7 +191,9 @@ class C2SearchResult(Record):
     extension holds a witness."""
 
     found: bool
-    witness: C2Witness
+    c: EventTuple
+    distance: Fraction
+    refinement_depth: int
     lower_bound: Fraction
     refuted: bool
 
@@ -600,9 +595,7 @@ def search_C2_witness(
     value, c, depth = _refine_search(
         depths, tuples[0].arity, threshold, prepare, floor
     )
-    return C2SearchResult(
-        value < threshold, C2Witness(c, value, depth), floor, floor >= threshold
-    )
+    return C2SearchResult(value < threshold, c, value, depth, floor, floor >= threshold)
 
 
 def axiom_residual(
@@ -630,21 +623,16 @@ def axiom_residual(
 # existential closedness inside an extension
 
 
-class EcWitness(Record):
-    """A tuple in a refinement of the small system whose triple intersection
-    pattern with the anchor imitates the target tuple in the extension."""
+class EcSearchResult(Record):
+    """Search outcome: found marks a discrepancy below eps, and the best
+    candidate seen is always reported.  cs lives in a refinement of the
+    small system, and its triple intersection pattern with the anchor
+    imitates the target tuple in the extension up to discrepancy."""
 
+    found: bool
     cs: EventTuple
     discrepancy: Fraction
     refinement_depth: int
-
-
-class EcSearchResult(Record):
-    """Search outcome: found marks a discrepancy below eps, and the best
-    witness seen is always reported."""
-
-    found: bool
-    witness: EcWitness
 
 
 def _check_embedding(
@@ -720,7 +708,7 @@ def ec_in_extension_check(
     ))
     prepare = _ec_prepare(anchors, pulled, ws, target, big.algebra.den)
     value, cs, depth = _refine_search(depths, bs.arity, eps, prepare, ZERO)
-    return EcSearchResult(value < eps, EcWitness(cs, value, depth))
+    return EcSearchResult(value < eps, cs, value, depth)
 
 
 def _ec_prepare(

@@ -182,7 +182,7 @@ def _cmd_eppa(args) -> dict:
     ]
     res = eppa_extend(alg, partials)
     return {
-        "algebra": jsonio.algebra_to_json(res.algebra),
+        "algebra": jsonio.algebra_to_json(res.action.algebra),
         "action": jsonio.action_to_json(res.action),
         "embedding": jsonio.partial_to_json(res.embedding),
     }
@@ -256,13 +256,12 @@ def _cmd_audit_c2(args) -> dict:
     act, a, bs = _audit_inputs(args)
     eps = jsonio.parse_rational(args.eps)
     res = search_C2_witness(act, a, bs, eps, max_refine=args.max_refine)
-    w = res.witness
     return {
         "found": res.found,
-        "c": jsonio.tuple_to_json(w.c),
-        "distance": format_rational(w.distance),
-        "distance_decimal": decimal_rendering(w.distance),
-        "refinement_depth": w.refinement_depth,
+        "c": jsonio.tuple_to_json(res.c),
+        "distance": format_rational(res.distance),
+        "distance_decimal": decimal_rendering(res.distance),
+        "refinement_depth": res.refinement_depth,
     }
 
 
@@ -286,13 +285,12 @@ def _cmd_audit_ec(args) -> dict:
     res = ec_in_extension_check(
         small, big, embed, anchors, bs, words, eps, max_refine=args.max_refine
     )
-    w = res.witness
     return {
         "found": res.found,
-        "cs": jsonio.tuple_to_json(w.cs),
-        "discrepancy": format_rational(w.discrepancy),
-        "discrepancy_decimal": decimal_rendering(w.discrepancy),
-        "refinement_depth": w.refinement_depth,
+        "cs": jsonio.tuple_to_json(res.cs),
+        "discrepancy": format_rational(res.discrepancy),
+        "discrepancy_decimal": decimal_rendering(res.discrepancy),
+        "refinement_depth": res.refinement_depth,
     }
 
 

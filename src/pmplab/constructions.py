@@ -416,10 +416,10 @@ def joint_quotient(g1: MarkedGroup, g2: MarkedGroup) -> JointQuotient:
 
 
 class EppaExtension(Record):
-    """An equal-atom algebra, an action extending the partial automorphisms,
-    and the blockwise embedding of the original algebra."""
+    """An action on an equal-atom algebra extending the partial
+    automorphisms, and the blockwise embedding of the original algebra
+    into that algebra."""
 
-    algebra: MeasuredAlgebra
     action: FkAction
     embedding: PartialIsomorphism
 
@@ -466,7 +466,7 @@ def eppa_extend(
     # the runs are disjoint, and run i holds atom i's u_i units
     pairs = tuple((frozenset((i,)), frozenset(run)) for i, run in enumerate(runs))
     embedding = PartialIsomorphism(alg, big, pairs)
-    return EppaExtension(big, action, embedding)
+    return EppaExtension(action, embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +541,7 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     orbits = invariant_components(act).blocks
     orbit_of = {x: orbit for orbit in orbits for x in orbit}
     merged = set(orbits[0])
-    gens = [list(p) for p in act.gens]
-    p = gens[0] if gens else []
+    p = list(act.gens[0]) if act.gens else []
     inverse = perm_inverse(p)
     heap = sorted(merged)  # atoms of merged whose block may not be inside it
     unmerged = [sorted(block, reverse=True) for block in fixed.blocks]
@@ -556,7 +555,7 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
     for _ in range(len(orbits) - 1):
         while heap and not outside(block_index[heap[0]]):
             heappop(heap)
-        if not (gens and heap):
+        if not (act.gens and heap):
             blocks = {block_index[x] for x in merged}
             union = sorted(y for bi in blocks for y in fixed.blocks[bi])
             if len(union) == alg.size:
@@ -574,7 +573,8 @@ def ergodize(act: FkAction, fixed: AtomPartition) -> Ergodization:
         for y in orbit_of[v]:
             merged.add(y)
             heappush(heap, y)
-    return Ergodization(FkAction(alg, tuple(map(tuple, gens))), len(orbits) - 1)
+    gens = (tuple(p), *act.gens[1:]) if act.gens else ()
+    return Ergodization(FkAction(alg, gens), len(orbits) - 1)
 
 
 # ---------------------------------------------------------------------------

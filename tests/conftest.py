@@ -36,7 +36,13 @@ from pmplab.algebra import (
 )
 from pmplab.action import FkAction, validate_action
 from pmplab.constructions import MarkedGroup, PartialIsomorphism
-from pmplab.errors import InstanceTooLarge, InvalidGroupTable, LPInternal, NotGenerating
+from pmplab.errors import (
+    InstanceTooLarge,
+    InvalidGroupTable,
+    LetterOutOfRange,
+    LPInternal,
+    NotGenerating,
+)
 from pmplab.jsonio import group_from_json
 from pmplab.modeltheory import _check_triple
 
@@ -80,6 +86,22 @@ def breadth_first(start, gens, step, limit: Optional[int] = None):
                 if limit is not None and len(found) > limit:
                     return found, index
     return found, index
+
+
+def event_image(p: Sequence[int], e: Event) -> Event:
+    """The image of an event under an atom permutation p."""
+    return Event.of(e.algebra, [p[x] for x in e.members])
+
+
+def letter_image(act: FkAction, letter: int) -> tuple[int, ...]:
+    """The atom permutation of one letter: generator i for letter i, and for
+    letter -i the atom that generator i sends to each atom, found by search."""
+    if 1 <= letter <= act.k:
+        return act.gens[letter - 1]
+    if -act.k <= letter <= -1:
+        p = act.gens[-letter - 1]
+        return tuple(p.index(y) for y in range(len(p)))
+    raise LetterOutOfRange(f"letter {letter} is not in range for k = {act.k}")
 
 
 def oracle_visit_order(act: FkAction) -> list[int]:

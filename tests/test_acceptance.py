@@ -247,7 +247,7 @@ def test_criterion_07_equal_atom_extension_of_partials():
             for _ in range(rng.randint(1, 3))
         ]
         ext = eppa_extend(alg, partials)
-        assert len(set(ext.algebra.atoms)) == 1
+        assert len(set(ext.action.algebra.atoms)) == 1
         blocks = ext.embedding.atom_blocks()
         for p, gen in zip(partials, ext.action.gens):
             for src, tgt in p.pairs:
@@ -390,10 +390,9 @@ def _single_atom_instances(group):
 
 
 def _recompute_witness_distance(act, a, bs, res: C2SearchResult) -> Fraction:
-    w = res.witness
-    refined, projection = product_action(act, uniform_algebra(w.refinement_depth))
+    refined, projection = product_action(act, uniform_algebra(res.refinement_depth))
     a_lift = lift_tuple(a, refined.algebra, projection)
-    c = EventTuple.of_members(refined.algebra, [e.members for e in w.c.events])
+    c = EventTuple.of_members(refined.algebra, [e.members for e in res.c.events])
     bcat = bs[0]
     for b in bs[1:]:
         bcat = bcat.concat(b)
@@ -414,8 +413,8 @@ def test_criterion_11_audit_soundness_on_cyclic_quotients():
             assert report.xi == (F(0),) * act.k
             assert axiom_residual(act, a, bs, max_refine=1) == 0
             res = search_C2_witness(act, a, bs, F(1, 100), max_refine=1)
-            assert _recompute_witness_distance(act, a, bs, res) == res.witness.distance
-            assert res.witness.distance == 0
+            assert _recompute_witness_distance(act, a, bs, res) == res.distance
+            assert res.distance == 0
     budget.check()
 
 

@@ -17,14 +17,13 @@ from pmplab.algebra import (
     _sign_map,
     validate_algebra,
 )
+from pmplab import action as action_module
 from pmplab.action import (
     FkAction,
     _word_perm,
-    apply_perm_event,
     extensions,
     generated_subalgebra,
     invariant_components,
-    letter_perm,
     perm_compose,
     perm_inverse,
     product_action,
@@ -44,6 +43,8 @@ from pmplab.errors import (
 from pmplab.limits import MAX_REFINED_ATOMS
 
 from conftest import (
+    event_image,
+    letter_image,
     random_algebra,
     random_event,
     random_mass_preserving_perm,
@@ -72,7 +73,7 @@ def test_validate_action_rejects_bad_generators():
 def word_image(act, w, e):
     """The image of an event under a word's permutation, as audit-ec moves
     its fibers."""
-    return apply_perm_event(_word_perm(act, w), e)
+    return event_image(_word_perm(act, w), e)
 
 
 def test_apply_word_examples():
@@ -81,10 +82,16 @@ def test_apply_word_examples():
     assert word_image(act, (), e).members == (0,)
     assert word_image(act, (1,), e).members == (1,)
     assert word_image(act, (1, -1), e).members == (0,)
-    with pytest.raises(LetterOutOfRange):
-        _word_perm(act, (2,))
-    with pytest.raises(LetterOutOfRange):
-        _word_perm(act, (0,))
+    assert _word_perm(act, (1,)) is act.gens[0]
+    assert _word_perm(act, ()) == (0, 1)
+    # letters 0 and +-(k + 1) are refused; the first from the right is named
+    for letter in (0, 2, -2):
+        for w in [(letter,), (1, letter, -1), (letter, 1)]:
+            with pytest.raises(LetterOutOfRange) as info:
+                _word_perm(act, w)
+            assert str(info.value) == f"letter {letter} is not in range for k = 1"
+    with pytest.raises(LetterOutOfRange, match="letter 3 is"):
+        _word_perm(act, (2, 3))
 
 
 def test_apply_word_is_an_action():
@@ -108,7 +115,7 @@ def oracle_apply_word(act, w, e):
     """A word's image of an event, letter by letter, rightmost letter first."""
     out = e
     for letter in reversed(w):
-        out = apply_perm_event(letter_perm(act, letter), out)
+        out = event_image(letter_image(act, letter), out)
     return out
 
 
@@ -131,6 +138,24 @@ def test_apply_word_matches_the_letter_by_letter_oracle(seed, letters):
     e = random_event(rng, alg)
     w = tuple(letters)
     assert _outcome(word_image, act, w, e) == _outcome(oracle_apply_word, act, w, e)
+
+
+def test_word_perm_inverts_each_generator_once(monkeypatch):
+    """A word inverts each generator at most once, however often its
+    inverse letter repeats."""
+    rng = random.Random(47)
+    act = validate_action(uniform_algebra(5), [random_permutation(rng, 5) for _ in range(2)])
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return perm_inverse(p)
+
+    monkeypatch.setattr(action_module, "perm_inverse", counted)
+    got = _word_perm(act, (-1, -2, -1, -1))
+    assert len(calls) == 2 and set(calls) == set(act.gens)
+    inv1, inv2 = (perm_inverse(g) for g in act.gens)
+    assert got == perm_compose(inv1, perm_compose(inv2, perm_compose(inv1, inv1)))
 
 
 def test_invariant_components_examples():
@@ -443,5 +468,5 @@ def _small_actions(draw):
 
 @given(_small_actions())
 @settings(max_examples=200, deadline=None)
-def test_orbit_walks_match_the_queue_and_stack_loops(act):
+def test_invariant_components_match_the_stack_oracle(act):
     assert invariant_components(act) == AtomPartition.of(act.algebra, oracle_components(act))

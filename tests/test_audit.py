@@ -174,9 +174,9 @@ def test_search_c2_orbit_instance_finds_zero():
     b1 = EventTuple.of_members(alg, [[1]])
     res = search_C2_witness(act, a, [b0, b1, b1], F(1, 10))
     assert res.found
-    assert res.witness.distance == 0
-    assert res.witness.refinement_depth == 1
-    assert [e.members for e in res.witness.c.events] == [(0,)]
+    assert res.distance == 0
+    assert res.refinement_depth == 1
+    assert [e.members for e in res.c.events] == [(0,)]
 
 
 def test_search_c2_whole_space_instance():
@@ -185,8 +185,8 @@ def test_search_c2_whole_space_instance():
     a = EventTuple.of_members(alg, [])
     res = search_C2_witness(act, a, [whole(alg)] * 3, F(1, 4))
     assert res.found
-    assert res.witness.distance == 0
-    assert [e.members for e in res.witness.c.events] == [(0, 1)]
+    assert res.distance == 0
+    assert [e.members for e in res.c.events] == [(0, 1)]
 
 
 def test_search_c2_adversarial_regression():
@@ -200,9 +200,9 @@ def test_search_c2_adversarial_regression():
     ]
     res = search_C2_witness(act, a, bs, F(1, 100), max_refine=2)
     assert not res.found
-    assert res.witness.distance == F(1, 4)
-    assert res.witness.refinement_depth == 1
-    assert [e.members for e in res.witness.c.events] == [(1,)]
+    assert res.distance == F(1, 4)
+    assert res.refinement_depth == 1
+    assert [e.members for e in res.c.events] == [(1,)]
 
 
 def test_search_c2_witness_distance_is_recomputable():
@@ -213,10 +213,9 @@ def test_search_c2_witness_distance_is_recomputable():
         a = random_tuple(rng, alg4, arity=1)
         bs = [random_tuple(rng, alg4, arity=1) for _ in range(3)]
         res = search_C2_witness(act, a, bs, F(1, 9), max_refine=2)
-        w = res.witness
-        refined, projection = product_action(act, uniform_algebra(w.refinement_depth))
+        refined, projection = product_action(act, uniform_algebra(res.refinement_depth))
         a_lift = lift_tuple(a, refined.algebra, projection)
-        c = EventTuple.of_members(refined.algebra, [e.members for e in w.c.events])
+        c = EventTuple.of_members(refined.algebra, [e.members for e in res.c.events])
         bcat = bs[0]
         for b in bs[1:]:
             bcat = bcat.concat(b)
@@ -226,8 +225,8 @@ def test_search_c2_witness_distance_is_recomputable():
         recomputed = joint_tv_distance(
             joint_distribution(a, bcat), joint_distribution(a_lift, ccat)
         )
-        assert recomputed == w.distance
-        assert res.found == (w.distance < 2 * F(1, 9) or w.distance == 0)
+        assert recomputed == res.distance
+        assert res.found == (res.distance < 2 * F(1, 9) or res.distance == 0)
 
 
 def test_axiom_residual_examples():
@@ -268,11 +267,11 @@ def test_ec_self_extension_is_exact():
     words = [(), (1,)]
     res = ec_in_extension_check(act, act, embed, anchors, bs, words, F(1, 5))
     assert res.found
-    assert res.witness.discrepancy == 0
+    assert res.discrepancy == 0
     overlapping = EventTuple.of_members(alg, [[0, 1]])
     res2 = ec_in_extension_check(act, act, embed, anchors, overlapping, words, F(1, 5))
     assert res2.found
-    assert res2.witness.discrepancy == 0
+    assert res2.discrepancy == 0
 
 
 def test_ec_tensor_extension_regression():
@@ -288,14 +287,14 @@ def test_ec_tensor_extension_regression():
         small, big, embed, anchors, bs, words, F(1, 4), max_refine=1
     )
     assert not shallow.found
-    assert shallow.witness.discrepancy == F(1, 4)
+    assert shallow.discrepancy == F(1, 4)
     deep = ec_in_extension_check(
         small, big, embed, anchors, bs, words, F(1, 4), max_refine=2
     )
     assert deep.found
-    assert deep.witness.discrepancy == 0
-    assert deep.witness.refinement_depth == 2
-    assert [e.members for e in deep.witness.cs.events] == [(0, 2)]
+    assert deep.discrepancy == 0
+    assert deep.refinement_depth == 2
+    assert [e.members for e in deep.cs.events] == [(0, 2)]
 
 
 def test_tuple_candidates_lexicographic_in_bitmasks():
@@ -355,7 +354,7 @@ def test_searches_visit_expected_depths(monkeypatch):
     res = search_C2_witness(swap, empty, halves, F(1, 100), max_refine=4)
     assert visited == [1, 2]
     assert (res.lower_bound, res.refuted, res.found) == (F(1, 4), True, False)
-    assert (res.witness.distance, res.witness.refinement_depth) == (F(1, 4), 2)
+    assert (res.distance, res.refinement_depth) == (F(1, 4), 2)
 
     visited.clear()
     small = quotient_action(cyclic_group(2, [1]))
@@ -407,8 +406,8 @@ def test_audits_that_stop_at_depth_1_build_no_product(monkeypatch):
     a = EventTuple.of_members(alg, [[0]])
     b1 = EventTuple.of_members(alg, [[1]])
     found = search_C2_witness(act, a, [EventTuple.of_members(alg, [[0]]), b1, b1], F(1, 10), 4)
-    assert found.found and found.witness.refinement_depth == 1
-    assert found.witness.c.algebra is alg
+    assert found.found and found.refinement_depth == 1
+    assert found.c.algebra is alg
     assert axiom_residual(act, a, [EventTuple.of_members(alg, [[0]]), b1, b1], 4) == 0
     assert products == []
     # c and g(c) always weigh the same, b0 and b1 do not: every depth runs
@@ -975,9 +974,8 @@ def test_ec_check_matches_the_fraction_oracle(data):
         if value < eps:
             break
     res = ec_in_extension_check(small, big, embed, anchors, bs, words, eps, max_refine)
-    w = res.witness
-    assert (res.found, w.discrepancy, w.refinement_depth) == (value < eps, value, depth)
-    assert tuple(e.members for e in w.cs.events) == members
+    assert (res.found, res.discrepancy, res.refinement_depth) == (value < eps, value, depth)
+    assert tuple(e.members for e in res.cs.events) == members
 
 
 @given(data=st.data())
@@ -1899,7 +1897,7 @@ def test_refuted_instances_have_no_witness_at_any_depth(instance, data):
     else:
         eps = data.draw(st.fractions(F(1, 100), F(1, 2)))
     res = search_C2_witness(act, a, bs, eps, max_refine=max_refine)
-    assert res.lower_bound == lower <= res.witness.distance
+    assert res.lower_bound == lower <= res.distance
     assert res.refuted == (lower >= 2 * eps)
     if res.refuted:
         assert not res.found

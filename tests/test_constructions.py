@@ -32,7 +32,6 @@ from pmplab import action as action_module
 from pmplab import constructions, limits
 from pmplab.action import (
     FkAction,
-    apply_perm_event,
     extensions,
     invariant_components,
     perm_compose,
@@ -94,6 +93,7 @@ from pmplab.limits import (
 from conftest import (
     breadth_first,
     cycle_mismatch_pair,
+    event_image,
     group_from_table,
     marked_group_isomorphism,
     oracle_validate_marked_group,
@@ -211,12 +211,12 @@ def test_match_partitions_wide_tuples_on_few_atoms():
     alg = validate_algebra([F(1, 6), F(1, 6), F(1, 3), F(1, 3)])
     swap = (1, 0, 3, 2)
     a = random_tuple(rng, alg, arity=40)
-    b = EventTuple.of(alg, [apply_perm_event(swap, e) for e in a.events])
+    b = EventTuple.of(alg, [event_image(swap, e) for e in a.events])
     m = match_partitions(a, b)
     assert m.dp == dist_partition(a, b)
     a_lifted, b_lifted = (lift_tuple(t, m.refined, m.projection) for t in (a, b))
     for ea, eb in zip(a_lifted.events, b_lifted.events):
-        assert apply_perm_event(m.perm, ea).members == eb.members
+        assert event_image(m.perm, ea).members == eb.members
     assert uniform_distance(m.refined, m.perm, tuple(range(m.refined.size))) <= m.dp
     lopsided = EventTuple.of(alg, a.events[:-1] + (Event.of(alg, [0, 2]),))
     unequal = EventTuple.of(alg, b.events[:-1] + (Event.of(alg, [0]),))
@@ -300,7 +300,7 @@ def test_match_partitions_against_the_checks_it_dropped():
         m = match_partitions(a, b)
         a_lifted, b_lifted = (lift_tuple(t, m.refined, m.projection) for t in (a, b))
         for ea, eb in zip(a_lifted.events, b_lifted.events):
-            assert apply_perm_event(m.perm, ea).members == eb.members
+            assert event_image(m.perm, ea).members == eb.members
         sa, sb = _sign_map(a), _sign_map(b)
         assert all(sa[x] != sb[x] for f, x in enumerate(m.projection) if m.perm[f] != f)
         assert m.dp == dist_partition(a, b)
@@ -605,7 +605,7 @@ def test_eppa_examples():
             PartialIsomorphism.of(halves, halves, []),
         ],
     )
-    assert ext.algebra.atoms == (F(1, 2), F(1, 2))
+    assert ext.action.algebra.atoms == (F(1, 2), F(1, 2))
     assert ext.action.gens == ((1, 0), (0, 1))
 
     thirds = validate_algebra([F(1, 3)] * 3)
@@ -618,7 +618,7 @@ def test_eppa_examples():
     ext3 = eppa_extend(
         mixed, [PartialIsomorphism.of(mixed, mixed, [([1], [2])])]
     )
-    assert ext3.algebra.atoms == (F(1, 4),) * 4
+    assert ext3.action.algebra.atoms == (F(1, 4),) * 4
     assert ext3.action.gens == ((0, 1, 3, 2),)
 
     ext4 = eppa_extend(mixed, [PartialIsomorphism.of(mixed, mixed, [])])
@@ -635,7 +635,7 @@ def test_eppa_generators_extend_the_partials():
         ]
         ext = eppa_extend(alg, partials)
         blocks = ext.embedding.atom_blocks()
-        assert sum(len(b) for b in blocks.values()) == len(ext.algebra.atoms)
+        assert sum(len(b) for b in blocks.values()) == len(ext.action.algebra.atoms)
         for p, gen in zip(partials, ext.action.gens):
             for src, tgt in p.pairs:
                 src_units = {u for x in src for u in blocks[x]}
@@ -722,10 +722,10 @@ def test_eppa_matches_the_dict_completion(instance):
     alg, partials = instance
     ext = eppa_extend(alg, partials)
     atoms, gens, pairs = oracle_eppa(alg, partials)
-    assert ext.algebra.atoms == atoms
+    assert ext.action.algebra.atoms == atoms
     assert ext.action.gens == gens
     assert ext.embedding.pairs == pairs
-    assert (ext.embedding.source, ext.embedding.target) == (alg, ext.algebra)
+    assert (ext.embedding.source, ext.embedding.target) == (alg, ext.action.algebra)
 
 
 def test_eppa_rejects_foreign_partials():
@@ -1019,6 +1019,21 @@ def test_ergodize_counts_orbits_once(monkeypatch):
     erg = ergodize(act, AtomPartition.of(alg4, [range(alg4.size)]))
     assert erg.modifications == 3
     assert calls == [act]
+
+
+def test_ergodize_copies_only_the_generator_it_swaps():
+    """Every swap is made in the first generator, so generators 2..k of the
+    result are the input's own tuples."""
+    rng = random.Random(4409)
+    passed_on = 0
+    for _ in range(400):
+        act, fixed = random_ergodize_instance(rng)
+        got = outcome(ergodize, act, fixed)
+        if got[0] == "value" and act.k >= 2:
+            assert len(got[1].action.gens) == act.k
+            assert all(g is h for g, h in zip(got[1].action.gens[1:], act.gens[1:]))
+            passed_on += 1
+    assert passed_on > 50
 
 
 def test_ergodize_names_first_block_whose_image_is_not_a_block():
@@ -2055,7 +2070,7 @@ def test_match_partitions_refinement_cap():
 
 def test_eppa_and_conjugacy_refinement_caps():
     at_cap = validate_algebra([F(1, MAX_REFINED_ATOMS), F(MAX_REFINED_ATOMS - 1, MAX_REFINED_ATOMS)])
-    assert eppa_extend(at_cap, []).algebra.size == MAX_REFINED_ATOMS
+    assert eppa_extend(at_cap, []).action.algebra.size == MAX_REFINED_ATOMS
     past = validate_algebra(
         [F(1, MAX_REFINED_ATOMS + 1), F(MAX_REFINED_ATOMS, MAX_REFINED_ATOMS + 1)]
     )
@@ -2080,7 +2095,7 @@ def test_eppa_generator_entries_are_capped(monkeypatch):
     at_cap = validate_algebra([F(1, MAX_REFINED_ATOMS), F(MAX_REFINED_ATOMS - 1, MAX_REFINED_ATOMS)])
     empty = PartialIsomorphism.of(at_cap, at_cap, [])
     ext = eppa_extend(at_cap, [empty, empty])
-    assert len(ext.action.gens) * ext.algebra.size == MAX_GENERATOR_ENTRIES
+    assert len(ext.action.gens) * ext.action.algebra.size == MAX_GENERATOR_ENTRIES
 
     def unbuilt(*args):
         raise AssertionError("the overalgebra was built")

@@ -586,7 +586,7 @@ def test_every_constructor_gives_the_units_its_atoms_give(m1, m2, data):
     refusable = [
         lambda: refine_to_unit(alg, F(1, alg.den * data.draw(st.integers(1, 3))))[0],
         lambda: match_partitions(a, b).refined,
-        lambda: eppa_extend(alg, [partial]).algebra,
+        lambda: eppa_extend(alg, [partial]).action.algebra,
     ]
     for build in refusable:
         try:

@@ -55,12 +55,24 @@ def test_every_class_with_fields_is_a_record():
         and "__annotations__" in value.__dict__
     ]
     assert sorted(with_fields, key=lambda cls: cls.__qualname__) == RECORDS
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 20
     assert all(cls.__match_args__ for cls in RECORDS)
     # no field has a default: a class attribute of a field's name would be
     # shadowed by every instance, so none is written
     assert all(cls.__init__.__defaults__ is None for cls in RECORDS)
     assert not [cls for cls in RECORDS if set(cls.__match_args__) & set(vars(cls))]
+
+
+def test_results_hold_their_candidates_and_an_extension_its_action():
+    """A search result holds its best candidate directly, and an eppa
+    extension reaches its algebra through its action."""
+    assert pmplab.C2SearchResult.__match_args__ == (
+        "found", "c", "distance", "refinement_depth", "lower_bound", "refuted"
+    )
+    assert pmplab.EcSearchResult.__match_args__ == (
+        "found", "cs", "discrepancy", "refinement_depth"
+    )
+    assert pmplab.EppaExtension.__match_args__ == ("action", "embedding")
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)

@@ -112,11 +112,11 @@ def test_every_refinement_has_the_run_layout(seed):
 
     partial = random_partial_automorphism(rng, alg)
     eppa = eppa_extend(alg, [partial])
-    projection = [0] * eppa.algebra.size
+    projection = [0] * eppa.action.algebra.size
     for (x,), block in eppa.embedding.pairs:
         for u in block:
             projection[u] = x
-    assert_run_layout(alg, eppa.algebra, projection)
+    assert_run_layout(alg, eppa.action.algebra, projection)
     parts = parts_of(alg, projection)
     for (x,), (y,) in partial.pairs:
         assert [eppa.action.gens[0][u] for u in parts[x]] == parts[y]
