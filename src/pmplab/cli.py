@@ -58,14 +58,18 @@ def _load(arg: str) -> object:
         text, prefix = s, "bad inline JSON"
     elif s.split(":", 1)[0] in _BUILTIN_GROUP_KINDS:
         return s
-    elif os.path.exists(s):
-        with open(s, "r", encoding="utf-8") as fh:
+    else:
+        try:  # open first: a file that opens pays no separate stat
+            fh = open(s, "r", encoding="utf-8")
+        except (OSError, ValueError):  # ValueError: a NUL in the path
+            if os.path.exists(s):
+                raise  # a directory, or a file this process may not read
+            raise ValidationError(
+                f"cannot interpret {arg!r}: not inline JSON, a builtin group, or a readable file"
+            ) from None
+        with fh:
             text = fh.read()
         prefix = f"bad JSON in file {s}"
-    else:
-        raise ValidationError(
-            f"cannot interpret {arg!r}: not inline JSON, a builtin group, or a readable file"
-        )
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import decimal
 import json
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .algebra import (
@@ -38,7 +38,7 @@ from .errors import (
     PmplabError,
     ValidationError,
 )
-from .limits import _check_group_order
+from .limits import MAX_REFINED_ATOMS, _check_group_order
 
 DECIMAL_DIGITS = 20
 
@@ -343,18 +343,32 @@ def partial_from_json(
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _IntText(dict):
+    """The text of each int that a joined list has held, kept for the ints
+    in range(MAX_REFINED_ATOMS) only: atom indices and group elements."""
+
+    def __missing__(self, value: int) -> str:
+        text = int.__repr__(value)
+        if 0 <= value < MAX_REFINED_ATOMS:
+            self[value] = text
+        return text
+
+
+_INT_TEXT = _IntText()
+
+
 def render_document(obj: object) -> str:
     """The one canonical JSON serialization: sorted keys, two-space indent,
     trailing newline.  Byte-identical output for equal objects.
 
     The bytes are those of json.dumps(obj, indent=2, sort_keys=True) + "\\n",
-    written by a direct walk of the payload: dicts with str keys, lists and
-    tuples, str, int, bool and None; any other type raises TypeError.  A
-    list of plain ints, or of plain strs, is written with one join, and
-    strings are escaped by the json module's C escaper.  A dict value or a
-    list item that is a non-empty list of plain ints (a block of atoms, a
-    permutation, a table row) is written inline by the dict's or the list's
-    own loop, with no call for the inner list."""
+    written by a walk of the payload that dispatches on each node's exact
+    type: dicts with str keys, lists and tuples, str, int, bool and None,
+    and their subclasses; any other type raises TypeError.  A list of plain
+    ints, or of plain strs, is one join, of texts from _INT_TEXT or from the
+    json module's C escaper.  A dict value that is a plain str, and a dict
+    value or a list item that is a non-empty list of plain ints (a block, a
+    permutation, a table row), is written by the dict's or list's own loop."""
     out: list[str] = []
     _render(obj, "\n", out)
     out.append("\n")
@@ -363,58 +377,52 @@ def render_document(obj: object) -> str:
 
 def _render(obj: object, newline: str, out: list[str]) -> None:
     """Append obj to out; newline is a line break and the current indent."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+    t = type(obj)
+    if t is dict:
         inner = newline + "  "
-        opener = "{" + inner
+        opener, comma, deeper = "{" + inner, "," + inner, inner + "  "
         for key in sorted(obj):
-            if not isinstance(key, str):
+            if type(key) is not str and not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             value = obj[key]
-            if type(value) is list and value and set(map(type, value)) == {int}:
-                out.append(opener + _quote(key) + ": " + _joined(value, int.__repr__, inner))
+            if type(value) is str:
+                out.append(f"{opener}{_quote(key)}: {_quote(value)}")
+            elif type(value) is list and {*map(type, value)} == {int}:
+                texts = ("," + deeper).join(map(_INT_TEXT.__getitem__, value))
+                out.append(f"{opener}{_quote(key)}: [{deeper}{texts}{inner}]")
             else:
-                out.append(opener + _quote(key) + ": ")
+                out.append(f"{opener}{_quote(key)}: ")
                 _render(value, inner, out)
-            opener = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+            opener = comma
+        out.append(newline + "}" if obj else "{}")
+    elif t is list or t is tuple:
         inner = newline + "  "
-        kinds = set(map(type, obj))
+        kinds = {*map(type, obj)}
         if kinds == {int} or kinds == {str}:  # plain ints (no bool) or strs
-            out.append(_joined(obj, int.__repr__ if kinds == {int} else _quote, newline))
+            texts = map(_INT_TEXT.__getitem__ if kinds == {int} else _quote, obj)
+            out.append(f"[{inner}{(',' + inner).join(texts)}{newline}]")
             return
-        opener = "[" + inner
+        opener, comma, deeper = "[" + inner, "," + inner, inner + "  "
         for item in obj:
-            if type(item) is list and item and set(map(type, item)) == {int}:
-                out.append(opener + _joined(item, int.__repr__, inner))
+            if type(item) is list and {*map(type, item)} == {int}:
+                texts = ("," + deeper).join(map(_INT_TEXT.__getitem__, item))
+                out.append(f"{opener}[{deeper}{texts}{inner}]")
             else:
                 out.append(opener)
                 _render(item, inner, out)
-            opener = "," + inner
-        out.append(newline + "]")
+            opener = comma
+        out.append(newline + "]" if obj else "[]")
+    elif t is str or isinstance(obj, str):
+        out.append(_quote(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):  # a subclass of int, dict, list or tuple: as its base
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        _render(dict(obj) if isinstance(obj, dict) else list(obj), newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _joined(values: Sequence, write: Callable[[object], str], newline: str) -> str:
-    """A non-empty list of plain ints or strs, one item per line, in one
-    join.  The loop that holds a plain-int list (a block, a permutation, a
-    table row) calls this directly, so such a list costs no _render call."""
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(write, values)) + newline + "]"

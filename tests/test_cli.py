@@ -933,6 +933,39 @@ def test_input_from_file(capsys, tmp_path):
     assert code == 2
 
 
+_CANNOT = "cannot interpret {!r}: not inline JSON, a builtin group, or a readable file"
+
+
+@pytest.mark.parametrize("arg, kind, message", [
+    ("absent.json", "ValidationError", _CANNOT.format("absent.json")),
+    ("", "ValidationError", _CANNOT.format("")),
+    ("a\x00b", "ValidationError", _CANNOT.format("a\x00b")),
+    ("x" * 5000, "ValidationError", _CANNOT.format("x" * 5000)),
+    ("plain.json/inner.json", "ValidationError", _CANNOT.format("plain.json/inner.json")),
+    ("folder", "IsADirectoryError", "[Errno 21] Is a directory: 'folder'"),
+    ("folder/", "IsADirectoryError", "[Errno 21] Is a directory: 'folder/'"),
+    (" plain.json ", "ValidationError", 'algebra JSON must be {"atoms": [...]}'),
+    ("bom.json", "ValidationError", "bad JSON in file bom.json: Unexpected UTF-8 BOM "
+     "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("latin.json", "UnicodeDecodeError",
+     "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+], ids=["absent", "empty", "nul", "long", "under-a-file", "directory", "directory-slash",
+        "padded", "bom", "not-utf8"])
+def test_file_arguments_that_cannot_be_read_keep_their_error_documents(
+    capsys, tmp_path, monkeypatch, arg, kind, message
+):
+    """Each path that names no readable JSON file is answered with one error
+    document, pinned here type and message: a UTF-8 file with a byte-order
+    mark is bad JSON, and a directory is not a missing file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "plain.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "bom.json").write_bytes(b'\xef\xbb\xbf{"atoms":["1/2","1/2"]}')
+    (tmp_path / "latin.json").write_bytes(b'{"atoms":["\xff"]}')
+    code, out = run(capsys, "dist", arg, "[[0]]", "[[1]]")
+    assert (code, json.loads(out)) == (2, {"error": {"type": kind, "message": message}})
+
+
 @pytest.mark.parametrize("opener", ["[", '{"a":'])
 def test_deeply_nested_json_is_a_validation_error(capsys, tmp_path, opener):
     """JSON nested past the decoder's recursion limit is refused as bad

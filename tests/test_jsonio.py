@@ -2,6 +2,8 @@
 partials, and the rendered document format."""
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmplab import jsonio, limits
+from pmplab import cli, jsonio, limits
 from pmplab.algebra import (
     AtomPartition,
     Event,
@@ -52,6 +54,7 @@ from pmplab.jsonio import (
 )
 
 from conftest import group_from_table, oracle_validate_marked_group, outcome
+from test_replay import ROOT, load
 
 F = Fraction
 
@@ -513,6 +516,18 @@ class _Int(int):
         return "_Int"
 
 
+class _Dict(dict):
+    """A dict subclass, written as a dict."""
+
+
+class _List(list):
+    """A list subclass, written as a list."""
+
+
+class _Tuple(tuple):
+    """A tuple subclass, written as a list."""
+
+
 def oracle_render(obj) -> str:
     """The encoder render_document replaced."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -522,7 +537,8 @@ def oracle_render(obj) -> str:
 # whatever hypothesis draws.
 _tricky = st.text(alphabet='"\\/\n\t\r\b\f\x00\x1f\x7f a\u00e9\u20ac\U0001f600')
 _strings = st.one_of(st.text(), _tricky)
-_leaves = st.one_of(st.none(), st.booleans(), st.integers(), _strings)
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), _strings,
+                    st.integers().map(_Int), _strings.map(_Text))
 # Plain ints alone may be written inline by the dict or list that holds them.
 _int_lists = st.one_of(
     st.lists(st.integers(), max_size=6),
@@ -530,6 +546,8 @@ _int_lists = st.one_of(
     st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
     st.lists(st.integers().map(_Int), max_size=6),
     st.lists(st.one_of(st.integers(), st.integers().map(_Int)), max_size=6),
+    st.lists(st.integers(0, 3), max_size=6).map(_List),
+    st.lists(st.integers(-2, 2), max_size=6).map(_Tuple),
 )
 _documents = st.recursive(
     _leaves,
@@ -544,6 +562,10 @@ _documents = st.recursive(
         st.lists(_strings, max_size=6),
         st.lists(_tricky, max_size=6).map(tuple),
         st.lists(st.one_of(_strings, st.integers(), st.none()), max_size=6),
+        st.lists(inner, max_size=5).map(_List),
+        st.lists(inner, max_size=5).map(_Tuple),
+        st.dictionaries(_strings, inner, max_size=5).map(_Dict),
+        st.dictionaries(_strings, _strings, max_size=5),
     ),
     max_leaves=30,
 )
@@ -555,23 +577,101 @@ def test_render_document_matches_json_dumps(obj):
     assert render_document(obj) == oracle_render(obj)
 
 
+class _Lookups(jsonio._IntText):
+    """An empty int-text cache that records every int looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def __getitem__(self, value):
+        self.keys.append(value)
+        return super().__getitem__(value)
+
+
+def plain_int_items(obj):
+    """The items of every list or tuple in obj, subclasses included, whose
+    items are all plain ints, in the order render_document writes them."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from plain_int_items(obj[key])
+    elif isinstance(obj, (list, tuple)):
+        if {type(item) for item in obj} == {int}:
+            yield from obj
+        else:
+            for item in obj:
+                yield from plain_int_items(item)
+
+
+def strs_rendered_alone(obj) -> int:
+    """The strs of obj that are not joined or written inline: the document
+    itself, a str subclass held by a dict, and every item of a list or
+    tuple that is not all plain strs."""
+    if isinstance(obj, str):
+        return 1
+    if isinstance(obj, dict):
+        return sum(strs_rendered_alone(v) for v in obj.values() if type(v) is not str)
+    if isinstance(obj, (list, tuple)) and {type(item) for item in obj} != {str}:
+        return sum(map(strs_rendered_alone, obj))
+    return 0
+
+
+def render_spied(obj):
+    """obj rendered from a cold int-text cache, with the ints read from the
+    cache and the nodes handed to _render, in order."""
+    lookups = _Lookups()
+    with mock.patch.object(jsonio, "_INT_TEXT", lookups), \
+            mock.patch.object(jsonio, "_render", wraps=jsonio._render) as render:
+        text = render_document(obj)
+    return text, lookups.keys, [call.args[0] for call in render.call_args_list]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_documents)
 def test_only_plain_int_and_str_lists_are_joined(obj):
-    with mock.patch.object(jsonio, "_joined", wraps=jsonio._joined) as joined:
-        assert render_document(obj) == oracle_render(obj)
-    for values, write, _newline in (call.args for call in joined.call_args_list):
-        assert type(values) in (list, tuple) and values
-        kinds = {type(v) for v in values}
-        assert (kinds, write) in [({int}, int.__repr__), ({str}, jsonio._quote)]
+    """Each plain-int list is joined from the int-text cache, and no other
+    int is read from it; the items of a plain-str list never reach _render,
+    and each str item of any other list does."""
+    text, keys, rendered = render_spied(obj)
+    assert text == oracle_render(obj)
+    assert keys == list(plain_int_items(obj))
+    assert {type(key) for key in keys} <= {int}
+    assert sum(isinstance(node, str) for node in rendered) == strs_rendered_alone(obj)
 
 
 def test_blocks_and_rows_are_written_inline():
     doc = {"b": [True], "gens": [[1, 0], [0, 1]], "i": [_Int(1)],
            "pairs": [{"source": [0], "target": [3, 1, 2]}]}
-    with mock.patch.object(jsonio, "_joined", wraps=jsonio._joined) as joined:
-        assert render_document(doc) == oracle_render(doc)
-    assert [call.args[0] for call in joined.call_args_list] == [[1, 0], [0, 1], [0], [3, 1, 2]]
+    text, keys, rendered = render_spied(doc)
+    assert text == oracle_render(doc)
+    assert keys == [1, 0, 0, 1, 0, 3, 1, 2]
+    expected = [doc, doc["b"], True, doc["gens"], doc["i"], doc["i"][0], doc["pairs"],
+                doc["pairs"][0]]
+    assert list(map(id, rendered)) == list(map(id, expected))
+
+
+def test_a_list_renders_the_same_from_a_warm_cache(monkeypatch):
+    monkeypatch.setattr(jsonio, "_INT_TEXT", jsonio._IntText())
+    for obj in [[3, 1, 2], {"a": [[5, 0], [0, 5]]}, [[7], [7, 8]], (9, 3)]:
+        cold = render_document(obj)
+        assert render_document(obj) == cold == oracle_render(obj)
+
+
+def test_the_int_text_cache_keeps_exact_ints_in_range(monkeypatch):
+    """True, an int subclass, a negative int, a big int and MAX_REFINED_ATOMS
+    are written as json.dumps writes them, cold or warm, and never kept."""
+    cache = jsonio._IntText()
+    monkeypatch.setattr(jsonio, "_INT_TEXT", cache)
+    top = limits.MAX_REFINED_ATOMS
+    odd = [True, _Int(1), -1, 10**40, top]
+    for obj in [[1, 0], [True], [_Int(1)], [-1], [10**40], [top], [1, True, _Int(1)], odd,
+                [0, -1, 10**40, top, top - 1], {"a": [-1, top]}, [[True], [top, 1]]]:
+        for _ in range(2):
+            assert render_document(obj) == oracle_render(obj)
+    assert {type(key) for key in cache} == {int}
+    assert all(0 <= key < top for key in cache)
+    assert sorted(cache) == [0, 1, top - 1]
+    assert all(cache[key] == str(key) for key in cache)
 
 
 def test_render_document_edge_cases_match_json_dumps():
@@ -585,7 +685,10 @@ def test_render_document_edge_cases_match_json_dumps():
         {"\u00e9": "\x00\"\\", "": [""], "z": {"y": {"x": [1]}}},
         ["1/2", "0/1"], ("\"", "\\", "\x00\x1f", "\u00e9\U0001f600", ""),
         ["1/2", 1], [1, "1/2"], ["a", None], [None, "a"], ["a", True],
-        ["a", ["b"]], [_Text("a"), "b"], [_Text("\n")],
+        ["a", ["b"]], [_Text("a"), "b"], [_Text("\n")], {"a": _Text("\t"), "b": "c"},
+        _Text("x"), _Int(7), _Dict(), _List(), _Tuple(), _Dict(b=_List([1, 2]), a=_Tuple()),
+        _List([1, 2]), _Tuple((3, _Int(4))), [_List([5]), _Tuple((6,)), _Dict(z=[7])],
+        {"a": _List([[1], _List([2])]), "b": _Dict(c=_Text("d"))}, _List([_Text("e")]),
     ]:
         assert render_document(obj) == oracle_render(obj)
 
@@ -594,3 +697,27 @@ def test_render_document_refuses_other_types():
     for obj in [1.5, F(1, 2), {1, 2}, b"x", {1: "a"}, [object()], {"a": [0.5]}]:
         with pytest.raises(TypeError):
             render_document(obj)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_benchmark_document_renders_as_json_dumps(monkeypatch, tmp_path, seed):
+    """The documents the benchmark's requests produce, the 14,400-entry
+    joint-quotient tables, the eppa pair lists and the embed element lists
+    among them: sizes the strategy above never draws."""
+    workloads = load(monkeypatch, "workloads", ROOT / "perfbench" / "workloads.py")
+    payloads = []
+
+    def captured(obj):
+        payloads.append(obj)
+        return render_document(obj)
+
+    monkeypatch.setattr(jsonio, "render_document", captured)
+    for workload in workloads.WORKLOADS:
+        requests, texts = workloads.generate(workload, seed, tmp_path / workload)
+        workloads.write_inputs(texts)
+        for req in requests:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.cli_dispatch(req.argv)
+    assert len(payloads) > 100
+    for obj in payloads:
+        assert render_document(obj) == oracle_render(obj)
