@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count
-from math import gcd, lcm
-from operator import itemgetter
+from itertools import count, product
+from math import gcd, lcm, prod
+from operator import itemgetter, mul, sub
 
 from .algebra import (
     ZERO,
@@ -44,6 +44,7 @@ from .action import (
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
+    InstanceTooLarge,
     InvalidGroupTable,
     NotBijective,
     NotGenerating,
@@ -61,6 +62,7 @@ from .limits import (
     _check_generator_entries,
     _check_group_entries,
     _check_group_order,
+    _check_grouping_steps,
 )
 from .record import Record
 
@@ -653,7 +655,10 @@ class ConjugacyCertificate(Record):
     exhausted is eps != 0.  The exact phase is complete, so a positive eps
     means no exact conjugacy exists at the refinement depths tried.  eps
     itself is an upper bound on the least defect, not a refutation of
-    closer conjugacies at finer refinements."""
+    closer conjugacies at finer refinements.  For one generator it is
+    built from cycle types and matched the least defect of its depth
+    wherever a brute force checked it, but its optimality is not claimed
+    (approx_conjugacy_search)."""
 
     iso: Isomorphism
     eps: Fraction
@@ -703,18 +708,25 @@ def approx_conjugacy_search(
     depth-1 refinements, and a finite F_k-set splits uniquely into orbits,
     so m copies of X are isomorphic to m copies of Y exactly when X is to
     Y; a depth-1 failure is a failure at every depth.  At every depth with
-    no exact conjugacy, a beam search builds the atom bijection greedily:
-    source atoms in increasing order, candidate targets scored by the
+    no exact conjugacy, one generator (k = 1) is conjugated from the cycle
+    types (_cycle_type_assign), unless its grouping passes
+    MAX_GROUPING_STEPS, counted over the depths grouped so far.  Otherwise
+    a beam search builds the atom bijection greedily: source atoms in
+    increasing order, candidate targets scored by the
     number of generator edges they break among decided atoms, ties to the
     lexicographically smallest mapping.  Over uniform atoms this is the
     one-block extension step with mass bookkeeping trivial.  The reported
     eps is recomputed exactly from the returned mapping, and the search
     stops early when it reaches zero.  A positive eps proves that no exact
     conjugacy exists at the depths tried; it is an upper bound on the least
-    defect there, and the beam's optimality is never claimed.  A beam over
-    n atoms is counted as beam_width*n^2 steps, a bound on its work and not
-    the work it does; before each beam the steps summed over the beams run
-    so far, this one included, are checked against MAX_BEAM_STEPS."""
+    defect there.  Built from cycle types, it was the least defect over
+    every bijection of the depth wherever a brute force checked it (every
+    pair of cycle types on up to 6 atoms, and a sample on 7), but no lower
+    bound is proved past those, and the beam's optimality is never claimed.
+    A beam over n atoms is counted as beam_width*n^2 steps, a bound on its
+    work and not the work it does; before each beam the steps summed over
+    the beams run so far, this one included, are checked against
+    MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     den = lcm(act1.algebra.den, act2.algebra.den)
@@ -724,10 +736,16 @@ def approx_conjugacy_search(
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
     beam_steps = 0
+    grouping_steps: list[int] | None = [0]  # None once past MAX_GROUPING_STEPS
     best: ConjugacyCertificate | None = None
     for depth, ((r1, proj1), (r2, proj2)) in enumerate(depths, 1):
         n = r1.algebra.size
         mapping = _exact_assign(r1, r2) if depth == 1 else None
+        if mapping is None and r1.k == 1 and grouping_steps is not None:
+            try:
+                mapping = _cycle_type_assign(r1.gens[0], r2.gens[0], grouping_steps)
+            except InstanceTooLarge:  # the beam runs here and at every later depth
+                grouping_steps = None
         if mapping is None:
             beam_steps += beam_width * n * n
             _check_beam_steps(beam_steps)
@@ -741,6 +759,129 @@ def approx_conjugacy_search(
         if best.eps == 0:
             return best
     return best
+
+
+def _cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p, each from its least atom, in increasing order of it."""
+    seen = [False] * len(p)
+    cycles = []
+    for start in range(len(p)):
+        if not seen[start]:
+            cycle, x = [start], p[start]
+            while x != start:
+                cycle.append(x)
+                x = p[x]
+            for x in cycle:
+                seen[x] = True
+            cycles.append(cycle)
+    return cycles
+
+
+def _cycle_type_assign(g: Perm, h: Perm, spent: list[int]) -> tuple[int, ...]:
+    """A bijection on equal atoms conjugating g close to h, built from their
+    cycle types; spent[0] holds the grouping steps summed so far.
+
+    Each g-cycle, in order of least atom, is mapped onto an unused h-cycle
+    of its length, least atom onto least atom.  The lengths left over are
+    split into groups by _grouping, each of a g-cycles and b h-cycles of
+    equal total length.  In a group, sigma starts as h on its h-cycles and
+    c is the least atom of the first; each other h-cycle is merged into
+    c's by swapping sigma[c] and sigma[x], x its least atom, and each
+    g-cycle but the last, of length d, is cut off by swapping sigma[c] and
+    sigma[z], z = sigma^d(c), and mapped onto the cut cycle; the last is
+    mapped onto c's.  The mapping conjugates g to sigma, and h^-1 sigma is
+    the product of the a + b - 2 swaps, all through c.  A group is minimal,
+    so no cut point is a merge point and the product is one cycle on
+    a + b - 1 atoms: the group costs a + b - 2 atoms, plus 1 when a + b is
+    odd, and the defect is the grouping's cost over the atoms."""
+    mapping, sigma = [0] * len(g), list(h)
+    free: dict[int, list[list[int]]] = {}  # unused h-cycles by length, least last
+    for cycle in reversed(_cycles(h)):
+        free.setdefault(len(cycle), []).append(cycle)
+    left: dict[int, list[list[int]]] = {}  # unpaired g-cycles by length
+
+    def place(cycle: list[int], t: int) -> None:  # onto the sigma-cycle from t
+        for x in cycle:
+            mapping[x], t = t, sigma[t]
+
+    for cycle in _cycles(g):
+        if free.get(len(cycle)):
+            place(cycle, free[len(cycle)].pop()[0])
+        else:
+            left.setdefault(len(cycle), []).append(cycle)
+    lengths1 = sorted(left)
+    lengths2 = sorted(length for length, cycles in free.items() if cycles)
+    counts = tuple(len(left[d]) for d in lengths1) + tuple(len(free[d]) for d in lengths2)
+    for group in _grouping(lengths1, lengths2, counts, spent):
+        hs = [free[d].pop() for d, m in zip(lengths2, group[len(lengths1):]) for _ in range(m)]
+        gs = [left[d].pop() for d, m in zip(lengths1, group) for _ in range(m)]
+        c = hs[0][0]
+        for cycle in hs[1:]:
+            x = cycle[0]
+            sigma[c], sigma[x] = sigma[x], sigma[c]
+        for cycle in gs[:-1]:
+            z = start = sigma[c]
+            for _ in cycle[1:]:
+                z = sigma[z]
+            sigma[c], sigma[z] = sigma[z], sigma[c]
+            place(cycle, start)
+        place(gs[-1], c)
+    return tuple(mapping)
+
+
+def _grouping(
+    lengths1: list[int], lengths2: list[int], counts: tuple[int, ...], spent: list[int]
+) -> list[tuple[int, ...]]:
+    """The best split of the leftover cycles into groups, each a count
+    vector over lengths1 + lengths2, the distinct leftover lengths of g and
+    of h, within counts, their multiplicities.
+
+    A group takes a >= 1 g-parts and b >= 1 h-parts of equal sums and is
+    worth 2, less 1 when a + b is odd; the split of most worth is the one of
+    least cost, the parts less the worth.  It is searched exactly, memoised
+    on the remaining counts.  A state's group holds its least g-length: the
+    state matches its g-side sub-multisets holding that length, in
+    lexicographic order of their counts, with its h-side ones by sum, and
+    keeps the first of most worth.  That group is minimal: were it two
+    groups, the one holding the least g-length would have fewer g-parts,
+    come first, and be worth as much with the other left over.  Its steps
+    are the sub-multisets it enumerates, added to spent[0] and checked
+    against MAX_GROUPING_STEPS before it enumerates them, and the groups it
+    matches, added and checked before each g-side's are searched."""
+    split = len(lengths1)
+    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+
+    def worth(rest: tuple[int, ...]) -> int:
+        if rest not in memo:
+            top: tuple[int, tuple[int, ...]] = (0, ())
+            if any(rest[:split]):
+                pin = next(i for i, m in enumerate(rest) if m)
+                sides = [range(i == pin, m + 1) for i, m in enumerate(rest[:split])]
+                others = [range(m + 1) for m in rest[split:]]
+                spent[0] += prod(map(len, sides)) + prod(map(len, others))
+                _check_grouping_steps(spent[0])
+                by_sum: dict[int, list[tuple[int, ...]]] = {}
+                for v in product(*others):
+                    by_sum.setdefault(sum(map(mul, v, lengths2)), []).append(v)
+                for u in product(*sides):
+                    matched = by_sum.get(sum(map(mul, u, lengths1)), ())
+                    if matched:
+                        spent[0] += len(matched)
+                        _check_grouping_steps(spent[0])
+                    for v in matched:
+                        group = u + v
+                        value = 2 - sum(group) % 2 + worth(tuple(map(sub, rest, group)))
+                        if value > top[0]:
+                            top = value, group
+            memo[rest] = top
+        return memo[rest][0]
+
+    worth(counts)
+    groups = []
+    while memo[counts][1]:
+        groups.append(memo[counts][1])
+        counts = tuple(map(sub, counts, groups[-1]))
+    return groups
 
 
 def _at_unit(act: FkAction, den: int) -> tuple[FkAction, tuple[int, ...]]:

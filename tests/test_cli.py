@@ -674,10 +674,14 @@ def test_conjsearch_refuses_a_unit_refinement_past_the_cap(capsys, monkeypatch):
 
 def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):
     # depths 1..255 of two atoms fit the atom cap, but the swap against the
-    # identity runs a beam at every depth; those beams used to run for more
-    # than 120 s, and depth 58 now passes the beam cap
+    # identity is never conjugate; beams at every depth used to run for more
+    # than 120 s.  Its cycle types are grouped up to depth 44, and the
+    # groupings sum past MAX_GROUPING_STEPS at depth 45; the beams that run
+    # from there pass the beam cap at depth 66
     identity = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[0,1]]}'
+    start = time.perf_counter()
     code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", "255")
+    assert time.perf_counter() - start < 10.0
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "InstanceTooLarge"

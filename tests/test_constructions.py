@@ -9,7 +9,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 import pytest
@@ -47,6 +47,7 @@ from pmplab.constructions import (
     MarkedGroup,
     _beam_assign,
     _conjugacy_defect,
+    _cycle_type_assign,
     _exact_assign,
     _generated_group,
     PartialIsomorphism,
@@ -88,6 +89,7 @@ from pmplab.limits import (
     MAX_REFINED_ATOMS,
     _check_beam_steps,
     _check_exact_steps,
+    _check_grouping_steps,
 )
 
 from conftest import (
@@ -1529,13 +1531,16 @@ def oracle_conjugacy_search(act1: FkAction, act2: FkAction, max_refine: int, bea
     """The search over oracle_unit_depths: the (mapping, eps, layout of each
     refined action) of every depth it searched, and of its answer, the
     least eps with earlier depths winning ties.  It stops at the first
-    zero."""
+    zero.  A depth with no exact conjugacy is built from cycle types when
+    k = 1, each depth grouping afresh, and by the beam otherwise."""
     base = lcm(act1.algebra.den, act2.algebra.den)
     searched = []
     for (r1, p1), (r2, p2) in zip(
         oracle_unit_depths(act1, base, max_refine), oracle_unit_depths(act2, base, max_refine)
     ):
         mapping = _exact_assign(r1, r2)
+        if mapping is None and r1.k == 1:
+            mapping = _cycle_type_assign(r1.gens[0], r2.gens[0], [0])
         if mapping is None:
             mapping = _beam_assign(r1, r2, beam_width)
         searched.append((mapping, _conjugacy_defect(mapping, r1, r2), layout(r1, p1), layout(r2, p2)))
@@ -1713,12 +1718,195 @@ MISMATCH_BEAM = {
 
 
 @pytest.mark.parametrize("n", sorted(MISMATCH_BEAM))
-def test_cycle_type_mismatch_is_refuted_then_left_to_the_beam(n):
+def test_cycle_type_mismatch_is_refuted_then_left_to_the_beam(n, monkeypatch):
+    """The beam's recorded answers, from _beam_assign itself and from a
+    search whose grouping may take no step, so that it leaves k = 1 to the
+    beam; a search within the cap builds the same eps from cycle types."""
     a1, a2 = cycle_mismatch_pair(random.Random(n), n)
     assert _exact_assign(a1, a2) is None
+    eps, mapping = MISMATCH_BEAM[n]
+    assert _beam_assign(a1, a2, 16) == mapping
+    assert _conjugacy_defect(mapping, a1, a2) == eps
+    built = approx_conjugacy_search(a1, a2)
+    assert built.eps == eps and built.iso.mapping != mapping
+    assert built.exhausted and verify_conjugacy(built) == eps
+    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 0)
     cert = approx_conjugacy_search(a1, a2)
     assert (cert.eps, cert.iso.mapping) == MISMATCH_BEAM[n]
     assert cert.exhausted and verify_conjugacy(cert) == cert.eps
+
+
+def cycle_type_perm(parts, order) -> tuple[int, ...]:
+    """A permutation whose cycles have the lengths parts, laid over the atoms
+    in the given order."""
+    p, start = [0] * len(order), 0
+    for length in parts:
+        cycle = order[start:start + length]
+        for i, x in enumerate(cycle):
+            p[x] = cycle[(i + 1) % length]
+        start += length
+    return tuple(p)
+
+
+def cycle_type(p) -> list[int]:
+    """The cycle lengths of p, greatest first."""
+    lengths, seen = [], set()
+    for start in range(len(p)):
+        if start not in seen:
+            seen.add(start)
+            x, length = p[start], 1
+            while x != start:
+                seen.add(x)
+                x, length = p[x], length + 1
+            lengths.append(length)
+    return sorted(lengths, reverse=True)
+
+
+def integer_partitions(n: int, most: int | None = None):
+    """Every partition of n into parts of at most most, greatest part first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, most or n), 0, -1):
+        for rest in integer_partitions(n - first, first):
+            yield (first, *rest)
+
+
+def oracle_least_cost(g, h) -> int:
+    """min over every bijection p of the atoms of n times the uniform
+    distance of p g p^-1 from h: the atoms of h^-1 p g p^-1 less its odd
+    cycles."""
+    n = len(g)
+    hinv = perm_inverse(h)
+    best = n
+    for p in permutations(range(n)):
+        tau = [0] * n
+        for x in range(n):
+            tau[p[x]] = hinv[p[g[x]]]
+        best = min(best, sum(length - length % 2 for length in cycle_type(tau)))
+    return best
+
+
+def oracle_grouping_cost(lengths1, lengths2) -> int:
+    """The least cost of a split of every part of lengths1 and lengths2 into
+    groups of a >= 1 parts of the one and b >= 1 of the other with equal
+    sums, a group costing a + b - 2 plus 1 when a + b is odd; no length is
+    paired first.  Searched over the subsets of the parts as bitmasks, each
+    set of parts left taking every subset holding its lowest part."""
+    signed = [*lengths1, *(-d for d in lengths2)]
+    balance = [0] * (1 << len(signed))
+    for mask in range(1, len(balance)):
+        low = mask & -mask
+        balance[mask] = balance[mask ^ low] + signed[low.bit_length() - 1]
+    costs = {0: 0}
+
+    def cost(mask: int) -> int:
+        if mask not in costs:
+            low, best, sub = mask & -mask, len(signed), mask
+            while sub:
+                if sub & low and balance[sub] == 0:
+                    size = bin(sub).count("1")
+                    best = min(best, size - 2 + size % 2 + cost(mask ^ sub))
+                sub = (sub - 1) & mask
+            costs[mask] = best
+        return costs[mask]
+
+    return cost(len(balance) - 1)
+
+
+def one_generator_pair(rng, parts1, parts2):
+    """Actions on equal atoms of one generator each, of the two cycle
+    types, the second laid over a shuffled order of the atoms."""
+    n = sum(parts1)
+    order = list(range(n))
+    rng.shuffle(order)
+    alg = uniform_algebra(n)
+    return (validate_action(alg, [cycle_type_perm(parts1, range(n))]),
+            validate_action(alg, [cycle_type_perm(parts2, order)]))
+
+
+def test_one_generator_search_is_the_brute_force_optimum():
+    """Every pair of cycle types on at most 6 atoms, and a seeded sample on
+    7, gets the least defect over every bijection, and it re-verifies."""
+    rng = random.Random(4901)
+    pairs = [(a, b) for n in range(1, 7) for a in integer_partitions(n)
+             for b in integer_partitions(n)]
+    sevens = list(integer_partitions(7))
+    pairs += [(rng.choice(sevens), rng.choice(sevens)) for _ in range(12)]
+    for parts1, parts2 in pairs:
+        a1, a2 = one_generator_pair(rng, parts1, parts2)
+        n = a1.algebra.size
+        assert sorted(_cycle_type_assign(a1.gens[0], a2.gens[0], [0])) == list(range(n))
+        cert = approx_conjugacy_search(a1, a2)
+        assert cert.eps * n == oracle_least_cost(a1.gens[0], a2.gens[0]), (parts1, parts2)
+        assert verify_conjugacy(cert) == cert.eps
+
+
+def test_one_generator_defect_is_the_grouping_cost_and_never_above_the_beam():
+    """On 2 to 60 atoms the built defect times n equals the least grouping
+    cost, it re-verifies, and a width-16 beam is never below it.  The
+    subset search takes the random draws and the small shapes; an n-cycle
+    or 30 swaps against 60 fixed points cost every atom."""
+    rng = random.Random(4902)
+    for parts1, parts2 in (((60,), (1,) * 60), ((2,) * 30, (1,) * 60)):
+        cert = approx_conjugacy_search(*one_generator_pair(rng, parts1, parts2))
+        assert cert.eps == 1 and verify_conjugacy(cert) == 1
+    cases = [((9,), (1,) * 9), ((2, 2, 2), (1,) * 6), ((4, 4, 1, 1), (3, 3, 2, 2))]
+    for _ in range(150):
+        n = rng.randint(2, 60)
+        cases.append((cycle_type(random_permutation(rng, n)),
+                      cycle_type(random_permutation(rng, n))))
+    below_beam = 0
+    for parts1, parts2 in cases:
+        a1, a2 = one_generator_pair(rng, parts1, parts2)
+        cert = approx_conjugacy_search(a1, a2)
+        n = a1.algebra.size
+        assert cert.eps * n == oracle_grouping_cost(parts1, parts2), (parts1, parts2)
+        assert verify_conjugacy(cert) == cert.eps
+        beam = _conjugacy_defect(_beam_assign(a1, a2, 16), a1, a2)
+        assert cert.eps <= beam
+        below_beam += cert.eps < beam
+    assert below_beam > 0
+
+
+def test_one_generator_grouping_is_capped_by_its_summed_steps(monkeypatch):
+    """An 8-cycle and a 4-cycle against a 7-cycle and a 5-cycle group in 7
+    steps: 2 g-side sub-multisets holding the 4, 4 h-side ones, and the one
+    group they match.  Built from cycle types at a cap of 7, and one step
+    below it left to the beam, byte for byte, which does worse on this
+    labelling.  The steps are summed over depths: depth 2 enumerates 3 * 2
+    + 9 sub-multisets, matches (8, 4 | 7, 5) and (8, 8, 4, 4 | 7, 7, 5, 5),
+    and the state the first leaves takes 7 more."""
+    a1, a2 = one_generator_pair(random.Random(4915), (8, 4), (7, 5))
+    beam = _beam_assign(a1, a2, 16)
+    assert _conjugacy_defect(beam, a1, a2) == F(1, 3)
+    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 7)
+    cert = approx_conjugacy_search(a1, a2)
+    assert cert.eps == F(1, 6) and verify_conjugacy(cert) == cert.eps
+    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 6)
+    cert = approx_conjugacy_search(a1, a2)
+    assert (cert.eps, cert.iso.mapping) == (F(1, 3), beam)
+    spent = []
+
+    def recording(steps):
+        spent.append(steps)
+        _check_grouping_steps(steps)
+
+    beams = []
+
+    def counting_beam(r1, r2, beam_width):
+        beams.append(r1.algebra.size)
+        return _beam_assign(r1, r2, beam_width)
+
+    monkeypatch.setattr(constructions, "_check_grouping_steps", recording)
+    monkeypatch.setattr(constructions, "_beam_assign", counting_beam)
+    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 31)
+    assert approx_conjugacy_search(a1, a2, max_refine=2).eps == F(1, 6)
+    assert (spent, beams) == ([6, 7, 22, 23, 29, 30, 31], [])
+    # one step fewer: depth 2 runs the beam, and depth 1 still answers
+    del spent[:]
+    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 30)
+    assert approx_conjugacy_search(a1, a2, max_refine=2).eps == F(1, 6)
+    assert (spent, beams) == ([6, 7, 22, 23, 29, 30, 31], [24])
 
 
 # ------------------------------------------ fast kernels against the old code
@@ -2127,11 +2315,12 @@ def test_conjugacy_beams_are_capped_by_their_summed_steps():
     _check_beam_steps(MAX_BEAM_STEPS)
     with pytest.raises(InstanceTooLarge):
         _check_beam_steps(MAX_BEAM_STEPS + 1)
-    # the swap against the identity is never conjugate, so every depth runs a
-    # beam: 2 atoms at depth 1 and 4 at depth 2, beam_width * (4 + 16) steps;
-    # one more unit of width passes the cap on the sum, not on depth 2 alone
-    swap = validate_action(uniform_algebra(2), [(1, 0)])
-    identity = validate_action(uniform_algebra(2), [(0, 1)])
+    # the swap beside the identity against two identities is never conjugate
+    # and has two generators, so every depth runs a beam: 2 atoms at depth 1
+    # and 4 at depth 2, beam_width * (4 + 16) steps; one more unit of width
+    # passes the cap on the sum, not on depth 2 alone
+    swap = validate_action(uniform_algebra(2), [(1, 0), (0, 1)])
+    identity = validate_action(uniform_algebra(2), [(0, 1), (0, 1)])
     width = MAX_BEAM_STEPS // 20
     assert 20 * width <= MAX_BEAM_STEPS < 20 * (width + 1)
     assert 16 * (width + 1) <= MAX_BEAM_STEPS
@@ -2142,6 +2331,7 @@ def test_conjugacy_beams_are_capped_by_their_summed_steps():
 
     # with the default width 16, depths 1..D sum to 16 * sum (2d)^2 steps:
     # depth 57 still runs, depth 58 is refused, inside the atom cap's 255
+    # (for these two generators; one generator groups cycle types first)
     def summed(depths: int) -> int:
         return sum(16 * (2 * d) ** 2 for d in range(1, depths + 1))
 
