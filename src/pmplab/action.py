@@ -225,7 +225,9 @@ def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -
 
 def _cycle_distance(alg: MeasuredAlgebra, p: Perm) -> Fraction:
     """The uniform distance between p and the identity, from p's cycles,
-    for a p that is known to be a mass-preserving permutation: unchecked."""
+    for a p that is known to be a mass-preserving permutation: masses are
+    unchecked, and a walk that reaches an atom twice raises NotBijective
+    instead of looping."""
     units = alg.units
     seen = [False] * alg.size
     total = 0
@@ -235,10 +237,12 @@ def _cycle_distance(alg: MeasuredAlgebra, p: Perm) -> Fraction:
         length = 1
         seen[start] = True
         x = p[start]
-        while x != start:
+        while not seen[x]:
             seen[x] = True
             length += 1
             x = p[x]
+        if x != start:
+            raise NotBijective(f"table is not a permutation: atom {x} is reached twice")
         total += units[start] * (length - length % 2)
     return Fraction(total, alg.den)
 

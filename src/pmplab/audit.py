@@ -24,22 +24,25 @@ action.extensions: the action itself, then its m-fold equal splits, each
 built only when the search gets there.  Each audit gives it a scorer with
 two entry points, and a search calls only the one it needs: scan(cut)
 returns the scores of the candidates in index order, up to the first one
-below cut or all of them, and descend starts the descent at the seed:
-each read scores every toggle of the current tuple and, last, the tuple
-itself, and a move toggles one.  A toggle, one atom of one coordinate, is
-one flat index coord * size + atom.  Scores are integers, in units of one
-common denominator per depth.  The second-condition scorer scores many
-candidates at once: both joint laws have total mass D, so a candidate's
-distance is (D - sum of min(M, T)) / D, the sum over the target law T's
-keys only, M the candidate's law; each candidate is one fixed-width field
-of a Python int, whose minima come from a few whole-int operations per
-key.  A scan packs all 2**n candidates, a descent read the n toggles and
-the tuple, and a move re-adds only the k + 1 atoms it moves.  The
-extension scorer holds one candidate tuple and recomputes its small
-pattern with the kernel that gives its target: its scan steps the tuple as
-a binary counter and scores each candidate once, stopping at its first
-hit.  Each depth turns its best score into one Fraction, equal to
-what c2_distance (or the triple pattern in masses) would give.
+below cut or all of them, as a list or packed in one int, and descend
+starts the descent at the seed: each read scores every toggle of the
+current tuple and, last, the tuple itself, and a move toggles one.  A
+toggle, one atom of one coordinate, is one flat index coord * size + atom.
+Scores are integers, in units of one common denominator per depth.  The
+second-condition scorer scores many candidates at once: both joint laws
+have total mass D, so a candidate's distance is (D - sum of min(M, T)) / D,
+the sum over the target law T's keys only, M the candidate's law; each
+candidate is one fixed-width field of a Python int, whose minima come from
+a few whole-int operations per key.  A scan returns all 2**n candidates
+packed, and a few more whole-int operations find its first hit: the lowest
+field whose top bit B stays clear once B - cut is added.  A descent read
+packs the n toggles and the tuple, and a move re-adds only the k + 1 atoms
+it moves.  The extension scorer holds one candidate tuple and recomputes
+its small pattern with the kernel that gives its target: its scan steps
+the tuple as a binary counter and scores each candidate once, stopping at
+its first hit.  Each depth turns its best score into one Fraction, equal
+to what c2_distance (or the triple pattern in masses) would give.  The
+second-condition set-up counts its law in units from the events' members.
 """
 from __future__ import annotations
 
@@ -55,7 +58,6 @@ from .algebra import (
     ZERO,
     Event,
     EventTuple,
-    _sign_map,
     joint_distribution,
     lift_tuple,
 )
@@ -230,13 +232,13 @@ def _ones(fields: int, fb: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _candidate_masks(n: int, fb: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _candidate_masks(n: int, fb: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """The constants of a packed scan over 2**n candidates, candidate i in
-    field i of fb bytes: ONE, and for each candidate bit p the pair of the
-    fields of the candidates with bit p set and of those with it clear,
-    filled with ones.  Only n with 2**n <= EXHAUSTIVE_TUPLE_CAP are scanned,
-    and fb grows with the bits of the denominator, so a few entries serve
-    every request."""
+    field i of fb bytes: ONE, HIGH = ONE << 8*fb - 1 (the top bit of every
+    field), and for each candidate bit p the pair of the fields of the
+    candidates with bit p set and of those with it clear, filled with ones.
+    Only n with 2**n <= EXHAUSTIVE_TUPLE_CAP are scanned, and fb grows with
+    the bits of the denominator, so a few entries serve every request."""
     ones, zeros = b"\xff" * fb, bytes(fb)
     masks = []
     for p in range(n):
@@ -245,7 +247,8 @@ def _candidate_masks(n: int, fb: int) -> tuple[int, tuple[tuple[int, int], ...]]
             int.from_bytes((zeros * run + ones * run) * repeat, "little"),
             int.from_bytes((ones * run + zeros * run) * repeat, "little"),
         ))
-    return _ones(1 << n, fb), tuple(masks)
+    one = _ones(1 << n, fb)
+    return one, one << 8 * fb - 1, tuple(masks)
 
 
 def _fields(packed: int, n: int, fb: int) -> list[int]:
@@ -277,6 +280,28 @@ def _candidate_bits(size: int, arity: int) -> list[int]:
     return [(arity - 1 - b // size) * size + b % size for b in range(size * arity)]
 
 
+def _scan_best(scores: list[int] | int, n: int, scale: int, cut: int) -> tuple[int, int]:
+    """(index, score) of the first score below cut >= 1, or else of the first
+    least score, from a scan over 2**n candidates.  A packed scan (fields of
+    fb = _field_bytes(scale) bytes, scores in [0, scale]) is read whole: with
+    c = min(cut, scale + 1) <= B = 2**(8*fb - 1), each field of packed + (B
+    - c)*ONE lies in [B - c, B - c + scale] inside [0, 2B), carrying into no
+    other, and has its top bit clear iff its score is below c.  The lowest
+    clear top bit is the first hit; only a scan with no hit is unpacked."""
+    if type(scores) is int:
+        fb = _field_bytes(scale)
+        one, high, _masks = _candidate_masks(n, fb)
+        hits = high & ~(scores + high - min(cut, scale + 1) * one)
+        if hits:
+            width = 8 * fb
+            i = ((hits & -hits).bit_length() - 1) // width
+            return i, scores >> i * width & (1 << width) - 1
+        scores = _fields(scores, 1 << n, fb)
+    least = min(scores)
+    i = next(compress(count(), map(cut.__gt__, scores))) if least < cut else scores.index(least)
+    return i, scores[i]
+
+
 def _search_best(size: int, arity: int, scorer, stop_below):
     """Best candidate tuple by exhaustion or greedy descent.
 
@@ -287,7 +312,8 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     coord*size + atom flips one atom of one coordinate (_candidate_bits maps
     one to the other).  scan(cut) returns the scores of candidates 0, 1,
     ... in index order through the first one below cut, or every score when
-    none is; it may go on past that first one.  descend() starts the greedy
+    none is, as a list that may go on past that first one, or every score
+    packed in one int (see _scan_best).  descend() starts the greedy
     descent at seed and returns (neighbours, move): neighbours() the size *
     arity scores of the toggles of the current tuple, then its own score,
     and move(b) applying toggle b.  Each search calls only what it needs.
@@ -315,18 +341,13 @@ def _search_best(size: int, arity: int, scorer, stop_below):
     p, q = stop_below.numerator, stop_below.denominator
     cut = max(-(-p * scale // q), floor + 1)
     if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
-        scores = scan(cut)
-        least = min(scores)
-        if least < cut:
-            best_i = next(compress(count(), map(cut.__gt__, scores)))
-        else:
-            best_i = scores.index(least)
+        best_i, value = _scan_best(scan(cut), size * arity, scale, cut)
         chosen = [best_i >> p & 1 for p in _candidate_bits(size, arity)]
         members = tuple(
             tuple(compress(range(size), chosen[j * size : (j + 1) * size]))
             for j in range(arity)
         )
-        return Fraction(scores[best_i], scale), members
+        return Fraction(value, scale), members
     current = [set(e) for e in seed]
     neighbours, move = descend()
     scores = neighbours()
@@ -367,22 +388,38 @@ def _refine_search(depths, arity: int, stop_below, prepare, stop_at):
     return best
 
 
+def _c2_law(a: EventTuple, tuples: Sequence[EventTuple]) -> tuple[list[int], dict[int, int]]:
+    """The anchor key of each atom, and the joint law of (anchor, parameters)
+    in units of 1/D0 by packed key (see _c2_prepare), in order of each
+    key's first atom: bit i for anchor event i, then base_arity + i*arity +
+    j for event j of parameter tuple i."""
+    keys = [0] * a.algebra.size
+    for bit, e in enumerate(a.events + tuple(e for b in tuples for e in b.events)):
+        for x in e.members:
+            keys[x] |= 1 << bit
+    law: dict[int, int] = {}
+    for key, u in zip(keys, a.algebra.units):
+        law[key] = law.get(key, 0) + u
+    return [key & (1 << a.arity) - 1 for key in keys], law
+
+
 def _c2_prepare(
     a: EventTuple,
     tuples: Sequence[EventTuple],
-    spans: Sequence[tuple[Fraction, Fraction]],
+    spans: Sequence[tuple[int, int]],
 ):
     """Set-up of the second-condition search: candidates are scored against
     the joint law of (anchor, parameters), starting from the lifted base
     parameter.  spans is _mass_spans(tuples).  Returns the per-depth
     prepare(refined, projection), which gives the scorer of _search_best.
+    Everything up to the depth's result is an integer.
 
     Every atom's joint sign is packed into one int key: anchor bits first,
     then the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
     base_arity + i*arity + j of atom y is set iff y lies in g_i(c_j), g_0
     the identity.  The target law's keys and masses in units of 1/D0, D0
     the base algebra's denominator, and the base atoms' anchor keys are
-    packed once per request; a depth scales the target units by D/D0 and
+    built once per request (_c2_law); a depth scales the target by D/D0 and
     reads each refined atom's anchor key through the projection.  Masses
     are integer units of 1/D, D the lcm of the refined atoms' denominators;
     the target masses are sums of whole refined atoms, so D0 divides D.
@@ -402,8 +439,8 @@ def _c2_prepare(
     whole-int operations per key.
 
     scan scores all 2**n candidates, n = size*arity, one field each in
-    index order, whatever its cut.  Atom y's key is its empty-tuple key XOR
-    the flips of the candidate bits that move it, at most (k + 1)*arity of
+    index order, whatever its cut, and returns them packed in one int for
+    _scan_best.  Atom y's key is its empty-tuple key XOR the flips of the candidate bits that move it, at most (k + 1)*arity of
     them, so y reaches a target key under exactly one setting of those
     bits, or none: w*ONE masked by each bit's set or clear fields
     (_candidate_masks) adds at that key.
@@ -424,17 +461,8 @@ def _c2_prepare(
     (min_i T_ij + max_i T_ij)/2 need checking."""
     base_arity = a.arity
     arity = tuples[0].arity
-
-    def pack(signs: Sequence[int]) -> int:
-        return sum(bit << i for i, bit in enumerate(signs))
-
     base_den = a.algebra.den
-    law = joint_distribution(a, tuples[0].concat(*tuples[1:]))
-    cells = [
-        (pack(r) | pack(s) << base_arity, m.numerator * (base_den // m.denominator))
-        for (r, s), m in law.mass.items()
-    ]
-    anchor_keys = [pack(signs) for signs in _sign_map(a)]
+    anchor_keys, law = _c2_law(a, tuples)
     bits = [
         [1 << (base_arity + i * arity + j) for i in range(len(tuples))]
         for j in range(arity)
@@ -445,7 +473,7 @@ def _c2_prepare(
         denom, weights, size = alg.den, alg.units, alg.size
         n = size * arity
         scale = denom // base_den
-        target = {key: u * scale for key, u in cells}
+        target = {key: u * scale for key, u in law.items()}
         images = [range(size)] + list(refined.gens)
         fb = _field_bytes(denom)
         width = 8 * fb
@@ -465,8 +493,8 @@ def _c2_prepare(
             high = one << shift
             return {key: high - t * one for key, t in target.items()}, high
 
-        def scan(_cut: int) -> list[int]:
-            one, masks = _candidate_masks(n, fb)
+        def scan(_cut: int) -> int:
+            one, _high, masks = _candidate_masks(n, fb)
             # controls[y]: candidate bit -> the key bits it flips on atom y
             controls: list[dict[int, int]] = [{} for _ in range(size)]
             for place, flips in zip(_candidate_bits(size, arity), moves):
@@ -492,8 +520,7 @@ def _c2_prepare(
                             part &= masks[place][1]
                     else:
                         packed[key] += part
-            shared = _shared(packed, *offsets(one), shift)
-            return _fields(denom * one - shared, 1 << n, fb)
+            return denom * one - _shared(packed, *offsets(one), shift)
 
         def descend():
             keys = [anchor_keys[p] for p in projection]
@@ -539,8 +566,7 @@ def _c2_prepare(
         g = gcd(*weights)
         floor = 0
         for lo, hi in spans:
-            lo = lo.numerator * (denom // lo.denominator)
-            hi = hi.numerator * (denom // hi.denominator)
+            lo, hi = lo * scale, hi * scale
             m = (lo + hi) // (2 * g) * g
             floor = max(floor, min(max(hi - x, x - lo) for x in (m, m + g)))
         return scan, descend, denom, seed, floor
@@ -548,22 +574,22 @@ def _c2_prepare(
     return prepare
 
 
-def _mass_spans(tuples: Sequence[EventTuple]) -> list[tuple[Fraction, Fraction]]:
-    """(min_i mu(b_ij), max_i mu(b_ij)) for each coordinate j."""
-    return [
-        (min(column), max(column))
-        for column in zip(*([e.mass for e in b.events] for b in tuples))
-    ]
+def _mass_spans(tuples: Sequence[EventTuple]) -> list[tuple[int, int]]:
+    """(min_i D0*mu(b_ij), max_i D0*mu(b_ij)) for each coordinate j, in units
+    of 1/D0, D0 the algebra's denominator."""
+    units = tuples[0].algebra.units
+    masses = ([sum([units[x] for x in e.members]) for e in b.events] for b in tuples)
+    return [(min(column), max(column)) for column in zip(*masses)]
 
 
-def _extension_floor(spans: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
+def _extension_floor(spans: Sequence[tuple[int, int]], den: int) -> Fraction:
     """A floor on the second-condition distance of every candidate in every
-    measure-preserving extension, from spans = _mass_spans(tuples): coarsened
-    to the bit of b_ij, the distance is |mu(b_ij) - mu(c_j)|, and the best
-    single mu(c_j) leaves half the spread max_i mu(b_ij) - min_i mu(b_ij).
-    No depth of the search scores below it, since each depth's floor is at
-    least as high."""
-    return max((hi - lo for lo, hi in spans), default=ZERO) / 2
+    measure-preserving extension, from spans = _mass_spans(tuples) in units
+    of 1/den: coarsened to the bit of b_ij, the distance is |mu(b_ij) -
+    mu(c_j)|, and the best single mu(c_j) leaves half the spread max_i
+    mu(b_ij) - min_i mu(b_ij).  No depth of the search scores below it,
+    since each depth's floor is at least as high."""
+    return Fraction(max((hi - lo for lo, hi in spans), default=0), 2 * den)
 
 
 def search_C2_witness(
@@ -590,7 +616,7 @@ def search_C2_witness(
     tuples = _check_instance(act, a, bs, eps)
     threshold = 2 * eps
     spans = _mass_spans(tuples)
-    floor = _extension_floor(spans)
+    floor = _extension_floor(spans, a.algebra.den)
     prepare = _c2_prepare(a, tuples, spans)
     value, c, depth = _refine_search(
         depths, tuples[0].arity, threshold, prepare, floor

@@ -20,6 +20,7 @@ from pmplab.algebra import (
 from pmplab import action as action_module
 from pmplab.action import (
     FkAction,
+    _cycle_distance,
     _word_perm,
     extensions,
     generated_subalgebra,
@@ -339,6 +340,13 @@ def test_uniform_distance_examples():
     assert uniform_distance(alg3, (1, 2, 0), (0, 1, 2)) == F(2, 3)
     assert brute_force_uniform_distance(alg, (1, 0), (0, 1)) == 1
     assert brute_force_uniform_distance(alg3, (1, 2, 0), (0, 1, 2)) == F(2, 3)
+
+
+def test_cycle_distance_raises_on_a_table_that_is_not_a_permutation():
+    """A walk that reaches an atom a second time names it instead of looping:
+    from atom 0 the table (1, 1, 0) reaches atom 1, then atom 1 again."""
+    with pytest.raises(NotBijective, match="atom 1"):
+        _cycle_distance(uniform_algebra(3), (1, 1, 0))
 
 
 def test_uniform_distance_matches_brute_force_on_mixed_masses():

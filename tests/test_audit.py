@@ -34,6 +34,7 @@ import pmplab.action as action
 import pmplab.algebra as algebra
 import pmplab.audit as audit
 from pmplab.audit import (
+    _c2_law,
     _c2_prepare,
     _check_embedding,
     _ec_prepare,
@@ -668,7 +669,57 @@ def c2_prepare(a, bs):
 
 
 def extension_floor(bs):
-    return audit._extension_floor(_mass_spans(bs))
+    return audit._extension_floor(_mass_spans(bs), bs[0].algebra.den)
+
+
+def unpacked(packed, count, scale):
+    """The count scores of a packed C2 scan, field 0 first, each field of
+    _field_bytes(scale) bytes."""
+    fb = audit._field_bytes(scale)
+    assert 0 <= packed < 1 << 8 * fb * count
+    raw = packed.to_bytes(fb * count, "little")
+    return [int.from_bytes(raw[i : i + fb], "little") for i in range(0, len(raw), fb)]
+
+
+def oracle_c2_law(a, tuples):
+    """The set-up _c2_law replaced: the Fraction joint law of the anchor and
+    the concatenated parameters, each (base sign, fiber sign) cell packed
+    through pack(r) | pack(s) << base_arity and its mass taken back to units
+    of 1/D, and the anchor keys packed from _sign_map."""
+
+    def pack(signs):
+        return sum(bit << i for i, bit in enumerate(signs))
+
+    den = a.algebra.den
+    law = joint_distribution(a, tuples[0].concat(*tuples[1:]))
+    cells = {
+        pack(r) | pack(s) << a.arity: m.numerator * (den // m.denominator)
+        for (r, s), m in law.mass.items()
+    }
+    return [pack(signs) for signs in _sign_map(a)], cells
+
+
+def oracle_mass_spans(tuples):
+    """The Fraction spans (min_i mu(b_ij), max_i mu(b_ij)) per coordinate j
+    that _mass_spans gave before it counted units."""
+    return [
+        (min(column), max(column))
+        for column in zip(*([e.mass for e in b.events] for b in tuples))
+    ]
+
+
+def assert_law_and_spans_match_oracles(a, bs):
+    """_c2_law gives the oracle's anchor keys and law, in the same key
+    order; the unit spans are the Fraction spans times D, and the extension
+    floor half their widest spread."""
+    anchor_keys, law = _c2_law(a, bs)
+    oracle_keys, oracle_law = oracle_c2_law(a, bs)
+    assert anchor_keys == oracle_keys
+    assert list(law.items()) == list(oracle_law.items())
+    den = a.algebra.den
+    spans = oracle_mass_spans(bs)
+    assert _mass_spans(bs) == [(lo * den, hi * den) for lo, hi in spans]
+    assert extension_floor(bs) == max((hi - lo for lo, hi in spans), default=F(0)) / 2
 
 
 def run_search(act, arity, max_refine, stop_below, prepare, stop_at):
@@ -801,7 +852,7 @@ def test_c2_scorer_matches_fraction_oracle(instance):
             oracle(toggled(current, b, size)) for b in range(size * arity)
         ] + [oracle(current)]
     if 1 << size * arity <= EXHAUSTIVE_TUPLE_CAP:
-        scores = scan(0)
+        scores = unpacked(scan(0), 1 << size * arity, scale)
         for members in [seed] + wanted:
             assert F(scores[index_of(members, size, arity)], scale) == oracle(members)
 
@@ -1162,19 +1213,46 @@ def counter_scores(size, arity, walk, start):
     return scores
 
 
+def search_cut(stop_below, scale, floor):
+    """The integer cut of _search_best: a score v is a hit when v < cut."""
+    p, q = stop_below.numerator, stop_below.denominator
+    return max(-(-p * scale // q), floor + 1)
+
+
+def oracle_list_selection(scores, cut):
+    """The exhaustive selection over a list of every score in index order,
+    as _search_best made it before packed scans: the first score below cut,
+    or with none the first least score.  Returns its index."""
+    least = min(scores)
+    if least < cut:
+        return next(i for i, v in enumerate(scores) if v < cut)
+    return scores.index(least)
+
+
+def packed_table(table, scale):
+    """The table packed as the C2 scan packs its scores: score i in field i
+    of _field_bytes(scale) bytes, field 0 least significant."""
+    fb = audit._field_bytes(scale)
+    return int.from_bytes(b"".join(v.to_bytes(fb, "little") for v in table), "little")
+
+
 class TableScorer:
     """A scorer over a table of scores indexed by candidate.  scorer is its
     _search_best form, whose scan(cut) returns the table through its first
-    score below cut, as the extension scan does, or with whole the whole
-    table, as the packed scan does.  walk toggles a held candidate index for
+    score below cut, as the extension scan does, with whole the whole table
+    as a list, or with packed the whole table packed into one int, as the
+    C2 scan does.  walk toggles a held candidate index for
     oracle_counter_scan, starting at candidate 0."""
 
-    def __init__(self, size, arity, table, scale=1, floor=0, whole=False):
+    def __init__(self, size, arity, table, scale=1, floor=0, whole=False, packed=False):
         self.size, self.arity, self.table, self.whole = size, arity, table, whole
+        self.packed = packed_table(table, scale) if packed else None
         self.index = 0
         self.scorer = (self.scan, None, scale, ((),) * arity, floor)
 
     def scan(self, cut):
+        if self.packed is not None:
+            return self.packed
         hits = [i for i, s in enumerate(self.table) if s < cut]
         return self.table if self.whole or not hits else self.table[: hits[0] + 1]
 
@@ -1188,15 +1266,21 @@ class TableScorer:
 
 
 def compare_scans(size, arity, table, stop, scale=1, floor=0):
-    """The scan rule on one table gives the counter scan's (value, members),
-    the scan told the table's floor and the counter scan not, whether the
-    scan stops at its first hit or returns every score.  Returns the result
-    and whether it is a hit."""
+    """The scan rule on one table gives the counter scan's (value, members)
+    and the list selection's, the scan told the table's floor and the
+    counter scan not, whether the scan stops at its first hit, returns
+    every score or, when every score is at most scale, packs them.  Returns
+    the result and whether it is a hit."""
     result = _search_best(size, arity, TableScorer(size, arity, table, scale, floor).scorer, stop)
     whole = TableScorer(size, arity, table, scale, floor, whole=True).scorer
     assert _search_best(size, arity, whole, stop) == result
+    if max(table) <= scale:
+        packed = TableScorer(size, arity, table, scale, floor, packed=True).scorer
+        assert _search_best(size, arity, packed, stop) == result
     walk = TableScorer(size, arity, table).walk
     assert result == oracle_counter_scan(size, arity, walk, table[0], scale, stop)
+    best_i = oracle_list_selection(table, search_cut(stop, scale, floor))
+    assert result == (F(table[best_i], scale), members_of(best_i, size, arity))
     value, _members = result
     return result, value < stop or value == 0
 
@@ -1265,6 +1349,109 @@ def test_scan_edge_cases():
         table[early], table[late] = 1, 4
         (value, members), _hit = compare_scans(size, arity, table, F(5))
         assert (value, members) == (4, members_of(late, size, arity))
+
+
+@st.composite
+def _packed_tables(draw):
+    """A candidate count up to EXHAUSTIVE_TUPLE_CAP, a scale whose fields
+    take fb = 1, 2, 4, 8 or 16 bytes, a table of scores in [0, scale] over a
+    few levels (0 and scale often among them), a stop (0 stops only at a
+    zero, 2 puts the cut above scale, a level's own value cuts just below
+    it) and a floor of 0 or the least score."""
+    arity = draw(st.integers(0, 3))
+    size = draw(st.integers(1, 12 // arity if arity else 3))
+    count = 1 << size * arity
+    fb = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    scale = draw(st.integers(1 if fb == 1 else 1 << 4 * fb - 1, (1 << 8 * fb - 1) - 1))
+    assert audit._field_bytes(scale) == fb
+    levels = draw(
+        st.lists(st.sampled_from([0, scale]) | st.integers(0, scale), min_size=1, max_size=4)
+    )
+    if count <= 128:
+        table = draw(st.lists(st.sampled_from(levels), min_size=count, max_size=count))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        table = [rng.choice(levels) for _ in range(count)]
+    stop = draw(
+        st.sampled_from([F(0), F(2)])
+        | st.sampled_from(levels).map(lambda v: F(v, scale))
+        | st.fractions(0, F(3, 2), max_denominator=8)
+    )
+    floor = draw(st.sampled_from([0, min(table)]))
+    return size, arity, table, stop, scale, floor
+
+
+@given(_packed_tables())
+@settings(max_examples=200, deadline=None)
+def test_packed_first_hit_matches_the_list_scan(instance):
+    """The first hit read from a packed scan with whole-int operations is
+    the list selection's, for fields of 1 to 16 bytes."""
+    compare_scans(*instance)
+
+
+@pytest.mark.parametrize("fb", [1, 2, 4, 8, 16])
+def test_packed_first_hit_edge_cases(fb):
+    """On 256 candidates at the largest scale of each field width: a hit at
+    candidate 0, a cut above the scale, a hit at the floor, and no hit."""
+    size, arity = 4, 2
+    count = 1 << size * arity
+    scale = (1 << 8 * fb - 1) - 1
+    assert audit._field_bytes(scale) == fb
+
+    def best(table, stop, floor=0):
+        scorer = TableScorer(size, arity, table, scale, floor, packed=True).scorer
+        result = _search_best(size, arity, scorer, stop)
+        assert result == compare_scans(size, arity, table, stop, scale, floor)[0]
+        return result
+
+    # a zero at candidate 0
+    table = [scale] * count
+    table[0] = 0
+    assert best(table, F(0)) == (0, ((), ()))
+    # a stop of 2 puts the cut above the scale: every score is a hit, even
+    # the scale itself at candidate 0
+    table = [scale] * count
+    assert best(table, F(2)) == (1, ((), ()))
+    table[9] = 0
+    assert best(table, F(2)) == (1, ((), ()))
+    # a hit at the floor: the first candidate at it
+    table = [scale] * count
+    table[200] = table[77] = 5
+    assert best(table, F(0), floor=5) == (F(5, scale), members_of(77, size, arity))
+    # no hit: the least score, its first candidate among ties
+    table[40] = table[70] = 3
+    assert best(table, F(1, scale)) == (F(3, scale), members_of(40, size, arity))
+    # a score one below the cut is a hit, one at the cut is not
+    assert best(table, F(4, scale)) == (F(3, scale), members_of(40, size, arity))
+    assert best(table, F(3, scale)) == (F(3, scale), members_of(40, size, arity))
+    table[41] = 2
+    assert best(table, F(3, scale)) == (F(2, scale), members_of(41, size, arity))
+
+
+@given(_mixed_c2_instances())
+@settings(max_examples=150, deadline=None)
+def test_c2_law_matches_the_joint_distribution_oracle(instance):
+    _act, a, bs, _depth, _candidates = instance
+    assert_law_and_spans_match_oracles(a, bs)
+
+
+def test_c2_law_with_an_empty_anchor_and_empty_events():
+    """An anchor of arity 0, parameters of arity 0, and empty and whole
+    events over unequal masses."""
+    alg = validate_algebra([F(1, 6), F(1, 3), F(1, 6), F(1, 3)])
+    act = validate_action(alg, [(2, 3, 0, 1)])
+    empty = EventTuple.of_members(alg, [])
+    for a in (empty, EventTuple.of_members(alg, [[], [0, 1, 2, 3]])):
+        assert_law_and_spans_match_oracles(a, [empty, empty])
+        bs = [
+            EventTuple.of_members(alg, [[], [1, 3]]),
+            EventTuple.of_members(alg, [[0, 1, 2, 3], []]),
+        ]
+        assert_law_and_spans_match_oracles(a, bs)
+        assert_search_matches_oracle(
+            act, 2, 1, F(0), F(-1), c2_prepare(a, bs), oracle_c2_prepare(a, bs)
+        )
+    assert _c2_law(empty, [empty, empty]) == ([0] * 4, {0: 6})
 
 
 def test_ec_scan_scores_each_candidate_once_up_to_its_first_hit():
@@ -1715,7 +1902,15 @@ def assert_packed_matches_oracle(act, a, bs, depth, moves, scan_whole=True):
     if scan_whole:
         walk, _peek, start, oracle_scale = oracle(refined, projection)
         assert oracle_scale == 2 * scale
-        assert [2 * s for s in scan(0)] == counter_scores(size, arity, walk, start)
+        scores = unpacked(scan(0), 1 << n, scale)
+        assert [2 * s for s in scores] == counter_scores(size, arity, walk, start)
+        # the first hit read from the packed scan, against the list scan
+        scorer = c2_prepare(a, bs)(refined, projection)
+        for stop in {F(0), F(2), F(sorted(scores)[len(scores) // 2], scale)}:
+            best_i = oracle_list_selection(scores, search_cut(stop, scale, scorer[4]))
+            assert _search_best(size, arity, scorer, stop) == (
+                F(scores[best_i], scale), members_of(best_i, size, arity)
+            )
     walk, peek, start, _oracle_scale = oracle(refined, projection)
     evaluate, _seed = oracle_c2_prepare(a, bs)(refined, projection)
     toggles = toggles_of(seed, size)
