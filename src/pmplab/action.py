@@ -19,8 +19,8 @@ from .algebra import (
     Event,
     EventTuple,
     MeasuredAlgebra,
+    _keys,
     _runs,
-    _sign_map,
     product_algebra,
     refine_to_unit,
     uniform_algebra,
@@ -142,16 +142,16 @@ def generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:
     onto itself by every generator.
 
     Computed as a partition-refinement fixpoint on integer labels: an atom's
-    first label numbers its sign vector, and each round relabels it by its
-    own label and the labels of its generator images, until the number of
-    labels stops growing.  Labels are numbered in order of first atom, so
+    first label numbers its packed key under events (see the algebra
+    module), and each round relabels it by its own label and the labels of
+    its generator images, until the number of labels stops growing.  Labels are numbered in order of first atom, so
     label i is the block of the i-th least member.  Its blocks are the atoms
     of the smallest action-invariant algebra containing the events.
     """
     if events.algebra.id != act.algebra.id:
         raise AlgebraMismatch("seed events do not live on the action's algebra")
     ids: dict = {}
-    labels = [ids.setdefault(s, len(ids)) for s in _sign_map(events)]
+    labels = [ids.setdefault(s, len(ids)) for s in _keys(events)]
     count = 0
     while len(ids) > count:
         count, ids = len(ids), {}

@@ -4,8 +4,13 @@ An algebra is a finite list of atoms indexed 0..n-1, stored as integers: a
 common denominator D and one positive unit count per atom, atom x weighing
 units[x] / D.  The units sum to D and have gcd 1, so D is the least common
 denominator of the masses.  Events are sets of atom indices; tuples of
-events generate sign-vector partitions, and every distance in this package
-is a sum of cell masses of such partitions.  The measure kernels (mass
+events generate partitions, and every distance in this package is a sum of
+cell masses of such partitions.  Inside the package an atom's cell under
+some tuples is its packed key (_keys): one int, bit j set when the atom
+lies in event j of the tuples' events taken in order, so a tuple of arity n
+after m events holds bits m..m+n-1.  _unit_law keys each cell's units by
+it; only the public laws spell a cell out as one Sign per tuple, a 0/1
+entry per event (_sign_law).  The measure kernels (mass
 sums, joint laws, the partition metric, mass-preservation checks) add and
 compare units and build one Fraction per result, so every value they return
 is still a Fraction.  All arithmetic is exact; nothing here touches floats.
@@ -167,18 +172,15 @@ class EventTuple(Record):
         )
 
 
-def _sign_map(t: EventTuple) -> list[Sign]:
-    """Sign vector of every atom of the algebra, indexed by atom."""
-    n = t.algebra.size
-    if not t.events:
-        return [()] * n
-    columns = []
-    for e in t.events:
-        column = [0] * n
-        for a in e.members:
-            column[a] = 1
-        columns.append(column)
-    return list(zip(*columns))
+def _keys(*tuples: EventTuple) -> list[int]:
+    """The packed key of every atom, indexed by atom: bit j set when the
+    atom lies in event j of the tuples' events taken in order."""
+    keys = [0] * tuples[0].algebra.size
+    for j, e in enumerate([e for t in tuples for e in t.events]):
+        bit = 1 << j
+        for x in e.members:
+            keys[x] |= bit
+    return keys
 
 
 class JointDistribution(Record):
@@ -205,21 +207,31 @@ def joint_distribution(base: EventTuple, fiber: EventTuple) -> JointDistribution
     return JointDistribution(base.arity, fiber.arity, _cell_law(base, fiber))
 
 
-def _unit_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], int]:
+def _unit_law(*tuples: EventTuple) -> dict[int, int]:
     """Weight in units of 1/D of every cell the tuples generate together,
-    keyed by the tuple of their sign vectors, in order of each cell's first
-    atom.  Every atom has positive mass, so every key has a positive weight."""
-    cells: dict[tuple[Sign, ...], int] = {}
-    keys = zip(*[_sign_map(t) for t in tuples])
-    for key, u in zip(keys, tuples[0].algebra.units):
+    keyed by its packed key (_keys), in order of each cell's first atom.
+    Every atom has positive mass, so every key has a positive weight."""
+    cells: dict[int, int] = {}
+    for key, u in zip(_keys(*tuples), tuples[0].algebra.units):
         cells[key] = cells.get(key, 0) + u
     return cells
 
 
+def _sign_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], int]:
+    """_unit_law keyed as the public laws are: each packed key spelt out as
+    one Sign per tuple, entry i 1 when the cell lies in event i."""
+    ends = list(itertools.accumulate([t.arity for t in tuples], initial=0))
+    spans = [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    return {
+        tuple([tuple([key >> i & 1 for i in span]) for span in spans]): u
+        for key, u in _unit_law(*tuples).items()
+    }
+
+
 def _cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
-    """_unit_law as masses: one Fraction per cell."""
+    """_sign_law as masses: one Fraction per cell."""
     den = tuples[0].algebra.den
-    return {key: Fraction(u, den) for key, u in _unit_law(*tuples).items()}
+    return {key: Fraction(u, den) for key, u in _sign_law(*tuples).items()}
 
 
 def dist_max(a: EventTuple, b: EventTuple) -> Fraction:
@@ -239,16 +251,16 @@ def dist_max(a: EventTuple, b: EventTuple) -> Fraction:
 def dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
     """Partition metric: half the summed symmetric-difference mass over cells.
 
-    An atom whose sign vectors under a and b agree lies in matching cells and
-    contributes nothing; a disagreeing atom contributes its mass at its a-sign
-    and again at its b-sign.  The half-sum therefore equals the total mass of
+    An atom whose packed keys under a and b agree lies in matching cells and
+    contributes nothing; a disagreeing atom contributes its mass at its a-cell
+    and again at its b-cell.  The half-sum therefore equals the total mass of
     the atoms on which the two generated partitions disagree.
     """
     _same_algebra(a.algebra, b.algebra, "tuples")
     if a.arity != b.arity:
         raise ArityMismatch(f"tuples have arities {a.arity} and {b.arity}")
     units = a.algebra.units
-    moved = [u for u, sa, sb in zip(units, _sign_map(a), _sign_map(b)) if sa != sb]
+    moved = [u for u, ka, kb in zip(units, _keys(a), _keys(b)) if ka != kb]
     return Fraction(sum(moved), a.algebra.den)
 
 

@@ -42,7 +42,7 @@ its small pattern with the kernel that gives its target: its scan steps
 the tuple as a binary counter and scores each candidate once, stopping at
 its first hit.  Each depth turns its best score into one Fraction, equal
 to what c2_distance (or the triple pattern in masses) would give.  The
-second-condition set-up counts its law in units from the events' members.
+second-condition set-up reads its law by packed key from algebra._unit_law.
 """
 from __future__ import annotations
 
@@ -58,6 +58,8 @@ from .algebra import (
     ZERO,
     Event,
     EventTuple,
+    _keys,
+    _unit_law,
     joint_distribution,
     lift_tuple,
 )
@@ -388,21 +390,6 @@ def _refine_search(depths, arity: int, stop_below, prepare, stop_at):
     return best
 
 
-def _c2_law(a: EventTuple, tuples: Sequence[EventTuple]) -> tuple[list[int], dict[int, int]]:
-    """The anchor key of each atom, and the joint law of (anchor, parameters)
-    in units of 1/D0 by packed key (see _c2_prepare), in order of each
-    key's first atom: bit i for anchor event i, then base_arity + i*arity +
-    j for event j of parameter tuple i."""
-    keys = [0] * a.algebra.size
-    for bit, e in enumerate(a.events + tuple(e for b in tuples for e in b.events)):
-        for x in e.members:
-            keys[x] |= 1 << bit
-    law: dict[int, int] = {}
-    for key, u in zip(keys, a.algebra.units):
-        law[key] = law.get(key, 0) + u
-    return [key & (1 << a.arity) - 1 for key in keys], law
-
-
 def _c2_prepare(
     a: EventTuple,
     tuples: Sequence[EventTuple],
@@ -414,15 +401,15 @@ def _c2_prepare(
     prepare(refined, projection), which gives the scorer of _search_best.
     Everything up to the depth's result is an integer.
 
-    Every atom's joint sign is packed into one int key: anchor bits first,
-    then the orbit tuple's bits in _orbit_tuple's coordinate order, so bit
+    Every atom's cell is its packed key (see the algebra module) over the
+    anchor, then the orbit tuple in _orbit_tuple's coordinate order, so bit
     base_arity + i*arity + j of atom y is set iff y lies in g_i(c_j), g_0
-    the identity.  The target law's keys and masses in units of 1/D0, D0
-    the base algebra's denominator, and the base atoms' anchor keys are
-    built once per request (_c2_law); a depth scales the target by D/D0 and
-    reads each refined atom's anchor key through the projection.  Masses
-    are integer units of 1/D, D the lcm of the refined atoms' denominators;
-    the target masses are sums of whole refined atoms, so D0 divides D.
+    the identity.  The target law _unit_law(a, *tuples), in units of 1/D0
+    (D0 the base algebra's denominator), and the anchor keys _keys(a) are
+    built once per request; a depth scales the target by D/D0 and reads
+    each refined atom's anchor key through the projection.  Masses are
+    integer units of 1/D, D the lcm of the refined atoms' denominators; the
+    target masses are sums of whole refined atoms, so D0 divides D.
     Toggling atom x of c_j moves each atom g_i(x), all of weight w =
     weight(x), to the key with bit (i, j) flipped; when two generators send
     x to the same y, y's flips merge into one XOR.  Distinct toggles flip
@@ -462,7 +449,7 @@ def _c2_prepare(
     base_arity = a.arity
     arity = tuples[0].arity
     base_den = a.algebra.den
-    anchor_keys, law = _c2_law(a, tuples)
+    anchor_keys, law = _keys(a), _unit_law(a, *tuples)
     bits = [
         [1 << (base_arity + i * arity + j) for i in range(len(tuples))]
         for j in range(arity)

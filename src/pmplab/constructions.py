@@ -20,9 +20,8 @@ from .algebra import (
     AtomPartition,
     EventTuple,
     MeasuredAlgebra,
-    Sign,
+    _keys,
     _runs,
-    _sign_map,
     _split,
     refine_to_unit,
     uniform_algebra,
@@ -177,28 +176,29 @@ class Matching(Record):
 def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     """Build an automorphism g of a refinement with g(a) = b eventwise.
 
-    Requires a and b equidistributed, else TypeMismatch.  An atom where the
-    sign maps of a and b disagree moves: it leaves its cell under a and
-    enters its cell under b.  The atoms that stay weigh the same in every
-    cell under both tuples, so the check compares, per sign vector and in
-    integer units, only the units the moving atoms take out and bring in.
-    Each moving atom is split into equal-mass rational fragments of one
-    global unit; within each sign vector s the fragments leaving cell s are
-    paired lexicographically with those entering it (equal units, so equal
-    counts), and all other atoms stay fixed.  The pairing moves exactly the
-    disagreement mass, so the uniform distance of g from the identity is at
-    most dist_partition(a, b).  Raises InstanceTooLarge, before splitting
-    anything, when the refinement would pass MAX_REFINED_ATOMS atoms."""
+    Requires a and b equidistributed, else TypeMismatch.  An atom whose
+    packed keys (see the algebra module) under a and b disagree moves: it
+    leaves its cell under a and enters its cell under b.  The atoms that
+    stay weigh the same in every cell under both tuples, so the check
+    compares, per key and in integer units, only the units the moving atoms
+    take out and bring in.  Each moving atom is split into equal-mass
+    rational fragments of one global unit; within each key s the fragments
+    leaving cell s are paired lexicographically with those entering it
+    (equal units, so equal counts), and all other atoms stay fixed.  The
+    pairing moves exactly the disagreement mass, so the uniform distance of
+    g from the identity is at most dist_partition(a, b).  Raises
+    InstanceTooLarge, before splitting anything, when the refinement would
+    pass MAX_REFINED_ATOMS atoms."""
     if a.algebra.id != b.algebra.id:
         raise AlgebraMismatch("tuples live on different algebras")
     if a.arity != b.arity:
         raise ArityMismatch(f"tuples have arities {a.arity} and {b.arity}")
     alg = a.algebra
-    sa = _sign_map(a)
-    sb = _sign_map(b)
+    sa = _keys(a)
+    sb = _keys(b)
     units, den = alg.units, alg.den
     moving = [x for x in range(alg.size) if sa[x] != sb[x]]
-    balance: dict[Sign, int] = {}  # units gained under b less units lost under a
+    balance: dict[int, int] = {}  # units gained under b less units lost under a
     for x in moving:
         balance[sa[x]] = balance.get(sa[x], 0) - units[x]
         balance[sb[x]] = balance.get(sb[x], 0) + units[x]
@@ -216,8 +216,8 @@ def match_partitions(a: EventTuple, b: EventTuple) -> Matching:
     refined, projection = _split(alg, counts)
     fragments = _runs(projection)
 
-    leaving: dict[Sign, list[int]] = {}
-    entering: dict[Sign, list[int]] = {}
+    leaving: dict[int, list[int]] = {}
+    entering: dict[int, list[int]] = {}
     for x in moving:
         leaving.setdefault(sa[x], []).extend(fragments[x])
         entering.setdefault(sb[x], []).extend(fragments[x])

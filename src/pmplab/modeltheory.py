@@ -9,16 +9,17 @@ program over couplings.  Conditional independence is measured as the
 total-variation gap to the relatively independent joining.
 
 The kernels on tuples of one algebra read the joint law of their tuples in
-integer units of 1/D, D its common denominator, and build one Fraction per
-result; joint_tv_distance, whose two laws may come from two algebras, adds
-over the lcm of their denominators.
+integer units of 1/D, D its common denominator, keyed by packed keys (see
+the algebra module), which they split into each tuple's cell with shifts
+and masks, and build one Fraction per result; joint_tv_distance, whose two
+laws may come from two algebras, adds over the lcm of their denominators.
 
 Both type distances start from the residual laws: in each base cell, the
-law p of b less min(p, q) and the law q of c less min(p, q), sign by sign.
+law p of b less min(p, q) and the law q of c less min(p, q), cell by cell.
 Shared mass can stay on the diagonal of an optimal coupling.  If a coupling
 sends d from s to t' and d from s' to s, sending d from s' to t' and d from
 s to s keeps both margins, and by the triangle inequality for each
-coordinate's mismatch [s_i != t_i] it raises no coordinate's mismatch mass.
+coordinate's mismatch [bit i of s ^ t] it raises no coordinate's mismatch mass.
 So the max-metric program couples only the residual masses, whose supports
 are disjoint: a cell where the two laws agree drops out, and at arity 1
 every residual pair mismatches in its one coordinate, so the max distance
@@ -38,6 +39,7 @@ from .algebra import (
     Sign,
     _cell_law,
     _same_algebra,
+    _sign_law,
     _unit_law,
 )
 from .errors import ArityMismatch, LPInternal, ValidationError
@@ -68,19 +70,19 @@ def _tv(p: Mapping, q: Mapping) -> Fraction:
 
 def _residual_laws(
     base: EventTuple, b: EventTuple, c: EventTuple
-) -> list[tuple[dict[Sign, int], dict[Sign, int]]]:
+) -> list[tuple[dict[int, int], dict[int, int]]]:
     """The residual laws of b and c in each base cell where they differ, in
     units of 1/D: p - min(p, q) and q - min(p, q), positive entries only.
 
-    A cell where b and c have one sign adds to p and q alike, so only the
-    cells (r, s, t) of the joint law where they differ are read.  The two
-    sides of a cell have disjoint supports and equal totals."""
-    cells: dict[Sign, dict[Sign, int]] = {}
-    for (r, s, t), u in _unit_law(base, b, c).items():
+    A cell where b and c agree adds to p and q alike, so only the cells (r,
+    s, t) of the joint law where they differ are read.  The two sides of a
+    cell have disjoint supports and equal totals."""
+    shift, n = base.arity, b.arity
+    cells: dict[int, dict[int, int]] = {}
+    for key, u in _unit_law(base, b, c).items():
+        r, s, t = key & (1 << shift) - 1, key >> shift & (1 << n) - 1, key >> shift + n
         if s != t:
-            gap = cells.get(r)
-            if gap is None:
-                gap = cells[r] = {}
+            gap = cells.setdefault(r, {})
             gap[s] = gap.get(s, 0) + u
             gap[t] = gap.get(t, 0) - u
     laws = []
@@ -114,13 +116,13 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
     Some optimal coupling keeps min(p(s), q(s)) on the diagonal of every
     cell (see the module docstring), so the program couples only the
     residual laws, with integer rows in units of 1/D.  A cell whose residual
-    has one sign on either side has one coupling: its mismatch mass in each
+    has one cell on either side has one coupling: its mismatch mass in each
     coordinate is a constant, which moves to the right-hand side.  Every
     other cell gets one variable per residual pair and its margin rows less
     one, which its equal totals make redundant.  No program is solved when
     every cell is forced: the distance is then the largest forced mismatch,
     0 when the laws agree in every cell.  At arity 1 every cell is forced,
-    since the two sides of a cell have disjoint supports among two signs,
+    since the two sides of a cell have disjoint supports among two cells,
     and the distance is the total-variation distance, the summed residual
     mass.
     """
@@ -141,7 +143,7 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
             continue
         for s, t, mass in moves:
             for i in range(n):
-                if s[i] != t[i]:
+                if (s ^ t) >> i & 1:
                     forced[i] += mass
     if not free:
         return Fraction(max(forced, default=0), den)
@@ -151,7 +153,7 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
     _check_lp_entries(sum([len(p) + len(q) - 1 for p, q in free]) + n, width)
     rows: list[list[int]] = []
     rhs: list[int] = []
-    pairs: list[tuple[Sign, Sign]] = []
+    pairs: list[tuple[int, int]] = []
     for p, q in free:
         start, step = len(pairs), len(q)
         stop = start + len(p) * step
@@ -167,7 +169,7 @@ def type_distance_max(base: EventTuple, b: EventTuple, c: EventTuple) -> Fractio
             rhs.append(mass)
         pairs.extend(product(p, q))
     for i in range(n):
-        row = [int(s[i] != t[i]) for s, t in pairs] + [0] * (1 + n)
+        row = [(s ^ t) >> i & 1 for s, t in pairs] + [0] * (1 + n)
         row[z] = -1
         row[z + 1 + i] = 1
         rows.append(row)
@@ -236,11 +238,9 @@ def relatively_independent_joining(
     _same_algebra(base.algebra, c.algebra, "tuples")
     law_b: dict[tuple[Sign, Sign], int] = {}
     cells: dict[Sign, dict[Sign, int]] = {}
-    for (r, s, t), u in _unit_law(base, b, c).items():
+    for (r, s, t), u in _sign_law(base, b, c).items():
         law_b[r, s] = law_b.get((r, s), 0) + u
-        law_c = cells.get(r)
-        if law_c is None:
-            law_c = cells[r] = {}
+        law_c = cells.setdefault(r, {})
         law_c[t] = law_c.get(t, 0) + u
     den = base.algebra.den
     scale = {r: den * sum(law_c.values()) for r, law_c in cells.items()}
@@ -264,22 +264,21 @@ def independence_deficiency(
     pairs (t, s), all in units of 1/D; the inner sum is all integer."""
     _same_algebra(base.algebra, c.algebra, "tuples")
     _same_algebra(base.algebra, b.algebra, "tuples")
-    cells: dict[Sign, dict[tuple[Sign, Sign], int]] = {}
-    for (r, t, s), u in _unit_law(base, c, b).items():
-        law = cells.get(r)
-        if law is None:
-            law = cells[r] = {}
-        law[t, s] = u
+    shift, n = base.arity, c.arity
+    cells: dict[int, dict[int, int]] = {}
+    for key, u in _unit_law(base, c, b).items():
+        cells.setdefault(key & (1 << shift) - 1, {})[key >> shift] = u
     total = ZERO
     for law in cells.values():
-        law_c: dict[Sign, int] = {}
-        law_b: dict[Sign, int] = {}
-        for (t, s), a in law.items():
+        law_c: dict[int, int] = {}
+        law_b: dict[int, int] = {}
+        for ts, a in law.items():
+            t, s = ts & (1 << n) - 1, ts >> n
             law_c[t] = law_c.get(t, 0) + a
             law_b[s] = law_b.get(s, 0) + a
         mass = sum(law_c.values())
         gap = sum([
-            abs(law.get((t, s), 0) * mass - mb * mc)
+            abs(law.get(t | s << n, 0) * mass - mb * mc)
             for t, mc in law_c.items()
             for s, mb in law_b.items()
         ])

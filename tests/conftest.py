@@ -6,9 +6,12 @@ seed; algebras are built over one common denominator, which keeps refinement
 lcms small and exact arithmetic fast.  The oracles (oracle_type_distance,
 marked_group_isomorphism, oracle_validate_marked_group) are slow, obviously
 correct reference code that the library never calls; an oracle that only one
-test module uses lives in that module instead.  The tests' walks,
-breadth_first and oracle_visit_order, live here together, so that no oracle
-borrows a walk from the library.  outcome turns a call into its value or its
+test module uses lives in that module instead.  oracle_sign_map and the
+tuple-keyed laws oracle_unit_law and oracle_cell_law are the oracle for the
+library's packed keys and laws (algebra._keys, algebra._unit_law), read
+through oracle_pack.  The tests' walks, breadth_first and
+oracle_visit_order, live here together, so that no oracle borrows a walk
+from the library.  outcome turns a call into its value or its
 exception type and message, for comparing a kernel with its oracle, and
 group_from_table reads a table document as the library reads one."""
 from __future__ import annotations
@@ -29,7 +32,6 @@ from pmplab.algebra import (
     JointDistribution,
     MeasuredAlgebra,
     Sign,
-    _sign_map,
     joint_distribution,
     uniform_algebra,
     validate_algebra,
@@ -65,6 +67,39 @@ def random_algebra(
 def random_event(rng: random.Random, alg: MeasuredAlgebra) -> Event:
     members = [i for i in range(alg.size) if rng.random() < 0.5]
     return Event.of(alg, members)
+
+
+def oracle_sign_map(t: EventTuple) -> list[Sign]:
+    """The sign vector of every atom under t, indexed by atom: entry i is 1
+    when the atom lies in event i."""
+    sets = [set(e.members) for e in t.events]
+    return [tuple(1 if a in s else 0 for s in sets) for a in range(t.algebra.size)]
+
+
+def _oracle_law(tuples: Sequence[EventTuple], weights: Sequence) -> dict:
+    law: dict = {}
+    keys = zip(*(oracle_sign_map(t) for t in tuples))
+    for key, weight in zip(keys, weights):
+        law[key] = law.get(key, 0) + weight
+    return law
+
+
+def oracle_unit_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], int]:
+    """The weight in units of 1/D of every cell the tuples generate
+    together, keyed by the tuple of its sign vectors, one per tuple, in
+    order of each cell's first atom."""
+    return _oracle_law(tuples, tuples[0].algebra.units)
+
+
+def oracle_cell_law(*tuples: EventTuple) -> dict[tuple[Sign, ...], Fraction]:
+    """oracle_unit_law with each cell's mass summed Fraction by Fraction."""
+    return _oracle_law(tuples, tuples[0].algebra.atoms)
+
+
+def oracle_pack(signs: Sequence[Sign]) -> int:
+    """The packed key of a cell spelt out as one sign vector per tuple: bit
+    j set when entry j of the concatenated vectors is 1."""
+    return sum(bit << j for j, bit in enumerate(itertools.chain(*signs)))
 
 
 def breadth_first(start, gens, step, limit: Optional[int] = None):
@@ -369,7 +404,7 @@ def oracle_type_distance(
     n = b.arity
     if n > 2:
         raise InstanceTooLarge(f"fiber arity {n} exceeds the oracle bound 2")
-    cells = sorted(set(_sign_map(base)))
+    cells = sorted(set(oracle_sign_map(base)))
     if len(cells) > 3:
         raise InstanceTooLarge(f"{len(cells)} base cells exceed the oracle bound 3")
     if n == 0:

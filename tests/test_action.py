@@ -14,7 +14,6 @@ from pmplab.algebra import (
     AtomPartition,
     Event,
     EventTuple,
-    _sign_map,
     validate_algebra,
 )
 from pmplab import action as action_module
@@ -46,6 +45,7 @@ from pmplab.limits import MAX_REFINED_ATOMS
 from conftest import (
     event_image,
     letter_image,
+    oracle_sign_map,
     random_algebra,
     random_event,
     random_mass_preserving_perm,
@@ -260,7 +260,7 @@ def test_generated_subalgebra_matches_boolean_closure_oracle():
 def oracle_generated_subalgebra(act: FkAction, events: EventTuple) -> AtomPartition:
     """generated_subalgebra as frozenset blocks, rebuilt and re-sorted by
     least member in every round until their number stops growing."""
-    signs = _sign_map(events)
+    signs = oracle_sign_map(events)
     groups: dict[tuple, set[int]] = {}
     for atom in range(act.algebra.size):
         groups.setdefault(signs[atom], set()).add(atom)

@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmplab.algebra import (
     AtomPartition,
     Event,
     EventTuple,
+    _keys,
     _unit_law,
     dist_max,
     dist_partition,
@@ -34,7 +35,13 @@ from pmplab.errors import (
 )
 from pmplab.limits import MAX_REFINED_ATOMS
 
-from conftest import random_algebra, random_tuple
+from conftest import (
+    oracle_pack,
+    oracle_sign_map,
+    oracle_unit_law,
+    random_algebra,
+    random_tuple,
+)
 
 F = Fraction
 
@@ -227,23 +234,39 @@ def test_joint_distribution_marginals():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10_000), st.lists(st.integers(0, 3), min_size=1, max_size=3))
-def test_unit_law_matches_the_oracle_cells(seed, arities):
+@given(
+    st.integers(0, 10_000),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.booleans(),
+)
+@example(0, [0], True)
+@example(1, [2, 0, 1], True)
+def test_unit_law_matches_the_oracle_cells(seed, arities, extremes):
     """Every nonempty intersection of one oracle cell per tuple is a key of
-    _unit_law, with its mass in units of 1/D, and the keys come in order of
-    each cell's least atom."""
+    _unit_law, packed by oracle_pack, with its mass in units of 1/D, and
+    the keys come in order of each cell's least atom.  _keys packs each
+    atom's sign vectors, and _unit_law is the tuple-keyed oracle law with
+    its keys packed.  With extremes, a tuple of an empty event and the
+    all-atom event, and a tuple of arity 0, join the drawn tuples."""
     rng = random.Random(seed)
     alg = random_algebra(rng, max_atoms=8, max_den=30)
     tuples = [random_tuple(rng, alg, arity) for arity in arities]
+    if extremes:
+        for events in ([[], range(alg.size)], []):
+            tuples.insert(rng.randint(0, len(tuples)), EventTuple.of_members(alg, events))
     expected = {}
     for cells in itertools.product(*[oracle_cells(t).items() for t in tuples]):
         atoms = frozenset.intersection(*[cell for _s, (cell, _m) in cells])
         if atoms:
-            expected[tuple(s for s, _cell in cells)] = atoms
+            expected[oracle_pack([s for s, _cell in cells])] = atoms
     law = _unit_law(*tuples)
     assert list(law) == sorted(expected, key=lambda key: min(expected[key]))
     for key, atoms in expected.items():
         assert F(law[key], alg.den) == sum((alg.atoms[x] for x in atoms), F(0))
+    signs = zip(*[oracle_sign_map(t) for t in tuples])
+    assert _keys(*tuples) == [oracle_pack(s) for s in signs]
+    oracle = oracle_unit_law(*tuples)
+    assert list(law.items()) == [(oracle_pack(key), u) for key, u in oracle.items()]
 
 
 def test_concat_takes_any_number_of_tuples():

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from pmplab.algebra import (
     EventTuple,
     MeasuredAlgebra,
-    _sign_map,
+    _keys,
+    _unit_law,
     joint_distribution,
     lift_tuple,
     validate_algebra,
@@ -34,7 +35,6 @@ import pmplab.action as action
 import pmplab.algebra as algebra
 import pmplab.audit as audit
 from pmplab.audit import (
-    _c2_law,
     _c2_prepare,
     _check_embedding,
     _ec_prepare,
@@ -63,7 +63,7 @@ from pmplab.errors import (
 from pmplab.limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, MAX_REFINED_ATOMS
 from pmplab.modeltheory import joint_tv_distance
 
-from conftest import outcome, random_tuple, uniform_algebra
+from conftest import oracle_sign_map, outcome, random_tuple, uniform_algebra
 from test_action import oracle_apply_word
 
 F = Fraction
@@ -682,10 +682,11 @@ def unpacked(packed, count, scale):
 
 
 def oracle_c2_law(a, tuples):
-    """The set-up _c2_law replaced: the Fraction joint law of the anchor and
-    the concatenated parameters, each (base sign, fiber sign) cell packed
-    through pack(r) | pack(s) << base_arity and its mass taken back to units
-    of 1/D, and the anchor keys packed from _sign_map."""
+    """The second-condition set-up's law before it was built from packed
+    keys: the Fraction joint law of the anchor and the concatenated
+    parameters, each (base sign, fiber sign) cell packed through pack(r) |
+    pack(s) << base_arity and its mass taken back to units of 1/D, and the
+    anchor keys packed from oracle_sign_map."""
 
     def pack(signs):
         return sum(bit << i for i, bit in enumerate(signs))
@@ -696,7 +697,7 @@ def oracle_c2_law(a, tuples):
         pack(r) | pack(s) << a.arity: m.numerator * (den // m.denominator)
         for (r, s), m in law.mass.items()
     }
-    return [pack(signs) for signs in _sign_map(a)], cells
+    return [pack(signs) for signs in oracle_sign_map(a)], cells
 
 
 def oracle_mass_spans(tuples):
@@ -709,10 +710,11 @@ def oracle_mass_spans(tuples):
 
 
 def assert_law_and_spans_match_oracles(a, bs):
-    """_c2_law gives the oracle's anchor keys and law, in the same key
-    order; the unit spans are the Fraction spans times D, and the extension
-    floor half their widest spread."""
-    anchor_keys, law = _c2_law(a, bs)
+    """The second-condition set-up's anchor keys, _keys(a), and target law,
+    _unit_law(a, *bs), are the oracle's, in the same key order; the unit
+    spans are the Fraction spans times D, and the extension floor half their
+    widest spread."""
+    anchor_keys, law = _keys(a), _unit_law(a, *bs)
     oracle_keys, oracle_law = oracle_c2_law(a, bs)
     assert anchor_keys == oracle_keys
     assert list(law.items()) == list(oracle_law.items())
@@ -1451,7 +1453,7 @@ def test_c2_law_with_an_empty_anchor_and_empty_events():
         assert_search_matches_oracle(
             act, 2, 1, F(0), F(-1), c2_prepare(a, bs), oracle_c2_prepare(a, bs)
         )
-    assert _c2_law(empty, [empty, empty]) == ([0] * 4, {0: 6})
+    assert (_keys(empty), _unit_law(empty, empty, empty)) == ([0] * 4, {0: 6})
 
 
 def test_ec_scan_scores_each_candidate_once_up_to_its_first_hit():
@@ -1541,7 +1543,7 @@ def oracle_flip_c2_prepare(a, tuples):
             pack(r) | pack(s) << base_arity: m.numerator * (denom // m.denominator)
             for (r, s), m in target.mass.items()
         }
-        keys = [pack(signs) for signs in _sign_map(lift_tuple(a, alg, projection))]
+        keys = [pack(signs) for signs in oracle_sign_map(lift_tuple(a, alg, projection))]
         for key, w in zip(keys, weights):
             diff[key] = diff.get(key, 0) - w
         total = sum(abs(d) for d in diff.values())
@@ -1591,7 +1593,7 @@ def oracle_walk_peek_c2_prepare(a, tuples):
     def prepare(refined, projection):
         alg = refined.algebra
         denom, weights, size = alg.den, alg.units, alg.size
-        keys = [pack(signs) for signs in _sign_map(lift_tuple(a, alg, projection))]
+        keys = [pack(signs) for signs in oracle_sign_map(lift_tuple(a, alg, projection))]
         diff = defaultdict(int)
         for (r, s), m in law.mass.items():
             diff[pack(r) | pack(s) << base_arity] = m.numerator * (denom // m.denominator)

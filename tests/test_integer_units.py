@@ -24,7 +24,6 @@ from pmplab.algebra import (
     EventTuple,
     MeasuredAlgebra,
     _cell_law,
-    _sign_map,
     _split,
     dist_partition,
     joint_distribution,
@@ -62,7 +61,7 @@ from pmplab.modeltheory import (
 )
 from pmplab.simplex import LPSolution, solve_lp
 
-from conftest import fiber_support, outcome
+from conftest import fiber_support, oracle_cell_law, oracle_sign_map, outcome
 
 F = Fraction
 ZERO = F(0)
@@ -87,19 +86,6 @@ def oracle_validate_algebra(masses) -> tuple[Fraction, ...]:
 
 def oracle_mass_of(alg: MeasuredAlgebra, members) -> Fraction:
     return sum((alg.atoms[i] for i in members), ZERO)
-
-
-def oracle_sign_map(t: EventTuple) -> list[tuple[int, ...]]:
-    sets = [set(e.members) for e in t.events]
-    return [tuple(1 if a in s else 0 for s in sets) for a in range(t.algebra.size)]
-
-
-def oracle_cell_law(*tuples: EventTuple) -> dict:
-    mass: dict = {}
-    keys = zip(*(oracle_sign_map(t) for t in tuples))
-    for key, atom_mass in zip(keys, tuples[0].algebra.atoms):
-        mass[key] = mass.get(key, ZERO) + atom_mass
-    return mass
 
 
 def oracle_dist_partition(a: EventTuple, b: EventTuple) -> Fraction:
@@ -305,9 +291,9 @@ def type_instances(draw):
     b = EventTuple.of_members(alg, draw(st.lists(members, min_size=arity, max_size=arity)))
     fresh = [set(e) for e in draw(st.lists(members, min_size=arity, max_size=arity))]
     signs = [tuple(int(x in e) for e in fresh) for x in range(n)]
-    b_signs = _sign_map(b)
+    b_signs = oracle_sign_map(b)
     cells: dict = {}
-    for x, r in enumerate(_sign_map(base)):
+    for x, r in enumerate(oracle_sign_map(base)):
         cells.setdefault(r, {}).setdefault(alg.atoms[x], []).append(x)
     agree = draw(st.sampled_from(["none", "some", "all"]))
     for classes in cells.values():
@@ -424,6 +410,9 @@ def test_laws_and_masses_match_the_fraction_oracles(drawn, data):
     a, b = tuples[0], tuples[-1]
     joint = joint_distribution(a, b)
     assert list(joint.mass.items()) == list(oracle_cell_law(a, b).items())
+    mid = tuples[len(tuples) // 2]
+    triple = triple_law(a, mid, b)
+    assert list(triple.mass.items()) == list(oracle_cell_law(a, mid, b).items())
     assert outcome(dist_partition, a, b) == outcome(oracle_dist_partition, a, b)
     other = validate_algebra(alg.atoms)
     stranger = EventTuple.of_members(other, [e.members for e in a.events])
@@ -737,9 +726,9 @@ def forced_instances(draw):
     base = events(draw(st.sampled_from([1, 2])))
     arity = draw(st.sampled_from([2, 3]))
     b, c = events(arity), events(arity)
-    signs = _sign_map(c)
+    signs = oracle_sign_map(c)
     cells: dict = {}
-    for x, r in enumerate(_sign_map(base)):
+    for x, r in enumerate(oracle_sign_map(base)):
         cells.setdefault(r, []).append(x)
     every = draw(st.booleans())
     for atoms in cells.values():
