@@ -37,12 +37,14 @@ a few whole-int operations per key.  A scan returns all 2**n candidates
 packed, and a few more whole-int operations find its first hit: the lowest
 field whose top bit B stays clear once B - cut is added.  A descent read
 packs the n toggles and the tuple, and a move re-adds only the k + 1 atoms
-it moves.  The extension scorer holds one candidate tuple and recomputes
-its small pattern with the kernel that gives its target: its scan steps
-the tuple as a binary counter and scores each candidate once, stopping at
-its first hit.  Each depth turns its best score into one Fraction, equal
-to what c2_distance (or the triple pattern in masses) would give.  The
-second-condition set-up reads its law by packed key from algebra._unit_law.
+it moves.  Both read one per-atom table per depth, the key bits each toggle
+flips on that atom.  The extension scorer holds one candidate tuple and
+recomputes its small pattern with the kernel that gives its target: its
+scan steps the tuple as a binary counter and scores each candidate once,
+stopping at its first hit.  Each depth turns its best score into one
+Fraction, equal to what c2_distance (or the triple pattern in masses) would
+give.  The second-condition set-up reads its law by packed key from
+algebra._unit_law.
 """
 from __future__ import annotations
 
@@ -413,9 +415,9 @@ def _c2_prepare(
     Toggling atom x of c_j moves each atom g_i(x), all of weight w =
     weight(x), to the key with bit (i, j) flipped; when two generators send
     x to the same y, y's flips merge into one XOR.  Distinct toggles flip
-    disjoint bits of one atom's key.  Each depth builds this once, as the
-    table moves[b] of the atoms toggle b moves and the bits it flips on
-    each, and the scan and the descent both read it.
+    disjoint bits of one atom's key.  Each depth builds this once, from the
+    generator images, as one per-atom table touch[y] = {toggle b: the bits
+    it flips on y}, and the scan and the descent both read it.
 
     The target law T and a candidate's law M both have total mass D, so
     c2_distance is sum |T - M| / (2D) = (D - sum min(M, T)) / D, and only
@@ -427,18 +429,20 @@ def _c2_prepare(
 
     scan scores all 2**n candidates, n = size*arity, one field each in
     index order, whatever its cut, and returns them packed in one int for
-    _scan_best.  Atom y's key is its empty-tuple key XOR the flips of the candidate bits that move it, at most (k + 1)*arity of
-    them, so y reaches a target key under exactly one setting of those
-    bits, or none: w*ONE masked by each bit's set or clear fields
-    (_candidate_masks) adds at that key.
+    _scan_best.  Atom y's key is its empty-tuple key XOR the flips of the
+    toggles in touch[y], at most (k + 1)*arity of them, so y reaches a
+    target key under exactly one setting of their candidate bits, or none:
+    w*ONE masked by each bit's set or clear fields (_candidate_masks) adds
+    at that key.
 
     The descent starts at the seed and scores n + 1 fields: field b < n the
     toggle b of the current tuple, and field n, which no toggle moves, the
     current tuple itself.  Atom y adds w*(ONE - L_y) at its key, L_y the
-    fields of the toggles that move y, and w*E_b at key ^ flip_b for each
-    such toggle b, E_b the one of field b, wherever these are target keys.
-    M is kept between rounds: a move re-adds only the atoms it moves, at
-    most k + 1, and so carries field n to the tuple it moves to.
+    fields of the toggles in touch[y], and w*E_b at key ^ flip_b for each
+    such toggle b, E_b the one of field b, wherever these are target keys;
+    these terms are computed when added, so a depth holds one int of n + 1
+    fields per target key.  M is kept between rounds: a move re-adds only
+    the atoms it moves, g(x) for each image g, and so carries field n.
 
     The floor coarsens both laws to one key bit: its candidate side g_i(c_j)
     weighs mu(c_j)*D = m, a multiple of g = gcd of the atom weights in
@@ -467,14 +471,12 @@ def _c2_prepare(
         shift = width - 1
         b0_lift = lift_tuple(tuples[0], alg, projection)
         seed = tuple(e.members for e in b0_lift.events)
-        # moves[b]: atom -> the key bits toggle b = j*size + x flips on it
-        moves: list[dict[int, int]] = []
+        # touch[y]: toggle b = j*size + x -> the key bits it flips on atom y
+        touch: list[dict[int, int]] = [{} for _ in range(size)]
         for j in range(arity):
-            for x in range(size):
-                flips: dict[int, int] = {}
-                for g, bit in zip(images, bits[j]):
-                    flips[g[x]] = flips.get(g[x], 0) ^ bit
-                moves.append(flips)
+            for g, bit in zip(images, bits[j]):
+                for b, y in enumerate(g, j * size):
+                    touch[y][b] = touch[y].get(b, 0) ^ bit
 
         def offsets(one: int) -> tuple[dict[int, int], int]:
             high = one << shift
@@ -482,13 +484,10 @@ def _c2_prepare(
 
         def scan(_cut: int) -> int:
             one, _high, masks = _candidate_masks(n, fb)
-            # controls[y]: candidate bit -> the key bits it flips on atom y
-            controls: list[dict[int, int]] = [{} for _ in range(size)]
-            for place, flips in zip(_candidate_bits(size, arity), moves):
-                for y, flip in flips.items():
-                    controls[y][place] = flip
+            # the set and clear masks of each toggle's candidate bit
+            toggle_masks = [masks[p] for p in _candidate_bits(size, arity)]
             packed = dict.fromkeys(target, 0)
-            for p, w, moving in zip(projection, weights, controls):
+            for p, w, moving in zip(projection, weights, touch):
                 start = anchor_keys[p]
                 fixed = ~sum(moving.values())
                 weighted = w * one
@@ -497,14 +496,14 @@ def _c2_prepare(
                     if rest & fixed:
                         continue
                     part = weighted
-                    for place, flip in moving.items():
+                    for b, flip in moving.items():
                         hit = rest & flip
                         if hit == flip:
-                            part &= masks[place][0]
+                            part &= toggle_masks[b][0]
                         elif hit:
                             break
                         else:
-                            part &= masks[place][1]
+                            part &= toggle_masks[b][1]
                     else:
                         packed[key] += part
             return denom * one - _shared(packed, *offsets(one), shift)
@@ -513,25 +512,30 @@ def _c2_prepare(
             keys = [anchor_keys[p] for p in projection]
             for j, event in enumerate(seed):
                 for x in event:
-                    for y, flip in moves[j * size + x].items():
-                        keys[y] ^= flip
+                    for y in {g[x] for g in images}:
+                        keys[y] ^= touch[y][j * size + x]
             one = _ones(n + 1, fb)
-            # spread[y]: (flip, packed weight) pairs, the key of atom y XOR
-            # flip gaining the weight, flip 0 its key itself
-            stay = [w * one for w in weights]
-            spread: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-            for b, flips in enumerate(moves):
-                e = weights[b % size] << b * width
-                for y, flip in flips.items():
-                    stay[y] -= e
-                    spread[y].append((flip, e))
-            for moved, w in zip(spread, stay):
-                moved.append((0, w))
             packed = dict.fromkeys(target, 0)
-            for key, pairs in zip(keys, spread):
-                for flip, e in pairs:
-                    if key ^ flip in packed:
-                        packed[key ^ flip] += e
+
+            def place(y: int, old: int, new: int) -> None:
+                # moves atom y's terms from key old to key new (-1 to only
+                # add): w << b*width at key ^ flip, the rest of w*ONE at key
+                w = weights[y]
+                rest = w * one
+                for b, flip in touch[y].items():
+                    e = w << b * width
+                    rest -= e
+                    if old ^ flip in packed:
+                        packed[old ^ flip] -= e
+                    if new ^ flip in packed:
+                        packed[new ^ flip] += e
+                if old in packed:
+                    packed[old] -= rest
+                if new in packed:
+                    packed[new] += rest
+
+            for y, key in enumerate(keys):
+                place(y, -1, key)
             table, high = offsets(one)
             full = denom * one
 
@@ -539,14 +543,9 @@ def _c2_prepare(
                 return _fields(full - _shared(packed, table, high, shift), n + 1, fb)
 
             def move(b: int) -> None:
-                for y, flip in moves[b].items():
-                    old = keys[y]
-                    new = keys[y] = old ^ flip
-                    for f, e in spread[y]:
-                        if old ^ f in packed:
-                            packed[old ^ f] -= e
-                        if new ^ f in packed:
-                            packed[new ^ f] += e
+                for y in {g[b % size] for g in images}:
+                    place(y, keys[y], keys[y] ^ touch[y][b])
+                    keys[y] ^= touch[y][b]
 
             return neighbours, move
 

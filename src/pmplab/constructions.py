@@ -729,12 +729,12 @@ def approx_conjugacy_search(
     MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
+    if beam_width < 1:
+        raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
     den = lcm(act1.algebra.den, act2.algebra.den)
     base1, base_proj1 = _at_unit(act1, den)
     base2, base_proj2 = _at_unit(act2, den)
     depths = zip(extensions(base1, max_refine), extensions(base2, max_refine))
-    if beam_width < 1:
-        raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
     beam_steps = 0
     grouping_steps: list[int] | None = [0]  # None once past MAX_GROUPING_STEPS
     best: ConjugacyCertificate | None = None

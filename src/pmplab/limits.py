@@ -47,7 +47,8 @@ Search bounds.  These end a search instead of refusing it.
   complement (cached per (n, fb)), and a few more while it runs, so 4 KB
   each at the cap with a denominator below 128, and 64 KB each at 2**16
   candidates.
-- GREEDY_ROUNDS bounds the rounds of one greedy descent.
+- GREEDY_ROUNDS bounds the rounds of one greedy descent.  A second-condition
+  descent holds one int of n + 1 fields per target key, no n x n structure.
 - MAX_GROUPING_STEPS bounds approx_conjugacy_search's exact grouping of the
   leftover cycle lengths of one generator: the sub-multisets its states
   enumerate and the groups they match, summed over the depths that group

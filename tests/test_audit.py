@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from typing import Sequence
@@ -228,6 +229,29 @@ def test_search_c2_witness_distance_is_recomputable():
         )
         assert recomputed == res.distance
         assert res.found == (res.distance < 2 * F(1, 9) or res.distance == 0)
+
+
+def test_search_c2_greedy_descent_holds_no_quadratic_table():
+    """A greedy depth on Z/4096 holds one int of n + 1 fields per target
+    key and no n x n table: a quadratic set-up would peak above 50 MB."""
+    n = 4096
+    alg = uniform_algebra(n)
+    act = validate_action(alg, [tuple((x + 1) % n for x in range(n))])
+    a = EventTuple.of_members(alg, [range(n // 2)])
+    bs = [
+        EventTuple.of_members(alg, [range(0, n, 2)]),
+        EventTuple.of_members(alg, [range(n // 4, 3 * n // 4)]),
+    ]
+    tracemalloc.start()
+    try:
+        res = search_C2_witness(act, a, bs, F(1, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert res.refinement_depth == 1
+    target = joint_distribution(a, bs[0].concat(bs[1]))
+    assert res.distance == c2_distance(act, a, target, res.c) == F(15, 32)
 
 
 def test_axiom_residual_examples():

@@ -2365,13 +2365,29 @@ def test_conjugacy_search_without_a_beam_or_a_depth_is_a_validation_error():
     for max_refine, beam_width, message in (
         (1, 0, "beam_width must be >= 1, got 0"),
         (0, 16, "max_refine must be >= 1, got 0"),
-        (-2, 0, "max_refine must be >= 1, got -2"),
+        (-2, 0, "beam_width must be >= 1, got 0"),
     ):
         with pytest.raises(ValidationError) as err:
             approx_conjugacy_search(
                 act, act, max_refine=max_refine, beam_width=beam_width
             )
         assert str(err.value) == message
+
+
+def test_conjugacy_search_refuses_a_beam_width_before_refining(monkeypatch):
+    """A beam_width below 1 is refused before either unit refinement is
+    built, even on actions whose atoms do not weigh the common unit."""
+    def failing_refine(act, unit):
+        raise AssertionError("refined before the beam_width check")
+
+    monkeypatch.setattr(constructions, "refine_action_to_unit", failing_refine)
+    act1 = validate_action(validate_algebra([F(1, 2), F(1, 4), F(1, 4)]), [(0, 2, 1)])
+    act2 = validate_action(validate_algebra([F(1, 3), F(2, 3)]), [(0, 1)])
+    with pytest.raises(AssertionError):
+        approx_conjugacy_search(act1, act2)
+    for beam_width in (0, -1):
+        with pytest.raises(ValidationError, match=f"beam_width must be >= 1, got {beam_width}"):
+            approx_conjugacy_search(act1, act2, beam_width=beam_width)
 
 
 # ------------------------------------------------- actions built unchecked

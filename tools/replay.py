@@ -41,6 +41,22 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def load_checkout(root: Path):
+    """(workloads, cli): root/perfbench/workloads.py and pmplab.cli from
+    root/src, imported without writing bytecode, or SystemExit(2) when
+    either comes from anywhere else."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from pmplab import cli
+
+    for module, home in ((workloads, root / "perfbench"), (cli, root / "src")):
+        if home not in Path(module.__file__).resolve().parents:
+            print(f"error: {module.__name__} was not imported from {home}", file=sys.stderr)
+            raise SystemExit(2)
+    return workloads, cli
+
+
 def answers(workloads, cli, workload: str, seeds: list[int]):
     """(seed, request, [rid, exit code, stdout]) for every request of the
     workload's cycle on each seed, in order."""
@@ -122,15 +138,7 @@ def main(argv=None) -> int:
             print(rid)
         print(f"{len(changed)} of {len(lines[0])} requests differ")
         return 1 if changed else 0
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import workloads
-    from pmplab import cli
-
-    for module, home in ((workloads, root / "perfbench"), (cli, root / "src")):
-        if home not in Path(module.__file__).resolve().parents:
-            print(f"error: {module.__name__} was not imported from {home}", file=sys.stderr)
-            return 2
+    workloads, cli = load_checkout(root)
     seeds = parse_seeds(args.seeds)
     if args.requests:
         for line in request_lines(workloads, cli, seeds):
