@@ -223,15 +223,14 @@ def uniform_distance(alg: MeasuredAlgebra, g: Sequence[int], h: Sequence[int]) -
     return _cycle_distance(alg, perm_compose(perm_inverse(hp), gp))
 
 
-def _cycle_distance(alg: MeasuredAlgebra, p: Perm) -> Fraction:
-    """The uniform distance between p and the identity, from p's cycles,
-    for a p that is known to be a mass-preserving permutation: masses are
-    unchecked, and a walk that reaches an atom twice raises NotBijective
-    instead of looping."""
-    units = alg.units
-    seen = [False] * alg.size
-    total = 0
-    for start in range(alg.size):
+def _cycles(p: Perm) -> list[tuple[int, int]]:
+    """The cycles of p as (least atom, length) pairs, in increasing order
+    of least atom: the library's one cycle walk.  A walk that reaches an
+    atom twice raises NotBijective instead of looping, so p need not be
+    known to be a permutation."""
+    seen = [False] * len(p)
+    cycles = []
+    for start in range(len(p)):
         if seen[start]:
             continue
         length = 1
@@ -243,7 +242,16 @@ def _cycle_distance(alg: MeasuredAlgebra, p: Perm) -> Fraction:
             x = p[x]
         if x != start:
             raise NotBijective(f"table is not a permutation: atom {x} is reached twice")
-        total += units[start] * (length - length % 2)
+        cycles.append((start, length))
+    return cycles
+
+
+def _cycle_distance(alg: MeasuredAlgebra, p: Perm) -> Fraction:
+    """The uniform distance between p and the identity, from p's cycles
+    (_cycles), for a p that is known to be mass-preserving: masses are
+    unchecked, and a table that is not a permutation raises NotBijective."""
+    units = alg.units
+    total = sum([units[x] * (length - length % 2) for x, length in _cycles(p)])
     return Fraction(total, alg.den)
 
 

@@ -31,6 +31,7 @@ from .action import (
     FkAction,
     Perm,
     _cycle_distance,
+    _cycles,
     extensions,
     invariant_components,
     perm_compose,
@@ -653,7 +654,8 @@ class ConjugacyCertificate(Record):
     eps equals max over generators of the uniform distance between the
     conjugated generator and its counterpart, recomputed from the mapping.
     exhausted is eps != 0.  The exact phase is complete, so a positive eps
-    means no exact conjugacy exists at the refinement depths tried.  eps
+    means no exact conjugacy exists at the refinement depths tried; for one
+    generator, that the two cycle types differ.  eps
     itself is an upper bound on the least defect, not a refutation of
     closer conjugacies at finer refinements.  For one generator it is
     built from cycle types and matched the least defect of its depth
@@ -702,16 +704,18 @@ def approx_conjugacy_search(
     searches the m-fold equal splits of both
     (action.extensions, which checks max_refine and the summed atoms): the
     unit refinements to 1/(L*m), whose projections are the base projection
-    composed with the depth's.  At depth 1 a complete search first looks
-    for an exact conjugacy (zero broken generator edges), one orbit at a
-    time.  It runs at depth 1 only: depth m is m disjoint copies of the
-    depth-1 refinements, and a finite F_k-set splits uniquely into orbits,
-    so m copies of X are isomorphic to m copies of Y exactly when X is to
-    Y; a depth-1 failure is a failure at every depth.  At every depth with
-    no exact conjugacy, one generator (k = 1) is conjugated from the cycle
-    types (_cycle_type_assign), unless its grouping passes
-    MAX_GROUPING_STEPS, counted over the depths grouped so far.  Otherwise
-    a beam search builds the atom bijection greedily: source atoms in
+    composed with the depth's.  One generator (k = 1) is conjugated at
+    every depth from the cycle types (_cycle_type_assign), unless its
+    grouping passes MAX_GROUPING_STEPS, counted over the depths grouped so
+    far: two permutations of equal atoms are conjugate exactly when their
+    cycle types agree, and then the mapping conjugates them exactly.  For
+    k != 1, a complete search first looks at depth 1 for an exact
+    conjugacy (zero broken generator edges), one orbit at a time.  It runs
+    at depth 1 only: depth m is m disjoint copies of the depth-1
+    refinements, and a finite F_k-set splits uniquely into orbits, so m
+    copies of X are isomorphic to m copies of Y exactly when X is to Y; a
+    depth-1 failure is a failure at every depth.  Otherwise a beam search
+    builds the atom bijection greedily: source atoms in
     increasing order, candidate targets scored by the
     number of generator edges they break among decided atoms, ties to the
     lexicographically smallest mapping.  Over uniform atoms this is the
@@ -740,8 +744,8 @@ def approx_conjugacy_search(
     best: ConjugacyCertificate | None = None
     for depth, ((r1, proj1), (r2, proj2)) in enumerate(depths, 1):
         n = r1.algebra.size
-        mapping = _exact_assign(r1, r2) if depth == 1 else None
-        if mapping is None and r1.k == 1 and grouping_steps is not None:
+        mapping = _exact_assign(r1, r2) if depth == 1 and r1.k != 1 else None
+        if r1.k == 1 and grouping_steps is not None:
             try:
                 mapping = _cycle_type_assign(r1.gens[0], r2.gens[0], grouping_steps)
             except InstanceTooLarge:  # the beam runs here and at every later depth
@@ -761,25 +765,11 @@ def approx_conjugacy_search(
     return best
 
 
-def _cycles(p: Perm) -> list[list[int]]:
-    """The cycles of p, each from its least atom, in increasing order of it."""
-    seen = [False] * len(p)
-    cycles = []
-    for start in range(len(p)):
-        if not seen[start]:
-            cycle, x = [start], p[start]
-            while x != start:
-                cycle.append(x)
-                x = p[x]
-            for x in cycle:
-                seen[x] = True
-            cycles.append(cycle)
-    return cycles
-
-
 def _cycle_type_assign(g: Perm, h: Perm, spent: list[int]) -> tuple[int, ...]:
     """A bijection on equal atoms conjugating g close to h, built from their
-    cycle types; spent[0] holds the grouping steps summed so far.
+    cycle types (action._cycles); spent[0] holds the grouping steps summed
+    so far.  When the cycle types agree it conjugates g onto h exactly, and
+    groups nothing.
 
     Each g-cycle, in order of least atom, is mapped onto an unused h-cycle
     of its length, least atom onto least atom.  The lengths left over are
@@ -795,37 +785,36 @@ def _cycle_type_assign(g: Perm, h: Perm, spent: list[int]) -> tuple[int, ...]:
     a + b - 1 atoms: the group costs a + b - 2 atoms, plus 1 when a + b is
     odd, and the defect is the grouping's cost over the atoms."""
     mapping, sigma = [0] * len(g), list(h)
-    free: dict[int, list[list[int]]] = {}  # unused h-cycles by length, least last
-    for cycle in reversed(_cycles(h)):
-        free.setdefault(len(cycle), []).append(cycle)
-    left: dict[int, list[list[int]]] = {}  # unpaired g-cycles by length
+    free: dict[int, list[int]] = {}  # unused h-cycles' least atoms by length, least last
+    for x, d in reversed(_cycles(h)):
+        free.setdefault(d, []).append(x)
+    left: dict[int, list[int]] = {}  # unpaired g-cycles' least atoms by length
 
-    def place(cycle: list[int], t: int) -> None:  # onto the sigma-cycle from t
-        for x in cycle:
-            mapping[x], t = t, sigma[t]
+    def place(x: int, d: int, t: int) -> None:  # g's d-cycle from x onto sigma's from t
+        for _ in range(d):
+            mapping[x], x, t = t, g[x], sigma[t]
 
-    for cycle in _cycles(g):
-        if free.get(len(cycle)):
-            place(cycle, free[len(cycle)].pop()[0])
+    for x, d in _cycles(g):
+        if free.get(d):
+            place(x, d, free[d].pop())
         else:
-            left.setdefault(len(cycle), []).append(cycle)
+            left.setdefault(d, []).append(x)
     lengths1 = sorted(left)
     lengths2 = sorted(length for length, cycles in free.items() if cycles)
     counts = tuple(len(left[d]) for d in lengths1) + tuple(len(free[d]) for d in lengths2)
     for group in _grouping(lengths1, lengths2, counts, spent):
         hs = [free[d].pop() for d, m in zip(lengths2, group[len(lengths1):]) for _ in range(m)]
-        gs = [left[d].pop() for d, m in zip(lengths1, group) for _ in range(m)]
-        c = hs[0][0]
-        for cycle in hs[1:]:
-            x = cycle[0]
+        gs = [(left[d].pop(), d) for d, m in zip(lengths1, group) for _ in range(m)]
+        c = hs[0]
+        for x in hs[1:]:
             sigma[c], sigma[x] = sigma[x], sigma[c]
-        for cycle in gs[:-1]:
+        for x, d in gs[:-1]:
             z = start = sigma[c]
-            for _ in cycle[1:]:
+            for _ in range(d - 1):
                 z = sigma[z]
             sigma[c], sigma[z] = sigma[z], sigma[c]
-            place(cycle, start)
-        place(gs[-1], c)
+            place(x, d, start)
+        place(*gs[-1], c)
     return tuple(mapping)
 
 
@@ -895,7 +884,8 @@ def _at_unit(act: FkAction, den: int) -> tuple[FkAction, tuple[int, ...]]:
 
 
 def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
-    """Exact conjugacy of r1 onto r2, placed one orbit of r1 at a time.
+    """Exact conjugacy of r1 onto r2, placed one orbit of r1 at a time, for
+    k != 1 (one generator is conjugated from its cycle types).
 
     Orbits are taken by least atom and walked breadth-first along the
     generators, as invariant_components walks them.  A walk's root tries the
@@ -904,7 +894,7 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
     x -> g(x) is checked, fixed points included, which checks the inverse
     edges too.  An exact conjugacy maps each orbit onto an isomorphic orbit,
     and isomorphic orbits are interchangeable, so a placed orbit is never
-    revisited: the search takes O(n^2 max(k, 1)) steps, checked against
+    revisited: the search takes O(n + k n^2) steps, k n^2 checked against
     MAX_EXACT_STEPS before the first, is complete, and returns None only
     when no exact conjugacy exists.
 
@@ -913,9 +903,9 @@ def _exact_assign(r1: FkAction, r2: FkAction) -> tuple[int, ...] | None:
     only the targets it took, all at or above low, so the scan tries the
     same targets in the same order as one from 0; low moves up after each
     placed orbit.  When every root's first free target fits, as with no
-    generators, the search takes O(n max(k, 1)) steps."""
+    generators, the search takes O(n (k + 1)) steps."""
     n = r1.algebra.size
-    _check_exact_steps(max(r1.k, 1) * n * n)
+    _check_exact_steps(r1.k * n * n)
     mapping = [-1] * n
     used = [False] * n
     perms = list(zip(r1.gens, r2.gens))

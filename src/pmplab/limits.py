@@ -25,8 +25,8 @@ which the command line reports with exit 2.
 - MAX_GENERATOR_ENTRIES bounds the entries of the generators eppa_extend
   builds, one of den entries per partial, len(partials) * den in all
   (_check_generator_entries, before the overalgebra or any generator).
-- MAX_EXACT_STEPS bounds approx_conjugacy_search's exact phase,
-  max(k, 1) * n^2 steps over n atoms at depth 1 (_check_exact_steps).
+- MAX_EXACT_STEPS bounds approx_conjugacy_search's exact phase for k >= 2,
+  k * n^2 steps over n atoms at depth 1 (_check_exact_steps).
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
   beam_width * n^2 for n refined atoms, summed over the depths that run it
   (_check_beam_steps, before each beam).
@@ -81,8 +81,8 @@ MAX_GROUP_ENTRIES = 1 << 21
 # 0-6 build at most 1,290 entries.
 MAX_GENERATOR_ENTRIES = 1 << 17
 
-# The largest exact phase in the benchmark takes 2 * 64^2 = 8192 steps, its
-# largest beam 16 * 64^2 = 65536.
+# The largest exact phase in the benchmark (c03, c04) takes 2 * 64^2 = 8192
+# steps, its largest beam 16 * 64^2 = 65536.
 MAX_EXACT_STEPS = 1 << 22
 MAX_BEAM_STEPS = 1 << 22
 

@@ -20,6 +20,7 @@ from pmplab import action as action_module
 from pmplab.action import (
     FkAction,
     _cycle_distance,
+    _cycles,
     _word_perm,
     extensions,
     generated_subalgebra,
@@ -347,6 +348,36 @@ def test_cycle_distance_raises_on_a_table_that_is_not_a_permutation():
     from atom 0 the table (1, 1, 0) reaches atom 1, then atom 1 again."""
     with pytest.raises(NotBijective, match="atom 1"):
         _cycle_distance(uniform_algebra(3), (1, 1, 0))
+
+
+def test_cycles_start_at_their_least_atoms_in_increasing_order():
+    """(least atom, length) pairs, the fixed points included, for the one
+    cycle walk that the distance and the cycle-type conjugacy both read."""
+    assert _cycles(()) == []
+    assert _cycles((0,)) == [(0, 1)]
+    assert _cycles((3, 2, 1, 4, 0, 5)) == [(0, 3), (1, 2), (5, 1)]
+    rng = random.Random(53)
+    for n in range(1, 30):
+        p = random_permutation(rng, n)
+        cycles = _cycles(p)
+        assert [x for x, _ in cycles] == sorted(x for x, _ in cycles)
+        orbits = []
+        for x, length in cycles:
+            orbit = [x]
+            while p[orbit[-1]] != x:
+                orbit.append(p[orbit[-1]])
+            assert len(orbit) == length and min(orbit) == x
+            orbits += orbit
+        assert sorted(orbits) == list(range(n))
+
+
+@pytest.mark.parametrize("table, atom", [((1, 1), 1), ((0, 0, 1), 0)])
+def test_cycles_raise_on_a_table_that_is_not_a_permutation(table, atom):
+    """(1, 1) walks from atom 0 into the loop at atom 1, and (0, 0, 1)
+    walks from atom 1 into the closed cycle of atom 0: each names the atom
+    reached twice instead of looping."""
+    with pytest.raises(NotBijective, match=f"atom {atom} is reached twice"):
+        _cycles(table)
 
 
 def test_uniform_distance_matches_brute_force_on_mixed_masses():

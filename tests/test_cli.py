@@ -689,17 +689,26 @@ def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):
 
 
 def test_quadratic_conjsearch_and_wide_group_walks_are_refused_within_a_second(capsys):
-    """A 60,000-atom cycle against a cycle beside a fixed point would spend
-    minutes in the quadratic exact phase, and a 32,000-atom cycle would
-    build 1025 permutations of 32,000 entries before the order cap refused
-    its group; both are refused first, in well under a second."""
-    def cycle_beside(length: int, points: int) -> str:
+    """A 60,000-atom cycle against a cycle beside a fixed point is
+    conjugated from its cycle types within a second.  With the identity as a
+    second generator it would spend minutes in the quadratic exact phase,
+    and a 32,000-atom cycle would build 1025 permutations of 32,000 entries
+    before the order cap refused its group; both are refused first, in well
+    under a second."""
+    def cycle_beside(length: int, points: int, *extra: list[int]) -> str:
         gen = [(x + 1) % length for x in range(length)] + list(range(length, points))
-        return json.dumps({"algebra": {"atoms": [f"1/{points}"] * points}, "gens": [gen]})
+        return json.dumps({"algebra": {"atoms": [f"1/{points}"] * points}, "gens": [gen, *extra]})
 
+    start = time.perf_counter()
+    code, out = run(capsys, "conjsearch", cycle_beside(60000, 60000), cycle_beside(59999, 60000))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["eps"] == "1/30000"
+    identity = list(range(60000))
     for argv, message in (
-        (["conjsearch", cycle_beside(60000, 60000), cycle_beside(59999, 60000)],
-         "an exact conjugacy phase of 3600000000 steps exceeds the cap 4194304 steps"),
+        (["conjsearch", cycle_beside(60000, 60000, identity),
+          cycle_beside(59999, 60000, identity)],
+         "an exact conjugacy phase of 7200000000 steps exceeds the cap 4194304 steps"),
         (["embed", cycle_beside(32000, 32000), "--mode", "transitive"],
          "group enumeration builds more than 2097152 entries"),
         (["embed", cycle_beside(32000, 32000)],

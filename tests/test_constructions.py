@@ -1662,8 +1662,9 @@ def test_exact_conjugacy_exists_at_every_depth_or_at_none(pair):
 def test_conjugacy_search_refines_each_action_once(monkeypatch):
     """However many depths run, each action is refined to the unit at most
     once, and not at all when its atoms already weigh the unit; every depth
-    comes from extensions; the exact phase runs once, at depth 1; a search
-    that stops at depth 1 builds no product."""
+    comes from extensions; the exact phase runs once, at depth 1, with two
+    generators, and never with one; a search that stops at depth 1 builds
+    no product."""
     refined, searched, products = [], [], []
 
     def counting_refine(act, unit):
@@ -1681,27 +1682,29 @@ def test_conjugacy_search_refines_each_action_once(monkeypatch):
     monkeypatch.setattr(constructions, "refine_action_to_unit", counting_refine)
     monkeypatch.setattr(constructions, "_exact_assign", counting_exact)
     monkeypatch.setattr(action_module, "product_action", counting_product)
-    # no exact conjugacy at any depth, so every depth runs
-    four_cycle = validate_action(uniform_algebra(4), [(1, 2, 3, 0)])
-    double_swap = validate_action(uniform_algebra(4), [(1, 0, 3, 2)])
-    for max_refine in range(1, 5):
+    # each instance with one generator, and with the identity as a second
+    for extra, exact in (((), []), (((0, 1, 2, 3),), [4])):
+        # no exact conjugacy at any depth, so every depth runs
+        four_cycle = validate_action(uniform_algebra(4), [(1, 2, 3, 0), *extra])
+        double_swap = validate_action(uniform_algebra(4), [(1, 0, 3, 2), *extra])
+        for max_refine in range(1, 5):
+            del refined[:], searched[:], products[:]
+            cert = approx_conjugacy_search(four_cycle, double_swap, max_refine)
+            assert cert.eps == F(1, 2)
+            assert refined == []
+            assert searched == exact
+            assert products == [m for m in range(2, max_refine + 1) for _ in range(2)]
+        # a relabeled copy conjugates exactly at depth 1
         del refined[:], searched[:], products[:]
-        cert = approx_conjugacy_search(four_cycle, double_swap, max_refine)
-        assert cert.eps == F(1, 2)
-        assert refined == []
-        assert searched == [4]
-        assert products == [m for m in range(2, max_refine + 1) for _ in range(2)]
-    # a relabeled copy conjugates exactly at depth 1
-    del refined[:], searched[:], products[:]
-    relabeled = relabeled_action(four_cycle, (2, 0, 3, 1))
-    assert approx_conjugacy_search(four_cycle, relabeled, max_refine=4).eps == 0
-    assert (refined, searched, products) == ([], [4], [])
-    # two atoms of mass 1/2 are refined to the unit 1/4, once
-    del refined[:], searched[:], products[:]
-    swap = validate_action(uniform_algebra(2), [(1, 0)])
-    cert = approx_conjugacy_search(swap, double_swap, max_refine=3)
-    assert cert.eps == 0
-    assert (refined, searched, products) == ([F(1, 4)], [4], [])
+        relabeled = relabeled_action(four_cycle, (2, 0, 3, 1))
+        assert approx_conjugacy_search(four_cycle, relabeled, max_refine=4).eps == 0
+        assert (refined, searched, products) == ([], exact, [])
+        # two atoms of mass 1/2 are refined to the unit 1/4, once
+        del refined[:], searched[:], products[:]
+        swap = validate_action(uniform_algebra(2), [(1, 0), *[(0, 1) for _ in extra]])
+        cert = approx_conjugacy_search(swap, double_swap, max_refine=3)
+        assert cert.eps == 0
+        assert (refined, searched, products) == ([F(1, 4)], exact, [])
 
 
 # The beam's answers to the cycle-type mismatches, as recorded when the exact
@@ -1839,6 +1842,71 @@ def test_one_generator_search_is_the_brute_force_optimum():
         cert = approx_conjugacy_search(a1, a2)
         assert cert.eps * n == oracle_least_cost(a1.gens[0], a2.gens[0]), (parts1, parts2)
         assert verify_conjugacy(cert) == cert.eps
+
+
+def test_one_generator_search_answers_what_the_exact_phase_would():
+    """The exact phase stays the oracle for one generator: it finds no
+    mapping exactly when the cycle types differ, and wherever it finds one
+    the search, built from cycle types with no exact phase to call, returns
+    that mapping with eps 0.  Over every pair of cycle types on at most 6 atoms, the second laid over
+    a shuffled order, and seeded random pairs on at most 12, half of them
+    relabelled copies."""
+    rng = random.Random(5301)
+    pairs = [one_generator_pair(rng, a, b) for n in range(1, 7)
+             for a in integer_partitions(n) for b in integer_partitions(n)]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        a1 = validate_action(uniform_algebra(n), [random_permutation(rng, n)])
+        if rng.random() < 0.5:
+            a2 = relabeled_action(a1, random_permutation(rng, n))
+        else:
+            a2 = validate_action(uniform_algebra(n), [random_permutation(rng, n)])
+        pairs.append((a1, a2))
+    conjugate = 0
+    for a1, a2 in pairs:
+        mapping = _exact_assign(a1, a2)
+        assert (mapping is None) == (cycle_type(a1.gens[0]) != cycle_type(a2.gens[0]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(constructions, "_exact_assign", None)  # not called
+            cert = approx_conjugacy_search(a1, a2)
+        if mapping is not None:
+            conjugate += 1
+            assert (cert.iso.mapping, cert.eps) == (mapping, 0)
+        else:
+            assert cert.eps > 0
+    assert 0 < conjugate < len(pairs)
+
+
+def test_one_generator_search_never_runs_the_exact_phase(monkeypatch):
+    """Conjugate or not, at one depth or several, and when the grouping is
+    past its cap and the beam runs, a search of one generator calls no
+    exact phase; with none or two generators it calls it once."""
+    calls = []
+
+    def counting_exact(r1, r2):
+        calls.append(r1.k)
+        return _exact_assign(r1, r2)
+
+    monkeypatch.setattr(constructions, "_exact_assign", counting_exact)
+    rng = random.Random(5302)
+    four_cycle = validate_action(uniform_algebra(4), [(1, 2, 3, 0)])
+    double_swap = validate_action(uniform_algebra(4), [(1, 0, 3, 2)])
+    for a1, a2, max_refine in (
+        (four_cycle, relabeled_action(four_cycle, (2, 0, 3, 1)), 3),
+        (four_cycle, double_swap, 3),
+        (*cycle_mismatch_pair(rng, 12), 2),
+        (*one_generator_pair(rng, (5, 3, 1), (4, 4, 1)), 1),
+    ):
+        approx_conjugacy_search(a1, a2, max_refine)
+    with monkeypatch.context() as capped:
+        capped.setattr(limits, "MAX_GROUPING_STEPS", 0)
+        assert approx_conjugacy_search(four_cycle, double_swap, 2).eps == F(1, 2)
+    assert calls == []
+    free = validate_action(uniform_algebra(4), [])
+    pair = validate_action(uniform_algebra(4), [(1, 2, 3, 0), (1, 0, 3, 2)])
+    for act in (free, pair):
+        assert approx_conjugacy_search(act, act, 2).eps == 0
+    assert calls == [0, 2]
 
 
 def test_one_generator_defect_is_the_grouping_cost_and_never_above_the_beam():
@@ -2339,9 +2407,10 @@ def test_conjugacy_beams_are_capped_by_their_summed_steps():
 
 
 def test_the_exact_conjugacy_phase_is_capped_by_its_steps(monkeypatch):
-    """The exact phase takes max(k, 1) * n^2 steps over n atoms, checked
-    before it runs: 16 for a 4-cycle and for 4 atoms with no generator, 32
-    for two generators."""
+    """The exact phase takes k * n^2 steps over n atoms, checked before it
+    runs: 32 for two generators on 4 atoms.  A 4-cycle is conjugated from
+    its cycle type and 4 atoms with no generator take no counted step, so
+    both are answered even under a cap of 0."""
     _check_exact_steps(MAX_EXACT_STEPS)
     with pytest.raises(InstanceTooLarge):
         _check_exact_steps(MAX_EXACT_STEPS + 1)
@@ -2349,15 +2418,14 @@ def test_the_exact_conjugacy_phase_is_capped_by_its_steps(monkeypatch):
     cycle = validate_action(alg, [(1, 2, 3, 0)])
     free = validate_action(alg, [])
     pair = validate_action(alg, [(1, 2, 3, 0), (1, 0, 3, 2)])
-    monkeypatch.setattr(limits, "MAX_EXACT_STEPS", 16)
+    monkeypatch.setattr(limits, "MAX_EXACT_STEPS", 32)
+    assert approx_conjugacy_search(pair, pair).eps == 0
+    monkeypatch.setattr(limits, "MAX_EXACT_STEPS", 31)
+    with pytest.raises(InstanceTooLarge, match="of 32 steps exceeds the cap 31 steps"):
+        approx_conjugacy_search(pair, pair)
+    monkeypatch.setattr(limits, "MAX_EXACT_STEPS", 0)
     for act in (cycle, free):
         assert approx_conjugacy_search(act, act).eps == 0
-    with pytest.raises(InstanceTooLarge, match="of 32 steps exceeds the cap 16 steps"):
-        approx_conjugacy_search(pair, pair)
-    monkeypatch.setattr(limits, "MAX_EXACT_STEPS", 15)
-    for act in (cycle, free):
-        with pytest.raises(InstanceTooLarge, match="of 16 steps exceeds the cap 15 steps"):
-            approx_conjugacy_search(act, act)
 
 
 def test_conjugacy_search_without_a_beam_or_a_depth_is_a_validation_error():
