@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import itemgetter, mul, sub
 
@@ -245,9 +245,10 @@ class MarkedGroup(Record):
     @staticmethod
     def of(order: int, identity: int, right: Sequence[Sequence[int]]) -> MarkedGroup:
         """The group whose right Cayley graph the columns are, checked in
-        O(k^2 order) with no reader in front: every column must be a
-        permutation of the order elements and the identity one of them, else
-        InvalidGroupTable.
+        O(k^2 order) with no reader in front, its 2 k^2 order entries
+        counted against MAX_GROUP_ENTRIES before any column is copied: every
+        column must be a permutation of the order elements and the identity
+        one of them, else InvalidGroupTable.
 
         rows(gen_images) then raises NotGenerating if its walk misses an
         element, and each left translation L_a, a marked, must commute with
@@ -258,6 +259,7 @@ class MarkedGroup(Record):
         G is regular.  So the columns are right multiplication in G carried
         to the elements (x * y = g(x) where g(e) = y), and rows gives its
         true table."""
+        _check_group_entries(2 * len(right) ** 2 * order)
         group = MarkedGroup(order, identity, tuple(map(tuple, right)))
         elements = list(range(order))
         if any(sorted(column) != elements for column in group.right):
@@ -286,8 +288,10 @@ class MarkedGroup(Record):
         from the identity, where z * identity = z (Holt, Eick & O'Brien,
         Handbook of Computational Group Theory, 2005).  Element y first
         reached as x * g_i has z * y = (z * x) * g_i, so column y is column
-        x looked up in right[i], a list for speed.  Raises NotGenerating
-        when the walk misses an element."""
+        x looked up in right[i], a list for speed.  Raises InstanceTooLarge
+        past MAX_GROUP_ENTRIES entries, len(zs) * order, before the walk,
+        and NotGenerating when the walk misses an element."""
+        _check_group_entries(len(zs) * self.order)
         right = [list(column) for column in self.right]
         columns: list = [None] * self.order
         columns[self.identity] = list(zs)
@@ -306,10 +310,12 @@ class MarkedGroup(Record):
 
 
 def cyclic_group(n: int, images: Sequence[int]) -> MarkedGroup:
-    """Z/n with marked generators given as residues, up to MAX_GROUP_ORDER."""
+    """Z/n with marked generators given as residues; its n elements and
+    k * n entries are checked first."""
     if n < 1:
         raise InvalidGroupTable(f"cyclic group order must be >= 1, got {n}")
     _check_group_order(n)
+    _check_group_entries(len(images) * n)
     gens = tuple(i % n for i in images)
     reached = n // gcd(n, *gens)
     if reached != n:
@@ -326,11 +332,14 @@ def _generated_group(identity, gens, compose) -> tuple[MarkedGroup, tuple]:
     The walk records right[g][x], the index of x * gens[g], for every
     element: order * k compositions, the only ones made, and exactly the
     right Cayley graph the group keeps.  Raises InstanceTooLarge as soon as
-    more than MAX_GROUP_ORDER elements are found."""
+    more than MAX_REFINED_ATOMS elements are found, or before an element's
+    compositions, len(identity) entries each, would pass MAX_GROUP_ENTRIES."""
     elements = [identity]
     index = {identity: 0}
     right: list[list[int]] = [[] for _ in gens]
-    for x in elements:  # elements grows while it is read: it is the queue
+    step = len(gens) * len(identity)
+    for walked, x in enumerate(elements, 1):  # elements grows: it is the queue
+        _check_group_entries(walked * step)
         for g, column in zip(gens, right):
             y = compose(x, g)
             if y not in index:
@@ -349,8 +358,8 @@ def permutation_marked_group(
     Elements are enumerated breadth-first from the identity, multiplying on
     the right by the generators in order; the element list is returned
     alongside the abstract marked group, and indices follow discovery order
-    with the identity first.  Raises InstanceTooLarge beyond MAX_GROUP_ORDER
-    elements or MAX_GROUP_ENTRIES built entries."""
+    with the identity first.  Raises InstanceTooLarge as _generated_group
+    does."""
     if not perms:
         raise InvalidGroupTable("need at least one generator permutation")
     degree = len(perms[0])
@@ -360,19 +369,7 @@ def permutation_marked_group(
         if len(q) != degree or sorted(q) != list(range(degree)):
             raise NotBijective("generator is not a permutation")
         gens.append(q)
-    return _permutation_group(degree, gens)
-
-
-def _permutation_group(degree: int, gens: Sequence[Perm]) -> tuple[MarkedGroup, tuple]:
-    """_generated_group of permutations of degree points, each composition
-    counted as degree entries against MAX_GROUP_ENTRIES before it is built."""
-    built = count(degree, degree)
-
-    def compose(f: Perm, g: Perm) -> Perm:
-        _check_group_entries(next(built))
-        return perm_compose(f, g)
-
-    return _generated_group(perm_identity(degree), gens, compose)
+    return _generated_group(perm_identity(degree), gens, perm_compose)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +399,9 @@ def joint_quotient(g1: MarkedGroup, g2: MarkedGroup) -> JointQuotient:
     """Subgroup of g1 x g2 generated by (gen_i, gen_i) pairs.
 
     Elements are discovered breadth-first from the identity pair along both
-    right Cayley graphs; the resulting quotient action factors onto both
-    quotient actions through the recorded projections."""
+    right Cayley graphs, two entries per composition (_generated_group);
+    the resulting quotient action factors onto both quotient actions
+    through the recorded projections."""
     if g1.k != g2.k:
         raise ArityMismatch(f"groups mark {g1.k} and {g2.k} generators")
     group, elements = _generated_group(
@@ -629,7 +627,7 @@ def _embed_orbits(act: FkAction, orbits: tuple[frozenset[int], ...]) -> Quotient
     orbits."""
     alg = act.algebra
     base_factor = validate_algebra([alg.mass_of(o) for o in orbits])
-    group, elements = _permutation_group(alg.size, act.gens)
+    group, elements = _generated_group(perm_identity(alg.size), act.gens, perm_compose)
     target = product_action(quotient_action(group), base_factor)[0]
     width = len(orbits)
     images: list[list[int]] = [[] for _ in range(alg.size)]

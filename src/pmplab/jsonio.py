@@ -38,7 +38,7 @@ from .errors import (
     PmplabError,
     ValidationError,
 )
-from .limits import MAX_REFINED_ATOMS, _check_group_order
+from .limits import MAX_REFINED_ATOMS, _check_group_entries, _check_group_order
 
 DECIMAL_DIGITS = 20
 
@@ -258,20 +258,21 @@ def group_from_json(obj: object) -> MarkedGroup:
 
 
 def _group_from_table(mul: object, gens: Sequence[int]) -> MarkedGroup:
-    """The group whose table mul is, read through its generator columns: the
-    size cap as soon as the rows are counted, before any row is read, then
-    the shape, the identity as the row that is the elements in order, the
-    marked elements, MarkedGroup.of on their columns, and the table that
-    group's rows rebuild, which must be mul.  of proves that the columns are
-    a group's right Cayley graph and rows gives that group's table, so
-    equality makes mul a group table, two-sided identity and inverses
-    included."""
+    """The group whose table mul is, read through its generator columns: its
+    order^2 entries as soon as the rows are counted, before any row is
+    read, then the shape, the identity as the row that is the elements in
+    order, the marked elements, MarkedGroup.of on their columns (tuples of
+    the transposed table, counted by of before any is copied), and the
+    table that group's rows rebuild, which must be mul.  of proves that
+    the columns are a group's right Cayley graph and rows gives that
+    group's table, so equality makes mul a group table, two-sided identity
+    and inverses included."""
     if not _is_list(mul):
         raise ValidationError("mul must be a list of rows")
     order = len(mul)
     if order == 0:
         raise InvalidGroupTable("empty multiplication table")
-    _check_group_order(order)
+    _check_group_entries(order * order)
     table = tuple(tuple(_int_list(row, "a table row")) for row in mul)
     for row in table:
         if len(row) != order or min(row) < 0 or max(row) >= order:
@@ -282,16 +283,18 @@ def _group_from_table(mul: object, gens: Sequence[int]) -> MarkedGroup:
     for g in gens:
         if not 0 <= g < order:
             raise InvalidGroupTable(f"generator image {g} out of range")
-    group = MarkedGroup.of(order, table.index(elements), [[row[g] for row in table] for g in gens])
+    columns = tuple(zip(*table))
+    group = MarkedGroup.of(order, table.index(elements), [columns[g] for g in gens])
     if group.rows(elements) != table:
         raise InvalidGroupTable("multiplication is not associative")
     return group
 
 
 def _group_from_columns(order: object, identity: object, raw: object) -> MarkedGroup:
-    """The group whose right Cayley graph the columns are: the size cap as
-    soon as the order is an integer, before any column is copied, then the
-    JSON types, and then MarkedGroup.of, which checks the columns."""
+    """The group whose right Cayley graph the columns are: the element cap
+    as soon as the order is an integer, before any column is copied, then
+    the JSON types, and then MarkedGroup.of, which counts and checks the
+    columns."""
     if not _is_int(order):
         raise ValidationError("order must be an integer")
     _check_group_order(order)

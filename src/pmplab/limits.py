@@ -14,14 +14,16 @@ which the command line reports with exit 2.
   (_check_summed_refinement), checked only by action.extensions, which
   every search deepens through: search_C2_witness, axiom_residual,
   ec_in_extension_check and approx_conjugacy_search.
-- MAX_GROUP_ORDER bounds the elements of a group the library enumerates:
-  cyclic_group, permutation_marked_group and joint_quotient, and of a
-  group read as generator columns or as a table (jsonio.group_from_json),
-  checked as soon as its order or its number of rows is read.  All of them
-  raise through _check_group_order.
-- MAX_GROUP_ENTRIES bounds the entries of the permutations that
-  permutation_marked_group and the embeddings build while they enumerate a
-  group, degree entries per composition (_check_group_entries, before each).
+- MAX_REFINED_ATOMS also bounds a group's elements, one atom each in its
+  quotient action (_check_group_order): cyclic_group, the walk of
+  _generated_group as each element is found, and a group read as columns
+  as soon as its order is read (jsonio.group_from_json).
+- MAX_GROUP_ENTRIES bounds the entries a group structure builds
+  (_check_group_entries): len(identity) per composition of the walk of
+  _generated_group, before each element's; k * n for cyclic_group;
+  len(zs) * order for MarkedGroup.rows, before it walks (quotient_action,
+  joint-quotient's table, a table's rebuild); 2 * k^2 * order for
+  MarkedGroup.of; order^2 for a table read, as soon as its rows are counted.
 - MAX_GENERATOR_ENTRIES bounds the entries of the generators eppa_extend
   builds, one of den entries per partial, len(partials) * den in all
   (_check_generator_entries, before the overalgebra or any generator).
@@ -66,14 +68,9 @@ from .errors import InstanceTooLarge
 # atoms (a unit refinement; the largest product has 288).
 MAX_REFINED_ATOMS = 1 << 16
 
-# Largest group the library enumerates: admits S_6 (720), refuses S_7 (5040).
-# A group holds k * order entries, and so do an embed document and the check
-# of a group read as columns; joint-quotient writes the order^2 table, and a
-# table read from outside is checked in order^2 steps.
-MAX_GROUP_ORDER = 1024
-
 # Z/1024 rotating 2048 points builds 2^21 entries, on 1087 atoms (the largest
-# embedding the tests build) about 1.1M.
+# embedding the tests build) about 1.1M; S_8 on 8 points 2 * 40,320 * 8 =
+# 645,120.  A table of 1448 elements fits, of 1449 does not.
 MAX_GROUP_ENTRIES = 1 << 21
 
 # eppa_extend builds one generator of den entries per partial: the cap admits
@@ -112,13 +109,13 @@ def _check_refined_size(atoms: int) -> None:
 
 def _check_group_order(order: int) -> None:
     """Raise InstanceTooLarge when a group of this many elements would pass
-    MAX_GROUP_ORDER."""
-    if order > MAX_GROUP_ORDER:
-        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    MAX_REFINED_ATOMS: its quotient action has one atom per element."""
+    if order > MAX_REFINED_ATOMS:
+        raise InstanceTooLarge(f"group has more than {MAX_REFINED_ATOMS} elements")
 
 
 def _check_group_entries(entries: int) -> None:
-    """Raise InstanceTooLarge when a group walk's entries pass MAX_GROUP_ENTRIES."""
+    """Raise InstanceTooLarge when a group structure's entries pass MAX_GROUP_ENTRIES."""
     if entries > MAX_GROUP_ENTRIES:
         raise InstanceTooLarge(f"group enumeration builds more than {MAX_GROUP_ENTRIES} entries")
 

@@ -549,17 +549,19 @@ def group_from_table(mul, gen_images):
 
 def oracle_validate_marked_group(mul, gen_images):
     """The obviously correct check of a table document, in the reader's
-    order: the size cap, the shape, the row that is the elements in order as
-    the identity, the marked elements in range, their columns permutations,
-    generation, then associativity on all triples, O(order^3).  A two-sided
+    order: the order^2 entries, the shape, the row that is the elements in
+    order as the identity, the marked elements in range, the 2 k^2 order
+    entries of their check, their columns permutations, generation, then
+    associativity on all triples, O(order^3).  A two-sided
     identity and inverses follow from these, so they are asserted, not
     raised.  Returns the checked table, the identity and the marked
     elements."""
     order = len(mul)
     if order == 0:
         raise InvalidGroupTable("empty multiplication table")
-    if order > limits.MAX_GROUP_ORDER:
-        raise InstanceTooLarge(f"group has more than {limits.MAX_GROUP_ORDER} elements")
+    too_large = f"group enumeration builds more than {limits.MAX_GROUP_ENTRIES} entries"
+    if order * order > limits.MAX_GROUP_ENTRIES:
+        raise InstanceTooLarge(too_large)
     table = tuple(tuple(row) for row in mul)
     for row in table:
         if len(row) != order or any(not 0 <= v < order for v in row):
@@ -575,6 +577,8 @@ def oracle_validate_marked_group(mul, gen_images):
     for g in gens:
         if not 0 <= g < order:
             raise InvalidGroupTable(f"generator image {g} out of range")
+    if 2 * len(gens) ** 2 * order > limits.MAX_GROUP_ENTRIES:
+        raise InstanceTooLarge(too_large)
     for g in gens:
         if sorted(table[x][g] for x in range(order)) != list(range(order)):
             raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")

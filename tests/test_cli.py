@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmplab import algebra, cli
+from pmplab import algebra, cli, jsonio, limits
 from pmplab.cli import cli_dispatch
 from pmplab.constructions import MarkedGroup, cyclic_group, quotient_action
 from pmplab.jsonio import action_from_json
-from pmplab.limits import MAX_GROUP_ORDER
+from pmplab.limits import MAX_REFINED_ATOMS
 
 from test_modeltheory import wide_fibers
 from test_replay import ROOT, load
@@ -305,9 +305,19 @@ def test_every_benchmark_request_is_read_without_a_parser(monkeypatch, tmp_path)
 
 
 def test_group_past_the_order_cap_is_refused(capsys):
-    code, out = run(capsys, "gen-quotient", "sym:7:1,2,3,4,5,6,0;1,0,2,3,4,5,6")
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+    """S_8, 40,320 elements, is answered and S_9, 362,880, refused, each
+    within a second."""
+    for n, code in ((8, 0), (9, 2)):
+        cycle = ",".join(str((x + 1) % n) for x in range(n))
+        swap = ",".join(map(str, [1, 0, *range(2, n)]))
+        start = time.perf_counter()
+        got, out = run(capsys, "gen-quotient", f"sym:{n}:{cycle};{swap}")
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        if code:
+            assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
+        else:
+            assert len(json.loads(out)["gens"][0]) == 40320
 
 
 @pytest.mark.parametrize(
@@ -692,9 +702,9 @@ def test_quadratic_conjsearch_and_wide_group_walks_are_refused_within_a_second(c
     """A 60,000-atom cycle against a cycle beside a fixed point is
     conjugated from its cycle types within a second.  With the identity as a
     second generator it would spend minutes in the quadratic exact phase,
-    and a 32,000-atom cycle would build 1025 permutations of 32,000 entries
-    before the order cap refused its group; both are refused first, in well
-    under a second."""
+    and a 32,000-atom cycle, a group within the element cap, would build
+    32,000 permutations of 32,000 entries; both are refused first, by the
+    steps or entries they count, in well under a second."""
     def cycle_beside(length: int, points: int, *extra: list[int]) -> str:
         gen = [(x + 1) % length for x in range(length)] + list(range(length, points))
         return json.dumps({"algebra": {"atoms": [f"1/{points}"] * points}, "gens": [gen, *extra]})
@@ -801,8 +811,12 @@ def _cyclic_columns(order):
         ({"order": 1, "identity": False, "right": [[0]]}, "ValidationError"),
         ({"order": 2, "identity": 0, "right": [[1, True]]}, "ValidationError"),
         # past the cap, the order is refused before the columns are read
-        ({"order": MAX_GROUP_ORDER + 1, "identity": 0, "right": [[1, 1, 0]]}, "InstanceTooLarge"),
-        ({"order": MAX_GROUP_ORDER + 1, "identity": "e", "right": "columns"}, "InstanceTooLarge"),
+        ({"order": MAX_REFINED_ATOMS + 1, "identity": 0, "right": [[1, 1, 0]]}, "InstanceTooLarge"),
+        ({"order": MAX_REFINED_ATOMS + 1, "identity": "e", "right": "columns"}, "InstanceTooLarge"),
+        # 4000 columns, or 4000 marked elements of a table, would check
+        # 2 * 4000^2 entries
+        ({"order": 1, "identity": 0, "right": [[0]] * 4000}, "InstanceTooLarge"),
+        ({"mul": [[0]], "gens": [0] * 4000}, "InstanceTooLarge"),
     ],
 )
 def test_group_columns_are_refused_with_their_error_type(capsys, group, kind):
@@ -820,14 +834,71 @@ def test_group_columns_past_the_order_cap_are_refused_before_any_row(capsys, mon
         return rows(group, zs)
 
     monkeypatch.setattr(MarkedGroup, "rows", recording)
-    code, out = run(capsys, "gen-quotient", json.dumps(_cyclic_columns(MAX_GROUP_ORDER + 1)))
+    code, out = run(capsys, "gen-quotient", json.dumps(_cyclic_columns(MAX_REFINED_ATOMS + 1)))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InstanceTooLarge"
     assert built == []
-    code, out = run(capsys, "gen-quotient", json.dumps(_cyclic_columns(MAX_GROUP_ORDER)))
+    code, out = run(capsys, "gen-quotient", json.dumps(_cyclic_columns(MAX_REFINED_ATOMS)))
     assert code == 0
-    assert json.loads(out)["gens"] == _cyclic_columns(MAX_GROUP_ORDER)["right"]
-    assert built == [MAX_GROUP_ORDER, MAX_GROUP_ORDER]
+    assert json.loads(out)["gens"] == _cyclic_columns(MAX_REFINED_ATOMS)["right"]
+    assert built == [MAX_REFINED_ATOMS, MAX_REFINED_ATOMS]
+
+
+def test_wide_groups_are_refused_within_half_a_second(capsys):
+    """Each would spend seconds to minutes before its count refused it: 4000
+    columns or marked elements, within a tenth of a second, in the k^2
+    commute checks, a table past 1448^2 entries, and a pair walk past
+    65,536 elements, the only one that walks up to its cap."""
+    columns = json.dumps({"order": 1, "identity": 0, "right": [[0]] * 4000})
+    entries = "group enumeration builds more than 2097152 entries"
+    for argv, message, seconds in (
+        (["gen-quotient", columns], entries, 0.1),
+        (["gen-quotient", json.dumps({"mul": [[0]], "gens": [0] * 4000})], entries, 0.1),
+        (["joint-quotient", columns, columns], entries, 0.1),
+        (["joint-quotient", "cyclic:1449:1", "cyclic:1449:1"], entries, 0.1),
+        (["gen-quotient", "cyclic:65537:1"],
+         "bad builtin group 'cyclic:65537:1': group has more than 65536 elements", 0.1),
+        (["joint-quotient", "cyclic:1024:1", "cyclic:1023:1"],
+         "group has more than 65536 elements", 0.5),
+    ):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < seconds
+        assert code == 2
+        assert json.loads(out) == {"error": {"message": message, "type": "InstanceTooLarge"}}
+
+
+def test_joint_quotient_table_is_bounded_by_its_entries(capsys, monkeypatch):
+    """joint-quotient writes the order^2 table that rows builds: with the cap
+    lowered to 36 entries, Z/6 is written and Z/7 refused, though its pair
+    walk builds only 14 entries."""
+    monkeypatch.setattr(limits, "MAX_GROUP_ENTRIES", 36)
+    code, out = run(capsys, "joint-quotient", "cyclic:6:1", "cyclic:6:1")
+    assert code == 0
+    assert json.loads(out)["group"]["mul"] == [[(x + y) % 6 for y in range(6)] for x in range(6)]
+    code, out = run(capsys, "joint-quotient", "cyclic:7:1", "cyclic:7:1")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "group enumeration builds more than 36 entries"
+
+
+def test_s7_and_s8_embed_and_give_back_their_target(capsys):
+    """The 7-cycle and a transposition generate S_7: embed --mode transitive
+    writes its 5040-element group, whose gen-quotient is the target byte for
+    byte.  S_8 embeds in either mode within a second."""
+    for n, order in ((7, 5040), (8, 40320)):
+        gens = [[(x + 1) % n for x in range(n)], [1, 0, *range(2, n)]]
+        action = json.dumps({"algebra": {"atoms": [f"1/{n}"] * n}, "gens": gens})
+        for mode in ("transitive", "profinite"):
+            start = time.perf_counter()
+            code, out = run(capsys, "embed", action, "--mode", mode)
+            assert time.perf_counter() - start < 1.0
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["group"]["order"] == order
+        if n == 7:
+            code, quotient = run(capsys, "gen-quotient", json.dumps(doc["group"]))
+            assert code == 0
+            assert quotient == jsonio.render_document(doc["target"])
 
 
 def test_embed_of_a_zero_generator_action_is_into_the_trivial_group(capsys):

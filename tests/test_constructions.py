@@ -8,6 +8,7 @@ import random
 import time
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -78,12 +79,12 @@ from pmplab.errors import (
     UnequalAtoms,
     ValidationError,
 )
+from pmplab.jsonio import action_to_json, group_from_json, group_to_json
 from pmplab.limits import (
     MAX_BEAM_STEPS,
     MAX_EXACT_STEPS,
     MAX_GENERATOR_ENTRIES,
     MAX_GROUP_ENTRIES,
-    MAX_GROUP_ORDER,
     MAX_REFINED_ATOMS,
     _check_beam_steps,
     _check_exact_steps,
@@ -449,7 +450,7 @@ BENCHMARK_PERMUTATION_GROUPS = (
 )
 
 
-def _check_permutation_group(perms):
+def _check_permutation_marked_group(perms):
     group, elements = permutation_marked_group(perms)
     table = group.rows(range(group.order))
     assert group_from_table(table, group.gen_images) == group
@@ -469,11 +470,11 @@ def test_builders_are_groups_by_construction():
                 group_from_table, table, [i % n for i in images]
             )
     for perms in BENCHMARK_PERMUTATION_GROUPS:
-        _check_permutation_group(perms)
+        _check_permutation_marked_group(perms)
     rng = random.Random(404)
     for _ in range(60):
         degree = rng.randint(1, 5)
-        _check_permutation_group(
+        _check_permutation_marked_group(
             [random_permutation(rng, degree) for _ in range(rng.randint(1, 3))]
         )
     small = [cyclic_group(2, [1, 0]), cyclic_group(3, [1, 2]), cyclic_group(4, [1, 1]),
@@ -487,22 +488,76 @@ def test_builders_are_groups_by_construction():
 
 
 def test_group_order_cap():
-    assert MAX_GROUP_ORDER >= 720  # S_6 is admitted
-    assert MAX_GROUP_ORDER < 5040  # S_7 is refused
-    with pytest.raises(InstanceTooLarge):
-        cyclic_group(MAX_GROUP_ORDER + 1, [1])
+    """A group has at most MAX_REFINED_ATOMS elements, one atom each in its
+    quotient action: Z/65536 is built and Z/65537 refused, and the pair walk
+    of Z/1024 x Z/1023 stops at the composition that finds element 65,537,
+    before it is indexed or composed with anything."""
+    refused = f"group has more than {MAX_REFINED_ATOMS} elements"
+    assert cyclic_group(MAX_REFINED_ATOMS, [1]).order == MAX_REFINED_ATOMS
+    with pytest.raises(InstanceTooLarge, match=refused):
+        cyclic_group(MAX_REFINED_ATOMS + 1, [1])
     calls = []
 
-    def add(x, y):
-        calls.append(1)
-        return (x + y) % (MAX_GROUP_ORDER + 1)
+    def add(x, g):
+        calls.append(x)
+        return ((x[0] + g[0]) % 1024, (x[1] + g[1]) % 1023)
 
-    with pytest.raises(InstanceTooLarge):
-        _generated_group(0, [1], add)
-    # The enumeration stops past the cap, before any table entry is built.
-    assert len(calls) == MAX_GROUP_ORDER
-    with pytest.raises(InstanceTooLarge):
-        permutation_marked_group([(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+    with pytest.raises(InstanceTooLarge, match=refused):
+        _generated_group((0, 0), [(1, 1)], add)
+    assert len(calls) == len(set(calls)) == MAX_REFINED_ATOMS
+    with pytest.raises(InstanceTooLarge, match=refused):
+        joint_quotient(cyclic_group(1024, [1]), cyclic_group(1023, [1]))
+    with pytest.raises(InstanceTooLarge, match=refused):  # S_9
+        permutation_marked_group([(1, 2, 3, 4, 5, 6, 7, 8, 0), (1, 0, 2, 3, 4, 5, 6, 7, 8)])
+
+
+def test_group_walk_counts_its_entries_per_element(monkeypatch):
+    """The walk counts len(identity) entries per composition before each
+    element's compositions: Z/6 marked twice in Z/6 x Z/6 is six elements of
+    two compositions of pairs, 24 entries, and a cyclic group's k * n."""
+    g = cyclic_group(6, [1, 1])
+    monkeypatch.setattr(limits, "MAX_GROUP_ENTRIES", 24)
+    assert joint_quotient(g, g).group.order == 6
+    assert cyclic_group(12, [1, 5]).order == 12
+    monkeypatch.setattr(limits, "MAX_GROUP_ENTRIES", 23)
+    calls = []
+    with pytest.raises(InstanceTooLarge, match="more than 23 entries"):
+        _generated_group((0, 0), [(1, 1)] * 2, _counting(lambda x, c: ((x[0] + 1) % 6,) * 2, calls))
+    assert len(calls) == 10  # the sixth element's two compositions are not made
+    with pytest.raises(InstanceTooLarge, match="more than 23 entries"):
+        cyclic_group(12, [1, 5])
+
+
+def test_rows_and_of_count_their_entries_before_building_any_column(monkeypatch):
+    """rows(zs) builds len(zs) * order entries and of's check 2 k^2 order:
+    at the cap they are built, past it no entry is read or copied."""
+
+    class Recorded(Sequence):
+        def __init__(self, values):
+            self.values, self.read = values, []
+
+        def __len__(self):
+            return len(self.values)
+
+        def __getitem__(self, i):
+            self.read.append(i)
+            return self.values[i]
+
+    g = cyclic_group(6, [1])
+    monkeypatch.setattr(limits, "MAX_GROUP_ENTRIES", 18)
+    at_cap = Recorded((0, 2, 4))
+    assert g.rows(at_cap) == tuple(tuple((z + x) % 6 for x in range(6)) for z in (0, 2, 4))
+    assert at_cap.read
+    past = Recorded((0, 1, 2, 3))
+    with pytest.raises(InstanceTooLarge, match="more than 18 entries"):
+        g.rows(past)
+    assert past.read == []
+    monkeypatch.setattr(limits, "MAX_GROUP_ENTRIES", 32)
+    assert MarkedGroup.of(1, 0, [Recorded((0,))] * 4).k == 4
+    column = Recorded((0,))
+    with pytest.raises(InstanceTooLarge, match="more than 32 entries"):
+        MarkedGroup.of(1, 0, [column] * 5)
+    assert column.read == []
 
 
 def test_group_enumeration_is_capped_by_the_entries_it_builds():
@@ -1182,7 +1237,7 @@ def test_embed_transitive_into_quotient_properties():
 
 def test_embed_transitive_rejects_bad_input():
     """UnequalAtoms before NotTransitive, and NotTransitive before the group
-    build: S_7 on seven of eight atoms generates 5040 elements."""
+    build: S_9 on nine of ten atoms generates 362,880 elements."""
     alg = validate_algebra([F(1, 2), F(1, 4), F(1, 4)])
     with pytest.raises(UnequalAtoms):
         embed_transitive_into_quotient(validate_action(alg, [(0, 2, 1)]))
@@ -1191,13 +1246,32 @@ def test_embed_transitive_rejects_bad_input():
     alg4 = uniform_algebra(4)
     with pytest.raises(NotTransitive):
         embed_transitive_into_quotient(validate_action(alg4, [(1, 0, 3, 2)]))
-    s7_beside = validate_action(
-        uniform_algebra(8), [(1, 2, 3, 4, 5, 6, 0, 7), (1, 0, 2, 3, 4, 5, 6, 7)]
+    s9_beside = validate_action(
+        uniform_algebra(10),
+        [(1, 2, 3, 4, 5, 6, 7, 8, 0, 9), (1, 0, 2, 3, 4, 5, 6, 7, 8, 9)],
     )
     with pytest.raises(NotTransitive):
-        embed_transitive_into_quotient(s7_beside)
+        embed_transitive_into_quotient(s9_beside)
     with pytest.raises(InstanceTooLarge, match="group has more than"):
-        embed_into_profinite_tensor(s7_beside)
+        embed_into_profinite_tensor(s9_beside)
+
+
+def test_every_census_class_embeds_and_its_group_gives_back_the_target():
+    """Every transitive F_k-set of degree at most 5, k = 1 and 2, embeds
+    transitively and equivariantly, and the quotient action of its group
+    read back from its columns, as gen-quotient reads it, is the target."""
+    for k in (1, 2):
+        for n in range(1, 6):
+            for census_class in transitive_census(k, n):
+                act = validate_action(uniform_algebra(n), census_class.code)
+                emb = embed_transitive_into_quotient(act)
+                blocks = emb.sigma.atom_blocks()
+                for x in range(n):
+                    assert emb.target.algebra.mass_of(blocks[x]) == F(1, n)
+                    for g, h in zip(act.gens, emb.target.gens):
+                        assert {h[y] for y in blocks[x]} == blocks[g[x]]
+                quotient = quotient_action(group_from_json(group_to_json(emb.group)))
+                assert action_to_json(quotient) == action_to_json(emb.target)
 
 
 def test_embed_finds_the_orbits_once(monkeypatch):
@@ -1987,9 +2061,9 @@ def oracle_generated_group(identity, gens, compose):
     """The table as built before the Cayley graph: every product of two
     elements composed and looked up, order^2 compositions.  Returns the
     table, the indices of the marked generators and the elements."""
-    elements, index = breadth_first(identity, gens, compose, MAX_GROUP_ORDER)
-    if len(elements) > MAX_GROUP_ORDER:
-        raise InstanceTooLarge(f"group has more than {MAX_GROUP_ORDER} elements")
+    elements, index = breadth_first(identity, gens, compose, MAX_REFINED_ATOMS)
+    if len(elements) > MAX_REFINED_ATOMS:
+        raise InstanceTooLarge(f"group has more than {MAX_REFINED_ATOMS} elements")
     mul = tuple(tuple(index[compose(x, y)] for y in elements) for x in elements)
     return mul, tuple(index[g] for g in gens), elements
 
@@ -2073,7 +2147,7 @@ def oracle_quotient_gens(table, gen_images) -> list[tuple[int, ...]]:
 
 
 def test_cyclic_tables_and_quotient_generators_match_the_entrywise_oracle():
-    for n in (1, 2, 3, 5, 7, 31, 36, 60, MAX_GROUP_ORDER):
+    for n in (1, 2, 3, 5, 7, 31, 36, 60, 1448):  # 1448^2 table entries fit, 1449^2 do not
         images = [1, n // 2 + 3]
         group = cyclic_group(n, images)
         assert table_of(group) == (oracle_cyclic_table(n), 0, tuple(i % n for i in images))

@@ -269,23 +269,31 @@ def cyclic_table(order):
     return [[(x + y) % order for y in range(order)] for x in range(order)]
 
 
-def test_a_table_past_the_order_cap_is_refused_before_any_row_is_read():
-    """The rows are counted before any is read: past MAX_GROUP_ORDER rows,
-    rows that are not even lists are refused for their number alone."""
-    with pytest.raises(InstanceTooLarge):
-        group_from_json({"mul": [None] * (limits.MAX_GROUP_ORDER + 1), "gens": [1]})
+def test_a_table_past_the_entry_cap_is_refused_before_any_row_is_read():
+    """The rows are counted before any is read: 1449 rows, 1449^2 entries
+    past MAX_GROUP_ENTRIES, that are not even lists are refused for their
+    number alone, while 1448 pass the count and are refused as rows."""
+    assert 1448**2 <= limits.MAX_GROUP_ENTRIES < 1449**2
+    with pytest.raises(InstanceTooLarge, match="more than 2097152 entries"):
+        group_from_json({"mul": [None] * 1449, "gens": [1]})
+    with pytest.raises(ValidationError, match="a table row"):
+        group_from_json({"mul": [None] * 1448, "gens": [1]})
 
 
-def test_a_table_is_read_up_to_the_order_cap(monkeypatch):
-    """With the cap lowered to n, the table of Z/n is read and the table of
-    Z/(n + 1) refused, by the reader and the oracle alike."""
-    n = 6
-    monkeypatch.setattr(limits, "MAX_GROUP_ORDER", n)
-    assert group_from_table(cyclic_table(n), [1]) == cyclic_group(n, [1])
-    assert oracle_validate_marked_group(cyclic_table(n), [1])[1:] == (0, (1,))
-    refused = (InstanceTooLarge, f"group has more than {n} elements")
-    assert outcome(group_from_table, cyclic_table(n + 1), [1]) == refused
-    assert outcome(oracle_validate_marked_group, cyclic_table(n + 1), [1]) == refused
+def test_a_table_is_read_up_to_the_entry_cap(monkeypatch):
+    """With the cap lowered to 36 entries, the table of Z/6 is read and the
+    table of Z/7 refused; so are Z/6 marked twice, whose check builds
+    2 * 2^2 * 6 = 48 entries, and Z/1 marked five times (50), while Z/1
+    marked four times (32) is read; by the reader and the oracle alike."""
+    monkeypatch.setattr(limits, "MAX_GROUP_ENTRIES", 36)
+    assert group_from_table(cyclic_table(6), [1]) == cyclic_group(6, [1])
+    assert oracle_validate_marked_group(cyclic_table(6), [1])[1:] == (0, (1,))
+    assert group_from_table([[0]], [0] * 4) == MarkedGroup(1, 0, ((0,),) * 4)
+    assert oracle_validate_marked_group([[0]], [0] * 4)[1:] == (0, (0,) * 4)
+    refused = (InstanceTooLarge, "group enumeration builds more than 36 entries")
+    for mul, gens in ((cyclic_table(7), [1]), (cyclic_table(6), [1, 5]), ([[0]], [0] * 5)):
+        assert outcome(group_from_table, mul, gens) == refused
+        assert outcome(oracle_validate_marked_group, mul, gens) == refused
 
 
 # ------------------------------------------------- groups as generator columns
