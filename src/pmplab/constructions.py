@@ -44,7 +44,6 @@ from .action import (
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
-    InstanceTooLarge,
     InvalidGroupTable,
     NotBijective,
     NotGenerating,
@@ -57,12 +56,12 @@ from .errors import (
     ValidationError,
 )
 from .limits import (
+    MAX_GROUPING_STEPS,
     _check_beam_steps,
     _check_exact_steps,
     _check_generator_entries,
     _check_group_entries,
     _check_group_order,
-    _check_grouping_steps,
 )
 from .record import Record
 
@@ -244,32 +243,34 @@ class MarkedGroup(Record):
 
     @staticmethod
     def of(order: int, identity: int, right: Sequence[Sequence[int]]) -> MarkedGroup:
-        """The group whose right Cayley graph the columns are, checked in
-        O(k^2 order) with no reader in front, its 2 k^2 order entries
-        counted against MAX_GROUP_ENTRIES before any column is copied: every
-        column must be a permutation of the order elements and the identity
-        one of them, else InvalidGroupTable.
+        """The group whose right Cayley graph the columns are, its 2 k^2
+        order entries counted against MAX_GROUP_ENTRIES before any column is
+        copied, then checked over its d distinct columns, in first-seen
+        order, in O(k order + d^2 order) with no reader in front: each must
+        be a permutation of the order elements and the identity one of
+        them, else InvalidGroupTable.
 
-        rows(gen_images) then raises NotGenerating if its walk misses an
-        element, and each left translation L_a, a marked, must commute with
-        every column r_b; else InvalidGroupTable.  This is enough.  Let G be
-        the group the columns generate.  Commuting gives L_a L_b(e) =
-        r_b r_a(e), so products of the L_a reach every element from e.  An
-        element of G fixing e then fixes every c(e) with c commuting with G:
-        G is regular.  So the columns are right multiplication in G carried
-        to the elements (x * y = g(x) where g(e) = y), and rows gives its
-        true table."""
+        rows(gen_images) of the distinct columns then raises NotGenerating
+        if its walk misses an element, and each left translation L_a, a
+        marked, must commute with every column r_b; else InvalidGroupTable.
+        This is enough.  Let G be the group the columns generate.  Commuting
+        gives L_a L_b(e) = r_b r_a(e), so products of the L_a reach every
+        element from e.  An element of G fixing e then fixes every c(e) with
+        c commuting with G: G is regular.  So the columns are right
+        multiplication in G carried to the elements (x * y = g(x) where
+        g(e) = y), and rows gives its true table."""
         _check_group_entries(2 * len(right) ** 2 * order)
         group = MarkedGroup(order, identity, tuple(map(tuple, right)))
+        distinct = MarkedGroup(order, identity, tuple(dict.fromkeys(group.right)))
         elements = list(range(order))
-        if any(sorted(column) != elements for column in group.right):
+        if any(sorted(column) != elements for column in distinct.right):
             raise InvalidGroupTable(f"a column is not a permutation of the {order} elements")
         if not 0 <= identity < order:
             raise InvalidGroupTable(f"identity {identity} is not one of the {order} elements")
-        lefts = group.rows(group.gen_images)
+        lefts = distinct.rows(distinct.gen_images)
         if any(
             list(map(left.__getitem__, column)) != list(map(column.__getitem__, left))
-            for column in group.right
+            for column in distinct.right
             for left in lefts
         ):
             raise InvalidGroupTable("multiplication is not associative")
@@ -699,36 +700,35 @@ def approx_conjugacy_search(
     Both actions are refined once to the common unit 1/L, L = lcm(D1, D2),
     an action whose atoms all weigh 1/L already standing for its own
     refinement with the identity projection, and depth m = 1..max_refine
-    searches the m-fold equal splits of both
-    (action.extensions, which checks max_refine and the summed atoms): the
-    unit refinements to 1/(L*m), whose projections are the base projection
-    composed with the depth's.  One generator (k = 1) is conjugated at
-    every depth from the cycle types (_cycle_type_assign), unless its
-    grouping passes MAX_GROUPING_STEPS, counted over the depths grouped so
-    far: two permutations of equal atoms are conjugate exactly when their
-    cycle types agree, and then the mapping conjugates them exactly.  For
-    k != 1, a complete search first looks at depth 1 for an exact
-    conjugacy (zero broken generator edges), one orbit at a time.  It runs
-    at depth 1 only: depth m is m disjoint copies of the depth-1
-    refinements, and a finite F_k-set splits uniquely into orbits, so m
-    copies of X are isomorphic to m copies of Y exactly when X is to Y; a
-    depth-1 failure is a failure at every depth.  Otherwise a beam search
-    builds the atom bijection greedily: source atoms in
-    increasing order, candidate targets scored by the
-    number of generator edges they break among decided atoms, ties to the
-    lexicographically smallest mapping.  Over uniform atoms this is the
-    one-block extension step with mass bookkeeping trivial.  The reported
-    eps is recomputed exactly from the returned mapping, and the search
-    stops early when it reaches zero.  A positive eps proves that no exact
-    conjugacy exists at the depths tried; it is an upper bound on the least
-    defect there.  Built from cycle types, it was the least defect over
-    every bijection of the depth wherever a brute force checked it (every
-    pair of cycle types on up to 6 atoms, and a sample on 7), but no lower
-    bound is proved past those, and the beam's optimality is never claimed.
-    A beam over n atoms is counted as beam_width*n^2 steps, a bound on its
-    work and not the work it does; before each beam the steps summed over
-    the beams run so far, this one included, are checked against
-    MAX_BEAM_STEPS."""
+    searches the m-fold equal splits of both (action.extensions, which
+    checks max_refine and the summed atoms): the unit refinements to
+    1/(L*m), whose projections are the base projection composed with the
+    depth's.  One generator (k = 1) is conjugated at every depth from the
+    cycle types (_cycle_type_assign), and never by the beam: two
+    permutations of equal atoms are conjugate exactly when their cycle types
+    agree, and then the mapping conjugates them exactly.  Past
+    MAX_GROUPING_STEPS, summed over the depths, a depth's leftover cycles
+    form one group.  For k != 1, a complete search first looks at depth 1
+    for an exact conjugacy (zero broken generator edges), one orbit at a
+    time.  It runs at depth 1 only: depth m is m disjoint copies of the
+    depth-1 refinements, and a finite F_k-set splits uniquely into orbits,
+    so m copies of X are isomorphic to m copies of Y exactly when X is to Y;
+    a depth-1 failure is a failure at every depth.  Otherwise a beam search
+    builds the atom bijection greedily: source atoms in increasing order,
+    candidate targets scored by the number of generator edges they break
+    among decided atoms, ties to the lexicographically smallest mapping.
+    Over uniform atoms this is the one-block extension step with mass
+    bookkeeping trivial.  The reported eps is recomputed exactly from the
+    returned mapping, and the search stops early when it reaches zero.  A
+    positive eps proves that no exact conjugacy exists at the depths tried;
+    it is an upper bound on the least defect there.  Built from cycle types,
+    it was the least defect over every bijection of the depth wherever a
+    brute force checked it (every pair of cycle types on up to 6 atoms, and
+    a sample on 7), but no lower bound is proved past those, and the beam's
+    optimality is never claimed.  A beam over n atoms is counted as
+    beam_width*n^2 steps, a bound on its work and not the work it does;
+    before each beam the steps summed over the beams run so far, this one
+    included, are checked against MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
     if beam_width < 1:
@@ -738,16 +738,14 @@ def approx_conjugacy_search(
     base2, base_proj2 = _at_unit(act2, den)
     depths = zip(extensions(base1, max_refine), extensions(base2, max_refine))
     beam_steps = 0
-    grouping_steps: list[int] | None = [0]  # None once past MAX_GROUPING_STEPS
+    grouping_steps = [0]
     best: ConjugacyCertificate | None = None
     for depth, ((r1, proj1), (r2, proj2)) in enumerate(depths, 1):
         n = r1.algebra.size
-        mapping = _exact_assign(r1, r2) if depth == 1 and r1.k != 1 else None
-        if r1.k == 1 and grouping_steps is not None:
-            try:
-                mapping = _cycle_type_assign(r1.gens[0], r2.gens[0], grouping_steps)
-            except InstanceTooLarge:  # the beam runs here and at every later depth
-                grouping_steps = None
+        if r1.k == 1:
+            mapping = _cycle_type_assign(r1.gens[0], r2.gens[0], grouping_steps)
+        else:
+            mapping = _exact_assign(r1, r2) if depth == 1 else None
         if mapping is None:
             beam_steps += beam_width * n * n
             _check_beam_steps(beam_steps)
@@ -778,10 +776,12 @@ def _cycle_type_assign(g: Perm, h: Perm, spent: list[int]) -> tuple[int, ...]:
     g-cycle but the last, of length d, is cut off by swapping sigma[c] and
     sigma[z], z = sigma^d(c), and mapped onto the cut cycle; the last is
     mapped onto c's.  The mapping conjugates g to sigma, and h^-1 sigma is
-    the product of the a + b - 2 swaps, all through c.  A group is minimal,
-    so no cut point is a merge point and the product is one cycle on
-    a + b - 1 atoms: the group costs a + b - 2 atoms, plus 1 when a + b is
-    odd, and the defect is the grouping's cost over the atoms."""
+    the product of the a + b - 2 swaps, all through c.  A group of the
+    exact search is minimal, so no cut point is a merge point and the
+    product is one cycle on a + b - 1 atoms: the group costs a + b - 2
+    atoms, plus 1 when a + b is odd, and the defect is the grouping's cost
+    over the atoms.  The one group past MAX_GROUPING_STEPS need not be
+    minimal, and its defect is only recomputed."""
     mapping, sigma = [0] * len(g), list(h)
     free: dict[int, list[int]] = {}  # unused h-cycles' least atoms by length, least last
     for x, d in reversed(_cycles(h)):
@@ -816,6 +816,10 @@ def _cycle_type_assign(g: Perm, h: Perm, spent: list[int]) -> tuple[int, ...]:
     return tuple(mapping)
 
 
+class _PastTheCap(Exception):
+    """Ends _grouping's exact search once its steps pass MAX_GROUPING_STEPS."""
+
+
 def _grouping(
     lengths1: list[int], lengths2: list[int], counts: tuple[int, ...], spent: list[int]
 ) -> list[tuple[int, ...]]:
@@ -834,7 +838,8 @@ def _grouping(
     come first, and be worth as much with the other left over.  Its steps
     are the sub-multisets it enumerates, added to spent[0] and checked
     against MAX_GROUPING_STEPS before it enumerates them, and the groups it
-    matches, added and checked before each g-side's are searched."""
+    matches, added and checked before each g-side's are searched.  Past the
+    cap the search stops: the split is one group of every leftover cycle."""
     split = len(lengths1)
     memo: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
 
@@ -846,7 +851,8 @@ def _grouping(
                 sides = [range(i == pin, m + 1) for i, m in enumerate(rest[:split])]
                 others = [range(m + 1) for m in rest[split:]]
                 spent[0] += prod(map(len, sides)) + prod(map(len, others))
-                _check_grouping_steps(spent[0])
+                if spent[0] > MAX_GROUPING_STEPS:
+                    raise _PastTheCap
                 by_sum: dict[int, list[tuple[int, ...]]] = {}
                 for v in product(*others):
                     by_sum.setdefault(sum(map(mul, v, lengths2)), []).append(v)
@@ -854,7 +860,8 @@ def _grouping(
                     matched = by_sum.get(sum(map(mul, u, lengths1)), ())
                     if matched:
                         spent[0] += len(matched)
-                        _check_grouping_steps(spent[0])
+                        if spent[0] > MAX_GROUPING_STEPS:
+                            raise _PastTheCap
                     for v in matched:
                         group = u + v
                         value = 2 - sum(group) % 2 + worth(tuple(map(sub, rest, group)))
@@ -863,7 +870,10 @@ def _grouping(
             memo[rest] = top
         return memo[rest][0]
 
-    worth(counts)
+    try:
+        worth(counts)
+    except _PastTheCap:  # one group of every leftover cycle
+        return [counts]
     groups = []
     while memo[counts][1]:
         groups.append(memo[counts][1])

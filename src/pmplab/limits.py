@@ -29,9 +29,9 @@ which the command line reports with exit 2.
   (_check_generator_entries, before the overalgebra or any generator).
 - MAX_EXACT_STEPS bounds approx_conjugacy_search's exact phase for k >= 2,
   k * n^2 steps over n atoms at depth 1 (_check_exact_steps).
-- MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam,
-  beam_width * n^2 for n refined atoms, summed over the depths that run it
-  (_check_beam_steps, before each beam).
+- MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam, which
+  runs for k >= 2 only: beam_width * n^2 for n refined atoms, summed over
+  the depths that run it (_check_beam_steps, before each beam).
 - MAX_LP_ENTRIES bounds the rows * columns of type_distance_max's linear
   program, sum(|p| + |q| - 1) + n rows by sum(|p| * |q|) + 1 + n columns
   over its free residual cells p, q at arity n (_check_lp_entries, before
@@ -53,10 +53,8 @@ Search bounds.  These end a search instead of refusing it.
   descent holds one int of n + 1 fields per target key, no n x n structure.
 - MAX_GROUPING_STEPS bounds approx_conjugacy_search's exact grouping of the
   leftover cycle lengths of one generator: the sub-multisets its states
-  enumerate and the groups they match, summed over the depths that group
-  (_check_grouping_steps, before each state's enumeration and each batch
-  of matches).  The InstanceTooLarge it raises never leaves the search:
-  that depth, and every later one, runs the beam instead.
+  enumerate and the groups they match, summed over the depths.  Past it,
+  the leftover cycles of that depth and of every later one form one group.
 """
 from __future__ import annotations
 
@@ -94,7 +92,7 @@ GREEDY_ROUNDS = 64
 
 # The benchmark's largest grouping, of seeds 0-6, takes 107 steps; n fixed
 # points against an n-cycle take n + 3, about 0.13 s at the cap on one Xeon
-# core.
+# core; past the cap, one group of every leftover cycle is built in O(n).
 MAX_GROUPING_STEPS = 1 << 16
 
 
@@ -147,15 +145,6 @@ def _check_beam_steps(steps: int) -> None:
     if steps > MAX_BEAM_STEPS:
         raise InstanceTooLarge(
             f"beam searches summing to {steps} steps exceed the cap {MAX_BEAM_STEPS} steps"
-        )
-
-
-def _check_grouping_steps(steps: int) -> None:
-    """Raise InstanceTooLarge when the grouping steps summed so far, the next
-    state's included, pass MAX_GROUPING_STEPS."""
-    if steps > MAX_GROUPING_STEPS:
-        raise InstanceTooLarge(
-            f"cycle groupings summing to {steps} steps exceed the cap {MAX_GROUPING_STEPS} steps"
         )
 
 

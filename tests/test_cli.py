@@ -3,9 +3,11 @@ determinism, and environment handling."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmplab import algebra, cli, jsonio, limits
+from pmplab import algebra, cli, constructions, jsonio, limits
 from pmplab.cli import cli_dispatch
 from pmplab.constructions import MarkedGroup, cyclic_group, quotient_action
 from pmplab.jsonio import action_from_json
@@ -683,19 +685,89 @@ def test_conjsearch_refuses_a_unit_refinement_past_the_cap(capsys, monkeypatch):
 
 
 def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):
-    # depths 1..255 of two atoms fit the atom cap, but the swap against the
-    # identity is never conjugate; beams at every depth used to run for more
-    # than 120 s.  Its cycle types are grouped up to depth 44, and the
-    # groupings sum past MAX_GROUPING_STEPS at depth 45; the beams that run
-    # from there pass the beam cap at depth 66
+    """Depths 1..255 of two atoms fit the atom cap.  With two generators,
+    the swap and the identity against the identity and the swap are never
+    conjugate, and the beams that run at every depth pass the beam cap at
+    depth 58.  One generator never runs the beam: the swap against the
+    identity, whose beams at every depth used to run for more than 120 s,
+    is grouped exactly up to depth 44 and as one group from depth 45, where
+    the groupings sum past MAX_GROUPING_STEPS, and every atom is broken at
+    every depth."""
     identity = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[0,1]]}'
+    swap_first = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[1,0],[0,1]]}'
+    swap_second = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[0,1],[1,0]]}'
     start = time.perf_counter()
-    code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", "255")
+    code, out = run(capsys, "conjsearch", swap_first, swap_second, "--max-refine", "255")
     assert time.perf_counter() - start < 10.0
     assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "InstanceTooLarge"
-    assert "beam" in error["message"]
+    assert json.loads(out) == {"error": {
+        "message": "beam searches summing to 4270656 steps exceed the cap 4194304 steps",
+        "type": "InstanceTooLarge",
+    }}
+    start = time.perf_counter()
+    code, out = run(capsys, "conjsearch", Z2_ACTION, identity, "--max-refine", "255")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["eps"] == "1/1"
+
+
+def test_conjsearch_answers_distinct_cycle_lengths_on_the_largest_algebra(capsys):
+    """65,536 atoms, one side in cycles of lengths 1, 3, 5, ... and the other
+    in 2, 4, 6, ..., each taking what is left as one last cycle and
+    relabelled at random: no length pairs, and the first grouping state
+    alone counts past MAX_GROUPING_STEPS, so the 512 leftover cycles form
+    one group.  Answered within 2 s; the beam it used to run was refused."""
+    n = 1 << 16
+    rng = random.Random(7)
+
+    def relabelled_cycles(length: int) -> str:
+        perm, x = [0] * n, 0
+        while x < n:
+            d = length if x + length <= n else n - x
+            for i in range(d):
+                perm[x + i] = x + (i + 1) % d
+            x, length = x + d, length + 2
+        label = list(range(n))
+        rng.shuffle(label)
+        gen = [0] * n
+        for a in range(n):
+            gen[label[a]] = label[perm[a]]
+        return json.dumps({"algebra": {"atoms": [f"1/{n}"] * n}, "gens": [gen]})
+
+    odd, even = relabelled_cycles(1), relabelled_cycles(2)
+    start = time.perf_counter()
+    code, out = run(capsys, "conjsearch", odd, even)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["eps"] == "253/32768"
+
+
+def test_conjsearch_of_one_generator_within_the_grouping_cap_is_unchanged(capsys, monkeypatch):
+    """60 seeded pairs of random permutations on 2 to 40 atoms, to depth 1
+    or 2, every grouping within MAX_GROUPING_STEPS: their answers hash to
+    the digest recorded when past the cap the beam ran in place of one
+    group."""
+    grouping = constructions._grouping
+
+    def within_the_cap(lengths1, lengths2, counts, spent):
+        groups = grouping(lengths1, lengths2, counts, spent)
+        assert spent[0] <= limits.MAX_GROUPING_STEPS
+        return groups
+
+    monkeypatch.setattr(constructions, "_grouping", within_the_cap)
+    rng = random.Random(5601)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        docs = []
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            docs.append(json.dumps({"algebra": {"atoms": [f"1/{n}"] * n}, "gens": [perm]}))
+        code, out = run(capsys, "conjsearch", *docs, "--max-refine", str(rng.randint(1, 2)))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "ce353282e5c12554428b5f24c331aaf768848d6f888b3eb53163efe009b1ebdf"
 
 
 def test_quadratic_conjsearch_and_wide_group_walks_are_refused_within_a_second(capsys):
@@ -866,6 +938,25 @@ def test_wide_groups_are_refused_within_half_a_second(capsys):
         assert time.perf_counter() - start < seconds
         assert code == 2
         assert json.loads(out) == {"error": {"message": message, "type": "InstanceTooLarge"}}
+
+
+def test_repeated_marked_columns_are_checked_once(capsys):
+    """1000 marks of the one element, as columns or as a table's marked
+    elements, are checked as one distinct column: each document is answered
+    within a tenth of a second, where checking every repeat again took
+    0.6-0.9 s.  A repeated column that is no permutation is still refused
+    with the message of the first."""
+    for group in ({"order": 1, "identity": 0, "right": [[0]] * 1000},
+                  {"mul": [[0]], "gens": [0] * 1000}):
+        start = time.perf_counter()
+        code, out = run(capsys, "gen-quotient", json.dumps(group))
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert json.loads(out) == {"algebra": {"atoms": ["1/1"]}, "gens": [[0]] * 1000, "k": 1000}
+    bad = {"order": 2, "identity": 0, "right": [[1, 0], *[[1, 1]] * 500]}
+    code, out = run(capsys, "gen-quotient", json.dumps(bad))
+    assert json.loads(out) == {"error": {
+        "message": "a column is not a permutation of the 2 elements", "type": "InvalidGroupTable"}}
 
 
 def test_joint_quotient_table_is_bounded_by_its_entries(capsys, monkeypatch):

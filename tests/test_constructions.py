@@ -11,7 +11,7 @@ from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +49,7 @@ from pmplab.constructions import (
     _cycle_type_assign,
     _exact_assign,
     _generated_group,
+    _grouping,
     PartialIsomorphism,
     approx_conjugacy_search,
     cyclic_group,
@@ -88,7 +89,6 @@ from pmplab.limits import (
     MAX_REFINED_ATOMS,
     _check_beam_steps,
     _check_exact_steps,
-    _check_grouping_steps,
 )
 
 from conftest import (
@@ -355,10 +355,12 @@ def test_validate_marked_group_errors():
 def test_marked_group_of_checks_the_columns_alone():
     """MarkedGroup.of with no reader in front: a short column, an entry out
     of range, a column that reaches every element and commutes with its left
-    translation but is not a permutation, S_4 acting on 4 points, a set that
-    misses an element and an identity out of range are refused, the columns
-    before the identity; a group's columns are its group."""
-    for order, right in [(3, [[1, 2]]), (2, [[1, 2]]), (2, [[1, 1]]), (2, [[1, -1]])]:
+    translation but is not a permutation, such a column marked twice after a
+    good one, S_4 acting on 4 points, a set that misses an element and an
+    identity out of range are refused, the columns before the identity; a
+    group's columns are its group."""
+    for order, right in [(3, [[1, 2]]), (2, [[1, 2]]), (2, [[1, 1]]), (2, [[1, -1]]),
+                         (2, [[1, 0], [1, 1], [1, 1]])]:
         text = f"^a column is not a permutation of the {order} elements$"
         with pytest.raises(InvalidGroupTable, match=text):
             MarkedGroup.of(order, 5, right)
@@ -1794,11 +1796,28 @@ MISMATCH_BEAM = {
 }
 
 
+def recorded_groupings(monkeypatch) -> list:
+    """Wrap _grouping: each call appends the grouping steps summed after it
+    and the groups it returned."""
+    calls = []
+
+    def recording(lengths1, lengths2, counts, spent):
+        groups = _grouping(lengths1, lengths2, counts, spent)
+        calls.append((spent[0], groups))
+        return groups
+
+    monkeypatch.setattr(constructions, "_grouping", recording)
+    return calls
+
+
 @pytest.mark.parametrize("n", sorted(MISMATCH_BEAM))
-def test_cycle_type_mismatch_is_refuted_then_left_to_the_beam(n, monkeypatch):
-    """The beam's recorded answers, from _beam_assign itself and from a
-    search whose grouping may take no step, so that it leaves k = 1 to the
-    beam; a search within the cap builds the same eps from cycle types."""
+def test_cycle_type_mismatch_is_refuted_then_built_as_one_group(n, monkeypatch):
+    """The beam's recorded answers, from _beam_assign itself, which stays the
+    k >= 2 search and the oracle here.  A search within the cap builds the
+    same eps from cycle types.  The 8-cycle against two 4-cycles is one
+    minimal group, so a search whose grouping may take no step stops at
+    its first count, 1 * 3 sub-multisets, takes the leftover cycles as one
+    group, and builds that same mapping byte for byte, with no beam."""
     a1, a2 = cycle_mismatch_pair(random.Random(n), n)
     assert _exact_assign(a1, a2) is None
     eps, mapping = MISMATCH_BEAM[n]
@@ -1807,9 +1826,12 @@ def test_cycle_type_mismatch_is_refuted_then_left_to_the_beam(n, monkeypatch):
     built = approx_conjugacy_search(a1, a2)
     assert built.eps == eps and built.iso.mapping != mapping
     assert built.exhausted and verify_conjugacy(built) == eps
-    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 0)
+    monkeypatch.setattr(constructions, "MAX_GROUPING_STEPS", 0)
+    monkeypatch.setattr(constructions, "_beam_assign", None)  # not called
+    groupings = recorded_groupings(monkeypatch)
     cert = approx_conjugacy_search(a1, a2)
-    assert (cert.eps, cert.iso.mapping) == MISMATCH_BEAM[n]
+    assert groupings == [(4, [(1, 2)])]
+    assert (cert.eps, cert.iso.mapping) == (eps, built.iso.mapping)
     assert cert.exhausted and verify_conjugacy(cert) == cert.eps
 
 
@@ -1953,8 +1975,8 @@ def test_one_generator_search_answers_what_the_exact_phase_would():
 
 def test_one_generator_search_never_runs_the_exact_phase(monkeypatch):
     """Conjugate or not, at one depth or several, and when the grouping is
-    past its cap and the beam runs, a search of one generator calls no
-    exact phase; with none or two generators it calls it once."""
+    past its cap, a search of one generator calls no exact phase; with
+    none or two generators it calls it once."""
     calls = []
 
     def counting_exact(r1, r2):
@@ -1973,7 +1995,7 @@ def test_one_generator_search_never_runs_the_exact_phase(monkeypatch):
     ):
         approx_conjugacy_search(a1, a2, max_refine)
     with monkeypatch.context() as capped:
-        capped.setattr(limits, "MAX_GROUPING_STEPS", 0)
+        capped.setattr(constructions, "MAX_GROUPING_STEPS", 0)
         assert approx_conjugacy_search(four_cycle, double_swap, 2).eps == F(1, 2)
     assert calls == []
     free = validate_action(uniform_algebra(4), [])
@@ -2013,42 +2035,148 @@ def test_one_generator_defect_is_the_grouping_cost_and_never_above_the_beam():
 def test_one_generator_grouping_is_capped_by_its_summed_steps(monkeypatch):
     """An 8-cycle and a 4-cycle against a 7-cycle and a 5-cycle group in 7
     steps: 2 g-side sub-multisets holding the 4, 4 h-side ones, and the one
-    group they match.  Built from cycle types at a cap of 7, and one step
-    below it left to the beam, byte for byte, which does worse on this
-    labelling.  The steps are summed over depths: depth 2 enumerates 3 * 2
-    + 9 sub-multisets, matches (8, 4 | 7, 5) and (8, 8, 4, 4 | 7, 7, 5, 5),
-    and the state the first leaves takes 7 more."""
+    group they match.  That group holds every leftover cycle, so one step
+    below the cap, where the search stops at its last count and takes them
+    as one group, builds the same mapping byte for byte; the beam, which
+    does worse on this labelling, never runs.  The steps are summed over
+    depths: depth 2 enumerates 3 * 2 + 9 sub-multisets, matches
+    (8, 4 | 7, 5) and (8, 8, 4, 4 | 7, 7, 5, 5), and the state the first
+    leaves takes 7 more, 31 in all.  Stopped at the first count past the
+    cap, at 22, 23 or 31, depth 2 is one group of all eight cycles, whose
+    defect 1/4 is above the 1/6 of its two groups, and depth 1 answers."""
     a1, a2 = one_generator_pair(random.Random(4915), (8, 4), (7, 5))
-    beam = _beam_assign(a1, a2, 16)
-    assert _conjugacy_defect(beam, a1, a2) == F(1, 3)
-    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 7)
+    assert _conjugacy_defect(_beam_assign(a1, a2, 16), a1, a2) == F(1, 3)
+    monkeypatch.setattr(constructions, "_beam_assign", None)  # not called
+    monkeypatch.setattr(constructions, "MAX_GROUPING_STEPS", 7)
     cert = approx_conjugacy_search(a1, a2)
     assert cert.eps == F(1, 6) and verify_conjugacy(cert) == cert.eps
-    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 6)
-    cert = approx_conjugacy_search(a1, a2)
-    assert (cert.eps, cert.iso.mapping) == (F(1, 3), beam)
-    spent = []
+    monkeypatch.setattr(constructions, "MAX_GROUPING_STEPS", 6)
+    capped = approx_conjugacy_search(a1, a2)
+    assert (capped.eps, capped.iso.mapping) == (cert.eps, cert.iso.mapping)
+    groupings = recorded_groupings(monkeypatch)
+    defects = []
 
-    def recording(steps):
-        spent.append(steps)
-        _check_grouping_steps(steps)
+    def recording_defect(h, r1, r2):
+        defects.append(_conjugacy_defect(h, r1, r2))
+        return defects[-1]
 
-    beams = []
+    monkeypatch.setattr(constructions, "_conjugacy_defect", recording_defect)
+    one = (1, 1, 1, 1)
+    for cap, depth2, groups2 in ((31, 31, [one, one]), (30, 31, [(2, 2, 2, 2)]),
+                                 (22, 23, [(2, 2, 2, 2)]), (21, 22, [(2, 2, 2, 2)]),
+                                 (6, 22, [(2, 2, 2, 2)])):
+        del groupings[:], defects[:]
+        monkeypatch.setattr(constructions, "MAX_GROUPING_STEPS", cap)
+        assert approx_conjugacy_search(a1, a2, max_refine=2).eps == F(1, 6)
+        assert groupings == [(7, [one]), (depth2, groups2)], cap
+        assert defects == [F(1, 6), F(1, 6) if cap == 31 else F(1, 4)], cap
+
+
+def test_one_generator_search_never_runs_the_beam(monkeypatch):
+    """At every depth, within the grouping cap and past it, a search of one
+    generator builds its mapping from cycle types and never calls the beam,
+    which two generators with no exact conjugacy do call, once per depth."""
+    ks = []
 
     def counting_beam(r1, r2, beam_width):
-        beams.append(r1.algebra.size)
+        ks.append(r1.k)
         return _beam_assign(r1, r2, beam_width)
 
-    monkeypatch.setattr(constructions, "_check_grouping_steps", recording)
     monkeypatch.setattr(constructions, "_beam_assign", counting_beam)
-    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 31)
-    assert approx_conjugacy_search(a1, a2, max_refine=2).eps == F(1, 6)
-    assert (spent, beams) == ([6, 7, 22, 23, 29, 30, 31], [])
-    # one step fewer: depth 2 runs the beam, and depth 1 still answers
-    del spent[:]
-    monkeypatch.setattr(limits, "MAX_GROUPING_STEPS", 30)
-    assert approx_conjugacy_search(a1, a2, max_refine=2).eps == F(1, 6)
-    assert (spent, beams) == ([6, 7, 22, 23, 29, 30, 31], [24])
+    rng = random.Random(5601)
+    pairs = [cycle_mismatch_pair(rng, 20), one_generator_pair(rng, (8, 4), (7, 5))]
+    for _ in range(40):
+        n = rng.randint(2, 30)
+        pairs.append(tuple(
+            validate_action(uniform_algebra(n), [random_permutation(rng, n)]) for _ in range(2)))
+    for cap in (limits.MAX_GROUPING_STEPS, 0):
+        monkeypatch.setattr(constructions, "MAX_GROUPING_STEPS", cap)
+        for a1, a2 in pairs:
+            cert = approx_conjugacy_search(a1, a2, max_refine=3)
+            assert verify_conjugacy(cert) == cert.eps
+    assert ks == []
+    swap_first = validate_action(uniform_algebra(2), [(1, 0), (0, 1)])
+    swap_second = validate_action(uniform_algebra(2), [(0, 1), (1, 0)])
+    assert approx_conjugacy_search(swap_first, swap_second, max_refine=2).eps > 0
+    assert ks == [2, 2]
+
+
+def drawn_parts(rng, n: int, lengths) -> list[int]:
+    """Cycle lengths drawn from lengths until they sum to n, the last cut to
+    what is left."""
+    parts = []
+    while n:
+        parts.append(min(rng.choice(lengths), n))
+        n -= parts[-1]
+    return parts
+
+
+def first_state_steps(parts1, parts2) -> int:
+    """The steps _grouping counts before its first state enumerates: the
+    g-side sub-multisets of the leftover cycles holding the least g-length,
+    and every h-side one."""
+    left1, left2 = Counter(parts1) - Counter(parts2), Counter(parts2) - Counter(parts1)
+    pin = min(left1)
+    return prod(m + (d != pin) for d, m in left1.items()) + prod(m + 1 for m in left2.values())
+
+
+def test_one_generator_past_the_grouping_cap_is_one_verified_group(monkeypatch):
+    """300 pairs on 30 to 300 atoms whose first grouping state alone counts
+    past the real MAX_GROUPING_STEPS: the lengths 1..top are shuffled and
+    split between the two sides, each drawing its cycles from its own.
+    Every search stops there and builds one group of all the leftover
+    cycles, whose certificate verifies, and whose defect is at most that
+    group's cost, a + b - 2 atoms plus 1 when a + b is odd, for its a + b
+    cycles.  One group is not always at or below a width-16 beam: on this
+    sample it is above the beam on 124 pairs, equal on 38 and below on 138,
+    and its eps sums to more than the beam's."""
+    rng = random.Random(23)
+    pairs = []
+    while len(pairs) < 300:
+        n = rng.randint(30, 300)
+        lengths = list(range(1, rng.choice((8, 12, 16, 24)) + 1))
+        rng.shuffle(lengths)
+        cut = rng.randint(1, len(lengths) - 1)
+        parts1, parts2 = drawn_parts(rng, n, lengths[:cut]), drawn_parts(rng, n, lengths[cut:])
+        if Counter(parts1) != Counter(parts2):
+            if first_state_steps(parts1, parts2) > limits.MAX_GROUPING_STEPS:
+                pairs.append(one_generator_pair(rng, parts1, parts2))
+    groupings = recorded_groupings(monkeypatch)
+    compared, summed = Counter(), Counter()
+    for a1, a2 in pairs:
+        cert = approx_conjugacy_search(a1, a2)
+        assert verify_conjugacy(cert) == cert.eps
+        (spent, [group]), = groupings
+        del groupings[:]
+        assert spent > limits.MAX_GROUPING_STEPS
+        assert cert.eps * a1.algebra.size <= sum(group) - 2 + sum(group) % 2
+        beam = _conjugacy_defect(_beam_assign(a1, a2, 16), a1, a2)
+        compared[(cert.eps > beam) - (cert.eps < beam)] += 1
+        summed["one group"] += cert.eps
+        summed["beam"] += beam
+    assert (compared[1], compared[0], compared[-1]) == (124, 38, 138)
+    assert summed["one group"] > summed["beam"]
+
+
+def test_one_generator_past_the_grouping_cap_from_one_pool_is_below_the_beam(monkeypatch):
+    """Both sides drawing their cycles from one pool of lengths 1..top, top
+    10, 20 or 30, on 30 to 300 atoms: of the pairs whose grouping passes the
+    real MAX_GROUPING_STEPS, the first 24 are each built as one group that
+    verifies and is below a width-16 beam."""
+    rng = random.Random(23)
+    groupings = recorded_groupings(monkeypatch)
+    kept = 0
+    while kept < 24:
+        n = rng.randint(30, 300)
+        lengths = range(1, rng.choice((10, 20, 30)) + 1)
+        a1, a2 = one_generator_pair(rng, drawn_parts(rng, n, lengths), drawn_parts(rng, n, lengths))
+        del groupings[:]
+        cert = approx_conjugacy_search(a1, a2)
+        (spent, groups), = groupings
+        if spent > limits.MAX_GROUPING_STEPS:
+            kept += 1
+            assert len(groups) == 1 and verify_conjugacy(cert) == cert.eps
+            assert cert.eps < _conjugacy_defect(_beam_assign(a1, a2, 16), a1, a2)
 
 
 # ------------------------------------------ fast kernels against the old code

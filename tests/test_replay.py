@@ -42,8 +42,9 @@ def test_replay_of_a_cycle_is_repeatable_and_counts_every_request(monkeypatch):
 
 def test_diff_names_the_requests_whose_answers_differ(monkeypatch, tmp_path):
     """A copy of this checkout whose one-generator grouping may take no step
-    leaves conj-embed's k = 1 searches to the beam, and --diff names exactly
-    those five requests of seed 0; an id that one side lacks differs too."""
+    builds every conj-embed k = 1 search as one group of its leftover
+    cycles, and --diff names exactly the two requests of seeds 2 and 3
+    whose answers that changes; an id that one side lacks differs too."""
     replay = load(monkeypatch, "replay", ROOT / "tools" / "replay.py")
     other = tmp_path / "other"
     for part in ("src", "perfbench"):
@@ -52,13 +53,13 @@ def test_diff_names_the_requests_whose_answers_differ(monkeypatch, tmp_path):
         limits.write("MAX_GROUPING_STEPS = 0\n")
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "replay.py"), "--root", str(ROOT),
-         "--seeds", "0", "--diff", str(other)],
+         "--seeds", "2-3", "--diff", str(other)],
         capture_output=True, text=True,
     )
     lines = run.stdout.splitlines()
     assert run.returncode == 1, run.stderr
-    assert lines[:-1] == [f"conj-embed seed 0 {rid}" for rid in ("m00", "m01", "m02", "r03", "r05")]
-    assert lines[-1].startswith("5 of ") and lines[-1].endswith(" requests differ")
+    assert lines[:-1] == ["conj-embed seed 2 r03", "conj-embed seed 3 r03"]
+    assert lines[-1].startswith("2 of ") and lines[-1].endswith(" requests differ")
     assert replay.differing(["w seed 0 a 1", "w seed 0 b 2"], ["w seed 0 a 1", "w seed 0 c 3"]) == [
         "w seed 0 b", "w seed 0 c"]
     assert replay.differing(["w seed 0 a 1"], ["w seed 0 a 2"]) == ["w seed 0 a"]
