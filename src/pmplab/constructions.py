@@ -708,12 +708,13 @@ def approx_conjugacy_search(
     permutations of equal atoms are conjugate exactly when their cycle types
     agree, and then the mapping conjugates them exactly.  Past
     MAX_GROUPING_STEPS, summed over the depths, a depth's leftover cycles
-    form one group.  For k != 1, a complete search first looks at depth 1
-    for an exact conjugacy (zero broken generator edges), one orbit at a
-    time.  It runs at depth 1 only: depth m is m disjoint copies of the
-    depth-1 refinements, and a finite F_k-set splits uniquely into orbits,
-    so m copies of X are isomorphic to m copies of Y exactly when X is to Y;
-    a depth-1 failure is a failure at every depth.  Otherwise a beam search
+    are grouped greedily, within as many steps again.  For k != 1, a
+    complete search first looks at depth 1 for an exact conjugacy (zero
+    broken generator edges), one orbit at a time.  It runs at depth 1 only:
+    depth m is m disjoint copies of the depth-1 refinements, and a finite
+    F_k-set splits uniquely into orbits, so m copies of X are isomorphic to
+    m copies of Y exactly when X is to Y; a depth-1 failure is a failure at
+    every depth.  Otherwise a beam search
     builds the atom bijection greedily: source atoms in increasing order,
     candidate targets scored by the number of generator edges they break
     among decided atoms, ties to the lexicographically smallest mapping.
@@ -738,7 +739,7 @@ def approx_conjugacy_search(
     base2, base_proj2 = _at_unit(act2, den)
     depths = zip(extensions(base1, max_refine), extensions(base2, max_refine))
     beam_steps = 0
-    grouping_steps = [0]
+    grouping_steps = [0, 0]
     best: ConjugacyCertificate | None = None
     for depth, ((r1, proj1), (r2, proj2)) in enumerate(depths, 1):
         n = r1.algebra.size
@@ -780,8 +781,8 @@ def _cycle_type_assign(g: Perm, h: Perm, spent: list[int]) -> tuple[int, ...]:
     exact search is minimal, so no cut point is a merge point and the
     product is one cycle on a + b - 1 atoms: the group costs a + b - 2
     atoms, plus 1 when a + b is odd, and the defect is the grouping's cost
-    over the atoms.  The one group past MAX_GROUPING_STEPS need not be
-    minimal, and its defect is only recomputed."""
+    over the atoms.  The greedy groups past MAX_GROUPING_STEPS need not be
+    minimal, and their defect is only recomputed."""
     mapping, sigma = [0] * len(g), list(h)
     free: dict[int, list[int]] = {}  # unused h-cycles' least atoms by length, least last
     for x, d in reversed(_cycles(h)):
@@ -839,7 +840,7 @@ def _grouping(
     are the sub-multisets it enumerates, added to spent[0] and checked
     against MAX_GROUPING_STEPS before it enumerates them, and the groups it
     matches, added and checked before each g-side's are searched.  Past the
-    cap the search stops: the split is one group of every leftover cycle."""
+    cap the search stops, and the split is _greedy_grouping's."""
     split = len(lengths1)
     memo: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
 
@@ -872,13 +873,77 @@ def _grouping(
 
     try:
         worth(counts)
-    except _PastTheCap:  # one group of every leftover cycle
-        return [counts]
+    except _PastTheCap:
+        return _greedy_grouping(lengths1, lengths2, counts, spent)
     groups = []
     while memo[counts][1]:
         groups.append(memo[counts][1])
         counts = tuple(map(sub, counts, groups[-1]))
     return groups
+
+
+def _greedy_grouping(
+    lengths1: list[int], lengths2: list[int], counts: tuple[int, ...], spent: list[int]
+) -> list[tuple[int, ...]]:
+    """A split of the leftover cycles found greedily, once _grouping's exact
+    search has passed MAX_GROUPING_STEPS; spent[1] holds its steps summed
+    so far, apart from the exact search's.
+
+    Each round takes top, twice the longest leftover length (at most the
+    leftover sum), and for each side, each sum s <= top and each parity the
+    fewest of the side's leftover cycles summing to s (_fewest_cycles).
+    Of the groups they pair, it takes the one of most worth per cycle, then
+    of fewest cycles, then of least sum, as many times as the counts allow.
+    A round's table entries are its steps, added to spent[1] and checked
+    against MAX_GROUPING_STEPS before it builds them.  The rounds stop past
+    the cap or when no group is found, and what is left is one group.
+    These groups need not be minimal."""
+    split = len(lengths1)
+    rest, groups = counts, []
+    while any(rest):
+        top = min(2 * max(d for d, m in zip(lengths1 + lengths2, rest) if m),
+                  sum(map(mul, lengths1, rest)))
+        sides = (lengths1, rest[:split]), (lengths2, rest[split:])
+        spent[1] += 2 * (top + 1) * sum(min(m, top // d) + 1 for lengths, ms in sides
+                                        for d, m in zip(lengths, ms))
+        if spent[1] > MAX_GROUPING_STEPS:
+            break
+        tables = [_fewest_cycles(lengths, ms, top) for lengths, ms in sides]
+        fewest1, fewest2 = (table[-1] for table in tables)
+        found = [(Fraction((a + b) % 2 - 2, a + b), a + b, s, a % 2, b % 2)
+                 for s in range(1, top + 1)
+                 for a in (fewest1[0][s], fewest1[1][s]) if a <= top
+                 for b in (fewest2[0][s], fewest2[1][s]) if b <= top]
+        if not found:
+            break
+        _, _, total, *parities = min(found)
+        group: list[int] = []
+        for (lengths, _), table, parity in zip(sides, tables, parities):
+            s, side = total, []
+            for d, less, more in reversed(list(zip(lengths, table, table[1:]))):
+                j = next(j for j in range(s // d + 1)
+                         if less[(parity + j) % 2][s - j * d] + j == more[parity][s])
+                s, parity = s - j * d, (parity + j) % 2
+                side.append(j)
+            group += reversed(side)
+        times = min(m // j for m, j in zip(rest, group) if j)
+        groups += [tuple(group)] * times
+        rest = tuple(m - j * times for m, j in zip(rest, group))
+    if any(rest):
+        groups.append(rest)
+    return groups
+
+
+def _fewest_cycles(lengths: list[int], ms: tuple[int, ...], top: int) -> list[list[list[int]]]:
+    """A bounded knapsack: entry [i][p][s] is the fewest cycles of parity p
+    summing to s <= top, of lengths[:i] with multiplicities ms[:i]; top + 1
+    or more when there are none."""
+    tables = [[[0] + [top + 1] * top, [top + 1] * (top + 1)]]
+    for d, m in zip(lengths, ms):
+        fewest = tables[-1]
+        tables.append([[min(fewest[(p + j) % 2][s - j * d] + j for j in range(min(m, s // d) + 1))
+                        for s in range(top + 1)] for p in (0, 1)])
+    return tables
 
 
 def _at_unit(act: FkAction, den: int) -> tuple[FkAction, tuple[int, ...]]:

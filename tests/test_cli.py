@@ -690,8 +690,9 @@ def test_conjsearch_beams_past_the_summed_steps_are_refused(capsys):
     conjugate, and the beams that run at every depth pass the beam cap at
     depth 58.  One generator never runs the beam: the swap against the
     identity, whose beams at every depth used to run for more than 120 s,
-    is grouped exactly up to depth 44 and as one group from depth 45, where
-    the groupings sum past MAX_GROUPING_STEPS, and every atom is broken at
+    is grouped exactly up to depth 44 and greedily from depth 45, where
+    the groupings sum past MAX_GROUPING_STEPS, each of its m swaps with two
+    fixed points in 80 greedy steps per depth, and every atom is broken at
     every depth."""
     identity = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[0,1]]}'
     swap_first = '{"algebra":{"atoms":["1/2","1/2"]},"gens":[[1,0],[0,1]]}'
@@ -715,8 +716,9 @@ def test_conjsearch_answers_distinct_cycle_lengths_on_the_largest_algebra(capsys
     """65,536 atoms, one side in cycles of lengths 1, 3, 5, ... and the other
     in 2, 4, 6, ..., each taking what is left as one last cycle and
     relabelled at random: no length pairs, and the first grouping state
-    alone counts past MAX_GROUPING_STEPS, so the 512 leftover cycles form
-    one group.  Answered within 2 s; the beam it used to run was refused."""
+    alone counts past MAX_GROUPING_STEPS, as does the greedy grouping's
+    first round, over sums up to 1022, so the 512 leftover cycles form one
+    group.  Answered within 2 s; the beam it used to run was refused."""
     n = 1 << 16
     rng = random.Random(7)
 
