@@ -80,7 +80,7 @@ from .errors import (
     NonpositiveEps,
     WrongTupleCount,
 )
-from .limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS
+from .limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, _check_ec_read_entries
 from .modeltheory import (
     independence_deficiency,
     joint_tv_distance,
@@ -745,18 +745,20 @@ def _ec_prepare(
     the toggle back for each toggle, then a score of the tuple itself.
     Masses and target values are integer units of 1/D, D the lcm of the
     refined atoms' denominator and target_den, so a score s is the Fraction
-    s/D.  The floor is 0."""
+    s/D.  The floor is 0.  One read's entries are checked against
+    MAX_EC_READ_ENTRIES before a depth's member sets are built."""
 
     def prepare(refined: FkAction, projection: Sequence[int]):
         alg = refined.algebra
+        size, arity = alg.size, pulled.arity
+        n = size * arity
+        _check_ec_read_entries(1 << n if 1 << n <= EXHAUSTIVE_TUPLE_CAP else n + 1, len(target))
         denom = lcm(alg.den, target_den)
         scale = denom // alg.den
         weights = [u * scale for u in alg.units]
         goal = [t * (denom // target_den) for t in target]
         a_sets = [set(e.members) for e in lift_tuple(anchors, alg, projection).events]
         perms = [_word_perm(refined, w) for w in words]
-        size, arity = alg.size, pulled.arity
-        n = size * arity
         members: list[set[int]] = [set() for _ in range(arity)]
         moved = [[set() for _ in range(arity)] for _ in perms]
 

@@ -222,9 +222,7 @@ def _cmd_embed(args) -> dict:
 def _cmd_conjsearch(args) -> dict:
     a1 = jsonio.action_from_json(_load(args.action1))
     a2 = jsonio.action_from_json(_load(args.action2))
-    cert = approx_conjugacy_search(
-        a1, a2, max_refine=args.max_refine, beam_width=args.beam
-    )
+    cert = approx_conjugacy_search(a1, a2, max_refine=args.max_refine)
     return {
         "eps": format_rational(cert.eps),
         "eps_decimal": decimal_rendering(cert.eps),
@@ -333,8 +331,7 @@ _COMMANDS = {
     "embed": (_cmd_embed, ("action", ("--mode", {"choices": ("transitive", "profinite"),
                                                  "default": "profinite"})),
               "embed into a quotient (or quotient tensor trivial) action"),
-    "conjsearch": (_cmd_conjsearch, ("action1", "action2", _DEPTH,
-                                     ("--beam", {"type": int, "default": 16})),
+    "conjsearch": (_cmd_conjsearch, ("action1", "action2", _DEPTH),
                    "search for a near-conjugacy with an exact certificate"),
     "audit-c1": (_cmd_audit_c1, ("action", "a", "eps", _BS, _METRIC),
                  "first closure condition quantities"),

@@ -56,6 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .limits import (
+    BEAM_WIDTH,
     MAX_GROUPING_STEPS,
     _check_beam_steps,
     _check_exact_steps,
@@ -693,7 +694,7 @@ def _conjugacy_defect(h: Perm, r1: FkAction, r2: FkAction) -> Fraction:
 
 
 def approx_conjugacy_search(
-    act1: FkAction, act2: FkAction, max_refine: int = 1, beam_width: int = 16
+    act1: FkAction, act2: FkAction, max_refine: int = 1
 ) -> ConjugacyCertificate:
     """Search for a near-conjugacy between two actions.
 
@@ -714,7 +715,7 @@ def approx_conjugacy_search(
     depth m is m disjoint copies of the depth-1 refinements, and a finite
     F_k-set splits uniquely into orbits, so m copies of X are isomorphic to
     m copies of Y exactly when X is to Y; a depth-1 failure is a failure at
-    every depth.  Otherwise a beam search
+    every depth.  Otherwise a beam search of width BEAM_WIDTH
     builds the atom bijection greedily: source atoms in increasing order,
     candidate targets scored by the number of generator edges they break
     among decided atoms, ties to the lexicographically smallest mapping.
@@ -727,13 +728,11 @@ def approx_conjugacy_search(
     brute force checked it (every pair of cycle types on up to 6 atoms, and
     a sample on 7), but no lower bound is proved past those, and the beam's
     optimality is never claimed.  A beam over n atoms is counted as
-    beam_width*n^2 steps, a bound on its work and not the work it does;
+    BEAM_WIDTH*n^2 steps, a bound on its work and not the work it does;
     before each beam the steps summed over the beams run so far, this one
     included, are checked against MAX_BEAM_STEPS."""
     if act1.k != act2.k:
         raise ArityMismatch(f"actions have {act1.k} and {act2.k} generators")
-    if beam_width < 1:
-        raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
     den = lcm(act1.algebra.den, act2.algebra.den)
     base1, base_proj1 = _at_unit(act1, den)
     base2, base_proj2 = _at_unit(act2, den)
@@ -748,9 +747,9 @@ def approx_conjugacy_search(
         else:
             mapping = _exact_assign(r1, r2) if depth == 1 else None
         if mapping is None:
-            beam_steps += beam_width * n * n
+            beam_steps += BEAM_WIDTH * n * n
             _check_beam_steps(beam_steps)
-            mapping = _beam_assign(r1, r2, beam_width)
+            mapping = _beam_assign(r1, r2, BEAM_WIDTH)
         iso = Isomorphism(r1.algebra, r2.algebra, mapping)
         eps = _conjugacy_defect(iso.mapping, r1, r2)
         projections = perm_compose(base_proj1, proj1), perm_compose(base_proj2, proj2)
@@ -1035,8 +1034,8 @@ def _beam_assign(r1: FkAction, r2: FkAction, beam_width: int) -> tuple[int, ...]
     missed: an unspared target of a state, keyed (s + len(spare), rank,
     t), has a larger key than every target before it in the walk, spared
     or not, and it survives only if fewer than beam_width come before it.
-    Each survivor copies its parent's mapping, O(n), so a beam over n
-    atoms does O(beam_width*n^2) work."""
+    Each survivor copies its parent's mapping, O(n): a beam over n atoms
+    does O(beam_width*n^2) work.  The search passes BEAM_WIDTH."""
     n = r1.algebra.size
     edges = list(zip(r1.gens, map(perm_inverse, r1.gens), r2.gens, map(perm_inverse, r2.gens)))
     states: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), (1 << n) - 1)]

@@ -30,12 +30,18 @@ which the command line reports with exit 2.
 - MAX_EXACT_STEPS bounds approx_conjugacy_search's exact phase for k >= 2,
   k * n^2 steps over n atoms at depth 1 (_check_exact_steps).
 - MAX_BEAM_STEPS bounds the work of approx_conjugacy_search's beam, which
-  runs for k >= 2 only: beam_width * n^2 for n refined atoms, summed over
+  runs for k >= 2 only: BEAM_WIDTH * n^2 for n refined atoms, summed over
   the depths that run it (_check_beam_steps, before each beam).
 - MAX_LP_ENTRIES bounds the rows * columns of type_distance_max's linear
   program, sum(|p| + |q| - 1) + n rows by sum(|p| * |q|) + 1 + n columns
   over its free residual cells p, q at arity n (_check_lp_entries, before
   any row is built).
+- MAX_EC_READ_ENTRIES bounds one read of ec_in_extension_check's search at
+  a depth: its candidates times the target pattern's |anchors| * arity *
+  |words| * arity entries, each rescored.  The candidates are the whole
+  scan, 2**n with n = atoms * arity when 2**n <= EXHAUSTIVE_TUPLE_CAP, or
+  else one descent read, n + 1 (_check_ec_read_entries, before the depth's
+  member sets are built).
 
 Search bounds.  These end a search instead of refusing it.
 
@@ -51,6 +57,7 @@ Search bounds.  These end a search instead of refusing it.
   candidates.
 - GREEDY_ROUNDS bounds the rounds of one greedy descent.  A second-condition
   descent holds one int of n + 1 fields per target key, no n x n structure.
+- BEAM_WIDTH: the partial mappings approx_conjugacy_search's beam keeps.
 - MAX_GROUPING_STEPS bounds approx_conjugacy_search's exact grouping of the
   leftover cycle lengths of one generator: the sub-multisets its states
   enumerate and the groups they match, summed over the depths.  Past it,
@@ -89,8 +96,17 @@ MAX_BEAM_STEPS = 1 << 22
 # 102 x 2311.  The benchmark's largest program, of seeds 0-6, is 11 x 15.
 MAX_LP_ENTRIES = 1 << 13
 
+# A read rescores each entry with a set intersection, about 0.6 us on one
+# Xeon core.  Seed-0 e00 (a 3-atom small system, 2 words, depth 2) with its
+# bs tuple repeated to arity 27 reads 163 * 1458 = 237,654 entries at depth 2
+# and is answered in about 0.2 s; at arity 64 its depth-1 read alone would be
+# 193 * 8192 = 1,581,056.  The benchmark's largest read, of seeds 0-6, is
+# 256 * 2 = 512 (e01 at depth 2).
+MAX_EC_READ_ENTRIES = 1 << 18
+
 EXHAUSTIVE_TUPLE_CAP = 4096
 GREEDY_ROUNDS = 64
+BEAM_WIDTH = 16
 
 # The benchmark's largest grouping, of seeds 0-6, takes 107 steps; n fixed
 # points against an n-cycle take n + 3, about 0.13 s at the cap on one Xeon
@@ -156,6 +172,16 @@ def _check_exact_steps(steps: int) -> None:
     if steps > MAX_EXACT_STEPS:
         raise InstanceTooLarge(
             f"an exact conjugacy phase of {steps} steps exceeds the cap {MAX_EXACT_STEPS} steps"
+        )
+
+
+def _check_ec_read_entries(candidates: int, pattern: int) -> None:
+    """Raise InstanceTooLarge when one read of candidates, each rescoring a
+    pattern of this many entries, would pass MAX_EC_READ_ENTRIES."""
+    if candidates * pattern > MAX_EC_READ_ENTRIES:
+        raise InstanceTooLarge(
+            f"an extension-check read of {candidates} candidates x {pattern} pattern "
+            f"entries exceeds the cap {MAX_EC_READ_ENTRIES} entries"
         )
 
 

@@ -61,7 +61,14 @@ from pmplab.errors import (
     ValidationError,
     WrongTupleCount,
 )
-from pmplab.limits import EXHAUSTIVE_TUPLE_CAP, GREEDY_ROUNDS, MAX_REFINED_ATOMS
+from pmplab import limits
+from pmplab.limits import (
+    EXHAUSTIVE_TUPLE_CAP,
+    GREEDY_ROUNDS,
+    MAX_EC_READ_ENTRIES,
+    MAX_REFINED_ATOMS,
+    _check_ec_read_entries,
+)
 from pmplab.modeltheory import joint_tv_distance
 
 from conftest import oracle_sign_map, outcome, random_tuple, uniform_algebra
@@ -472,6 +479,34 @@ def test_audit_depths_are_capped_by_their_summed_atoms(monkeypatch):
         with pytest.raises(InstanceTooLarge):
             audit_call()
     assert visited == []
+
+
+def test_ec_reads_are_capped_by_their_entries(monkeypatch):
+    """One read at a depth rescores |a| * arity * |words| * arity pattern
+    entries per candidate: every candidate of a scan, or the n + 1 of one
+    descent read.  Z/3 inside Z/6 with one anchor, two words and a target of
+    arity 4 scans 2**12 candidates of 32 entries at depth 1, 131,072 in
+    all: under a cap of that many it is answered, under one fewer refused."""
+    _check_ec_read_entries(MAX_EC_READ_ENTRIES, 1)
+    with pytest.raises(InstanceTooLarge):
+        _check_ec_read_entries(MAX_EC_READ_ENTRIES + 1, 1)
+    small = validate_action(uniform_algebra(3), [(1, 2, 0)])
+    big = validate_action(uniform_algebra(6), [(2, 3, 4, 5, 0, 1)])
+    embed = PartialIsomorphism.of(
+        small.algebra, big.algebra, [([0], [0, 1]), ([1], [2, 3]), ([2], [4, 5])]
+    )
+    anchors = EventTuple.of_members(small.algebra, [[2]])
+    bs = EventTuple.of_members(big.algebra, [[1, 2, 5]] * 4)
+
+    def search():
+        return ec_in_extension_check(small, big, embed, anchors, bs, [(), (1,)], F(1, 100), 2)
+
+    monkeypatch.setattr(limits, "MAX_EC_READ_ENTRIES", 4096 * 32)
+    assert search().discrepancy == F(1, 6)
+    monkeypatch.setattr(limits, "MAX_EC_READ_ENTRIES", 4096 * 32 - 1)
+    with pytest.raises(InstanceTooLarge, match="of 4096 candidates x 32 pattern entries "
+                       "exceeds the cap 131071 entries"):
+        search()
 
 
 def test_ec_rejects_bad_embeddings_and_eps():

@@ -269,7 +269,7 @@ def test_detects_a_table_form_the_reader_does_not_take():
     (["dist", "x", "y", "z"], True),
     (["dist", "x", "y", "z", "--out", ""], True),
     (["audit-c1", "x", "y", "1/2", "b1", "b2", "--metric", "max"], True),
-    (["conjsearch", "x", "y", "--beam", "3", "--beam", "4"], True),  # repeated: the last wins
+    (["conjsearch", "x", "y", "--max-refine", "3", "--max-refine", "4"], True),  # the last wins
     (["eppa", "x", "p", "q", "r"], True),
     (["refine", "x", "3"], True),
     (["dist", "-h"], False),
@@ -287,7 +287,7 @@ def test_detects_a_table_form_the_reader_does_not_take():
     (["dist", "x", "y"], False),
     (["dist", "x", "y", "z", "w"], False),
     (["eppa", "x"], False),
-    (["conjsearch", "x", "y", "--beam", "3", "--beam", "four"], False),
+    (["conjsearch", "x", "y", "--max-refine", "3", "--max-refine", "four"], False),
 ])
 def test_reader_edge_forms(argv, read):
     assert _check_against_argparse(argv) == read
@@ -805,21 +805,25 @@ def test_quadratic_conjsearch_and_wide_group_walks_are_refused_within_a_second(c
         assert json.loads(out) == {"error": {"message": message, "type": "InstanceTooLarge"}}
 
 
-def test_conjsearch_without_a_beam_is_a_validation_error(capsys):
-    code, out = run(capsys, "conjsearch", Z2_ACTION, Z2_ACTION, "--beam", "0")
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "ValidationError"
-    assert "beam_width" in error["message"]
+def test_conjsearch_beam_is_a_usage_error(capsys):
+    """The beam's width is the constant BEAM_WIDTH: --beam is an unknown
+    flag, as --seed is."""
+    code, out, err = _stdio(
+        capsys, lambda: cli_dispatch(["conjsearch", Z2_ACTION, Z2_ACTION, "--beam", "3"])
+    )
+    assert (code, out) == (64, "")
+    # the usage lines wrap with the terminal's width
+    assert err.startswith("usage: pmplab conjsearch [-h] [--max-refine MAX_REFINE] [--out OUT]")
+    assert err.endswith("\npmplab conjsearch: error: unrecognized arguments: --beam 3\n")
 
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-refine", "0", "max_refine must be >= 1, got 0"),
     ("--max-refine", "-1", "max_refine must be >= 1, got -1"),
-    ("--beam", "0", "beam_width must be >= 1, got 0"),
-    ("--beam", "-3", "beam_width must be >= 1, got -3"),
 ])
 def test_conjsearch_names_the_bad_depth_or_beam(capsys, flag, value, message):
+    """A bad depth is named; a beam width is no option (see
+    test_conjsearch_beam_is_a_usage_error)."""
     code, out = run(capsys, "conjsearch", Z2_ACTION, Z2_ACTION, flag, value)
     assert code == 2
     assert json.loads(out) == {"error": {"message": message, "type": "ValidationError"}}
@@ -1059,6 +1063,30 @@ def test_audit_subcommands(capsys):
     )
     assert code == 0
     assert json.loads(out)["residual"] == "0/1"
+
+
+def test_audit_ec_reads_are_bounded(capsys):
+    """Z/3 inside Z/6 with a target tuple of repeated events: at arity 27 the
+    depth-2 descent reads 163 candidates x 1458 pattern entries and is
+    answered within a second; at arity 28 depth 2 is refused, and at arity
+    64 depth 1, 193 x 8192 entries, in under a tenth of a second."""
+    small = '{"algebra":{"atoms":["1/3","1/3","1/3"]},"gens":[[1,2,0]]}'
+    big = '{"algebra":{"atoms":%s},"gens":[[2,3,4,5,0,1]]}' % json.dumps(["1/6"] * 6)
+    embed = json.dumps({"pairs": [{"source": [i], "target": [2 * i, 2 * i + 1]}
+                                  for i in range(3)]})
+    for arity, refused, seconds in ((27, None, 1.0), (28, (169, 1568), 1.0), (64, (193, 8192), 0.1)):
+        start = time.perf_counter()
+        code, out = run(capsys, "audit-ec", small, big, embed, "[[2]]",
+                        json.dumps([[1, 2, 5]] * arity), "[[],[1]]", "1/100", "--max-refine", "2")
+        assert time.perf_counter() - start < seconds
+        if refused is None:
+            assert code == 0
+            assert json.loads(out)["discrepancy"] == "1/6"
+        else:
+            assert code == 2
+            assert json.loads(out) == {"error": {"type": "InstanceTooLarge", "message": (
+                f"an extension-check read of {refused[0]} candidates x {refused[1]} pattern "
+                f"entries exceeds the cap {limits.MAX_EC_READ_ENTRIES} entries")}}
 
 
 def test_audit_ec_subcommand(capsys):

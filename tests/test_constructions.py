@@ -4,6 +4,7 @@ near-conjugacy search."""
 from __future__ import annotations
 
 import heapq
+import inspect
 import random
 import time
 from bisect import bisect_left
@@ -84,6 +85,7 @@ from pmplab.errors import (
 )
 from pmplab.jsonio import action_to_json, group_from_json, group_to_json
 from pmplab.limits import (
+    BEAM_WIDTH,
     MAX_BEAM_STEPS,
     MAX_EXACT_STEPS,
     MAX_GENERATOR_ENTRIES,
@@ -1605,7 +1607,7 @@ def layout(refined: FkAction, projection):
     return refined.algebra.den, refined.algebra.units, refined.gens, tuple(projection)
 
 
-def oracle_conjugacy_search(act1: FkAction, act2: FkAction, max_refine: int, beam_width=16):
+def oracle_conjugacy_search(act1: FkAction, act2: FkAction, max_refine: int):
     """The search over oracle_unit_depths: the (mapping, eps, layout of each
     refined action) of every depth it searched, and of its answer, the
     least eps with earlier depths winning ties.  It stops at the first
@@ -1620,7 +1622,7 @@ def oracle_conjugacy_search(act1: FkAction, act2: FkAction, max_refine: int, bea
         if mapping is None and r1.k == 1:
             mapping = _cycle_type_assign(r1.gens[0], r2.gens[0], [0])
         if mapping is None:
-            mapping = _beam_assign(r1, r2, beam_width)
+            mapping = _beam_assign(r1, r2, 16)
         searched.append((mapping, _conjugacy_defect(mapping, r1, r2), layout(r1, p1), layout(r2, p2)))
         if searched[-1][1] == 0:
             break
@@ -2621,31 +2623,34 @@ def test_profinite_tensor_embedding_is_capped():
         embed_into_profinite_tensor(rotation_beside(64))
 
 
-def test_conjugacy_beams_are_capped_by_their_summed_steps():
-    """A beam over n atoms takes beam_width * n^2 steps; before each beam the
+def test_conjugacy_beams_are_capped_by_their_summed_steps(monkeypatch):
+    """A beam over n atoms takes BEAM_WIDTH * n^2 steps; before each beam the
     steps summed over the beams run so far must stay within MAX_BEAM_STEPS."""
     _check_beam_steps(MAX_BEAM_STEPS)
     with pytest.raises(InstanceTooLarge):
         _check_beam_steps(MAX_BEAM_STEPS + 1)
     # the swap beside the identity against two identities is never conjugate
     # and has two generators, so every depth runs a beam: 2 atoms at depth 1
-    # and 4 at depth 2, beam_width * (4 + 16) steps; one more unit of width
+    # and 4 at depth 2, BEAM_WIDTH * (4 + 16) steps; one more unit of width
     # passes the cap on the sum, not on depth 2 alone
     swap = validate_action(uniform_algebra(2), [(1, 0), (0, 1)])
     identity = validate_action(uniform_algebra(2), [(0, 1), (0, 1)])
     width = MAX_BEAM_STEPS // 20
     assert 20 * width <= MAX_BEAM_STEPS < 20 * (width + 1)
     assert 16 * (width + 1) <= MAX_BEAM_STEPS
-    cert = approx_conjugacy_search(swap, identity, max_refine=2, beam_width=width)
-    assert cert.exhausted
-    with pytest.raises(InstanceTooLarge):
-        approx_conjugacy_search(swap, identity, max_refine=2, beam_width=width + 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(constructions, "BEAM_WIDTH", width)
+        cert = approx_conjugacy_search(swap, identity, max_refine=2)
+        assert cert.exhausted
+        patched.setattr(constructions, "BEAM_WIDTH", width + 1)
+        with pytest.raises(InstanceTooLarge):
+            approx_conjugacy_search(swap, identity, max_refine=2)
 
-    # with the default width 16, depths 1..D sum to 16 * sum (2d)^2 steps:
+    # with the width 16, depths 1..D sum to 16 * sum (2d)^2 steps:
     # depth 57 still runs, depth 58 is refused, inside the atom cap's 255
     # (for these two generators; one generator groups cycle types first)
     def summed(depths: int) -> int:
-        return sum(16 * (2 * d) ** 2 for d in range(1, depths + 1))
+        return sum(BEAM_WIDTH * (2 * d) ** 2 for d in range(1, depths + 1))
 
     assert summed(57) <= MAX_BEAM_STEPS < summed(58)
 
@@ -2673,33 +2678,22 @@ def test_the_exact_conjugacy_phase_is_capped_by_its_steps(monkeypatch):
 
 
 def test_conjugacy_search_without_a_beam_or_a_depth_is_a_validation_error():
+    """The beam's width is the constant BEAM_WIDTH, so only a depth below 1
+    is refused."""
     act = quotient_action(cyclic_group(2, [1]))
-    for max_refine, beam_width, message in (
-        (1, 0, "beam_width must be >= 1, got 0"),
-        (0, 16, "max_refine must be >= 1, got 0"),
-        (-2, 0, "beam_width must be >= 1, got 0"),
-    ):
+    for max_refine in (0, -2):
         with pytest.raises(ValidationError) as err:
-            approx_conjugacy_search(
-                act, act, max_refine=max_refine, beam_width=beam_width
-            )
-        assert str(err.value) == message
+            approx_conjugacy_search(act, act, max_refine=max_refine)
+        assert str(err.value) == f"max_refine must be >= 1, got {max_refine}"
 
 
-def test_conjugacy_search_refuses_a_beam_width_before_refining(monkeypatch):
-    """A beam_width below 1 is refused before either unit refinement is
-    built, even on actions whose atoms do not weigh the common unit."""
-    def failing_refine(act, unit):
-        raise AssertionError("refined before the beam_width check")
-
-    monkeypatch.setattr(constructions, "refine_action_to_unit", failing_refine)
-    act1 = validate_action(validate_algebra([F(1, 2), F(1, 4), F(1, 4)]), [(0, 2, 1)])
-    act2 = validate_action(validate_algebra([F(1, 3), F(2, 3)]), [(0, 1)])
-    with pytest.raises(AssertionError):
-        approx_conjugacy_search(act1, act2)
-    for beam_width in (0, -1):
-        with pytest.raises(ValidationError, match=f"beam_width must be >= 1, got {beam_width}"):
-            approx_conjugacy_search(act1, act2, beam_width=beam_width)
+def test_conjugacy_search_takes_two_actions_and_a_depth():
+    """No width parameter: the beam keeps BEAM_WIDTH states, 16."""
+    params = inspect.signature(approx_conjugacy_search).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("act1", inspect.Parameter.empty), ("act2", inspect.Parameter.empty), ("max_refine", 1)
+    ]
+    assert BEAM_WIDTH == 16
 
 
 # ------------------------------------------------- actions built unchecked
